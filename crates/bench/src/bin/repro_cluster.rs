@@ -61,7 +61,6 @@ fn node_config() -> NodeConfig {
     // min_daemons / service_delay ≈ 1.6k req/s, so capacity scales
     // with node count instead of with the (single) CPU.
     cfg.server.min_daemons = NODE_DAEMONS;
-    cfg.server.max_daemons = NODE_DAEMONS.max(cfg.server.min_daemons);
     cfg.service_delay = SERVICE_DELAY;
     cfg.pull_interval = Duration::from_millis(2);
     cfg
@@ -93,7 +92,6 @@ fn start_cluster(tag: &str, replicas: usize) -> Cluster {
     // Every in-flight client request occupies one router worker while
     // it waits on a backend; size the pool above client concurrency.
     rcfg.server.min_daemons = CLIENTS + 8;
-    rcfg.server.max_daemons = CLIENTS + 8;
     let router = Router::start("127.0.0.1:0", &[spec], rcfg).unwrap();
 
     let mut c = DavClient::connect(router.addr()).unwrap();

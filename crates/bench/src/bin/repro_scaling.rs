@@ -8,17 +8,13 @@
 //! latency percentiles respond as concurrent clients grow from 1 to 16
 //! under three operation mixes (read-heavy, mixed, write-heavy).
 //!
-//! Default run: the sharded matrix on the epoll-reactor server core,
-//! plus one global-lock baseline at the read-heavy / 8-client point
+//! Default run: the sharded matrix, plus one global-lock baseline at the read-heavy / 8-client point
 //! with the sharded:global throughput ratio printed, plus the
 //! idle-client regime: 1k+ parked keep-alive connections (10k under
 //! `PSE_SCALE=full`) with fresh clients measured through the crowd and
 //! the `http.conns_parked` / worker gauges recorded at peak.
 //! `--ablate-global-lock` runs the full matrix with the
-//! whole-repository lock instead; `--ablate-threaded` runs the baseline
-//! matrix on the thread-per-connection core (its idle point is capped
-//! below `max_daemons` — parking a thousand connections there would
-//! need a thousand threads, which is the point). Results land in
+//! whole-repository lock instead. Results land in
 //! `target/bench-json/scaling.json` (or `$PSE_BENCH_JSON`), with the
 //! metric-registry delta — including `dav.pathlock.*` — alongside.
 //!
@@ -32,7 +28,7 @@ use pse_dav::fsrepo::{FsConfig, FsRepository};
 use pse_dav::handler::DavHandler;
 use pse_dav::property::{Property, PropertyName};
 use pse_dav::server::serve;
-use pse_http::server::{Server, ServerConfig, ServerMode};
+use pse_http::server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -60,7 +56,7 @@ struct Rig {
     dir: PathBuf,
 }
 
-fn rig(tag: &str, global_lock: bool, mode: ServerMode) -> Rig {
+fn rig(tag: &str, global_lock: bool) -> Rig {
     let dir = scratch_dir(tag);
     let repo = FsRepository::create(
         &dir,
@@ -73,12 +69,8 @@ fn rig(tag: &str, global_lock: bool, mode: ServerMode) -> Rig {
     let server = serve(
         "127.0.0.1:0",
         ServerConfig {
-            mode,
-            // One connection per client for the whole run, and enough
-            // daemons that the transport never caps the concurrency
-            // under measurement.
+            // One connection per client for the whole run.
             max_requests_per_connection: 10_000_000,
-            max_daemons: 64,
             keep_alive_timeout: Duration::from_secs(600),
             ..ServerConfig::default()
         },
@@ -197,7 +189,6 @@ fn read_raw_response(s: &mut TcpStream) {
 /// crowd. Emits one JSON row combining both.
 fn idle_point(
     r: &Rig,
-    label: &str,
     parked: usize,
     ops: usize,
     table: &mut Table,
@@ -206,8 +197,8 @@ fn idle_point(
     let addr = r.server.local_addr();
     let mut crowd = Vec::with_capacity(parked);
     for i in 0..parked {
-        let mut s = TcpStream::connect(addr)
-            .unwrap_or_else(|e| panic!("idle conn #{i}/{parked} ({label}): {e}"));
+        let mut s =
+            TcpStream::connect(addr).unwrap_or_else(|e| panic!("idle conn #{i}/{parked}: {e}"));
         s.write_all(b"GET /scale/d0 HTTP/1.1\r\n\r\n").unwrap();
         read_raw_response(&mut s);
         crowd.push(s);
@@ -215,7 +206,6 @@ fn idle_point(
     let snap = r.server.registry().snapshot();
     let (rps, _p50, p99) = run_point(r, 90, 8, ops);
     table.row(&[
-        label.to_owned(),
         parked.to_string(),
         format!("{rps:.0}"),
         format!("{p99:.0}"),
@@ -223,7 +213,7 @@ fn idle_point(
         snap.gauge("http.workers_total").to_string(),
     ]);
     rows.push((
-        format!("idle-{label}-n{parked}"),
+        format!("idle-reactor-n{parked}"),
         vec![
             ("parked_clients", parked as f64),
             ("fresh_rps", rps),
@@ -238,27 +228,15 @@ fn idle_point(
 
 fn main() {
     let ablate_global = std::env::args().any(|a| a == "--ablate-global-lock");
-    let ablate_threaded = std::env::args().any(|a| a == "--ablate-threaded");
-    let mode = if ablate_threaded {
-        ServerMode::Threaded
-    } else {
-        ServerMode::Reactor
-    };
     let ops = if full_scale() { 1500 } else { 150 };
-    let label = if ablate_global {
-        "global"
-    } else if ablate_threaded {
-        "threaded"
-    } else {
-        "sharded"
-    };
+    let label = if ablate_global { "global" } else { "sharded" };
 
-    let r = rig("scaling", ablate_global, mode);
+    let r = rig("scaling", ablate_global);
     let registry = r.server.registry();
     let obs_before = registry.snapshot();
 
     let mut table = Table::new(
-        &format!("Client scaling, {label} ({ops} ops/client, {} core)", mode.as_str()),
+        &format!("Client scaling, {label} ({ops} ops/client)"),
         &["mix", "clients", "req/s", "p50 µs", "p99 µs"],
     );
     let mut rows: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
@@ -281,10 +259,10 @@ fn main() {
     let obs_delta = registry.snapshot().delta(&obs_before);
     table.print();
 
-    if !ablate_global && !ablate_threaded {
+    if !ablate_global {
         // One ablated point for the headline comparison: read-heavy at
         // 8 clients with the whole-repository lock the shards replaced.
-        let rg = rig("scaling-global", true, mode);
+        let rg = rig("scaling-global", true);
         let (grps, gp50, gp99) = run_point(&rg, 90, 8, ops);
         teardown(rg);
         rows.push((
@@ -316,30 +294,28 @@ fn main() {
                 std::thread::available_parallelism().map_or(1, |n| n.get())
             );
         }
-    }
 
-    if !ablate_global {
         // The idle-client regime: the reactor parks thousands of
-        // keep-alive connections for a fd apiece; the threaded core
-        // pays a full OS thread per parked connection, so its point is
-        // capped below `max_daemons` — comparing the `workers_total`
-        // gauge across the two rows IS the result.
-        let sizes: &[usize] = if ablate_threaded {
-            &[48]
-        } else if full_scale() {
+        // keep-alive connections for a fd apiece while `workers_total`
+        // stays at the fixed pool size.
+        let sizes: &[usize] = if full_scale() {
             &[1000, 4000, 10_000]
         } else {
             &[1000]
         };
-        let _ = pse_http::poll::raise_nofile_limit(
-            (*sizes.iter().max().unwrap() as u64) * 2 + 512,
-        );
+        let _ = pse_http::poll::raise_nofile_limit((*sizes.iter().max().unwrap() as u64) * 2 + 512);
         let mut idle_table = Table::new(
-            &format!("Idle-client regime, {} core (8 fresh read-heavy clients)", mode.as_str()),
-            &["core", "parked", "fresh req/s", "fresh p99 µs", "conns_parked", "workers_total"],
+            "Idle-client regime (8 fresh read-heavy clients)",
+            &[
+                "parked",
+                "fresh req/s",
+                "fresh p99 µs",
+                "conns_parked",
+                "workers_total",
+            ],
         );
         for &parked in sizes {
-            idle_point(&r, mode.as_str(), parked, ops, &mut idle_table, &mut rows);
+            idle_point(&r, parked, ops, &mut idle_table, &mut rows);
         }
         idle_table.print();
     }

@@ -25,7 +25,8 @@ pub struct ThrottledProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    /// Total bytes relayed (both directions).
+    /// Total bytes relayed (both directions), counted as each read is
+    /// handed to the write side.
     pub bytes: Arc<AtomicU64>,
 }
 
@@ -98,11 +99,13 @@ fn pump(mut from: TcpStream, mut to: TcpStream, bytes_per_sec: u64, counter: &At
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
+        // Count before delivering: once the peer holds these bytes, a
+        // reader of the counter must already see them.
+        counter.fetch_add(n as u64, Ordering::Relaxed);
         if to.write_all(&buf[..n]).is_err() {
             break;
         }
         sent += n as u64;
-        counter.fetch_add(n as u64, Ordering::Relaxed);
         // Pace: how long *should* `sent` bytes have taken?
         let due = Duration::from_secs_f64(sent as f64 / bytes_per_sec as f64);
         let elapsed = start.elapsed();

@@ -10,7 +10,7 @@
 //!   vanished between candidate discovery and property fetch.
 //! * The protocol path: SEARCH through gzip content-coding, through a
 //!   fault-injecting proxy with retries, and pipelined back-to-back on
-//!   one connection against both server cores.
+//!   one connection.
 
 use proptest::prelude::*;
 use pse_dav::client::DavClient;
@@ -23,7 +23,7 @@ use pse_dav::search::{self, Condition, Query};
 use pse_dav::server::serve;
 use pse_http::fault::{Fault, FaultProxy, Point, Schedule};
 use pse_http::retry::RetryPolicy;
-use pse_http::server::{ServerConfig, ServerMode};
+use pse_http::server::ServerConfig;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -292,7 +292,7 @@ fn search_never_aborts_while_racing_delete() {
     churner.join().unwrap();
 }
 
-fn molecule_server(mode: ServerMode) -> (pse_http::server::Server, std::path::PathBuf) {
+fn molecule_server() -> (pse_http::server::Server, std::path::PathBuf) {
     let dir = temp_dir("srv");
     let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
     repo.mkcol("/mols").unwrap();
@@ -310,10 +310,7 @@ fn molecule_server(mode: ServerMode) -> (pse_http::server::Server, std::path::Pa
     }
     let server = serve(
         "127.0.0.1:0",
-        ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
         DavHandler::new(repo),
     )
     .unwrap();
@@ -334,7 +331,7 @@ fn eq_search_body(value: &str) -> String {
 /// same multistatus a plain client sees.
 #[test]
 fn search_through_gzip_roundtrips() {
-    let (server, dir) = molecule_server(ServerMode::Reactor);
+    let (server, dir) = molecule_server();
     let addr = server.local_addr();
 
     // Raw exchange first: prove the coding actually happened on the wire.
@@ -372,7 +369,7 @@ fn search_through_gzip_roundtrips() {
 /// right answer anyway.
 #[test]
 fn search_survives_fault_proxy() {
-    let (server, dir) = molecule_server(ServerMode::Reactor);
+    let (server, dir) = molecule_server();
     let addr = server.local_addr();
     let faults = [
         Fault::Reset(Point::BeforeRequest),
@@ -410,46 +407,34 @@ fn search_survives_fault_proxy() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Two SEARCHes written back-to-back before reading anything: both
-/// cores must frame both 207s correctly on one connection.
+/// Two SEARCHes written back-to-back before reading anything: the
+/// server must frame both 207s correctly on one connection.
 #[test]
-fn pipelined_search_framing_on_both_cores() {
-    for mode in [ServerMode::Reactor, ServerMode::Threaded] {
-        let (server, dir) = molecule_server(mode);
-        let b1 = eq_search_body("H2O");
-        let b2 = eq_search_body("UO2");
-        let mut wire = Vec::new();
-        for b in [&b1, &b2] {
-            wire.extend_from_slice(
-                format!(
-                    "SEARCH / HTTP/1.1\r\nContent-Type: text/xml\r\nContent-Length: {}\r\n\r\n",
-                    b.len()
-                )
-                .as_bytes(),
-            );
-            wire.extend_from_slice(b.as_bytes());
-        }
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.write_all(&wire).unwrap();
-        s.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut raw = Vec::new();
-        s.read_to_end(&mut raw).unwrap();
-        let text = String::from_utf8_lossy(&raw);
-        assert_eq!(
-            text.matches("HTTP/1.1 207").count(),
-            2,
-            "{}: {text}",
-            mode.as_str()
+fn pipelined_search_framing() {
+    let (server, dir) = molecule_server();
+    let b1 = eq_search_body("H2O");
+    let b2 = eq_search_body("UO2");
+    let mut wire = Vec::new();
+    for b in [&b1, &b2] {
+        wire.extend_from_slice(
+            format!(
+                "SEARCH / HTTP/1.1\r\nContent-Type: text/xml\r\nContent-Length: {}\r\n\r\n",
+                b.len()
+            )
+            .as_bytes(),
         );
-        // First answer has the 10 H2O matches, second the 20 UO2 ones —
-        // framing intact means 30 hrefs total across the two bodies.
-        assert_eq!(
-            text.matches("<D:href>").count(),
-            30,
-            "{}: {text}",
-            mode.as_str()
-        );
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+        wire.extend_from_slice(b.as_bytes());
     }
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.write_all(&wire).unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8_lossy(&raw);
+    assert_eq!(text.matches("HTTP/1.1 207").count(), 2, "{text}");
+    // First answer has the 10 H2O matches, second the 20 UO2 ones —
+    // framing intact means 30 hrefs total across the two bodies.
+    assert_eq!(text.matches("<D:href>").count(), 30, "{text}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

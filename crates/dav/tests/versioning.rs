@@ -17,9 +17,6 @@
 //!   store and on a persistent store restarted mid-history produce
 //!   identical version bodies, and GC (prune) leaves refcounts
 //!   consistent (proptest).
-//!
-//! `PSE_HTTP_MODE` (reactor|threaded) picks the server core, same knob
-//! as the concurrency suite — `scripts/ci.sh --versions` runs both.
 
 use pse_dav::client::DavClient;
 use pse_dav::fsrepo::{FsConfig, FsRepository};
@@ -30,20 +27,13 @@ use pse_dav::repo::Repository;
 use pse_dav::server::serve;
 use pse_dav::version::{history_url, VersionStore};
 use pse_dav::Depth;
-use pse_http::server::{ServerConfig, ServerMode};
+use pse_http::server::ServerConfig;
 use pse_http::{Client, Method, Request};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 static N: AtomicU64 = AtomicU64::new(0);
-
-fn http_mode() -> ServerMode {
-    std::env::var("PSE_HTTP_MODE")
-        .ok()
-        .and_then(|v| ServerMode::parse(&v))
-        .unwrap_or_default()
-}
 
 struct Rig {
     server: Option<pse_http::server::Server>,
@@ -64,11 +54,7 @@ impl Rig {
         let versions = VersionStore::persistent(dir.join("versions")).unwrap();
         let handler = DavHandler::with_parts(repo, pse_obs::Registry::new(), versions);
         let store = handler.versions();
-        let config = ServerConfig {
-            mode: http_mode(),
-            ..ServerConfig::default()
-        };
-        let server = serve("127.0.0.1:0", config, handler).unwrap();
+        let server = serve("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
         let client = DavClient::connect(server.local_addr()).unwrap();
         Rig {
             server: Some(server),

@@ -1,13 +1,13 @@
 //! Non-blocking connection state machines for the reactor server.
 //!
-//! [`RequestParser`] is an incremental HTTP/1.1 request parser: it is
-//! fed whatever bytes the socket had ready and reports either "need
-//! more", a complete [`Request`], or a protocol reject that already
-//! knows its status code. Unlike [`crate::wire::read_request`], it
-//! never blocks and never owns the transport, so one reactor thread can
-//! interleave thousands of connections each sitting at an arbitrary
-//! parse position — headers split across TCP segments, bodies arriving
-//! a byte at a time, several pipelined requests inside one segment.
+//! [`RequestParser`] is the server's HTTP/1.1 request parser. It is
+//! incremental: it is fed whatever bytes the socket had ready and
+//! reports either "need more", a complete [`Request`], or a protocol
+//! reject that already knows its status code. It never blocks and never
+//! owns the transport, so one reactor thread can interleave thousands of
+//! connections each sitting at an arbitrary parse position — headers
+//! split across TCP segments, bodies arriving a byte at a time, several
+//! pipelined requests inside one segment.
 //!
 //! [`Conn`] wraps a non-blocking [`TcpStream`] with that parser plus an
 //! outgoing byte buffer and walks the connection through its life
@@ -23,6 +23,7 @@
 //! worker pool; nothing in this module calls `epoll`, which keeps every
 //! state transition unit-testable against plain in-memory buffers.
 
+use crate::error::{Error, Result};
 use crate::headers::Headers;
 use crate::message::{Request, Response, Version};
 use crate::method::Method;
@@ -32,6 +33,22 @@ use crate::wire::{self, Limits};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
+
+/// Parse a `METHOD target HTTP/1.x` request line.
+fn parse_request_line(line: &str) -> Result<(Method, Target, Version)> {
+    let mut parts = line.split_whitespace();
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(t), Some(v)) => (m, t, v),
+        _ => return Err(Error::Parse(format!("malformed request line `{line}`"))),
+    };
+    let version = match version {
+        "HTTP/1.1" => Version::V1_1,
+        "HTTP/1.0" => Version::V1_0,
+        v => return Err(Error::UnsupportedVersion(v.to_owned())),
+    };
+    let method: Method = method.parse().expect("infallible");
+    Ok((method, Target::parse(target), version))
+}
 
 /// A protocol error the parser converted into a ready-to-send response.
 /// The connection always closes after a reject: the stream position may
@@ -226,8 +243,8 @@ impl RequestParser {
                     };
                     if self.request_line.is_none() {
                         // Unparseable line or unsupported version: both
-                        // answer 400, matching the threaded server.
-                        match wire::parse_request_line(&line) {
+                        // answer 400.
+                        match parse_request_line(&line) {
                             Ok(parts) => self.request_line = Some(parts),
                             Err(_) => {
                                 return Step::Reject(Reject::new(
@@ -552,9 +569,107 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::uri::normalize_path;
+    use proptest::prelude::*;
 
     fn parser() -> RequestParser {
         RequestParser::new(Limits::default())
+    }
+
+    /// Everything one parser made of a byte stream.
+    #[derive(Debug)]
+    struct Parsed {
+        /// Completed requests, in stream order.
+        requests: Vec<Request>,
+        /// The reject that ended parsing, if any.
+        reject: Option<Reject>,
+        /// Left mid-message when the input ran out: a peer EOF here is a
+        /// truncated request, not a clean keep-alive close.
+        in_progress: bool,
+    }
+
+    /// Feed `raw` to one parser in the segments carved out by the split
+    /// points `cuts` (each taken modulo `raw.len() + 1`, in any order),
+    /// pumping `advance` after every segment as the reactor does after
+    /// every read. Parsing stops at the first reject.
+    fn parse_segmented(raw: &[u8], cuts: &[usize], limits: Limits) -> Parsed {
+        let mut ends: Vec<usize> = cuts.iter().map(|c| c % (raw.len() + 1)).collect();
+        ends.push(raw.len());
+        ends.sort_unstable();
+        let mut p = RequestParser::new(limits);
+        let mut buf = Vec::new();
+        let mut requests = Vec::new();
+        let mut reject = None;
+        let mut from = 0;
+        'feed: for to in ends {
+            buf.extend_from_slice(&raw[from..to]);
+            from = to;
+            loop {
+                match p.advance(&mut buf) {
+                    Step::NeedMore => break,
+                    Step::Done(req) => requests.push(*req),
+                    Step::Reject(r) => {
+                        reject = Some(r);
+                        break 'feed;
+                    }
+                }
+            }
+        }
+        Parsed {
+            requests,
+            reject,
+            in_progress: p.in_progress(&buf),
+        }
+    }
+
+    /// `raw` in one segment.
+    fn parse(raw: &[u8], limits: Limits) -> Parsed {
+        parse_segmented(raw, &[], limits)
+    }
+
+    /// `raw` as exactly one complete request with nothing left over.
+    fn parse_one(raw: &[u8]) -> Request {
+        let mut parsed = parse(raw, Limits::default());
+        assert!(parsed.reject.is_none(), "{parsed:?}");
+        assert!(!parsed.in_progress, "{parsed:?}");
+        assert_eq!(parsed.requests.len(), 1, "{parsed:?}");
+        parsed.requests.remove(0)
+    }
+
+    /// The status `raw` is rejected with.
+    fn reject_status(raw: &[u8], limits: Limits) -> u16 {
+        let parsed = parse(raw, limits);
+        match &parsed.reject {
+            Some(r) => r.status.code(),
+            None => panic!("accepted: {parsed:?}"),
+        }
+    }
+
+    fn method_strategy() -> impl Strategy<Value = Method> {
+        prop_oneof![
+            Just(Method::Get),
+            Just(Method::Put),
+            Just(Method::Delete),
+            Just(Method::PropFind),
+            Just(Method::PropPatch),
+            Just(Method::MkCol),
+            Just(Method::Copy),
+            Just(Method::Lock),
+        ]
+    }
+
+    /// Split points for [`parse_segmented`]: up to eight cuts anywhere in
+    /// a message of up to a few KiB.
+    fn cuts_strategy() -> impl Strategy<Value = Vec<usize>> {
+        prop::collection::vec(0usize..4096, 0..8)
+    }
+
+    fn encode(requests: &[&Request]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for req in requests {
+            wire::write_request(&mut bytes, req, "h").unwrap();
+        }
+        bytes
     }
 
     fn feed(p: &mut RequestParser, buf: &mut Vec<u8>, bytes: &[u8]) -> Step {
@@ -780,6 +895,250 @@ mod tests {
                 other => panic!("{other:?}"),
             }
             assert!(!p.in_progress(&buf));
+        }
+    }
+
+    #[test]
+    fn parse_simple_request() {
+        let req = parse_one(
+            b"PROPFIND /a%20b HTTP/1.1\r\nHost: x\r\nDepth: 0\r\nContent-Length: 5\r\n\r\nhello",
+        );
+        assert_eq!(req.method, Method::PropFind);
+        assert_eq!(req.target.path(), "/a b");
+        assert_eq!(req.headers.get("depth"), Some("0"));
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn clean_eof_is_not_in_progress() {
+        // No bytes between requests: an EOF here is a clean keep-alive
+        // close, not a truncated request.
+        let parsed = parse(b"", Limits::default());
+        assert!(parsed.requests.is_empty() && parsed.reject.is_none());
+        assert!(!parsed.in_progress);
+    }
+
+    #[test]
+    fn truncated_body_stays_in_progress() {
+        let parsed = parse(
+            b"PUT / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+            Limits::default(),
+        );
+        assert!(parsed.requests.is_empty() && parsed.reject.is_none());
+        assert!(parsed.in_progress, "an EOF now must read as truncation");
+    }
+
+    #[test]
+    fn bad_request_line_errors() {
+        assert_eq!(reject_status(b"GARBAGE\r\n\r\n", Limits::default()), 400);
+        assert_eq!(
+            reject_status(b"GET / HTTP/2\r\n\r\n", Limits::default()),
+            400
+        );
+        assert!(matches!(
+            parse_request_line("GET / HTTP/2"),
+            Err(Error::UnsupportedVersion(_))
+        ));
+        assert!(matches!(
+            parse_request_line("GARBAGE"),
+            Err(Error::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn body_limit_enforced() {
+        let limits = Limits {
+            max_body: 4,
+            ..Limits::default()
+        };
+        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(reject_status(raw, limits), 413);
+        let chunked =
+            b"PUT / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(reject_status(chunked, limits), 413);
+    }
+
+    #[test]
+    fn header_limits_enforced() {
+        let limits = Limits {
+            max_headers: 2,
+            ..Limits::default()
+        };
+        let raw = b"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n";
+        assert_eq!(reject_status(raw, limits), 431);
+        let limits = Limits {
+            max_header_line: 8,
+            ..Limits::default()
+        };
+        let raw = b"GET / HTTP/1.1\r\nLongHeaderName: value\r\n\r\n";
+        assert_eq!(reject_status(raw, limits), 431);
+    }
+
+    #[test]
+    fn request_write_read_roundtrip() {
+        let req = Request::new(Method::Put, "/data/molecule.xyz")
+            .with_header("Content-Type", "chemical/x-xyz")
+            .with_body("3\nwater\nO 0 0 0");
+        let mut bytes = Vec::new();
+        wire::write_request(&mut bytes, &req, "localhost").unwrap();
+        let back = parse_one(&bytes);
+        assert_eq!(back.method, Method::Put);
+        assert_eq!(back.target.path(), "/data/molecule.xyz");
+        assert_eq!(back.headers.get("host"), Some("localhost"));
+        assert_eq!(back.body, req.body);
+    }
+
+    #[test]
+    fn request_version_is_carried() {
+        assert_eq!(parse_one(b"GET / HTTP/1.0\r\n\r\n").version, Version::V1_0);
+        assert_eq!(parse_one(b"GET / HTTP/1.1\r\n\r\n").version, Version::V1_1);
+    }
+
+    #[test]
+    fn unparseable_content_length_is_rejected() {
+        // Reading `banana` as 0 would leave the body on the stream to be
+        // parsed as the next request — a keep-alive desync.
+        let parsed = parse(
+            b"PUT / HTTP/1.1\r\nContent-Length: banana\r\n\r\nGET /x HTTP/1.1\r\n\r\n",
+            Limits::default(),
+        );
+        assert_eq!(parsed.reject.map(|r| r.status.code()), Some(400));
+        assert!(parsed.requests.is_empty(), "smuggled request surfaced");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_rejected_identical_coalesced() {
+        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello6";
+        assert_eq!(reject_status(raw, Limits::default()), 400);
+        // Repeated identical values are fine (RFC 7230 §3.3.2).
+        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(parse_one(raw).body, b"hello");
+    }
+
+    #[test]
+    fn caller_chunked_header_does_not_double_frame() {
+        // A caller-set Transfer-Encoding must not reach the wire next to
+        // the Content-Length the serialiser emits.
+        let req = Request::new(Method::Put, "/x")
+            .with_header("Transfer-Encoding", "chunked")
+            .with_body("abc");
+        let mut bytes = Vec::new();
+        wire::write_request(&mut bytes, &req, "h").unwrap();
+        let text = String::from_utf8(bytes.clone()).unwrap();
+        assert!(!text.to_ascii_lowercase().contains("transfer-encoding"));
+        assert!(text.contains("Content-Length: 3"));
+        assert_eq!(parse_one(&bytes).body, b"abc");
+    }
+
+    proptest! {
+        /// Requests survive the wire in any segmentation: method, path,
+        /// headers, body.
+        #[test]
+        fn request_wire_roundtrip(
+            method in method_strategy(),
+            segs in prop::collection::vec("[a-zA-Z0-9_.-]{1,10}", 0..4),
+            body in prop::collection::vec(any::<u8>(), 0..2048),
+            header_val in "[a-zA-Z0-9 ,;=/_.-]{0,40}",
+            cuts in cuts_strategy(),
+        ) {
+            let path = format!("/{}", segs.join("/"));
+            let req = Request::new(method.clone(), &path)
+                .with_header("X-Test", header_val.trim())
+                .with_body(body.clone());
+            let parsed = parse_segmented(&encode(&[&req]), &cuts, Limits::default());
+            prop_assert!(parsed.reject.is_none(), "{:?}", parsed.reject);
+            prop_assert!(!parsed.in_progress);
+            prop_assert_eq!(parsed.requests.len(), 1);
+            let back = &parsed.requests[0];
+            prop_assert_eq!(&back.method, &method);
+            prop_assert_eq!(back.target.path(), normalize_path(&path));
+            prop_assert_eq!(&back.body, &body);
+            prop_assert_eq!(back.headers.get("x-test"), Some(header_val.trim()));
+        }
+
+        /// The parser never panics on arbitrary junk, and what it makes
+        /// of the junk does not depend on how the bytes were segmented.
+        #[test]
+        fn parser_total_on_junk(
+            junk in prop::collection::vec(any::<u8>(), 0..512),
+            cuts in cuts_strategy(),
+        ) {
+            let whole = parse(&junk, Limits::default());
+            let split = parse_segmented(&junk, &cuts, Limits::default());
+            prop_assert_eq!(format!("{whole:?}"), format!("{split:?}"));
+        }
+
+        /// A two-request pipeline never desyncs: whatever the bodies
+        /// contain (including bytes that look like request lines), both
+        /// messages parse back intact and the stream is exactly
+        /// exhausted, wherever the segment boundaries fall.
+        #[test]
+        fn pipelined_requests_never_desync(
+            m1 in method_strategy(),
+            m2 in method_strategy(),
+            b1 in prop::collection::vec(any::<u8>(), 0..1024),
+            b2 in prop::collection::vec(any::<u8>(), 0..1024),
+            cuts in cuts_strategy(),
+        ) {
+            let r1 = Request::new(m1.clone(), "/first").with_body(b1.clone());
+            let r2 = Request::new(m2.clone(), "/second").with_body(b2.clone());
+            let parsed = parse_segmented(&encode(&[&r1, &r2]), &cuts, Limits::default());
+            prop_assert!(parsed.reject.is_none(), "{:?}", parsed.reject);
+            prop_assert!(!parsed.in_progress);
+            prop_assert_eq!(parsed.requests.len(), 2);
+            let (a, b) = (&parsed.requests[0], &parsed.requests[1]);
+            prop_assert_eq!(&a.method, &m1);
+            prop_assert_eq!(a.target.path(), "/first");
+            prop_assert_eq!(&a.body, &b1);
+            prop_assert_eq!(&b.method, &m2);
+            prop_assert_eq!(b.target.path(), "/second");
+            prop_assert_eq!(&b.body, &b2);
+        }
+
+        /// Caller-supplied framing headers (a stray `Transfer-Encoding:
+        /// chunked`, a bogus `Content-Length`) are stripped by the
+        /// writer: the message on the wire is singly framed and a
+        /// pipelined follow-up request still parses at the right
+        /// boundary.
+        #[test]
+        fn caller_framing_headers_cannot_desync(
+            body in prop::collection::vec(any::<u8>(), 0..1024),
+            bogus_cl in "[a-z]{1,8}",
+            cuts in cuts_strategy(),
+        ) {
+            let r1 = Request::new(Method::Put, "/poison")
+                .with_header("Transfer-Encoding", "chunked")
+                .with_header("Content-Length", bogus_cl.as_str())
+                .with_body(body.clone());
+            let r2 = Request::new(Method::Get, "/after");
+            let parsed = parse_segmented(&encode(&[&r1, &r2]), &cuts, Limits::default());
+            prop_assert!(parsed.reject.is_none(), "{:?}", parsed.reject);
+            prop_assert!(!parsed.in_progress);
+            prop_assert_eq!(parsed.requests.len(), 2);
+            prop_assert_eq!(&parsed.requests[0].body, &body);
+            prop_assert!(parsed.requests[0].headers.get("transfer-encoding").is_none());
+            prop_assert_eq!(parsed.requests[1].target.path(), "/after");
+        }
+
+        /// An unparseable Content-Length is rejected outright — never
+        /// silently treated as 0, which is what used to let a body be
+        /// re-read as a smuggled second request.
+        #[test]
+        fn unparseable_content_length_always_rejected(
+            cl in "[a-zA-Z ;_+-]{1,10}",
+            cuts in cuts_strategy(),
+        ) {
+            let raw = format!(
+                "PUT /x HTTP/1.1\r\nHost: h\r\nContent-Length: {cl}\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n"
+            );
+            let parsed = parse_segmented(raw.as_bytes(), &cuts, Limits::default());
+            prop_assert_eq!(
+                parsed.reject.as_ref().map(|r| r.status.code()),
+                Some(400),
+                "CL `{}` was accepted",
+                cl
+            );
+            prop_assert!(parsed.requests.is_empty());
         }
     }
 }

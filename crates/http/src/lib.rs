@@ -1,4 +1,4 @@
-//! # pse-http — blocking HTTP/1.1 for the DAV data architecture
+//! # pse-http — HTTP/1.1 for the DAV data architecture
 //!
 //! The paper layers its whole open-data architecture on HTTP 1.1 (RFC
 //! 2616): the Apache server carries mod_dav, and the Ecce client speaks
@@ -6,17 +6,16 @@
 //! is that substrate, built from scratch on `std::net`:
 //!
 //! * [`message`] — [`Request`]/[`Response`] with builder APIs;
-//! * [`wire`] — parsing and serialisation, including chunked transfer
-//!   encoding and defensive size limits;
+//! * [`wire`] — serialisation, the client's response reader (including
+//!   chunked transfer encoding), and defensive size limits;
 //! * [`server::Server`] — a TCP server with Apache-style
 //!   configuration: persistent connections with a bounded request count,
-//!   an inter-request ("keep-alive") timeout, and a minimum worker pool —
+//!   an inter-request ("keep-alive") timeout, and a fixed worker pool —
 //!   the paper's "limits of 100 connections per minute, 15 seconds
-//!   between requests, and a minimum of 5 daemons". Two interchangeable
-//!   cores ([`server::ServerMode`]): the default epoll reactor (`poll`,
-//!   `conn`, `reactor` modules), where parked keep-alive connections
-//!   cost a fd instead of a thread, and the original thread-per-connection
-//!   core kept as the ablation baseline;
+//!   between requests, and a minimum of 5 daemons". It runs on an epoll
+//!   reactor (`poll`, `conn`, `reactor` modules) with an incremental
+//!   request parser, so a parked keep-alive connection costs a fd
+//!   instead of a thread;
 //! * [`client::Client`] — a blocking client supporting both persistent
 //!   connections and per-request reconnects (the paper found reconnecting
 //!   *faster* in its environment — an anomaly the `connections` ablation
@@ -31,12 +30,15 @@
 //! * [`gzip`] — zero-dependency `gzip` content-coding (RFC 1952/1951)
 //!   negotiated per request by the server engine and client; bodies are
 //!   encoded before serialisation so `Content-Length` frames the encoded
-//!   length exactly in both server cores;
+//!   length exactly;
 //! * [`range`] — RFC 7233 `Range`/`Content-Range` parsing shared by the
 //!   DAV layer's partial GET and resumable PUT paths.
 //!
 //! The DAV layer (`pse-dav`) sits directly on these types; nothing here
 //! knows anything about DAV beyond allowing extension methods.
+//!
+//! The crate builds on Linux only: the server's reactor is written
+//! against epoll and eventfd.
 //!
 //! ```no_run
 //! use pse_http::{client::Client, message::Request, server::{Server, ServerConfig}};
@@ -70,6 +72,9 @@ pub mod status;
 pub mod uri;
 pub mod wire;
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("pse-http builds on Linux only: the server's reactor is written against epoll");
+
 pub use client::Client;
 pub use error::{Error, Result};
 pub use fault::{Fault, FaultProxy, Point, Schedule};
@@ -77,6 +82,6 @@ pub use headers::Headers;
 pub use message::{Request, Response, Version};
 pub use method::Method;
 pub use retry::RetryPolicy;
-pub use server::{Server, ServerConfig, ServerMode};
+pub use server::{Server, ServerConfig};
 pub use status::StatusCode;
 pub use uri::Target;

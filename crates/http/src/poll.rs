@@ -12,8 +12,6 @@
 //! reactor instead toggles interest explicitly as connections move
 //! through their state machine, which keeps the invariants checkable.
 
-#![cfg(target_os = "linux")]
-
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;

@@ -2,12 +2,11 @@
 //! connection over [`crate::poll::Poller`], plus a small fixed worker
 //! pool doing the CPU/repository work.
 //!
-//! The thread-per-connection server caps out at `max_daemons` (~64)
-//! concurrent clients because a parked keep-alive connection holds a
-//! whole OS thread hostage. Here a parked connection costs one fd plus
-//! a [`crate::conn::Conn`] with empty buffers — a few hundred bytes —
-//! so tens of thousands can sit idle while `min_daemons` workers serve
-//! whoever is actually talking.
+//! A thread-per-connection server lets a parked keep-alive connection
+//! hold a whole OS thread hostage. Here a parked connection costs one fd
+//! plus a [`crate::conn::Conn`] with empty buffers — a few hundred
+//! bytes — so tens of thousands can sit idle while `min_daemons` workers
+//! serve whoever is actually talking.
 //!
 //! Division of labour, chosen so every socket is touched by exactly one
 //! thread and no state needs locking:
@@ -21,16 +20,13 @@
 //!   bytes, and push a [`Completion`] back; an eventfd
 //!   [`crate::poll::Waker`] interrupts the reactor's wait.
 //!
-//! Timeouts are *inactivity* deadlines, mirroring the threaded mode's
-//! `set_read_timeout` semantics: every byte of progress re-arms the
-//! deadline, and the kind switches from [`TimerKind::Idle`]
+//! Timeouts are *inactivity* deadlines, with socket read-timeout
+//! semantics: every byte of progress re-arms the deadline, and the kind switches from [`TimerKind::Idle`]
 //! (`keep_alive_timeout`) to [`TimerKind::Body`] (`body_read_timeout`)
 //! the moment a request line lands. Deadlines live in a [`BinaryHeap`]
 //! with per-connection generation counters for lazy deletion; re-arming
 //! just bumps the generation and pushes a new entry, and expiry skips
 //! entries whose generation is stale.
-
-#![cfg(target_os = "linux")]
 
 use crate::conn::{Conn, ConnPhase, ReadOutcome, TimerKind, WriteOutcome};
 use crate::message::Request;
@@ -220,9 +216,8 @@ fn worker_loop(shared: &ReactorShared, rx: Receiver<Job>) {
             served,
             queued_at,
         } = job;
-        // A panicking handler must not shrink the fixed pool (the
-        // threaded mode survives by burning a replaceable thread; the
-        // reactor has no spares). Answer 500 and close instead.
+        // A panicking handler must not shrink the fixed pool: there are
+        // no spare workers. Answer 500 and close instead.
         let ex = std::panic::catch_unwind(AssertUnwindSafe(|| {
             shared.engine.respond(*req, served, queued_at)
         }))

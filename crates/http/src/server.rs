@@ -1,31 +1,22 @@
-//! An HTTP/1.1 server with Apache-style connection management and two
-//! interchangeable cores.
+//! An HTTP/1.1 server with Apache-style connection management, run on
+//! an epoll reactor.
 //!
 //! The paper's test server was "configured to use basic authentication,
 //! to accept persistent connections with limits of 100 connections per
 //! minute, 15 seconds between requests, and a minimum of 5 daemons".
-//! [`ServerConfig`] exposes exactly those knobs: a worker-pool floor
-//! (`min_daemons`) and ceiling (`max_daemons`, Apache's spare-daemon
-//! model), a per-connection request budget
+//! [`ServerConfig`] exposes exactly those knobs: a fixed worker pool
+//! (`min_daemons`), a per-connection request budget
 //! (`max_requests_per_connection`), and an inter-request keep-alive
 //! timeout (`keep_alive_timeout`) kept separate from the in-request
 //! body read deadline (`body_read_timeout`).
 //!
-//! [`ServerMode`] selects the core:
-//!
-//! * [`ServerMode::Reactor`] (default) — an epoll event loop
-//!   ([`crate::reactor`]) where parked keep-alive connections cost a fd
-//!   plus a few hundred bytes and exactly `min_daemons` workers do the
-//!   handler work. This is the C10k-capable core.
-//! * [`ServerMode::Threaded`] — the original thread-per-connection
-//!   model, kept as the honest ablation baseline (the same pattern as
-//!   the store's `global_lock`): each worker owns one connection to
-//!   completion, and overflow workers up to `max_daemons` absorb
-//!   keep-alive starvation.
-//!
-//! Both cores run every request through the same [`Engine`], so
-//! authentication, the request budget, metrics, and tracing cannot
-//! drift between them.
+//! Connections live on the reactor ([`crate::reactor`]): one thread owns
+//! every socket and parses requests incrementally
+//! ([`crate::conn::RequestParser`]), a parked keep-alive connection
+//! costs a fd plus a few hundred bytes, and exactly `min_daemons`
+//! workers run each request through the [`Engine`] — metrics endpoint,
+//! authentication, gzip coding, the request budget, and tracing. The
+//! reactor uses epoll, so the server is Linux-only.
 //!
 //! Every server records into a [`pse_obs::Registry`] (its own, or one
 //! shared through [`ServerConfig::obs`]): per-method request counters,
@@ -38,76 +29,28 @@
 //! plugs its method dispatcher in here.
 
 use crate::auth::UserStore;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::gzip;
 use crate::message::{Request, Response};
 use crate::method::Method;
 use crate::status::StatusCode;
 use crate::wire::{self, Limits};
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
 use pse_obs::{Histogram, Registry, TraceEvent};
-use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The reserved metrics path, answered before auth and dispatch.
 pub const METRICS_PATH: &str = "/.well-known/metrics";
 
-/// Which server core runs the connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// Event-driven epoll reactor with a fixed pool of `min_daemons`
-    /// workers. Parked keep-alive connections cost a fd, not a thread.
-    #[default]
-    Reactor,
-    /// Thread-per-connection, growing to `max_daemons` under pressure.
-    /// Preserved as the ablation baseline for the scaling benches.
-    Threaded,
-}
-
-impl ServerMode {
-    /// Parse `"reactor"` / `"threaded"` (used by the `PSE_HTTP_MODE`
-    /// env knob in the stress suites and benches).
-    pub fn parse(s: &str) -> Option<ServerMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reactor" => Some(ServerMode::Reactor),
-            "threaded" => Some(ServerMode::Threaded),
-            _ => None,
-        }
-    }
-
-    /// The name `parse` accepts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ServerMode::Reactor => "reactor",
-            ServerMode::Threaded => "threaded",
-        }
-    }
-}
-
 /// Connection-management configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Which core serves connections (reactor by default; threaded is
-    /// the ablation baseline).
-    pub mode: ServerMode,
-    /// Resident worker threads — the paper's "minimum of 5 daemons".
-    /// The reactor's fixed pool is exactly this size; threaded workers
-    /// each serve one connection to completion.
+    /// Size of the reactor's fixed worker pool — the paper's "minimum of
+    /// 5 daemons". Workers run handlers only; parked keep-alive
+    /// connections never occupy one.
     pub min_daemons: usize,
-    /// Worker-pool ceiling, used by the threaded core only. When every
-    /// resident worker is pinned by a persistent connection and fresh
-    /// connections are queueing, overflow workers are spawned up to
-    /// this total and retire once the queue drains — without this,
-    /// `min_daemons` idle keep-alive clients starve every new client
-    /// for up to the keep-alive timeout. The reactor needs no overflow:
-    /// parked connections do not occupy workers at all.
-    pub max_daemons: usize,
     /// Requests served on one persistent connection before it is closed —
     /// the paper's "100 connections per minute" budget analogue
     /// (Apache's `MaxKeepAliveRequests 100`).
@@ -134,9 +77,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            mode: ServerMode::default(),
             min_daemons: 5,
-            max_daemons: 64,
             max_requests_per_connection: 100,
             keep_alive_timeout: Duration::from_secs(15),
             body_read_timeout: Duration::from_secs(120),
@@ -173,8 +114,8 @@ pub(crate) struct Exchange {
 }
 
 impl Exchange {
-    /// The 500 sent when a handler panics under the reactor, whose
-    /// fixed pool cannot afford to lose the worker thread.
+    /// The 500 sent when a handler panics: the fixed pool cannot afford
+    /// to lose the worker thread.
     pub(crate) fn handler_panicked(started: Instant) -> Exchange {
         Exchange {
             resp: Response::error(StatusCode::INTERNAL_ERROR, "internal server error")
@@ -187,11 +128,9 @@ impl Exchange {
     }
 }
 
-/// The mode-independent request core: metrics endpoint, per-method
-/// counters, the auth gate, handler dispatch, connection-close policy,
-/// and exchange accounting. Both the threaded workers and the reactor
-/// workers run every request through this, so behaviour cannot drift
-/// between the cores.
+/// The request core: metrics endpoint, per-method counters, the auth
+/// gate, handler dispatch, connection-close policy, and exchange
+/// accounting. Every reactor worker runs each request through this.
 pub(crate) struct Engine {
     pub(crate) handler: Box<dyn Fn(Request) -> Response + Send + Sync>,
     pub(crate) config: ServerConfig,
@@ -281,9 +220,9 @@ impl Engine {
     /// handler sees it (post-auth, so anonymous clients cannot feed the
     /// inflater), and the response body is compressed when the client's
     /// `Accept-Encoding` allows it and compression actually pays.
-    /// Coding is applied *here*, before serialisation, so the
-    /// `Content-Length` both cores emit frames the encoded bytes
-    /// exactly — keep-alive framing cannot drift between modes.
+    /// Coding is applied *here*, before serialisation, so the emitted
+    /// `Content-Length` frames the encoded bytes exactly and keep-alive
+    /// framing cannot drift.
     fn dispatch(&self, mut req: Request, head_only: bool) -> Response {
         let accepts_gzip = accept_encoding_allows_gzip(req.headers.get("Accept-Encoding"));
         match req.headers.get("Content-Encoding").map(str::trim) {
@@ -382,59 +321,17 @@ fn compressible(resp: &Response) -> bool {
         && resp.headers.get("Content-Encoding").is_none()
 }
 
-/// Worker-pool bookkeeping for the threaded core, exported as gauges
-/// through the registry.
-#[derive(Debug, Default)]
-struct PoolState {
-    /// Accepted connections waiting for a worker (signed to tolerate
-    /// the add/sub race around the channel without wrapping).
-    queued: AtomicI64,
-    /// Resident workers blocked waiting for work.
-    idle: AtomicUsize,
-    /// All live workers, resident and overflow.
-    total: AtomicUsize,
-    /// Workers currently inside a connection.
-    active: AtomicUsize,
-}
-
-/// State shared by the threaded accept loop and every worker.
-struct Shared {
-    rx: Receiver<TcpStream>,
-    engine: Arc<Engine>,
-    /// Live connections keyed by a serial id, force-closed on shutdown so
-    /// keep-alive reads do not hold the process for the full
-    /// inter-request timeout. Entries are removed (closing the duplicate
-    /// descriptor) as soon as their connection finishes.
-    live: Mutex<HashMap<u64, TcpStream>>,
-    conn_serial: AtomicU64,
-    pool: Arc<PoolState>,
-    /// Join handles for every spawned worker, resident and overflow.
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// The mode-specific half of a running server.
-enum Backend {
-    Threaded {
-        stop: Arc<AtomicBool>,
-        accept_thread: Option<JoinHandle<()>>,
-        shared: Arc<Shared>,
-    },
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::Handle),
-}
-
 /// A running HTTP server. Dropping the handle does *not* stop the server;
 /// call [`Server::shutdown`].
 pub struct Server {
     addr: SocketAddr,
     stats: Arc<ServerStats>,
     obs: Arc<Registry>,
-    backend: Backend,
+    reactor: crate::reactor::Handle,
 }
 
 impl Server {
-    /// Bind to `addr` and serve `handler` with the core selected by
-    /// [`ServerConfig::mode`].
+    /// Bind to `addr` and serve `handler` on the reactor.
     pub fn bind<A, H>(addr: A, config: ServerConfig, handler: H) -> Result<Server>
     where
         A: ToSocketAddrs,
@@ -444,22 +341,13 @@ impl Server {
         let local = listener.local_addr()?;
         let stats = Arc::new(ServerStats::default());
         let obs = config.obs.clone().unwrap_or_else(Registry::new);
-        let mode = config.mode;
         let engine = Engine::new(config, handler, Arc::clone(&stats), Arc::clone(&obs));
-
-        let backend = match mode {
-            #[cfg(target_os = "linux")]
-            ServerMode::Reactor => Backend::Reactor(crate::reactor::spawn(listener, engine)?),
-            #[cfg(not(target_os = "linux"))]
-            ServerMode::Reactor => bind_threaded(listener, engine)?, // no epoll off Linux
-            ServerMode::Threaded => bind_threaded(listener, engine)?,
-        };
-
+        let reactor = crate::reactor::spawn(listener, engine)?;
         Ok(Server {
             addr: local,
             stats,
             obs,
-            backend,
+            reactor,
         })
     }
 
@@ -481,247 +369,8 @@ impl Server {
     /// Stop accepting, close live connections promptly (no waiting out
     /// keep-alive timers), and join every thread.
     pub fn shutdown(mut self) {
-        match &mut self.backend {
-            Backend::Threaded {
-                stop,
-                accept_thread,
-                shared,
-            } => {
-                stop.store(true, Ordering::SeqCst);
-                // Unblock the accept loop with a dummy connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                // Force idle keep-alive connections closed so workers
-                // drain now rather than after the inter-request timeout.
-                for (_, s) in shared.live.lock().drain() {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-                // Join workers, including overflow workers spawned after
-                // bind.
-                loop {
-                    let handles: Vec<JoinHandle<()>> =
-                        std::mem::take(&mut *shared.workers.lock());
-                    if handles.is_empty() {
-                        break;
-                    }
-                    for w in handles {
-                        let _ = w.join();
-                    }
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Backend::Reactor(handle) => handle.shutdown(),
-        }
+        self.reactor.shutdown();
     }
-}
-
-/// Start the thread-per-connection core on an already-bound listener.
-fn bind_threaded(listener: TcpListener, engine: Engine) -> Result<Backend> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = unbounded::<TcpStream>();
-    let pool = Arc::new(PoolState::default());
-    let engine = Arc::new(engine);
-    let shared = Arc::new(Shared {
-        rx,
-        engine: Arc::clone(&engine),
-        live: Mutex::new(HashMap::new()),
-        conn_serial: AtomicU64::new(0),
-        pool: Arc::clone(&pool),
-        workers: Mutex::new(Vec::new()),
-    });
-
-    // Pool gauges are read straight off the atomics at snapshot
-    // time. The source captures only the pool state, not `Shared`,
-    // so no reference cycle through the registry forms.
-    engine.obs.register_source("http.pool", move |snap| {
-        snap.set_gauge(
-            "http.accept_queue_depth",
-            pool.queued.load(Ordering::Relaxed),
-        );
-        snap.set_gauge(
-            "http.active_connections",
-            pool.active.load(Ordering::Relaxed) as i64,
-        );
-        snap.set_gauge("http.workers_total", pool.total.load(Ordering::Relaxed) as i64);
-        snap.set_gauge("http.workers_idle", pool.idle.load(Ordering::Relaxed) as i64);
-    });
-
-    for _ in 0..shared.engine.config.min_daemons.max(1) {
-        spawn_worker(&shared, true);
-    }
-
-    let accept_stop = Arc::clone(&stop);
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match stream {
-                Ok(s) => {
-                    accept_shared
-                        .engine
-                        .stats
-                        .connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let _ = s.set_nodelay(true);
-                    accept_shared.pool.queued.fetch_add(1, Ordering::Relaxed);
-                    if tx.send(s).is_err() {
-                        break;
-                    }
-                    maybe_spawn_overflow(&accept_shared);
-                }
-                Err(_) => continue,
-            }
-        }
-        // Dropping tx closes the channel and drains the workers.
-    });
-
-    Ok(Backend::Threaded {
-        stop,
-        accept_thread: Some(accept_thread),
-        shared,
-    })
-}
-
-/// Spawn one worker thread. Resident workers block on the queue for the
-/// server's lifetime; overflow workers drain it and retire when empty.
-fn spawn_worker(shared: &Arc<Shared>, resident: bool) {
-    shared.pool.total.fetch_add(1, Ordering::Relaxed);
-    let worker_shared = Arc::clone(shared);
-    let handle = std::thread::spawn(move || {
-        worker_loop(&worker_shared, resident);
-        worker_shared.pool.total.fetch_sub(1, Ordering::Relaxed);
-    });
-    shared.workers.lock().push(handle);
-}
-
-/// Spawn an overflow worker when connections are queueing behind a
-/// fully-pinned resident pool — the fix for keep-alive starvation,
-/// where `min_daemons` idle persistent connections held every worker
-/// while new clients waited invisibly in the accept queue.
-fn maybe_spawn_overflow(shared: &Arc<Shared>) {
-    let pool = &shared.pool;
-    if pool.queued.load(Ordering::Relaxed) <= pool.idle.load(Ordering::Relaxed) as i64 {
-        return; // an idle worker will pick it up
-    }
-    let max = shared
-        .engine
-        .config
-        .max_daemons
-        .max(shared.engine.config.min_daemons.max(1));
-    if pool.total.load(Ordering::Relaxed) >= max {
-        return;
-    }
-    shared.engine.obs.counter("http.overflow_workers_spawned").inc();
-    spawn_worker(shared, false);
-}
-
-fn worker_loop(shared: &Shared, resident: bool) {
-    loop {
-        let stream = if resident {
-            shared.pool.idle.fetch_add(1, Ordering::Relaxed);
-            let got = shared.rx.recv();
-            shared.pool.idle.fetch_sub(1, Ordering::Relaxed);
-            match got {
-                Ok(s) => s,
-                Err(_) => return, // channel closed: shutting down
-            }
-        } else {
-            // Overflow workers never go idle: retire once the pressure
-            // that spawned them is gone.
-            match shared.rx.try_recv() {
-                Some(s) => s,
-                None => return,
-            }
-        };
-        shared.pool.queued.fetch_sub(1, Ordering::Relaxed);
-        let id = shared.conn_serial.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared.live.lock().insert(id, clone);
-        }
-        shared.pool.active.fetch_add(1, Ordering::Relaxed);
-        let _ = serve_connection(stream, shared);
-        shared.pool.active.fetch_sub(1, Ordering::Relaxed);
-        // Drop the duplicate descriptor so the peer sees EOF.
-        shared.live.lock().remove(&id);
-    }
-}
-
-/// Serve one (possibly persistent) connection to completion.
-fn serve_connection(stream: TcpStream, shared: &Shared) -> Result<()> {
-    let engine = &shared.engine;
-    let config = &engine.config;
-    let obs = &engine.obs;
-    // A duplicate handle for switching the socket read timeout while
-    // the reader is borrowed (timeouts live on the shared socket).
-    let timeout_ctl = stream.try_clone()?;
-    let mut reader = BufReader::new(pse_obs::io::CountingReader::new(
-        stream.try_clone()?,
-        obs.counter("http.bytes_in"),
-    ));
-    let counted_out = pse_obs::io::CountingWriter::new(stream, obs.counter("http.bytes_out"));
-    let out_total = counted_out.total();
-    let mut writer = BufWriter::new(counted_out);
-    for served in 0..config.max_requests_per_connection {
-        // Between requests the short keep-alive timeout governs; once a
-        // request line arrives, the longer in-request deadline takes
-        // over so a slow body upload is not dropped as idle.
-        timeout_ctl.set_read_timeout(Some(config.keep_alive_timeout))?;
-        let req = match wire::read_request_with(&mut reader, &config.limits, || {
-            let _ = timeout_ctl.set_read_timeout(Some(config.body_read_timeout));
-        }) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()), // clean close between requests
-            Err(Error::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(()); // keep-alive timeout expired
-            }
-            Err(Error::TooLarge { what, limit }) => {
-                // Header overflows answer 431 (RFC 6585), body
-                // overflows 413 — matching the reactor's parser.
-                let status = if what.starts_with("header") {
-                    StatusCode::HEADER_FIELDS_TOO_LARGE
-                } else {
-                    StatusCode::ENTITY_TOO_LARGE
-                };
-                let resp = Response::error(status, &format!("{what} exceeds {limit} bytes"))
-                    .with_header("Connection", "close");
-                obs.counter("http.responses.4xx").inc();
-                let _ = wire::write_response(&mut writer, &resp, false);
-                return Ok(());
-            }
-            Err(Error::Parse(_)) | Err(Error::UnsupportedVersion(_)) => {
-                // The stream may be desynced (e.g. an unframeable body);
-                // answer and drop the connection rather than guess.
-                let resp = Response::error(StatusCode::BAD_REQUEST, "malformed request")
-                    .with_header("Connection", "close");
-                obs.counter("http.responses.4xx").inc();
-                let _ = wire::write_response(&mut writer, &resp, false);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        let started = Instant::now();
-        let out_before = out_total.load(Ordering::Relaxed);
-        let ex = engine.respond(req, served, started);
-        wire::write_response(&mut writer, &ex.resp, ex.head_only)?;
-        let close = ex.close;
-        engine.finish(
-            ex,
-            out_total.load(Ordering::Relaxed).saturating_sub(out_before),
-        );
-        if close {
-            return Ok(());
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -730,6 +379,7 @@ mod tests {
     use crate::auth::Credentials;
     use crate::client::Client;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn echo_server(config: ServerConfig) -> Server {
         Server::bind("127.0.0.1:0", config, |req: Request| {
@@ -759,99 +409,76 @@ mod tests {
         (head, body)
     }
 
-    /// Every mode-agnostic test runs against both cores.
-    fn both_modes(f: impl Fn(ServerMode)) {
-        for mode in [ServerMode::Reactor, ServerMode::Threaded] {
-            f(mode);
-        }
-    }
-
     #[test]
     fn serves_requests() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            });
-            let mut client = Client::connect(server.local_addr()).unwrap();
-            let resp = client.get("/x").unwrap();
-            assert_eq!(resp.status.code(), 200, "{mode:?}");
-            assert_eq!(resp.headers.get("x-method"), Some("GET"));
-            server.shutdown();
-        });
+        let server = echo_server(ServerConfig::default());
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let resp = client.get("/x").unwrap();
+        assert_eq!(resp.status.code(), 200);
+        assert_eq!(resp.headers.get("x-method"), Some("GET"));
+        server.shutdown();
     }
 
     #[test]
     fn persistent_connection_reuses_socket() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            });
-            let mut client = Client::connect(server.local_addr()).unwrap();
-            for i in 0..10 {
-                let resp = client
-                    .send(Request::new(Method::Put, "/x").with_body(format!("body-{i}")))
-                    .unwrap();
-                assert_eq!(resp.body_text(), format!("body-{i}"));
-            }
-            // Ten requests, one TCP connection.
-            assert_eq!(server.stats().connections.load(Ordering::Relaxed), 1);
-            assert_eq!(server.stats().requests.load(Ordering::Relaxed), 10);
-            server.shutdown();
-        });
+        let server = echo_server(ServerConfig::default());
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for i in 0..10 {
+            let resp = client
+                .send(Request::new(Method::Put, "/x").with_body(format!("body-{i}")))
+                .unwrap();
+            assert_eq!(resp.body_text(), format!("body-{i}"));
+        }
+        // Ten requests, one TCP connection.
+        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().requests.load(Ordering::Relaxed), 10);
+        server.shutdown();
     }
 
     #[test]
     fn request_budget_closes_connection() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                max_requests_per_connection: 2,
-                ..ServerConfig::default()
-            });
-            let mut client = Client::connect(server.local_addr()).unwrap();
-            for _ in 0..6 {
-                // The client transparently reconnects when the server
-                // closes.
-                let resp = client.get("/").unwrap();
-                assert_eq!(resp.status.code(), 200);
-            }
-            assert!(server.stats().connections.load(Ordering::Relaxed) >= 3);
-            server.shutdown();
+        let server = echo_server(ServerConfig {
+            max_requests_per_connection: 2,
+            ..ServerConfig::default()
         });
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for _ in 0..6 {
+            // The client transparently reconnects when the server
+            // closes.
+            let resp = client.get("/").unwrap();
+            assert_eq!(resp.status.code(), 200);
+        }
+        assert!(server.stats().connections.load(Ordering::Relaxed) >= 3);
+        server.shutdown();
     }
 
     #[test]
     fn auth_challenge_and_success() {
-        both_modes(|mode| {
-            let mut store = UserStore::new("Ecce");
-            store.add_user("karen", "pw");
-            let server = echo_server(ServerConfig {
-                mode,
-                auth: Some(store),
-                ..ServerConfig::default()
-            });
-            // Unauthenticated.
-            let mut anon = Client::connect(server.local_addr()).unwrap();
-            let resp = anon.get("/").unwrap();
-            assert_eq!(resp.status, StatusCode::UNAUTHORIZED);
-            assert!(resp
-                .headers
-                .get("www-authenticate")
-                .unwrap()
-                .contains("Ecce"));
-            // Authenticated.
-            let mut authed = Client::connect(server.local_addr()).unwrap();
-            authed.set_credentials(Credentials::new("karen", "pw"));
-            assert_eq!(authed.get("/").unwrap().status.code(), 200);
-            // Wrong password.
-            let mut bad = Client::connect(server.local_addr()).unwrap();
-            bad.set_credentials(Credentials::new("karen", "nope"));
-            assert_eq!(bad.get("/").unwrap().status, StatusCode::UNAUTHORIZED);
-            assert!(server.stats().auth_failures.load(Ordering::Relaxed) >= 2);
-            server.shutdown();
+        let mut store = UserStore::new("Ecce");
+        store.add_user("karen", "pw");
+        let server = echo_server(ServerConfig {
+            auth: Some(store),
+            ..ServerConfig::default()
         });
+        // Unauthenticated.
+        let mut anon = Client::connect(server.local_addr()).unwrap();
+        let resp = anon.get("/").unwrap();
+        assert_eq!(resp.status, StatusCode::UNAUTHORIZED);
+        assert!(resp
+            .headers
+            .get("www-authenticate")
+            .unwrap()
+            .contains("Ecce"));
+        // Authenticated.
+        let mut authed = Client::connect(server.local_addr()).unwrap();
+        authed.set_credentials(Credentials::new("karen", "pw"));
+        assert_eq!(authed.get("/").unwrap().status.code(), 200);
+        // Wrong password.
+        let mut bad = Client::connect(server.local_addr()).unwrap();
+        bad.set_credentials(Credentials::new("karen", "nope"));
+        assert_eq!(bad.get("/").unwrap().status, StatusCode::UNAUTHORIZED);
+        assert!(server.stats().auth_failures.load(Ordering::Relaxed) >= 2);
+        server.shutdown();
     }
 
     #[test]
@@ -859,239 +486,161 @@ mod tests {
         // Regression: the version used to be parsed then discarded, so a
         // 1.0 client without `Connection: keep-alive` hung for the full
         // 15 s keep-alive timeout waiting for the server's FIN.
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            });
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.write_all(b"GET /x HTTP/1.0\r\n\r\n").unwrap();
-            let start = std::time::Instant::now();
-            let mut buf = Vec::new();
-            raw.read_to_end(&mut buf).unwrap(); // returns only once the server closes
-            let text = String::from_utf8_lossy(&buf);
-            assert!(text.starts_with("HTTP/1.1 200"), "{text}");
-            assert!(text.to_ascii_lowercase().contains("connection: close"), "{text}");
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "HTTP/1.0 connection held open {:?}",
-                start.elapsed()
-            );
-            server.shutdown();
-        });
+        let server = echo_server(ServerConfig::default());
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(b"GET /x HTTP/1.0\r\n\r\n").unwrap();
+        let start = std::time::Instant::now();
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap(); // returns only once the server closes
+        let text = String::from_utf8_lossy(&buf);
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert!(
+            text.to_ascii_lowercase().contains("connection: close"),
+            "{text}"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "HTTP/1.0 connection held open {:?}",
+            start.elapsed()
+        );
+        server.shutdown();
     }
 
     #[test]
     fn budget_final_response_advertises_close() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                max_requests_per_connection: 2,
-                ..ServerConfig::default()
-            });
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.write_all(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n")
-                .unwrap();
-            let mut buf = Vec::new();
-            raw.read_to_end(&mut buf).unwrap();
-            let text = String::from_utf8_lossy(&buf);
-            // First response keeps the connection, the second
-            // (budget-final) advertises the close so clients reconnect
-            // proactively.
-            let closes = text.to_ascii_lowercase().matches("connection: close").count();
-            assert_eq!(closes, 1, "{text}");
-            server.shutdown();
+        let server = echo_server(ServerConfig {
+            max_requests_per_connection: 2,
+            ..ServerConfig::default()
         });
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap();
+        let text = String::from_utf8_lossy(&buf);
+        // First response keeps the connection, the second
+        // (budget-final) advertises the close so clients reconnect
+        // proactively.
+        let closes = text
+            .to_ascii_lowercase()
+            .matches("connection: close")
+            .count();
+        assert_eq!(closes, 1, "{text}");
+        server.shutdown();
     }
 
     #[test]
     fn unparseable_content_length_cannot_desync_pipeline() {
         // Regression: `Content-Length: banana` used to read as 0, leaving
         // the body bytes on the stream to be served as a second request.
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            });
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.write_all(
-                b"PUT /x HTTP/1.1\r\nContent-Length: banana\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n",
-            )
-            .unwrap();
-            let mut buf = Vec::new();
-            raw.read_to_end(&mut buf).unwrap();
-            let text = String::from_utf8_lossy(&buf);
-            assert!(text.starts_with("HTTP/1.1 400"), "{text}");
-            // Exactly one response: the smuggled GET was never served.
-            assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
-            server.shutdown();
-        });
+        let server = echo_server(ServerConfig::default());
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(
+            b"PUT /x HTTP/1.1\r\nContent-Length: banana\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap();
+        let text = String::from_utf8_lossy(&buf);
+        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+        // Exactly one response: the smuggled GET was never served.
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+        server.shutdown();
     }
 
     #[test]
     fn malformed_request_gets_400() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            });
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.write_all(b"NOT A REQUEST\r\n\r\n").unwrap();
-            let mut buf = Vec::new();
-            raw.read_to_end(&mut buf).unwrap();
-            let text = String::from_utf8_lossy(&buf);
-            assert!(text.starts_with("HTTP/1.1 400"), "{text}");
-            server.shutdown();
-        });
+        let server = echo_server(ServerConfig::default());
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(b"NOT A REQUEST\r\n\r\n").unwrap();
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap();
+        let text = String::from_utf8_lossy(&buf);
+        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+        server.shutdown();
     }
 
     #[test]
     fn oversized_body_gets_413() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                limits: Limits {
-                    max_body: 16,
-                    ..Limits::default()
-                },
-                ..ServerConfig::default()
-            });
-            let mut client = Client::connect(server.local_addr()).unwrap();
-            let resp = client
-                .send(Request::new(Method::Put, "/big").with_body(vec![0u8; 64]))
-                .unwrap();
-            assert_eq!(resp.status, StatusCode::ENTITY_TOO_LARGE);
-            server.shutdown();
+        let server = echo_server(ServerConfig {
+            limits: Limits {
+                max_body: 16,
+                ..Limits::default()
+            },
+            ..ServerConfig::default()
         });
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let resp = client
+            .send(Request::new(Method::Put, "/big").with_body(vec![0u8; 64]))
+            .unwrap();
+        assert_eq!(resp.status, StatusCode::ENTITY_TOO_LARGE);
+        server.shutdown();
     }
 
     #[test]
     fn oversized_header_line_gets_431() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                limits: Limits {
-                    max_header_line: 64,
-                    ..Limits::default()
-                },
-                ..ServerConfig::default()
-            });
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            let req = format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "v".repeat(256));
-            raw.write_all(req.as_bytes()).unwrap();
-            let mut buf = Vec::new();
-            raw.read_to_end(&mut buf).unwrap();
-            let text = String::from_utf8_lossy(&buf);
-            assert!(text.starts_with("HTTP/1.1 431"), "{mode:?}: {text}");
-            server.shutdown();
+        let server = echo_server(ServerConfig {
+            limits: Limits {
+                max_header_line: 64,
+                ..Limits::default()
+            },
+            ..ServerConfig::default()
         });
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let req = format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "v".repeat(256));
+        raw.write_all(req.as_bytes()).unwrap();
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap();
+        let text = String::from_utf8_lossy(&buf);
+        assert!(text.starts_with("HTTP/1.1 431"), "{text}");
+        server.shutdown();
     }
 
     #[test]
     fn concurrent_clients() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            });
-            let addr = server.local_addr();
-            let threads: Vec<_> = (0..8)
-                .map(|t| {
-                    std::thread::spawn(move || {
-                        let mut c = Client::connect(addr).unwrap();
-                        for i in 0..20 {
-                            let resp = c
-                                .send(
-                                    Request::new(Method::Post, "/t").with_body(format!("{t}:{i}")),
-                                )
-                                .unwrap();
-                            assert_eq!(resp.body_text(), format!("{t}:{i}"));
-                        }
-                    })
+        let server = echo_server(ServerConfig::default());
+        let addr = server.local_addr();
+        let threads: Vec<_> = (0..8)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    for i in 0..20 {
+                        let resp = c
+                            .send(Request::new(Method::Post, "/t").with_body(format!("{t}:{i}")))
+                            .unwrap();
+                        assert_eq!(resp.body_text(), format!("{t}:{i}"));
+                    }
                 })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
-            assert_eq!(server.stats().requests.load(Ordering::Relaxed), 160);
-            server.shutdown();
-        });
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(server.stats().requests.load(Ordering::Relaxed), 160);
+        server.shutdown();
     }
 
     #[test]
     fn head_requests_suppress_body() {
-        both_modes(|mode| {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                ServerConfig {
-                    mode,
-                    ..ServerConfig::default()
-                },
-                |_req| Response::ok().with_body("payload"),
-            )
-            .unwrap();
-            let mut client = Client::connect(server.local_addr()).unwrap();
-            let resp = client.send(Request::new(Method::Head, "/")).unwrap();
-            assert!(resp.body.is_empty());
-            assert_eq!(resp.headers.content_length(), Some(7));
-            server.shutdown();
-        });
-    }
-
-    #[test]
-    fn idle_keepalive_connections_do_not_starve_new_clients() {
-        // Regression (threaded core): with exactly `min_daemons` workers
-        // each serving one connection to completion, two idle keep-alive
-        // clients pinned both workers and a fresh client sat in the
-        // accept queue until a keep-alive timeout freed a worker (up to
-        // 15 s). Overflow workers must absorb the queue instead.
-        let server = echo_server(ServerConfig {
-            mode: ServerMode::Threaded,
-            min_daemons: 2,
-            max_daemons: 8,
-            ..ServerConfig::default()
-        });
-        let mut pinned = Vec::new();
-        for _ in 0..2 {
-            let mut s = TcpStream::connect(server.local_addr()).unwrap();
-            s.write_all(b"GET /pin HTTP/1.1\r\n\r\n").unwrap();
-            // Reading the response proves a worker owns this connection
-            // and is now parked in its keep-alive wait.
-            let (head, _) = read_raw_response(&mut s);
-            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-            pinned.push(s);
-        }
-        let start = Instant::now();
-        let mut fresh = Client::connect(server.local_addr()).unwrap();
-        let resp = fresh.get("/unstarved").unwrap();
-        assert_eq!(resp.status.code(), 200);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "fresh client starved for {:?} (well over the small bound, \
-             approaching keep_alive_timeout)",
-            start.elapsed()
-        );
-        assert!(
-            server
-                .registry()
-                .snapshot()
-                .counter("http.overflow_workers_spawned")
-                >= 1
-        );
-        drop(pinned);
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default(), |_req| {
+            Response::ok().with_body("payload")
+        })
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let resp = client.send(Request::new(Method::Head, "/")).unwrap();
+        assert!(resp.body.is_empty());
+        assert_eq!(resp.headers.content_length(), Some(7));
         server.shutdown();
     }
 
     #[test]
     fn reactor_parked_connections_do_not_consume_workers() {
-        // The reactor-side starvation regression: idle keep-alive
+        // The keep-alive starvation regression: idle keep-alive
         // connections outnumbering the whole worker pool must cost
-        // nothing — no overflow workers, no pinned workers, and a fresh
-        // client served immediately.
+        // nothing — no pinned workers, and a fresh client served
+        // immediately.
         let server = echo_server(ServerConfig {
-            mode: ServerMode::Reactor,
             min_daemons: 2,
-            max_daemons: 2, // no overflow headroom: parking must be free
             ..ServerConfig::default()
         });
         let mut pinned = Vec::new();
@@ -1112,7 +661,6 @@ mod tests {
             start.elapsed()
         );
         let snap = server.registry().snapshot();
-        assert_eq!(snap.counter("http.overflow_workers_spawned"), 0);
         assert_eq!(snap.gauge("http.workers_total"), 2);
         assert!(
             snap.gauge("http.conns_parked") >= 8,
@@ -1129,24 +677,21 @@ mod tests {
         // mid-request body reads, so a client pausing longer than
         // `keep_alive_timeout` inside a PUT was dropped as if idle. The
         // reactor reproduces this with its idle→body timer switch.
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                keep_alive_timeout: Duration::from_millis(300),
-                body_read_timeout: Duration::from_secs(30),
-                ..ServerConfig::default()
-            });
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.write_all(b"PUT /slow HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello")
-                .unwrap();
-            // Stall mid-body for 3x the keep-alive timeout.
-            std::thread::sleep(Duration::from_millis(900));
-            raw.write_all(b"world").unwrap();
-            let (head, body) = read_raw_response(&mut raw);
-            assert!(head.starts_with("HTTP/1.1 200"), "{mode:?}: {head}");
-            assert_eq!(body, b"helloworld");
-            server.shutdown();
+        let server = echo_server(ServerConfig {
+            keep_alive_timeout: Duration::from_millis(300),
+            body_read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
         });
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(b"PUT /slow HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello")
+            .unwrap();
+        // Stall mid-body for 3x the keep-alive timeout.
+        std::thread::sleep(Duration::from_millis(900));
+        raw.write_all(b"world").unwrap();
+        let (head, body) = read_raw_response(&mut raw);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, b"helloworld");
+        server.shutdown();
     }
 
     #[test]
@@ -1155,7 +700,6 @@ mod tests {
         // mid-upload is dropped, and the reactor attributes the close to
         // the slow-body deadline, not the idle one.
         let server = echo_server(ServerConfig {
-            mode: ServerMode::Reactor,
             keep_alive_timeout: Duration::from_secs(30), // idle timer would never fire
             body_read_timeout: Duration::from_millis(300),
             ..ServerConfig::default()
@@ -1180,27 +724,24 @@ mod tests {
     #[test]
     fn idle_connection_still_times_out_between_requests() {
         // The body deadline must not extend the between-requests wait.
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                keep_alive_timeout: Duration::from_millis(200),
-                body_read_timeout: Duration::from_secs(30),
-                ..ServerConfig::default()
-            });
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
-            let _ = read_raw_response(&mut raw);
-            let start = Instant::now();
-            let mut rest = Vec::new();
-            raw.read_to_end(&mut rest).unwrap(); // waits for the server's FIN
-            assert!(rest.is_empty());
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "idle connection survived {:?}",
-                start.elapsed()
-            );
-            server.shutdown();
+        let server = echo_server(ServerConfig {
+            keep_alive_timeout: Duration::from_millis(200),
+            body_read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
         });
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
+        let _ = read_raw_response(&mut raw);
+        let start = Instant::now();
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).unwrap(); // waits for the server's FIN
+        assert!(rest.is_empty());
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "idle connection survived {:?}",
+            start.elapsed()
+        );
+        server.shutdown();
     }
 
     #[test]
@@ -1209,7 +750,6 @@ mod tests {
         // join the reactor thread and close parked keep-alive fds now,
         // not after `keep_alive_timeout`.
         let server = echo_server(ServerConfig {
-            mode: ServerMode::Reactor,
             keep_alive_timeout: Duration::from_secs(600),
             ..ServerConfig::default()
         });
@@ -1237,52 +777,54 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_reflects_request_mix_pre_auth() {
-        both_modes(|mode| {
-            let mut store = UserStore::new("Ecce");
-            store.add_user("karen", "pw");
-            let server = echo_server(ServerConfig {
-                mode,
-                auth: Some(store),
-                ..ServerConfig::default()
-            });
-            let mut authed = Client::connect(server.local_addr()).unwrap();
-            authed.set_credentials(Credentials::new("karen", "pw"));
-            assert_eq!(authed.get("/a").unwrap().status.code(), 200);
-            assert_eq!(authed.get("/b").unwrap().status.code(), 200);
-            assert_eq!(authed.put("/c", "body").unwrap().status.code(), 200);
-            // An unauthenticated request is refused but still counted.
-            let mut anon = Client::connect(server.local_addr()).unwrap();
-            assert_eq!(anon.get("/denied").unwrap().status.code(), 401);
-            // The metrics endpoint itself needs no credentials: it
-            // answers before the auth gate.
-            let resp = anon.get(METRICS_PATH).unwrap();
-            assert_eq!(resp.status.code(), 200);
-            assert_eq!(
-                resp.headers.get("content-type"),
-                Some("text/plain; charset=utf-8")
-            );
-            let text = resp.body_text();
-            use pse_obs::parse_text_metric as metric;
-            assert_eq!(metric(&text, "http.requests.get"), Some(3), "{text}");
-            assert_eq!(metric(&text, "http.requests.put"), Some(1), "{text}");
-            assert_eq!(metric(&text, "http.requests.metrics"), Some(1), "{text}");
-            assert_eq!(metric(&text, "http.auth_failures"), Some(1), "{text}");
-            assert_eq!(metric(&text, "http.responses.2xx"), Some(3), "{text}");
-            assert_eq!(metric(&text, "http.responses.4xx"), Some(1), "{text}");
-            // Histogram records one sample per completed exchange.
-            assert_eq!(metric(&text, "http.request_latency_us"), Some(4), "{text}");
-            assert!(metric(&text, "http.bytes_in").unwrap() > 0, "{text}");
-            assert!(metric(&text, "http.bytes_out").unwrap() > 0, "{text}");
-            // Pool gauges are exported through the registry source; both
-            // cores report the paper's 5 resident daemons.
-            assert_eq!(metric(&text, "http.workers_total"), Some(5), "{text}");
-            assert!(metric(&text, "http.active_connections").unwrap() >= 1, "{text}");
-            // The trace ring retained the scripted mix.
-            let traces = server.registry().recent_traces();
-            assert!(traces.iter().any(|t| t.what == "GET /a" && t.status == 200));
-            assert!(traces.iter().any(|t| t.what == "GET /denied" && t.status == 401));
-            server.shutdown();
+        let mut store = UserStore::new("Ecce");
+        store.add_user("karen", "pw");
+        let server = echo_server(ServerConfig {
+            auth: Some(store),
+            ..ServerConfig::default()
         });
+        let mut authed = Client::connect(server.local_addr()).unwrap();
+        authed.set_credentials(Credentials::new("karen", "pw"));
+        assert_eq!(authed.get("/a").unwrap().status.code(), 200);
+        assert_eq!(authed.get("/b").unwrap().status.code(), 200);
+        assert_eq!(authed.put("/c", "body").unwrap().status.code(), 200);
+        // An unauthenticated request is refused but still counted.
+        let mut anon = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(anon.get("/denied").unwrap().status.code(), 401);
+        // The metrics endpoint itself needs no credentials: it
+        // answers before the auth gate.
+        let resp = anon.get(METRICS_PATH).unwrap();
+        assert_eq!(resp.status.code(), 200);
+        assert_eq!(
+            resp.headers.get("content-type"),
+            Some("text/plain; charset=utf-8")
+        );
+        let text = resp.body_text();
+        use pse_obs::parse_text_metric as metric;
+        assert_eq!(metric(&text, "http.requests.get"), Some(3), "{text}");
+        assert_eq!(metric(&text, "http.requests.put"), Some(1), "{text}");
+        assert_eq!(metric(&text, "http.requests.metrics"), Some(1), "{text}");
+        assert_eq!(metric(&text, "http.auth_failures"), Some(1), "{text}");
+        assert_eq!(metric(&text, "http.responses.2xx"), Some(3), "{text}");
+        assert_eq!(metric(&text, "http.responses.4xx"), Some(1), "{text}");
+        // Histogram records one sample per completed exchange.
+        assert_eq!(metric(&text, "http.request_latency_us"), Some(4), "{text}");
+        assert!(metric(&text, "http.bytes_in").unwrap() > 0, "{text}");
+        assert!(metric(&text, "http.bytes_out").unwrap() > 0, "{text}");
+        // Pool gauges are exported through the registry source: the
+        // paper's 5 resident daemons.
+        assert_eq!(metric(&text, "http.workers_total"), Some(5), "{text}");
+        assert!(
+            metric(&text, "http.active_connections").unwrap() >= 1,
+            "{text}"
+        );
+        // The trace ring retained the scripted mix.
+        let traces = server.registry().recent_traces();
+        assert!(traces.iter().any(|t| t.what == "GET /a" && t.status == 200));
+        assert!(traces
+            .iter()
+            .any(|t| t.what == "GET /denied" && t.status == 401));
+        server.shutdown();
     }
 
     #[test]
@@ -1301,22 +843,19 @@ mod tests {
 
     #[test]
     fn disabled_registry_serves_but_records_nothing() {
-        both_modes(|mode| {
-            let server = echo_server(ServerConfig {
-                mode,
-                obs: Some(Registry::disabled()),
-                ..ServerConfig::default()
-            });
-            let mut c = Client::connect(server.local_addr()).unwrap();
-            assert_eq!(c.get("/x").unwrap().status.code(), 200);
-            let resp = c.get(METRICS_PATH).unwrap();
-            assert_eq!(resp.status.code(), 200);
-            assert_eq!(
-                pse_obs::parse_text_metric(&resp.body_text(), "http.requests.get"),
-                None
-            );
-            server.shutdown();
+        let server = echo_server(ServerConfig {
+            obs: Some(Registry::disabled()),
+            ..ServerConfig::default()
         });
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(c.get("/x").unwrap().status.code(), 200);
+        let resp = c.get(METRICS_PATH).unwrap();
+        assert_eq!(resp.status.code(), 200);
+        assert_eq!(
+            pse_obs::parse_text_metric(&resp.body_text(), "http.requests.get"),
+            None
+        );
+        server.shutdown();
     }
 
     #[test]
@@ -1326,7 +865,6 @@ mod tests {
         let server = Server::bind(
             "127.0.0.1:0",
             ServerConfig {
-                mode: ServerMode::Reactor,
                 min_daemons: 1, // one worker: a lost thread would hang the server
                 ..ServerConfig::default()
             },

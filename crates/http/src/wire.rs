@@ -1,18 +1,20 @@
-//! Wire-format parsing and serialisation for HTTP/1.1 messages.
+//! Wire-format serialisation for HTTP/1.1 messages, and the client's
+//! blocking response reader.
 //!
-//! Handles request/status lines, header blocks (with size limits),
+//! Handles status lines, header blocks (with size limits),
 //! `Content-Length` and `Transfer-Encoding: chunked` bodies, and the
-//! keep-alive decision. The size limits exist for the reason the paper
-//! gives: unbounded XML request bodies are an easy denial-of-service
-//! vector, so "the maximum should be set as low as possible for a given
-//! application".
+//! keep-alive decision. The server parses requests with the reactor's
+//! incremental parser ([`crate::conn`]), which shares the header-field
+//! and `Content-Length` rules defined here. The size limits exist for
+//! the reason the paper gives: unbounded XML request bodies are an easy
+//! denial-of-service vector, so "the maximum should be set as low as
+//! possible for a given application".
 
 use crate::error::{Error, Result};
 use crate::headers::Headers;
 use crate::message::{Request, Response, Version};
 use crate::method::Method;
 use crate::status::StatusCode;
-use crate::uri::Target;
 use std::io::{BufRead, Write};
 
 /// Parsing limits. The defaults are generous enough for the paper's
@@ -102,9 +104,9 @@ fn read_headers(r: &mut impl BufRead, limits: &Limits) -> Result<Headers> {
     }
 }
 
-/// Parse one `Name: value` header field. Shared by the blocking reader
-/// and the reactor's incremental parser so both enforce identical
-/// field-name rules.
+/// Parse one `Name: value` header field. Shared by the response reader
+/// and the server's incremental request parser so both enforce
+/// identical field-name rules.
 pub(crate) fn parse_header_field(line: &str) -> Result<(&str, &str)> {
     let (name, value) = line
         .split_once(':')
@@ -113,23 +115,6 @@ pub(crate) fn parse_header_field(line: &str) -> Result<(&str, &str)> {
         return Err(Error::Parse(format!("malformed header name `{name}`")));
     }
     Ok((name, value.trim()))
-}
-
-/// Parse a `METHOD target HTTP/1.x` request line. Shared by the
-/// blocking reader and the reactor's incremental parser.
-pub(crate) fn parse_request_line(line: &str) -> Result<(Method, Target, Version)> {
-    let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m, t, v),
-        _ => return Err(Error::Parse(format!("malformed request line `{line}`"))),
-    };
-    let version = match version {
-        "HTTP/1.1" => Version::V1_1,
-        "HTTP/1.0" => Version::V1_0,
-        v => return Err(Error::UnsupportedVersion(v.to_owned())),
-    };
-    let method: Method = method.parse().expect("infallible");
-    Ok((method, Target::parse(target), version))
 }
 
 /// Parse `Content-Length` strictly. A value that does not parse as a
@@ -218,40 +203,6 @@ pub fn encode_chunked(body: &[u8], chunk_size: usize) -> Vec<u8> {
     }
     out.extend_from_slice(b"0\r\n\r\n");
     out
-}
-
-/// Read a complete request. Returns `Ok(None)` when the connection was
-/// closed cleanly between requests (normal keep-alive termination).
-pub fn read_request(r: &mut impl BufRead, limits: &Limits) -> Result<Option<Request>> {
-    read_request_with(r, limits, || ())
-}
-
-/// [`read_request`] with a hook invoked once the request line has been
-/// parsed. The server uses it to switch the socket from the keep-alive
-/// idle timeout to the (longer) in-request read deadline, so a client
-/// that pauses mid-body is not dropped as if it were idle between
-/// requests.
-pub fn read_request_with(
-    r: &mut impl BufRead,
-    limits: &Limits,
-    after_request_line: impl FnOnce(),
-) -> Result<Option<Request>> {
-    let line = match read_line(r, limits.max_header_line) {
-        Ok(l) => l,
-        Err(Error::ConnectionClosed) => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let (method, target, version) = parse_request_line(&line)?;
-    after_request_line();
-    let headers = read_headers(r, limits)?;
-    let body = read_body(r, &headers, limits)?;
-    Ok(Some(Request {
-        method,
-        target,
-        version,
-        headers,
-        body,
-    }))
 }
 
 /// Read a complete response to a request made with `method`.
@@ -357,91 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_simple_request() {
-        let raw = b"PROPFIND /a%20b HTTP/1.1\r\nHost: x\r\nDepth: 0\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut cursor(raw), &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.method, Method::PropFind);
-        assert_eq!(req.target.path(), "/a b");
-        assert_eq!(req.headers.get("depth"), Some("0"));
-        assert_eq!(req.body, b"hello");
-    }
-
-    #[test]
-    fn clean_eof_returns_none() {
-        assert!(read_request(&mut cursor(b""), &Limits::default())
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn truncated_body_errors() {
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
-        assert!(matches!(
-            read_request(&mut cursor(raw), &Limits::default()),
-            Err(Error::ConnectionClosed)
-        ));
-    }
-
-    #[test]
-    fn bad_request_line_errors() {
-        assert!(read_request(&mut cursor(b"GARBAGE\r\n\r\n"), &Limits::default()).is_err());
-        assert!(matches!(
-            read_request(&mut cursor(b"GET / HTTP/2\r\n\r\n"), &Limits::default()),
-            Err(Error::UnsupportedVersion(_))
-        ));
-    }
-
-    #[test]
-    fn body_limit_enforced() {
-        let limits = Limits {
-            max_body: 4,
-            ..Limits::default()
-        };
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        assert!(matches!(
-            read_request(&mut cursor(raw), &limits),
-            Err(Error::TooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn header_limits_enforced() {
-        let limits = Limits {
-            max_headers: 2,
-            ..Limits::default()
-        };
-        let raw = b"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n";
-        assert!(matches!(
-            read_request(&mut cursor(raw), &limits),
-            Err(Error::TooLarge { .. })
-        ));
-        let limits = Limits {
-            max_header_line: 8,
-            ..Limits::default()
-        };
-        let raw = b"GET / HTTP/1.1\r\nLongHeaderName: value\r\n\r\n";
-        assert!(read_request(&mut cursor(raw), &limits).is_err());
-    }
-
-    #[test]
-    fn request_write_read_roundtrip() {
-        let req = Request::new(Method::Put, "/data/molecule.xyz")
-            .with_header("Content-Type", "chemical/x-xyz")
-            .with_body("3\nwater\nO 0 0 0");
-        let mut wire = Vec::new();
-        write_request(&mut wire, &req, "localhost").unwrap();
-        let back = read_request(&mut cursor(&wire), &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(back.method, Method::Put);
-        assert_eq!(back.target.path(), "/data/molecule.xyz");
-        assert_eq!(back.headers.get("host"), Some("localhost"));
-        assert_eq!(back.body, req.body);
-    }
-
-    #[test]
     fn response_write_read_roundtrip() {
         let resp = Response::new(StatusCode::MULTI_STATUS).with_xml_body("<D:multistatus/>");
         let mut wire = Vec::new();
@@ -516,72 +382,5 @@ mod tests {
         assert!(keep_alive(Version::V1_0, &h));
         h.set("Connection", "close");
         assert!(!keep_alive(Version::V1_0, &h));
-    }
-
-    #[test]
-    fn request_version_is_carried() {
-        let raw = b"GET / HTTP/1.0\r\n\r\n";
-        let req = read_request(&mut cursor(raw), &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.version, Version::V1_0);
-        let raw = b"GET / HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut cursor(raw), &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.version, Version::V1_1);
-    }
-
-    #[test]
-    fn unparseable_content_length_is_rejected() {
-        // `unwrap_or(0)` here would leave the body on the stream to be
-        // parsed as the next request — a keep-alive desync.
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: banana\r\n\r\nGET /x HTTP/1.1\r\n\r\n";
-        assert!(matches!(
-            read_request(&mut cursor(raw), &Limits::default()),
-            Err(Error::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn conflicting_content_lengths_rejected_identical_coalesced() {
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello6";
-        assert!(matches!(
-            read_request(&mut cursor(raw), &Limits::default()),
-            Err(Error::Parse(_))
-        ));
-        // Repeated identical values are fine (RFC 7230 §3.3.2).
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut cursor(raw), &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.body, b"hello");
-    }
-
-    #[test]
-    fn caller_chunked_header_does_not_double_frame() {
-        // A caller-set Transfer-Encoding must not reach the wire next to
-        // the Content-Length the serialiser emits.
-        let req = Request::new(Method::Put, "/x")
-            .with_header("Transfer-Encoding", "chunked")
-            .with_body("abc");
-        let mut wire_bytes = Vec::new();
-        write_request(&mut wire_bytes, &req, "h").unwrap();
-        let text = String::from_utf8(wire_bytes.clone()).unwrap();
-        assert!(!text.to_ascii_lowercase().contains("transfer-encoding"));
-        assert!(text.contains("Content-Length: 3"));
-        let back = read_request(&mut cursor(&wire_bytes), &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(back.body, b"abc");
-    }
-
-    #[test]
-    fn bare_lf_lines_accepted() {
-        let raw = b"GET / HTTP/1.1\nHost: x\n\n";
-        let req = read_request(&mut cursor(raw), &Limits::default())
-            .unwrap()
-            .unwrap();
-        assert_eq!(req.headers.get("host"), Some("x"));
     }
 }

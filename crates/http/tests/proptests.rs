@@ -1,27 +1,16 @@
-//! Property-based tests for the HTTP wire layer: arbitrary messages must
-//! survive serialise → parse, and the URI algebra must be total.
+//! Property-based tests for the HTTP wire layer: arbitrary responses must
+//! survive serialise → parse, and the URI algebra must be total. The
+//! request-side properties live beside the server's request parser in
+//! `conn.rs`, which is crate-private.
 
 use proptest::prelude::*;
 use pse_http::auth::{base64_decode, base64_encode};
-use pse_http::message::{Request, Response};
+use pse_http::message::Response;
 use pse_http::method::Method;
 use pse_http::uri::{normalize_path, percent_decode, percent_encode_path};
 use pse_http::wire::{self, Limits};
 use pse_http::StatusCode;
 use std::io::BufReader;
-
-fn method_strategy() -> impl Strategy<Value = Method> {
-    prop_oneof![
-        Just(Method::Get),
-        Just(Method::Put),
-        Just(Method::Delete),
-        Just(Method::PropFind),
-        Just(Method::PropPatch),
-        Just(Method::MkCol),
-        Just(Method::Copy),
-        Just(Method::Lock),
-    ]
-}
 
 proptest! {
     /// base64 is a bijection on arbitrary bytes.
@@ -46,29 +35,6 @@ proptest! {
         prop_assert_eq!(normalize_path(&once), once.clone());
         // Never escapes the root: no segment is a literal `..`.
         prop_assert!(once.split('/').all(|seg| seg != ".."));
-    }
-
-    /// Requests survive the wire: method, path, headers, body.
-    #[test]
-    fn request_wire_roundtrip(
-        method in method_strategy(),
-        segs in prop::collection::vec("[a-zA-Z0-9_.-]{1,10}", 0..4),
-        body in prop::collection::vec(any::<u8>(), 0..2048),
-        header_val in "[a-zA-Z0-9 ,;=/_.-]{0,40}",
-    ) {
-        let path = format!("/{}", segs.join("/"));
-        let req = Request::new(method.clone(), &path)
-            .with_header("X-Test", header_val.trim())
-            .with_body(body.clone());
-        let mut wire_bytes = Vec::new();
-        wire::write_request(&mut wire_bytes, &req, "host").unwrap();
-        let back = wire::read_request(&mut BufReader::new(&wire_bytes[..]), &Limits::default())
-            .unwrap()
-            .unwrap();
-        prop_assert_eq!(back.method, method);
-        prop_assert_eq!(back.target.path(), normalize_path(&path));
-        prop_assert_eq!(back.body, body);
-        prop_assert_eq!(back.headers.get("x-test"), Some(header_val.trim()));
     }
 
     /// Responses survive the wire for any status and body.
@@ -107,76 +73,5 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(back.body, body);
-    }
-
-    /// The request parser never panics on arbitrary junk.
-    #[test]
-    fn parser_total_on_junk(junk in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = wire::read_request(&mut BufReader::new(&junk[..]), &Limits::default());
-    }
-
-    /// A two-request pipeline never desyncs: whatever the bodies contain
-    /// (including bytes that look like request lines), both messages
-    /// parse back intact and the stream is exactly exhausted.
-    #[test]
-    fn pipelined_requests_never_desync(
-        m1 in method_strategy(),
-        m2 in method_strategy(),
-        b1 in prop::collection::vec(any::<u8>(), 0..1024),
-        b2 in prop::collection::vec(any::<u8>(), 0..1024),
-    ) {
-        let r1 = Request::new(m1.clone(), "/first").with_body(b1.clone());
-        let r2 = Request::new(m2.clone(), "/second").with_body(b2.clone());
-        let mut bytes = Vec::new();
-        wire::write_request(&mut bytes, &r1, "h").unwrap();
-        wire::write_request(&mut bytes, &r2, "h").unwrap();
-        let mut rd = BufReader::new(&bytes[..]);
-        let a = wire::read_request(&mut rd, &Limits::default()).unwrap().unwrap();
-        let b = wire::read_request(&mut rd, &Limits::default()).unwrap().unwrap();
-        prop_assert_eq!(a.method, m1);
-        prop_assert_eq!(a.target.path(), "/first");
-        prop_assert_eq!(a.body, b1);
-        prop_assert_eq!(b.method, m2);
-        prop_assert_eq!(b.target.path(), "/second");
-        prop_assert_eq!(b.body, b2);
-        prop_assert!(wire::read_request(&mut rd, &Limits::default()).unwrap().is_none());
-    }
-
-    /// Caller-supplied framing headers (a stray `Transfer-Encoding:
-    /// chunked`, a bogus `Content-Length`) are stripped by the writer:
-    /// the message on the wire is singly framed and a pipelined
-    /// follow-up request still parses at the right boundary.
-    #[test]
-    fn caller_framing_headers_cannot_desync(
-        body in prop::collection::vec(any::<u8>(), 0..1024),
-        bogus_cl in "[a-z]{1,8}",
-    ) {
-        let r1 = Request::new(Method::Put, "/poison")
-            .with_header("Transfer-Encoding", "chunked")
-            .with_header("Content-Length", bogus_cl.as_str())
-            .with_body(body.clone());
-        let r2 = Request::new(Method::Get, "/after");
-        let mut bytes = Vec::new();
-        wire::write_request(&mut bytes, &r1, "h").unwrap();
-        wire::write_request(&mut bytes, &r2, "h").unwrap();
-        let mut rd = BufReader::new(&bytes[..]);
-        let a = wire::read_request(&mut rd, &Limits::default()).unwrap().unwrap();
-        prop_assert_eq!(a.body, body);
-        prop_assert!(a.headers.get("transfer-encoding").is_none());
-        let b = wire::read_request(&mut rd, &Limits::default()).unwrap().unwrap();
-        prop_assert_eq!(b.target.path(), "/after");
-        prop_assert!(wire::read_request(&mut rd, &Limits::default()).unwrap().is_none());
-    }
-
-    /// An unparseable Content-Length is rejected outright — never
-    /// silently treated as 0, which is what used to let a body be
-    /// re-read as a smuggled second request.
-    #[test]
-    fn unparseable_content_length_always_rejected(cl in "[a-zA-Z ;_+-]{1,10}") {
-        let raw = format!(
-            "PUT /x HTTP/1.1\r\nHost: h\r\nContent-Length: {cl}\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n"
-        );
-        let res = wire::read_request(&mut BufReader::new(raw.as_bytes()), &Limits::default());
-        prop_assert!(res.is_err(), "CL `{}` was accepted", cl);
     }
 }

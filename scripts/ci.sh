@@ -14,44 +14,46 @@
 #    Skipped with a notice if the clippy component is not installed.
 # 5. Adversarial wire tests: the incremental-parser matrix (trickled
 #    bytes, split heads, pipelining, oversized headers, half-close)
-#    runs against BOTH server cores inside the workspace suite; the
+#    runs against the reactor server inside the workspace suite; the
 #    dedicated run makes a parser failure unmissable.
-# 6. With --stress: the concurrency stress suite across a 3-seed
-#    matrix at elevated thread count, run under BOTH server cores
-#    (PSE_HTTP_MODE=reactor and =threaded), plus the MemRepository
+# 6. Benchmark build: builds perfbench (the committed benchmark, its own
+#    Cargo workspace) and runs its unit tests, so an API change in the
+#    workspace crates that breaks the benchmark fails here.
+# 7. With --stress: the concurrency stress suite across a 3-seed
+#    matrix at elevated thread count, plus the MemRepository
 #    linearizability checker. PSE_STRESS_OPS / PSE_STRESS_THREADS are
 #    honoured when set in the environment.
-# 7. With --c10k: the C10k gate — 1000 parked keep-alive connections
+# 8. With --c10k: the C10k gate — 1000 parked keep-alive connections
 #    (override with PSE_C10K_CONNS) against a worker pool of 8 must
 #    leave fresh clients fast, the staleness detector clean, and
 #    shutdown prompt.
-# 8. With --cluster: the replication gate — 1 primary + 2 replicas +
+# 9. With --cluster: the replication gate — 1 primary + 2 replicas +
 #    the consistent-hash router in-process, with the staleness /
 #    torn-write / MOVE-atomicity detectors pointed through the router,
 #    a replica-kill failover smoke, snapshot resync after log
 #    compaction, and repro_cluster --check (read throughput must rise
 #    monotonically 1 -> 2 -> 4 replicas with zero failover errors).
 #    PSE_CLUSTER_OPS / PSE_CLUSTER_THREADS are honoured when set.
-# 9. With --bulk: the bulk-transfer gate — range/conditional-request/
+# 10. With --bulk: the bulk-transfer gate — range/conditional-request/
 #    resumable-PUT/delta-sync suites (pse-dav bulk tests + handler
 #    range matrix), the gzip fault-injection round trip, and
 #    repro_table2 --delta --check (a 1% edit re-PUT must move >= 10x
 #    fewer bytes on the wire than the full PUT), emitting
 #    target/bench-json/bulk.json.
-# 10. With --versions: the DeltaV gate — the versioning compliance +
+# 11. With --versions: the DeltaV gate — the versioning compliance +
 #    concurrency suite (RFC 3253 state machine, PUT-storm version
 #    granularity, history immutability, read-only history resources,
-#    mem/fs replay equivalence with a mid-history restart) under BOTH
-#    server cores, the ecce revert-a-calculation scenario, the cluster
-#    history-replication/rejoin test, and repro_versions --check
-#    (content-addressed storage for 50 x 1%-edit revisions of 2 MB
-#    must cost <= 25% of full snapshots, with byte-identical reads),
-#    emitting target/bench-json/versions.json.
-# 11. With --search: the indexed-search gate — the SEARCH correctness
+#    mem/fs replay equivalence with a mid-history restart), the ecce
+#    revert-a-calculation scenario, the cluster history-replication/
+#    rejoin test, and repro_versions --check (content-addressed storage
+#    for 50 x 1%-edit revisions of 2 MB must cost <= 25% of full
+#    snapshots, with byte-identical reads), emitting
+#    target/bench-json/versions.json.
+# 12. With --search: the indexed-search gate — the SEARCH correctness
 #    sweep (index ≡ scan equivalence proptests over mem/fs/logged
 #    repositories, the SEARCH-vs-DELETE race, gzip + fault-proxy
-#    round trips, pipelined framing on both cores), the JSON gateway
-#    unit suite, the cluster SEARCH routing tests, and
+#    round trips, pipelined framing on one connection), the JSON
+#    gateway unit suite, the cluster SEARCH routing tests, and
 #    repro_search --check (the planner must answer selective queries
 #    over 10k calculations >= 10x faster than a walk-and-scan with a
 #    byte-identical answer), emitting target/bench-json/search.json.
@@ -106,19 +108,20 @@ else
     echo "==> lint: clippy not installed, skipping"
 fi
 
-echo "==> adversarial wire tests (both server cores): cargo test -q -p pse-http --test adversarial"
+echo "==> adversarial wire tests: cargo test -q -p pse-http --test adversarial"
 cargo test -q -p pse-http --test adversarial
+
+echo "==> benchmark build + unit tests: cargo test --offline --manifest-path perfbench/Cargo.toml"
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 if [ "$STRESS" = 1 ]; then
     : "${PSE_STRESS_OPS:=250}"
     : "${PSE_STRESS_THREADS:=6}"
     export PSE_STRESS_OPS PSE_STRESS_THREADS
-    echo "==> stress: concurrency suite, 3-seed x 2-core matrix (threads=$PSE_STRESS_THREADS, ops=$PSE_STRESS_OPS)"
-    for mode in reactor threaded; do
-        for seed in 1 42 20010807; do
-            echo "==> stress: core $mode, seed $seed"
-            PSE_HTTP_MODE=$mode PSE_STRESS_SEED=$seed cargo test -q --test concurrency
-        done
+    echo "==> stress: concurrency suite, 3-seed matrix (threads=$PSE_STRESS_THREADS, ops=$PSE_STRESS_OPS)"
+    for seed in 1 42 20010807; do
+        echo "==> stress: seed $seed"
+        PSE_STRESS_SEED=$seed cargo test -q --test concurrency
     done
     echo "==> stress: MemRepository linearizability"
     cargo test -q -p pse-dav --test linearizability
@@ -171,11 +174,8 @@ if [ "$SEARCH" = 1 ]; then
 fi
 
 if [ "$VERSIONS" = 1 ]; then
-    echo "==> versions gate: compliance + concurrency suite under both server cores"
-    for mode in reactor threaded; do
-        echo "==> versions gate: core $mode"
-        PSE_HTTP_MODE=$mode cargo test -q -p pse-dav --test versioning
-    done
+    echo "==> versions gate: compliance + concurrency suite"
+    cargo test -q -p pse-dav --test versioning
     echo "==> versions gate: version store unit suite"
     cargo test -q -p pse-dav --lib -- version::
     echo "==> versions gate: revert-a-calculation scenario"

@@ -2,18 +2,17 @@
 //! connections at a cost of one fd each while a fixed worker pool far
 //! smaller than the connection count keeps serving fresh clients fast.
 //!
-//! This is the proof obligation of the event-driven server core
-//! (ROADMAP item 1): under thread-per-connection the resident set below
-//! would demand a thousand OS threads and the `max_daemons` (~64)
-//! ceiling would refuse most of the connections outright.
+//! This is the proof obligation of the event-driven server core: under
+//! thread-per-connection the resident set below would demand a thousand
+//! OS threads.
 //!
 //! The gate:
 //!
 //! 1. Parks `PSE_C10K_CONNS` (default 1000) keep-alive connections
 //!    against a real DAV server, each proven live by one completed GET.
 //! 2. Asserts the obs gauges tell the C10k story: `http.conns_parked`
-//!    counts the resident set, `http.workers_total` stays at the pool
-//!    size (≤ 16), and no overflow workers were ever spawned.
+//!    counts the resident set, and `http.workers_total` stays at the
+//!    pool size (≤ 16).
 //! 3. Runs fresh one-shot clients through the parked crowd and bounds
 //!    their latency.
 //! 4. Re-runs the concurrency suite's staleness detector at small scale
@@ -22,16 +21,13 @@
 //! 5. Shuts down and requires the parked fds to be closed promptly (no
 //!    waiting out keep-alive timers).
 //!
-//! Knobs: `PSE_C10K_CONNS` (resident set size), `PSE_HTTP_MODE`
-//! (reactor by default; `threaded` would fail its `max_daemons` math
-//! long before 1000 — that regime is measured, not gated, by
-//! `repro_scaling --ablate-threaded`).
+//! Knob: `PSE_C10K_CONNS` (resident set size).
 
 use davpse::dav::client::DavClient;
 use davpse::dav::fsrepo::{FsConfig, FsRepository};
 use davpse::dav::handler::DavHandler;
 use davpse::dav::server::serve;
-use pse_http::server::{ServerConfig, ServerMode};
+use pse_http::server::ServerConfig;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,10 +68,6 @@ fn read_raw_response(s: &mut TcpStream) -> String {
 fn c10k_parked_crowd_does_not_degrade_service() {
     let conns = env_usize("PSE_C10K_CONNS", 1000);
     let pool = 8usize; // well under the ≤16 acceptance bound
-    let mode = std::env::var("PSE_HTTP_MODE")
-        .ok()
-        .and_then(|v| ServerMode::parse(&v))
-        .unwrap_or(ServerMode::Reactor);
 
     // Both ends of every parked connection live in this process.
     let _ = pse_http::poll::raise_nofile_limit((conns as u64) * 2 + 512);
@@ -87,9 +79,7 @@ fn c10k_parked_crowd_does_not_degrade_service() {
     let server = serve(
         "127.0.0.1:0",
         ServerConfig {
-            mode,
             min_daemons: pool,
-            max_daemons: pool, // parking must be free: no overflow headroom
             max_requests_per_connection: 1_000_000,
             keep_alive_timeout: Duration::from_secs(600),
             ..ServerConfig::default()
@@ -128,14 +118,9 @@ fn c10k_parked_crowd_does_not_degrade_service() {
         pool as i64,
         "worker pool grew past its fixed size"
     );
-    assert_eq!(
-        snap.counter("http.overflow_workers_spawned"),
-        0,
-        "overflow workers spawned — parking was not free"
-    );
 
     // 3. Fresh clients must get through the parked crowd fast. The
-    //    bound is generous (shared single-CPU CI container), but under
+    //    bound is generous (shared CI container), but under
     //    thread-per-connection this same crowd pushed fresh clients
     //    toward the keep-alive timeout — seconds, not milliseconds.
     let mut worst = Duration::ZERO;

@@ -17,11 +17,8 @@
 //!   PSE_STRESS_OPS      writer operations per thread   (default 120)
 //!   PSE_STRESS_THREADS  writer (= reader) thread count (default 3)
 //!   PSE_STRESS_SEED     workload schedule seed         (default 42)
-//!   PSE_HTTP_MODE       server core: reactor|threaded  (default reactor)
 //!
-//! `scripts/ci.sh --stress` runs the seed matrix under BOTH server
-//! cores, so every invariant above is checked against the epoll reactor
-//! and the thread-per-connection ablation alike.
+//! `scripts/ci.sh --stress` runs a three-seed matrix.
 
 use davpse::dav::client::DavClient;
 use davpse::dav::depth::Depth;
@@ -29,7 +26,7 @@ use davpse::dav::fsrepo::{FsConfig, FsRepository};
 use davpse::dav::handler::DavHandler;
 use davpse::dav::property::{Property, PropertyName};
 use davpse::dav::server::serve;
-use pse_http::server::{ServerConfig, ServerMode};
+use pse_http::server::ServerConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -41,14 +38,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Which server core the suite exercises (`PSE_HTTP_MODE`).
-fn http_mode() -> ServerMode {
-    std::env::var("PSE_HTTP_MODE")
-        .ok()
-        .and_then(|v| ServerMode::parse(&v))
-        .unwrap_or_default()
 }
 
 fn lcg(state: &mut u64) -> u64 {
@@ -92,7 +81,6 @@ impl Rig {
         let server = serve(
             "127.0.0.1:0",
             ServerConfig {
-                mode: http_mode(),
                 max_requests_per_connection: 1_000_000,
                 ..ServerConfig::default()
             },
