@@ -18,8 +18,8 @@
 //!   `limit`/`cursor` paging; the continuation token rides in the body.
 //!
 //! The handler serves these from [`intercept`] before DAV method
-//! dispatch, so the gateway is available from both server cores (epoll
-//! reactor and thread pool) without either knowing about it.
+//! dispatch, so the HTTP server serves the gateway without knowing
+//! about it.
 
 use crate::error::{DavError, Result};
 use crate::multistatus::ResponseEntry;

@@ -622,29 +622,6 @@ mod tests {
         }
     }
 
-    /// `raw` in one segment.
-    fn parse(raw: &[u8], limits: Limits) -> Parsed {
-        parse_segmented(raw, &[], limits)
-    }
-
-    /// `raw` as exactly one complete request with nothing left over.
-    fn parse_one(raw: &[u8]) -> Request {
-        let mut parsed = parse(raw, Limits::default());
-        assert!(parsed.reject.is_none(), "{parsed:?}");
-        assert!(!parsed.in_progress, "{parsed:?}");
-        assert_eq!(parsed.requests.len(), 1, "{parsed:?}");
-        parsed.requests.remove(0)
-    }
-
-    /// The status `raw` is rejected with.
-    fn reject_status(raw: &[u8], limits: Limits) -> u16 {
-        let parsed = parse(raw, limits);
-        match &parsed.reject {
-            Some(r) => r.status.code(),
-            None => panic!("accepted: {parsed:?}"),
-        }
-    }
-
     fn method_strategy() -> impl Strategy<Value = Method> {
         prop_oneof![
             Just(Method::Get),
@@ -736,20 +713,36 @@ mod tests {
         assert!(matches!(feed(&mut p2, &mut buf2, b"PUT /x HT"), Step::NeedMore));
         assert!(!p2.saw_request_line());
         assert!(p2.in_progress(&buf2));
+        // Nothing between requests: an EOF here is a clean keep-alive
+        // close, but one in a short body is a truncated request.
+        let mut p3 = parser();
+        let mut buf3 = Vec::new();
+        assert!(!p3.in_progress(&buf3));
+        assert!(matches!(
+            feed(&mut p3, &mut buf3, b"PUT / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
+            Step::NeedMore
+        ));
+        assert!(p3.in_progress(&buf3));
     }
 
     #[test]
     fn pipelined_requests_parse_one_at_a_time() {
         let mut p = parser();
         let mut buf = Vec::new();
-        buf.extend_from_slice(b"GET /one HTTP/1.1\r\n\r\nGET /two HTTP/1.1\r\n\r\n");
+        buf.extend_from_slice(b"GET /one HTTP/1.0\r\n\r\nGET /two HTTP/1.1\r\n\r\n");
         match p.advance(&mut buf) {
-            Step::Done(req) => assert_eq!(req.target.path(), "/one"),
+            Step::Done(req) => {
+                assert_eq!(req.target.path(), "/one");
+                assert_eq!(req.version, Version::V1_0);
+            }
             other => panic!("{other:?}"),
         }
         // The second request is still buffered, untouched.
         match p.advance(&mut buf) {
-            Step::Done(req) => assert_eq!(req.target.path(), "/two"),
+            Step::Done(req) => {
+                assert_eq!(req.target.path(), "/two");
+                assert_eq!(req.version, Version::V1_1);
+            }
             other => panic!("{other:?}"),
         }
         assert!(buf.is_empty());
@@ -829,16 +822,23 @@ mod tests {
 
     #[test]
     fn unframeable_content_length_rejects_400() {
+        // Reading `banana` as 0 would leave the body on the stream to be
+        // parsed as the next request: a keep-alive desync.
         for raw in [
-            b"PUT / HTTP/1.1\r\nContent-Length: banana\r\n\r\n".as_slice(),
-            b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n".as_slice(),
+            b"PUT / HTTP/1.1\r\nContent-Length: banana\r\n\r\nGET /x HTTP/1.1\r\n\r\n".as_slice(),
+            b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello6".as_slice(),
         ] {
-            let mut p = parser();
-            let mut buf = Vec::new();
-            match feed(&mut p, &mut buf, raw) {
-                Step::Reject(r) => assert_eq!(r.status.code(), 400),
-                other => panic!("{other:?}"),
-            }
+            let parsed = parse_segmented(raw, &[], Limits::default());
+            assert_eq!(parsed.reject.map(|r| r.status.code()), Some(400));
+            assert!(parsed.requests.is_empty(), "smuggled request surfaced");
+        }
+        // Repeated identical values are fine (RFC 7230 §3.3.2).
+        let mut p = parser();
+        let mut buf = Vec::new();
+        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
+        match feed(&mut p, &mut buf, raw) {
+            Step::Done(req) => assert_eq!(req.body, b"hello"),
+            other => panic!("{other:?}"),
         }
     }
 
@@ -848,11 +848,16 @@ mod tests {
             max_body: 16,
             ..Limits::default()
         };
-        let mut p = RequestParser::new(limits);
-        let mut buf = Vec::new();
-        match feed(&mut p, &mut buf, b"PUT / HTTP/1.1\r\nContent-Length: 64\r\n\r\n") {
-            Step::Reject(r) => assert_eq!(r.status.code(), 413),
-            other => panic!("{other:?}"),
+        for head in [
+            b"PUT / HTTP/1.1\r\nContent-Length: 64\r\n\r\n".as_slice(),
+            b"PUT / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n".as_slice(),
+        ] {
+            let mut p = RequestParser::new(limits);
+            let mut buf = Vec::new();
+            match feed(&mut p, &mut buf, head) {
+                Step::Reject(r) => assert_eq!(r.status.code(), 413),
+                other => panic!("{other:?}"),
+            }
         }
     }
 
@@ -869,6 +874,11 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+        assert!(matches!(
+            parse_request_line("GET / HTTP/2"),
+            Err(Error::UnsupportedVersion(_))
+        ));
+        assert!(matches!(parse_request_line("GARBAGE"), Err(Error::Parse(_))));
     }
 
     #[test]
@@ -898,138 +908,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parse_simple_request() {
-        let req = parse_one(
-            b"PROPFIND /a%20b HTTP/1.1\r\nHost: x\r\nDepth: 0\r\nContent-Length: 5\r\n\r\nhello",
-        );
-        assert_eq!(req.method, Method::PropFind);
-        assert_eq!(req.target.path(), "/a b");
-        assert_eq!(req.headers.get("depth"), Some("0"));
-        assert_eq!(req.body, b"hello");
-    }
-
-    #[test]
-    fn clean_eof_is_not_in_progress() {
-        // No bytes between requests: an EOF here is a clean keep-alive
-        // close, not a truncated request.
-        let parsed = parse(b"", Limits::default());
-        assert!(parsed.requests.is_empty() && parsed.reject.is_none());
-        assert!(!parsed.in_progress);
-    }
-
-    #[test]
-    fn truncated_body_stays_in_progress() {
-        let parsed = parse(
-            b"PUT / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
-            Limits::default(),
-        );
-        assert!(parsed.requests.is_empty() && parsed.reject.is_none());
-        assert!(parsed.in_progress, "an EOF now must read as truncation");
-    }
-
-    #[test]
-    fn bad_request_line_errors() {
-        assert_eq!(reject_status(b"GARBAGE\r\n\r\n", Limits::default()), 400);
-        assert_eq!(
-            reject_status(b"GET / HTTP/2\r\n\r\n", Limits::default()),
-            400
-        );
-        assert!(matches!(
-            parse_request_line("GET / HTTP/2"),
-            Err(Error::UnsupportedVersion(_))
-        ));
-        assert!(matches!(
-            parse_request_line("GARBAGE"),
-            Err(Error::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn body_limit_enforced() {
-        let limits = Limits {
-            max_body: 4,
-            ..Limits::default()
-        };
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        assert_eq!(reject_status(raw, limits), 413);
-        let chunked =
-            b"PUT / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
-        assert_eq!(reject_status(chunked, limits), 413);
-    }
-
-    #[test]
-    fn header_limits_enforced() {
-        let limits = Limits {
-            max_headers: 2,
-            ..Limits::default()
-        };
-        let raw = b"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n";
-        assert_eq!(reject_status(raw, limits), 431);
-        let limits = Limits {
-            max_header_line: 8,
-            ..Limits::default()
-        };
-        let raw = b"GET / HTTP/1.1\r\nLongHeaderName: value\r\n\r\n";
-        assert_eq!(reject_status(raw, limits), 431);
-    }
-
-    #[test]
-    fn request_write_read_roundtrip() {
-        let req = Request::new(Method::Put, "/data/molecule.xyz")
-            .with_header("Content-Type", "chemical/x-xyz")
-            .with_body("3\nwater\nO 0 0 0");
-        let mut bytes = Vec::new();
-        wire::write_request(&mut bytes, &req, "localhost").unwrap();
-        let back = parse_one(&bytes);
-        assert_eq!(back.method, Method::Put);
-        assert_eq!(back.target.path(), "/data/molecule.xyz");
-        assert_eq!(back.headers.get("host"), Some("localhost"));
-        assert_eq!(back.body, req.body);
-    }
-
-    #[test]
-    fn request_version_is_carried() {
-        assert_eq!(parse_one(b"GET / HTTP/1.0\r\n\r\n").version, Version::V1_0);
-        assert_eq!(parse_one(b"GET / HTTP/1.1\r\n\r\n").version, Version::V1_1);
-    }
-
-    #[test]
-    fn unparseable_content_length_is_rejected() {
-        // Reading `banana` as 0 would leave the body on the stream to be
-        // parsed as the next request — a keep-alive desync.
-        let parsed = parse(
-            b"PUT / HTTP/1.1\r\nContent-Length: banana\r\n\r\nGET /x HTTP/1.1\r\n\r\n",
-            Limits::default(),
-        );
-        assert_eq!(parsed.reject.map(|r| r.status.code()), Some(400));
-        assert!(parsed.requests.is_empty(), "smuggled request surfaced");
-    }
-
-    #[test]
-    fn conflicting_content_lengths_rejected_identical_coalesced() {
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello6";
-        assert_eq!(reject_status(raw, Limits::default()), 400);
-        // Repeated identical values are fine (RFC 7230 §3.3.2).
-        let raw = b"PUT / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
-        assert_eq!(parse_one(raw).body, b"hello");
-    }
-
-    #[test]
-    fn caller_chunked_header_does_not_double_frame() {
-        // A caller-set Transfer-Encoding must not reach the wire next to
-        // the Content-Length the serialiser emits.
-        let req = Request::new(Method::Put, "/x")
-            .with_header("Transfer-Encoding", "chunked")
-            .with_body("abc");
-        let mut bytes = Vec::new();
-        wire::write_request(&mut bytes, &req, "h").unwrap();
-        let text = String::from_utf8(bytes.clone()).unwrap();
-        assert!(!text.to_ascii_lowercase().contains("transfer-encoding"));
-        assert!(text.contains("Content-Length: 3"));
-        assert_eq!(parse_one(&bytes).body, b"abc");
-    }
-
     proptest! {
         /// Requests survive the wire in any segmentation: method, path,
         /// headers, body.
@@ -1054,6 +932,7 @@ mod tests {
             prop_assert_eq!(back.target.path(), normalize_path(&path));
             prop_assert_eq!(&back.body, &body);
             prop_assert_eq!(back.headers.get("x-test"), Some(header_val.trim()));
+            prop_assert_eq!(back.headers.get("host"), Some("h"));
         }
 
         /// The parser never panics on arbitrary junk, and what it makes
@@ -1063,7 +942,7 @@ mod tests {
             junk in prop::collection::vec(any::<u8>(), 0..512),
             cuts in cuts_strategy(),
         ) {
-            let whole = parse(&junk, Limits::default());
+            let whole = parse_segmented(&junk, &[], Limits::default());
             let split = parse_segmented(&junk, &cuts, Limits::default());
             prop_assert_eq!(format!("{whole:?}"), format!("{split:?}"));
         }

@@ -318,6 +318,64 @@ mod tests {
     }
 
     #[test]
+    fn bare_lf_lines_accepted() {
+        let raw = b"HTTP/1.1 200 OK\nX-A: 1\nContent-Length: 2\n\nok";
+        let back = read_response(&mut cursor(raw), &Method::Get, &Limits::default()).unwrap();
+        assert_eq!(back.headers.get("x-a"), Some("1"));
+        assert_eq!(back.body, b"ok");
+    }
+
+    /// A hostile or broken server cannot make the client read without
+    /// bound or misframe the stream. `TooLarge` ends the exchange; the
+    /// client retries `Parse` and `ConnectionClosed` on a fresh
+    /// connection, so each case must produce the right kind.
+    #[test]
+    fn hostile_responses_are_refused() {
+        let tight = Limits {
+            max_header_line: 32,
+            max_headers: 2,
+            max_body: 4,
+        };
+        let kind = |e: &Error| match e {
+            Error::TooLarge { what, .. } => *what,
+            Error::Parse(_) => "parse",
+            Error::ConnectionClosed => "closed",
+            _ => "other",
+        };
+        let cases: [(&[u8], &str); 8] = [
+            (b"HTTP/1.1 200 OK\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n", "header count"),
+            (b"HTTP/1.1 200 OK\r\nX-Long: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n", "header line"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", "entity body"),
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                "chunked body",
+            ),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: banana\r\n\r\n", "parse"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab", "parse"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nab", "closed"),
+            (b"", "closed"),
+        ];
+        for (raw, expected) in cases {
+            let err = read_response(&mut cursor(raw), &Method::Get, &tight).unwrap_err();
+            assert_eq!(kind(&err), expected, "{:?}: {err:?}", String::from_utf8_lossy(raw));
+        }
+    }
+
+    #[test]
+    fn caller_chunked_header_does_not_double_frame() {
+        // A caller-set Transfer-Encoding must not reach the wire next to
+        // the Content-Length the serialiser emits.
+        let req = Request::new(Method::Put, "/x")
+            .with_header("Transfer-Encoding", "chunked")
+            .with_body("abc");
+        let mut wire = Vec::new();
+        write_request(&mut wire, &req, "h").unwrap();
+        let text = String::from_utf8(wire).unwrap();
+        assert!(!text.to_ascii_lowercase().contains("transfer-encoding"));
+        assert!(text.ends_with("Content-Length: 3\r\n\r\nabc"));
+    }
+
+    #[test]
     fn head_has_no_body() {
         let resp = Response::ok().with_body("content");
         let mut wire = Vec::new();
