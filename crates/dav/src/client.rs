@@ -952,6 +952,7 @@ impl DavClient {
     /// SEARCH for resources where `name` equals `value` under `scope`,
     /// fetching matches `page_size` at a time until the server's cursor
     /// runs dry. Bounded memory per round trip regardless of match count.
+    /// Returns the matching hrefs; see [`search_eq`](Self::search_eq).
     pub fn search_eq_paged(
         &mut self,
         scope: &str,
@@ -959,6 +960,36 @@ impl DavClient {
         value: &str,
         page_size: usize,
     ) -> Result<Vec<String>> {
+        self.search_eq_pages(scope, name, value, Some(page_size))
+    }
+
+    /// SEARCH for resources where `name` equals `value`, under `scope`,
+    /// returning the matching hrefs. The query selects only `name`
+    /// (`DAV:select`), so the server reads and ships that one property
+    /// per match instead of every property (allprop).
+    pub fn search_eq(
+        &mut self,
+        scope: &str,
+        name: &PropertyName,
+        value: &str,
+    ) -> Result<Vec<String>> {
+        self.search_eq_pages(scope, name, value, None)
+    }
+
+    /// The one `eq` SEARCH body builder behind [`search_eq`](Self::search_eq)
+    /// and [`search_eq_paged`](Self::search_eq_paged). Without a page size
+    /// the server sends every match at once and no cursor, so the loop
+    /// runs once.
+    fn search_eq_pages(
+        &mut self,
+        scope: &str,
+        name: &PropertyName,
+        value: &str,
+        page_size: Option<usize>,
+    ) -> Result<Vec<String>> {
+        let limit = page_size
+            .map(|n| format!("<D:limit><D:nresults>{n}</D:nresults></D:limit>"))
+            .unwrap_or_default();
         let mut hrefs = Vec::new();
         let mut cursor: Option<String> = None;
         loop {
@@ -968,10 +999,10 @@ impl DavClient {
                 .unwrap_or_default();
             let body = format!(
                 r#"<D:searchrequest xmlns:D="DAV:" xmlns:q="{ns}"><D:basicsearch>
+                  <D:select><D:prop><q:{local}/></D:prop></D:select>
                   <D:from><D:scope><D:href>{scope}</D:href></D:scope></D:from>
                   <D:where><D:eq><D:prop><q:{local}/></D:prop><D:literal>{value}</D:literal></D:eq></D:where>
-                  <D:limit><D:nresults>{page_size}</D:nresults></D:limit>
-                  {cursor_elem}
+                  {limit}{cursor_elem}
                 </D:basicsearch></D:searchrequest>"#,
                 ns = name.namespace,
                 local = name.local,
@@ -984,25 +1015,6 @@ impl DavClient {
                 None => return Ok(hrefs),
             }
         }
-    }
-
-    /// SEARCH for resources where `name` equals `value`, under `scope`.
-    pub fn search_eq(
-        &mut self,
-        scope: &str,
-        name: &PropertyName,
-        value: &str,
-    ) -> Result<Multistatus> {
-        let body = format!(
-            r#"<D:searchrequest xmlns:D="DAV:" xmlns:q="{ns}"><D:basicsearch>
-              <D:from><D:scope><D:href>{scope}</D:href></D:scope></D:from>
-              <D:where><D:eq><D:prop><q:{local}/></D:prop><D:literal>{value}</D:literal></D:eq></D:where>
-            </D:basicsearch></D:searchrequest>"#,
-            ns = name.namespace,
-            local = name.local,
-            value = pse_xml::escape::escape_text(value),
-        );
-        self.search_raw(&body)
     }
 
     /// Put a document under version control.

@@ -23,7 +23,10 @@
 //! ([`pse_cache::ShardedCache`]) holds each resource's full property
 //! snapshot, so a warm depth=1 PROPFIND touches zero DBM files. Every
 //! mutating operation (PUT/DELETE/MKCOL/COPY/MOVE/PROPPATCH) drops the
-//! affected paths, so readers never observe stale metadata.
+//! affected paths, so readers never observe stale metadata. A named
+//! read (`get_props`) of a path whose snapshot is not cached fetches
+//! just the named keys and caches nothing, so a SEARCH over many cold
+//! candidates leaves the hot set in place.
 //!
 //! Concurrency: operations synchronise through the sharded
 //! hierarchy-aware path locks of [`crate::pathlock`] — reads take
@@ -71,6 +74,9 @@ const STAGE_DIR: &str = "stage";
 /// Subdirectory of the root `.DAV` dir holding the persistent property
 /// index (snapshot + journal; see [`crate::propindex`]).
 const INDEX_DIR: &str = "index";
+/// First byte of DBM keys the repository reserves for itself; property
+/// reads never see them.
+const RESERVED_KEY_PREFIX: &[u8] = b"\x01";
 /// Reserved DBM key holding the stored content type.
 const KEY_CONTENT_TYPE: &[u8] = b"\x01content-type";
 
@@ -118,6 +124,17 @@ struct PropSnapshot {
 }
 
 impl PropSnapshot {
+    /// The dead property `name`, decoded, or `None` when absent.
+    fn prop(&self, name: &PropertyName) -> Result<Option<Property>> {
+        match self.props.binary_search_by(|(n, _)| n.cmp(name)) {
+            Ok(i) => Ok(Some(Property::from_storage(
+                name.clone(),
+                &self.props[i].1,
+            )?)),
+            Err(_) => Ok(None),
+        }
+    }
+
     /// Approximate bytes this snapshot pins in the cache.
     fn cost(&self) -> usize {
         let mut total = 64 + self.content_type.as_ref().map_or(0, |s| s.len());
@@ -416,7 +433,7 @@ impl FsRepository {
                     content_type = db
                         .fetch(&dbm_key)?
                         .and_then(|v| String::from_utf8(v).ok());
-                } else if !dbm_key.starts_with(b"\x01") {
+                } else if !dbm_key.starts_with(RESERVED_KEY_PREFIX) {
                     if let Some(name) = PropertyName::from_storage_key(&dbm_key) {
                         if let Some(data) = db.fetch(&dbm_key)? {
                             props.push((name, data));
@@ -785,28 +802,38 @@ impl Repository for FsRepository {
         let norm = normalize_path(path);
         let _g = self.locks.read(&norm);
         self.check_exists(&norm)?;
-        let snap = self.snapshot(&norm)?;
-        match snap.props.binary_search_by(|(n, _)| n.cmp(name)) {
-            Ok(i) => Ok(Some(Property::from_storage(
-                name.clone(),
-                &snap.props[i].1,
-            )?)),
-            Err(_) => Ok(None),
-        }
+        self.snapshot(&norm)?.prop(name)
     }
 
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
-        // One lock hold, one snapshot: a concurrent PROPPATCH can never
-        // produce a torn multi-property read.
+        // One lock hold: a concurrent PROPPATCH can never produce a torn
+        // multi-property read. A cached snapshot answers directly; on a
+        // miss only the named keys are fetched and nothing is cached, so
+        // a SEARCH over many cold candidates cannot evict the hot set.
         let norm = normalize_path(path);
         let _g = self.locks.read(&norm);
         self.check_exists(&norm)?;
-        let snap = self.snapshot(&norm)?;
+        if let Some(snap) = self.prop_cache.get(&norm) {
+            return names.iter().map(|name| snap.prop(name)).collect();
+        }
+        let Some(mut db) = self.open_props(&norm, false)? else {
+            return Ok(vec![None; names.len()]);
+        };
         names
             .iter()
-            .map(|name| match snap.props.binary_search_by(|(n, _)| n.cmp(name)) {
-                Ok(i) => Property::from_storage(name.clone(), &snap.props[i].1).map(Some),
-                Err(_) => Ok(None),
+            .map(|name| {
+                let key = name.storage_key();
+                // Answer as `snapshot()` would: it skips reserved keys and
+                // keys that do not decode back to the same name.
+                if key.starts_with(RESERVED_KEY_PREFIX)
+                    || PropertyName::from_storage_key(&key).as_ref() != Some(name)
+                {
+                    return Ok(None);
+                }
+                match db.fetch(&key)? {
+                    Some(data) => Property::from_storage(name.clone(), &data).map(Some),
+                    None => Ok(None),
+                }
             })
             .collect()
     }
@@ -1513,6 +1540,167 @@ mod tests {
         r.patch_props("/doc", &ops).unwrap();
         assert_eq!(r.get_prop("/doc", &a).unwrap().unwrap().text_value(), "new");
         assert_eq!(r.get_prop("/doc", &b).unwrap().unwrap().text_value(), "bv");
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// `get_props` on `path` twice: cold (snapshot dropped, so the named
+    /// keys come straight from the DBM) and warm (snapshot cached by a
+    /// `list_props` in between).
+    fn cold_and_warm(
+        r: &FsRepository,
+        path: &str,
+        names: &[PropertyName],
+    ) -> (Vec<Option<Property>>, Vec<Option<Property>>) {
+        r.invalidate_path(path);
+        let cold = r.get_props(path, names).unwrap();
+        r.list_props(path).unwrap();
+        let hits = r.cache_stats().hits;
+        let warm = r.get_props(path, names).unwrap();
+        assert_eq!(
+            r.cache_stats().hits,
+            hits + 1,
+            "warm read served from cache"
+        );
+        (cold, warm)
+    }
+
+    #[test]
+    fn cold_get_props_matches_all_props_and_caches_nothing() {
+        for kind in [DbmKind::Sdbm, DbmKind::Gdbm] {
+            let (r, d) = repo(kind);
+            r.mkcol("/c").unwrap();
+            r.put("/c/doc", b"x", Some("text/plain")).unwrap();
+            let names: Vec<PropertyName> = ["formula", "charge", "note"]
+                .map(|l| PropertyName::new("urn:e", l))
+                .to_vec();
+            r.set_prop("/c/doc", &Property::text(names[0].clone(), "H2O"))
+                .unwrap();
+            r.set_prop(
+                "/c/doc",
+                &Property::text(names[1].clone(), &"9".repeat(900)),
+            )
+            .unwrap();
+            r.set_prop("/c", &Property::text(names[0].clone(), "UO2"))
+                .unwrap();
+            let mut asked = names.clone();
+            asked.push(PropertyName::new("urn:e", "absent"));
+            for path in ["/c/doc", "/c"] {
+                r.invalidate_path(path);
+                let (len, inserts) = (r.prop_cache.len(), r.cache_stats().insertions);
+                let cold = r.get_props(path, &asked).unwrap();
+                assert_eq!(r.prop_cache.len(), len, "{kind:?} {path}: cold read cached");
+                assert_eq!(r.cache_stats().insertions, inserts, "{kind:?} {path}");
+                let all = r.all_props(path).unwrap();
+                let expected: Vec<Option<Property>> = asked
+                    .iter()
+                    .map(|n| all.iter().find(|p| &p.name == n).cloned())
+                    .collect();
+                assert_eq!(cold, expected, "{kind:?} {path}");
+                assert_eq!(
+                    r.get_props(path, &asked).unwrap(),
+                    expected,
+                    "{kind:?} {path}"
+                );
+            }
+            fs::remove_dir_all(&d).unwrap();
+        }
+    }
+
+    #[test]
+    fn get_props_sees_proppatch_and_remove_cold_and_warm() {
+        let (r, d) = repo(DbmKind::Gdbm);
+        r.put("/doc", b"x", None).unwrap();
+        let a = PropertyName::new("urn:e", "a");
+        let b = PropertyName::new("urn:e", "b");
+        let names = [a.clone(), b.clone()];
+        let text = |ps: &[Option<Property>]| -> Vec<Option<String>> {
+            ps.iter()
+                .map(|p| p.as_ref().map(Property::text_value))
+                .collect()
+        };
+        r.set_prop("/doc", &Property::text(a.clone(), "v1"))
+            .unwrap();
+        let (cold, warm) = cold_and_warm(&r, "/doc", &names);
+        assert_eq!(text(&cold), [Some("v1".to_owned()), None]);
+        assert_eq!(cold, warm);
+
+        // A warm snapshot must not outlive the PROPPATCH that changes it.
+        r.patch_props(
+            "/doc",
+            &[
+                PropPatchOp::Set(Property::text(a.clone(), "v2")),
+                PropPatchOp::Set(Property::text(b.clone(), "bv")),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            text(&r.get_props("/doc", &names).unwrap()),
+            [Some("v2".to_owned()), Some("bv".to_owned())]
+        );
+        let (cold, warm) = cold_and_warm(&r, "/doc", &names);
+        assert_eq!(text(&cold), [Some("v2".to_owned()), Some("bv".to_owned())]);
+        assert_eq!(cold, warm);
+
+        assert!(r.remove_prop("/doc", &a).unwrap());
+        assert_eq!(
+            text(&r.get_props("/doc", &names).unwrap()),
+            [None, Some("bv".to_owned())]
+        );
+        let (cold, warm) = cold_and_warm(&r, "/doc", &names);
+        assert_eq!(text(&cold), [None, Some("bv".to_owned())]);
+        assert_eq!(cold, warm);
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn get_props_without_a_property_database_is_all_none() {
+        for kind in [DbmKind::Sdbm, DbmKind::Gdbm] {
+            let (r, d) = repo(kind);
+            r.mkcol("/c").unwrap();
+            r.put("/c/doc", b"x", None).unwrap();
+            let names = [
+                PropertyName::new("urn:e", "a"),
+                PropertyName::dav("getetag"),
+            ];
+            for path in ["/c", "/c/doc"] {
+                assert!(!dbm_exists(kind, &r.props_base(path)), "{kind:?} {path}");
+                let (cold, warm) = cold_and_warm(&r, path, &names);
+                assert_eq!(cold, [None, None], "{kind:?} {path}");
+                assert_eq!(warm, [None, None], "{kind:?} {path}");
+            }
+            assert!(matches!(
+                r.get_props("/c/missing", &names),
+                Err(DavError::NotFound(_))
+            ));
+            fs::remove_dir_all(&d).unwrap();
+        }
+    }
+
+    #[test]
+    fn reserved_and_undecodable_keys_answer_as_the_snapshot_does() {
+        let (r, d) = repo(DbmKind::Gdbm);
+        r.put("/doc", b"x", Some("text/plain")).unwrap();
+        // Stored under a key in the repository's reserved `\x01` space:
+        // the snapshot never lists it.
+        let reserved = PropertyName::new("\x01content-type", "");
+        // Stored under `a\0b\0c`, which decodes as (`a`, `b\0c`): the
+        // snapshot holds it under that other name.
+        let nul_ns = PropertyName::new("a\0b", "c");
+        let decoded = PropertyName::new("a", "b\0c");
+        r.set_prop("/doc", &Property::text(reserved.clone(), "r"))
+            .unwrap();
+        r.set_prop("/doc", &Property::text(nul_ns.clone(), "n"))
+            .unwrap();
+        let names = [reserved.clone(), nul_ns.clone(), decoded.clone()];
+        let (cold, warm) = cold_and_warm(&r, "/doc", &names);
+        assert_eq!(cold, warm);
+        assert_eq!(cold[0], None);
+        assert_eq!(cold[1], None);
+        assert_eq!(
+            cold[2].as_ref().map(Property::text_value).as_deref(),
+            Some("n")
+        );
+        assert_eq!(r.get_prop("/doc", &reserved).unwrap(), None);
         fs::remove_dir_all(&d).unwrap();
     }
 }

@@ -153,7 +153,7 @@ impl<R: Repository> DavHandler<R> {
             Method::PropPatch => self.proppatch(&req),
             Method::Lock => self.lock(&req),
             Method::Unlock => self.unlock(&req),
-            Method::Search => search::handle(self.repo.as_ref(), &req),
+            Method::Search => search::handle(self.repo.as_ref(), &req, &self.obs),
             Method::VersionControl => self.versions.version_control(self.repo.as_ref(), &req),
             Method::Report => self.versions.report(self.repo.as_ref(), &req),
             Method::Checkout => self.versions.checkout(self.repo.as_ref(), &req),

@@ -15,6 +15,7 @@ use crate::propindex::Probe;
 use crate::property::{Property, PropertyName, DAV_NS};
 use crate::repo::Repository;
 use pse_http::{Request, Response, StatusCode};
+use pse_obs::Registry;
 use pse_xml::dom::{Document, Element};
 use std::collections::BTreeSet;
 
@@ -65,6 +66,26 @@ impl Condition {
             Condition::Or(cs) => cs.iter().any(|c| c.eval(props)),
             Condition::Not(c) => !c.eval(props),
             Condition::True => true,
+        }
+    }
+
+    /// Append every property name the condition reads to `out`, once.
+    fn collect_names(&self, out: &mut Vec<PropertyName>) {
+        match self {
+            Condition::Eq(n, _)
+            | Condition::Contains(n, _)
+            | Condition::Gt(n, _)
+            | Condition::Lt(n, _)
+            | Condition::IsDefined(n) => {
+                if !out.contains(n) {
+                    out.push(n.clone());
+                }
+            }
+            Condition::And(cs) | Condition::Or(cs) => {
+                cs.iter().for_each(|c| c.collect_names(out));
+            }
+            Condition::Not(c) => c.collect_names(out),
+            Condition::True => {}
         }
     }
 }
@@ -259,6 +280,11 @@ pub struct SearchOutcome {
     pub next_cursor: Option<String>,
     /// Whether the property index supplied the candidate set.
     pub indexed: bool,
+    /// Whether candidates were evaluated on the named properties only
+    /// (see [`narrowed_names`]) rather than on `all_props`.
+    pub narrowed: bool,
+    /// Candidates whose properties were read and evaluated.
+    pub examined: usize,
 }
 
 /// Encode a path as an opaque continuation token (lowercase hex).
@@ -314,9 +340,10 @@ fn intersect_sorted(mut sets: Vec<Vec<String>>) -> Vec<String> {
 /// the property index, or `None` when the condition (or the repository)
 /// cannot answer from the index and the executor must walk-and-scan.
 ///
-/// Soundness rules — candidates are re-evaluated against `all_props`
-/// before being returned, so a probe only has to be *complete* (never
-/// miss a true match), never exact:
+/// Soundness rules — candidates are re-evaluated against the
+/// properties the query names (all of them for allprop) before being
+/// returned, so a probe only has to be *complete* (never miss a true
+/// match), never exact:
 ///
 /// * leaf operators probe only **dead** property names — live ones are
 ///   computed per-request and never indexed;
@@ -352,16 +379,42 @@ fn plan(repo: &dyn Repository, cond: &Condition) -> Option<Vec<String>> {
     }
 }
 
-fn run(repo: &dyn Repository, query: &Query, use_index: bool) -> Result<SearchOutcome> {
+/// The properties a query needs per candidate when it can skip
+/// `all_props`: the names its condition reads, then its `select` list.
+/// `None` for allprop queries (empty `select`) and for queries naming a
+/// live property, which is computed from metadata rather than stored.
+fn narrowed_names(query: &Query) -> Option<Vec<PropertyName>> {
+    if query.select.is_empty() {
+        return None;
+    }
+    let mut names = Vec::new();
+    query.condition.collect_names(&mut names);
+    for n in &query.select {
+        if !names.contains(n) {
+            names.push(n.clone());
+        }
+    }
+    if names.iter().any(PropertyName::is_live) {
+        return None;
+    }
+    Some(names)
+}
+
+/// Run `query`. The optimised path (`reference == false`) takes its
+/// candidates from the index when it can and reads only the named
+/// properties when it can; the reference path walks the scope and
+/// evaluates every resource on `all_props`, so it stays an independent
+/// oracle for both shortcuts.
+fn run(repo: &dyn Repository, query: &Query, reference: bool) -> Result<SearchOutcome> {
     if !repo.exists(&query.scope) {
         return Err(DavError::NotFound(query.scope.clone()));
     }
     let resume_after = query.cursor.as_deref().map(decode_cursor).transpose()?;
 
-    let planned = if use_index {
-        plan(repo, &query.condition)
+    let (planned, narrowed) = if reference {
+        (None, None)
     } else {
-        None
+        (plan(repo, &query.condition), narrowed_names(query))
     };
     let indexed = planned.is_some();
     let mut paths = match planned {
@@ -386,6 +439,7 @@ fn run(repo: &dyn Repository, query: &Query, use_index: bool) -> Result<SearchOu
     let mut ms = Multistatus::new();
     let mut next_cursor = None;
     let mut emitted = 0usize;
+    let mut examined = 0usize;
     for path in paths {
         if resume_after.as_deref().is_some_and(|c| path.as_str() <= c) {
             continue;
@@ -396,11 +450,18 @@ fn run(repo: &dyn Repository, query: &Query, use_index: bool) -> Result<SearchOu
         // A resource may vanish between candidate discovery and property
         // fetch (SEARCH racing DELETE): skip it rather than failing the
         // whole query.
-        let props = match repo.all_props(&path) {
+        let props = match &narrowed {
+            Some(names) => repo
+                .get_props(&path, names)
+                .map(|found| found.into_iter().flatten().collect()),
+            None => repo.all_props(&path),
+        };
+        let props: Vec<Property> = match props {
             Ok(props) => props,
             Err(DavError::NotFound(_)) => continue,
             Err(e) => return Err(e),
         };
+        examined += 1;
         if !query.condition.eval(&props) {
             continue;
         }
@@ -430,30 +491,48 @@ fn run(repo: &dyn Repository, query: &Query, use_index: bool) -> Result<SearchOu
         ms,
         next_cursor,
         indexed,
+        narrowed: narrowed.is_some(),
+        examined,
     })
 }
 
 /// Execute a query, consulting the property index when it can answer.
 pub fn execute(repo: &dyn Repository, query: &Query) -> Result<Multistatus> {
-    Ok(run(repo, query, true)?.ms)
+    Ok(run(repo, query, false)?.ms)
 }
 
 /// Execute with full paging metadata (used by the protocol entry points).
 pub fn execute_paged(repo: &dyn Repository, query: &Query) -> Result<SearchOutcome> {
-    run(repo, query, true)
+    run(repo, query, false)
 }
 
-/// Execute by walking the scope and scanning every resource, ignoring
-/// the index. The reference implementation the equivalence proptests and
+/// Execute by walking the scope and evaluating every resource on
+/// `all_props`, ignoring the index, then projecting matches onto
+/// `select`. The reference implementation the equivalence proptests and
 /// the `repro_search` benchmark compare against.
 pub fn execute_scan(repo: &dyn Repository, query: &Query) -> Result<Multistatus> {
-    Ok(run(repo, query, false)?.ms)
+    Ok(run(repo, query, true)?.ms)
 }
 
-/// The SEARCH method entry point used by the handler.
-pub fn handle(repo: &dyn Repository, req: &Request) -> Result<Response> {
+/// The SEARCH method entry point used by the handler. Records the
+/// planner's decisions into `obs` under `dav.search.*`: `indexed` or
+/// `scan_fallback` per query, `narrowed` per query evaluated on named
+/// properties, and the `candidates` examined and `matched`.
+pub fn handle(repo: &dyn Repository, req: &Request, obs: &Registry) -> Result<Response> {
     let query = parse_query(&req.body)?;
     let out = execute_paged(repo, &query)?;
+    if obs.is_enabled() {
+        obs.counter("dav.search.indexed")
+            .add(u64::from(out.indexed));
+        obs.counter("dav.search.scan_fallback")
+            .add(u64::from(!out.indexed));
+        obs.counter("dav.search.narrowed")
+            .add(u64::from(out.narrowed));
+        obs.counter("dav.search.candidates")
+            .add(out.examined as u64);
+        obs.counter("dav.search.matched")
+            .add(out.ms.responses.len() as u64);
+    }
     let mut resp = Response::new(StatusCode::MULTI_STATUS).with_xml_body(out.ms.to_xml());
     if let Some(cursor) = out.next_cursor {
         resp = resp.with_header(CURSOR_HEADER, cursor);

@@ -86,6 +86,20 @@ mod tests {
                 .code(),
             207
         );
+        // One SEARCH that selects the property it matches: answered from
+        // the index and evaluated on the named property alone.
+        let search = r#"<D:searchrequest xmlns:D="DAV:" xmlns:e="urn:ecce"><D:basicsearch>
+              <D:select><D:prop><e:formula/></D:prop></D:select>
+              <D:from><D:scope><D:href>/proj</D:href></D:scope></D:from>
+              <D:where><D:eq><D:prop><e:formula/></D:prop><D:literal>H2O</D:literal></D:eq></D:where>
+            </D:basicsearch></D:searchrequest>"#;
+        assert_eq!(
+            c.send(Request::new(Method::Search, "/").with_body(search))
+                .unwrap()
+                .status
+                .code(),
+            207
+        );
         // Two PROPFINDs: the second is served from the property cache.
         for _ in 0..2 {
             let resp = c
@@ -104,6 +118,12 @@ mod tests {
         // Property cache (PR-1 stats, now on the shared registry).
         assert!(metric(&text, "dav.prop_cache.hits").unwrap() >= 1, "{text}");
         assert!(metric(&text, "dav.prop_cache.misses").unwrap() >= 1, "{text}");
+        // Search planner.
+        assert_eq!(metric(&text, "dav.search.indexed"), Some(1), "{text}");
+        assert_eq!(metric(&text, "dav.search.scan_fallback"), Some(0), "{text}");
+        assert_eq!(metric(&text, "dav.search.narrowed"), Some(1), "{text}");
+        assert_eq!(metric(&text, "dav.search.candidates"), Some(1), "{text}");
+        assert_eq!(metric(&text, "dav.search.matched"), Some(1), "{text}");
         // Storage engine statics.
         assert!(metric(&text, "dbm.page_writes").unwrap() >= 1, "{text}");
         // Path-lock table: every repository call above went through a

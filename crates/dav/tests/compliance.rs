@@ -245,10 +245,9 @@ fn search_over_wire() {
         )
         .unwrap();
     }
-    let ms = c
+    let mut hrefs = c
         .search_eq("/mols", &PropertyName::new(ECCE, "formula"), "H2O")
         .unwrap();
-    let mut hrefs: Vec<_> = ms.responses.iter().map(|r| r.href.clone()).collect();
     hrefs.sort();
     assert_eq!(hrefs, vec!["/mols/ice", "/mols/water"]);
 }

@@ -17,6 +17,7 @@ use pse_dav::client::DavClient;
 use pse_dav::fsrepo::{FsConfig, FsRepository};
 use pse_dav::handler::DavHandler;
 use pse_dav::memrepo::MemRepository;
+use pse_dav::multistatus::Multistatus;
 use pse_dav::property::{Property, PropertyName};
 use pse_dav::repo::{PropPatchOp, Repository};
 use pse_dav::search::{self, Condition, Query};
@@ -129,8 +130,65 @@ fn apply_history(repo: &dyn Repository, seed: u64, ops: usize) {
     }
 }
 
+/// Does `cond` read `name`?
+fn mentions(cond: &Condition, name: &PropertyName) -> bool {
+    match cond {
+        Condition::Eq(n, _)
+        | Condition::Contains(n, _)
+        | Condition::Gt(n, _)
+        | Condition::Lt(n, _)
+        | Condition::IsDefined(n) => n == name,
+        Condition::And(cs) | Condition::Or(cs) => cs.iter().any(|c| mentions(c, name)),
+        Condition::Not(c) => mentions(c, name),
+        Condition::True => false,
+    }
+}
+
+/// The `select` lists each condition runs under: allprop; the first
+/// name; a name the condition does not read (both take the narrowed
+/// path, evaluated on named properties); and a list with a live name,
+/// which falls back to `all_props`.
+fn selects(cond: &Condition) -> [Vec<PropertyName>; 4] {
+    let nms = names();
+    let unread = nms
+        .iter()
+        .find(|n| !mentions(cond, n))
+        .expect("every condition leaves a name unread")
+        .clone();
+    [
+        Vec::new(),
+        vec![nms[0].clone()],
+        vec![unread],
+        vec![nms[0].clone(), PropertyName::dav("getcontentlength")],
+    ]
+}
+
+/// The oracle: the allprop scan of `q`, with each match's properties
+/// projected onto `q.select` in select order (identity for allprop).
+fn projected_scan(repo: &dyn Repository, q: &Query) -> Multistatus {
+    let allprop = Query {
+        select: Vec::new(),
+        limit: None,
+        cursor: None,
+        ..q.clone()
+    };
+    let mut ms = search::execute_scan(repo, &allprop).unwrap();
+    if !q.select.is_empty() {
+        for entry in &mut ms.responses {
+            let props: Vec<Property> = entry.ok_props().cloned().collect();
+            entry.propstats[0].props = q
+                .select
+                .iter()
+                .filter_map(|n| props.iter().find(|p| &p.name == n).cloned())
+                .collect();
+        }
+    }
+    ms
+}
+
 /// The query battery: every operator, the boolean compositions, plus
-/// paging — executed with the planner and by scan, compared exactly.
+/// paging, each under allprop and three `select` lists — executed with
+/// the planner and compared exactly with the projected allprop scan.
 fn assert_index_matches_scan(repo: &dyn Repository, context: &str) {
     let nms = names();
     let long = "x".repeat(1500);
@@ -157,45 +215,54 @@ fn assert_index_matches_scan(repo: &dyn Repository, context: &str) {
         "H2O".into(),
     ))));
     for (i, cond) in conditions.into_iter().enumerate() {
-        for scope in ["/", "/c0"] {
-            if !repo.exists(scope) {
-                continue;
+        for select in selects(&cond) {
+            for scope in ["/", "/c0"] {
+                if !repo.exists(scope) {
+                    continue;
+                }
+                for depth in [None, Some(1)] {
+                    let q = Query {
+                        depth,
+                        select: select.clone(),
+                        ..Query::new(scope, cond.clone())
+                    };
+                    // Planner first: the oracle's walk loads every
+                    // snapshot into the property cache.
+                    let indexed = search::execute(repo, &q).unwrap().to_xml();
+                    let expected = projected_scan(repo, &q).to_xml();
+                    let what = format!(
+                        "{context}: query #{i} {cond:?} select={select:?} scope={scope} depth={depth:?}"
+                    );
+                    assert_eq!(indexed, expected, "{what}");
+                    assert_eq!(
+                        search::execute_scan(repo, &q).unwrap().to_xml(),
+                        expected,
+                        "scan projection, {what}"
+                    );
+                }
             }
-            for depth in [None, Some(1)] {
-                let q = Query {
-                    depth,
-                    ..Query::new(scope, cond.clone())
-                };
-                let indexed = search::execute(repo, &q).unwrap();
-                let scanned = search::execute_scan(repo, &q).unwrap();
-                assert_eq!(
-                    indexed.to_xml(),
-                    scanned.to_xml(),
-                    "{context}: query #{i} {cond:?} scope={scope} depth={depth:?}"
-                );
+            // Paged traversal must return exactly the oracle's matches.
+            let mut q = Query {
+                limit: Some(2),
+                select: select.clone(),
+                ..Query::new("/", cond.clone())
+            };
+            let mut paged = Multistatus::new();
+            loop {
+                let out = search::execute_paged(repo, &q).unwrap();
+                paged.responses.extend(out.ms.responses);
+                match out.next_cursor {
+                    Some(c) => q.cursor = Some(c),
+                    None => break,
+                }
             }
+            let expected = projected_scan(repo, &q).to_xml();
+            assert_eq!(
+                paged.to_xml(),
+                expected,
+                "{context}: paging of query #{i} {cond:?} select={select:?}"
+            );
         }
-        // Paged traversal must visit exactly the scan's matches.
-        let mut q = Query {
-            limit: Some(2),
-            ..Query::new("/", cond.clone())
-        };
-        let mut paged = Vec::new();
-        loop {
-            let out = search::execute_paged(repo, &q).unwrap();
-            paged.extend(out.ms.responses.iter().map(|e| e.href.clone()));
-            match out.next_cursor {
-                Some(c) => q.cursor = Some(c),
-                None => break,
-            }
-        }
-        let scanned: Vec<String> = search::execute_scan(repo, &Query::new("/", cond.clone()))
-            .unwrap()
-            .responses
-            .into_iter()
-            .map(|e| e.href)
-            .collect();
-        assert_eq!(paged, scanned, "{context}: paging of query #{i} {cond:?}");
     }
 }
 
@@ -223,6 +290,13 @@ proptest! {
         {
             let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
             assert_index_matches_scan(&repo, &format!("fs-reopen seed={seed}"));
+        }
+        // Without a property cache every named read goes straight to the
+        // DBM; the stages around this one read cached snapshots.
+        {
+            let config = FsConfig { property_cache_bytes: 0, ..FsConfig::default() };
+            let repo = FsRepository::create(&dir, config).unwrap();
+            assert_index_matches_scan(&repo, &format!("fs-uncached seed={seed}"));
         }
         // Corrupt the journal, then the snapshot: open() must fall back
         // to a rebuild from the property databases, not trust the wreck.

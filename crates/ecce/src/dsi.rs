@@ -243,8 +243,7 @@ impl DataStorage for DavStorage {
     }
 
     fn find_by_meta(&mut self, scope: &str, key: &str, value: &str) -> Result<Vec<String>> {
-        let ms = self.client.search_eq(scope, &ecce_prop(key), value)?;
-        Ok(ms.responses.into_iter().map(|r| r.href).collect())
+        Ok(self.client.search_eq(scope, &ecce_prop(key), value)?)
     }
 
     fn supports_versioning(&mut self) -> bool {

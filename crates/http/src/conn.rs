@@ -124,7 +124,10 @@ fn take_line(buf: &mut Vec<u8>, scanned: &mut usize, max: usize) -> LineStep {
         }
         None => {
             *scanned = buf.len();
-            if buf.len() > max {
+            // A trailing `\r` may be the first half of the CRLF; like the
+            // complete-line branch, do not count it against the limit.
+            let held = buf.len() - usize::from(buf.last() == Some(&b'\r'));
+            if held > max {
                 LineStep::TooLong
             } else {
                 LineStep::Partial
@@ -802,6 +805,40 @@ mod tests {
         match feed(&mut p, &mut buf, no_newline.as_bytes()) {
             Step::Reject(r) => assert_eq!(r.status.code(), 431),
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn header_line_at_the_limit_parses_at_every_split() {
+        let limits = Limits {
+            max_header_line: 64,
+            ..Limits::default()
+        };
+        let at_limit = format!("X-Big: {}", "v".repeat(64 - "X-Big: ".len()));
+        assert_eq!(at_limit.len(), 64);
+        let over = format!("{at_limit}v");
+        for (line, fits) in [(&at_limit, true), (&over, false)] {
+            let raw = format!("GET / HTTP/1.1\r\n{line}\r\n\r\n");
+            // Every split point, between the line's CR and LF and just
+            // before its CR included.
+            for split in 0..=raw.len() {
+                let parsed = parse_segmented(raw.as_bytes(), &[split], limits);
+                if fits {
+                    assert!(
+                        parsed.reject.is_none(),
+                        "split {split}: {:?}",
+                        parsed.reject
+                    );
+                    assert_eq!(parsed.requests.len(), 1, "split {split}");
+                    assert_eq!(
+                        parsed.requests[0].headers.get("X-Big").map(str::len),
+                        Some(64 - "X-Big: ".len())
+                    );
+                } else {
+                    let status = parsed.reject.map(|r| r.status.code());
+                    assert_eq!(status, Some(431), "split {split}");
+                }
+            }
         }
     }
 

@@ -48,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Any application can now find it by metadata alone — no shared
     //    schema required.
     let hits = client.search_eq("/molecules", &PropertyName::new(ecce, "formula"), "H30O17U")?;
-    for hit in &hits.responses {
-        println!("search hit: {}", hit.href);
-        let body = client.get(&hit.href)?;
+    for hit in &hits {
+        println!("search hit: {hit}");
+        let body = client.get(hit)?;
         let back = chem::Molecule::from_xyz(std::str::from_utf8(&body)?)?;
         println!("  re-parsed {} atoms from the raw XYZ document", back.natoms());
     }

@@ -51,9 +51,13 @@
 #    target/bench-json/versions.json.
 # 12. With --search: the indexed-search gate — the SEARCH correctness
 #    sweep (index ≡ scan equivalence proptests over mem/fs/logged
-#    repositories, the SEARCH-vs-DELETE race, gzip + fault-proxy
+#    repositories; the mem/fs battery also runs each query with a
+#    DAV:select, narrowed to the named properties, and compares it with
+#    the allprop scan projected onto the select, with and without the
+#    property cache; the SEARCH-vs-DELETE race, gzip + fault-proxy
 #    round trips, pipelined framing on one connection), the JSON
-#    gateway unit suite, the cluster SEARCH routing tests, and
+#    gateway and fsrepo unit suites (cold and warm named reads), the
+#    cluster SEARCH routing tests, and
 #    repro_search --check (the planner must answer selective queries
 #    over 10k calculations >= 10x faster than a walk-and-scan with a
 #    byte-identical answer), emitting target/bench-json/search.json.
@@ -161,8 +165,8 @@ if [ "$BULK" = 1 ]; then
 fi
 
 if [ "$SEARCH" = 1 ]; then
-    echo "==> search gate: property index unit suite + planner/paging/gateway tests"
-    cargo test -q -p pse-dav --lib -- propindex:: search:: gateway::
+    echo "==> search gate: property index unit suite + planner/paging/gateway/fsrepo tests"
+    cargo test -q -p pse-dav --lib -- propindex:: search:: gateway:: fsrepo::
     echo "==> search gate: correctness sweep (equivalence proptests, vanish race, gzip, faults, pipelining)"
     cargo test -q -p pse-dav --test search_equiv
     echo "==> search gate: SEARCH routing + replica index coherence through the cluster"

@@ -171,8 +171,8 @@ fn third_party_reads_without_schema() {
             "xyz",
         )
         .unwrap();
-    assert_eq!(hits.responses.len(), 1);
-    let href = &hits.responses[0].href;
+    assert_eq!(hits.len(), 1);
+    let href = &hits[0];
     let body = foreign.get(href).unwrap();
     // The raw document parses with a plain XYZ reader.
     let mol = chem::Molecule::from_xyz(std::str::from_utf8(&body).unwrap()).unwrap();
