@@ -303,7 +303,13 @@ fn main() {
         } else {
             &[1000]
         };
-        let _ = pse_http::poll::raise_nofile_limit((*sizes.iter().max().unwrap() as u64) * 2 + 512);
+        // Both ends of every parked connection live in this process.
+        let fds_needed = |parked: usize| 2 * parked as u64 + 512;
+        let limit = pse_http::poll::raise_nofile_limit(fds_needed(*sizes.iter().max().unwrap()))
+            .unwrap_or_else(|e| {
+                println!("note: cannot raise RLIMIT_NOFILE ({e}); assuming the common 1024");
+                1024
+            });
         let mut idle_table = Table::new(
             "Idle-client regime (8 fresh read-heavy clients)",
             &[
@@ -314,10 +320,22 @@ fn main() {
                 "workers_total",
             ],
         );
+        let mut skipped = Vec::new();
         for &parked in sizes {
+            if fds_needed(parked) > limit {
+                skipped.push(parked);
+                continue;
+            }
             idle_point(&r, parked, ops, &mut idle_table, &mut rows);
         }
         idle_table.print();
+        for parked in skipped {
+            println!(
+                "skipped the {parked}-connection point: it needs {} descriptors \
+                 (2 per parked connection + 512), RLIMIT_NOFILE allows {limit}",
+                fds_needed(parked)
+            );
+        }
     }
 
     teardown(r);

@@ -5,12 +5,11 @@
 //! protocol the clients speak:
 //!
 //! - [`record`] / [`log`] — a durable, checksummed change log appended
-//!   at the repository's centralized mutation points. Every record
-//!   carries absolute state (full bodies, full property values), so
-//!   replay is idempotent.
-//! - [`logged`] — [`logged::LoggedRepository`], a `Repository` wrapper
-//!   that serializes conflicting mutations so log order equals
-//!   application order.
+//!   by the repository's commit hook ([`ChangeLog::record_commits`]),
+//!   which runs under the lock plan that ordered each mutation, so log
+//!   order equals application order. Every record carries absolute
+//!   state (full bodies, full property values), so replay is
+//!   idempotent.
 //! - [`apply`] — [`apply::Applier`], the replica-side cursor: dedups
 //!   duplicate batches, rejects gaps and out-of-order input, persists
 //!   progress across restarts.
@@ -25,7 +24,6 @@
 
 pub mod apply;
 pub mod log;
-pub mod logged;
 pub mod node;
 pub mod record;
 pub mod ring;
@@ -33,7 +31,6 @@ pub mod router;
 
 pub use apply::{Applier, ApplyError, BatchOutcome};
 pub use log::{ChangeLog, LogGap};
-pub use logged::LoggedRepository;
 pub use node::{NodeConfig, Primary, Replica, CHANGES_PATH};
 pub use record::{ChangeRecord, Entry, PropOp};
 pub use ring::{shard_key, HashRing};

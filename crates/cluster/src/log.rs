@@ -20,22 +20,15 @@
 
 use crate::record::{ChangeRecord, Entry};
 use parking_lot::Mutex;
+use pse_cache::fnv1a_64;
+use pse_dav::error::DavError;
+use pse_dav::repo::{Repo, Store};
 use pse_obs::Registry;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
-
-/// FNV-1a 64-bit — the same cheap hash the path-lock shards use.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Requested `since` predates the retained window (log was compacted);
 /// the caller must fall back to a full snapshot.
@@ -66,7 +59,7 @@ pub(crate) fn encode_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
 }
 
 /// Decode as many complete, checksum-valid frames as `buf` holds;
@@ -88,7 +81,7 @@ pub(crate) fn decode_frames(buf: &[u8]) -> (Vec<Entry>, usize) {
         let Some(sum) = buf.get(body_at + len..body_at + len + 8) else {
             return (entries, at);
         };
-        if u64::from_le_bytes(sum.try_into().unwrap()) != fnv1a(payload) {
+        if u64::from_le_bytes(sum.try_into().unwrap()) != fnv1a_64(payload) {
             return (entries, at);
         }
         let Ok(record) = ChangeRecord::decode(payload) else {
@@ -158,6 +151,23 @@ impl ChangeLog {
         }
         inner.entries.push_back(Entry { seq, record });
         Ok(seq)
+    }
+
+    /// Install this log as `repo`'s commit hook: every successful
+    /// mutation is appended as a [`ChangeRecord`] while the lock plan
+    /// that ordered it is still held, so for any two conflicting
+    /// mutations log order equals apply order — the log is a valid
+    /// linearisation of the history. A failed append is the mutation's
+    /// error.
+    pub fn record_commits<S: Store>(self: &Arc<Self>, repo: &Repo<S>) {
+        let log = Arc::clone(self);
+        repo.set_commit_hook(move |change| match log.append(ChangeRecord::from(change)) {
+            Ok(_) => Ok(()),
+            Err(e) => Err(DavError::Io(Arc::new(io::Error::new(
+                e.kind(),
+                format!("change log append failed: {e}"),
+            )))),
+        });
     }
 
     /// Newest sequence number (0 when the log has never been written).

@@ -1,8 +1,9 @@
 //! Cluster nodes: [`Primary`] and [`Replica`].
 //!
-//! A primary is a full DAV server whose repository is wrapped in a
-//! [`LoggedRepository`], plus one reserved read-only endpoint,
-//! [`CHANGES_PATH`], that ships the change log to replicas:
+//! A primary is a full DAV server whose repository records every
+//! committed mutation into a [`ChangeLog`] through its commit hook
+//! ([`ChangeLog::record_commits`]), plus one reserved read-only
+//! endpoint, [`CHANGES_PATH`], that ships the change log to replicas:
 //!
 //! ```text
 //! GET /.well-known/changes?since=N&max=K
@@ -33,7 +34,6 @@
 
 use crate::apply::{Applier, ApplyError};
 use crate::log::{self, ChangeLog};
-use crate::logged::LoggedRepository;
 use crate::record::ChangeRecord;
 use pse_dav::error::Result;
 use pse_dav::fsrepo::{FsConfig, FsRepository};
@@ -167,7 +167,7 @@ fn serve_changes(changelog: &ChangeLog, req: &Request, batch_limit: usize) -> Re
 /// A primary node: the writable DAV server for a shard.
 pub struct Primary {
     server: Server,
-    repo: Arc<LoggedRepository<FsRepository>>,
+    repo: Arc<FsRepository>,
     changelog: Arc<ChangeLog>,
     registry: Arc<Registry>,
     versions: Arc<VersionStore>,
@@ -180,13 +180,13 @@ impl Primary {
     pub fn start<A: ToSocketAddrs>(dir: &Path, addr: A, cfg: NodeConfig) -> Result<Primary> {
         let io_err = |e: std::io::Error| pse_dav::DavError::Io(Arc::new(e));
         let changelog = ChangeLog::open(dir).map_err(io_err)?;
-        let inner = FsRepository::create(dir.join("data"), cfg.fs.clone())?;
-        let logged = LoggedRepository::new(inner, Arc::clone(&changelog));
+        let repo = FsRepository::create(dir.join("data"), cfg.fs.clone())?;
+        changelog.record_commits(&repo);
         let registry = Registry::new();
         changelog.register_obs(&registry, "cluster.primary.log");
         let versions = VersionStore::persistent(dir.join("versions")).map_err(io_err)?;
         versions.set_auto_version(cfg.auto_version);
-        let handler = DavHandler::with_parts(logged, Arc::clone(&registry), versions);
+        let handler = DavHandler::with_parts(repo, Arc::clone(&registry), versions);
         let repo = handler.repo();
         let versions = handler.versions();
 
@@ -259,8 +259,8 @@ impl Primary {
         &self.changelog
     }
 
-    /// The logged repository.
-    pub fn repo(&self) -> &Arc<LoggedRepository<FsRepository>> {
+    /// The primary's repository (its mutations are logged).
+    pub fn repo(&self) -> &Arc<FsRepository> {
         &self.repo
     }
 

@@ -10,6 +10,7 @@
 //! [`Repository`]: pse_dav::repo::Repository
 
 use pse_dav::property::PropertyName;
+use pse_dav::repo::{Change, PropPatchOp};
 
 /// One property instruction inside a [`ChangeRecord::PatchProps`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,6 +109,60 @@ pub struct Entry {
     pub seq: u64,
     /// The mutation.
     pub record: ChangeRecord,
+}
+
+impl From<&Change<'_>> for ChangeRecord {
+    /// The record of one committed repository mutation.
+    fn from(change: &Change<'_>) -> ChangeRecord {
+        match *change {
+            Change::Put {
+                path,
+                data,
+                content_type,
+            } => ChangeRecord::Put {
+                path: path.to_owned(),
+                content_type: content_type.map(str::to_owned),
+                data: data.to_vec(),
+            },
+            Change::Mkcol { path } => ChangeRecord::Mkcol {
+                path: path.to_owned(),
+            },
+            Change::Delete { path } => ChangeRecord::Delete {
+                path: path.to_owned(),
+            },
+            Change::Copy {
+                src,
+                dst,
+                overwrite,
+            } => ChangeRecord::Copy {
+                src: src.to_owned(),
+                dst: dst.to_owned(),
+                overwrite,
+            },
+            Change::Rename {
+                src,
+                dst,
+                overwrite,
+            } => ChangeRecord::Rename {
+                src: src.to_owned(),
+                dst: dst.to_owned(),
+                overwrite,
+            },
+            Change::PatchProps { path, ops } => ChangeRecord::PatchProps {
+                path: path.to_owned(),
+                ops: ops
+                    .iter()
+                    .map(|op| match op {
+                        PropPatchOp::Set(p) => PropOp::Set {
+                            name: p.name.clone(),
+                            storage: p.to_storage(),
+                        },
+                        PropPatchOp::Remove(n) => PropOp::Remove { name: n.clone() },
+                    })
+                    .collect(),
+            },
+        }
+    }
 }
 
 // ---- serialisation ----

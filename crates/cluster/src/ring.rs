@@ -15,7 +15,7 @@
 //! owned by the first point clockwise. Adding a backend moves ~1/N of
 //! the keyspace, which is what makes scale-out incremental.
 
-use crate::log::fnv1a;
+use pse_cache::fnv1a_64;
 
 /// FNV-1a plus a splitmix64-style finalizer. Raw FNV leaves sequential
 /// keys (`project-0`, `project-1`, …) in one narrow band of the u64
@@ -23,7 +23,7 @@ use crate::log::fnv1a;
 /// consistent hashing's whole point. The finalizer avalanches every
 /// input bit across the word.
 fn ring_hash(key: &[u8]) -> u64 {
-    let mut h = fnv1a(key);
+    let mut h = fnv1a_64(key);
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;

@@ -6,13 +6,13 @@
 use proptest::prelude::*;
 use pse_cluster::apply::{Applier, ApplyError};
 use pse_cluster::log::ChangeLog;
-use pse_cluster::logged::LoggedRepository;
 use pse_cluster::record::Entry;
 use pse_dav::memrepo::MemRepository;
 use pse_dav::property::{Property, PropertyName};
 use pse_dav::repo::{PropPatchOp, Repository};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const DOCS: [&str; 5] = ["/a", "/b", "/proj/x", "/proj/y", "/proj/z"];
 const COLS: [&str; 2] = ["/proj", "/other"];
@@ -28,9 +28,9 @@ fn prop_name(i: u64) -> PropertyName {
     PropertyName::new("urn:replay", &format!("p{}", i % 3))
 }
 
-/// Drive a random mutation history through a [`LoggedRepository`];
-/// failed operations are fine (they are not logged).
-fn random_history(repo: &LoggedRepository<MemRepository>, seed: u64, ops: usize) {
+/// Drive a random mutation history through a repository whose commit
+/// hook feeds the log; failed operations are fine (they are not logged).
+fn random_history(repo: &MemRepository, seed: u64, ops: usize) {
     let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
     for n in 0..ops as u64 {
         let doc = DOCS[(lcg(&mut rng) % DOCS.len() as u64) as usize];
@@ -112,10 +112,12 @@ fn temp_dir(tag: &str, seed: u64) -> PathBuf {
     dir
 }
 
-fn rig(tag: &str, seed: u64) -> (LoggedRepository<MemRepository>, PathBuf) {
+fn rig(tag: &str, seed: u64) -> (MemRepository, Arc<ChangeLog>, PathBuf) {
     let dir = temp_dir(tag, seed);
     let log = ChangeLog::open(&dir).unwrap();
-    (LoggedRepository::new(MemRepository::new(), log), dir)
+    let repo = MemRepository::new();
+    log.record_commits(&repo);
+    (repo, log, dir)
 }
 
 proptest! {
@@ -129,9 +131,9 @@ proptest! {
         seed in 0u64..1_000_000u64,
         ops in 20usize..80usize,
     ) {
-        let (primary, pdir) = rig("conv", seed);
+        let (primary, log, pdir) = rig("conv", seed);
         random_history(&primary, seed, ops);
-        let entries = primary.log().read_after(0, usize::MAX).unwrap();
+        let entries = log.read_after(0, usize::MAX).unwrap();
 
         let rdir = temp_dir("conv-replica", seed);
         let replica = MemRepository::new();
@@ -159,8 +161,8 @@ proptest! {
                 prop_assert_eq!(dup.deduped, end - start);
             }
         }
-        prop_assert_eq!(applier.applied(), primary.log().last_seq());
-        prop_assert_eq!(snapshot(&replica), snapshot(primary.inner().as_ref()));
+        prop_assert_eq!(applier.applied(), log.last_seq());
+        prop_assert_eq!(snapshot(&replica), snapshot(&primary));
 
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&rdir);
@@ -174,9 +176,9 @@ proptest! {
         seed in 0u64..1_000_000u64,
         ops in 20usize..60usize,
     ) {
-        let (primary, pdir) = rig("gap", seed);
+        let (primary, log, pdir) = rig("gap", seed);
         random_history(&primary, seed, ops);
-        let entries = primary.log().read_after(0, usize::MAX).unwrap();
+        let entries = log.read_after(0, usize::MAX).unwrap();
         prop_assume!(entries.len() >= 4);
         let mid = entries.len() / 2;
 
@@ -205,8 +207,8 @@ proptest! {
         // In-order delivery now converges exactly.
         applier.apply_batch(&replica, &entries[..mid]).unwrap();
         applier.apply_batch(&replica, &entries[mid..]).unwrap();
-        prop_assert_eq!(applier.applied(), primary.log().last_seq());
-        prop_assert_eq!(snapshot(&replica), snapshot(primary.inner().as_ref()));
+        prop_assert_eq!(applier.applied(), log.last_seq());
+        prop_assert_eq!(snapshot(&replica), snapshot(&primary));
 
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&rdir);
@@ -219,11 +221,11 @@ proptest! {
         seed in 0u64..1_000_000u64,
         ops in 10usize..40usize,
     ) {
-        let (primary, pdir) = rig("reopen", seed);
+        let (primary, log, pdir) = rig("reopen", seed);
         random_history(&primary, seed, ops);
-        let want = snapshot(primary.inner().as_ref());
-        let last = primary.log().last_seq();
-        drop(primary);
+        let want = snapshot(&primary);
+        let last = log.last_seq();
+        drop((primary, log));
 
         let reopened = ChangeLog::open(&pdir).unwrap();
         prop_assert_eq!(reopened.last_seq(), last);

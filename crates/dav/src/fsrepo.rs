@@ -28,20 +28,18 @@
 //! just the named keys and caches nothing, so a SEARCH over many cold
 //! candidates leaves the hot set in place.
 //!
-//! Concurrency: operations synchronise through the sharded
-//! hierarchy-aware path locks of [`crate::pathlock`] — reads take
-//! shared locks on the touched path, point writes take exclusive locks
-//! on the touched path (plus a shared parent hold), and collection
-//! COPY/MOVE/DELETE take a subtree write intent. See DESIGN.md
-//! §Concurrency for the lock-ordering and cache-coherence argument.
+//! Concurrency: [`FsRepository`] is [`FsStore`] under the shared
+//! lock-and-index layer [`Repo`], which takes the sharded
+//! hierarchy-aware path locks of [`crate::pathlock`] and keeps the
+//! SEARCH index. Every [`FsStore`] method runs with its plan held. See
+//! DESIGN.md §Concurrency for the lock-ordering and cache-coherence
+//! argument.
 
 use crate::error::{DavError, Result};
-use crate::pathlock::{PathLockStats, PathLocks};
+use crate::pathlock::PathLocks;
 use crate::property::{Property, PropertyName};
-use crate::propindex::{IndexStats, Probe, PropIndex};
-use crate::repo::{
-    check_copy_overlap, live_props_from_meta, PropPatchOp, Repository, ResourceMeta, StageStatus,
-};
+use crate::propindex::PropIndex;
+use crate::repo::{live_props_from_meta, PropPatchOp, Repo, ResourceMeta, StageStatus, Store};
 use pse_cache::{CacheConfig, CacheStats, ShardedCache};
 use pse_dbm::{dbm_exists, open_dbm, remove_dbm, Dbm, DbmKind, StoreMode};
 use pse_http::uri::{normalize_path, parent_path};
@@ -146,15 +144,12 @@ impl PropSnapshot {
 }
 
 /// A filesystem-backed DAV repository.
-pub struct FsRepository {
+pub type FsRepository = Repo<FsStore>;
+
+/// Files, directories and DBM property databases behind [`FsRepository`].
+pub struct FsStore {
     root: PathBuf,
     config: FsConfig,
-    /// Sharded hierarchy-aware path locks: readers of distinct paths
-    /// run in parallel, writers exclude only the paths they touch,
-    /// subtree operations take a whole-table write intent. mod_dav
-    /// relied on per-file flock; this gives the same observable
-    /// semantics without serialising the repository.
-    locks: Arc<PathLocks>,
     /// Property snapshots keyed by normalized DAV path. `Arc` so the
     /// cache can contribute its stats to a metric registry via a weak
     /// reference without tying the registry's lifetime to the repo's.
@@ -163,94 +158,50 @@ pub struct FsRepository {
     /// shard's write lock, so a stale snapshot can never be re-inserted
     /// over a newer state.
     prop_cache: Arc<ShardedCache<String, Arc<PropSnapshot>>>,
-    /// Secondary property index for SEARCH, updated at every mutation
-    /// point under the same lock plans that keep `prop_cache` coherent
-    /// and persisted under `<root>/.DAV/index/`. A leaf lock: its
-    /// internal mutex is never held while acquiring a path lock.
-    index: PropIndex,
 }
 
-impl FsRepository {
-    /// Open (creating the root directory if needed) a repository.
+impl Repo<FsStore> {
+    /// Open (creating the root directory if needed) a repository. The
+    /// property index persists under `<root>/.DAV/index/`; when it is
+    /// missing or corrupt it is rebuilt from the DBM property databases,
+    /// which are the source of truth.
     pub fn create(root: impl AsRef<Path>, config: FsConfig) -> Result<FsRepository> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
-        let prop_cache = Arc::new(ShardedCache::new(CacheConfig::with_capacity(
-            config.property_cache_bytes,
-        )));
-        let locks = Arc::new(PathLocks::new(config.lock_shards, config.global_lock));
         let (index, rebuild) = PropIndex::open(&root.join(DAV_DIR).join(INDEX_DIR));
-        let repo = FsRepository {
+        let locks = PathLocks::new(config.lock_shards, config.global_lock);
+        let store = FsStore {
+            prop_cache: Arc::new(ShardedCache::new(CacheConfig::with_capacity(
+                config.property_cache_bytes,
+            ))),
             root,
             config,
-            locks,
-            prop_cache,
-            index,
         };
+        let repo = Repo::from_parts(store, locks, index);
         if rebuild {
-            // Missing or corrupt index files: the DBM property databases
-            // are the source of truth, so re-derive the whole index.
             repo.rebuild_index()?;
         }
         Ok(repo)
     }
 
-    /// Re-derive the index from the on-disk property databases and
-    /// persist a fresh snapshot. Runs at construction (before the
-    /// repository is shared); callers invoking it on a live repository
-    /// must exclude writers themselves.
-    pub fn rebuild_index(&self) -> Result<()> {
-        let mut paths = Vec::new();
-        self.walk("/", None, &mut |p| paths.push(p.to_owned()))?;
-        for path in paths {
-            // A resource without a property database costs nothing here.
-            let _ = self.reindex_path(&path);
-        }
-        self.index.compact();
-        Ok(())
-    }
-
-    /// Replace the index entries for `path` with what its property
-    /// database holds right now. The caller holds at least a read lock
-    /// on the path (or has exclusive access to the repository).
-    fn reindex_path(&self, norm: &str) -> Result<()> {
-        let snap = self.snapshot(norm)?;
-        let mut entries = Vec::with_capacity(snap.props.len());
-        for (name, data) in &snap.props {
-            if let Ok(p) = Property::from_storage(name.clone(), data) {
-                entries.push((name.clone(), p.text_value()));
-            }
-        }
-        self.index.set_path(norm, &entries);
-        Ok(())
-    }
-
-    /// Property-index probe counters.
-    pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
-    }
-
     /// The configured DBM engine.
     pub fn dbm_kind(&self) -> DbmKind {
-        self.config.dbm_kind
+        self.store().config.dbm_kind
     }
 
     /// Property-cache counters; the compliance suite asserts coherence
     /// (every mutating method must invalidate) through these.
     pub fn cache_stats(&self) -> CacheStats {
-        self.prop_cache.stats()
-    }
-
-    /// Path-lock counters (acquisitions, contended plans, wait time).
-    pub fn lock_stats(&self) -> PathLockStats {
-        self.locks.stats()
+        self.store().prop_cache.stats()
     }
 
     /// The on-disk root.
     pub fn root(&self) -> &Path {
-        &self.root
+        &self.store().root
     }
+}
 
+impl FsStore {
     /// Map a DAV path to its filesystem location.
     fn fs_path(&self, path: &str) -> PathBuf {
         let norm = normalize_path(path);
@@ -300,12 +251,11 @@ impl FsRepository {
         }
     }
 
-    /// Parent-collection check usable while shard locks are held: the
-    /// generic [`crate::repo::require_parent`] re-enters `exists`/`meta`
-    /// (which take their own locks — a re-entrancy deadlock against a
-    /// queued writer on the same shard), so locked sections use this
-    /// direct filesystem probe instead.
-    fn require_parent_unlocked(&self, norm: &str) -> Result<()> {
+    /// Parent-collection check by a direct filesystem probe. The
+    /// generic [`crate::repo::require_parent`] would re-enter the
+    /// repository's locks under a held plan (a deadlock against a queued
+    /// writer on the same shard).
+    fn require_parent(&self, norm: &str) -> Result<()> {
         let parent = parent_path(norm);
         if parent != norm && !self.fs_path(&parent).is_dir() {
             return Err(DavError::Conflict(parent));
@@ -537,6 +487,64 @@ impl FsRepository {
         Ok((f, staged))
     }
 
+    /// Enforce the configured property size cap on a stored value.
+    fn check_size(&self, stored: &[u8]) -> Result<()> {
+        if stored.len() > self.config.max_property_size {
+            return Err(DavError::PropertyTooLarge {
+                size: stored.len(),
+                limit: self.config.max_property_size,
+            });
+        }
+        Ok(())
+    }
+
+    /// Record a document's MIME type in its property database.
+    fn store_content_type(&self, path: &str, content_type: Option<&str>) -> Result<()> {
+        if let Some(ct) = content_type {
+            let mut db = self
+                .open_props(path, true)?
+                .expect("create=true always yields a database");
+            db.store(KEY_CONTENT_TYPE, ct.as_bytes(), StoreMode::Replace)?;
+        }
+        Ok(())
+    }
+
+    /// Remove the resource at `path` (filesystem location `fsp`): a
+    /// collection's directory carries its property databases with it,
+    /// a document's database sits in the parent's `.DAV`.
+    fn remove_resource(&self, fsp: &Path, path: &str) -> Result<()> {
+        if fsp.is_dir() {
+            fs::remove_dir_all(fsp)?;
+        } else {
+            fs::remove_file(fsp)?;
+            self.delete_doc_props(path)?;
+        }
+        Ok(())
+    }
+
+    /// The front half COPY and MOVE share: `src` must exist and `dst`'s
+    /// parent must be a collection; an existing `dst` is removed when
+    /// `overwrite` allows. Returns both filesystem locations and whether
+    /// `dst` existed.
+    fn clear_destination(
+        &self,
+        src: &str,
+        dst: &str,
+        overwrite: bool,
+    ) -> Result<(PathBuf, PathBuf, bool)> {
+        let sfs = self.check_exists(src)?;
+        self.require_parent(dst)?;
+        let dfs = self.fs_path(dst);
+        let existed = dfs.exists();
+        if existed && !overwrite {
+            return Err(DavError::PreconditionFailed(format!("{dst} exists")));
+        }
+        if existed {
+            self.remove_resource(&dfs, dst)?;
+        }
+        Ok((sfs, dfs, existed))
+    }
+
     /// Apply one PROPPATCH instruction to the property database,
     /// journalling the prior raw value for rollback. The caller holds
     /// the exclusive path lock.
@@ -552,12 +560,7 @@ impl FsRepository {
             }
             PropPatchOp::Set(p) => {
                 let stored = p.to_storage();
-                if stored.len() > self.config.max_property_size {
-                    return Err(DavError::PropertyTooLarge {
-                        size: stored.len(),
-                        limit: self.config.max_property_size,
-                    });
-                }
+                self.check_size(&stored)?;
                 let mut db = self
                     .open_props(norm, true)?
                     .expect("create=true always yields a database");
@@ -582,13 +585,10 @@ impl FsRepository {
     }
 }
 
-impl Repository for FsRepository {
+impl Store for FsStore {
     fn register_obs(&self, registry: &Arc<pse_obs::Registry>) {
         // Property-cache hit/miss/eviction traffic under `dav.prop_cache.*`.
         self.prop_cache.register_obs(registry, "dav.prop_cache");
-        // Path-lock acquisition/contention counters and the live
-        // lock-wait histogram under `dav.pathlock.*`.
-        self.locks.register_obs(registry, "dav.pathlock");
         // The DBM engines keep process-wide statics (handles are opened
         // and closed per operation); map them in as `dbm.*`.
         registry.register_source("dbm", |snap| {
@@ -611,181 +611,82 @@ impl Repository for FsRepository {
     }
 
     fn exists(&self, path: &str) -> bool {
-        let _g = self.locks.read(path);
         self.fs_path(path).exists()
     }
 
+    fn is_collection(&self, path: &str) -> bool {
+        self.fs_path(path).is_dir()
+    }
+
     fn meta(&self, path: &str) -> Result<ResourceMeta> {
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        Ok(self.meta_and_snapshot(&norm)?.0)
+        Ok(self.meta_and_snapshot(path)?.0)
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        let fsp = self.check_exists(&norm)?;
+        let fsp = self.check_exists(path)?;
         if fsp.is_dir() {
-            return Err(DavError::Conflict(format!("{norm} is a collection")));
+            return Err(DavError::Conflict(format!("{path} is a collection")));
         }
         Ok(fs::read(fsp)?)
     }
 
     fn put(&self, path: &str, data: &[u8], content_type: Option<&str>) -> Result<bool> {
-        let norm = normalize_path(path);
-        let _g = self.locks.write_with_parent(&norm);
-        self.require_parent_unlocked(&norm)?;
-        let fsp = self.fs_path(&norm);
+        self.require_parent(path)?;
+        let fsp = self.fs_path(path);
         if fsp.is_dir() {
-            return Err(DavError::Conflict(format!("{norm} is a collection")));
+            return Err(DavError::Conflict(format!("{path} is a collection")));
         }
         let created = !fsp.exists();
         fs::write(&fsp, data)?;
-        if let Some(ct) = content_type {
-            let mut db = self
-                .open_props(&norm, true)?
-                .expect("create=true always yields a database");
-            db.store(KEY_CONTENT_TYPE, ct.as_bytes(), StoreMode::Replace)?;
-        }
-        self.invalidate_path(&norm);
+        self.store_content_type(path, content_type)?;
+        self.invalidate_path(path);
         Ok(created)
     }
 
     fn mkcol(&self, path: &str) -> Result<()> {
-        let norm = normalize_path(path);
-        let _g = self.locks.write_with_parent(&norm);
-        self.require_parent_unlocked(&norm)?;
-        let fsp = self.fs_path(&norm);
+        self.require_parent(path)?;
+        let fsp = self.fs_path(path);
         if fsp.exists() {
-            return Err(DavError::PreconditionFailed(format!("{norm} exists")));
+            return Err(DavError::PreconditionFailed(format!("{path} exists")));
         }
         fs::create_dir(&fsp)?;
-        self.invalidate_path(&norm);
+        self.invalidate_path(path);
         Ok(())
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        let norm = normalize_path(path);
-        // A document delete needs only its own path (plus a shared hold
-        // on the parent); a collection delete touches an unenumerable
-        // subtree and takes the whole-table write intent. The
-        // classification is rechecked under the chosen locks and the
-        // acquisition retried if a concurrent operation changed it.
-        loop {
-            let was_dir = self.fs_path(&norm).is_dir();
-            let _g = if was_dir {
-                self.locks.subtree()
-            } else {
-                self.locks.write_with_parent(&norm)
-            };
-            if self.fs_path(&norm).is_dir() != was_dir {
-                continue;
-            }
-            let fsp = self.check_exists(&norm)?;
-            if was_dir {
-                fs::remove_dir_all(&fsp)?;
-            } else {
-                fs::remove_file(&fsp)?;
-                self.delete_doc_props(&norm)?;
-            }
-            self.invalidate_tree(&norm);
-            self.index.remove_tree(&norm);
-            return Ok(());
-        }
+        self.remove_resource(&self.check_exists(path)?, path)?;
+        self.invalidate_tree(path);
+        Ok(())
     }
 
     fn copy(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool> {
-        let (src, dst) = (normalize_path(src), normalize_path(dst));
-        check_copy_overlap(&src, &dst)?;
-        loop {
-            let subtree =
-                self.fs_path(&src).is_dir() || self.fs_path(&dst).is_dir();
-            let _g = if subtree {
-                self.locks.subtree()
-            } else {
-                self.locks.copy_doc(&src, &dst)
-            };
-            if (self.fs_path(&src).is_dir() || self.fs_path(&dst).is_dir()) != subtree {
-                continue;
-            }
-            let sfs = self.check_exists(&src)?;
-            self.require_parent_unlocked(&dst)?;
-            let dfs = self.fs_path(&dst);
-            let existed = dfs.exists();
-            if existed && !overwrite {
-                return Err(DavError::PreconditionFailed(format!("{dst} exists")));
-            }
-            if existed {
-                if dfs.is_dir() {
-                    fs::remove_dir_all(&dfs)?;
-                } else {
-                    fs::remove_file(&dfs)?;
-                    self.delete_doc_props(&dst)?;
-                }
-            }
-            Self::copy_tree(&sfs, &dfs)?;
-            if sfs.is_file() {
-                self.copy_doc_props(&src, &dst)?;
-            }
-            self.invalidate_tree(&dst);
-            self.index.remove_tree(&dst);
-            self.index.copy_tree(&src, &dst);
-            return Ok(!existed);
+        let (sfs, dfs, existed) = self.clear_destination(src, dst, overwrite)?;
+        Self::copy_tree(&sfs, &dfs)?;
+        if sfs.is_file() {
+            self.copy_doc_props(src, dst)?;
         }
+        self.invalidate_tree(dst);
+        Ok(!existed)
     }
 
     fn rename(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool> {
-        let (srcn, dstn) = (normalize_path(src), normalize_path(dst));
-        check_copy_overlap(&srcn, &dstn)?;
-        loop {
-            let subtree =
-                self.fs_path(&srcn).is_dir() || self.fs_path(&dstn).is_dir();
-            // A document rename is two directory events (unlink + link);
-            // write-locking both parents keeps concurrent listings from
-            // observing the halfway state.
-            let _g = if subtree {
-                self.locks.subtree()
-            } else {
-                self.locks.rename_pair(&srcn, &dstn)
-            };
-            if (self.fs_path(&srcn).is_dir() || self.fs_path(&dstn).is_dir()) != subtree {
-                continue;
-            }
-            let sfs = self.check_exists(&srcn)?;
-            self.require_parent_unlocked(&dstn)?;
-            let dfs = self.fs_path(&dstn);
-            let existed = dfs.exists();
-            if existed && !overwrite {
-                return Err(DavError::PreconditionFailed(format!("{dstn} exists")));
-            }
-            if existed {
-                if dfs.is_dir() {
-                    fs::remove_dir_all(&dfs)?;
-                } else {
-                    fs::remove_file(&dfs)?;
-                    self.delete_doc_props(&dstn)?;
-                }
-            }
-            fs::rename(&sfs, &dfs)?;
-            if dfs.is_file() {
-                // Move the document's property database alongside it.
-                self.copy_doc_props(&srcn, &dstn)?;
-                self.delete_doc_props(&srcn)?;
-            }
-            self.invalidate_tree(&srcn);
-            self.invalidate_tree(&dstn);
-            self.index.remove_tree(&dstn);
-            self.index.move_tree(&srcn, &dstn);
-            return Ok(!existed);
+        let (sfs, dfs, existed) = self.clear_destination(src, dst, overwrite)?;
+        fs::rename(&sfs, &dfs)?;
+        if dfs.is_file() {
+            // Move the document's property database alongside it.
+            self.copy_doc_props(src, dst)?;
+            self.delete_doc_props(src)?;
         }
+        self.invalidate_tree(src);
+        self.invalidate_tree(dst);
+        Ok(!existed)
     }
 
     fn list(&self, path: &str) -> Result<Vec<String>> {
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        let fsp = self.check_exists(&norm)?;
+        let fsp = self.check_exists(path)?;
         if !fsp.is_dir() {
-            return Err(DavError::Conflict(format!("{norm} is not a collection")));
+            return Err(DavError::Conflict(format!("{path} is not a collection")));
         }
         let mut out = Vec::new();
         for entry in fs::read_dir(&fsp)? {
@@ -799,24 +700,19 @@ impl Repository for FsRepository {
     }
 
     fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        self.check_exists(&norm)?;
-        self.snapshot(&norm)?.prop(name)
+        self.check_exists(path)?;
+        self.snapshot(path)?.prop(name)
     }
 
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
-        // One lock hold: a concurrent PROPPATCH can never produce a torn
-        // multi-property read. A cached snapshot answers directly; on a
-        // miss only the named keys are fetched and nothing is cached, so
-        // a SEARCH over many cold candidates cannot evict the hot set.
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        self.check_exists(&norm)?;
-        if let Some(snap) = self.prop_cache.get(&norm) {
+        // A cached snapshot answers directly; on a miss only the named
+        // keys are fetched and nothing is cached, so a SEARCH over many
+        // cold candidates cannot evict the hot set.
+        self.check_exists(path)?;
+        if let Some(snap) = self.prop_cache.get(&path.to_owned()) {
             return names.iter().map(|name| snap.prop(name)).collect();
         }
-        let Some(mut db) = self.open_props(&norm, false)? else {
+        let Some(mut db) = self.open_props(path, false)? else {
             return Ok(vec![None; names.len()]);
         };
         names
@@ -839,10 +735,8 @@ impl Repository for FsRepository {
     }
 
     fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        self.check_exists(&norm)?;
-        let snap = self.snapshot(&norm)?;
+        self.check_exists(path)?;
+        let snap = self.snapshot(path)?;
         Ok(snap.props.iter().map(|(n, _)| n.clone()).collect())
     }
 
@@ -850,47 +744,47 @@ impl Repository for FsRepository {
         // Live + dead properties from a single metadata read and a
         // single snapshot under one lock hold — the view PROPFIND
         // serves can never interleave with a writer on this path.
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        let (meta, snap) = self.meta_and_snapshot(&norm)?;
-        let mut props = live_props_from_meta(&norm, &meta);
+        let (meta, snap) = self.meta_and_snapshot(path)?;
+        let mut props = live_props_from_meta(path, &meta);
         for (name, data) in &snap.props {
             props.push(Property::from_storage(name.clone(), data)?);
         }
         Ok(props)
     }
 
+    fn index_entries(&self, path: &str) -> Result<Vec<(PropertyName, String)>> {
+        self.check_exists(path)?;
+        let snap = self.snapshot(path)?;
+        Ok(snap
+            .props
+            .iter()
+            .filter_map(|(name, data)| {
+                let p = Property::from_storage(name.clone(), data).ok()?;
+                Some((name.clone(), p.text_value()))
+            })
+            .collect())
+    }
+
     fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-        let norm = normalize_path(path);
-        let _g = self.locks.write(&norm);
-        self.check_exists(&norm)?;
+        self.check_exists(path)?;
         let stored = prop.to_storage();
-        if stored.len() > self.config.max_property_size {
-            return Err(DavError::PropertyTooLarge {
-                size: stored.len(),
-                limit: self.config.max_property_size,
-            });
-        }
+        self.check_size(&stored)?;
         let mut db = self
-            .open_props(&norm, true)?
+            .open_props(path, true)?
             .expect("create=true always yields a database");
         db.store(&prop.name.storage_key(), &stored, StoreMode::Replace)?;
-        self.invalidate_path(&norm);
-        self.index.set(&norm, &prop.name, &prop.text_value());
+        self.invalidate_path(path);
         Ok(())
     }
 
     fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-        let norm = normalize_path(path);
-        let _g = self.locks.write(&norm);
-        self.check_exists(&norm)?;
-        let Some(mut db) = self.open_props(&norm, false)? else {
+        self.check_exists(path)?;
+        let Some(mut db) = self.open_props(path, false)? else {
             return Ok(false);
         };
         let removed = db.delete(&name.storage_key())?;
         if removed {
-            self.invalidate_path(&norm);
-            self.index.remove(&norm, name);
+            self.invalidate_path(path);
         }
         Ok(removed)
     }
@@ -904,79 +798,48 @@ impl Repository for FsRepository {
         // lock with an undo journal of raw stored values, so readers
         // (excluded for the duration) observe the property set moving
         // atomically from the old state to the new — or staying put.
-        let norm = normalize_path(path);
-        let _g = self.locks.write(&norm);
-        self.check_exists(&norm).map_err(|e| (0, e))?;
+        self.check_exists(path).map_err(|e| (0, e))?;
         let mut journal: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
         let mut failure: Option<(usize, DavError)> = None;
         for (i, op) in ops.iter().enumerate() {
-            if let Err(e) = self.patch_one(&norm, op, &mut journal) {
+            if let Err(e) = self.patch_one(path, op, &mut journal) {
                 failure = Some((i, e));
                 break;
             }
         }
-        let result = match failure {
-            None => {
-                // The patch landed: mirror each instruction into the
-                // index (values are already in hand — no extra DBM open).
-                for op in ops {
-                    match op {
-                        PropPatchOp::Set(p) => {
-                            self.index.set(&norm, &p.name, &p.text_value());
-                        }
-                        PropPatchOp::Remove(name) => self.index.remove(&norm, name),
-                    }
+        // On failure roll back in reverse order; the database must exist
+        // if anything was journalled.
+        if failure.is_some() && !journal.is_empty() {
+            if let Ok(Some(mut db)) = self.open_props(path, false) {
+                for (key, prior) in journal.into_iter().rev() {
+                    let _ = match prior {
+                        Some(v) => db.store(&key, &v, StoreMode::Replace).map(|_| true),
+                        None => db.delete(&key),
+                    };
                 }
-                Ok(())
             }
-            Some(fail) => {
-                // Roll back in reverse order; the database must exist if
-                // anything was journalled.
-                if !journal.is_empty() {
-                    if let Ok(Some(mut db)) = self.open_props(&norm, false) {
-                        for (key, prior) in journal.into_iter().rev() {
-                            let _ = match prior {
-                                Some(v) => db.store(&key, &v, StoreMode::Replace).map(|_| true),
-                                None => db.delete(&key),
-                            };
-                        }
-                    }
-                }
-                Err(fail)
-            }
-        };
-        self.invalidate_path(&norm);
-        if result.is_err() {
-            // Rollback best-effort may have left the database anywhere
-            // between old and new: re-derive this path's entries from
-            // what is actually stored (still under the exclusive lock).
-            let _ = self.reindex_path(&norm);
         }
-        result
+        self.invalidate_path(path);
+        failure.map_or(Ok(()), Err)
     }
 
     fn disk_usage(&self) -> Result<u64> {
-        let _g = self.locks.subtree_read();
         Self::du(&self.root)
     }
 
     fn stage_status(&self, path: &str) -> Result<Option<StageStatus>> {
-        let norm = normalize_path(path);
-        let _g = self.locks.read(&norm);
-        let (data_path, total_path) = self.stage_paths(&norm);
+        let (data_path, total_path) = self.stage_paths(path);
         match fs::metadata(&data_path) {
             Ok(m) => Ok(Some(StageStatus {
                 staged: m.len(),
-                total: Self::read_stage_total(&total_path, &norm)?,
+                total: Self::read_stage_total(&total_path, path)?,
             })),
             Err(_) => Ok(None),
         }
     }
 
     fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus> {
-        let norm = normalize_path(path);
-        let _g = self.locks.write(&norm);
-        let (mut f, staged) = self.stage_open_append(&norm, offset, total, data.len() as u64)?;
+        let (mut f, staged) = self.stage_open_append(path, offset, total, data.len() as u64)?;
         f.write_all(data)?;
         Ok(StageStatus {
             staged: staged + data.len() as u64,
@@ -993,32 +856,25 @@ impl Repository for FsRepository {
         src_start: u64,
         src_len: u64,
     ) -> Result<StageStatus> {
-        let norm = normalize_path(path);
-        let srcn = normalize_path(src);
-        // The copy_doc plan (src shared, dst exclusive) also covers
-        // src == dst: the plan merger collapses the pair to one
-        // exclusive hold, which is exactly what delta-syncing a
-        // resource against its own previous version needs.
-        let _g = self.locks.copy_doc(&srcn, &norm);
-        let sfs = self.check_exists(&srcn)?;
+        let sfs = self.check_exists(src)?;
         if sfs.is_dir() {
-            return Err(DavError::Conflict(format!("{srcn} is a collection")));
+            return Err(DavError::Conflict(format!("{src} is a collection")));
         }
         let mut sf = fs::File::open(&sfs)?;
         let slen = sf.metadata()?.len();
         if src_start.checked_add(src_len).map_or(true, |end| end > slen) {
             return Err(DavError::BadRequest(format!(
-                "source range {src_start}+{src_len} exceeds {slen}-byte {srcn}"
+                "source range {src_start}+{src_len} exceeds {slen}-byte {src}"
             )));
         }
         sf.seek(SeekFrom::Start(src_start))?;
-        let (mut f, staged) = self.stage_open_append(&norm, offset, total, src_len)?;
+        let (mut f, staged) = self.stage_open_append(path, offset, total, src_len)?;
         // Stream rather than buffer: unchanged-chunk runs in a delta
         // sync of a trajectory file can be hundreds of megabytes.
         let copied = std::io::copy(&mut (&mut sf).take(src_len), &mut f)?;
         if copied != src_len {
             return Err(DavError::BadRequest(format!(
-                "source {srcn} shrank during copy ({copied} of {src_len} bytes)"
+                "source {src} shrank during copy ({copied} of {src_len} bytes)"
             )));
         }
         Ok(StageStatus {
@@ -1028,22 +884,20 @@ impl Repository for FsRepository {
     }
 
     fn stage_commit(&self, path: &str, content_type: Option<&str>) -> Result<bool> {
-        let norm = normalize_path(path);
-        let _g = self.locks.write_with_parent(&norm);
-        self.require_parent_unlocked(&norm)?;
-        let (data_path, total_path) = self.stage_paths(&norm);
+        self.require_parent(path)?;
+        let (data_path, total_path) = self.stage_paths(path);
         let m = fs::metadata(&data_path)
-            .map_err(|_| DavError::Conflict(format!("no staged upload for {norm}")))?;
-        let total = Self::read_stage_total(&total_path, &norm)?;
+            .map_err(|_| DavError::Conflict(format!("no staged upload for {path}")))?;
+        let total = Self::read_stage_total(&total_path, path)?;
         if m.len() != total {
             return Err(DavError::Conflict(format!(
-                "staged upload for {norm} incomplete: {} of {total} bytes",
+                "staged upload for {path} incomplete: {} of {total} bytes",
                 m.len()
             )));
         }
-        let fsp = self.fs_path(&norm);
+        let fsp = self.fs_path(path);
         if fsp.is_dir() {
-            return Err(DavError::Conflict(format!("{norm} is a collection")));
+            return Err(DavError::Conflict(format!("{path} is a collection")));
         }
         let created = !fsp.exists();
         // The stage lives on the same filesystem as the tree, so this
@@ -1051,33 +905,23 @@ impl Repository for FsRepository {
         // the old body or the complete new one, never a prefix.
         fs::rename(&data_path, &fsp)?;
         let _ = fs::remove_file(&total_path);
-        if let Some(ct) = content_type {
-            let mut db = self
-                .open_props(&norm, true)?
-                .expect("create=true always yields a database");
-            db.store(KEY_CONTENT_TYPE, ct.as_bytes(), StoreMode::Replace)?;
-        }
-        self.invalidate_path(&norm);
+        self.store_content_type(path, content_type)?;
+        self.invalidate_path(path);
         Ok(created)
     }
 
     fn stage_abort(&self, path: &str) -> Result<()> {
-        let norm = normalize_path(path);
-        let _g = self.locks.write(&norm);
-        let (data_path, total_path) = self.stage_paths(&norm);
+        let (data_path, total_path) = self.stage_paths(path);
         let _ = fs::remove_file(&data_path);
         let _ = fs::remove_file(&total_path);
         Ok(())
-    }
-
-    fn index_probe(&self, probe: &Probe) -> Option<Vec<String>> {
-        self.index.probe(probe)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repo::Repository;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static N: AtomicU64 = AtomicU64::new(0);
@@ -1551,7 +1395,7 @@ mod tests {
         path: &str,
         names: &[PropertyName],
     ) -> (Vec<Option<Property>>, Vec<Option<Property>>) {
-        r.invalidate_path(path);
+        r.store().invalidate_path(path);
         let cold = r.get_props(path, names).unwrap();
         r.list_props(path).unwrap();
         let hits = r.cache_stats().hits;
@@ -1585,10 +1429,10 @@ mod tests {
             let mut asked = names.clone();
             asked.push(PropertyName::new("urn:e", "absent"));
             for path in ["/c/doc", "/c"] {
-                r.invalidate_path(path);
-                let (len, inserts) = (r.prop_cache.len(), r.cache_stats().insertions);
+                r.store().invalidate_path(path);
+                let (len, inserts) = (r.store().prop_cache.len(), r.cache_stats().insertions);
                 let cold = r.get_props(path, &asked).unwrap();
-                assert_eq!(r.prop_cache.len(), len, "{kind:?} {path}: cold read cached");
+                assert_eq!(r.store().prop_cache.len(), len, "{kind:?} {path}: cold read cached");
                 assert_eq!(r.cache_stats().insertions, inserts, "{kind:?} {path}");
                 let all = r.all_props(path).unwrap();
                 let expected: Vec<Option<Property>> = asked
@@ -1663,7 +1507,7 @@ mod tests {
                 PropertyName::dav("getetag"),
             ];
             for path in ["/c", "/c/doc"] {
-                assert!(!dbm_exists(kind, &r.props_base(path)), "{kind:?} {path}");
+                assert!(!dbm_exists(kind, &r.store().props_base(path)), "{kind:?} {path}");
                 let (cold, warm) = cold_and_warm(&r, path, &names);
                 assert_eq!(cold, [None, None], "{kind:?} {path}");
                 assert_eq!(warm, [None, None], "{kind:?} {path}");

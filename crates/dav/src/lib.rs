@@ -21,6 +21,12 @@
 //!   settled on 10 MB);
 //! * [`memrepo::MemRepository`] — an in-memory repository for tests.
 //!
+//! Both are [`repo::Repo`] over a storage-only [`repo::Store`]: one
+//! generic layer owns path normalisation, the path-lock plan of every
+//! operation ([`pathlock`]), the SEARCH property index ([`propindex`])
+//! and an optional commit hook that sees each successful mutation
+//! under its plan (the cluster's change log is that hook).
+//!
 //! Locking ([`lock`]), `If:` preconditions ([`ifheader`]), and
 //! multistatus marshalling ([`multistatus`]) complete protocol class 2.
 //!
@@ -77,5 +83,5 @@ pub use multistatus::Multistatus;
 pub use pathlock::{PathGuard, PathLocks};
 pub use propindex::{IndexStats, PropIndex};
 pub use property::{Property, PropertyName};
-pub use repo::Repository;
+pub use repo::{Repo, Repository, Store};
 pub use translate::{SchemaMap, TranslatingRepository};

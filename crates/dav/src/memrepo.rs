@@ -1,25 +1,22 @@
 //! An in-memory repository — the reference implementation of
-//! [`Repository`] used by unit tests and as the semantic model the
+//! [`Repository`](crate::repo::Repository) used by unit tests and as the semantic model the
 //! filesystem repository is checked against.
 //!
-//! Concurrency mirrors [`crate::fsrepo::FsRepository`]: operations
-//! acquire the same sharded hierarchy-aware path-lock plans (see
-//! [`crate::pathlock`]) before touching the node table, so tests that
-//! model concurrent workloads against `MemRepository` exercise the
-//! same locking protocol the filesystem repository runs. The node
-//! table itself sits behind one short-lived mutex, and every compound
-//! operation (notably MOVE = copy + delete) executes in a *single*
-//! critical section — no observer can see a move's halfway state.
+//! [`MemRepository`] is [`MemStore`] under the shared lock-and-index
+//! layer [`Repo`], so tests that model concurrent workloads against it
+//! exercise the same locking protocol the filesystem repository runs.
+//! The node table itself sits behind one short-lived mutex, and every
+//! compound operation (notably MOVE = copy + delete) executes in a
+//! *single* critical section — no observer can see a move's halfway
+//! state.
 
 use crate::error::{DavError, Result};
-use crate::pathlock::PathLocks;
+use crate::pathlock::{PathLocks, DEFAULT_SHARDS};
 use crate::property::{Property, PropertyName};
-use crate::propindex::{IndexStats, Probe, PropIndex};
-use crate::repo::{
-    check_copy_overlap, live_props_from_meta, PropPatchOp, Repository, ResourceMeta, StageStatus,
-};
+use crate::propindex::PropIndex;
+use crate::repo::{live_props_from_meta, PropPatchOp, Repo, ResourceMeta, StageStatus, Store};
 use parking_lot::Mutex;
-use pse_http::uri::{normalize_path, parent_path};
+use pse_http::uri::parent_path;
 use std::collections::{BTreeMap, HashMap};
 use std::time::SystemTime;
 
@@ -46,6 +43,24 @@ impl MemNode {
         }
     }
 
+    fn document(data: Vec<u8>, content_type: Option<&str>) -> MemNode {
+        MemNode {
+            is_collection: false,
+            data,
+            content_type: content_type.map(str::to_owned),
+            ..MemNode::collection()
+        }
+    }
+
+    /// Replace the body of an existing document.
+    fn overwrite(&mut self, data: Vec<u8>, content_type: Option<&str>) {
+        self.data = data;
+        self.modified = SystemTime::now();
+        if content_type.is_some() {
+            self.content_type = content_type.map(str::to_owned);
+        }
+    }
+
     fn meta(&self) -> ResourceMeta {
         ResourceMeta {
             is_collection: self.is_collection,
@@ -65,69 +80,37 @@ struct MemStage {
 }
 
 /// A heap-backed DAV repository.
+pub type MemRepository = Repo<MemStore>;
+
+/// The node table behind [`MemRepository`].
 #[derive(Debug)]
-pub struct MemRepository {
+pub struct MemStore {
     nodes: Mutex<HashMap<String, MemNode>>,
     /// Staged (resumable) uploads by target path — separate from the
     /// node table so an abandoned stage never shadows a live resource.
     /// Lock order where both are held: `stages` before `nodes`.
     stages: Mutex<HashMap<String, MemStage>>,
-    locks: PathLocks,
-    /// Secondary property index, maintained inside the same lock plans
-    /// that order the mutations (leaf lock: never held while acquiring
-    /// `nodes` or a path lock).
-    index: PropIndex,
 }
 
-impl Default for MemRepository {
-    /// An empty repository — no root collection (matching the old
-    /// derived `Default`); use [`MemRepository::new`] for a usable one.
-    fn default() -> MemRepository {
-        MemRepository {
-            nodes: Mutex::new(HashMap::new()),
-            stages: Mutex::new(HashMap::new()),
-            locks: PathLocks::new(crate::pathlock::DEFAULT_SHARDS, false),
-            index: PropIndex::new(),
-        }
-    }
-}
-
-impl MemRepository {
+impl Repo<MemStore> {
     /// A repository containing only the root collection.
     pub fn new() -> MemRepository {
-        let repo = MemRepository::default();
-        repo.nodes
-            .lock()
-            .insert("/".to_owned(), MemNode::collection());
-        repo
+        MemRepository::with_locks(DEFAULT_SHARDS, false)
     }
 
     /// Like [`new`](MemRepository::new) with an explicit lock-table
     /// shape — `global` restores whole-repository serialisation (the
     /// ablation baseline the concurrency tests compare against).
     pub fn with_locks(shards: usize, global: bool) -> MemRepository {
-        let repo = MemRepository {
-            nodes: Mutex::new(HashMap::new()),
+        let store = MemStore {
+            nodes: Mutex::new(HashMap::from([("/".to_owned(), MemNode::collection())])),
             stages: Mutex::new(HashMap::new()),
-            locks: PathLocks::new(shards, global),
-            index: PropIndex::new(),
         };
-        repo.nodes
-            .lock()
-            .insert("/".to_owned(), MemNode::collection());
-        repo
+        Repo::from_parts(store, PathLocks::new(shards, global), PropIndex::new())
     }
+}
 
-    /// The path-lock table (tests assert on its counters).
-    pub fn path_locks(&self) -> &PathLocks {
-        &self.locks
-    }
-
-    /// Property-index probe counters (tests assert SEARCH goes indexed).
-    pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
-    }
-
+impl MemStore {
     fn descendants(nodes: &HashMap<String, MemNode>, path: &str) -> Vec<String> {
         nodes
             .keys()
@@ -138,12 +121,6 @@ impl MemRepository {
             })
             .cloned()
             .collect()
-    }
-
-    /// Is `path` a collection right now? (`None` when absent.) Used to
-    /// plan lock acquisition; rechecked under the acquired locks.
-    fn classify(&self, path: &str) -> Option<bool> {
-        self.nodes.lock().get(path).map(|n| n.is_collection)
     }
 
     fn require_parent_in(nodes: &HashMap<String, MemNode>, path: &str) -> Result<()> {
@@ -195,10 +172,27 @@ impl MemRepository {
         Ok(!existed)
     }
 
+    /// Run `f` on the node at `path`; `NotFound` when absent.
+    fn with_node<T>(&self, path: &str, f: impl FnOnce(&MemNode) -> T) -> Result<T> {
+        let nodes = self.nodes.lock();
+        let n = nodes
+            .get(path)
+            .ok_or_else(|| DavError::NotFound(path.to_owned()))?;
+        Ok(f(n))
+    }
+
+    /// Run `f` on the node at `path` mutably; `NotFound` when absent.
+    fn with_node_mut<T>(&self, path: &str, f: impl FnOnce(&mut MemNode) -> T) -> Result<T> {
+        let mut nodes = self.nodes.lock();
+        let n = nodes
+            .get_mut(path)
+            .ok_or_else(|| DavError::NotFound(path.to_owned()))?;
+        Ok(f(n))
+    }
+
     /// Enforce the resumable-upload contract (offset == staged length,
     /// consistent total, no write past the total) and append `data` to
-    /// the stage for `path`, creating it when `offset` is 0. Caller
-    /// holds the path's exclusive lock.
+    /// the stage for `path`, creating it when `offset` is 0.
     fn stage_append_in(
         stages: &mut HashMap<String, MemStage>,
         path: &str,
@@ -243,160 +237,78 @@ impl MemRepository {
     }
 }
 
-impl Repository for MemRepository {
+impl Store for MemStore {
     fn exists(&self, path: &str) -> bool {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        self.nodes.lock().contains_key(&path)
+        self.nodes.lock().contains_key(path)
+    }
+
+    fn is_collection(&self, path: &str) -> bool {
+        self.nodes.lock().get(path).is_some_and(|n| n.is_collection)
     }
 
     fn meta(&self, path: &str) -> Result<ResourceMeta> {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        let nodes = self.nodes.lock();
-        let n = nodes
-            .get(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        Ok(n.meta())
+        self.with_node(path, MemNode::meta)
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        let nodes = self.nodes.lock();
-        let n = nodes
-            .get(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        if n.is_collection {
-            return Err(DavError::Conflict(format!("{path} is a collection")));
-        }
-        Ok(n.data.clone())
+        self.with_node(path, |n| {
+            if n.is_collection {
+                return Err(DavError::Conflict(format!("{path} is a collection")));
+            }
+            Ok(n.data.clone())
+        })?
     }
 
     fn put(&self, path: &str, data: &[u8], content_type: Option<&str>) -> Result<bool> {
-        let path = normalize_path(path);
-        let _g = self.locks.write_with_parent(&path);
         let mut nodes = self.nodes.lock();
-        Self::require_parent_in(&nodes, &path)?;
-        let now = SystemTime::now();
-        match nodes.get_mut(&path) {
+        Self::require_parent_in(&nodes, path)?;
+        match nodes.get_mut(path) {
             Some(n) if n.is_collection => {
                 Err(DavError::Conflict(format!("{path} is a collection")))
             }
             Some(n) => {
-                n.data = data.to_vec();
-                n.modified = now;
-                if content_type.is_some() {
-                    n.content_type = content_type.map(str::to_owned);
-                }
+                n.overwrite(data.to_vec(), content_type);
                 Ok(false)
             }
             None => {
-                nodes.insert(
-                    path,
-                    MemNode {
-                        is_collection: false,
-                        data: data.to_vec(),
-                        content_type: content_type.map(str::to_owned),
-                        created: now,
-                        modified: now,
-                        props: BTreeMap::new(),
-                    },
-                );
+                nodes.insert(path.to_owned(), MemNode::document(data.to_vec(), content_type));
                 Ok(true)
             }
         }
     }
 
     fn mkcol(&self, path: &str) -> Result<()> {
-        let path = normalize_path(path);
-        let _g = self.locks.write_with_parent(&path);
         let mut nodes = self.nodes.lock();
-        Self::require_parent_in(&nodes, &path)?;
-        if nodes.contains_key(&path) {
+        Self::require_parent_in(&nodes, path)?;
+        if nodes.contains_key(path) {
             return Err(DavError::PreconditionFailed(format!("{path} exists")));
         }
-        nodes.insert(path, MemNode::collection());
+        nodes.insert(path.to_owned(), MemNode::collection());
         Ok(())
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        let path = normalize_path(path);
-        loop {
-            let was_collection = self.classify(&path).unwrap_or(false);
-            let _g = if was_collection {
-                self.locks.subtree()
-            } else {
-                self.locks.write_with_parent(&path)
-            };
-            let mut nodes = self.nodes.lock();
-            if nodes.get(&path).map(|n| n.is_collection).unwrap_or(false) != was_collection {
-                continue;
-            }
-            Self::delete_in(&mut nodes, &path)?;
-            self.index.remove_tree(&path);
-            return Ok(());
-        }
+        Self::delete_in(&mut self.nodes.lock(), path)
     }
 
     fn copy(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool> {
-        let (src, dst) = (normalize_path(src), normalize_path(dst));
-        check_copy_overlap(&src, &dst)?;
-        loop {
-            let subtree = self.classify(&src).unwrap_or(false)
-                || self.classify(&dst).unwrap_or(false);
-            let _g = if subtree {
-                self.locks.subtree()
-            } else {
-                self.locks.copy_doc(&src, &dst)
-            };
-            let mut nodes = self.nodes.lock();
-            let now_subtree = nodes.get(&src).map(|n| n.is_collection).unwrap_or(false)
-                || nodes.get(&dst).map(|n| n.is_collection).unwrap_or(false);
-            if now_subtree != subtree {
-                continue;
-            }
-            let created = Self::copy_in(&mut nodes, &src, &dst, overwrite)?;
-            self.index.remove_tree(&dst);
-            self.index.copy_tree(&src, &dst);
-            return Ok(created);
-        }
+        Self::copy_in(&mut self.nodes.lock(), src, dst, overwrite)
     }
 
     fn rename(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool> {
-        let (src, dst) = (normalize_path(src), normalize_path(dst));
-        check_copy_overlap(&src, &dst)?;
-        loop {
-            let subtree = self.classify(&src).unwrap_or(false)
-                || self.classify(&dst).unwrap_or(false);
-            let _g = if subtree {
-                self.locks.subtree()
-            } else {
-                self.locks.rename_pair(&src, &dst)
-            };
-            // Copy + delete in ONE critical section: no observer can
-            // see the resource at both paths (or neither).
-            let mut nodes = self.nodes.lock();
-            let now_subtree = nodes.get(&src).map(|n| n.is_collection).unwrap_or(false)
-                || nodes.get(&dst).map(|n| n.is_collection).unwrap_or(false);
-            if now_subtree != subtree {
-                continue;
-            }
-            let created = Self::copy_in(&mut nodes, &src, &dst, overwrite)?;
-            Self::delete_in(&mut nodes, &src)?;
-            self.index.remove_tree(&dst);
-            self.index.move_tree(&src, &dst);
-            return Ok(created);
-        }
+        // Copy + delete in ONE critical section: no observer can see the
+        // resource at both paths (or neither).
+        let mut nodes = self.nodes.lock();
+        let created = Self::copy_in(&mut nodes, src, dst, overwrite)?;
+        Self::delete_in(&mut nodes, src)?;
+        Ok(created)
     }
 
     fn list(&self, path: &str) -> Result<Vec<String>> {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
         let nodes = self.nodes.lock();
         let node = nodes
-            .get(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
+            .get(path)
+            .ok_or_else(|| DavError::NotFound(path.to_owned()))?;
         if !node.is_collection {
             return Err(DavError::Conflict(format!("{path} is not a collection")));
         }
@@ -410,77 +322,55 @@ impl Repository for MemRepository {
     }
 
     fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        let nodes = self.nodes.lock();
-        let n = nodes
-            .get(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        Ok(n.props.get(name).cloned())
+        self.with_node(path, |n| n.props.get(name).cloned())
     }
 
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        let nodes = self.nodes.lock();
-        let n = nodes
-            .get(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        Ok(names.iter().map(|nm| n.props.get(nm).cloned()).collect())
+        self.with_node(path, |n| {
+            names.iter().map(|nm| n.props.get(nm).cloned()).collect()
+        })
     }
 
     fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        let nodes = self.nodes.lock();
-        let n = nodes
-            .get(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        Ok(n.props.keys().cloned().collect())
+        self.with_node(path, |n| n.props.keys().cloned().collect())
     }
 
     fn all_props(&self, path: &str) -> Result<Vec<Property>> {
         // One critical section: the live + dead view PROPFIND serves is
         // a consistent snapshot of the node.
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        let nodes = self.nodes.lock();
-        let n = nodes
-            .get(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        let mut props = live_props_from_meta(&path, &n.meta());
-        props.extend(n.props.values().cloned());
-        Ok(props)
+        self.with_node(path, |n| {
+            let mut props = live_props_from_meta(path, &n.meta());
+            props.extend(n.props.values().cloned());
+            props
+        })
+    }
+
+    fn index_entries(&self, path: &str) -> Result<Vec<(PropertyName, String)>> {
+        self.with_node(path, |n| {
+            n.props
+                .values()
+                .map(|p| (p.name.clone(), p.text_value()))
+                .collect()
+        })
     }
 
     fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-        let path = normalize_path(path);
-        let _g = self.locks.write(&path);
-        let mut nodes = self.nodes.lock();
-        let n = nodes
-            .get_mut(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        n.props.insert(prop.name.clone(), prop.clone());
-        // Metadata edits advance the modification time so ETags and
-        // Last-Modified reflect PROPPATCH, matching the fs repository.
-        n.modified = SystemTime::now();
-        self.index.set(&path, &prop.name, &prop.text_value());
-        Ok(())
+        self.with_node_mut(path, |n| {
+            n.props.insert(prop.name.clone(), prop.clone());
+            // Metadata edits advance the modification time so ETags and
+            // Last-Modified reflect PROPPATCH, matching the fs repository.
+            n.modified = SystemTime::now();
+        })
     }
 
     fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-        let path = normalize_path(path);
-        let _g = self.locks.write(&path);
-        let mut nodes = self.nodes.lock();
-        let n = nodes
-            .get_mut(&path)
-            .ok_or_else(|| DavError::NotFound(path.clone()))?;
-        let removed = n.props.remove(name).is_some();
-        if removed {
-            n.modified = SystemTime::now();
-            self.index.remove(&path, name);
-        }
-        Ok(removed)
+        self.with_node_mut(path, |n| {
+            let removed = n.props.remove(name).is_some();
+            if removed {
+                n.modified = SystemTime::now();
+            }
+            removed
+        })
     }
 
     fn patch_props(
@@ -491,61 +381,40 @@ impl Repository for MemRepository {
         // Validate, then apply everything in one critical section: a
         // PROPFIND sees the property set before the whole patch or
         // after it, never between instructions.
-        let path = normalize_path(path);
-        let _g = self.locks.write(&path);
-        let mut nodes = self.nodes.lock();
-        let n = nodes
-            .get_mut(&path)
-            .ok_or_else(|| (0, DavError::NotFound(path.clone())))?;
-        for (i, op) in ops.iter().enumerate() {
-            if let PropPatchOp::Set(p) = op {
-                if p.name.is_live() {
-                    return Err((
-                        i,
-                        DavError::BadRequest("cannot set a live property".into()),
-                    ));
-                }
+        self.with_node_mut(path, |n| {
+            if let Some(i) = ops
+                .iter()
+                .position(|op| matches!(op, PropPatchOp::Set(p) if p.name.is_live()))
+            {
+                return Err((i, DavError::BadRequest("cannot set a live property".into())));
             }
-        }
-        let mut changed = false;
-        for op in ops {
-            match op {
-                PropPatchOp::Set(p) => {
-                    n.props.insert(p.name.clone(), p.clone());
-                    self.index.set(&path, &p.name, &p.text_value());
-                    changed = true;
-                }
-                PropPatchOp::Remove(name) => {
-                    if n.props.remove(name).is_some() {
-                        self.index.remove(&path, name);
-                        changed = true;
+            let mut changed = false;
+            for op in ops {
+                changed |= match op {
+                    PropPatchOp::Set(p) => {
+                        n.props.insert(p.name.clone(), p.clone());
+                        true
                     }
-                }
+                    PropPatchOp::Remove(name) => n.props.remove(name).is_some(),
+                };
             }
-        }
-        if changed {
-            n.modified = SystemTime::now();
-        }
-        Ok(())
-    }
-
-    fn index_probe(&self, probe: &Probe) -> Option<Vec<String>> {
-        self.index.probe(probe)
+            if changed {
+                n.modified = SystemTime::now();
+            }
+            Ok(())
+        })
+        .map_err(|e| (0, e))?
     }
 
     fn stage_status(&self, path: &str) -> Result<Option<StageStatus>> {
-        let path = normalize_path(path);
-        let _g = self.locks.read(&path);
-        Ok(self.stages.lock().get(&path).map(|s| StageStatus {
+        Ok(self.stages.lock().get(path).map(|s| StageStatus {
             staged: s.data.len() as u64,
             total: s.total,
         }))
     }
 
     fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus> {
-        let path = normalize_path(path);
-        let _g = self.locks.write(&path);
-        Self::stage_append_in(&mut self.stages.lock(), &path, offset, total, data)
+        Self::stage_append_in(&mut self.stages.lock(), path, offset, total, data)
     }
 
     fn stage_copy_from(
@@ -557,39 +426,27 @@ impl Repository for MemRepository {
         src_start: u64,
         src_len: u64,
     ) -> Result<StageStatus> {
-        let path = normalize_path(path);
-        let srcn = normalize_path(src);
-        // copy_doc also covers src == path: the plan merger collapses
-        // the pair to one exclusive hold, so delta-syncing a resource
-        // against its own previous version cannot deadlock.
-        let _g = self.locks.copy_doc(&srcn, &path);
-        let chunk = {
-            let nodes = self.nodes.lock();
-            let n = nodes
-                .get(&srcn)
-                .ok_or_else(|| DavError::NotFound(srcn.clone()))?;
+        let chunk = self.with_node(src, |n| {
             if n.is_collection {
-                return Err(DavError::Conflict(format!("{srcn} is a collection")));
+                return Err(DavError::Conflict(format!("{src} is a collection")));
             }
             let slen = n.data.len() as u64;
             if src_start.checked_add(src_len).map_or(true, |end| end > slen) {
                 return Err(DavError::BadRequest(format!(
-                    "source range {src_start}+{src_len} exceeds {slen}-byte {srcn}"
+                    "source range {src_start}+{src_len} exceeds {slen}-byte {src}"
                 )));
             }
-            n.data[src_start as usize..(src_start + src_len) as usize].to_vec()
-        };
-        Self::stage_append_in(&mut self.stages.lock(), &path, offset, total, &chunk)
+            Ok(n.data[src_start as usize..(src_start + src_len) as usize].to_vec())
+        })??;
+        Self::stage_append_in(&mut self.stages.lock(), path, offset, total, &chunk)
     }
 
     fn stage_commit(&self, path: &str, content_type: Option<&str>) -> Result<bool> {
-        let path = normalize_path(path);
-        let _g = self.locks.write_with_parent(&path);
         // Lock order: stages before nodes (documented on the field).
         let mut stages = self.stages.lock();
         let mut nodes = self.nodes.lock();
         let stage = stages
-            .get(&path)
+            .get(path)
             .ok_or_else(|| DavError::Conflict(format!("no staged upload for {path}")))?;
         if stage.data.len() as u64 != stage.total {
             return Err(DavError::Conflict(format!(
@@ -598,47 +455,29 @@ impl Repository for MemRepository {
                 stage.total
             )));
         }
-        Self::require_parent_in(&nodes, &path)?;
-        if nodes.get(&path).map(|n| n.is_collection).unwrap_or(false) {
+        Self::require_parent_in(&nodes, path)?;
+        if nodes.get(path).is_some_and(|n| n.is_collection) {
             return Err(DavError::Conflict(format!("{path} is a collection")));
         }
-        let data = stages.remove(&path).expect("checked above").data;
-        let now = SystemTime::now();
-        match nodes.get_mut(&path) {
+        let data = stages.remove(path).expect("checked above").data;
+        match nodes.get_mut(path) {
             Some(n) => {
-                n.data = data;
-                n.modified = now;
-                if content_type.is_some() {
-                    n.content_type = content_type.map(str::to_owned);
-                }
+                n.overwrite(data, content_type);
                 Ok(false)
             }
             None => {
-                nodes.insert(
-                    path,
-                    MemNode {
-                        is_collection: false,
-                        data,
-                        content_type: content_type.map(str::to_owned),
-                        created: now,
-                        modified: now,
-                        props: BTreeMap::new(),
-                    },
-                );
+                nodes.insert(path.to_owned(), MemNode::document(data, content_type));
                 Ok(true)
             }
         }
     }
 
     fn stage_abort(&self, path: &str) -> Result<()> {
-        let path = normalize_path(path);
-        let _g = self.locks.write(&path);
-        self.stages.lock().remove(&path);
+        self.stages.lock().remove(path);
         Ok(())
     }
 
     fn disk_usage(&self) -> Result<u64> {
-        let _g = self.locks.subtree_read();
         let nodes = self.nodes.lock();
         Ok(nodes
             .values()
@@ -656,6 +495,7 @@ impl Repository for MemRepository {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repo::Repository;
 
     #[test]
     fn crud_cycle() {

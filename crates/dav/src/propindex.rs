@@ -73,6 +73,11 @@ pub struct IndexStats {
     pub misses: u64,
     /// Live (path, property) entries.
     pub entries: u64,
+    /// Snapshots written (journal folded into a fresh snapshot).
+    pub compactions: u64,
+    /// 1 when [`PropIndex::open`] found the persisted index missing or
+    /// corrupt, so the repository rebuilt it from its stored properties.
+    pub rebuilt_on_open: u64,
 }
 
 /// How one property value is held in the index.
@@ -101,6 +106,8 @@ struct State {
     /// Journal handle; `None` for memory-only indexes (or after an
     /// append error permanently disabled persistence).
     journal: Option<Journal>,
+    /// Snapshots written by [`State::compact`].
+    compactions: u64,
 }
 
 #[derive(Debug)]
@@ -136,15 +143,6 @@ fn in_tree(p: &str, root: &str) -> bool {
 }
 
 // ---- record (de)serialisation ----
-
-fn fnv64(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Escape a field so records stay one-line, space-separated.
 fn esc(s: &str) -> String {
@@ -197,12 +195,12 @@ impl Record {
             Record::CopyTree(s, d) => format!("cptree {} {}", esc(s), esc(d)),
             Record::MoveTree(s, d) => format!("mvtree {} {}", esc(s), esc(d)),
         };
-        format!("{:016x} {payload}", fnv64(payload.as_bytes()))
+        format!("{:016x} {payload}", pse_cache::fnv1a_64(payload.as_bytes()))
     }
 
     fn parse(line: &str) -> Option<Record> {
         let (sum, payload) = line.split_once(' ')?;
-        if u64::from_str_radix(sum, 16).ok()? != fnv64(payload.as_bytes()) {
+        if u64::from_str_radix(sum, 16).ok()? != pse_cache::fnv1a_64(payload.as_bytes()) {
             return None;
         }
         let fields: Vec<&str> = payload.split(' ').collect();
@@ -490,6 +488,7 @@ impl State {
             self.journal = None;
             return;
         }
+        self.compactions += 1;
         match fs::OpenOptions::new()
             .create(true)
             .write(true)
@@ -518,6 +517,7 @@ pub struct PropIndex {
     state: Mutex<State>,
     hits: AtomicU64,
     misses: AtomicU64,
+    rebuilt_on_open: bool,
 }
 
 impl Default for PropIndex {
@@ -533,6 +533,7 @@ impl PropIndex {
             state: Mutex::new(State::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            rebuilt_on_open: false,
         }
     }
 
@@ -558,8 +559,9 @@ impl PropIndex {
                 records: 0,
                 dir: dir.to_path_buf(),
             });
-        let idx = PropIndex::new();
-        idx.state.lock().journal = journal;
+        let mut idx = PropIndex::new();
+        idx.state.get_mut().journal = journal;
+        idx.rebuilt_on_open = true;
         (idx, true)
     }
 
@@ -616,6 +618,7 @@ impl PropIndex {
             state: Mutex::new(state),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            rebuilt_on_open: false,
         })
     }
 
@@ -714,10 +717,13 @@ impl PropIndex {
 
     /// Probe / size counters.
     pub fn stats(&self) -> IndexStats {
+        let state = self.state.lock();
         IndexStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.state.lock().entries(),
+            entries: state.entries(),
+            compactions: state.compactions,
+            rebuilt_on_open: self.rebuilt_on_open as u64,
         }
     }
 }

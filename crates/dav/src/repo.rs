@@ -7,7 +7,11 @@
 //! anything about Ecce's schema — that is the point.
 
 use crate::error::{DavError, Result};
+use crate::pathlock::{PathGuard, PathLockStats, PathLocks};
 use crate::property::{Property, PropertyName};
+use crate::propindex::{IndexStats, PropIndex};
+use pse_http::uri::normalize_path;
+use std::sync::{Arc, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Metadata the protocol layer needs about one resource.
@@ -98,7 +102,7 @@ pub trait Repository: Send + Sync + 'static {
     /// Contribute repository-level statistics (caches, storage engines)
     /// to a metric registry. Called once when the repository is wrapped
     /// by a `DavHandler`; the default contributes nothing.
-    fn register_obs(&self, _registry: &std::sync::Arc<pse_obs::Registry>) {}
+    fn register_obs(&self, _registry: &Arc<pse_obs::Registry>) {}
 
     /// Does a resource exist at `path`?
     fn exists(&self, path: &str) -> bool;
@@ -370,6 +374,416 @@ pub fn require_parent(repo: &dyn Repository, path: &str) -> Result<()> {
         return Err(DavError::Conflict(parent));
     }
     Ok(())
+}
+
+// ---- the lock-and-index layer every repository shares ----------------
+
+/// One successful mutation, as a [`Repo`]'s commit hook sees it. Paths
+/// are canonical. A staged commit arrives as the `Put` of the body read
+/// back under the commit's plan, so a consumer never needs the stage.
+#[derive(Debug, Clone, Copy)]
+pub enum Change<'a> {
+    /// A document body written (PUT or a staged commit).
+    Put {
+        path: &'a str,
+        data: &'a [u8],
+        content_type: Option<&'a str>,
+    },
+    /// A collection created.
+    Mkcol { path: &'a str },
+    /// A resource removed, with its subtree.
+    Delete { path: &'a str },
+    /// A resource copied, with its subtree and dead properties.
+    Copy {
+        src: &'a str,
+        dst: &'a str,
+        overwrite: bool,
+    },
+    /// A resource moved, with its subtree and dead properties.
+    Rename {
+        src: &'a str,
+        dst: &'a str,
+        overwrite: bool,
+    },
+    /// Dead properties set or removed in order: a PROPPATCH, or one
+    /// `set_prop` / effective `remove_prop` as a one-instruction batch.
+    PatchProps { path: &'a str, ops: &'a [PropPatchOp] },
+}
+
+/// Storage primitives under a [`Repo`]. Every method is called on a
+/// canonical path with the lock plan [`Repo`] chose for the operation
+/// already held, so an implementation only guards its own internals;
+/// it never takes path locks and never touches the property index.
+/// A method named like a [`Repository`] method has its meaning (COPY
+/// and MOVE arrive with overlapping pairs already rejected).
+pub trait Store: Send + Sync + 'static {
+    /// Contribute storage-level statistics (caches, engines).
+    fn register_obs(&self, _registry: &Arc<pse_obs::Registry>) {}
+    /// Does a resource exist at `path`?
+    fn exists(&self, path: &str) -> bool;
+    /// Is `path` a collection right now (`false` when absent)? Read
+    /// before a plan is chosen and again under it.
+    fn is_collection(&self, path: &str) -> bool;
+    fn meta(&self, path: &str) -> Result<ResourceMeta>;
+    fn get(&self, path: &str) -> Result<Vec<u8>>;
+    fn put(&self, path: &str, data: &[u8], content_type: Option<&str>) -> Result<bool>;
+    fn mkcol(&self, path: &str) -> Result<()>;
+    fn delete(&self, path: &str) -> Result<()>;
+    fn copy(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool>;
+    fn rename(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool>;
+    fn list(&self, path: &str) -> Result<Vec<String>>;
+    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>>;
+    fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>>;
+    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>>;
+    fn all_props(&self, path: &str) -> Result<Vec<Property>>;
+    /// Every dead property of `path` as (name, text value): what the
+    /// property index holds for it. `NotFound` when absent.
+    fn index_entries(&self, path: &str) -> Result<Vec<(PropertyName, String)>>;
+    fn set_prop(&self, path: &str, prop: &Property) -> Result<()>;
+    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool>;
+    fn patch_props(&self, path: &str, ops: &[PropPatchOp])
+        -> std::result::Result<(), (usize, DavError)>;
+    fn disk_usage(&self) -> Result<u64>;
+    fn stage_status(&self, path: &str) -> Result<Option<StageStatus>>;
+    fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus>;
+    fn stage_copy_from(
+        &self,
+        path: &str,
+        offset: u64,
+        total: u64,
+        src: &str,
+        src_start: u64,
+        src_len: u64,
+    ) -> Result<StageStatus>;
+    fn stage_commit(&self, path: &str, content_type: Option<&str>) -> Result<bool>;
+    fn stage_abort(&self, path: &str) -> Result<()>;
+}
+
+type CommitHook = dyn Fn(&Change<'_>) -> Result<()> + Send + Sync;
+
+/// A [`Store`] under the one locking policy every repository shares:
+/// path normalisation, the path-lock plan of each operation (see
+/// [`crate::pathlock`]), the classify-and-recheck loop of DELETE, COPY
+/// and MOVE, upkeep of the SEARCH property index, and an optional
+/// commit hook that sees every successful mutation while its plan is
+/// still held — so for two conflicting mutations, hook order equals
+/// apply order.
+pub struct Repo<S: Store> {
+    store: S,
+    locks: Arc<PathLocks>,
+    /// Secondary property index, updated under the same plans that
+    /// order the mutations (a leaf lock: never held while acquiring a
+    /// path lock).
+    index: Arc<PropIndex>,
+    hook: OnceLock<Box<CommitHook>>,
+}
+
+impl<S: Store> Repo<S> {
+    /// Put `store` under the lock table `locks` and the index `index`.
+    pub fn from_parts(store: S, locks: PathLocks, index: PropIndex) -> Repo<S> {
+        Repo {
+            store,
+            locks: Arc::new(locks),
+            index: Arc::new(index),
+            hook: OnceLock::new(),
+        }
+    }
+
+    /// Install the commit hook (once; later calls are ignored, as for
+    /// [`crate::version::VersionStore::set_journal`]). It runs after
+    /// each successful mutation, under that mutation's lock plan; its
+    /// error becomes the caller's error, though the mutation stays
+    /// applied.
+    pub fn set_commit_hook(&self, hook: impl Fn(&Change<'_>) -> Result<()> + Send + Sync + 'static) {
+        let _ = self.hook.set(Box::new(hook));
+    }
+
+    /// Re-derive the property index from the stored properties of every
+    /// resource and persist a fresh snapshot. Runs at open, before the
+    /// repository is shared; callers invoking it on a live repository
+    /// must exclude writers themselves.
+    pub fn rebuild_index(&self) -> Result<()> {
+        let mut paths = Vec::new();
+        self.walk("/", None, &mut |p| paths.push(p.to_owned()))?;
+        for path in paths {
+            if let Ok(entries) = self.store.index_entries(&path) {
+                self.index.set_path(&path, &entries);
+            }
+        }
+        self.index.compact();
+        Ok(())
+    }
+
+    /// The path-lock table (tests assert on its counters).
+    pub fn path_locks(&self) -> &PathLocks {
+        &self.locks
+    }
+
+    /// Path-lock counters (acquisitions, contended plans, wait time).
+    pub fn lock_stats(&self) -> PathLockStats {
+        self.locks.stats()
+    }
+
+    /// Property-index counters (tests assert SEARCH goes indexed).
+    pub fn index_stats(&self) -> IndexStats {
+        self.index.stats()
+    }
+
+    pub(crate) fn store(&self) -> &S {
+        &self.store
+    }
+
+    fn commit(&self, change: Change<'_>) -> Result<()> {
+        match self.hook.get() {
+            Some(hook) => hook(&change),
+            None => Ok(()),
+        }
+    }
+
+    fn read<T>(&self, path: &str, op: impl FnOnce(&S, &str) -> T) -> T {
+        let path = normalize_path(path);
+        let _g = self.locks.read(&path);
+        op(&self.store, &path)
+    }
+
+    fn write<T>(&self, path: &str, op: impl FnOnce(&S, &str) -> T) -> T {
+        let path = normalize_path(path);
+        let _g = self.locks.write(&path);
+        op(&self.store, &path)
+    }
+
+    /// The plan for DELETE, COPY and MOVE. While any of `paths` is a
+    /// collection the affected set cannot be enumerated in advance, so
+    /// the plan is the subtree intent; otherwise it is `point`. The
+    /// classification is read before locking, so it is rechecked under
+    /// the acquired plan and the acquisition retried if a concurrent
+    /// operation changed it.
+    fn plan<'a>(&'a self, paths: &[&str], point: impl Fn() -> PathGuard<'a>) -> PathGuard<'a> {
+        let subtree = || paths.iter().any(|p| self.store.is_collection(p));
+        loop {
+            let planned = subtree();
+            let guard = if planned { self.locks.subtree() } else { point() };
+            if subtree() == planned {
+                return guard;
+            }
+        }
+    }
+}
+
+impl<S: Store> Repository for Repo<S> {
+    fn register_obs(&self, registry: &Arc<pse_obs::Registry>) {
+        // Acquisition/contention counters and the live lock-wait
+        // histogram under `dav.pathlock.*`.
+        self.locks.register_obs(registry, "dav.pathlock");
+        let index = Arc::downgrade(&self.index);
+        registry.register_source("dav.propindex", move |snap| {
+            let Some(index) = index.upgrade() else { return };
+            let s = index.stats();
+            snap.set_gauge("dav.propindex.entries", s.entries as i64);
+            snap.set_counter("dav.propindex.hits", s.hits);
+            snap.set_counter("dav.propindex.misses", s.misses);
+            snap.set_counter("dav.propindex.compactions", s.compactions);
+            snap.set_counter("dav.propindex.rebuilt_on_open", s.rebuilt_on_open);
+        });
+        self.store.register_obs(registry);
+    }
+
+    fn exists(&self, path: &str) -> bool {
+        self.read(path, S::exists)
+    }
+
+    fn meta(&self, path: &str) -> Result<ResourceMeta> {
+        self.read(path, S::meta)
+    }
+
+    fn get(&self, path: &str) -> Result<Vec<u8>> {
+        self.read(path, S::get)
+    }
+
+    fn put(&self, path: &str, data: &[u8], content_type: Option<&str>) -> Result<bool> {
+        let path = normalize_path(path);
+        let _g = self.locks.write_with_parent(&path);
+        let created = self.store.put(&path, data, content_type)?;
+        self.commit(Change::Put {
+            path: &path,
+            data,
+            content_type,
+        })?;
+        Ok(created)
+    }
+
+    fn mkcol(&self, path: &str) -> Result<()> {
+        let path = normalize_path(path);
+        let _g = self.locks.write_with_parent(&path);
+        self.store.mkcol(&path)?;
+        self.commit(Change::Mkcol { path: &path })
+    }
+
+    fn delete(&self, path: &str) -> Result<()> {
+        let path = normalize_path(path);
+        let _g = self.plan(&[&path], || self.locks.write_with_parent(&path));
+        self.store.delete(&path)?;
+        self.index.remove_tree(&path);
+        self.commit(Change::Delete { path: &path })
+    }
+
+    fn copy(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool> {
+        let (src, dst) = (normalize_path(src), normalize_path(dst));
+        check_copy_overlap(&src, &dst)?;
+        let _g = self.plan(&[&src, &dst], || self.locks.copy_doc(&src, &dst));
+        let created = self.store.copy(&src, &dst, overwrite)?;
+        self.index.remove_tree(&dst);
+        self.index.copy_tree(&src, &dst);
+        self.commit(Change::Copy {
+            src: &src,
+            dst: &dst,
+            overwrite,
+        })?;
+        Ok(created)
+    }
+
+    fn rename(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool> {
+        let (src, dst) = (normalize_path(src), normalize_path(dst));
+        check_copy_overlap(&src, &dst)?;
+        // A document rename is two directory events; write-locking both
+        // parents keeps listings from observing the halfway state.
+        let _g = self.plan(&[&src, &dst], || self.locks.rename_pair(&src, &dst));
+        let created = self.store.rename(&src, &dst, overwrite)?;
+        self.index.remove_tree(&dst);
+        self.index.move_tree(&src, &dst);
+        self.commit(Change::Rename {
+            src: &src,
+            dst: &dst,
+            overwrite,
+        })?;
+        Ok(created)
+    }
+
+    fn list(&self, path: &str) -> Result<Vec<String>> {
+        self.read(path, S::list)
+    }
+
+    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
+        self.read(path, |s, p| s.get_prop(p, name))
+    }
+
+    fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
+        self.read(path, |s, p| s.get_props(p, names))
+    }
+
+    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
+        self.read(path, S::list_props)
+    }
+
+    fn all_props(&self, path: &str) -> Result<Vec<Property>> {
+        self.read(path, S::all_props)
+    }
+
+    fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
+        self.write(path, |s, p| {
+            s.set_prop(p, prop)?;
+            self.index.set(p, &prop.name, &prop.text_value());
+            self.commit(Change::PatchProps {
+                path: p,
+                ops: &[PropPatchOp::Set(prop.clone())],
+            })
+        })
+    }
+
+    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
+        self.write(path, |s, p| {
+            let removed = s.remove_prop(p, name)?;
+            if removed {
+                self.index.remove(p, name);
+                self.commit(Change::PatchProps {
+                    path: p,
+                    ops: &[PropPatchOp::Remove(name.clone())],
+                })?;
+            }
+            Ok(removed)
+        })
+    }
+
+    fn patch_props(
+        &self,
+        path: &str,
+        ops: &[PropPatchOp],
+    ) -> std::result::Result<(), (usize, DavError)> {
+        self.write(path, |s, p| {
+            if let Err(fail) = s.patch_props(p, ops) {
+                // A best-effort rollback may have left the stored set
+                // anywhere between old and new: re-derive this path's
+                // entries from what is actually stored.
+                if let Ok(entries) = s.index_entries(p) {
+                    self.index.set_path(p, &entries);
+                }
+                return Err(fail);
+            }
+            for op in ops {
+                match op {
+                    PropPatchOp::Set(prop) => self.index.set(p, &prop.name, &prop.text_value()),
+                    PropPatchOp::Remove(name) => self.index.remove(p, name),
+                }
+            }
+            self.commit(Change::PatchProps { path: p, ops })
+                .map_err(|e| (0, e))
+        })
+    }
+
+    fn disk_usage(&self) -> Result<u64> {
+        let _g = self.locks.subtree_read();
+        self.store.disk_usage()
+    }
+
+    fn stage_status(&self, path: &str) -> Result<Option<StageStatus>> {
+        self.read(path, S::stage_status)
+    }
+
+    fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus> {
+        self.write(path, |s, p| s.stage_append(p, offset, total, data))
+    }
+
+    fn stage_copy_from(
+        &self,
+        path: &str,
+        offset: u64,
+        total: u64,
+        src: &str,
+        src_start: u64,
+        src_len: u64,
+    ) -> Result<StageStatus> {
+        let (path, src) = (normalize_path(path), normalize_path(src));
+        // copy_doc also covers src == path: the plan merger collapses
+        // the pair to one exclusive hold, so delta-syncing a resource
+        // against its own previous version cannot deadlock.
+        let _g = self.locks.copy_doc(&src, &path);
+        self.store
+            .stage_copy_from(&path, offset, total, &src, src_start, src_len)
+    }
+
+    fn stage_commit(&self, path: &str, content_type: Option<&str>) -> Result<bool> {
+        let path = normalize_path(path);
+        let _g = self.locks.write_with_parent(&path);
+        let created = self.store.stage_commit(&path, content_type)?;
+        if self.hook.get().is_some() {
+            let data = self.store.get(&path)?;
+            let content_type = self.store.meta(&path)?.content_type;
+            self.commit(Change::Put {
+                path: &path,
+                data: &data,
+                content_type: content_type.as_deref(),
+            })?;
+        }
+        Ok(created)
+    }
+
+    fn stage_abort(&self, path: &str) -> Result<()> {
+        self.write(path, S::stage_abort)
+    }
+
+    fn index_probe(&self, probe: &crate::propindex::Probe) -> Option<Vec<String>> {
+        self.index.probe(probe)
+    }
 }
 
 // ---- date formatting (no chrono offline; civil-from-days arithmetic) ----

@@ -58,8 +58,9 @@ mod tests {
     #[test]
     fn metrics_scrape_covers_every_layer() {
         // One scrape of /.well-known/metrics must surface the transport
-        // (http.*), dispatch (dav.*), property cache (dav.prop_cache.*)
-        // and storage engine (dbm.*) in a single exposition.
+        // (http.*), dispatch (dav.*), property cache (dav.prop_cache.*),
+        // property index (dav.propindex.*) and storage engine (dbm.*) in
+        // a single exposition.
         let dir = std::env::temp_dir().join(format!("pse-dav-obs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
@@ -124,6 +125,14 @@ mod tests {
         assert_eq!(metric(&text, "dav.search.narrowed"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.search.candidates"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.search.matched"), Some(1), "{text}");
+        // Property index: the PROPPATCH made one entry and the SEARCH
+        // probe hit. A fresh root has no persisted index, so opening it
+        // rebuilt (and compacted) one.
+        assert_eq!(metric(&text, "dav.propindex.entries"), Some(1), "{text}");
+        assert_eq!(metric(&text, "dav.propindex.hits"), Some(1), "{text}");
+        assert_eq!(metric(&text, "dav.propindex.misses"), Some(0), "{text}");
+        assert_eq!(metric(&text, "dav.propindex.rebuilt_on_open"), Some(1), "{text}");
+        assert_eq!(metric(&text, "dav.propindex.compactions"), Some(1), "{text}");
         // Storage engine statics.
         assert!(metric(&text, "dbm.page_writes").unwrap() >= 1, "{text}");
         // Path-lock table: every repository call above went through a

@@ -31,7 +31,9 @@
 #    the consistent-hash router in-process, with the staleness /
 #    torn-write / MOVE-atomicity detectors pointed through the router,
 #    a replica-kill failover smoke, snapshot resync after log
-#    compaction, and repro_cluster --check (read throughput must rise
+#    compaction, the pse-cluster suites (replay convergence, commit-hook
+#    logging, racing writes logged in apply order on mem and fs), and
+#    repro_cluster --check (read throughput must rise
 #    monotonically 1 -> 2 -> 4 replicas with zero failover errors).
 #    PSE_CLUSTER_OPS / PSE_CLUSTER_THREADS are honoured when set.
 # 10. With --bulk: the bulk-transfer gate — range/conditional-request/
@@ -50,8 +52,9 @@
 #    snapshots, with byte-identical reads), emitting
 #    target/bench-json/versions.json.
 # 12. With --search: the indexed-search gate — the SEARCH correctness
-#    sweep (index ≡ scan equivalence proptests over mem/fs/logged
-#    repositories; the mem/fs battery also runs each query with a
+#    sweep (index ≡ scan equivalence proptests over mem/fs repositories
+#    and an fs repository whose commit hook feeds the change log; the
+#    mem/fs battery also runs each query with a
 #    DAV:select, narrowed to the named properties, and compares it with
 #    the allprop scan projected onto the select, with and without the
 #    property cache; the SEARCH-vs-DELETE race, gzip + fault-proxy
@@ -144,7 +147,7 @@ if [ "$CLUSTER" = 1 ]; then
     export PSE_CLUSTER_OPS PSE_CLUSTER_THREADS
     echo "==> cluster gate: replication invariants through the router (threads=$PSE_CLUSTER_THREADS, ops=$PSE_CLUSTER_OPS)"
     cargo test -q --test cluster
-    echo "==> cluster gate: replay convergence property tests"
+    echo "==> cluster gate: replay convergence, commit hook and apply-order race tests"
     cargo test -q -p pse-cluster
     echo "==> cluster gate: repro_cluster --check (monotonic read scaling + clean failover)"
     cargo build --release -p pse-bench --bin repro_cluster
@@ -171,7 +174,7 @@ if [ "$SEARCH" = 1 ]; then
     cargo test -q -p pse-dav --test search_equiv
     echo "==> search gate: SEARCH routing + replica index coherence through the cluster"
     cargo test -q --test cluster -- search_routes_to_replicas_and_replica_indexes_agree \
-        logged_repository_index_equivalent_to_scan
+        hooked_repository_index_equivalent_to_scan
     echo "==> search gate: repro_search --check (>= 10x over walk-and-scan on 10k resources)"
     cargo build --release -p pse-bench --bin repro_search
     ./target/release/repro_search --check

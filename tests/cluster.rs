@@ -685,7 +685,7 @@ fn compaction_forces_snapshot_resync() {
 use davpse::dav::fsrepo::{FsConfig, FsRepository};
 use davpse::dav::repo::PropPatchOp;
 use davpse::dav::search::{self, Condition, Query};
-use pse_cluster::{ChangeLog, LoggedRepository};
+use pse_cluster::ChangeLog;
 
 fn formula() -> PropertyName {
     PropertyName::new("urn:cluster", "formula")
@@ -742,7 +742,7 @@ fn search_routes_to_replicas_and_replica_indexes_agree() {
     let q = Query::new("/calcs", Condition::Eq(formula(), "H2O".to_owned()));
     let primary_repo = cluster.primary.as_ref().unwrap().repo();
     let out = search::execute_paged(primary_repo.as_ref(), &q).unwrap();
-    assert!(out.indexed, "primary's logged repository did not use its index");
+    assert!(out.indexed, "primary's repository did not use its index");
     assert_eq!(
         out.ms.to_xml(),
         search::execute_scan(primary_repo.as_ref(), &q).unwrap().to_xml()
@@ -760,17 +760,15 @@ fn search_routes_to_replicas_and_replica_indexes_agree() {
     }
 }
 
-/// Index ≡ scan through the logging wrapper: every mutation is both
-/// journalled for shipping and mirrored into the index, and the two
-/// views must never drift.
+/// Index ≡ scan on a repository whose commit hook feeds the change
+/// log: every mutation is both journalled for shipping and mirrored
+/// into the index, and the two views must never drift.
 #[test]
-fn logged_repository_index_equivalent_to_scan() {
-    let dir = temp_dir("logged-eq");
+fn hooked_repository_index_equivalent_to_scan() {
+    let dir = temp_dir("hooked-eq");
     let log = ChangeLog::open(&dir.join("log")).unwrap();
-    let repo = LoggedRepository::new(
-        FsRepository::create(&dir.join("data"), FsConfig::default()).unwrap(),
-        log,
-    );
+    let repo = FsRepository::create(&dir.join("data"), FsConfig::default()).unwrap();
+    log.record_commits(&repo);
     let names = prop_names();
     let vals = ["H2O", "UO2", "0", "-2.5", "3.5", "long"];
     repo.mkcol("/a").unwrap();
@@ -822,7 +820,7 @@ fn logged_repository_index_equivalent_to_scan() {
         assert_eq!(
             search::execute(&repo, &q).unwrap().to_xml(),
             search::execute_scan(&repo, &q).unwrap().to_xml(),
-            "logged repository: query #{i} diverged"
+            "hooked repository: query #{i} diverged"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
