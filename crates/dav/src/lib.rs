@@ -83,5 +83,5 @@ pub use multistatus::Multistatus;
 pub use pathlock::{PathGuard, PathLocks};
 pub use propindex::{IndexStats, PropIndex};
 pub use property::{Property, PropertyName};
-pub use repo::{Repo, Repository, Store};
+pub use repo::Repository;
 pub use translate::{SchemaMap, TranslatingRepository};

@@ -92,6 +92,12 @@ pub struct MemStore {
     stages: Mutex<HashMap<String, MemStage>>,
 }
 
+impl Default for Repo<MemStore> {
+    fn default() -> MemRepository {
+        MemRepository::new()
+    }
+}
+
 impl Repo<MemStore> {
     /// A repository containing only the root collection.
     pub fn new() -> MemRepository {

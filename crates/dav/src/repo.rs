@@ -9,7 +9,7 @@
 use crate::error::{DavError, Result};
 use crate::pathlock::{PathGuard, PathLockStats, PathLocks};
 use crate::property::{Property, PropertyName};
-use crate::propindex::{IndexStats, PropIndex};
+use crate::propindex::PropIndex;
 use pse_http::uri::normalize_path;
 use std::sync::{Arc, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -514,19 +514,9 @@ impl<S: Store> Repo<S> {
         Ok(())
     }
 
-    /// The path-lock table (tests assert on its counters).
-    pub fn path_locks(&self) -> &PathLocks {
-        &self.locks
-    }
-
     /// Path-lock counters (acquisitions, contended plans, wait time).
     pub fn lock_stats(&self) -> PathLockStats {
         self.locks.stats()
-    }
-
-    /// Property-index counters (tests assert SEARCH goes indexed).
-    pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
     }
 
     pub(crate) fn store(&self) -> &S {
