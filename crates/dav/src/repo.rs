@@ -946,4 +946,31 @@ mod tests {
         m3.modified = at(101);
         assert_ne!(m1.etag(), m3.etag());
     }
+
+    #[test]
+    fn commit_hook_sees_canonical_paths_and_its_error_reaches_the_caller() {
+        use std::sync::Mutex;
+        let repo = crate::memrepo::MemRepository::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        repo.set_commit_hook(move |change| {
+            log.lock().unwrap().push(format!("{change:?}"));
+            match change {
+                Change::PatchProps { .. } => Err(DavError::BadRequest("hook refused".into())),
+                _ => Ok(()),
+            }
+        });
+        repo.mkcol("/c//").unwrap();
+        let name = PropertyName::new("urn:x", "p");
+        let prop = Property::text(name.clone(), "v");
+        // The mutation stays applied; the hook's error is the caller's.
+        assert!(matches!(repo.set_prop("/c", &prop), Err(DavError::BadRequest(_))));
+        assert_eq!(repo.get_prop("/c", &name).unwrap().unwrap().text_value(), "v");
+        let (i, e) = repo.patch_props("/c", &[PropPatchOp::Remove(name)]).unwrap_err();
+        assert_eq!(i, 0);
+        assert!(matches!(e, DavError::BadRequest(_)));
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 3, "{seen:?}");
+        assert!(seen[0].starts_with("Mkcol { path: \"/c\""), "{seen:?}");
+    }
 }
