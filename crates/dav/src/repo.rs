@@ -480,7 +480,7 @@ pub struct Repo<S: Store> {
 
 impl<S: Store> Repo<S> {
     /// Put `store` under the lock table `locks` and the index `index`.
-    pub fn from_parts(store: S, locks: PathLocks, index: PropIndex) -> Repo<S> {
+    pub(crate) fn from_parts(store: S, locks: PathLocks, index: PropIndex) -> Repo<S> {
         Repo {
             store,
             locks: Arc::new(locks),
