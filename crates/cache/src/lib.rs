@@ -239,6 +239,21 @@ where
         Some(value)
     }
 
+    /// Look up `key` without refreshing its recency or counting a hit
+    /// or miss, for callers that use a value only when it happens to be
+    /// cached. Stale and expired entries read as absent and stay for
+    /// [`get`](Self::get) to drop.
+    pub fn peek(&self, key: &K) -> Option<V> {
+        let generation = self.generation.load(Ordering::Acquire);
+        let shard = self.lock(key);
+        shard
+            .map
+            .get(key)
+            .filter(|e| e.generation == generation)
+            .filter(|e| e.expires.is_none_or(|t| Instant::now() < t))
+            .map(|e| e.value.clone())
+    }
+
     /// Store `value` under `key` with an explicit byte cost, evicting
     /// LRU entries as needed. Values too large for a shard's budget are
     /// simply not stored.
@@ -445,6 +460,23 @@ mod tests {
         assert_eq!(c.get(&"a".to_string()), Some(vec![1, 2, 3]));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
+    }
+
+    #[test]
+    fn peek_neither_counts_nor_refreshes() {
+        let c = cache(10);
+        assert_eq!(c.peek(&"a".to_string()), None);
+        c.insert("a".into(), vec![1; 4], 4);
+        c.insert("b".into(), vec![2; 4], 4);
+        assert_eq!(c.peek(&"a".to_string()), Some(vec![1; 4]));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (0, 0));
+        // "a" is still least recently used, so the next insert evicts it.
+        c.insert("c".into(), vec![3; 4], 4);
+        assert_eq!(c.peek(&"a".to_string()), None);
+        assert_eq!(c.peek(&"b".to_string()), Some(vec![2; 4]));
+        c.invalidate_all();
+        assert_eq!(c.peek(&"b".to_string()), None, "stale generation");
     }
 
     #[test]

@@ -706,9 +706,13 @@ impl DavClient {
         Ok(self.expect(resp, &[201, 204], "MOVE")?.status.code() == 201)
     }
 
-    /// Does a resource exist? (PROPFIND depth 0.)
+    /// Does a resource exist? (PROPFIND depth 0 naming only
+    /// `DAV:resourcetype`, so the server reads no dead property.)
     pub fn exists(&mut self, path: &str) -> Result<bool> {
-        let req = Request::new(Method::PropFind, path).with_header("Depth", "0");
+        let body = Self::propfind_body(Some(&[PropertyName::dav("resourcetype")]), false);
+        let req = Request::new(Method::PropFind, path)
+            .with_header("Depth", "0")
+            .with_xml_body(body);
         let resp = self.http.send(req)?;
         match resp.status.code() {
             207 => Ok(true),

@@ -269,26 +269,32 @@ impl FsStore {
     fn meta_and_snapshot(&self, norm: &str) -> Result<(ResourceMeta, Arc<PropSnapshot>)> {
         let fsp = self.check_exists(norm)?;
         let m = fs::metadata(&fsp)?;
-        let fs_modified = m.modified().unwrap_or(SystemTime::now());
         let snap = self.snapshot(norm)?;
-        // Fold the property database's mtime into the resource's
-        // modification time so PROPPATCH moves the ETag, not just PUT.
-        let modified = match snap.props_mtime {
-            Some(t) => fs_modified.max(t),
-            None => fs_modified,
-        };
-        let meta = ResourceMeta {
+        let mut meta = self.meta_from(norm, &m, snap.props_mtime);
+        if m.is_file() {
+            meta.content_type = snap.content_type.clone();
+        }
+        Ok((meta, snap))
+    }
+
+    /// Metadata without the content type, from the filesystem's
+    /// metadata and the property database's mtime.
+    fn meta_from(
+        &self,
+        norm: &str,
+        m: &fs::Metadata,
+        props_mtime: Option<SystemTime>,
+    ) -> ResourceMeta {
+        let fs_modified = m.modified().unwrap_or(SystemTime::now());
+        ResourceMeta {
             is_collection: m.is_dir(),
             content_length: if m.is_file() { m.len() } else { 0 },
-            modified,
+            // Fold the property database's mtime into the resource's
+            // modification time so PROPPATCH moves the ETag, not just PUT.
+            modified: props_mtime.map_or(fs_modified, |t| fs_modified.max(t)),
             created: self.created_of(norm).unwrap_or(fs_modified),
-            content_type: if m.is_file() {
-                snap.content_type.clone()
-            } else {
-                None
-            },
-        };
-        Ok((meta, snap))
+            content_type: None,
+        }
     }
 
     /// Recursive filesystem copy including `.DAV` property databases.
@@ -620,6 +626,18 @@ impl Store for FsStore {
 
     fn meta(&self, path: &str) -> Result<ResourceMeta> {
         Ok(self.meta_and_snapshot(path)?.0)
+    }
+
+    fn stat(&self, path: &str) -> Result<ResourceMeta> {
+        // Reads no property database and moves no cache counter: a
+        // cached snapshot supplies the database's mtime, else the
+        // filesystem does.
+        let m = fs::metadata(self.check_exists(path)?)?;
+        let props_mtime = match self.prop_cache.peek(&path.to_owned()) {
+            Some(snap) => snap.props_mtime,
+            None => self.props_file_mtime(path),
+        };
+        Ok(self.meta_from(path, &m, props_mtime))
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {

@@ -227,9 +227,11 @@ impl<R: Repository> DavHandler<R> {
                 html.push_str(&format!("<li><a href=\"{href}\">{child}</a></li>"));
             }
             html.push_str("</ul></body></html>");
+            // HEAD carries the body too: the wire frames Content-Length
+            // from it and leaves it off.
             return Ok(Response::ok()
                 .with_header("Content-Type", "text/html")
-                .with_body(if head { Vec::new() } else { html.into_bytes() }));
+                .with_body(html.into_bytes()));
         }
         let etag = meta.etag();
         let last_modified = crate::repo::format_http_date(meta.modified);
@@ -279,18 +281,15 @@ impl<R: Repository> DavHandler<R> {
                 }
             }
         }
-        let mut resp = Response::ok()
+        Ok(Response::ok()
             .with_header(
                 "Content-Type",
                 meta.content_type.as_deref().unwrap_or("application/octet-stream"),
             )
             .with_header("ETag", etag)
             .with_header("Last-Modified", last_modified)
-            .with_header("Accept-Ranges", "bytes");
-        if !head {
-            resp = resp.with_body(body);
-        }
-        Ok(resp)
+            .with_header("Accept-Ranges", "bytes")
+            .with_body(body))
     }
 
     fn check_lock(&self, req: &Request, path: &str) -> Result<()> {
@@ -635,8 +634,9 @@ impl<R: Repository> DavHandler<R> {
         Some(result.unwrap_or_else(|e| Response::error(e.status(), &e.to_string())))
     }
 
+    /// GET or HEAD of a history resource. HEAD gets the body too, like
+    /// [`get`](Self::get): the wire frames Content-Length from it.
     fn history_get(&self, req: &Request) -> Result<Response> {
-        let head = req.method == Method::Head;
         match self.versions.parse_history_target(req.target.path()) {
             Some(HistoryTarget::Version(path, number)) => {
                 let _plan = self.versions.plan_read(path);
@@ -655,7 +655,7 @@ impl<R: Repository> DavHandler<R> {
                         ),
                     )
                     .with_header("X-Version", number.to_string())
-                    .with_body(if head { Vec::new() } else { body }))
+                    .with_body(body))
             }
             Some(HistoryTarget::Index(path)) => {
                 let _plan = self.versions.plan_read(path);
@@ -678,7 +678,7 @@ impl<R: Repository> DavHandler<R> {
                 html.push_str("</ul></body></html>");
                 Ok(Response::ok()
                     .with_header("Content-Type", "text/html")
-                    .with_body(if head { Vec::new() } else { html.into_bytes() }))
+                    .with_body(html.into_bytes()))
             }
             None => Err(DavError::NotFound(req.target.path().to_owned())),
         }
@@ -813,7 +813,16 @@ impl<R: Repository> DavHandler<R> {
                 }])
             }
             PropfindKind::Named(names) => {
-                let live = self.repo.live_props(path)?;
+                // Only getcontenttype needs the full metadata; the other
+                // live properties come from `stat`, which on the fs
+                // repository reads no property database.
+                let content_type = PropertyName::dav("getcontenttype");
+                let meta = if names.contains(&content_type) {
+                    self.repo.meta(path)?
+                } else {
+                    self.repo.stat(path)?
+                };
+                let live = crate::repo::live_props_from_meta(path, &meta);
                 // Resolve lock and live names inline, then batch every
                 // remaining name into ONE repository read so the dead
                 // properties come from a single consistent snapshot — a
@@ -833,9 +842,11 @@ impl<R: Repository> DavHandler<R> {
                         dead_names.push(name.clone());
                     }
                 }
-                let dead = self.repo.get_props(path, &dead_names)?;
-                for (i, p) in dead_idx.into_iter().zip(dead) {
-                    resolved[i] = p;
+                if !dead_names.is_empty() {
+                    let dead = self.repo.get_props(path, &dead_names)?;
+                    for (i, p) in dead_idx.into_iter().zip(dead) {
+                        resolved[i] = p;
+                    }
                 }
                 let mut found = Vec::new();
                 let mut missing = Vec::new();
@@ -916,7 +927,7 @@ impl<R: Repository> DavHandler<R> {
     ) -> Result<String> {
         let mut state = Vec::new();
         for p in paths {
-            let meta = match self.repo.meta(p) {
+            let meta = match self.repo.stat(p) {
                 Ok(m) => m,
                 // Vanished mid-walk: it contributes nothing to the
                 // validator, matching the 404 row the body will carry.
@@ -1816,10 +1827,11 @@ mod tests {
             assert_eq!(resp.status.code(), 200, "Range {bad:?} must be ignored");
             assert_eq!(resp.body_text(), "0123456789");
         }
-        // Range on HEAD is ignored.
+        // Range on HEAD is ignored: the handler answers the whole
+        // entity, and the wire sends only its Content-Length.
         let resp = h.handle(req(Method::Head, "/d").with_header("Range", "bytes=2-5"));
         assert_eq!(resp.status.code(), 200);
-        assert!(resp.body.is_empty());
+        assert_eq!(resp.body_text(), "0123456789");
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub mod property;
 pub mod repo;
 pub mod search;
 pub mod server;
-pub mod translate;
 pub mod version;
 
 pub use client::{DavClient, ParseMode};
@@ -84,4 +83,3 @@ pub use pathlock::{PathGuard, PathLocks};
 pub use propindex::{IndexStats, PropIndex};
 pub use property::{Property, PropertyName};
 pub use repo::Repository;
-pub use translate::{SchemaMap, TranslatingRepository};

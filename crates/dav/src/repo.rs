@@ -110,6 +110,14 @@ pub trait Repository: Send + Sync + 'static {
     /// Resource metadata; `NotFound` when absent.
     fn meta(&self, path: &str) -> Result<ResourceMeta>;
 
+    /// [`meta`](Repository::meta) without the content type: everything
+    /// validators and the resource type need. Repositories that keep
+    /// the content type beside the dead properties override it so that
+    /// answering it reads no property. The default is `meta`.
+    fn stat(&self, path: &str) -> Result<ResourceMeta> {
+        self.meta(path)
+    }
+
     /// Document body. `NotFound` for absent, `Conflict` for collections.
     fn get(&self, path: &str) -> Result<Vec<u8>>;
 
@@ -425,6 +433,10 @@ pub trait Store: Send + Sync + 'static {
     /// before a plan is chosen and again under it.
     fn is_collection(&self, path: &str) -> bool;
     fn meta(&self, path: &str) -> Result<ResourceMeta>;
+    /// See [`Repository::stat`].
+    fn stat(&self, path: &str) -> Result<ResourceMeta> {
+        self.meta(path)
+    }
     fn get(&self, path: &str) -> Result<Vec<u8>>;
     fn put(&self, path: &str, data: &[u8], content_type: Option<&str>) -> Result<bool>;
     fn mkcol(&self, path: &str) -> Result<()>;
@@ -584,6 +596,10 @@ impl<S: Store> Repository for Repo<S> {
 
     fn meta(&self, path: &str) -> Result<ResourceMeta> {
         self.read(path, S::meta)
+    }
+
+    fn stat(&self, path: &str) -> Result<ResourceMeta> {
+        self.read(path, S::stat)
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {

@@ -423,6 +423,24 @@ fn conditional_get_revalidates_over_wire() {
 }
 
 #[test]
+fn head_content_length_matches_get() {
+    let mut rig = Rig::new(DbmKind::Gdbm);
+    let c = &mut rig.client;
+    c.mkcol("/coll").unwrap();
+    c.put("/coll/doc", "a document body", Some("text/plain")).unwrap();
+    for path in ["/coll/doc", "/coll"] {
+        let get = c.http().send(Request::new(Method::Get, path)).unwrap();
+        let head = c.http().send(Request::new(Method::Head, path)).unwrap();
+        assert_eq!((get.status.code(), head.status.code()), (200, 200), "{path}");
+        assert!(!get.body.is_empty(), "{path}");
+        assert!(head.body.is_empty(), "{path}: HEAD sent a body");
+        let length = |r: &pse_http::Response| r.headers.get("Content-Length").map(str::to_owned);
+        assert_eq!(length(&get), Some(get.body.len().to_string()), "{path}");
+        assert_eq!(length(&head), length(&get), "{path}");
+    }
+}
+
+#[test]
 fn etag_moves_after_put_and_proppatch() {
     let mut rig = Rig::new(DbmKind::Gdbm);
     let c = &mut rig.client;

@@ -34,6 +34,37 @@ use crate::factory::{CalcSummary, EcceStore};
 use crate::model::{CalcState, Calculation, Job, OutputProperty, Project, RunType, Task, Theory};
 use pse_http::uri::{join_path, parent_path};
 
+/// The metadata a calculation's summary row is built from.
+const SUMMARY_KEYS: [&str; 4] = ["state", "theory", "runtype", "formula"];
+
+/// A summary row from the values of [`SUMMARY_KEYS`], in that order.
+fn summary_from(name: &str, meta: &[Option<String>]) -> CalcSummary {
+    CalcSummary {
+        name: name.to_owned(),
+        state: meta[0]
+            .as_deref()
+            .and_then(CalcState::parse)
+            .unwrap_or(CalcState::Created),
+        theory: meta[1].as_deref().and_then(Theory::parse).unwrap_or(Theory::Scf),
+        run_type: meta[2]
+            .as_deref()
+            .and_then(RunType::parse)
+            .unwrap_or(RunType::Energy),
+        formula: meta[3].clone(),
+    }
+}
+
+/// An optional document's absence as `None`: the read itself is the
+/// existence probe, so a missing document costs one 404 and a present
+/// one no extra request. Every other failure still surfaces.
+fn optional<T>(result: Result<T>) -> Result<Option<T>> {
+    match result {
+        Ok(v) => Ok(Some(v)),
+        Err(e) if e.is_not_found() => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// The Ecce 2.0 store: Figure 4 over any [`DataStorage`].
 pub struct DavEcceStore<S: DataStorage> {
     storage: S,
@@ -78,12 +109,13 @@ impl<S: DataStorage> DavEcceStore<S> {
 
     fn read_molecule(&mut self, calc_path: &str) -> Result<Option<Molecule>> {
         let path = join_path(calc_path, "molecule");
-        if !self.storage.exists(&path)? {
+        let Some(meta) = optional(
+            self.storage
+                .get_meta_bulk(&path, &["format", "symmetry-group", "charge"]),
+        )?
+        else {
             return Ok(None);
-        }
-        let meta = self
-            .storage
-            .get_meta_bulk(&path, &["format", "symmetry-group", "charge"])?;
+        };
         let body = self.storage.read(&path)?;
         let text = String::from_utf8_lossy(&body);
         let mut mol = match meta[0].as_deref() {
@@ -110,18 +142,15 @@ impl<S: DataStorage> DavEcceStore<S> {
 
     fn read_basis(&mut self, calc_path: &str) -> Result<Option<BasisSet>> {
         let path = join_path(calc_path, "basisset");
-        if !self.storage.exists(&path)? {
+        let Some(body) = optional(self.storage.read(&path))? else {
             return Ok(None);
-        }
-        let body = self.storage.read(&path)?;
+        };
         Ok(Some(BasisSet::from_text(&String::from_utf8_lossy(&body))?))
     }
 
     fn write_tasks(&mut self, calc_path: &str, tasks: &[Task]) -> Result<()> {
         let dir = join_path(calc_path, "tasks");
-        if self.storage.exists(&dir)? {
-            self.storage.delete(&dir)?;
-        }
+        optional(self.storage.delete(&dir))?;
         self.storage.make_collection(&dir)?;
         for task in tasks {
             let path = join_path(&dir, &task.name);
@@ -136,14 +165,9 @@ impl<S: DataStorage> DavEcceStore<S> {
 
     fn read_tasks(&mut self, calc_path: &str) -> Result<Vec<Task>> {
         let dir = join_path(calc_path, "tasks");
-        if !self.storage.exists(&dir)? {
-            return Ok(Vec::new());
-        }
+        let children = optional(self.storage.children_meta(&dir, &["sequence", "runtype"]))?;
         let mut tasks = Vec::new();
-        for (name, meta) in self
-            .storage
-            .children_meta(&dir, &["sequence", "runtype"])?
-        {
+        for (name, meta) in children.unwrap_or_default() {
             tasks.push(Task {
                 name,
                 sequence: meta[0].as_deref().and_then(|s| s.parse().ok()).unwrap_or(0),
@@ -159,9 +183,7 @@ impl<S: DataStorage> DavEcceStore<S> {
 
     fn write_properties(&mut self, calc_path: &str, props: &[OutputProperty]) -> Result<()> {
         let dir = join_path(calc_path, "properties");
-        if self.storage.exists(&dir)? {
-            self.storage.delete(&dir)?;
-        }
+        optional(self.storage.delete(&dir))?;
         self.storage.make_collection(&dir)?;
         for p in props {
             let path = join_path(&dir, &p.name);
@@ -176,11 +198,8 @@ impl<S: DataStorage> DavEcceStore<S> {
 
     fn read_properties(&mut self, calc_path: &str) -> Result<Vec<OutputProperty>> {
         let dir = join_path(calc_path, "properties");
-        if !self.storage.exists(&dir)? {
-            return Ok(Vec::new());
-        }
         let mut props = Vec::new();
-        for name in self.storage.list(&dir)? {
+        for name in optional(self.storage.list(&dir))?.unwrap_or_default() {
             let body = self.storage.read(&join_path(&dir, &name))?;
             props.push(OutputProperty::from_text(&String::from_utf8_lossy(&body))?);
         }
@@ -360,10 +379,7 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
             .unwrap_or(RunType::Energy);
         calc.molecule = self.read_molecule(path)?;
         calc.basis = self.read_basis(path)?;
-        let input = join_path(path, "input.nw");
-        if self.storage.exists(&input)? {
-            calc.input_deck = Some(String::from_utf8_lossy(&self.storage.read(&input)?).into_owned());
-        }
+        calc.input_deck = self.load_input_of(path)?;
         calc.tasks = self.read_tasks(path)?;
         calc.job = self.read_job(path)?;
         calc.properties = self.read_properties(path)?;
@@ -373,22 +389,22 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
     fn calc_summary(&mut self, path: &str) -> Result<CalcSummary> {
         // One depth-0 metadata request — no documents are read. This is
         // exactly the granularity win the Figure 4 mapping buys.
-        let meta = self
+        let meta = self.storage.get_meta_bulk(path, &SUMMARY_KEYS)?;
+        Ok(summary_from(pse_http::uri::basename(path), &meta))
+    }
+
+    fn calc_summaries(&mut self, project: &str) -> Result<Vec<(String, CalcSummary)>> {
+        // Every row from one depth-1 PROPFIND: the paper's Table 1 case
+        // (c), where the default loop is case (d).
+        let mut keys = vec!["type"];
+        keys.extend(SUMMARY_KEYS);
+        Ok(self
             .storage
-            .get_meta_bulk(path, &["state", "theory", "runtype", "formula"])?;
-        Ok(CalcSummary {
-            name: pse_http::uri::basename(path).to_owned(),
-            state: meta[0]
-                .as_deref()
-                .and_then(CalcState::parse)
-                .unwrap_or(CalcState::Created),
-            theory: meta[1].as_deref().and_then(Theory::parse).unwrap_or(Theory::Scf),
-            run_type: meta[2]
-                .as_deref()
-                .and_then(RunType::parse)
-                .unwrap_or(RunType::Energy),
-            formula: meta[3].clone(),
-        })
+            .children_meta(project, &keys)?
+            .into_iter()
+            .filter(|(_, meta)| meta[0].as_deref() == Some("calculation"))
+            .map(|(name, meta)| (join_path(project, &name), summary_from(&name, &meta[1..])))
+            .collect())
     }
 
     fn list_calculations(&mut self, project: &str) -> Result<Vec<String>> {
@@ -426,13 +442,8 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
     }
 
     fn load_input_of(&mut self, path: &str) -> Result<Option<String>> {
-        let input = join_path(path, "input.nw");
-        if !self.storage.exists(&input)? {
-            return Ok(None);
-        }
-        Ok(Some(
-            String::from_utf8_lossy(&self.storage.read(&input)?).into_owned(),
-        ))
+        let input = optional(self.storage.read(&join_path(path, "input.nw")))?;
+        Ok(input.map(|body| String::from_utf8_lossy(&body).into_owned()))
     }
 
     fn find_by_formula(&mut self, formula: &str) -> Result<Vec<String>> {

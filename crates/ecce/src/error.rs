@@ -71,6 +71,21 @@ impl fmt::Display for EcceError {
 
 impl std::error::Error for EcceError {}
 
+impl EcceError {
+    /// Does the error say the entity is absent? True for the in-process
+    /// repository's `NotFound` and for a 404 over the wire; false for
+    /// every other failure, which callers must still surface.
+    pub fn is_not_found(&self) -> bool {
+        match self {
+            EcceError::NotFound(_) | EcceError::Dav(pse_dav::DavError::NotFound(_)) => true,
+            EcceError::Dav(pse_dav::DavError::UnexpectedStatus { status, .. }) => {
+                status.code() == 404
+            }
+            _ => false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,5 +102,33 @@ mod tests {
             state: "created".into(),
         };
         assert!(e.to_string().contains("launch"));
+    }
+
+    #[test]
+    fn only_absence_is_not_found() {
+        use pse_dav::DavError;
+        use pse_http::StatusCode;
+        let status = |code: u16| {
+            EcceError::Dav(DavError::UnexpectedStatus {
+                status: StatusCode::new(code),
+                context: "test".into(),
+            })
+        };
+        assert!(EcceError::NotFound("/x".into()).is_not_found());
+        assert!(EcceError::Dav(DavError::NotFound("/x".into())).is_not_found());
+        assert!(status(404).is_not_found());
+        for code in [409, 423, 500] {
+            assert!(!status(code).is_not_found(), "{code}");
+        }
+        for e in [
+            EcceError::Dav(DavError::Conflict("/x".into())),
+            EcceError::Dav(DavError::Locked("/x".into())),
+            EcceError::Dav(DavError::Http(pse_http::Error::Io(std::sync::Arc::new(
+                std::io::Error::from(std::io::ErrorKind::ConnectionReset),
+            )))),
+            EcceError::Invalid("x".into()),
+        ] {
+            assert!(!e.is_not_found(), "{e}");
+        }
     }
 }

@@ -58,6 +58,20 @@ pub trait EcceStore {
     /// Calculation paths under a project.
     fn list_calculations(&mut self, project: &str) -> Result<Vec<String>>;
 
+    /// `(path, summary)` of every calculation under a project, in
+    /// [`list_calculations`](Self::list_calculations) order: the
+    /// project-start panels. The default loads each summary in turn;
+    /// backends that can fetch every row at once override it.
+    fn calc_summaries(&mut self, project: &str) -> Result<Vec<(String, CalcSummary)>> {
+        self.list_calculations(project)?
+            .into_iter()
+            .map(|path| {
+                let summary = self.calc_summary(&path)?;
+                Ok((path, summary))
+            })
+            .collect()
+    }
+
     /// Copy an entire calculation (the "copy entire task sequences"
     /// operation of Table 1).
     fn copy_calculation(&mut self, src: &str, dst: &str) -> Result<()>;

@@ -49,12 +49,12 @@ pub fn find_calculations<S: EcceStore + ?Sized>(
 ) -> Result<Vec<(String, CalcSummary)>> {
     let mut out = Vec::new();
     for project in store.list_projects()? {
-        for calc_path in store.list_calculations(&project)? {
-            let summary = store.calc_summary(&calc_path)?;
-            if filter.matches(&summary) {
-                out.push((calc_path, summary));
-            }
-        }
+        out.extend(
+            store
+                .calc_summaries(&project)?
+                .into_iter()
+                .filter(|(_, summary)| filter.matches(summary)),
+        );
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(out)

@@ -74,13 +74,9 @@ pub fn builder_load<S: EcceStore + ?Sized>(store: &mut S, calc_path: &str) -> Re
 /// calculation summaries (to show coverage per calculation).
 pub fn basistool_start<S: EcceStore + ?Sized>(store: &mut S, project: &str) -> Result<ToolReport> {
     let library = crate::basis::library();
-    let mut bytes: usize = library.iter().map(|b| b.to_text().len()).sum();
-    let mut items = library.len();
-    for calc_path in store.list_calculations(project)? {
-        let _ = store.calc_summary(&calc_path)?;
-        bytes += 128;
-        items += 1;
-    }
+    let calcs = store.calc_summaries(project)?.len();
+    let bytes = library.iter().map(|b| b.to_text().len()).sum::<usize>() + calcs * 128;
+    let items = library.len() + calcs;
     Ok(ToolReport {
         tool: "BasisTool",
         resident_bytes: bytes + 1024 * 1024,
@@ -112,11 +108,7 @@ pub fn basistool_load<S: EcceStore + ?Sized>(store: &mut S, calc_path: &str) -> 
 
 /// CalcEditor cold start: the project's calculation summaries.
 pub fn calceditor_start<S: EcceStore + ?Sized>(store: &mut S, project: &str) -> Result<ToolReport> {
-    let mut items = 0;
-    for calc_path in store.list_calculations(project)? {
-        let _ = store.calc_summary(&calc_path)?;
-        items += 1;
-    }
+    let items = store.calc_summaries(project)?.len();
     Ok(ToolReport {
         tool: "CalcEditor",
         resident_bytes: items * 128 + 1536 * 1024,
@@ -146,11 +138,7 @@ pub fn calceditor_load<S: EcceStore + ?Sized>(
 
 /// CalcViewer cold start: just the summaries (its panels fill on load).
 pub fn calcviewer_start<S: EcceStore + ?Sized>(store: &mut S, project: &str) -> Result<ToolReport> {
-    let mut items = 0;
-    for calc_path in store.list_calculations(project)? {
-        let _ = store.calc_summary(&calc_path)?;
-        items += 1;
-    }
+    let items = store.calc_summaries(project)?.len();
     Ok(ToolReport {
         tool: "CalcViewer",
         resident_bytes: items * 128 + 2 * 1024 * 1024,
@@ -182,8 +170,7 @@ pub fn calcmanager_start<S: EcceStore + ?Sized>(store: &mut S) -> Result<ToolRep
     let mut bytes = 0;
     for project in store.list_projects()? {
         items += 1;
-        for calc_path in store.list_calculations(&project)? {
-            let summary = store.calc_summary(&calc_path)?;
+        for (_, summary) in store.calc_summaries(&project)? {
             bytes += 96 + summary.name.len();
             items += 1;
         }
@@ -216,13 +203,11 @@ pub fn joblauncher_start<S: EcceStore + ?Sized>(
     store: &mut S,
     project: &str,
 ) -> Result<ToolReport> {
-    let mut items = 0;
-    for calc_path in store.list_calculations(project)? {
-        let s = store.calc_summary(&calc_path)?;
-        if matches!(s.state, CalcState::InputReady | CalcState::Submitted) {
-            items += 1;
-        }
-    }
+    let items = store
+        .calc_summaries(project)?
+        .iter()
+        .filter(|(_, s)| matches!(s.state, CalcState::InputReady | CalcState::Submitted))
+        .count();
     Ok(ToolReport {
         tool: "JobLauncher",
         resident_bytes: items * 64 + 1100 * 1024,
