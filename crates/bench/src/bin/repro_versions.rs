@@ -19,10 +19,9 @@ use pse_bench::workloads::scratch_dir;
 use pse_dav::fsrepo::{FsConfig, FsRepository};
 use pse_dav::handler::DavHandler;
 use pse_dav::server::serve;
-use pse_dav::version::VersionStore;
+use pse_dav::version::{DeltaV, VersionStore};
 use pse_dav::DavClient;
 use pse_http::server::ServerConfig;
-use pse_obs::Registry;
 
 const BODY_BYTES: usize = 2 * 1024 * 1024;
 const REVISIONS: usize = 50;
@@ -55,10 +54,12 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     let dir = scratch_dir("versions-repo");
-    let repo = FsRepository::create(dir.join("data"), FsConfig::default()).unwrap();
-    let versions = VersionStore::persistent(dir.join("versions")).unwrap();
-    let handler = DavHandler::with_parts(repo, Registry::new(), versions);
-    let store = handler.versions();
+    let repo = FsRepository::create(dir.join("data"), FsConfig::default())
+        .unwrap()
+        .with_version_store(VersionStore::persistent(dir.join("versions")).unwrap());
+    let handler = DavHandler::new(repo);
+    let repo = handler.repo();
+    let store = repo.versions();
     let server = serve("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
     let mut client = DavClient::connect(server.local_addr()).unwrap();
 

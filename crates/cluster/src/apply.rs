@@ -21,11 +21,9 @@ use parking_lot::Mutex;
 use pse_dav::error::DavError;
 use pse_dav::property::Property;
 use pse_dav::repo::{PropPatchOp, Repository};
-use pse_dav::version::VersionStore;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Why a batch could not be applied.
 #[derive(Debug)]
@@ -90,10 +88,6 @@ pub struct Applier {
     // Serialises whole batches so the cursor, the repository state, and
     // the persisted file always agree.
     gate: Mutex<()>,
-    // The replica's version store. Version records replay into it, and
-    // Put records re-run the auto-version hook so the replica's
-    // histories converge on the primary's.
-    versions: Option<Arc<VersionStore>>,
 }
 
 impl Applier {
@@ -109,15 +103,7 @@ impl Applier {
             state_path,
             applied: AtomicU64::new(applied),
             gate: Mutex::new(()),
-            versions: None,
         })
-    }
-
-    /// Replay version records (and the auto-version side of Put
-    /// records) into `versions`.
-    pub fn with_versions(mut self, versions: Arc<VersionStore>) -> Applier {
-        self.versions = Some(versions);
-        self
     }
 
     /// The last applied sequence number.
@@ -189,7 +175,7 @@ impl Applier {
                     got: e.seq,
                 });
             }
-            match apply_record_with(repo, self.versions.as_deref(), &e.record) {
+            match apply_record(repo, &e.record) {
                 Ok(true) => out.applied += 1,
                 Ok(false) => out.skipped += 1,
                 Err(error) => {
@@ -216,45 +202,30 @@ fn ensure_parents(repo: &dyn Repository, path: &str) {
     let _ = repo.mkcol(&parent);
 }
 
-/// Apply one record idempotently (no version store — see
-/// [`apply_record_with`]).
-pub fn apply_record(repo: &dyn Repository, rec: &ChangeRecord) -> Result<bool, DavError> {
-    apply_record_with(repo, None, rec)
-}
-
 /// Apply one record idempotently. `Ok(true)` when the repository
 /// changed, `Ok(false)` when the record's effect was already present
-/// (tolerated), `Err` for everything else. When `versions` is given,
-/// version records replay into it and Put records re-run the
-/// auto-version hook under the path's version plan — the same order the
-/// primary recorded them in, so histories converge byte-for-byte.
-pub fn apply_record_with(
-    repo: &dyn Repository,
-    versions: Option<&VersionStore>,
-    rec: &ChangeRecord,
-) -> Result<bool, DavError> {
+/// (tolerated), `Err` for everything else. Records replay through the
+/// repository's own operations, so a Put re-runs auto-versioning and a
+/// Rename moves the history, in the order the primary logged them:
+/// histories converge byte-for-byte.
+pub fn apply_record(repo: &dyn Repository, rec: &ChangeRecord) -> Result<bool, DavError> {
     match rec {
         ChangeRecord::Put {
             path,
             content_type,
             data,
         } => {
-            let _vplan = versions.map(|v| v.plan_write(path));
             let ct = content_type.as_deref();
-            let applied = match repo.put(path, data, ct) {
-                Ok(_) => true,
+            match repo.put(path, data, ct) {
+                Ok(_) => Ok(true),
                 Err(DavError::Conflict(_)) => {
                     // Snapshot races can leave an ancestor missing for a
                     // moment; recreate the chain and retry once.
                     ensure_parents(repo, path);
-                    repo.put(path, data, ct).map(|_| true)?
+                    repo.put(path, data, ct).map(|_| true)
                 }
-                Err(e) => return Err(e),
-            };
-            if let Some(v) = versions {
-                v.record_put(path, data);
+                Err(e) => Err(e),
             }
-            Ok(applied)
         }
         ChangeRecord::Mkcol { path } => match repo.mkcol(path) {
             Ok(()) => Ok(true),
@@ -314,22 +285,26 @@ pub fn apply_record_with(
                 Err((_, e)) => Err(e),
             }
         }
-        // Version records are no-ops on a node without a version store;
-        // the apply_* entry points take the path's version plan
-        // themselves and are idempotent (replaying a duplicate
-        // VERSION-CONTROL or CHECKOUT reports "already present").
-        ChangeRecord::VersionControl { path, content } => match versions {
-            Some(v) => Ok(v.apply_version_control(path, content)),
-            None => Ok(false),
-        },
-        ChangeRecord::Checkout { path } => match versions {
-            Some(v) => Ok(v.apply_checkout(path)),
-            None => Ok(false),
-        },
-        ChangeRecord::Checkin { path, content } => match versions {
-            Some(v) => Ok(v.apply_checkin(path, content)),
-            None => Ok(false),
-        },
+        // Version records replay the primary's bodies.
+        ChangeRecord::VersionControl { path, content } => {
+            replayed(repo.deltav().map(|v| v.version_control(path, Some(content))))
+        }
+        ChangeRecord::Checkout { path } => {
+            replayed(repo.deltav().map(|v| v.checkout(path).map(|()| true)))
+        }
+        ChangeRecord::Checkin { path, content } => {
+            replayed(repo.deltav().map(|v| v.checkin(path, Some(content)).map(|_| true)))
+        }
+    }
+}
+
+/// The outcome of a replayed version record: a state replay has
+/// already overtaken (a duplicate CHECKOUT) is a skip, and so is any
+/// version record on a repository without histories (`None`).
+fn replayed(outcome: Option<Result<bool, DavError>>) -> Result<bool, DavError> {
+    match outcome {
+        None | Some(Err(DavError::Conflict(_))) => Ok(false),
+        Some(result) => result,
     }
 }
 

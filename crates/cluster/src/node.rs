@@ -24,23 +24,25 @@
 //!
 //! Lock state lives on the primary (replicas redirect `LOCK` there),
 //! mirroring how mod_dav kept lock state out of the replicated data
-//! store. Version state, by contrast, *is* replicated: the primary
-//! journals `VERSION-CONTROL`/`CHECKOUT`/`CHECKIN` into the change log
-//! (carrying the recorded body, so replay is deterministic even when a
-//! PUT raced the operation), and each replica maintains its own
-//! persistent [`VersionStore`] so history reads — `REPORT`, GET and
-//! PROPFIND under `/.well-known/history/` — are served locally with
-//! read-your-writes guarantees from `X-Applied-Seq`.
+//! store. Version state, by contrast, *is* replicated: each node's
+//! repository keeps its histories in a persistent [`VersionStore`]
+//! under `dir/versions`, and `VERSION-CONTROL`/`CHECKOUT`/`CHECKIN`
+//! reach the change log through the same commit hook as every other
+//! mutation (carrying the recorded body, so replay is deterministic
+//! even when a PUT raced the operation). Replaying a Put re-runs
+//! auto-versioning and replaying a Rename moves the history, so history
+//! reads — `REPORT`, GET and PROPFIND under `/.well-known/history/` —
+//! are served locally with read-your-writes guarantees from
+//! `X-Applied-Seq`.
 
 use crate::apply::{Applier, ApplyError};
 use crate::log::{self, ChangeLog};
-use crate::record::ChangeRecord;
 use pse_dav::error::Result;
 use pse_dav::fsrepo::{FsConfig, FsRepository};
 use pse_dav::handler::DavHandler;
 use pse_dav::property::{PropertyName, DAV_NS};
 use pse_dav::repo::Repository;
-use pse_dav::version::{VersionEvent, VersionStore};
+use pse_dav::version::{DeltaV, VersionStore};
 use pse_dav::{DavClient, Depth};
 use pse_http::server::{Server, ServerConfig};
 use pse_http::{Client, Method, Request, Response, StatusCode};
@@ -87,7 +89,7 @@ pub struct NodeConfig {
     /// sleeping workers cost no cycles, exactly like I/O-bound storage.
     pub service_delay: Duration,
     /// Auto-version-on-PUT (the Ecce flow). Must match across the
-    /// primary and its replicas — replicas re-run the auto-version hook
+    /// primary and its replicas — replicas re-run auto-versioning
     /// while replaying Put records, so a mismatch would diverge.
     pub auto_version: bool,
 }
@@ -164,13 +166,20 @@ fn serve_changes(changelog: &ChangeLog, req: &Request, batch_limit: usize) -> Re
     }
 }
 
+/// A node's repository: resources under `dir/data`, version histories
+/// under `dir/versions`.
+fn open_repo(dir: &Path, cfg: &NodeConfig) -> Result<FsRepository> {
+    let versions = VersionStore::persistent(dir.join("versions"))?;
+    versions.set_auto_version(cfg.auto_version);
+    Ok(FsRepository::create(dir.join("data"), cfg.fs.clone())?.with_version_store(versions))
+}
+
 /// A primary node: the writable DAV server for a shard.
 pub struct Primary {
     server: Server,
     repo: Arc<FsRepository>,
     changelog: Arc<ChangeLog>,
     registry: Arc<Registry>,
-    versions: Arc<VersionStore>,
 }
 
 impl Primary {
@@ -180,37 +189,12 @@ impl Primary {
     pub fn start<A: ToSocketAddrs>(dir: &Path, addr: A, cfg: NodeConfig) -> Result<Primary> {
         let io_err = |e: std::io::Error| pse_dav::DavError::Io(Arc::new(e));
         let changelog = ChangeLog::open(dir).map_err(io_err)?;
-        let repo = FsRepository::create(dir.join("data"), cfg.fs.clone())?;
+        let repo = open_repo(dir, &cfg)?;
         changelog.record_commits(&repo);
         let registry = Registry::new();
         changelog.register_obs(&registry, "cluster.primary.log");
-        let versions = VersionStore::persistent(dir.join("versions")).map_err(io_err)?;
-        versions.set_auto_version(cfg.auto_version);
-        let handler = DavHandler::with_parts(repo, Arc::clone(&registry), versions);
+        let handler = DavHandler::with_registry(repo, Arc::clone(&registry));
         let repo = handler.repo();
-        let versions = handler.versions();
-
-        // Journal version-state transitions into the change log. The
-        // hook runs with the path's version plan held, so per path the
-        // log interleaves Put and version records in effect order —
-        // which is what makes replica replay deterministic.
-        let journal_log = Arc::clone(&changelog);
-        handler.versions().set_journal(move |ev| {
-            let rec = match ev {
-                VersionEvent::VersionControl { path, content } => ChangeRecord::VersionControl {
-                    path: path.clone(),
-                    content: content.clone(),
-                },
-                VersionEvent::Checkout { path } => ChangeRecord::Checkout { path: path.clone() },
-                VersionEvent::Checkin { path, content } => ChangeRecord::Checkin {
-                    path: path.clone(),
-                    content: content.clone(),
-                },
-            };
-            if let Err(e) = journal_log.append(rec) {
-                eprintln!("pse-cluster: version journal append failed: {e}");
-            }
-        });
 
         let mut server_cfg = cfg.server.clone();
         server_cfg.obs = Some(Arc::clone(&registry));
@@ -240,7 +224,6 @@ impl Primary {
             repo,
             changelog,
             registry,
-            versions,
         })
     }
 
@@ -265,8 +248,8 @@ impl Primary {
     }
 
     /// The node's version store.
-    pub fn versions(&self) -> &Arc<VersionStore> {
-        &self.versions
+    pub fn versions(&self) -> &VersionStore {
+        self.repo.versions()
     }
 
     /// The node's metric registry.
@@ -286,7 +269,6 @@ pub struct Replica {
     repo: Arc<FsRepository>,
     applier: Arc<Applier>,
     registry: Arc<Registry>,
-    versions: Arc<VersionStore>,
     stop: Arc<AtomicBool>,
     puller: Option<JoinHandle<()>>,
 }
@@ -301,20 +283,10 @@ impl Replica {
         cfg: NodeConfig,
     ) -> Result<Replica> {
         let io_err = |e: std::io::Error| pse_dav::DavError::Io(Arc::new(e));
-        let repo = FsRepository::create(dir.join("data"), cfg.fs.clone())?;
         let registry = Registry::new();
-        let versions = VersionStore::persistent(dir.join("versions")).map_err(io_err)?;
-        versions.set_auto_version(cfg.auto_version);
-        let handler = DavHandler::with_parts(repo, Arc::clone(&registry), versions);
+        let handler = DavHandler::with_registry(open_repo(dir, &cfg)?, Arc::clone(&registry));
         let repo = handler.repo();
-        let versions = handler.versions();
-        // Replay version records (and Put auto-versioning) into the
-        // replica's own store so history reads are served locally.
-        let applier = Arc::new(
-            Applier::open(dir)
-                .map_err(io_err)?
-                .with_versions(Arc::clone(&versions)),
-        );
+        let applier = Arc::new(Applier::open(dir).map_err(io_err)?);
 
         let mut server_cfg = cfg.server.clone();
         server_cfg.obs = Some(Arc::clone(&registry));
@@ -357,7 +329,6 @@ impl Replica {
             repo,
             applier,
             registry,
-            versions,
             stop,
             puller: Some(puller),
         })
@@ -379,8 +350,8 @@ impl Replica {
     }
 
     /// The replica's version store (rebuilt from the change log).
-    pub fn versions(&self) -> &Arc<VersionStore> {
-        &self.versions
+    pub fn versions(&self) -> &VersionStore {
+        self.repo.versions()
     }
 
     /// The node's metric registry.
@@ -493,8 +464,8 @@ fn puller_loop(
             }
             410 => {
                 resyncs.inc();
-                if let Err(e) = full_resync(repo.as_ref(), applier, primary_addr, log_last) {
-                    eprintln!("pse-cluster: replica resync failed: {e}");
+                // A failed resync is counted and retried on the next pull.
+                if full_resync(repo.as_ref(), applier, primary_addr, log_last).is_err() {
                     pull_errors.inc();
                     interruptible_sleep(stop, cfg.pull_interval.max(Duration::from_millis(20)));
                 }
@@ -525,6 +496,9 @@ fn interruptible_sleep(stop: &AtomicBool, total: Duration) {
 /// recorded before the compaction horizon survive a resync, but
 /// version events that fell into the compacted gap are lost on this
 /// replica (history reads can be routed primary-side if that matters).
+/// The snapshot's PUTs auto-version like any other, so a versioned
+/// document whose body moved on in the gap gains that body as a
+/// version here.
 fn full_resync(
     repo: &dyn Repository,
     applier: &Applier,

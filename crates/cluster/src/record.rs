@@ -161,6 +161,17 @@ impl From<&Change<'_>> for ChangeRecord {
                     })
                     .collect(),
             },
+            Change::VersionControl { path, content } => ChangeRecord::VersionControl {
+                path: path.to_owned(),
+                content: content.to_vec(),
+            },
+            Change::Checkout { path } => ChangeRecord::Checkout {
+                path: path.to_owned(),
+            },
+            Change::Checkin { path, content } => ChangeRecord::Checkin {
+                path: path.to_owned(),
+                content: content.to_vec(),
+            },
         }
     }
 }

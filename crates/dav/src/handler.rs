@@ -15,7 +15,7 @@ use crate::order;
 use crate::property::{Property, PropertyName, PropfindKind, DAV_NS};
 use crate::repo::{PropPatchOp, Repository, StageStatus};
 use crate::search;
-use crate::version::{HistoryTarget, VersionMeta, VersionStore};
+use crate::version::{DeltaV, HistoryTarget, VersionMeta, VersionStore};
 use pse_http::{Method, Request, Response, StatusCode};
 use pse_obs::Registry;
 use pse_xml::dom::{Document, Element};
@@ -28,7 +28,6 @@ use std::time::Duration;
 pub struct DavHandler<R: Repository> {
     repo: Arc<R>,
     locks: Arc<LockManager>,
-    versions: Arc<VersionStore>,
     obs: Arc<Registry>,
 }
 
@@ -37,7 +36,6 @@ impl<R: Repository> Clone for DavHandler<R> {
         DavHandler {
             repo: Arc::clone(&self.repo),
             locks: Arc::clone(&self.locks),
-            versions: Arc::clone(&self.versions),
             obs: Arc::clone(&self.obs),
         }
     }
@@ -51,23 +49,14 @@ impl<R: Repository> DavHandler<R> {
 
     /// Wrap a repository, recording metrics into `registry`. The
     /// repository is given the chance to contribute its own stats
-    /// (property cache, DBM engines) via [`Repository::register_obs`].
+    /// (property cache, DBM engines, version store) via
+    /// [`Repository::register_obs`].
     pub fn with_registry(repo: R, registry: Arc<Registry>) -> DavHandler<R> {
-        Self::with_parts(repo, registry, VersionStore::new())
-    }
-
-    /// Fully-specified constructor: registry *and* version store. Lets a
-    /// deployment substitute [`VersionStore::persistent`] so DeltaV
-    /// histories survive restarts.
-    pub fn with_parts(repo: R, registry: Arc<Registry>, versions: VersionStore) -> DavHandler<R> {
         let repo = Arc::new(repo);
         repo.register_obs(&registry);
-        let versions = Arc::new(versions);
-        versions.register_obs(&registry, "dav.versions");
         DavHandler {
             repo,
             locks: Arc::new(LockManager::new()),
-            versions,
             obs: registry,
         }
     }
@@ -80,12 +69,6 @@ impl<R: Repository> DavHandler<R> {
     /// Shared access to the lock table.
     pub fn locks(&self) -> Arc<LockManager> {
         Arc::clone(&self.locks)
-    }
-
-    /// Shared access to the version store (used by replication wiring
-    /// and tests).
-    pub fn versions(&self) -> Arc<VersionStore> {
-        Arc::clone(&self.versions)
     }
 
     /// The metric registry this handler records into.
@@ -154,10 +137,9 @@ impl<R: Repository> DavHandler<R> {
             Method::Lock => self.lock(&req),
             Method::Unlock => self.unlock(&req),
             Method::Search => search::handle(self.repo.as_ref(), &req, &self.obs),
-            Method::VersionControl => self.versions.version_control(self.repo.as_ref(), &req),
-            Method::Report => self.versions.report(self.repo.as_ref(), &req),
-            Method::Checkout => self.versions.checkout(self.repo.as_ref(), &req),
-            Method::Checkin => self.versions.checkin(self.repo.as_ref(), &req),
+            Method::VersionControl | Method::Report | Method::Checkout | Method::Checkin => {
+                self.deltav(&req)
+            }
             Method::OrderPatch => order::handle(self.repo.as_ref(), &req),
             Method::Post | Method::Trace | Method::Extension(_) => {
                 return Response::error(StatusCode::NOT_IMPLEMENTED, "method not implemented")
@@ -197,6 +179,30 @@ impl<R: Repository> DavHandler<R> {
                     Response::error(status, &e.to_string())
                 }
             }
+        }
+    }
+
+    /// VERSION-CONTROL, CHECKOUT, CHECKIN and REPORT. CHECKIN answers
+    /// 201 with the new version's history URL in `Location`.
+    fn deltav(&self, req: &Request) -> Result<Response> {
+        let Some(deltav) = self.repo.deltav() else {
+            return Ok(Response::error(
+                StatusCode::NOT_IMPLEMENTED,
+                "this repository keeps no version histories",
+            ));
+        };
+        let path = &pse_http::uri::normalize_path(req.target.path());
+        match req.method {
+            Method::VersionControl => deltav.version_control(path, None).map(|_| Response::ok()),
+            Method::Checkout => deltav.checkout(path).map(|()| Response::ok()),
+            Method::Checkin => {
+                let number = deltav.checkin(path, None)?;
+                let url = crate::version::history_url(path, number);
+                Ok(Response::created()
+                    .with_header("Location", pse_http::uri::percent_encode_path(&url))
+                    .with_header("X-Version", number.to_string()))
+            }
+            _ => deltav.versions().report(self.repo.as_ref(), req),
         }
     }
 
@@ -351,21 +357,12 @@ impl<R: Repository> DavHandler<R> {
             }
         }
         self.check_lock(req, path)?;
-        // DeltaV: hold the version write plan across the repository
-        // write AND the history append, so REPORT (which takes the read
-        // plan) can never observe the repository ahead of the history;
-        // then refuse the write outright if the resource is checked in
-        // and auto-versioning is off (RFC 3253 §3.10).
-        let _vplan = self.versions.plan_write(path);
-        self.versions.check_put_allowed(path)?;
         if req.headers.get("Content-Range").is_some() || req.headers.get("X-Copy-From").is_some() {
             return self.put_partial(req, path);
         }
         let created = self
             .repo
             .put(path, &req.body, req.headers.get("Content-Type"))?;
-        // Auto-version: record the new content on versioned resources.
-        self.versions.record_put(path, &req.body);
         self.put_response(path, created)
     }
 
@@ -456,9 +453,6 @@ impl<R: Repository> DavHandler<R> {
             let created = self
                 .repo
                 .stage_commit(path, req.headers.get("Content-Type"))?;
-            if let Ok(body) = self.repo.get(path) {
-                self.versions.record_put(path, &body);
-            }
             return self.put_response(path, created);
         }
         Ok(Response::new(StatusCode::ACCEPTED)
@@ -546,13 +540,7 @@ impl<R: Repository> DavHandler<R> {
             }
             !existed
         } else if is_move {
-            // History follows the document. (Children of a moved
-            // collection keep their histories at the old paths — a
-            // documented limitation; version-control documents, not
-            // trees.)
-            let _vplan = self.versions.plan_rename(&src, &dst);
             let created = self.repo.rename(&src, &dst, overwrite)?;
-            self.versions.rename(&src, &dst);
             self.locks.forget_subtree(&src);
             created
         } else {
@@ -577,8 +565,10 @@ impl<R: Repository> DavHandler<R> {
                 "version history is read-only; COPY from a version URL to revert",
             ));
         }
-        let Some(HistoryTarget::Version(vpath, number)) = self.versions.parse_history_target(src)
-        else {
+        let target = self.repo.deltav().map(DeltaV::versions).and_then(|versions| {
+            Some((versions, versions.parse_history_target(src)?))
+        });
+        let Some((versions, HistoryTarget::Version(vpath, number))) = target else {
             return Ok(Response::error(
                 StatusCode::FORBIDDEN,
                 "COPY a single version URL (/.well-known/history/<path>/<n>) to revert",
@@ -596,12 +586,9 @@ impl<R: Repository> DavHandler<R> {
         if !overwrite && self.repo.exists(dst) {
             return Err(DavError::PreconditionFailed(format!("{dst} exists")));
         }
-        let _vplan = self.versions.plan_write(dst);
-        self.versions.check_put_allowed(dst)?;
-        let body = self.versions.version_body(vpath, number)?;
+        let body = versions.version_body(vpath, number)?;
         let created = self.repo.put(dst, &body, None)?;
-        self.versions.record_put(dst, &body);
-        self.versions.note_revert();
+        versions.note_revert();
         if self.obs.is_enabled() {
             self.obs.counter("dav.version_reverts").inc();
         }
@@ -620,9 +607,15 @@ impl<R: Repository> DavHandler<R> {
         if !under || req.method == Method::Copy {
             return None;
         }
+        let Some(versions) = self.repo.deltav().map(DeltaV::versions) else {
+            return Some(Response::error(
+                StatusCode::NOT_FOUND,
+                "this repository keeps no version histories",
+            ));
+        };
         let result = match req.method {
-            Method::Get | Method::Head => self.history_get(req),
-            Method::PropFind => self.history_propfind(req),
+            Method::Get | Method::Head => Self::history_get(versions, req),
+            Method::PropFind => Self::history_propfind(versions, req),
             Method::Options => Ok(Response::ok()
                 .with_header("DAV", "1,2,version-control,ordered-collections")
                 .with_header("Allow", "OPTIONS, GET, HEAD, PROPFIND, COPY")),
@@ -636,15 +629,13 @@ impl<R: Repository> DavHandler<R> {
 
     /// GET or HEAD of a history resource. HEAD gets the body too, like
     /// [`get`](Self::get): the wire frames Content-Length from it.
-    fn history_get(&self, req: &Request) -> Result<Response> {
-        match self.versions.parse_history_target(req.target.path()) {
+    fn history_get(versions: &VersionStore, req: &Request) -> Result<Response> {
+        match versions.parse_history_target(req.target.path()) {
             Some(HistoryTarget::Version(path, number)) => {
-                let _plan = self.versions.plan_read(path);
-                let meta = self
-                    .versions
+                let meta = versions
                     .version_meta(path, number)
                     .ok_or_else(|| DavError::NotFound(format!("{path} version {number}")))?;
-                let body = self.versions.version_body(path, number)?;
+                let body = versions.version_body(path, number)?;
                 Ok(Response::ok()
                     .with_header("Content-Type", "application/octet-stream")
                     .with_header("ETag", version_etag(&meta))
@@ -658,9 +649,7 @@ impl<R: Repository> DavHandler<R> {
                     .with_body(body))
             }
             Some(HistoryTarget::Index(path)) => {
-                let _plan = self.versions.plan_read(path);
-                let (metas, _) = self
-                    .versions
+                let (metas, _) = versions
                     .versions_of(path)
                     .ok_or_else(|| DavError::NotFound(path.to_owned()))?;
                 let mut html = String::from("<html><body><h1>History ");
@@ -684,14 +673,12 @@ impl<R: Repository> DavHandler<R> {
         }
     }
 
-    fn history_propfind(&self, req: &Request) -> Result<Response> {
+    fn history_propfind(versions: &VersionStore, req: &Request) -> Result<Response> {
         let depth = Depth::parse(req.headers.get("Depth"));
         let mut ms = Multistatus::new();
-        match self.versions.parse_history_target(req.target.path()) {
+        match versions.parse_history_target(req.target.path()) {
             Some(HistoryTarget::Version(path, number)) => {
-                let _plan = self.versions.plan_read(path);
-                let (metas, checked_out) = self
-                    .versions
+                let (metas, checked_out) = versions
                     .versions_of(path)
                     .ok_or_else(|| DavError::NotFound(path.to_owned()))?;
                 let meta = metas
@@ -710,9 +697,7 @@ impl<R: Repository> DavHandler<R> {
                 );
             }
             Some(HistoryTarget::Index(path)) => {
-                let _plan = self.versions.plan_read(path);
-                let (metas, checked_out) = self
-                    .versions
+                let (metas, checked_out) = versions
                     .versions_of(path)
                     .ok_or_else(|| DavError::NotFound(path.to_owned()))?;
                 let mut rt = Element::new(Some(DAV_NS), "resourcetype");

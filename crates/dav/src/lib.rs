@@ -23,9 +23,10 @@
 //!
 //! Both are [`repo::Repo`] over a storage-only [`repo::Store`]: one
 //! generic layer owns path normalisation, the path-lock plan of every
-//! operation ([`pathlock`]), the SEARCH property index ([`propindex`])
-//! and an optional commit hook that sees each successful mutation
-//! under its plan (the cluster's change log is that hook).
+//! operation ([`pathlock`]), the SEARCH property index ([`propindex`]),
+//! the DeltaV version histories ([`version`]) and an optional commit
+//! hook that sees each successful mutation under its plan (the
+//! cluster's change log is that hook).
 //!
 //! Locking ([`lock`]), `If:` preconditions ([`ifheader`]), and
 //! multistatus marshalling ([`multistatus`]) complete protocol class 2.

@@ -10,7 +10,9 @@ use crate::error::{DavError, Result};
 use crate::pathlock::{PathGuard, PathLockStats, PathLocks};
 use crate::property::{Property, PropertyName};
 use crate::propindex::PropIndex;
+use crate::version::{DeltaV, VersionStore};
 use pse_http::uri::normalize_path;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -335,6 +337,12 @@ pub trait Repository: Send + Sync + 'static {
     fn index_probe(&self, _probe: &crate::propindex::Probe) -> Option<Vec<String>> {
         None
     }
+
+    /// The repository's DeltaV operations and version histories. The
+    /// default, `None`, keeps no histories: DeltaV requests are refused.
+    fn deltav(&self) -> Option<&dyn DeltaV> {
+        None
+    }
 }
 
 /// Build the live property set from already-fetched metadata — shared
@@ -416,6 +424,12 @@ pub enum Change<'a> {
     /// Dead properties set or removed in order: a PROPPATCH, or one
     /// `set_prop` / effective `remove_prop` as a one-instruction batch.
     PatchProps { path: &'a str, ops: &'a [PropPatchOp] },
+    /// A document put under version control; `content` is version 1.
+    VersionControl { path: &'a str, content: &'a [u8] },
+    /// A versioned document checked out.
+    Checkout { path: &'a str },
+    /// A checked-out document checked in; `content` is the new version.
+    Checkin { path: &'a str, content: &'a [u8] },
 }
 
 /// Storage primitives under a [`Repo`]. Every method is called on a
@@ -476,10 +490,10 @@ type CommitHook = dyn Fn(&Change<'_>) -> Result<()> + Send + Sync;
 /// A [`Store`] under the one locking policy every repository shares:
 /// path normalisation, the path-lock plan of each operation (see
 /// [`crate::pathlock`]), the classify-and-recheck loop of DELETE, COPY
-/// and MOVE, upkeep of the SEARCH property index, and an optional
-/// commit hook that sees every successful mutation while its plan is
-/// still held — so for two conflicting mutations, hook order equals
-/// apply order.
+/// and MOVE, upkeep of the SEARCH property index and of the DeltaV
+/// histories ([`crate::version`]), and an optional commit hook that
+/// sees every successful mutation while its plan is still held — so
+/// for two conflicting mutations, hook order equals apply order.
 pub struct Repo<S: Store> {
     store: S,
     locks: Arc<PathLocks>,
@@ -487,6 +501,9 @@ pub struct Repo<S: Store> {
     /// order the mutations (a leaf lock: never held while acquiring a
     /// path lock).
     index: Arc<PropIndex>,
+    /// Version histories, changed only under the plan of the operation
+    /// that changes them.
+    versions: Arc<VersionStore>,
     hook: OnceLock<Box<CommitHook>>,
 }
 
@@ -497,15 +514,23 @@ impl<S: Store> Repo<S> {
             store,
             locks: Arc::new(locks),
             index: Arc::new(index),
+            versions: Arc::new(VersionStore::new()),
             hook: OnceLock::new(),
         }
     }
 
-    /// Install the commit hook (once; later calls are ignored, as for
-    /// [`crate::version::VersionStore::set_journal`]). It runs after
-    /// each successful mutation, under that mutation's lock plan; its
-    /// error becomes the caller's error, though the mutation stays
-    /// applied.
+    /// Keep version histories in `versions` (e.g. a
+    /// [`VersionStore::persistent`] one) instead of the memory-only
+    /// default.
+    pub fn with_version_store(mut self, versions: VersionStore) -> Repo<S> {
+        self.versions = Arc::new(versions);
+        self
+    }
+
+    /// Install the commit hook (once; later calls are ignored). It runs
+    /// after each successful mutation, DeltaV ones included, under that
+    /// mutation's lock plan; its error becomes the caller's error,
+    /// though the mutation stays applied.
     pub fn set_commit_hook(&self, hook: impl Fn(&Change<'_>) -> Result<()> + Send + Sync + 'static) {
         let _ = self.hook.set(Box::new(hook));
     }
@@ -540,6 +565,30 @@ impl<S: Store> Repo<S> {
             Some(hook) => hook(&change),
             None => Ok(()),
         }
+    }
+
+    /// RFC 3253 §3.10: with auto-versioning off, a checked-in document
+    /// refuses a new body. A deleted one has nothing to protect, so a
+    /// PUT may recreate it (a replica's resync deletes, then re-PUTs).
+    fn check_put_allowed(&self, path: &str) -> Result<()> {
+        match self.versions.check_put_allowed(path) {
+            Err(e) if self.store.exists(path) => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    /// After `data` was written to `path` under its write plan:
+    /// auto-version it, then report it. The write stays applied, so the
+    /// hook runs even when the version write failed; the first error is
+    /// the caller's.
+    fn commit_put(&self, path: &str, data: &[u8], content_type: Option<&str>) -> Result<()> {
+        let recorded = self.versions.record_put(path, data);
+        self.commit(Change::Put {
+            path,
+            data,
+            content_type,
+        })?;
+        recorded
     }
 
     fn read<T>(&self, path: &str, op: impl FnOnce(&S, &str) -> T) -> T {
@@ -587,6 +636,7 @@ impl<S: Store> Repository for Repo<S> {
             snap.set_counter("dav.propindex.compactions", s.compactions);
             snap.set_counter("dav.propindex.rebuilt_on_open", s.rebuilt_on_open);
         });
+        self.versions.register_obs(registry, "dav.versions");
         self.store.register_obs(registry);
     }
 
@@ -609,12 +659,9 @@ impl<S: Store> Repository for Repo<S> {
     fn put(&self, path: &str, data: &[u8], content_type: Option<&str>) -> Result<bool> {
         let path = normalize_path(path);
         let _g = self.locks.write_with_parent(&path);
+        self.check_put_allowed(&path)?;
         let created = self.store.put(&path, data, content_type)?;
-        self.commit(Change::Put {
-            path: &path,
-            data,
-            content_type,
-        })?;
+        self.commit_put(&path, data, content_type)?;
         Ok(created)
     }
 
@@ -657,11 +704,15 @@ impl<S: Store> Repository for Repo<S> {
         let created = self.store.rename(&src, &dst, overwrite)?;
         self.index.remove_tree(&dst);
         self.index.move_tree(&src, &dst);
+        // The history follows the document (a moved collection's
+        // members keep theirs at the old paths).
+        let moved = self.versions.rename(&src, &dst);
         self.commit(Change::Rename {
             src: &src,
             dst: &dst,
             overwrite,
         })?;
+        moved?;
         Ok(created)
     }
 
@@ -770,15 +821,12 @@ impl<S: Store> Repository for Repo<S> {
     fn stage_commit(&self, path: &str, content_type: Option<&str>) -> Result<bool> {
         let path = normalize_path(path);
         let _g = self.locks.write_with_parent(&path);
+        self.check_put_allowed(&path)?;
         let created = self.store.stage_commit(&path, content_type)?;
-        if self.hook.get().is_some() {
+        if self.hook.get().is_some() || self.versions.is_versioned(&path) {
             let data = self.store.get(&path)?;
             let content_type = self.store.meta(&path)?.content_type;
-            self.commit(Change::Put {
-                path: &path,
-                data: &data,
-                content_type: content_type.as_deref(),
-            })?;
+            self.commit_put(&path, &data, content_type.as_deref())?;
         }
         Ok(created)
     }
@@ -789,6 +837,61 @@ impl<S: Store> Repository for Repo<S> {
 
     fn index_probe(&self, probe: &crate::propindex::Probe) -> Option<Vec<String>> {
         self.index.probe(probe)
+    }
+
+    fn deltav(&self) -> Option<&dyn DeltaV> {
+        Some(self)
+    }
+}
+
+impl<S: Store> DeltaV for Repo<S> {
+    fn versions(&self) -> &VersionStore {
+        &self.versions
+    }
+
+    fn version_control(&self, path: &str, content: Option<&[u8]>) -> Result<bool> {
+        self.write(path, |s, p| {
+            let content = match content {
+                Some(c) => Cow::Borrowed(c),
+                None if s.is_collection(p) => {
+                    return Err(DavError::BadRequest(
+                        "collections cannot be version-controlled".into(),
+                    ))
+                }
+                None => Cow::Owned(s.get(p)?),
+            };
+            if self.versions.is_versioned(p) {
+                return Ok(false);
+            }
+            self.versions.start(p, &content)?;
+            self.commit(Change::VersionControl {
+                path: p,
+                content: &content,
+            })?;
+            Ok(true)
+        })
+    }
+
+    fn checkout(&self, path: &str) -> Result<()> {
+        self.write(path, |_, p| {
+            self.versions.checkout(p)?;
+            self.commit(Change::Checkout { path: p })
+        })
+    }
+
+    fn checkin(&self, path: &str, content: Option<&[u8]>) -> Result<u32> {
+        self.write(path, |s, p| {
+            let content = match content {
+                Some(c) => Cow::Borrowed(c),
+                None => Cow::Owned(s.get(p)?),
+            };
+            let number = self.versions.checkin(p, &content)?;
+            self.commit(Change::Checkin {
+                path: p,
+                content: &content,
+            })?;
+            Ok(number)
+        })
     }
 }
 
@@ -972,7 +1075,9 @@ mod tests {
         repo.set_commit_hook(move |change| {
             log.lock().unwrap().push(format!("{change:?}"));
             match change {
-                Change::PatchProps { .. } => Err(DavError::BadRequest("hook refused".into())),
+                Change::PatchProps { .. }
+                | Change::VersionControl { .. }
+                | Change::Checkin { .. } => Err(DavError::BadRequest("hook refused".into())),
                 _ => Ok(()),
             }
         });
@@ -985,8 +1090,17 @@ mod tests {
         let (i, e) = repo.patch_props("/c", &[PropPatchOp::Remove(name)]).unwrap_err();
         assert_eq!(i, 0);
         assert!(matches!(e, DavError::BadRequest(_)));
+        // So do the DeltaV operations, which report through the same hook.
+        repo.put("/c/doc", b"v1", None).unwrap();
+        let vc = repo.version_control("//c/doc", None);
+        assert!(matches!(vc, Err(DavError::BadRequest(_))), "{vc:?}");
+        repo.checkout("/c/doc").unwrap();
+        let ci = repo.checkin("/c/doc", None);
+        assert!(matches!(ci, Err(DavError::BadRequest(_))), "{ci:?}");
+        assert_eq!(repo.versions().version_count("/c/doc"), 2);
         let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 3, "{seen:?}");
+        assert_eq!(seen.len(), 7, "{seen:?}");
         assert!(seen[0].starts_with("Mkcol { path: \"/c\""), "{seen:?}");
+        assert!(seen[4].starts_with("VersionControl { path: \"/c/doc\""), "{seen:?}");
     }
 }

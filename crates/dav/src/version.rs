@@ -23,17 +23,21 @@
 //! resource, so a 1% edit costs ~1% new bytes and pruning a history
 //! garbage-collects exactly the chunks nothing references any more.
 //!
-//! Histories are held by the server (not the repository), mirroring how
-//! mod_dav kept lock state out of the data store. Consistency with the
-//! live resource is enforced by the store's own [`PathLocks`]: writers
-//! (the handler's PUT path, CHECKIN, VERSION-CONTROL) hold the write
-//! plan across *both* the repository mutation and the history append,
-//! and `REPORT` takes the read plan, so a report can never observe a
-//! half-recorded version (repository content newer than its history).
+//! Histories live in the repository: a [`crate::repo::Repo`] owns its
+//! `VersionStore` (memory-only unless a persistent one is passed to
+//! [`crate::repo::Repo::with_version_store`]) and changes it only under
+//! the lock plan of the operation that changes it. A PUT or staged
+//! commit is gated (manual mode refuses a checked-in resource) and
+//! auto-versioned under the same write plan as the store write; a MOVE
+//! re-homes the history under the rename plan; VERSION-CONTROL,
+//! CHECKOUT and CHECKIN ([`DeltaV`]) take the ordinary write plan and
+//! report to the repository's commit hook like any other mutation.
+//! Every history change is written through before it is acknowledged:
+//! a failed chunk or manifest write is undone in memory and returned
+//! to the caller, so memory never holds a version the disk lacks.
 
 use crate::cdc::{self, ChunkParams};
 use crate::error::{DavError, Result};
-use crate::pathlock::{PathGuard, PathLocks};
 use crate::property::DAV_NS;
 use crate::repo::{format_iso8601, Repository};
 use parking_lot::Mutex;
@@ -45,7 +49,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// URL prefix version histories are served under. The history of
@@ -105,7 +109,7 @@ impl VersionRec {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct History {
     versions: Vec<VersionRec>,
     checked_out: bool,
@@ -115,34 +119,6 @@ struct History {
 struct Inner {
     histories: HashMap<String, History>,
     chunks: HashMap<u64, Vec<Bucket>>,
-}
-
-/// A version-state mutation, emitted to the journal hook so a
-/// replicated deployment can ship it through the change log. The
-/// events carry the recorded content (not a repository path) so replay
-/// on a replica reproduces the primary's history byte-for-byte even
-/// when a concurrent PUT raced the operation on the primary.
-#[derive(Debug, Clone)]
-pub enum VersionEvent {
-    /// A resource was put under version control; `content` is version 1.
-    VersionControl {
-        /// Resource path.
-        path: String,
-        /// Body recorded as version 1.
-        content: Vec<u8>,
-    },
-    /// The resource was checked out (auto-versioning suspended).
-    Checkout {
-        /// Resource path.
-        path: String,
-    },
-    /// The resource was checked in; `content` is the new version body.
-    Checkin {
-        /// Resource path.
-        path: String,
-        /// Body recorded by the checkin.
-        content: Vec<u8>,
-    },
 }
 
 /// Aggregate store statistics (see [`VersionStore::stats`]).
@@ -171,21 +147,32 @@ pub enum HistoryTarget<'a> {
     Version(&'a str, u32),
 }
 
-type Journal = Box<dyn Fn(&VersionEvent) + Send + Sync>;
+/// DeltaV on a repository that keeps version histories (see
+/// [`Repository::deltav`]). Each mutation takes the repository's write
+/// plan for the path and reports to its commit hook. `content`, when
+/// given, is the body to record (a replica replaying the primary's
+/// decision); `None` reads the current body under the plan.
+pub trait DeltaV {
+    /// The histories, for reads.
+    fn versions(&self) -> &VersionStore;
+    /// VERSION-CONTROL: start `path`'s history. `Ok(false)` when it is
+    /// already versioned (idempotent per RFC 3253).
+    fn version_control(&self, path: &str, content: Option<&[u8]>) -> Result<bool>;
+    /// CHECKOUT: suspend auto-versioning until CHECKIN.
+    fn checkout(&self, path: &str) -> Result<()>;
+    /// CHECKIN: record one new version and return its number.
+    fn checkin(&self, path: &str, content: Option<&[u8]>) -> Result<u32>;
+}
 
-/// The server-side version store.
+/// A repository's version histories and their chunk store.
 pub struct VersionStore {
     inner: Mutex<Inner>,
-    /// Hierarchy-aware plans serialising version-visible mutations of a
-    /// resource (repository write + history append) against `REPORT`.
-    locks: Arc<PathLocks>,
     /// When set, chunks and history manifests are written through under
     /// this directory (`chunks/`, `meta/`) and reloaded on startup.
     dir: Option<PathBuf>,
     /// Auto-version-on-PUT (the Ecce flow). When false, a PUT against a
     /// checked-in versioned resource is refused with 409.
     auto_version: AtomicBool,
-    journal: OnceLock<Journal>,
     checkouts: AtomicU64,
     checkins: AtomicU64,
     reverts: AtomicU64,
@@ -222,10 +209,8 @@ impl VersionStore {
     pub fn new() -> VersionStore {
         VersionStore {
             inner: Mutex::new(Inner::default()),
-            locks: Arc::new(PathLocks::new(crate::pathlock::DEFAULT_SHARDS, false)),
             dir: None,
             auto_version: AtomicBool::new(true),
-            journal: OnceLock::new(),
             checkouts: AtomicU64::new(0),
             checkins: AtomicU64::new(0),
             reverts: AtomicU64::new(0),
@@ -359,38 +344,6 @@ impl VersionStore {
         self.auto_version.load(Ordering::Relaxed)
     }
 
-    /// Install the journal hook (once). Called with the path's write
-    /// plan held, in the order operations took effect, so a change-log
-    /// appender sees version events in replayable order.
-    pub fn set_journal(&self, hook: impl Fn(&VersionEvent) + Send + Sync + 'static) {
-        let _ = self.journal.set(Box::new(hook));
-    }
-
-    fn emit(&self, event: VersionEvent) {
-        if let Some(hook) = self.journal.get() {
-            hook(&event);
-        }
-    }
-
-    // ---- lock plans (shared with the handler) ----
-
-    /// Write plan for `path`: held by the handler across a versioned
-    /// PUT (repository write + [`record_put`](Self::record_put)) so no
-    /// reader can observe the repository ahead of the history.
-    pub fn plan_write(&self, path: &str) -> PathGuard<'_> {
-        self.locks.write(path)
-    }
-
-    /// Read plan for `path` (see [`plan_write`](Self::plan_write)).
-    pub fn plan_read(&self, path: &str) -> PathGuard<'_> {
-        self.locks.read(path)
-    }
-
-    /// Write plan covering both ends of a rename.
-    pub fn plan_rename(&self, src: &str, dst: &str) -> PathGuard<'_> {
-        self.locks.rename_pair(src, dst)
-    }
-
     // ---- queries ----
 
     /// Is `path` under version control?
@@ -495,158 +448,11 @@ impl VersionStore {
         s
     }
 
-    // ---- DeltaV operations ----
-
-    /// Handle `VERSION-CONTROL`: put the target under version control
-    /// (idempotent per RFC 3253). Version 1 is the current content.
-    pub fn version_control(&self, repo: &dyn Repository, req: &Request) -> Result<Response> {
-        let path = req.target.path();
-        let _plan = self.locks.write(path);
-        let meta = repo.meta(path)?;
-        if meta.is_collection {
-            return Err(DavError::BadRequest(
-                "collections cannot be version-controlled".into(),
-            ));
-        }
-        if self.is_versioned(path) {
-            return Ok(Response::ok());
-        }
-        let content = repo.get(path)?;
-        self.start_history(path, &content);
-        self.emit(VersionEvent::VersionControl {
-            path: path.to_owned(),
-            content,
-        });
-        Ok(Response::ok())
-    }
-
-    /// Replay-side `VERSION-CONTROL` (no journal emission). Returns
-    /// false when the path was already versioned.
-    pub fn apply_version_control(&self, path: &str, content: &[u8]) -> bool {
-        let _plan = self.locks.write(path);
-        if self.is_versioned(path) {
-            return false;
-        }
-        self.start_history(path, content);
-        true
-    }
-
-    fn start_history(&self, path: &str, content: &[u8]) {
-        let mut inner = self.inner.lock();
-        let rec = self.store_version(&mut inner, 1, content);
-        inner.histories.insert(
-            path.to_owned(),
-            History {
-                versions: vec![rec],
-                checked_out: false,
-            },
-        );
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        self.persist(&inner, path);
-    }
-
-    /// Handle `CHECKOUT`: suspend auto-versioning until `CHECKIN`.
-    pub fn checkout(&self, _repo: &dyn Repository, req: &Request) -> Result<Response> {
-        let path = req.target.path();
-        let _plan = self.locks.write(path);
-        {
-            let mut inner = self.inner.lock();
-            let h = inner.histories.get_mut(path).ok_or_else(|| {
-                DavError::Conflict(format!("{path} is not under version control"))
-            })?;
-            if h.checked_out {
-                return Err(DavError::Conflict(format!("{path} is already checked out")));
-            }
-            h.checked_out = true;
-            self.persist(&inner, path);
-        }
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
-        self.emit(VersionEvent::Checkout {
-            path: path.to_owned(),
-        });
-        Ok(Response::ok())
-    }
-
-    /// Replay-side `CHECKOUT` (tolerant: false when not versioned).
-    pub fn apply_checkout(&self, path: &str) -> bool {
-        let _plan = self.locks.write(path);
-        let mut inner = self.inner.lock();
-        match inner.histories.get_mut(path) {
-            Some(h) => {
-                h.checked_out = true;
-                self.persist(&inner, path);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Handle `CHECKIN`: record exactly one new version from the
-    /// current content and resume normal gating. Answers 201 with the
-    /// new version's history URL in `Location`.
-    pub fn checkin(&self, repo: &dyn Repository, req: &Request) -> Result<Response> {
-        let path = req.target.path();
-        let _plan = self.locks.write(path);
-        {
-            let inner = self.inner.lock();
-            let h = inner.histories.get(path).ok_or_else(|| {
-                DavError::Conflict(format!("{path} is not under version control"))
-            })?;
-            if !h.checked_out {
-                return Err(DavError::Conflict(format!("{path} is not checked out")));
-            }
-        }
-        let content = repo.get(path)?;
-        let number = self.record_checkin(path, &content);
-        self.checkins.fetch_add(1, Ordering::Relaxed);
-        self.emit(VersionEvent::Checkin {
-            path: path.to_owned(),
-            content,
-        });
-        Ok(Response::created()
-            .with_header(
-                "Location",
-                pse_http::uri::percent_encode_path(&history_url(path, number)),
-            )
-            .with_header("X-Version", number.to_string()))
-    }
-
-    /// Replay-side `CHECKIN` (tolerant: false when not versioned).
-    pub fn apply_checkin(&self, path: &str, content: &[u8]) -> bool {
-        let _plan = self.locks.write(path);
-        if !self.is_versioned(path) {
-            return false;
-        }
-        self.record_checkin(path, content);
-        true
-    }
-
-    /// Append a version unconditionally (a checkin records even
-    /// unchanged content — the revision marks a user decision) and
-    /// clear the checked-out flag.
-    fn record_checkin(&self, path: &str, content: &[u8]) -> u32 {
-        let mut inner = self.inner.lock();
-        let number = {
-            let h = inner
-                .histories
-                .get(path)
-                .expect("checked by callers under the write plan");
-            h.versions.last().map_or(1, |v| v.number + 1)
-        };
-        let rec = self.store_version(&mut inner, number, content);
-        let h = inner.histories.get_mut(path).expect("still present");
-        h.versions.push(rec);
-        h.checked_out = false;
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        self.persist(&inner, path);
-        number
-    }
-
     /// May a PUT proceed against `path`? 409 when the resource is
     /// version-controlled, auto-versioning is off, and it is not
     /// checked out (RFC 3253 §3.10: a checked-in version-controlled
     /// resource refuses content mutation).
-    pub fn check_put_allowed(&self, path: &str) -> Result<()> {
+    pub(crate) fn check_put_allowed(&self, path: &str) -> Result<()> {
         if self.auto_version() {
             return Ok(());
         }
@@ -661,74 +467,146 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Record the just-written content as the newest version. Called by
-    /// the handler (and the replication applier) after a successful PUT
-    /// **while holding [`plan_write`](Self::plan_write)**. No-op unless
-    /// the path is versioned, auto-versioning is on, and the resource
-    /// is not checked out; identical content is not duplicated.
-    pub fn record_put(&self, path: &str, content: &[u8]) {
-        if !self.auto_version() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let Some(h) = inner.histories.get(path) else {
-            return;
-        };
-        if h.checked_out {
-            return; // CHECKIN will capture the final state.
-        }
-        let number = match h.versions.last() {
-            Some(newest) => {
-                if newest.len == content.len() as u64 && inner.assemble(newest) == content {
-                    return;
-                }
-                newest.number + 1
-            }
-            None => 1,
-        };
-        let rec = self.store_version(&mut inner, number, content);
-        inner
-            .histories
-            .get_mut(path)
-            .expect("checked above")
-            .versions
-            .push(rec);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        self.persist(&inner, path);
-    }
-
     /// Count one revert (COPY from a version URL) for the metrics.
     pub fn note_revert(&self) {
         self.reverts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// History follows MOVE: re-home `src`'s history at `dst`. Called
-    /// with [`plan_rename`](Self::plan_rename) held.
-    pub fn rename(&self, src: &str, dst: &str) {
+    // ---- mutations: called by `Repo` under the path's write plan ----
+
+    /// Start `path`'s history with `content` as version 1.
+    pub(crate) fn start(&self, path: &str, content: &[u8]) -> Result<()> {
         let mut inner = self.inner.lock();
-        if let Some(h) = inner.histories.remove(src) {
-            if let Some(dir) = &self.dir {
-                let _ = fs::remove_file(dir.join("meta").join(escape_history_filename(src)));
-            }
-            inner.histories.insert(dst.to_owned(), h);
-            self.persist(&inner, dst);
+        inner.histories.insert(path.to_owned(), History::default());
+        let pushed = self.push_version(&mut inner, path, content);
+        if pushed.is_err() {
+            inner.histories.remove(path);
         }
+        pushed.map(drop)
+    }
+
+    /// Suspend auto-versioning of `path` until [`checkin`](Self::checkin).
+    pub(crate) fn checkout(&self, path: &str) -> Result<()> {
+        let mut inner = self.inner.lock();
+        let h = inner.histories.get_mut(path).ok_or_else(|| {
+            DavError::Conflict(format!("{path} is not under version control"))
+        })?;
+        if h.checked_out {
+            return Err(DavError::Conflict(format!("{path} is already checked out")));
+        }
+        h.checked_out = true;
+        self.write_through(&mut inner, path, |inner| {
+            inner.histories.get_mut(path).expect("present").checked_out = false;
+        })?;
+        self.checkouts.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Record `content` as one new version of the checked-out `path`
+    /// (even when unchanged: the revision marks a user decision) and
+    /// resume auto-versioning. Returns the new version's number.
+    pub(crate) fn checkin(&self, path: &str, content: &[u8]) -> Result<u32> {
+        let mut inner = self.inner.lock();
+        let h = inner.histories.get(path).ok_or_else(|| {
+            DavError::Conflict(format!("{path} is not under version control"))
+        })?;
+        if !h.checked_out {
+            return Err(DavError::Conflict(format!("{path} is not checked out")));
+        }
+        let number = self.push_version(&mut inner, path, content)?;
+        self.checkins.fetch_add(1, Ordering::Relaxed);
+        Ok(number)
+    }
+
+    /// Record the body just written to `path` as its newest version.
+    /// No-op unless the path is versioned, auto-versioning is on, and
+    /// the resource is not checked out (CHECKIN will capture the final
+    /// state); identical content is not duplicated.
+    pub(crate) fn record_put(&self, path: &str, content: &[u8]) -> Result<()> {
+        if !self.auto_version() {
+            return Ok(());
+        }
+        let mut inner = self.inner.lock();
+        let Some(h) = inner.histories.get(path) else {
+            return Ok(());
+        };
+        let unchanged = h
+            .versions
+            .last()
+            .is_some_and(|v| v.len == content.len() as u64 && inner.assemble(v) == content);
+        if h.checked_out || unchanged {
+            return Ok(());
+        }
+        self.push_version(&mut inner, path, content).map(drop)
+    }
+
+    /// History follows MOVE: re-home `src`'s history at `dst`.
+    pub(crate) fn rename(&self, src: &str, dst: &str) -> Result<()> {
+        let mut inner = self.inner.lock();
+        let Some(h) = inner.histories.remove(src) else {
+            return Ok(());
+        };
+        let displaced = inner.histories.insert(dst.to_owned(), h);
+        self.write_through(&mut inner, dst, |inner| {
+            let h = inner.histories.remove(dst).expect("present");
+            inner.histories.insert(src.to_owned(), h);
+            if let Some(d) = displaced.clone() {
+                inner.histories.insert(dst.to_owned(), d);
+            }
+        })?;
+        for id in displaced.iter().flat_map(|d| &d.versions).flat_map(|v| &v.chunks) {
+            inner.release_chunk(*id);
+        }
+        match &self.dir {
+            Some(dir) => match fs::remove_file(dir.join("meta").join(escape_history_filename(src))) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+                _ => Ok(()),
+            },
+            None => Ok(()),
+        }
+    }
+
+    /// Append `content` as `path`'s next version, checked in. A failed
+    /// write leaves the history as it was.
+    fn push_version(&self, inner: &mut Inner, path: &str, content: &[u8]) -> Result<u32> {
+        let h = inner.histories.get(path).expect("callers check the history");
+        let number = h.versions.last().map_or(1, |v| v.number + 1);
+        let was_checked_out = h.checked_out;
+        let rec = self.store_version(inner, number, content)?;
+        let h = inner.histories.get_mut(path).expect("present");
+        h.versions.push(rec);
+        h.checked_out = false;
+        self.write_through(inner, path, |inner| {
+            let h = inner.histories.get_mut(path).expect("present");
+            let rec = h.versions.pop().expect("just pushed");
+            h.checked_out = was_checked_out;
+            for id in &rec.chunks {
+                inner.release_chunk(*id);
+            }
+        })?;
+        self.recorded.fetch_add(1, Ordering::Relaxed);
+        Ok(number)
     }
 
     /// Prune `path`'s history to its newest `keep` versions, releasing
     /// chunk references and deleting chunks (and their files) nothing
     /// references any more. Returns the number of versions removed.
-    pub fn prune(&self, path: &str, keep: usize) -> usize {
-        let _plan = self.locks.write(path);
+    /// Runs under the store mutex alone: it is not a DAV method.
+    pub fn prune(&self, path: &str, keep: usize) -> Result<usize> {
         let mut inner = self.inner.lock();
         let Some(h) = inner.histories.get_mut(path) else {
-            return 0;
+            return Ok(0);
         };
         let n = h.versions.len().saturating_sub(keep.max(1));
         if n == 0 {
-            return 0;
+            return Ok(0);
         }
         let removed: Vec<VersionRec> = h.versions.drain(..n).collect();
+        if let Err(e) = self.persist(&inner, path) {
+            let h = inner.histories.get_mut(path).expect("present");
+            h.versions.splice(0..0, removed);
+            return Err(e.into());
+        }
         let mut freed_chunks = 0u64;
         let mut freed_bytes = 0u64;
         for v in &removed {
@@ -744,8 +622,7 @@ impl VersionStore {
         }
         self.gc_chunks.fetch_add(freed_chunks, Ordering::Relaxed);
         self.gc_bytes.fetch_add(freed_bytes, Ordering::Relaxed);
-        self.persist(&inner, path);
-        n
+        Ok(n)
     }
 
     /// Debug check: recompute refcounts from every manifest and compare
@@ -815,12 +692,10 @@ impl VersionStore {
     // ---- REPORT ----
 
     /// Handle `REPORT` (`DAV:version-tree`, `DAV:version-content`).
-    /// Takes the resource's read plan so a concurrent versioned PUT —
-    /// which holds the write plan across the repository write *and* the
-    /// history append — can never be observed half-recorded.
+    /// Needs no path plan: a version is recorded whole under the store
+    /// mutex, and each answer is read under it in one go.
     pub fn report(&self, repo: &dyn Repository, req: &Request) -> Result<Response> {
-        let path = req.target.path();
-        let _plan = self.locks.read(path);
+        let path = &pse_http::uri::normalize_path(req.target.path());
         if !repo.exists(path) {
             return Err(DavError::NotFound(path.to_owned()));
         }
@@ -871,66 +746,57 @@ impl VersionStore {
 
     // ---- persistence ----
 
+    /// Write `path`'s manifest through; when that fails, `undo` the
+    /// in-memory change so memory never holds what the disk lacks.
+    fn write_through(
+        &self,
+        inner: &mut Inner,
+        path: &str,
+        undo: impl FnOnce(&mut Inner),
+    ) -> Result<()> {
+        self.persist(inner, path).map_err(|e| {
+            undo(inner);
+            e.into()
+        })
+    }
+
     /// Write `path`'s manifest through to disk (no-op for memory-only
     /// stores). Called with the store mutex held, so persisted state
     /// never interleaves between two concurrent mutations.
-    fn persist(&self, inner: &Inner, path: &str) {
-        let Some(dir) = &self.dir else { return };
-        let Some(h) = inner.histories.get(path) else {
-            return;
+    fn persist(&self, inner: &Inner, path: &str) -> std::io::Result<()> {
+        let (Some(dir), Some(h)) = (&self.dir, inner.histories.get(path)) else {
+            return Ok(());
         };
-        let file = dir.join("meta").join(escape_history_filename(path));
-        let tmp = dir
-            .join("meta")
-            .join(format!("{}.tmp", escape_history_filename(path)));
-        let bytes = encode_history(path, h);
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
-            fs::rename(&tmp, &file)
-        };
-        if let Err(e) = write() {
-            eprintln!("pse-dav: failed to persist version history for {path}: {e}");
-        }
+        let name = escape_history_filename(path);
+        write_file(&dir.join("meta"), &name, &encode_history(path, h))
     }
 
     /// Chunk `content`, intern every chunk (bumping refcounts), and
-    /// write freshly-stored chunk files through to disk.
-    fn store_version(&self, inner: &mut Inner, number: u32, content: &[u8]) -> VersionRec {
+    /// write freshly-stored chunk files through to disk. A failed write
+    /// releases the references taken so far.
+    fn store_version(&self, inner: &mut Inner, number: u32, content: &[u8]) -> Result<VersionRec> {
         let mut ids = Vec::new();
         for c in cdc::chunk(content, ChunkParams::default()) {
             let bytes = &content[c.offset..c.offset + c.len];
             let (id, fresh) = inner.intern_chunk(c.hash, bytes);
-            if fresh {
-                self.persist_chunk(id, bytes);
-            }
             ids.push(id);
+            let written = match (&self.dir, fresh) {
+                (Some(dir), true) => write_file(&dir.join("chunks"), &chunk_filename(id), bytes),
+                _ => Ok(()),
+            };
+            if let Err(e) = written {
+                for id in &ids {
+                    inner.release_chunk(*id);
+                }
+                return Err(e.into());
+            }
         }
-        VersionRec {
+        Ok(VersionRec {
             number,
             created: now_secs(),
             len: content.len() as u64,
             chunks: ids,
-        }
-    }
-
-    fn persist_chunk(&self, id: ChunkId, data: &[u8]) {
-        let Some(dir) = &self.dir else { return };
-        let file = dir.join("chunks").join(chunk_filename(id));
-        let tmp = dir.join("chunks").join(format!("{}.tmp", chunk_filename(id)));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(data)?;
-            f.sync_data()?;
-            fs::rename(&tmp, &file)
-        };
-        if let Err(e) = write() {
-            eprintln!(
-                "pse-dav: failed to persist chunk {:016x}.{}: {e}",
-                id.hash, id.bucket
-            );
-        }
+        })
     }
 
     /// Contribute store gauges and counters under `prefix.*`.
@@ -1074,6 +940,16 @@ impl Inner {
     }
 }
 
+/// Write `data` to `dir/name` durably: a synced temporary file renamed
+/// over the target, so a crash leaves the old file or the new one.
+fn write_file(dir: &std::path::Path, name: &str, data: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut f = fs::File::create(&tmp)?;
+    f.write_all(data)?;
+    f.sync_data()?;
+    fs::rename(&tmp, dir.join(name))
+}
+
 /// One manifest file per resource, named by escaping the resource path
 /// (`[A-Za-z0-9._-]` kept, every other byte `%XX`-encoded) so distinct
 /// paths always map to distinct filenames.
@@ -1183,27 +1059,28 @@ fn decode_history(bytes: &[u8]) -> Option<(String, History)> {
 mod tests {
     use super::*;
     use crate::memrepo::MemRepository;
+    use crate::repo::Change;
     use pse_http::Method;
 
-    fn vc(store: &VersionStore, repo: &MemRepository, path: &str) {
-        store
-            .version_control(repo, &Request::new(Method::VersionControl, path))
-            .unwrap();
+    fn vc(repo: &MemRepository, path: &str) {
+        assert!(repo.version_control(path, None).unwrap());
+    }
+
+    fn persistent_repo(dir: &std::path::Path) -> MemRepository {
+        MemRepository::new().with_version_store(VersionStore::persistent(dir).unwrap())
     }
 
     #[test]
     fn version_control_then_history_grows() {
         let repo = MemRepository::new();
         repo.put("/doc", b"v1", None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/doc");
+        vc(&repo, "/doc");
+        let store = repo.versions();
         assert!(store.is_versioned("/doc"));
         assert_eq!(store.version_count("/doc"), 1);
 
         repo.put("/doc", b"v2", None).unwrap();
-        store.record_put("/doc", b"v2");
         repo.put("/doc", b"v3", None).unwrap();
-        store.record_put("/doc", b"v3");
         assert_eq!(store.version_count("/doc"), 3);
         assert_eq!(store.version_body("/doc", 1).unwrap(), b"v1");
         assert_eq!(store.version_body("/doc", 3).unwrap(), b"v3");
@@ -1215,84 +1092,73 @@ mod tests {
         let repo = MemRepository::new();
         repo.put("/doc", b"x", None).unwrap();
         repo.mkcol("/c").unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/doc");
-        vc(&store, &repo, "/doc");
-        assert_eq!(store.version_count("/doc"), 1);
-        let req = Request::new(Method::VersionControl, "/c");
-        assert!(store.version_control(&repo, &req).is_err());
+        vc(&repo, "/doc");
+        assert!(!repo.version_control("/doc", None).unwrap());
+        assert_eq!(repo.versions().version_count("/doc"), 1);
+        assert!(repo.version_control("/c", None).is_err());
     }
 
     #[test]
     fn identical_content_not_duplicated() {
         let repo = MemRepository::new();
         repo.put("/doc", b"same", None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/doc");
-        store.record_put("/doc", b"same");
-        assert_eq!(store.version_count("/doc"), 1);
+        vc(&repo, "/doc");
+        repo.put("/doc", b"same", None).unwrap();
+        assert_eq!(repo.versions().version_count("/doc"), 1);
     }
 
     #[test]
     fn checkout_suspends_auto_versioning_until_checkin() {
         let repo = MemRepository::new();
         repo.put("/doc", b"base", None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/doc");
+        vc(&repo, "/doc");
+        let store = repo.versions();
 
-        let co = Request::new(Method::Checkout, "/doc");
-        assert_eq!(store.checkout(&repo, &co).unwrap().status.code(), 200);
+        repo.checkout("/doc").unwrap();
         assert!(store.is_checked_out("/doc"));
         // Double checkout refused.
-        assert!(store.checkout(&repo, &co).is_err());
+        assert!(repo.checkout("/doc").is_err());
 
-        // A storm of recorded PUTs while checked out: nothing recorded.
+        // A storm of PUTs while checked out: nothing recorded.
         for i in 0..20 {
-            let body = format!("draft-{i}").into_bytes();
-            repo.put("/doc", &body, None).unwrap();
-            store.record_put("/doc", &body);
+            repo.put("/doc", format!("draft-{i}").as_bytes(), None).unwrap();
         }
         assert_eq!(store.version_count("/doc"), 1);
 
-        let ci = Request::new(Method::Checkin, "/doc");
-        let resp = store.checkin(&repo, &ci).unwrap();
-        assert_eq!(resp.status.code(), 201);
-        assert_eq!(
-            resp.headers.get("Location").unwrap(),
-            "/.well-known/history/doc/2"
-        );
+        assert_eq!(repo.checkin("/doc", None).unwrap(), 2);
         assert_eq!(store.version_count("/doc"), 2);
         assert_eq!(store.version_body("/doc", 2).unwrap(), b"draft-19");
         assert!(!store.is_checked_out("/doc"));
         // Checkin without checkout refused.
-        assert!(store.checkin(&repo, &ci).is_err());
+        assert!(repo.checkin("/doc", None).is_err());
     }
 
     #[test]
     fn manual_mode_gates_put_until_checkout() {
         let repo = MemRepository::new();
         repo.put("/doc", b"base", None).unwrap();
-        let store = VersionStore::new();
-        store.set_auto_version(false);
-        vc(&store, &repo, "/doc");
-        let err = store.check_put_allowed("/doc").unwrap_err();
+        repo.versions().set_auto_version(false);
+        vc(&repo, "/doc");
+        let err = repo.put("/doc", b"edit", None).unwrap_err();
         assert_eq!(err.status().code(), 409);
-        store
-            .checkout(&repo, &Request::new(Method::Checkout, "/doc"))
-            .unwrap();
-        store.check_put_allowed("/doc").unwrap();
+        assert_eq!(repo.get("/doc").unwrap(), b"base");
+        repo.checkout("/doc").unwrap();
+        repo.put("/doc", b"edit", None).unwrap();
         // Unversioned paths are never gated.
-        store.check_put_allowed("/other").unwrap();
+        repo.put("/other", b"x", None).unwrap();
+        // Nor is a deleted document: a PUT may recreate it.
+        repo.checkin("/doc", None).unwrap();
+        repo.delete("/doc").unwrap();
+        repo.put("/doc", b"recreated", None).unwrap();
     }
 
     #[test]
     fn version_tree_and_content_reports() {
         let repo = MemRepository::new();
         repo.put("/doc", b"first", None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/doc");
-        store.record_put("/doc", b"second-longer");
+        vc(&repo, "/doc");
         repo.put("/doc", b"second-longer", None).unwrap();
+        let store = repo.versions();
 
         let req = Request::new(Method::Report, "/doc")
             .with_xml_body(r#"<D:version-tree xmlns:D="DAV:"/>"#);
@@ -1328,7 +1194,7 @@ mod tests {
     fn unversioned_resource_has_empty_tree() {
         let repo = MemRepository::new();
         repo.put("/plain", b"", None).unwrap();
-        let store = VersionStore::new();
+        let store = repo.versions();
         let req = Request::new(Method::Report, "/plain")
             .with_xml_body(r#"<D:version-tree xmlns:D="DAV:"/>"#);
         let resp = store.report(&repo, &req).unwrap();
@@ -1342,9 +1208,9 @@ mod tests {
         repo.mkcol("/a").unwrap();
         repo.put("/a/1", b"x", None).unwrap();
         repo.put("/b", b"y", None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/a/1");
-        vc(&store, &repo, "/b");
+        vc(&repo, "/a/1");
+        vc(&repo, "/b");
+        let store = repo.versions();
         assert_eq!(
             store.parse_history_target("/.well-known/history/b"),
             Some(HistoryTarget::Index("/b"))
@@ -1378,14 +1244,14 @@ mod tests {
             *b = (state >> 33) as u8;
         }
         repo.put("/big", &body, None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/big");
+        vc(&repo, "/big");
         for i in 0..10 {
             // ~1% edit at a moving offset.
             let at = (i * 37) % (body.len() - 16);
             body[at..at + 16].copy_from_slice(&[i as u8; 16]);
-            store.record_put("/big", &body);
+            repo.put("/big", &body, None).unwrap();
         }
+        let store = repo.versions();
         let s = store.stats();
         assert_eq!(s.versions, 11);
         // Physical bytes must be far below the 11 full snapshots.
@@ -1402,13 +1268,14 @@ mod tests {
     fn prune_releases_chunks_and_stays_consistent() {
         let repo = MemRepository::new();
         repo.put("/doc", b"v1", None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/doc");
+        vc(&repo, "/doc");
         for i in 0..5 {
-            store.record_put("/doc", format!("version-number-{i}").as_bytes());
+            repo.put("/doc", format!("version-number-{i}").as_bytes(), None)
+                .unwrap();
         }
+        let store = repo.versions();
         assert_eq!(store.version_count("/doc"), 6);
-        let removed = store.prune("/doc", 2);
+        let removed = store.prune("/doc", 2).unwrap();
         assert_eq!(removed, 4);
         assert_eq!(store.version_count("/doc"), 2);
         // Numbers are preserved for the survivors.
@@ -1418,20 +1285,27 @@ mod tests {
         assert_eq!(store.version_body("/doc", 6).unwrap(), b"version-number-4");
         store.verify_consistency().unwrap();
         // Pruning to a floor of >= current count is a no-op.
-        assert_eq!(store.prune("/doc", 10), 0);
+        assert_eq!(store.prune("/doc", 10).unwrap(), 0);
     }
 
     #[test]
     fn rename_rehomes_history() {
         let repo = MemRepository::new();
         repo.put("/old", b"v1", None).unwrap();
-        let store = VersionStore::new();
-        vc(&store, &repo, "/old");
-        store.record_put("/old", b"v2");
-        store.rename("/old", "/new");
+        vc(&repo, "/old");
+        repo.put("/old", b"v2", None).unwrap();
+        repo.rename("/old", "/new", false).unwrap();
+        let store = repo.versions();
         assert!(!store.is_versioned("/old"));
         assert_eq!(store.version_count("/new"), 2);
         assert_eq!(store.version_body("/new", 1).unwrap(), b"v1");
+        // Moved over another versioned document, the history replaces
+        // that one's and releases its chunks.
+        repo.put("/other", b"other body", None).unwrap();
+        vc(&repo, "/other");
+        repo.rename("/new", "/other", true).unwrap();
+        assert_eq!(store.version_body("/other", 2).unwrap(), b"v2");
+        store.verify_consistency().unwrap();
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1447,19 +1321,13 @@ mod tests {
     #[test]
     fn histories_survive_a_restart() {
         let dir = temp_dir("restart");
-        let repo = MemRepository::new();
-        repo.mkcol("/proj").unwrap();
-        repo.put("/proj/calc output.log", b"v1", None).unwrap();
         {
-            let store = VersionStore::persistent(&dir).unwrap();
-            vc(&store, &repo, "/proj/calc output.log");
-            store.record_put("/proj/calc output.log", b"v2-longer");
-            store
-                .checkout(
-                    &repo,
-                    &Request::new(Method::Checkout, "/proj/calc output.log"),
-                )
-                .unwrap();
+            let repo = persistent_repo(&dir);
+            repo.mkcol("/proj").unwrap();
+            repo.put("/proj/calc output.log", b"v1", None).unwrap();
+            vc(&repo, "/proj/calc output.log");
+            repo.put("/proj/calc output.log", b"v2-longer", None).unwrap();
+            repo.checkout("/proj/calc output.log").unwrap();
         }
         // A fresh store (new process, same directory) sees the history
         // including the checked-out flag.
@@ -1478,13 +1346,12 @@ mod tests {
     #[test]
     fn corrupt_manifests_and_missing_chunks_are_skipped_on_load() {
         let dir = temp_dir("corrupt");
-        let repo = MemRepository::new();
-        repo.put("/good", b"ok", None).unwrap();
-        repo.put("/maimed", b"will lose its chunk", None).unwrap();
         {
-            let store = VersionStore::persistent(&dir).unwrap();
-            vc(&store, &repo, "/good");
-            vc(&store, &repo, "/maimed");
+            let repo = persistent_repo(&dir);
+            repo.put("/good", b"ok", None).unwrap();
+            repo.put("/maimed", b"will lose its chunk", None).unwrap();
+            vc(&repo, "/good");
+            vc(&repo, "/maimed");
         }
         fs::write(dir.join("meta").join("%2Fbad"), b"\xFF\xFF not a manifest").unwrap();
         // Destroy /maimed's only chunk.
@@ -1508,14 +1375,13 @@ mod tests {
     #[test]
     fn prune_deletes_chunk_files_and_restart_gc_removes_orphans() {
         let dir = temp_dir("gc");
-        let repo = MemRepository::new();
+        let repo = persistent_repo(&dir);
         repo.put("/doc", b"aaaa", None).unwrap();
-        let store = VersionStore::persistent(&dir).unwrap();
-        vc(&store, &repo, "/doc");
-        store.record_put("/doc", b"bbbb-different");
+        vc(&repo, "/doc");
+        repo.put("/doc", b"bbbb-different", None).unwrap();
         let files_before = fs::read_dir(dir.join("chunks")).unwrap().count();
         assert!(files_before >= 2);
-        store.prune("/doc", 1);
+        repo.versions().prune("/doc", 1).unwrap();
         let files_after = fs::read_dir(dir.join("chunks")).unwrap().count();
         assert!(files_after < files_before);
         // Plant an orphan chunk file: a restart collects it.
@@ -1593,42 +1459,39 @@ mod tests {
     }
 
     #[test]
-    fn journal_receives_events_in_order() {
-        use std::sync::Mutex as StdMutex;
+    fn deltav_changes_reach_the_commit_hook_in_effect_order() {
         let repo = MemRepository::new();
-        repo.put("/doc", b"base", None).unwrap();
-        let store = VersionStore::new();
-        let log = Arc::new(StdMutex::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
-        store.set_journal(move |e| {
-            sink.lock().unwrap().push(match e {
-                VersionEvent::VersionControl { .. } => "vc",
-                VersionEvent::Checkout { .. } => "co",
-                VersionEvent::Checkin { .. } => "ci",
+        repo.set_commit_hook(move |change| {
+            sink.lock().push(match change {
+                Change::Put { .. } => "put",
+                Change::VersionControl { .. } => "vc",
+                Change::Checkout { .. } => "co",
+                Change::Checkin { .. } => "ci",
+                _ => "other",
             });
+            Ok(())
         });
-        vc(&store, &repo, "/doc");
-        store
-            .checkout(&repo, &Request::new(Method::Checkout, "/doc"))
-            .unwrap();
+        repo.put("/doc", b"base", None).unwrap();
+        vc(&repo, "/doc");
+        repo.checkout("/doc").unwrap();
         repo.put("/doc", b"edited", None).unwrap();
-        store
-            .checkin(&repo, &Request::new(Method::Checkin, "/doc"))
-            .unwrap();
-        assert_eq!(*log.lock().unwrap(), ["vc", "co", "ci"]);
+        repo.checkin("/doc", None).unwrap();
+        assert_eq!(*log.lock(), ["put", "vc", "co", "put", "ci"]);
     }
 
     #[test]
-    fn replay_apis_reproduce_history_without_journaling() {
-        let store = VersionStore::new();
-        assert!(store.apply_version_control("/doc", b"v1"));
-        assert!(!store.apply_version_control("/doc", b"v1"));
-        assert!(store.apply_checkout("/doc"));
-        store.record_put("/doc", b"ignored while checked out");
-        assert!(store.apply_checkin("/doc", b"v2"));
-        assert_eq!(store.version_count("/doc"), 2);
+    fn given_content_is_recorded_as_is() {
+        // A replica replays the primary's bodies: no read of its own.
+        let repo = MemRepository::new();
+        assert!(repo.version_control("/doc", Some(b"v1")).unwrap());
+        assert!(!repo.version_control("/doc", Some(b"v1")).unwrap());
+        repo.checkout("/doc").unwrap();
+        assert_eq!(repo.checkin("/doc", Some(b"v2")).unwrap(), 2);
+        let store = repo.versions();
         assert_eq!(store.version_body("/doc", 2).unwrap(), b"v2");
-        assert!(!store.apply_checkout("/missing"));
-        assert!(!store.apply_checkin("/missing", b"x"));
+        assert!(repo.checkout("/missing").is_err());
+        assert!(repo.checkin("/missing", Some(b"x")).is_err());
     }
 }

@@ -13,10 +13,13 @@
 //!   and after later edits — history is immutable;
 //! * every mutating method against `/.well-known/history/...` answers
 //!   403; reverting is COPY-from-a-version-URL only;
-//! * random edit histories (PUT / checkin / revert) replayed on a mem
-//!   store and on a persistent store restarted mid-history produce
-//!   identical version bodies, and GC (prune) leaves refcounts
-//!   consistent (proptest).
+//! * a history write that fails (chunk or manifest) fails the request
+//!   with a 5xx and leaves no version in memory that the disk lacks,
+//!   so a retry records it;
+//! * random edit histories (PUT / checkin / revert) driven through the
+//!   repository's own operations on a mem repository and on a
+//!   persistent one restarted mid-history produce identical version
+//!   bodies, and GC (prune) leaves refcounts consistent (proptest).
 
 use pse_dav::client::DavClient;
 use pse_dav::fsrepo::{FsConfig, FsRepository};
@@ -25,7 +28,7 @@ use pse_dav::memrepo::MemRepository;
 use pse_dav::property::PropertyName;
 use pse_dav::repo::Repository;
 use pse_dav::server::serve;
-use pse_dav::version::{history_url, VersionStore};
+use pse_dav::version::{history_url, DeltaV, VersionStore};
 use pse_dav::Depth;
 use pse_http::server::ServerConfig;
 use pse_http::{Client, Method, Request};
@@ -38,7 +41,7 @@ static N: AtomicU64 = AtomicU64::new(0);
 struct Rig {
     server: Option<pse_http::server::Server>,
     client: DavClient,
-    store: Arc<VersionStore>,
+    repo: Arc<FsRepository>,
     dir: PathBuf,
 }
 
@@ -50,18 +53,20 @@ impl Rig {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let repo = FsRepository::create(dir.join("data"), FsConfig::default()).unwrap();
-        let versions = VersionStore::persistent(dir.join("versions")).unwrap();
-        let handler = DavHandler::with_parts(repo, pse_obs::Registry::new(), versions);
-        let store = handler.versions();
+        let handler = DavHandler::new(open_fs(&dir));
+        let repo = handler.repo();
         let server = serve("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
         let client = DavClient::connect(server.local_addr()).unwrap();
         Rig {
             server: Some(server),
             client,
-            store,
+            repo,
             dir,
         }
+    }
+
+    fn store(&self) -> &VersionStore {
+        self.repo.versions()
     }
 
     fn raw(&self) -> Client {
@@ -82,6 +87,14 @@ impl Drop for Rig {
     }
 }
 
+/// A filesystem repository under `dir/data` keeping its histories
+/// under `dir/versions` (reopened if present).
+fn open_fs(dir: &std::path::Path) -> FsRepository {
+    FsRepository::create(dir.join("data"), FsConfig::default())
+        .unwrap()
+        .with_version_store(VersionStore::persistent(dir.join("versions")).unwrap())
+}
+
 fn status(raw: &mut Client, req: Request) -> u16 {
     raw.send(req).unwrap().status.code()
 }
@@ -94,7 +107,7 @@ fn version_control_is_idempotent() {
     rig.client.put("/doc", b"v1".to_vec(), None).unwrap();
     rig.client.version_control("/doc").unwrap();
     rig.client.version_control("/doc").unwrap(); // second call: 200, no-op
-    assert_eq!(rig.store.version_count("/doc"), 1);
+    assert_eq!(rig.store().version_count("/doc"), 1);
     assert_eq!(rig.client.version_content("/doc", 1).unwrap(), b"v1");
     // OPTIONS advertises the versioning profile.
     let mut raw = rig.raw();
@@ -146,7 +159,7 @@ fn auto_versioning_records_distinct_puts_and_dedups_identical() {
 #[test]
 fn manual_mode_gates_put_behind_checkout() {
     let mut rig = Rig::new();
-    rig.store.set_auto_version(false);
+    rig.store().set_auto_version(false);
     rig.client.put("/doc", b"v1".to_vec(), None).unwrap();
     rig.client.version_control("/doc").unwrap();
     // PUT against a checked-in resource: 409 Conflict.
@@ -171,7 +184,7 @@ fn concurrent_put_storm_yields_exactly_one_version_per_checkin() {
     rig.client.put("/doc", b"base".to_vec(), None).unwrap();
     rig.client.version_control("/doc").unwrap();
     rig.client.checkout("/doc").unwrap();
-    assert_eq!(rig.store.version_count("/doc"), 1);
+    assert_eq!(rig.store().version_count("/doc"), 1);
 
     let writers = 4;
     let puts_per_writer = 25;
@@ -193,12 +206,12 @@ fn concurrent_put_storm_yields_exactly_one_version_per_checkin() {
     }
 
     // The storm recorded nothing: the resource was checked out.
-    assert_eq!(rig.store.version_count("/doc"), 1);
+    assert_eq!(rig.store().version_count("/doc"), 1);
     // One CHECKIN → exactly one new version, and its body is whatever
     // body won the storm (a complete PUT body, never a torn one).
     let v = rig.client.checkin("/doc").unwrap();
     assert_eq!(v, 2);
-    assert_eq!(rig.store.version_count("/doc"), 2);
+    assert_eq!(rig.store().version_count("/doc"), 2);
     let recorded = rig.client.version_content("/doc", 2).unwrap();
     let recorded = String::from_utf8(recorded).unwrap();
     assert!(
@@ -372,7 +385,7 @@ fn revert_is_copy_from_a_version_url() {
     rig.client.revert_to("/doc", 1).unwrap();
     assert_eq!(rig.client.get("/doc").unwrap(), b"original");
     // The revert recorded a new version: history is append-only.
-    assert_eq!(rig.store.version_count("/doc"), 3);
+    assert_eq!(rig.store().version_count("/doc"), 3);
 
     // COPY a version somewhere else entirely — restore-as-new-document.
     let mut raw = rig.raw();
@@ -413,7 +426,7 @@ fn history_follows_move() {
     rig.client.move_("/old", "/new", false).unwrap();
     // The history re-homed with the document.
     assert_eq!(rig.client.version_content("/new", 1).unwrap(), b"v1");
-    assert_eq!(rig.store.version_count("/old"), 0);
+    assert_eq!(rig.store().version_count("/old"), 0);
     let mut raw = rig.raw();
     assert_eq!(
         status(&mut raw, Request::new(Method::Get, &history_url("/old", 1))),
@@ -423,6 +436,77 @@ fn history_follows_move() {
         status(&mut raw, Request::new(Method::Get, &history_url("/new", 2))),
         200
     );
+}
+
+// ---- a failed history write fails the request ----
+
+#[test]
+fn failed_history_writes_answer_5xx_and_a_retry_records() {
+    let mut rig = Rig::new();
+    rig.client.put("/doc", b"v1".to_vec(), None).unwrap();
+    rig.client.version_control("/doc").unwrap();
+    rig.client.put("/co", b"draft 1".to_vec(), None).unwrap();
+    rig.client.version_control("/co").unwrap();
+    rig.client.checkout("/co").unwrap();
+    rig.client.put("/co", b"draft 2".to_vec(), None).unwrap();
+    rig.client.put("/fresh", b"f1".to_vec(), None).unwrap();
+
+    // Put a regular file where the manifest directory was: every
+    // manifest write now fails (as root too, unlike a chmod).
+    let meta = rig.dir.join("versions").join("meta");
+    let aside = rig.dir.join("versions").join("meta.aside");
+    std::fs::rename(&meta, &aside).unwrap();
+    std::fs::write(&meta, b"not a directory").unwrap();
+
+    let mut raw = rig.raw();
+    let attempts = || {
+        [
+            Request::new(Method::Put, "/doc").with_body(b"v2".to_vec()),
+            Request::new(Method::Checkin, "/co"),
+            Request::new(Method::VersionControl, "/fresh"),
+        ]
+    };
+    for req in attempts() {
+        let label = format!("{:?} {}", req.method, req.target.path());
+        let code = status(&mut raw, req);
+        assert!(code >= 500, "{label} answered {code} though its history write failed");
+    }
+    // Memory holds nothing the disk lacks.
+    assert_eq!(rig.store().version_count("/doc"), 1);
+    assert_eq!(rig.store().version_count("/co"), 1);
+    assert!(rig.store().is_checked_out("/co"));
+    assert!(!rig.store().is_versioned("/fresh"));
+
+    // Repaired, the same requests record what failed before (the PUT of
+    // an unchanged body is not taken for a duplicate).
+    std::fs::remove_file(&meta).unwrap();
+    std::fs::rename(&aside, &meta).unwrap();
+    for req in attempts() {
+        let label = format!("{:?} {}", req.method, req.target.path());
+        let code = status(&mut raw, req);
+        assert!((200..300).contains(&code), "{label} answered {code}");
+    }
+    let reopened = VersionStore::persistent(rig.dir.join("versions")).unwrap();
+    assert_eq!(reopened.version_body("/doc", 2).unwrap(), b"v2");
+    assert_eq!(reopened.version_body("/co", 2).unwrap(), b"draft 2");
+    assert_eq!(reopened.version_body("/fresh", 1).unwrap(), b"f1");
+    reopened.verify_consistency().unwrap();
+
+    // A failed chunk write likewise: the references it took are
+    // released, and the repaired retry records the version.
+    let chunks = rig.dir.join("versions").join("chunks");
+    let aside = rig.dir.join("versions").join("chunks.aside");
+    std::fs::rename(&chunks, &aside).unwrap();
+    std::fs::write(&chunks, b"not a directory").unwrap();
+    let put = || Request::new(Method::Put, "/doc").with_body(b"v3, all new bytes".to_vec());
+    assert!(status(&mut raw, put()) >= 500);
+    assert_eq!(rig.store().version_count("/doc"), 2);
+    rig.store().verify_consistency().unwrap();
+    std::fs::remove_file(&chunks).unwrap();
+    std::fs::rename(&aside, &chunks).unwrap();
+    assert_eq!(status(&mut raw, put()), 204);
+    let reopened = VersionStore::persistent(rig.dir.join("versions")).unwrap();
+    assert_eq!(reopened.version_body("/doc", 3).unwrap(), b"v3, all new bytes");
 }
 
 // ---- proptest: replay equivalence and GC consistency ----
@@ -452,26 +536,26 @@ mod replay {
         ]
     }
 
-    /// Replay `ops` against a store + repo, mirroring the handler's
-    /// auto-version semantics. State transitions that the wire protocol
+    /// Replay `ops` through the repository's own operations, as the
+    /// handler issues them. State transitions that the wire protocol
     /// would refuse (double checkout, checkin while checked in) are
     /// skipped, exactly as a client would be refused.
-    fn drive(store: &VersionStore, repo: &dyn Repository, path: &str, ops: &[Op]) {
+    fn drive(repo: &dyn Repository, path: &str, ops: &[Op]) {
+        let deltav = repo.deltav().expect("the repository keeps histories");
+        let store = deltav.versions();
         for op in ops {
             match op {
                 Op::Put(body) => {
-                    let _plan = store.plan_write(path);
                     repo.put(path, body, None).unwrap();
-                    store.record_put(path, body);
                 }
                 Op::Checkout => {
                     if !store.is_checked_out(path) {
-                        store.apply_checkout(path);
+                        deltav.checkout(path).unwrap();
                     }
                 }
                 Op::Checkin => {
                     if store.is_checked_out(path) {
-                        store.apply_checkin(path, &repo.get(path).unwrap());
+                        deltav.checkin(path, None).unwrap();
                     }
                 }
                 Op::Revert(pick) => {
@@ -479,9 +563,7 @@ mod replay {
                     if count > 0 && !store.is_checked_out(path) {
                         let n = (*pick as usize % count) as u32 + 1;
                         let body = store.version_body(path, n).unwrap();
-                        let _plan = store.plan_write(path);
                         repo.put(path, &body, None).unwrap();
-                        store.record_put(path, &body);
                         store.note_revert();
                     }
                 }
@@ -514,31 +596,31 @@ mod replay {
             ));
             let _ = std::fs::remove_dir_all(&dir);
 
-            // Reference: in-memory store over a mem repo.
+            // Reference: a mem repository with its memory-only store.
             let mem_repo = MemRepository::new();
-            let mem_store = VersionStore::new();
             mem_repo.put(path, b"genesis", None).unwrap();
-            mem_store.apply_version_control(path, b"genesis");
+            mem_repo.version_control(path, None).unwrap();
+            let mem_store = mem_repo.versions();
 
-            // Subject: persistent store over an fs repo, restarted
-            // mid-history (drop + reopen from disk).
-            let fs_repo = FsRepository::create(dir.join("data"), FsConfig::default()).unwrap();
-            let fs_store = VersionStore::persistent(dir.join("versions")).unwrap();
+            // Subject: an fs repository with a persistent store,
+            // restarted mid-history (drop + reopen from disk).
+            let fs_repo = open_fs(&dir);
             fs_repo.put(path, b"genesis", None).unwrap();
-            fs_store.apply_version_control(path, b"genesis");
+            fs_repo.version_control(path, None).unwrap();
 
             let cut = restart_at.min(ops.len());
-            drive(&mem_store, &mem_repo, path, &ops);
-            drive(&fs_store, &fs_repo, path, &ops[..cut]);
-            drop(fs_store);
-            let fs_store = VersionStore::persistent(dir.join("versions")).unwrap();
+            drive(&mem_repo, path, &ops);
+            drive(&fs_repo, path, &ops[..cut]);
+            drop(fs_repo);
+            let fs_repo = open_fs(&dir);
+            let fs_store = fs_repo.versions();
             prop_assert!(fs_store.is_versioned(path), "restart lost the history");
-            drive(&fs_store, &fs_repo, path, &ops[cut..]);
+            drive(&fs_repo, path, &ops[cut..]);
 
             // Identical histories: same numbers, same bodies, bit for bit.
             prop_assert_eq!(
-                history_bodies(&mem_store, path),
-                history_bodies(&fs_store, path)
+                history_bodies(mem_store, path),
+                history_bodies(fs_store, path)
             );
             prop_assert_eq!(
                 mem_store.is_checked_out(path),
@@ -549,18 +631,18 @@ mod replay {
 
             // GC: prune both to `keep` versions — refcounts must stay
             // consistent and the surviving bodies identical.
-            mem_store.prune(path, keep);
-            fs_store.prune(path, keep);
+            mem_store.prune(path, keep).unwrap();
+            fs_store.prune(path, keep).unwrap();
             prop_assert_eq!(
-                history_bodies(&mem_store, path),
-                history_bodies(&fs_store, path)
+                history_bodies(mem_store, path),
+                history_bodies(fs_store, path)
             );
             mem_store.verify_consistency().unwrap();
             fs_store.verify_consistency().unwrap();
 
             // And a pruned persistent store still survives a restart.
-            let surviving = history_bodies(&fs_store, path);
-            drop(fs_store);
+            let surviving = history_bodies(fs_store, path);
+            drop(fs_repo);
             let reopened = VersionStore::persistent(dir.join("versions")).unwrap();
             prop_assert_eq!(history_bodies(&reopened, path), surviving);
             reopened.verify_consistency().unwrap();

@@ -32,7 +32,9 @@
 #    torn-write / MOVE-atomicity detectors pointed through the router,
 #    a replica-kill failover smoke, snapshot resync after log
 #    compaction, the pse-cluster suites (replay convergence, commit-hook
-#    logging, racing writes logged in apply order on mem and fs), and
+#    logging, racing writes logged in apply order on mem and fs), the
+#    DeltaV operations that run under the repository's lock plans (the
+#    PUT-storm version granularity and history-follows-MOVE tests), and
 #    repro_cluster --check (read throughput must rise
 #    monotonically 1 -> 2 -> 4 replicas with zero failover errors).
 #    PSE_CLUSTER_OPS / PSE_CLUSTER_THREADS are honoured when set.
@@ -45,9 +47,10 @@
 # 11. With --versions: the DeltaV gate — the versioning compliance +
 #    concurrency suite (RFC 3253 state machine, PUT-storm version
 #    granularity, history immutability, read-only history resources,
-#    mem/fs replay equivalence with a mid-history restart), the ecce
-#    revert-a-calculation scenario, the cluster history-replication/
-#    rejoin test, and repro_versions --check (content-addressed storage
+#    mem/fs replay equivalence with a mid-history restart), a failed
+#    history write answering 5xx, the ecce revert-a-calculation
+#    scenario, the cluster history-replication/rejoin and
+#    history-follows-MOVE tests, and repro_versions --check (content-addressed storage
 #    for 50 x 1%-edit revisions of 2 MB must cost <= 25% of full
 #    snapshots, with byte-identical reads), emitting
 #    target/bench-json/versions.json.
@@ -149,6 +152,9 @@ if [ "$CLUSTER" = 1 ]; then
     cargo test -q --test cluster
     echo "==> cluster gate: replay convergence, commit hook and apply-order race tests"
     cargo test -q -p pse-cluster
+    echo "==> cluster gate: DeltaV under the repository's lock plans"
+    cargo test -q -p pse-dav --test versioning -- \
+        concurrent_put_storm_yields_exactly_one_version_per_checkin history_follows_move
     echo "==> cluster gate: repro_cluster --check (monotonic read scaling + clean failover)"
     cargo build --release -p pse-bench --bin repro_cluster
     ./target/release/repro_cluster --check
@@ -183,12 +189,15 @@ fi
 if [ "$VERSIONS" = 1 ]; then
     echo "==> versions gate: compliance + concurrency suite"
     cargo test -q -p pse-dav --test versioning
+    echo "==> versions gate: a failed history write answers 5xx"
+    cargo test -q -p pse-dav --test versioning -- failed_history_writes_answer_5xx_and_a_retry_records
     echo "==> versions gate: version store unit suite"
     cargo test -q -p pse-dav --lib -- version::
     echo "==> versions gate: revert-a-calculation scenario"
     cargo test -q -p pse-ecce --test revert
-    echo "==> versions gate: history replication + replica rejoin through the cluster"
-    cargo test -q --test cluster -- version_history_replicates_and_survives_rejoin
+    echo "==> versions gate: history replication, replica rejoin and MOVE through the cluster"
+    cargo test -q --test cluster -- version_history_replicates_and_survives_rejoin \
+        history_follows_move_on_every_replica
     echo "==> versions gate: repro_versions --check (CAS <= 25% of full snapshots)"
     cargo build --release -p pse-bench --bin repro_versions
     ./target/release/repro_versions --check

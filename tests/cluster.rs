@@ -543,6 +543,43 @@ fn version_history_replicates_and_survives_rejoin() {
     }
 }
 
+/// MOVE of a versioned document carries its history on every node:
+/// the rename is one logged mutation, and replaying it moves the
+/// replica's history just as it moved the primary's.
+#[test]
+fn history_follows_move_on_every_replica() {
+    let cluster = Cluster::start("move-history", 1);
+    let mut c = cluster.client();
+    c.mkcol("/m").unwrap();
+    c.put("/m/a", "one", None).unwrap();
+    c.version_control("/m/a").unwrap();
+    c.put("/m/a", "two", None).unwrap();
+    c.move_("/m/a", "/m/b", false).unwrap();
+    cluster.wait_replicas_caught_up(Duration::from_secs(10));
+
+    let primary = cluster.primary.as_ref().unwrap().versions();
+    assert_eq!(primary.version_count("/m/b"), 2);
+    assert_eq!(primary.version_count("/m/a"), 0);
+    for r in &cluster.replicas {
+        let replica = r.versions();
+        assert_eq!(
+            (replica.version_count("/m/a"), replica.version_count("/m/b")),
+            (0, 2),
+            "replica {} split the history across the move",
+            r.addr()
+        );
+        let mut direct = DavClient::connect(r.addr()).unwrap();
+        for n in 1..=2 {
+            assert_eq!(
+                direct.version_content("/m/b", n).unwrap(),
+                primary.version_body("/m/b", n).unwrap(),
+                "version {n}"
+            );
+        }
+        replica.verify_consistency().unwrap();
+    }
+}
+
 /// Writes sent straight to a replica come back as 307 and the DAV
 /// client replays them against the primary transparently.
 #[test]
