@@ -9,7 +9,8 @@
 //!   which runs under the lock plan that ordered each mutation, so log
 //!   order equals application order. Every record carries absolute
 //!   state (full bodies, full property values), so replay is
-//!   idempotent.
+//!   idempotent. The log keeps only what a live replica still needs,
+//!   under a byte cap, with a bounded tail of encoded frames in memory.
 //! - [`apply`] — [`apply::Applier`], the replica-side cursor: dedups
 //!   duplicate batches, rejects gaps and out-of-order input, persists
 //!   progress across restarts.
@@ -30,7 +31,7 @@ pub mod ring;
 pub mod router;
 
 pub use apply::{Applier, ApplyError, BatchOutcome};
-pub use log::{ChangeLog, LogGap};
+pub use log::{ChangeLog, LogGap, LogStats, ReadError};
 pub use node::{NodeConfig, Primary, Replica, CHANGES_PATH};
 pub use record::{ChangeRecord, Entry, PropOp};
 pub use ring::{shard_key, HashRing};

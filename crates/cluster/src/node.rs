@@ -6,12 +6,21 @@
 //! endpoint, [`CHANGES_PATH`], that ships the change log to replicas:
 //!
 //! ```text
-//! GET /.well-known/changes?since=N&max=K
+//! GET /.well-known/changes?since=N&max=K&replica=ID
 //!   200  body = frames (seq, len, payload, checksum)*   fresh entries
 //!        X-Change-Log-Last: <last seq in the log>
-//!   410  the log was compacted past N — catch up via full resync
+//!   410  N lies outside the retained window — behind it (the log was
+//!        compacted past N) or past its end (the primary lost its tail)
+//!        — catch up via full resync
 //!        X-Change-Log-Last: <resync target seq>
 //! ```
+//!
+//! `ID` names the replica (created once, kept in `dir/replica.id`
+//! beside its cursor) and `N` is its durable cursor. The primary
+//! records both with the time it saw them ([`ChangeLog::note_replica`])
+//! and keeps only the frames some live replica still needs, under a
+//! byte cap (see [`crate::log`]). A pull without a well-formed `ID`
+//! is served but holds nothing back.
 //!
 //! A replica is the same DAV server over its own repository, with two
 //! differences: mutating methods answer `307 Temporary Redirect` to the
@@ -30,13 +39,14 @@
 //! reach the change log through the same commit hook as every other
 //! mutation (carrying the recorded body, so replay is deterministic
 //! even when a PUT raced the operation). Replaying a Put re-runs
-//! auto-versioning and replaying a Rename moves the history, so history
-//! reads — `REPORT`, GET and PROPFIND under `/.well-known/history/` —
-//! are served locally with read-your-writes guarantees from
-//! `X-Applied-Seq`.
+//! auto-versioning and replaying a Rename moves the histories, so
+//! history reads — `REPORT`, GET and PROPFIND under
+//! `/.well-known/history/` — are served locally with read-your-writes
+//! guarantees from `X-Applied-Seq`. A snapshot resync carries the
+//! histories too ([`DeltaV::install_history`]).
 
 use crate::apply::{Applier, ApplyError};
-use crate::log::{self, ChangeLog};
+use crate::log::{self, ChangeLog, ReadError};
 use pse_dav::error::Result;
 use pse_dav::fsrepo::{FsConfig, FsRepository};
 use pse_dav::handler::DavHandler;
@@ -125,45 +135,82 @@ pub fn is_read_method(m: &Method) -> bool {
     )
 }
 
-/// `since`/`max` from a change-feed query string.
-fn parse_changes_query(query: Option<&str>, batch_limit: usize) -> (u64, usize) {
+/// Is `id` usable as a replica name: 1 to 64 of `[A-Za-z0-9._-]`?
+fn valid_replica_id(id: &str) -> bool {
+    (1..=64).contains(&id.len())
+        && id
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
+}
+
+/// `since`, `max` and the replica name from a change-feed query string.
+/// A malformed value is ignored, as if absent.
+fn parse_changes_query(query: Option<&str>, batch_limit: usize) -> (u64, usize, Option<&str>) {
     let mut since = 0u64;
     let mut max = batch_limit;
+    let mut replica = None;
     for pair in query.unwrap_or("").split('&') {
-        let mut kv = pair.splitn(2, '=');
-        match (kv.next(), kv.next().and_then(|v| v.parse::<u64>().ok())) {
-            (Some("since"), Some(v)) => since = v,
-            (Some("max"), Some(v)) => max = (v as usize).min(batch_limit),
+        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        match (key, value.parse::<u64>().ok()) {
+            ("since", Some(v)) => since = v,
+            ("max", Some(v)) => max = (v as usize).min(batch_limit),
+            ("replica", _) if valid_replica_id(value) => replica = Some(value),
             _ => {}
         }
     }
-    // `read_after` computes since+1; clamp so a hostile query can't
+    // Cursors compare as since+1; clamp so a hostile query can't
     // overflow.
-    (since.min(u64::MAX - 1), max.max(1))
+    (since.min(u64::MAX - 1), max.max(1), replica)
 }
 
-/// Serve one change-feed request against `changelog`.
+/// Serve one change-feed request against `changelog`: note the replica
+/// (which lets the log drop what every live replica has applied), then
+/// copy out the frames after its cursor.
 fn serve_changes(changelog: &ChangeLog, req: &Request, batch_limit: usize) -> Response {
     if req.method != Method::Get {
         return Response::new(StatusCode::METHOD_NOT_ALLOWED);
     }
-    let (since, max) = parse_changes_query(req.target.query(), batch_limit);
-    let last = changelog.last_seq().to_string();
-    match changelog.read_after(since, max) {
-        Ok(entries) => {
-            let mut body = Vec::new();
-            for e in &entries {
-                log::encode_frame(&mut body, e.seq, &e.record.encode());
-            }
-            Response::ok()
-                .with_header("Content-Type", "application/octet-stream")
-                .with_header(LOG_LAST_HEADER, last)
-                .with_body(body)
-        }
-        Err(gap) => Response::new(StatusCode::GONE)
-            .with_header(LOG_LAST_HEADER, last)
-            .with_body(format!("log starts at {}", gap.start_seq).into_bytes()),
+    let (since, max, replica) = parse_changes_query(req.target.query(), batch_limit);
+    if let Some(id) = replica {
+        changelog.note_replica(id, since);
     }
+    match changelog.frames_after(since, max) {
+        Ok(frames) => Response::ok()
+            .with_header("Content-Type", "application/octet-stream")
+            .with_header(LOG_LAST_HEADER, frames.last_seq.to_string())
+            .with_body(frames.bytes),
+        Err(ReadError::Gap(gap)) => Response::new(StatusCode::GONE)
+            .with_header(LOG_LAST_HEADER, gap.last_seq.to_string())
+            .with_body(
+                format!(
+                    "log holds {}..={}, asked after {since}",
+                    gap.start_seq, gap.last_seq
+                )
+                .into_bytes(),
+            ),
+        Err(e @ ReadError::Io(_)) => Response::error(StatusCode::INTERNAL_ERROR, &e.to_string()),
+    }
+}
+
+/// This replica's name on the change feed: read from `dir/replica.id`,
+/// or created there once (tmp + rename) from the clock, the process and
+/// the directory.
+fn replica_id(dir: &Path) -> std::io::Result<String> {
+    let path = dir.join("replica.id");
+    if let Ok(id) = std::fs::read_to_string(&path) {
+        if valid_replica_id(id.trim()) {
+            return Ok(id.trim().to_owned());
+        }
+    }
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    let seed = format!("{nanos}:{}:{}", std::process::id(), dir.display());
+    let id = format!("{:016x}", pse_cache::fnv1a_64(seed.as_bytes()));
+    let tmp = dir.join("replica.id.tmp");
+    std::fs::write(&tmp, format!("{id}\n"))?;
+    std::fs::rename(&tmp, &path)?;
+    Ok(id)
 }
 
 /// A node's repository: resources under `dir/data`, version histories
@@ -237,7 +284,7 @@ impl Primary {
         self.changelog.last_seq()
     }
 
-    /// The change log (tests compact it to exercise resync).
+    /// The change log (tests read its retention state).
     pub fn changelog(&self) -> &Arc<ChangeLog> {
         &self.changelog
     }
@@ -287,6 +334,7 @@ impl Replica {
         let handler = DavHandler::with_registry(open_repo(dir, &cfg)?, Arc::clone(&registry));
         let repo = handler.repo();
         let applier = Arc::new(Applier::open(dir).map_err(io_err)?);
+        let id = replica_id(dir).map_err(io_err)?;
 
         let mut server_cfg = cfg.server.clone();
         server_cfg.obs = Some(Arc::clone(&registry));
@@ -296,8 +344,10 @@ impl Replica {
             if !is_read_method(&req.method) {
                 // Writes belong to the primary; 307 preserves method +
                 // body across the hop (RFC 7538 semantics).
-                return Response::new(StatusCode::TEMPORARY_REDIRECT)
-                    .with_header("Location", format!("http://{primary_addr}{}", req.target.path()));
+                return Response::new(StatusCode::TEMPORARY_REDIRECT).with_header(
+                    "Location",
+                    format!("http://{primary_addr}{}", req.target.path()),
+                );
             }
             if !service_delay.is_zero() {
                 thread::sleep(service_delay);
@@ -320,7 +370,9 @@ impl Replica {
             let cfg = cfg.clone();
             thread::Builder::new()
                 .name("pse-replica-puller".into())
-                .spawn(move || puller_loop(&repo, &applier, &registry, primary_addr, &cfg, &stop))
+                .spawn(move || {
+                    puller_loop(&repo, &applier, &registry, primary_addr, &id, &cfg, &stop)
+                })
                 .map_err(io_err)?
         };
 
@@ -381,14 +433,16 @@ impl Replica {
     }
 }
 
-/// The replica's pull loop: tail the primary's change feed, apply, and
-/// fall back to a full snapshot resync when the log has been compacted
-/// past our cursor.
+/// The replica's pull loop: tail the primary's change feed under this
+/// replica's name `id`, apply, and fall back to a full snapshot resync
+/// when the feed answers 410 (the cursor lies outside the log's
+/// retained window).
 fn puller_loop(
     repo: &Arc<FsRepository>,
     applier: &Arc<Applier>,
     registry: &Arc<Registry>,
     primary_addr: SocketAddr,
+    id: &str,
     cfg: &NodeConfig,
     stop: &Arc<AtomicBool>,
 ) {
@@ -415,7 +469,10 @@ fn puller_loop(
         let since = applier.applied();
         let req = Request::new(
             Method::Get,
-            &format!("{CHANGES_PATH}?since={since}&max={}", cfg.batch_limit),
+            &format!(
+                "{CHANGES_PATH}?since={since}&max={}&replica={id}",
+                cfg.batch_limit
+            ),
         );
         let resp = match c.send(req) {
             Ok(r) => r,
@@ -487,18 +544,22 @@ fn interruptible_sleep(stop: &AtomicBool, total: Duration) {
 }
 
 /// Rebuild the whole replica state from a primary snapshot: wipe local
-/// content, mirror the tree via `PROPFIND Depth: infinity` + `GET`, and
-/// jump the cursor to `target` (the primary's log head at `410` time —
-/// changes after it arrive through the normal feed).
+/// content, mirror the tree via `PROPFIND Depth: infinity` + `GET`,
+/// install every document's version history as the primary holds it,
+/// and jump the cursor to `target` (the primary's log head at `410`
+/// time — changes after it arrive through the normal feed).
 ///
-/// Version histories are not part of the snapshot: the replica keeps
-/// whatever its persistent version store already holds, so histories
-/// recorded before the compaction horizon survive a resync, but
-/// version events that fell into the compacted gap are lost on this
-/// replica (history reads can be routed primary-side if that matters).
-/// The snapshot's PUTs auto-version like any other, so a versioned
-/// document whose body moved on in the gap gains that body as a
-/// version here.
+/// Histories come from `REPORT version-tree` and one `version-content`
+/// per version, and are installed through
+/// [`DeltaV::install_history`] under each path's write plan: numbers,
+/// creation times, lengths, bodies and checkout state match the
+/// primary's, so a replica that missed a CHECKOUT in the gap takes the
+/// next replayed PUT instead of refusing it. A history the primary
+/// lacks (say, left at the old path of a document moved in the gap) is
+/// dropped. A history changed while the snapshot is read can come out
+/// ahead of `target`; replaying the records after `target` then
+/// appends their versions again, so the histories are exact when no
+/// write to a versioned document overlaps the resync.
 fn full_resync(
     repo: &dyn Repository,
     applier: &Applier,
@@ -521,10 +582,11 @@ fn full_resync(
 
     let resourcetype = PropertyName::dav("resourcetype");
     let contenttype = PropertyName::dav("getcontenttype");
+    let mut documents = Vec::new();
     for e in entries {
-        let is_collection = e
-            .prop(&resourcetype)
-            .map_or(false, |p| p.value.child(Some(DAV_NS), "collection").is_some());
+        let is_collection = e.prop(&resourcetype).map_or(false, |p| {
+            p.value.child(Some(DAV_NS), "collection").is_some()
+        });
         if e.href != "/" {
             if is_collection {
                 let _ = repo.mkcol(&e.href); // tolerate leftovers
@@ -532,10 +594,25 @@ fn full_resync(
                 let body = client.get(&e.href)?;
                 let ct = e.prop(&contenttype).map(|p| p.text_value());
                 repo.put(&e.href, &body, ct.as_deref())?;
+                documents.push(e.href.clone());
             }
         }
         for p in e.ok_props().filter(|p| !p.name.is_live()) {
             let _ = repo.set_prop(&e.href, p);
+        }
+    }
+    if let Some(deltav) = repo.deltav() {
+        let mut installed = std::collections::HashSet::new();
+        for path in documents {
+            if let Some(image) = client.history_image(&path)? {
+                deltav.install_history(&path, Some(&image))?;
+                installed.insert(path);
+            }
+        }
+        for path in deltav.versions().versioned_paths() {
+            if !installed.contains(&path) {
+                deltav.install_history(&path, None)?;
+            }
         }
     }
     applier
@@ -565,13 +642,76 @@ mod tests {
 
     #[test]
     fn changes_query_parsing_is_defensive() {
-        assert_eq!(parse_changes_query(Some("since=7&max=10"), 512), (7, 10));
-        assert_eq!(parse_changes_query(Some("max=9999"), 512), (0, 512));
+        assert_eq!(
+            parse_changes_query(Some("since=7&max=10"), 512),
+            (7, 10, None)
+        );
+        assert_eq!(parse_changes_query(Some("max=9999"), 512), (0, 512, None));
         assert_eq!(
             parse_changes_query(Some(&format!("since={}", u64::MAX)), 512),
-            (u64::MAX - 1, 512)
+            (u64::MAX - 1, 512, None)
         );
-        assert_eq!(parse_changes_query(Some("garbage&max=0"), 512), (0, 1));
-        assert_eq!(parse_changes_query(None, 64), (0, 64));
+        assert_eq!(
+            parse_changes_query(Some("garbage&max=0"), 512),
+            (0, 1, None)
+        );
+        assert_eq!(parse_changes_query(None, 64), (0, 64, None));
+        assert_eq!(
+            parse_changes_query(Some("since=3&replica=r-1.a_B"), 64),
+            (3, 64, Some("r-1.a_B"))
+        );
+    }
+
+    /// A cursor past the log's end (the primary lost its unsynced tail
+    /// and reuses those sequence numbers) gets 410, so the replica
+    /// resyncs instead of deduping fresh records as duplicates; the
+    /// 410 names the primary's real head as the resync target. A
+    /// malformed replica name is served but never noted.
+    #[test]
+    fn feed_answers_gone_when_since_is_past_the_end() {
+        let dir = std::env::temp_dir().join(format!("pse-node-ahead-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log = ChangeLog::open(&dir).unwrap();
+        for n in 0..3 {
+            log.append(&crate::record::ChangeRecord::Mkcol {
+                path: format!("/c{n}"),
+            })
+            .unwrap();
+        }
+        let pull = |query: &str| {
+            serve_changes(
+                &log,
+                &Request::new(Method::Get, &format!("{CHANGES_PATH}?{query}")),
+                512,
+            )
+        };
+        let resp = pull("since=7&replica=r1");
+        assert_eq!(resp.status.code(), 410);
+        assert_eq!(resp.headers.get(LOG_LAST_HEADER), Some("3"));
+        assert_eq!(
+            log.stats().replicas,
+            0,
+            "a cursor past the end is not noted"
+        );
+
+        for bad in ["", "a%20b", "a/b", "é", &"r".repeat(65)] {
+            assert_eq!(
+                parse_changes_query(Some(&format!("since=1&replica={bad}")), 512).2,
+                None,
+                "{bad:?}"
+            );
+        }
+        let resp = pull("since=1&replica=bad/name");
+        assert_eq!(resp.status.code(), 200);
+        assert_eq!(log::decode_frames(&resp.body).0.len(), 2);
+        assert_eq!(log.stats().replicas, 0, "a malformed name is never noted");
+        assert_eq!(log.start_seq(), 1);
+
+        let resp = pull("since=3&replica=r1");
+        assert_eq!(resp.status.code(), 200);
+        assert!(resp.body.is_empty());
+        assert_eq!(log.stats().replicas, 1);
+        assert_eq!(log.start_seq(), 3, "r1's cursor moved the window");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

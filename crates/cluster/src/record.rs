@@ -260,6 +260,94 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+fn put_name(out: &mut Vec<u8>, name: &PropertyName) {
+    put_str(out, &name.namespace);
+    put_str(out, &name.local);
+}
+
+fn put_pair(out: &mut Vec<u8>, tag: u8, src: &str, dst: &str, overwrite: bool) {
+    out.push(tag);
+    put_str(out, src);
+    put_str(out, dst);
+    out.push(overwrite as u8);
+}
+
+fn put_path_bytes(out: &mut Vec<u8>, tag: u8, path: &str, bytes: &[u8]) {
+    out.push(tag);
+    put_str(out, path);
+    put_bytes(out, bytes);
+}
+
+/// Append the payload of `change` to `out`: byte for byte what
+/// `ChangeRecord::from(change).encode()` produces, without building the
+/// owned record (a PUT's body is copied once, into the payload).
+pub fn encode_change(out: &mut Vec<u8>, change: &Change<'_>) {
+    match *change {
+        Change::Put {
+            path,
+            data,
+            content_type,
+        } => encode_put(out, path, content_type, data),
+        Change::Mkcol { path } => {
+            out.push(TAG_MKCOL);
+            put_str(out, path);
+        }
+        Change::Delete { path } => {
+            out.push(TAG_DELETE);
+            put_str(out, path);
+        }
+        Change::Copy {
+            src,
+            dst,
+            overwrite,
+        } => put_pair(out, TAG_COPY, src, dst, overwrite),
+        Change::Rename {
+            src,
+            dst,
+            overwrite,
+        } => put_pair(out, TAG_RENAME, src, dst, overwrite),
+        Change::PatchProps { path, ops } => {
+            out.push(TAG_PATCH_PROPS);
+            put_str(out, path);
+            out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+            for op in ops {
+                match op {
+                    PropPatchOp::Set(p) => {
+                        out.push(OP_SET);
+                        put_name(out, &p.name);
+                        put_bytes(out, &p.to_storage());
+                    }
+                    PropPatchOp::Remove(name) => {
+                        out.push(OP_REMOVE);
+                        put_name(out, name);
+                    }
+                }
+            }
+        }
+        Change::VersionControl { path, content } => {
+            put_path_bytes(out, TAG_VERSION_CONTROL, path, content)
+        }
+        Change::Checkout { path } => {
+            out.push(TAG_CHECKOUT);
+            put_str(out, path);
+        }
+        Change::Checkin { path, content } => put_path_bytes(out, TAG_CHECKIN, path, content),
+    }
+}
+
+fn encode_put(out: &mut Vec<u8>, path: &str, content_type: Option<&str>, data: &[u8]) {
+    out.push(TAG_PUT);
+    put_str(out, path);
+    match content_type {
+        Some(ct) => {
+            out.push(1);
+            put_str(out, ct);
+        }
+        None => out.push(0),
+    }
+    put_bytes(out, data);
+}
+
 impl ChangeRecord {
     /// Serialise to the log payload format.
     pub fn encode(&self) -> Vec<u8> {
@@ -269,18 +357,7 @@ impl ChangeRecord {
                 path,
                 content_type,
                 data,
-            } => {
-                out.push(TAG_PUT);
-                put_str(&mut out, path);
-                match content_type {
-                    Some(ct) => {
-                        out.push(1);
-                        put_str(&mut out, ct);
-                    }
-                    None => out.push(0),
-                }
-                put_bytes(&mut out, data);
-            }
+            } => encode_put(&mut out, path, content_type.as_deref(), data),
             ChangeRecord::Mkcol { path } => {
                 out.push(TAG_MKCOL);
                 put_str(&mut out, path);
@@ -293,22 +370,12 @@ impl ChangeRecord {
                 src,
                 dst,
                 overwrite,
-            } => {
-                out.push(TAG_COPY);
-                put_str(&mut out, src);
-                put_str(&mut out, dst);
-                out.push(*overwrite as u8);
-            }
+            } => put_pair(&mut out, TAG_COPY, src, dst, *overwrite),
             ChangeRecord::Rename {
                 src,
                 dst,
                 overwrite,
-            } => {
-                out.push(TAG_RENAME);
-                put_str(&mut out, src);
-                put_str(&mut out, dst);
-                out.push(*overwrite as u8);
-            }
+            } => put_pair(&mut out, TAG_RENAME, src, dst, *overwrite),
             ChangeRecord::PatchProps { path, ops } => {
                 out.push(TAG_PATCH_PROPS);
                 put_str(&mut out, path);
@@ -317,31 +384,25 @@ impl ChangeRecord {
                     match op {
                         PropOp::Set { name, storage } => {
                             out.push(OP_SET);
-                            put_str(&mut out, &name.namespace);
-                            put_str(&mut out, &name.local);
+                            put_name(&mut out, name);
                             put_bytes(&mut out, storage);
                         }
                         PropOp::Remove { name } => {
                             out.push(OP_REMOVE);
-                            put_str(&mut out, &name.namespace);
-                            put_str(&mut out, &name.local);
+                            put_name(&mut out, name);
                         }
                     }
                 }
             }
             ChangeRecord::VersionControl { path, content } => {
-                out.push(TAG_VERSION_CONTROL);
-                put_str(&mut out, path);
-                put_bytes(&mut out, content);
+                put_path_bytes(&mut out, TAG_VERSION_CONTROL, path, content)
             }
             ChangeRecord::Checkout { path } => {
                 out.push(TAG_CHECKOUT);
                 put_str(&mut out, path);
             }
             ChangeRecord::Checkin { path, content } => {
-                out.push(TAG_CHECKIN);
-                put_str(&mut out, path);
-                put_bytes(&mut out, content);
+                put_path_bytes(&mut out, TAG_CHECKIN, path, content)
             }
         }
         out
@@ -505,6 +566,57 @@ mod tests {
         for rec in samples() {
             let bytes = rec.encode();
             assert_eq!(ChangeRecord::decode(&bytes).unwrap(), rec, "{}", rec.kind());
+        }
+    }
+
+    #[test]
+    fn changes_encode_like_their_records() {
+        use pse_dav::property::Property;
+        let ops = [
+            PropPatchOp::Set(Property::text(PropertyName::new("urn:x", "p0"), "v")),
+            PropPatchOp::Remove(PropertyName::new("urn:x", "p1")),
+        ];
+        let changes = [
+            Change::Put {
+                path: "/a/b",
+                data: b"hello \xff\x00",
+                content_type: Some("text/plain"),
+            },
+            Change::Put {
+                path: "/x",
+                data: b"",
+                content_type: None,
+            },
+            Change::Mkcol { path: "/c" },
+            Change::Delete { path: "/c/d" },
+            Change::Copy {
+                src: "/a",
+                dst: "/b",
+                overwrite: true,
+            },
+            Change::Rename {
+                src: "/m-a",
+                dst: "/m-b",
+                overwrite: false,
+            },
+            Change::PatchProps {
+                path: "/doc",
+                ops: &ops,
+            },
+            Change::VersionControl {
+                path: "/v",
+                content: b"one",
+            },
+            Change::Checkout { path: "/v" },
+            Change::Checkin {
+                path: "/v",
+                content: b"two",
+            },
+        ];
+        for change in &changes {
+            let mut direct = Vec::new();
+            encode_change(&mut direct, change);
+            assert_eq!(direct, ChangeRecord::from(change).encode(), "{change:?}");
         }
     }
 

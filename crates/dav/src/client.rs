@@ -14,6 +14,7 @@ use crate::error::{DavError, Result};
 use crate::lock::LockScope;
 use crate::multistatus::Multistatus;
 use crate::property::{Property, PropertyName, DAV_NS};
+use crate::version::{HistoryImage, VersionMeta};
 use pse_cache::{CacheConfig, CacheStats, ShardedCache};
 use pse_http::client::ConnectionPolicy;
 use pse_http::{Client, Method, Request, Response, StatusCode};
@@ -1104,6 +1105,32 @@ impl DavClient {
             });
         }
         Ok(out)
+    }
+
+    /// `path`'s whole history with every body (None when it has none),
+    /// from `REPORT version-tree` and one `version-content` per version.
+    pub fn history_image(&mut self, path: &str) -> Result<Option<HistoryImage>> {
+        let entries = self.versions(path)?;
+        let Some(newest) = entries.last() else {
+            return Ok(None);
+        };
+        let checked_out = !newest.checked_in;
+        let mut versions = Vec::with_capacity(entries.len());
+        for e in &entries {
+            let created = crate::repo::parse_iso8601(&e.created)
+                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+                .ok_or_else(|| DavError::BadRequest(format!("bad creationdate {:?}", e.created)))?;
+            let meta = VersionMeta {
+                number: e.number,
+                created: created.as_secs(),
+                len: e.len,
+            };
+            versions.push((meta, self.version_content(path, e.number)?));
+        }
+        Ok(Some(HistoryImage {
+            versions,
+            checked_out,
+        }))
     }
 
     /// Revert `path` to its stored version `number`: COPY from the

@@ -10,7 +10,7 @@ use crate::error::{DavError, Result};
 use crate::pathlock::{PathGuard, PathLockStats, PathLocks};
 use crate::property::{Property, PropertyName};
 use crate::propindex::PropIndex;
-use crate::version::{DeltaV, VersionStore};
+use crate::version::{DeltaV, HistoryImage, VersionStore};
 use pse_http::uri::normalize_path;
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -704,8 +704,7 @@ impl<S: Store> Repository for Repo<S> {
         let created = self.store.rename(&src, &dst, overwrite)?;
         self.index.remove_tree(&dst);
         self.index.move_tree(&src, &dst);
-        // The history follows the document (a moved collection's
-        // members keep theirs at the old paths).
+        // The histories follow the document, or a collection's members.
         let moved = self.versions.rename(&src, &dst);
         self.commit(Change::Rename {
             src: &src,
@@ -893,6 +892,15 @@ impl<S: Store> DeltaV for Repo<S> {
             Ok(number)
         })
     }
+
+    fn install_history(&self, path: &str, image: Option<&HistoryImage>) -> Result<()> {
+        if self.hook.get().is_some() {
+            return Err(DavError::Conflict(
+                "a repository whose changes are logged cannot take a history from elsewhere".into(),
+            ));
+        }
+        self.write(path, |_, p| self.versions.install(p, image))
+    }
 }
 
 // ---- date formatting (no chrono offline; civil-from-days arithmetic) ----
@@ -950,6 +958,24 @@ pub fn format_http_date(t: SystemTime) -> String {
 pub fn format_iso8601(t: SystemTime) -> String {
     let (y, m, d, hh, mm, ss, _) = split_time(t);
     format!("{y:04}-{m:02}-{d:02}T{hh:02}:{mm:02}:{ss:02}Z")
+}
+
+/// Parse what [`format_iso8601`] writes (UTC, whole seconds).
+pub fn parse_iso8601(s: &str) -> Option<SystemTime> {
+    let (date, time) = s.trim().strip_suffix('Z')?.split_once('T')?;
+    let mut ymd = date.splitn(3, '-');
+    let year: i64 = ymd.next()?.parse().ok()?;
+    let month: u32 = ymd.next()?.parse().ok()?;
+    let day: u32 = ymd.next()?.parse().ok()?;
+    let mut hms = time.splitn(3, ':');
+    let hh: i64 = hms.next()?.parse().ok()?;
+    let mm: i64 = hms.next()?.parse().ok()?;
+    let ss: i64 = hms.next()?.parse().ok()?;
+    if !(1..=12).contains(&month) || !(1..=31).contains(&day) || hh > 23 || mm > 59 || ss > 60 {
+        return None;
+    }
+    let secs = days_from_civil(year, month, day) * 86_400 + hh * 3600 + mm * 60 + ss;
+    Some(UNIX_EPOCH + std::time::Duration::from_secs(u64::try_from(secs).ok()?))
 }
 
 /// (year, month, day) → days-since-epoch; inverse of [`civil_from_days`].
@@ -1047,6 +1073,17 @@ mod tests {
         assert_eq!(parse_http_date("not a date"), None);
         assert_eq!(parse_http_date(""), None);
         assert_eq!(parse_http_date("Sun, 99 Nov 1994 08:49:37 GMT"), None);
+    }
+
+    #[test]
+    fn iso8601_round_trips() {
+        for secs in [0u64, 784_111_777, 951_782_400, 994_000_000, 4_107_456_000] {
+            let t = at(secs);
+            assert_eq!(parse_iso8601(&format_iso8601(t)), Some(t));
+        }
+        assert_eq!(parse_iso8601("2001-13-01T00:00:00Z"), None);
+        assert_eq!(parse_iso8601("2001-07-01T15:06:40"), None);
+        assert_eq!(parse_iso8601(""), None);
     }
 
     #[test]

@@ -29,9 +29,12 @@
 //! the lock plan of the operation that changes it. A PUT or staged
 //! commit is gated (manual mode refuses a checked-in resource) and
 //! auto-versioned under the same write plan as the store write; a MOVE
-//! re-homes the history under the rename plan; VERSION-CONTROL,
+//! re-homes the histories of the moved resource and of every member of
+//! a moved collection under the rename plan; VERSION-CONTROL,
 //! CHECKOUT and CHECKIN ([`DeltaV`]) take the ordinary write plan and
-//! report to the repository's commit hook like any other mutation.
+//! report to the repository's commit hook like any other mutation. A
+//! replica's snapshot resync installs the primary's histories whole
+//! ([`DeltaV::install_history`], [`HistoryImage`]).
 //! Every history change is written through before it is acknowledged:
 //! a failed chunk or manifest write is undone in memory and returned
 //! to the caller, so memory never holds a version the disk lacks.
@@ -138,6 +141,19 @@ pub struct VersionStats {
     pub checked_out: u64,
 }
 
+/// A whole history as one node holds it: every version's metadata and
+/// body, oldest first, and the checkout state. A replica that resyncs
+/// from a snapshot installs the primary's through
+/// [`DeltaV::install_history`], so numbers, creation times, lengths,
+/// bodies and checkout state all match the primary's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistoryImage {
+    /// Versions, oldest first, with their bodies.
+    pub versions: Vec<(VersionMeta, Vec<u8>)>,
+    /// Is the resource checked out?
+    pub checked_out: bool,
+}
+
 /// A resolved `/.well-known/history/...` target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistoryTarget<'a> {
@@ -162,6 +178,12 @@ pub trait DeltaV {
     fn checkout(&self, path: &str) -> Result<()>;
     /// CHECKIN: record one new version and return its number.
     fn checkin(&self, path: &str, content: Option<&[u8]>) -> Result<u32>;
+    /// Replace `path`'s history with `image` as another node holds it;
+    /// `None` drops the history. A replica's snapshot resync uses it.
+    /// The operation is not a DAV method and is not reported to the
+    /// commit hook, so a repository whose changes are logged refuses it
+    /// (its followers would never see the new history).
+    fn install_history(&self, path: &str, image: Option<&HistoryImage>) -> Result<()>;
 }
 
 /// A repository's version histories and their chunk store.
@@ -377,6 +399,28 @@ impl VersionStore {
         Some((h.versions.iter().map(VersionRec::meta).collect(), h.checked_out))
     }
 
+    /// Every path that has a history, sorted.
+    pub fn versioned_paths(&self) -> Vec<String> {
+        let mut paths: Vec<String> = self.inner.lock().histories.keys().cloned().collect();
+        paths.sort_unstable();
+        paths
+    }
+
+    /// `path`'s whole history with every body, as
+    /// [`install`](Self::install) takes it (None when not versioned).
+    pub fn history_image(&self, path: &str) -> Option<HistoryImage> {
+        let inner = self.inner.lock();
+        let h = inner.histories.get(path)?;
+        Some(HistoryImage {
+            versions: h
+                .versions
+                .iter()
+                .map(|v| (v.meta(), inner.assemble(v)))
+                .collect(),
+            checked_out: h.checked_out,
+        })
+    }
+
     /// Metadata of one version.
     pub fn version_meta(&self, path: &str, number: u32) -> Option<VersionMeta> {
         let inner = self.inner.lock();
@@ -540,30 +584,120 @@ impl VersionStore {
         self.push_version(&mut inner, path, content).map(drop)
     }
 
-    /// History follows MOVE: re-home `src`'s history at `dst`.
+    /// History follows MOVE: re-home the history at `src`, and every
+    /// history under `src/` (the members of a moved collection), at the
+    /// matching path under `dst`. A history each one lands on is
+    /// replaced. A failed manifest write puts every history back.
     pub(crate) fn rename(&self, src: &str, dst: &str) -> Result<()> {
         let mut inner = self.inner.lock();
-        let Some(h) = inner.histories.remove(src) else {
-            return Ok(());
-        };
-        let displaced = inner.histories.insert(dst.to_owned(), h);
-        self.write_through(&mut inner, dst, |inner| {
-            let h = inner.histories.remove(dst).expect("present");
-            inner.histories.insert(src.to_owned(), h);
-            if let Some(d) = displaced.clone() {
-                inner.histories.insert(dst.to_owned(), d);
+        let members = format!("{src}/");
+        let moves: Vec<(String, String)> = inner
+            .histories
+            .keys()
+            .filter(|k| *k == src || k.starts_with(&members))
+            .map(|k| (k.clone(), format!("{dst}{}", &k[src.len()..])))
+            .collect();
+        // Sources lie under `src` and targets under `dst`, which do not
+        // overlap, so no move displaces another's source.
+        let mut displaced = Vec::with_capacity(moves.len());
+        for (from, to) in &moves {
+            let h = inner.histories.remove(from).expect("listed above");
+            displaced.push(inner.histories.insert(to.clone(), h));
+        }
+        for (written, (_, to)) in moves.iter().enumerate() {
+            if let Err(e) = self.persist(&inner, to) {
+                for ((from, to), old) in moves.iter().zip(&displaced) {
+                    let h = inner.histories.remove(to).expect("moved above");
+                    inner.histories.insert(from.clone(), h);
+                    if let Some(old) = old {
+                        inner.histories.insert(to.clone(), old.clone());
+                    }
+                }
+                // Best effort: the manifests already written go back to
+                // what memory holds again.
+                for (_, to) in &moves[..written] {
+                    let _ = self.persist_or_remove(&inner, to);
+                }
+                return Err(e.into());
             }
-        })?;
-        for id in displaced.iter().flat_map(|d| &d.versions).flat_map(|v| &v.chunks) {
+        }
+        for id in displaced
+            .iter()
+            .flatten()
+            .flat_map(|d| &d.versions)
+            .flat_map(|v| &v.chunks)
+        {
             inner.release_chunk(*id);
         }
-        match &self.dir {
-            Some(dir) => match fs::remove_file(dir.join("meta").join(escape_history_filename(src))) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
-                _ => Ok(()),
-            },
-            None => Ok(()),
+        for (from, _) in &moves {
+            self.persist_or_remove(&inner, from)?;
         }
+        Ok(())
+    }
+
+    /// Replace `path`'s history with `image`, or drop it (`None`). The
+    /// versions keep the image's numbers and creation times. A failed
+    /// chunk or manifest write leaves the old history in place.
+    pub(crate) fn install(&self, path: &str, image: Option<&HistoryImage>) -> Result<()> {
+        if let Some(image) = image {
+            let ascending = image
+                .versions
+                .windows(2)
+                .all(|w| w[0].0.number < w[1].0.number);
+            if image.versions.is_empty() || !ascending {
+                return Err(DavError::BadRequest(format!(
+                    "history image of {path} needs ascending version numbers"
+                )));
+            }
+        }
+        let mut inner = self.inner.lock();
+        let mut versions: Vec<VersionRec> = Vec::new();
+        let release = |inner: &mut Inner, versions: &[VersionRec]| {
+            for id in versions.iter().flat_map(|v| &v.chunks) {
+                inner.release_chunk(*id);
+            }
+        };
+        for (meta, body) in image.map_or(&[][..], |i| &i.versions[..]) {
+            match self.store_version(&mut inner, meta.number, body) {
+                Ok(rec) => versions.push(VersionRec {
+                    created: meta.created,
+                    ..rec
+                }),
+                Err(e) => {
+                    release(&mut inner, &versions);
+                    return Err(e);
+                }
+            }
+        }
+        let old = match image {
+            Some(image) => inner.histories.insert(
+                path.to_owned(),
+                History {
+                    versions,
+                    checked_out: image.checked_out,
+                },
+            ),
+            None => inner.histories.remove(path),
+        };
+        if let Err(e) = self.persist_or_remove(&inner, path) {
+            let new = match old {
+                Some(old) => inner.histories.insert(path.to_owned(), old),
+                None => inner.histories.remove(path),
+            };
+            release(
+                &mut inner,
+                new.as_ref().map_or(&[][..], |h| &h.versions[..]),
+            );
+            return Err(e.into());
+        }
+        for id in old.iter().flat_map(|h| &h.versions).flat_map(|v| &v.chunks) {
+            if inner.release_chunk(*id).is_some() {
+                if let Some(dir) = &self.dir {
+                    let _ = fs::remove_file(dir.join("chunks").join(chunk_filename(*id)));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Append `content` as `path`'s next version, checked in. A failed
@@ -769,6 +903,19 @@ impl VersionStore {
         };
         let name = escape_history_filename(path);
         write_file(&dir.join("meta"), &name, &encode_history(path, h))
+    }
+
+    /// Write `path`'s manifest, or remove it when `path` has no history.
+    fn persist_or_remove(&self, inner: &Inner, path: &str) -> std::io::Result<()> {
+        match &self.dir {
+            Some(dir) if !inner.histories.contains_key(path) => {
+                match fs::remove_file(dir.join("meta").join(escape_history_filename(path))) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+                    _ => Ok(()),
+                }
+            }
+            _ => self.persist(inner, path),
+        }
     }
 
     /// Chunk `content`, intern every chunk (bumping refcounts), and
@@ -1306,6 +1453,94 @@ mod tests {
         repo.rename("/new", "/other", true).unwrap();
         assert_eq!(store.version_body("/other", 2).unwrap(), b"v2");
         store.verify_consistency().unwrap();
+
+        // A moved collection carries its members' histories, nested
+        // ones too; a sibling whose name shares the prefix stays put.
+        repo.mkcol("/proj").unwrap();
+        repo.mkcol("/proj/run").unwrap();
+        repo.put("/proj/a", b"a1", None).unwrap();
+        vc(&repo, "/proj/a");
+        repo.put("/proj/a", b"a2", None).unwrap();
+        repo.put("/proj/run/out", b"o1", None).unwrap();
+        vc(&repo, "/proj/run/out");
+        repo.put("/proj-x", b"x1", None).unwrap();
+        vc(&repo, "/proj-x");
+        repo.rename("/proj", "/moved", false).unwrap();
+        assert_eq!(
+            store.versioned_paths(),
+            ["/moved/a", "/moved/run/out", "/other", "/proj-x"]
+        );
+        assert_eq!(store.version_body("/moved/a", 2).unwrap(), b"a2");
+        assert_eq!(store.version_body("/moved/run/out", 1).unwrap(), b"o1");
+        store.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn collection_move_rehomes_persisted_histories() {
+        let dir = temp_dir("move-collection");
+        {
+            let repo = persistent_repo(&dir);
+            repo.mkcol("/c").unwrap();
+            repo.put("/c/doc", b"one", None).unwrap();
+            vc(&repo, "/c/doc");
+            repo.put("/c/doc", b"two", None).unwrap();
+            repo.rename("/c", "/d", false).unwrap();
+        }
+        let repo = persistent_repo(&dir);
+        let store = repo.versions();
+        assert_eq!(store.versioned_paths(), ["/d/doc"]);
+        assert_eq!(store.version_body("/d/doc", 2).unwrap(), b"two");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn install_replaces_drops_and_round_trips_histories() {
+        let dir = temp_dir("install");
+        let source = MemRepository::new();
+        source.put("/doc", b"first", None).unwrap();
+        vc(&source, "/doc");
+        source.put("/doc", b"second", None).unwrap();
+        source.checkout("/doc").unwrap();
+        let image = source.versions().history_image("/doc").unwrap();
+        assert!(image.checked_out);
+        assert_eq!(image.versions.len(), 2);
+
+        {
+            let repo = persistent_repo(&dir);
+            // A stale local history is replaced whole, numbers, creation
+            // times and checkout state included.
+            repo.put("/doc", b"stale", None).unwrap();
+            vc(&repo, "/doc");
+            repo.put("/gone", b"g", None).unwrap();
+            vc(&repo, "/gone");
+            repo.install_history("/doc", Some(&image)).unwrap();
+            repo.install_history("/gone", None).unwrap();
+            assert_eq!(repo.versions().history_image("/doc").unwrap(), image);
+            assert!(!repo.versions().is_versioned("/gone"));
+            repo.versions().verify_consistency().unwrap();
+        }
+        // And it survives a restart.
+        let repo = persistent_repo(&dir);
+        assert_eq!(repo.versions().versioned_paths(), ["/doc"]);
+        assert_eq!(repo.versions().history_image("/doc").unwrap(), image);
+        repo.versions().verify_consistency().unwrap();
+
+        // Malformed images are refused; a logged repository refuses all.
+        let empty = HistoryImage {
+            versions: Vec::new(),
+            checked_out: false,
+        };
+        assert!(matches!(
+            repo.install_history("/doc", Some(&empty)),
+            Err(DavError::BadRequest(_))
+        ));
+        source.set_commit_hook(|_| Ok(()));
+        assert!(matches!(
+            source.install_history("/doc", None),
+            Err(DavError::Conflict(_))
+        ));
+        assert!(source.versions().is_versioned("/doc"));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

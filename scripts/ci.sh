@@ -31,7 +31,11 @@
 #    the consistent-hash router in-process, with the staleness /
 #    torn-write / MOVE-atomicity detectors pointed through the router,
 #    a replica-kill failover smoke, snapshot resync after log
-#    compaction, the pse-cluster suites (replay convergence, commit-hook
+#    compaction (histories included), the bounded change log (a write
+#    storm past the byte cap with a stalled replica stays under the cap
+#    and the in-memory tail bound, then the replica resyncs to
+#    byte-identical histories; a cursor past the log's end gets 410),
+#    the pse-cluster suites (replay convergence, commit-hook
 #    logging, racing writes logged in apply order on mem and fs), the
 #    DeltaV operations that run under the repository's lock plans (the
 #    PUT-storm version granularity and history-follows-MOVE tests), and
@@ -50,7 +54,9 @@
 #    mem/fs replay equivalence with a mid-history restart), a failed
 #    history write answering 5xx, the ecce revert-a-calculation
 #    scenario, the cluster history-replication/rejoin and
-#    history-follows-MOVE tests, and repro_versions --check (content-addressed storage
+#    history-follows-MOVE tests, a snapshot resync that carries
+#    histories, a collection MOVE that carries its members' histories
+#    (unit and cluster), and repro_versions --check (content-addressed storage
 #    for 50 x 1%-edit revisions of 2 MB must cost <= 25% of full
 #    snapshots, with byte-identical reads), emitting
 #    target/bench-json/versions.json.
@@ -152,6 +158,10 @@ if [ "$CLUSTER" = 1 ]; then
     cargo test -q --test cluster
     echo "==> cluster gate: replay convergence, commit hook and apply-order race tests"
     cargo test -q -p pse-cluster
+    echo "==> cluster gate: bounded change log (stalled-replica storm under the cap, resync, 410 past the end)"
+    cargo test -q --test cluster -- stalled_replica_storm_stays_under_the_cap_and_resyncs_histories \
+        compaction_forces_snapshot_resync
+    cargo test -q -p pse-cluster --lib -- feed_answers_gone_when_since_is_past_the_end log::
     echo "==> cluster gate: DeltaV under the repository's lock plans"
     cargo test -q -p pse-dav --test versioning -- \
         concurrent_put_storm_yields_exactly_one_version_per_checkin history_follows_move
@@ -198,6 +208,11 @@ if [ "$VERSIONS" = 1 ]; then
     echo "==> versions gate: history replication, replica rejoin and MOVE through the cluster"
     cargo test -q --test cluster -- version_history_replicates_and_survives_rejoin \
         history_follows_move_on_every_replica
+    echo "==> versions gate: resync carries histories; collection MOVE carries member histories"
+    cargo test -q --test cluster -- stalled_replica_storm_stays_under_the_cap_and_resyncs_histories \
+        compaction_forces_snapshot_resync collection_move_carries_member_histories_on_every_replica
+    cargo test -q -p pse-dav --lib -- rename_rehomes_history collection_move_rehomes_persisted_histories \
+        install_replaces_drops_and_round_trips_histories
     echo "==> versions gate: repro_versions --check (CAS <= 25% of full snapshots)"
     cargo build --release -p pse-bench --bin repro_versions
     ./target/release/repro_versions --check

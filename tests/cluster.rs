@@ -14,7 +14,10 @@
 //! * killing a replica mid-run loses no request — the router fails over
 //!   and a restarted replica is re-admitted after catching up;
 //! * a replica that finds the log compacted past its cursor rebuilds
-//!   itself from a full snapshot and converges to identical state.
+//!   itself from a full snapshot, version histories included, and
+//!   converges to identical state;
+//! * a write storm past the log's byte cap, with a replica stalled,
+//!   keeps the log under the cap and its memory under the tail bound.
 //!
 //! Knobs (honoured by `scripts/ci.sh --cluster`):
 //!   PSE_CLUSTER_OPS      writer operations per thread (default 60)
@@ -25,6 +28,7 @@ use davpse::dav::client::DavClient;
 use davpse::dav::depth::Depth;
 use davpse::dav::property::{Property, PropertyName};
 use davpse::dav::repo::Repository;
+use davpse::dav::version::{HistoryImage, VersionStore};
 use pse_cluster::{BackendSpec, NodeConfig, Primary, Replica, Router, RouterConfig};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -580,6 +584,37 @@ fn history_follows_move_on_every_replica() {
     }
 }
 
+/// MOVE of a collection carries its members' histories, nested ones
+/// too, on every node.
+#[test]
+fn collection_move_carries_member_histories_on_every_replica() {
+    let cluster = Cluster::start("move-collection-history", 1);
+    let mut c = cluster.client();
+    c.mkcol("/p").unwrap();
+    c.mkcol("/p/run").unwrap();
+    c.put("/p/a", "a1", None).unwrap();
+    c.version_control("/p/a").unwrap();
+    c.put("/p/a", "a2", None).unwrap();
+    c.put("/p/run/out", "o1", None).unwrap();
+    c.version_control("/p/run/out").unwrap();
+    c.move_("/p", "/q", false).unwrap();
+    cluster.wait_replicas_caught_up(Duration::from_secs(10));
+
+    let primary = cluster.primary.as_ref().unwrap().versions();
+    assert_eq!(primary.versioned_paths(), ["/q/a", "/q/run/out"]);
+    for r in &cluster.replicas {
+        assert_eq!(
+            replayed_histories(r.versions()),
+            replayed_histories(primary),
+            "replica {} left member histories behind",
+            r.addr()
+        );
+        let mut direct = DavClient::connect(r.addr()).unwrap();
+        assert_eq!(direct.version_content("/q/a", 2).unwrap(), b"a2");
+        r.versions().verify_consistency().unwrap();
+    }
+}
+
 /// Writes sent straight to a replica come back as 307 and the DAV
 /// client replays them against the primary transparently.
 #[test]
@@ -672,19 +707,63 @@ fn consistent_hashing_shards_the_namespace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A replica whose cursor predates the compaction window rebuilds from
-/// a full snapshot and converges anyway.
+/// Every versioned path of `store` with its whole history: numbers,
+/// creation times, lengths, bodies and checkout state.
+fn histories(store: &VersionStore) -> Vec<(String, HistoryImage)> {
+    store
+        .versioned_paths()
+        .into_iter()
+        .map(|p| {
+            let image = store.history_image(&p).unwrap();
+            (p, image)
+        })
+        .collect()
+}
+
+/// Histories as replay rebuilds them: creation times are each node's
+/// own clock, so only numbers, lengths, bodies and checkout state.
+fn replayed_histories(store: &VersionStore) -> Vec<(String, Vec<(u32, u64, Vec<u8>)>, bool)> {
+    histories(store)
+        .into_iter()
+        .map(|(p, h)| {
+            let versions = h
+                .versions
+                .into_iter()
+                .map(|(m, body)| (m.number, m.len, body))
+                .collect();
+            (p, versions, h.checked_out)
+        })
+        .collect()
+}
+
+fn wait_for(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + timeout;
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A replica whose cursor predates the retained window rebuilds from a
+/// full snapshot, histories included, and converges anyway. The window
+/// moves because a live replica has applied everything.
 #[test]
 fn compaction_forces_snapshot_resync() {
     let dir = temp_dir("resync");
     let cfg = NodeConfig::default();
     let primary = Primary::start(&dir.join("primary"), "127.0.0.1:0", cfg.clone()).unwrap();
+    let follower =
+        Replica::start(&dir.join("r0"), "127.0.0.1:0", primary.addr(), cfg.clone()).unwrap();
 
     let mut c = DavClient::connect(primary.addr()).unwrap();
     c.mkcol("/proj").unwrap();
     for i in 0..20 {
-        c.put(&format!("/proj/d{i}"), format!("body-{i}"), Some("text/plain"))
-            .unwrap();
+        c.put(
+            &format!("/proj/d{i}"),
+            format!("body-{i}"),
+            Some("text/plain"),
+        )
+        .unwrap();
     }
     c.proppatch(
         "/proj/d0",
@@ -692,24 +771,170 @@ fn compaction_forces_snapshot_resync() {
         &[],
     )
     .unwrap();
+    c.version_control("/proj/d1").unwrap();
+    c.put("/proj/d1", "body-1 edited", Some("text/plain"))
+        .unwrap();
 
-    // Compact the log so a fresh replica's `since=0` pull hits 410.
-    primary.changelog().compact_keep_last(1).unwrap();
+    // Once the follower has applied everything, the log keeps only its
+    // newest frame, so a fresh replica's `since=0` pull hits 410.
+    let last = primary.seq();
+    assert!(follower.wait_caught_up(last, Duration::from_secs(10)));
+    wait_for(
+        "the log drops what the follower applied",
+        Duration::from_secs(10),
+        || primary.changelog().start_seq() == last,
+    );
 
-    let replica = Replica::start(&dir.join("r0"), "127.0.0.1:0", primary.addr(), cfg).unwrap();
+    let replica = Replica::start(&dir.join("r1"), "127.0.0.1:0", primary.addr(), cfg).unwrap();
     assert!(
         replica.wait_caught_up(primary.seq(), Duration::from_secs(10)),
         "resync never converged (applied {})",
         replica.applied()
     );
     assert!(
-        replica.registry().snapshot().counter("cluster.replica.resyncs") > 0,
+        replica
+            .registry()
+            .snapshot()
+            .counter("cluster.replica.resyncs")
+            > 0,
         "replica caught up without a resync — compaction not exercised"
     );
     assert_eq!(
         state(replica.repo().as_ref()),
         state(primary.repo().as_ref()),
         "snapshot resync diverged"
+    );
+    assert_eq!(
+        histories(replica.versions()),
+        histories(primary.versions()),
+        "snapshot resync did not carry the history"
+    );
+    replica.versions().verify_consistency().unwrap();
+
+    replica.shutdown();
+    follower.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A write storm past the log's byte cap while the only replica is
+/// down. The log stays under the cap on disk and under the tail bound
+/// in memory (read from the primary's gauges). The returning replica
+/// gets 410, resyncs, and converges: bodies, dead properties, and
+/// histories byte-identical — including the checkout it missed, so a
+/// later replayed PUT of that document applies instead of answering
+/// 409 (manual versioning), and without the history the primary moved
+/// away in the gap.
+#[test]
+fn stalled_replica_storm_stays_under_the_cap_and_resyncs_histories() {
+    let dir = temp_dir("storm");
+    let cfg = NodeConfig {
+        auto_version: false,
+        ..NodeConfig::default()
+    };
+    let primary = Primary::start(&dir.join("primary"), "127.0.0.1:0", cfg.clone()).unwrap();
+    let replica_dir = dir.join("r0");
+    let replica = Replica::start(&replica_dir, "127.0.0.1:0", primary.addr(), cfg.clone()).unwrap();
+    let mut c = DavClient::connect(primary.addr()).unwrap();
+    let key = PropertyName::new("urn:storm", "k");
+    c.mkcol("/s").unwrap();
+    for doc in ["/s/doc", "/s/held", "/s/moving"] {
+        c.put(doc, format!("{doc} v1"), Some("text/plain")).unwrap();
+        c.version_control(doc).unwrap();
+    }
+    c.proppatch("/s/doc", &[Property::text(key.clone(), "v1")], &[])
+        .unwrap();
+    assert!(replica.wait_caught_up(primary.seq(), Duration::from_secs(10)));
+    let registry = primary.registry();
+    wait_for(
+        "the primary knows its replica",
+        Duration::from_secs(10),
+        || registry.snapshot().gauge("cluster.primary.log.replicas") == 1,
+    );
+    replica.shutdown();
+
+    // The gap: a CHECKOUT the replica misses, a versioned MOVE, then a
+    // storm of 1 MiB bodies past the cap with CHECKOUT/PUT/CHECKIN
+    // cycles and PROPPATCHes mixed in.
+    c.checkout("/s/held").unwrap();
+    c.put("/s/held", "/s/held draft", Some("text/plain"))
+        .unwrap();
+    c.move_("/s/moving", "/s/moved", false).unwrap();
+    let cap = pse_cluster::log::CAP_BYTES;
+    let tail = pse_cluster::log::TAIL_BYTES as i64;
+    let mut written = 0u64;
+    let mut i = 0u64;
+    while written <= cap + cap / 4 {
+        let mut body = vec![b'.'; 1 << 20];
+        body[..8].copy_from_slice(&i.to_le_bytes());
+        c.put(&format!("/s/big{}", i % 4), body, None).unwrap();
+        written += 1 << 20;
+        if i % 4 == 0 {
+            c.checkout("/s/doc").unwrap();
+            c.put("/s/doc", format!("/s/doc v{i}"), Some("text/plain"))
+                .unwrap();
+            c.checkin("/s/doc").unwrap();
+            c.proppatch(
+                "/s/doc",
+                &[Property::text(key.clone(), &format!("v{i}"))],
+                &[],
+            )
+            .unwrap();
+        }
+        let snap = registry.snapshot();
+        let bytes = snap.gauge("cluster.primary.log.bytes");
+        let mem = snap.gauge("cluster.primary.log.mem_bytes");
+        assert!(bytes <= cap as i64, "log file {bytes} B past the cap");
+        assert!(mem <= tail, "in-memory tail {mem} B past its bound");
+        i += 1;
+    }
+    let snap = registry.snapshot();
+    assert!(snap.counter("cluster.primary.log.cap_compactions") > 0);
+    assert_eq!(
+        snap.gauge("cluster.primary.log.last_seq") as u64,
+        primary.seq()
+    );
+    assert!(snap.gauge("cluster.primary.log.start_seq") > 1);
+    assert!(snap.gauge("cluster.primary.log.retained") > 0);
+    assert_eq!(
+        snap.gauge("cluster.primary.log.replicas"),
+        1,
+        "the stalled replica is live until its TTL runs out"
+    );
+
+    let replica = Replica::start(&replica_dir, "127.0.0.1:0", primary.addr(), cfg).unwrap();
+    assert!(
+        replica.wait_caught_up(primary.seq(), Duration::from_secs(60)),
+        "resync never converged (applied {})",
+        replica.applied()
+    );
+    assert!(
+        replica
+            .registry()
+            .snapshot()
+            .counter("cluster.replica.resyncs")
+            > 0
+    );
+    assert_eq!(
+        state(replica.repo().as_ref()),
+        state(primary.repo().as_ref())
+    );
+    assert_eq!(histories(replica.versions()), histories(primary.versions()));
+    assert!(replica.versions().is_checked_out("/s/held"));
+    assert!(!replica.versions().is_versioned("/s/moving"));
+    replica.versions().verify_consistency().unwrap();
+
+    // The replayed PUT of the document checked out in the gap applies.
+    c.put("/s/held", "/s/held after", Some("text/plain"))
+        .unwrap();
+    assert!(replica.wait_caught_up(primary.seq(), Duration::from_secs(10)));
+    assert_eq!(replica.repo().get("/s/held").unwrap(), b"/s/held after");
+    assert_eq!(
+        replica
+            .registry()
+            .snapshot()
+            .counter("cluster.replica.apply_errors"),
+        0
     );
 
     replica.shutdown();
