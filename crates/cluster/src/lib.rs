@@ -20,8 +20,8 @@
 //!   servers wired for log shipping over the reserved
 //!   `/.well-known/changes` endpoint.
 //! - [`router`] — the consistent-hash front end: writes go to the shard
-//!   primary, reads are balanced across caught-up replicas with
-//!   read-your-writes enforced via sequence-number headers.
+//!   primary, reads rotate across its replicas with read-your-writes
+//!   enforced by per-resource sequence-number floors.
 
 pub mod apply;
 pub mod log;

@@ -70,11 +70,11 @@ pub const CHANGES_PATH: &str = "/.well-known/changes";
 
 /// Response header a primary adds to every successful mutation: the
 /// change-log sequence number the mutation is covered by. A router
-/// records it as the shard's read-your-writes floor.
+/// raises the read-your-writes floors of what the mutation changed.
 pub const CHANGE_SEQ_HEADER: &str = "X-Change-Seq";
 
 /// Response header a replica adds to every read: how far its applier
-/// has caught up. A router compares it against the write floor.
+/// has caught up. A router compares it against the read's floor.
 pub const APPLIED_SEQ_HEADER: &str = "X-Applied-Seq";
 
 /// Response header on the change feed itself: the last sequence number

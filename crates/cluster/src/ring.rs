@@ -9,6 +9,9 @@
 //! canonicalised by `Target::parse` / `normalize_path` (the same
 //! normalisation the path-lock table hashes), so equal resources always
 //! hash to the same shard regardless of how the client spelled the URL.
+//! A version-history URL shards with the document it is the history of,
+//! so a history read or a revert COPY reaches the shard that holds the
+//! history.
 //!
 //! The ring itself is classic consistent hashing: each backend
 //! contributes `vnodes` points hashed around a u64 circle; a key is
@@ -16,6 +19,7 @@
 //! the keyspace, which is what makes scale-out incremental.
 
 use pse_cache::fnv1a_64;
+use pse_dav::version::HISTORY_PREFIX;
 
 /// FNV-1a plus a splitmix64-style finalizer. Raw FNV leaves sequential
 /// keys (`project-0`, `project-1`, …) in one narrow band of the u64
@@ -63,9 +67,33 @@ impl HashRing {
     }
 }
 
+/// The live resource a canonical request path is about. A history URL
+/// `/.well-known/history/<p>` or `/.well-known/history/<p>/<n>` is about
+/// `/<p>`; every other path is about itself.
+///
+/// A trailing number is dropped: the server decides per request whether
+/// `…/history/a/1` is version 1 of `/a` or the history of a versioned
+/// `/a/1`, and `/a` is the one answer right for both (it shards with
+/// `/a/1`, and writes to `/a/1` raise `/a`'s subtree read floor).
+pub(crate) fn live_path(path: &str) -> &str {
+    let Some(rest) = path
+        .strip_prefix(HISTORY_PREFIX)
+        .filter(|r| r.len() > 1 && r.starts_with('/'))
+    else {
+        return path;
+    };
+    match rest.rsplit_once('/') {
+        Some((head, tail)) if !head.is_empty() && tail.parse::<u32>().is_ok() => head,
+        _ => rest,
+    }
+}
+
 /// The shard key of a canonical path: its first segment (`"/"` for the
-/// root itself). `/ProjA/calc/out.log` → `ProjA`.
+/// root itself), a history URL counting as its document's path.
+/// `/ProjA/calc/out.log` → `ProjA`, and so does
+/// `/.well-known/history/ProjA/calc/out.log/3`.
 pub fn shard_key(path: &str) -> &str {
+    let path = live_path(path);
     let rest = path.strip_prefix('/').unwrap_or(path);
     match rest.split('/').next() {
         Some("") | None => "/",
@@ -82,6 +110,26 @@ mod tests {
         assert_eq!(shard_key("/ProjA/calc/out.log"), "ProjA");
         assert_eq!(shard_key("/ProjA"), "ProjA");
         assert_eq!(shard_key("/"), "/");
+        assert_eq!(shard_key("/.well-known/changes"), ".well-known");
+    }
+
+    #[test]
+    fn history_urls_map_to_their_live_path() {
+        for (path, live) in [
+            ("/.well-known/history/ProjA/out.log/3", "/ProjA/out.log"),
+            ("/.well-known/history/ProjA/out.log", "/ProjA/out.log"),
+            // A lone number is a path, not a version of the root.
+            ("/.well-known/history/7", "/7"),
+            ("/.well-known/history", "/.well-known/history"),
+            ("/.well-known/historyx/a", "/.well-known/historyx/a"),
+            ("/.well-known/changes", "/.well-known/changes"),
+            // Only history URLs drop a trailing number.
+            ("/ProjA/3", "/ProjA/3"),
+        ] {
+            assert_eq!(live_path(path), live, "{path}");
+        }
+        assert_eq!(shard_key("/.well-known/history/ProjA/out.log/3"), "ProjA");
+        assert_eq!(shard_key("/.well-known/history/ProjA/3"), "ProjA");
     }
 
     #[test]

@@ -2,19 +2,44 @@
 //!
 //! One address for the whole cluster: the router hashes each request's
 //! [shard key](crate::ring::shard_key) onto a [`HashRing`] of backend
-//! shards, sends writes to the shard's primary, and balances reads
-//! across the shard's read rotation (primary + caught-up replicas).
+//! shards, sends writes to the shard's primary, and sends each read to
+//! the shard's next replica in turn, falling back to the primary.
 //!
 //! ## Read-your-writes
 //!
 //! Every successful write response from a primary carries
-//! `X-Change-Seq`; the router folds it into the shard's *write floor*
-//! (`fetch_max`, so concurrent writes keep the highest). A replica read
-//! whose `X-Applied-Seq` is below the floor is discarded and retried on
-//! the primary — a client that just wrote through this router never
-//! reads an older state. Reads that land on replicas above the floor
-//! are bounded-staleness by construction: the lag gauges on each
-//! replica bound the window.
+//! `X-Change-Seq`; every replica read carries the replica's
+//! `X-Applied-Seq`. The router keeps *write floors*: the highest
+//! `X-Change-Seq` of the writes it acknowledged (`fetch_max`, so
+//! concurrent writes keep the highest). A replica answer whose
+//! `X-Applied-Seq` is below the read's floor is discarded and the read
+//! repeats on the primary. So every read through the router sees every
+//! write acknowledged through the router that could change its answer.
+//!
+//! Floors are kept per resource, so a write holds back only the reads it
+//! could change. Each shard has two tables, `point` and `subtree`:
+//!
+//! * a write raises `point[t]` for its target `t` and `subtree[a]` for
+//!   `t` and every ancestor `a`; a COPY or MOVE does the same for its
+//!   `Destination`;
+//! * a read of `p` waits for `subtree[p]` (a write to `p` or to a member
+//!   changes a Depth-1 or Depth-infinity PROPFIND of `p`) and for
+//!   `point[a]` of every strict ancestor `a` (a DELETE, MOVE, PROPPATCH
+//!   or LOCK of an enclosing collection can change `p`'s answer).
+//!
+//! Both tables are fixed arrays of 4096 slots indexed by the FNV hash
+//! of the path. Two paths sharing a slot only make a read wait for the
+//! other path's writes too, which sends it to the primary; a collision
+//! never makes a read stale. A history URL
+//! `/.well-known/history/<p>[/<n>]` reads with the floor of `/<p>`.
+//! SEARCH (its scope is in the body) and every other `/.well-known/`
+//! read wait for the shard-wide floor, the highest sequence number of
+//! any write through the router to the shard.
+//!
+//! Reads of resources with no recent write stay on the replicas while
+//! writers are busy elsewhere. A write that did not pass through this
+//! router raises no floor: such reads are bounded-staleness, and the lag
+//! gauges on each replica bound the window.
 //!
 //! ## Failover
 //!
@@ -26,10 +51,10 @@
 //! which is out of scope — the paper's deployments ran one writable
 //! server per site).
 
-use crate::node::{APPLIED_SEQ_HEADER, CHANGE_SEQ_HEADER};
-use crate::node::is_read_method;
-use crate::ring::{shard_key, HashRing};
+use crate::node::{is_read_method, APPLIED_SEQ_HEADER, CHANGE_SEQ_HEADER};
+use crate::ring::{live_path, shard_key, HashRing};
 use parking_lot::Mutex;
+use pse_cache::fnv1a_64;
 use pse_http::server::{Server, ServerConfig};
 use pse_http::uri::Target;
 use pse_http::{Client, Method, Request, Response, RetryPolicy, StatusCode};
@@ -163,14 +188,79 @@ impl Backend {
     }
 }
 
+/// Slots in each per-resource floor table (a power of two).
+const FLOOR_SLOTS: usize = 4096;
+
+/// The read-your-writes floors of one shard (see the module docs).
+struct Floors {
+    /// Highest `X-Change-Seq` of any write through this router: the
+    /// floor of SEARCH and of `/.well-known/` reads.
+    write_floor: AtomicU64,
+    /// Highest seq of a write whose target or destination hashes here.
+    point: Box<[AtomicU64]>,
+    /// Highest seq of a write at or below a path that hashes here.
+    subtree: Box<[AtomicU64]>,
+}
+
+impl Floors {
+    fn new() -> Floors {
+        let table = || (0..FLOOR_SLOTS).map(|_| AtomicU64::new(0)).collect();
+        Floors {
+            write_floor: AtomicU64::new(0),
+            point: table(),
+            subtree: table(),
+        }
+    }
+
+    fn slot(path: &str) -> usize {
+        fnv1a_64(path.as_bytes()) as usize & (FLOOR_SLOTS - 1)
+    }
+
+    /// Record an acknowledged write to `path` covered by `seq`.
+    fn note_write(&self, path: &str, seq: u64) {
+        let path = live_path(path);
+        self.write_floor.fetch_max(seq, Ordering::SeqCst);
+        self.point[Self::slot(path)].fetch_max(seq, Ordering::SeqCst);
+        for p in std::iter::once(path).chain(ancestors(path)) {
+            self.subtree[Self::slot(p)].fetch_max(seq, Ordering::SeqCst);
+        }
+    }
+
+    /// The seq a replica must have applied to answer `method` on `path`.
+    fn read_floor(&self, method: &Method, path: &str) -> u64 {
+        let path = live_path(path);
+        if *method == Method::Search || shard_key(path) == ".well-known" {
+            return self.write_floor.load(Ordering::SeqCst);
+        }
+        let own = self.subtree[Self::slot(path)].load(Ordering::SeqCst);
+        ancestors(path)
+            .map(|a| self.point[Self::slot(a)].load(Ordering::SeqCst))
+            .fold(own, u64::max)
+    }
+}
+
+/// The strict ancestors of a canonical path, nearest first:
+/// `/a/b/c` → `/a/b`, `/a`, `/`.
+fn ancestors(path: &str) -> impl Iterator<Item = &str> {
+    let mut rest = path;
+    std::iter::from_fn(move || {
+        if rest == "/" {
+            return None;
+        }
+        rest = match rest.rfind('/') {
+            Some(0) | None => "/",
+            Some(i) => &rest[..i],
+        };
+        Some(rest)
+    })
+}
+
 /// Per-shard routing state.
 struct Shard {
     primary: Backend,
     replicas: Vec<Backend>,
     rr: AtomicUsize,
-    /// Highest `X-Change-Seq` seen on a write through this router —
-    /// the read-your-writes floor for replica reads.
-    write_floor: AtomicU64,
+    floors: Floors,
 }
 
 /// Counters the routing hot path records into.
@@ -222,7 +312,7 @@ impl Router {
                     primary: Backend::new(spec.primary, &cfg),
                     replicas: spec.replicas.iter().map(|&a| Backend::new(a, &cfg)).collect(),
                     rr: AtomicUsize::new(0),
-                    write_floor: AtomicU64::new(0),
+                    floors: Floors::new(),
                 })
                 .collect(),
         );
@@ -239,8 +329,11 @@ impl Router {
                 snap.set_gauge("cluster.router.replicas_usable", usable as i64);
                 snap.set_gauge(
                     "cluster.router.write_floor",
-                    shards.iter().map(|s| s.write_floor.load(Ordering::Relaxed)).max().unwrap_or(0)
-                        as i64,
+                    shards
+                        .iter()
+                        .map(|s| s.floors.write_floor.load(Ordering::Relaxed))
+                        .max()
+                        .unwrap_or(0) as i64,
                 );
             });
         }
@@ -249,7 +342,7 @@ impl Router {
         server_cfg.obs = Some(Arc::clone(&registry));
         let route_ring = ring.clone();
         let server = Server::bind(addr, server_cfg, move |req: Request| {
-            route(&req, &route_ring, &shards, &cfg, &obs)
+            route(req, &route_ring, &shards, &cfg, &obs)
         })?;
         Ok(Router {
             server,
@@ -297,9 +390,22 @@ fn bad_gateway(what: &str) -> Response {
     Response::new(StatusCode::new(502)).with_body(format!("upstream failed: {what}").into_bytes())
 }
 
+/// The canonical `Destination` path of a COPY or MOVE.
+fn destination(req: &Request) -> Option<String> {
+    if !matches!(req.method, Method::Copy | Method::Move) {
+        return None;
+    }
+    let dst = req.headers.get("Destination")?;
+    Some(Target::parse(dst).path().to_owned())
+}
+
+fn seq_header(resp: &Response, name: &str) -> Option<u64> {
+    resp.headers.get(name).and_then(|v| v.trim().parse().ok())
+}
+
 /// Route one request to its shard.
 fn route(
-    req: &Request,
+    mut req: Request,
     ring: &HashRing,
     shards: &[Shard],
     cfg: &RouterConfig,
@@ -307,65 +413,15 @@ fn route(
 ) -> Response {
     let home = ring.backend_for(shard_key(req.target.path()));
     let shard = &shards[home];
-    let mut req = req.clone();
     scrub_request(&mut req);
 
-    // COPY/MOVE whose destination hashes to a different shard would be
-    // executed entirely on the source backend and the result would be
-    // unreachable through the ring. RFC 2518 §8.8 reserves 502 for
-    // exactly this: "the destination is on another server".
-    if matches!(req.method, Method::Copy | Method::Move) {
-        if let Some(dst) = req.headers.get("Destination") {
-            let dst_path = Target::parse(dst).path().to_owned();
-            if ring.backend_for(shard_key(&dst_path)) != home {
-                obs.errors.inc();
-                return Response::new(StatusCode::new(502)).with_body(
-                    format!(
-                        "destination {dst_path} lives on a different shard than {}",
-                        req.target.path()
-                    )
-                    .into_bytes(),
-                );
-            }
-        }
-    }
-
     if !is_read_method(&req.method) {
-        if cfg.redirect_writes {
-            obs.redirects.inc();
-            return Response::new(StatusCode::TEMPORARY_REDIRECT).with_header(
-                "Location",
-                format!("http://{}{}", shard.primary.addr, req.target.path()),
-            );
-        }
-        obs.writes.inc();
-        return match shard.primary.call(req) {
-            Ok(resp) => {
-                shard.primary.record_success();
-                if resp.status.is_success() {
-                    if let Some(seq) = resp
-                        .headers
-                        .get(CHANGE_SEQ_HEADER)
-                        .and_then(|v| v.trim().parse::<u64>().ok())
-                    {
-                        shard.write_floor.fetch_max(seq, Ordering::SeqCst);
-                    }
-                }
-                scrub_response(resp)
-            }
-            Err(e) => {
-                obs.errors.inc();
-                shard
-                    .primary
-                    .record_failure(cfg.max_failures, cfg.retry_after);
-                bad_gateway(&e.to_string())
-            }
-        };
+        return write(req, home, ring, shard, cfg, obs);
     }
 
-    // Read path: rotate across replicas, verify the read-your-writes
-    // floor, fall back to the primary on staleness or failure.
-    let floor = shard.write_floor.load(Ordering::SeqCst);
+    // Read path: rotate across replicas, verify the read's floor, fall
+    // back to the primary on staleness or failure.
+    let floor = shard.floors.read_floor(&req.method, req.target.path());
     if !shard.replicas.is_empty() {
         let start = shard.rr.fetch_add(1, Ordering::Relaxed);
         for i in 0..shard.replicas.len() {
@@ -376,12 +432,7 @@ fn route(
             match replica.call(req.clone()) {
                 Ok(resp) => {
                     replica.record_success();
-                    let applied: u64 = resp
-                        .headers
-                        .get(APPLIED_SEQ_HEADER)
-                        .and_then(|v| v.trim().parse().ok())
-                        .unwrap_or(0);
-                    if applied >= floor {
+                    if seq_header(&resp, APPLIED_SEQ_HEADER).unwrap_or(0) >= floor {
                         obs.reads_replica.inc();
                         return scrub_response(resp);
                     }
@@ -401,6 +452,59 @@ fn route(
         Ok(resp) => {
             shard.primary.record_success();
             obs.reads_primary.inc();
+            scrub_response(resp)
+        }
+        Err(e) => {
+            obs.errors.inc();
+            shard
+                .primary
+                .record_failure(cfg.max_failures, cfg.retry_after);
+            bad_gateway(&e.to_string())
+        }
+    }
+}
+
+/// Send a write to the shard primary and raise the floors of what it
+/// changed.
+fn write(
+    req: Request,
+    home: usize,
+    ring: &HashRing,
+    shard: &Shard,
+    cfg: &RouterConfig,
+    obs: &RouterObs,
+) -> Response {
+    let target = req.target.path().to_owned();
+    let dst = destination(&req);
+    // COPY/MOVE whose destination hashes to a different shard would be
+    // executed entirely on the source backend and the result would be
+    // unreachable through the ring. RFC 2518 §8.8 reserves 502 for
+    // exactly this: "the destination is on another server".
+    if let Some(dst) = &dst {
+        if ring.backend_for(shard_key(dst)) != home {
+            obs.errors.inc();
+            return Response::new(StatusCode::new(502)).with_body(
+                format!("destination {dst} lives on a different shard than {target}").into_bytes(),
+            );
+        }
+    }
+    if cfg.redirect_writes {
+        obs.redirects.inc();
+        return Response::new(StatusCode::TEMPORARY_REDIRECT)
+            .with_header("Location", format!("http://{}{target}", shard.primary.addr));
+    }
+    obs.writes.inc();
+    match shard.primary.call(req) {
+        Ok(resp) => {
+            shard.primary.record_success();
+            if resp.status.is_success() {
+                if let Some(seq) = seq_header(&resp, CHANGE_SEQ_HEADER) {
+                    shard.floors.note_write(&target, seq);
+                    if let Some(dst) = &dst {
+                        shard.floors.note_write(dst, seq);
+                    }
+                }
+            }
             scrub_response(resp)
         }
         Err(e) => {
@@ -434,6 +538,92 @@ mod tests {
         b.record_success();
         assert!(b.usable(cfg.max_failures), "success re-admits");
         assert_eq!(b.failures.load(Ordering::Relaxed), 0);
+    }
+
+    fn get_floor(f: &Floors, path: &str) -> u64 {
+        f.read_floor(&Method::Get, path)
+    }
+
+    #[test]
+    fn a_write_raises_its_ancestors_and_holds_back_only_related_reads() {
+        let f = Floors::new();
+        f.note_write("/a/b/c", 5);
+        for p in ["/", "/a", "/a/b", "/a/b/c", "/a/b/c/d"] {
+            assert_eq!(get_floor(&f, p), 5, "{p} must wait for a write to /a/b/c");
+        }
+        for p in ["/a/x", "/a/b/x", "/z", "/z/a/b/c"] {
+            assert_eq!(get_floor(&f, p), 0, "{p} is unrelated to /a/b/c");
+        }
+        assert_eq!(f.write_floor.load(Ordering::SeqCst), 5);
+        // fetch_max: an older acknowledgement never lowers a floor.
+        f.note_write("/a/b/c", 3);
+        assert_eq!(get_floor(&f, "/a/b/c"), 5);
+        assert_eq!(ancestors("/a/b/c").collect::<Vec<_>>(), ["/a/b", "/a", "/"]);
+        assert_eq!(ancestors("/").count(), 0);
+    }
+
+    #[test]
+    fn a_move_raises_its_destination() {
+        let req = Request::new(Method::Move, "/p/a")
+            .with_header("Destination", "http://front:8080/p/run/b");
+        let dst = destination(&req);
+        assert_eq!(dst.as_deref(), Some("/p/run/b"));
+        assert_eq!(destination(&Request::new(Method::Put, "/p/a")), None);
+
+        let f = Floors::new();
+        f.note_write(req.target.path(), 9);
+        f.note_write(dst.as_deref().unwrap(), 9);
+        for p in ["/p/a", "/p/run/b", "/p/run/b/member", "/p/run", "/p"] {
+            assert_eq!(get_floor(&f, p), 9, "{p} must wait for the MOVE");
+        }
+        assert_eq!(get_floor(&f, "/p/run/other"), 0);
+    }
+
+    #[test]
+    fn a_collection_write_holds_back_reads_of_its_members() {
+        // DELETE, MOVE or PROPPATCH of /p: every member's answer may change.
+        let f = Floors::new();
+        f.note_write("/p", 7);
+        for p in ["/p", "/p/doc", "/p/run/out"] {
+            assert_eq!(get_floor(&f, p), 7, "{p}");
+        }
+        assert_eq!(get_floor(&f, "/q/doc"), 0);
+        assert_eq!(get_floor(&f, "/pq"), 0, "a name prefix is not an ancestor");
+    }
+
+    #[test]
+    fn history_urls_read_with_their_live_floor() {
+        let f = Floors::new();
+        f.note_write("/p/doc", 4);
+        assert_eq!(get_floor(&f, "/.well-known/history/p/doc/3"), 4);
+        let index = "/.well-known/history/p/doc";
+        assert_eq!(f.read_floor(&Method::PropFind, index), 4);
+        assert_eq!(f.read_floor(&Method::Report, "/p/doc"), 4);
+        assert_eq!(get_floor(&f, "/.well-known/history/p/other/1"), 0);
+        // A revert COPY's target is a version URL: it counts for /p/doc.
+        f.note_write("/.well-known/history/p/doc/1", 6);
+        assert_eq!(get_floor(&f, "/p/doc"), 6);
+        // Other well-known reads and SEARCH wait for the shard-wide floor.
+        f.note_write("/q/x", 8);
+        assert_eq!(get_floor(&f, "/.well-known/changes"), 8);
+        assert_eq!(get_floor(&f, "/.well-known/history"), 8);
+        assert_eq!(f.read_floor(&Method::Search, "/p"), 8);
+        assert_eq!(get_floor(&f, "/p/doc"), 6);
+    }
+
+    #[test]
+    fn a_slot_collision_only_raises_a_floor() {
+        let read = "/p/doc";
+        let twin = (0..)
+            .map(|i| format!("/c{i}"))
+            .find(|c| Floors::slot(c) == Floors::slot(read))
+            .unwrap();
+        let f = Floors::new();
+        f.note_write(read, 10);
+        f.note_write(&twin, 3);
+        assert_eq!(get_floor(&f, read), 10, "an older twin lowers nothing");
+        f.note_write(&twin, 12);
+        assert_eq!(get_floor(&f, read), 12, "a newer twin holds the read back");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 #    matrix failure unmissable in CI output).
 # 3. Observability gate: pse-obs unit tests, a metrics-endpoint smoke
 #    test (one scrape must surface every layer), and an instrumentation
-#    overhead check — repro_table1 with the registry enabled must stay
-#    within 5% of a registry-disabled run.
+#    overhead check — repro_table1 (built here: the tier-1 build covers
+#    only the root package) with the registry enabled must stay within
+#    5% of a registry-disabled run.
 # 4. Lint: clippy with warnings denied on the dependency-free crates
 #    where we hold the bar at zero (pse-cache and pse-obs today).
 #    Skipped with a notice if the clippy component is not installed.
@@ -30,7 +31,8 @@
 # 9. With --cluster: the replication gate — 1 primary + 2 replicas +
 #    the consistent-hash router in-process, with the staleness /
 #    torn-write / MOVE-atomicity detectors pointed through the router,
-#    a replica-kill failover smoke, snapshot resync after log
+#    per-resource read floors (reads of documents nobody writes stay on
+#    the replica while writers run), a replica-kill failover smoke, snapshot resync after log
 #    compaction (histories included), the bounded change log (a write
 #    storm past the byte cap with a stalled replica stays under the cap
 #    and the in-memory tail bound, then the replica resyncs to
@@ -53,8 +55,8 @@
 #    granularity, history immutability, read-only history resources,
 #    mem/fs replay equivalence with a mid-history restart), a failed
 #    history write answering 5xx, the ecce revert-a-calculation
-#    scenario, the cluster history-replication/rejoin and
-#    history-follows-MOVE tests, a snapshot resync that carries
+#    scenario, the cluster history-replication/rejoin,
+#    history-follows-MOVE and two-shard history-routing tests, a snapshot resync that carries
 #    histories, a collection MOVE that carries its members' histories
 #    (unit and cluster), and repro_versions --check (content-addressed storage
 #    for 50 x 1%-edit revisions of 2 MB must cost <= 25% of full
@@ -114,6 +116,7 @@ cargo test -q -p pse-dav metrics_scrape_covers_every_layer
 cargo test -q -p pse-http metrics_endpoint_reflects_request_mix_pre_auth
 
 echo "==> observability: instrumentation overhead <= 5% (repro_table1 --obs-check)"
+cargo build --release -p pse-bench --bin repro_table1
 ./target/release/repro_table1 --obs-check
 
 if cargo clippy --version >/dev/null 2>&1; then
@@ -207,7 +210,7 @@ if [ "$VERSIONS" = 1 ]; then
     cargo test -q -p pse-ecce --test revert
     echo "==> versions gate: history replication, replica rejoin and MOVE through the cluster"
     cargo test -q --test cluster -- version_history_replicates_and_survives_rejoin \
-        history_follows_move_on_every_replica
+        history_follows_move_on_every_replica history_urls_route_to_their_documents_shard
     echo "==> versions gate: resync carries histories; collection MOVE carries member histories"
     cargo test -q --test cluster -- stalled_replica_storm_stays_under_the_cap_and_resyncs_histories \
         compaction_forces_snapshot_resync collection_move_carries_member_histories_on_every_replica

@@ -314,10 +314,9 @@ fn router_preserves_staleness_and_atomicity_invariants() {
     for w in writers {
         w.join().unwrap();
     }
-    // While writes are flowing the floor outruns the appliers and the
-    // router (correctly) retries almost everything on the primary; the
-    // read-mostly tail after the writers stop is where replica reads
-    // must take over.
+    // While writes are flowing, a read of a document just written waits
+    // for that write and often goes to the primary; the read-mostly tail
+    // after the writers stop is served by the replicas.
     std::thread::sleep(Duration::from_millis(400));
     stop.store(true, Ordering::SeqCst);
     for r in readers {
@@ -339,6 +338,67 @@ fn router_preserves_staleness_and_atomicity_invariants() {
     for r in &cluster.replicas {
         assert_eq!(state(r.repo().as_ref()), want, "replica {} diverged", r.addr());
     }
+}
+
+/// Read floors are per resource: while writers hammer `/stress/w*`,
+/// reads of documents nobody writes stay on the replica instead of
+/// being held back by the shard's newest write.
+#[test]
+fn replicas_serve_untouched_documents_during_writes() {
+    let threads = env_u64("PSE_CLUSTER_THREADS", 2) as usize;
+    let ops = env_u64("PSE_CLUSTER_OPS", 60);
+    let cluster = Cluster::start("untouched", 1);
+    let mut c = cluster.client();
+    c.mkcol("/stress").unwrap();
+    for i in 0..threads {
+        c.put(&format!("/stress/w{i}"), "w", None).unwrap();
+    }
+    let quiet: Vec<String> = (0..8).map(|i| format!("/stress/r{i}")).collect();
+    for doc in &quiet {
+        c.put(doc, format!("quiet {doc}"), None).unwrap();
+    }
+    cluster.wait_replicas_caught_up(Duration::from_secs(10));
+
+    let registry = cluster.router.as_ref().unwrap().registry();
+    let before = registry.snapshot();
+    let writing = Arc::new(AtomicU64::new(threads as u64));
+    let writers: Vec<_> = (0..threads)
+        .map(|i| {
+            let mut w = cluster.client();
+            let writing = Arc::clone(&writing);
+            std::thread::spawn(move || {
+                for n in 0..ops.max(20) {
+                    let doc = format!("/stress/w{i}");
+                    w.put(&doc, format!("w{n}"), None).unwrap();
+                }
+                writing.fetch_sub(1, Ordering::SeqCst);
+            })
+        })
+        .collect();
+    let mut reads = 0u64;
+    while reads < 20 || writing.load(Ordering::SeqCst) > 0 {
+        let doc = &quiet[reads as usize % quiet.len()];
+        assert_eq!(c.get(doc).unwrap(), format!("quiet {doc}").into_bytes());
+        reads += 1;
+    }
+    let after = registry.snapshot();
+    for w in writers {
+        w.join().unwrap();
+    }
+
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert!(delta("cluster.router.writes") > 0);
+    assert_eq!(
+        delta("cluster.router.stale_retries"),
+        0,
+        "a write to /stress/w* held back a read of an untouched document"
+    );
+    assert!(
+        delta("cluster.router.reads_replica") * 10 >= reads * 9,
+        "only {} of {reads} untouched reads served by the replica: {:?}",
+        delta("cluster.router.reads_replica"),
+        after.counters
+    );
 }
 
 /// Kill one replica mid-read-load: no client request may fail, the
@@ -704,6 +764,74 @@ fn consistent_hashing_shards_the_namespace() {
     router.shutdown();
     p0.shutdown();
     p1.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two shards, one replica each: a history URL routes with the document
+/// it is the history of, not with `/.well-known`. A history GET, a
+/// version REPORT and a revert COPY from a version URL all work through
+/// the router for a project on the other shard.
+#[test]
+fn history_urls_route_to_their_documents_shard() {
+    use davpse::dav::version::history_url;
+
+    let dir = temp_dir("history-shards");
+    let cfg = NodeConfig::default();
+    let primaries: Vec<Primary> = (0..2)
+        .map(|s| Primary::start(&dir.join(format!("s{s}")), "127.0.0.1:0", cfg.clone()).unwrap())
+        .collect();
+    let replicas: Vec<Replica> = primaries
+        .iter()
+        .enumerate()
+        .map(|(s, p)| {
+            let dir = dir.join(format!("s{s}r"));
+            Replica::start(&dir, "127.0.0.1:0", p.addr(), cfg.clone()).unwrap()
+        })
+        .collect();
+    let specs: Vec<BackendSpec> = primaries
+        .iter()
+        .zip(&replicas)
+        .map(|(p, r)| BackendSpec {
+            primary: p.addr(),
+            replicas: vec![r.addr()],
+        })
+        .collect();
+    let router = Router::start("127.0.0.1:0", &specs, RouterConfig::default()).unwrap();
+
+    let well_known = router.shard_for("/.well-known/changes");
+    let project = (0..64)
+        .map(|i| format!("/proj{i}"))
+        .find(|p| router.shard_for(p) != well_known)
+        .expect("some project hashes away from /.well-known");
+    let path = format!("{project}/doc");
+    let home = router.shard_for(&path);
+    assert_eq!(router.shard_for(&history_url(&path, 2)), home);
+
+    let mut c = DavClient::connect(router.addr()).unwrap();
+    c.mkcol(&project).unwrap();
+    c.put(&path, "one", None).unwrap();
+    c.version_control(&path).unwrap();
+    c.put(&path, "two", None).unwrap();
+    c.put(&path, "three", None).unwrap();
+    assert_eq!(primaries[home].versions().version_count(&path), 3);
+
+    // History GET, version-tree and version-content REPORTs, revert COPY.
+    assert_eq!(c.get(&history_url(&path, 2)).unwrap(), b"two");
+    assert_eq!(c.versions(&path).unwrap().len(), 3);
+    assert_eq!(c.version_content(&path, 1).unwrap(), b"one");
+    c.revert_to(&path, 1).unwrap();
+    assert_eq!(c.get(&path).unwrap(), b"one");
+    // The revert recorded version 4 on the document's shard only.
+    assert_eq!(c.get(&history_url(&path, 4)).unwrap(), b"one");
+    assert_eq!(primaries[1 - home].versions().version_count(&path), 0);
+
+    router.shutdown();
+    for r in replicas {
+        r.shutdown();
+    }
+    for p in primaries {
+        p.shutdown();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
