@@ -6,10 +6,15 @@
 //! filter calculation collections interactively, and a full scan per
 //! query does not survive that at scale.
 //!
+//! The `eq-covered` row selects only the property its `eq` constrains,
+//! so the index answers it alone: its property reads per query (counted
+//! as property-cache lookups) must be 0.
+//!
 //! `--check` gates the acceptance criterion: on the selective queries
 //! the planner must (a) return byte-for-byte the scan's answer and
-//! (b) run at least 10x faster. Emits target/bench-json/search.json
-//! (override with $PSE_BENCH_JSON).
+//! (b) run at least 10x faster, and the covered row must read no
+//! property. Emits target/bench-json/search.json (override with
+//! $PSE_BENCH_JSON).
 
 use pse_bench::harness::{emit_json_fields, measure, measure_n, secs, Table};
 use pse_bench::workloads::scratch_dir;
@@ -59,42 +64,58 @@ fn main() {
     });
     println!("  built in {}", secs(build.elapsed_s()));
 
-    let queries: Vec<(&str, Condition)> = vec![
-        (
-            "eq-selective (1% match)",
-            Condition::Eq(prop("code"), "polyrate".to_owned()),
-        ),
+    let polyrate = || Condition::Eq(prop("code"), "polyrate".to_owned());
+    let queries: Vec<(&str, Query)> = vec![
+        ("eq-selective (1% match)", Query::new("/calcs", polyrate())),
         (
             "gt-numeric (charge > 9)",
-            Condition::Gt(prop("charge"), 9.0),
+            Query::new("/calcs", Condition::Gt(prop("charge"), 9.0)),
         ),
         (
             "and-composite",
-            Condition::And(vec![
-                Condition::Eq(prop("code"), "polyrate".to_owned()),
-                Condition::Lt(prop("charge"), 0.0),
-            ]),
+            Query::new(
+                "/calcs",
+                Condition::And(vec![polyrate(), Condition::Lt(prop("charge"), 0.0)]),
+            ),
+        ),
+        (
+            "eq-covered (select code)",
+            Query {
+                select: vec![prop("code")],
+                ..Query::new("/calcs", polyrate())
+            },
         ),
     ];
+    // Property reads, counted as property-cache lookups: every named or
+    // full read of a resource's properties makes exactly one.
+    let prop_reads = || {
+        let s = repo.cache_stats();
+        s.hits + s.misses
+    };
 
     let mut table = Table::new(
         &format!("indexed SEARCH vs PROPFIND-scan over {RESOURCES} calculations"),
-        &["query", "matches", "indexed", "scan", "speedup"],
+        &["query", "matches", "prop reads", "indexed", "scan", "speedup"],
     );
     let mut rows: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
     let mut failures = Vec::new();
 
-    for (label, cond) in queries {
-        let q = Query::new("/calcs", cond);
-
+    for (label, q) in queries {
         // Answers must be identical before timing means anything.
+        let before = prop_reads();
         let indexed_out = search::execute_paged(&repo, &q).unwrap();
+        let reads = prop_reads() - before;
         let scan_ms = search::execute_scan(&repo, &q).unwrap();
         if indexed_out.ms.to_xml() != scan_ms.to_xml() {
             failures.push(format!("{label}: index answer diverges from scan"));
         }
         if !indexed_out.indexed {
             failures.push(format!("{label}: planner fell back to a scan"));
+        }
+        if !q.select.is_empty() && (!indexed_out.covered || reads != 0) {
+            failures.push(format!(
+                "{label}: not answered from the index alone ({reads} property reads)"
+            ));
         }
         let matches = indexed_out.ms.responses.len();
 
@@ -111,6 +132,7 @@ fn main() {
         table.row(&[
             label.to_owned(),
             matches.to_string(),
+            reads.to_string(),
             secs(per_indexed),
             secs(scan.elapsed_s()),
             format!("{speedup:.0}x"),
@@ -119,6 +141,7 @@ fn main() {
             label.to_owned(),
             vec![
                 ("matches", matches as f64),
+                ("prop_reads", reads as f64),
                 ("indexed_s", per_indexed),
                 ("scan_s", scan.elapsed_s()),
                 ("speedup", speedup),
@@ -137,6 +160,7 @@ fn main() {
     if check {
         if failures.is_empty() {
             println!("--check: index ≡ scan on every query, all speedups >= 10x");
+            println!("--check: the covered query reads no property");
         } else {
             for f in &failures {
                 eprintln!("--check FAILED: {f}");

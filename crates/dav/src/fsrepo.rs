@@ -770,16 +770,13 @@ impl Store for FsStore {
         Ok(props)
     }
 
-    fn index_entries(&self, path: &str) -> Result<Vec<(PropertyName, String)>> {
+    fn index_entries(&self, path: &str) -> Result<Vec<Property>> {
         self.check_exists(path)?;
         let snap = self.snapshot(path)?;
         Ok(snap
             .props
             .iter()
-            .filter_map(|(name, data)| {
-                let p = Property::from_storage(name.clone(), data).ok()?;
-                Some((name.clone(), p.text_value()))
-            })
+            .filter_map(|(name, data)| Property::from_storage(name.clone(), data).ok())
             .collect())
     }
 

@@ -111,13 +111,7 @@ impl<R: Repository> DavHandler<R> {
     }
 
     fn dispatch(&self, req: Request) -> Response {
-        // The JSON gateway owns its URL prefix outright — before method
-        // dispatch, so the routes behave identically under every core
-        // that embeds this handler.
-        if let Some(resp) = crate::gateway::intercept(self.repo.as_ref(), &req) {
-            return resp;
-        }
-        // Version histories own their URL prefix the same way: read-only
+        // Version histories own their URL prefix outright: read-only
         // resources served before method dispatch (COPY falls through —
         // COPY *from* a version URL is the revert flow in copy_move).
         if let Some(resp) = self.history(&req) {

@@ -58,7 +58,6 @@ pub mod client;
 pub mod depth;
 pub mod error;
 pub mod fsrepo;
-pub mod gateway;
 pub mod handler;
 pub mod ifheader;
 pub mod lock;

@@ -351,13 +351,8 @@ impl Store for MemStore {
         })
     }
 
-    fn index_entries(&self, path: &str) -> Result<Vec<(PropertyName, String)>> {
-        self.with_node(path, |n| {
-            n.props
-                .values()
-                .map(|p| (p.name.clone(), p.text_value()))
-                .collect()
-        })
+    fn index_entries(&self, path: &str) -> Result<Vec<Property>> {
+        self.with_node(path, |n| n.props.values().cloned().collect())
     }
 
     fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {

@@ -6,7 +6,7 @@
 //! element whose name is the property name and whose children are the
 //! value; [`PropertyName`] is the `(namespace, local)` pair that keys it.
 
-use pse_xml::dom::{Document, Element};
+use pse_xml::dom::{Document, Element, Node};
 use pse_xml::writer::Writer;
 use std::fmt;
 
@@ -92,9 +92,12 @@ pub struct Property {
 }
 
 impl Property {
-    /// A property with a plain-text value.
+    /// A property with a plain-text value. A name in no namespace (an
+    /// empty namespace URI) makes an element in no namespace, as parsing
+    /// its stored or wire form does.
     pub fn text(name: PropertyName, value: &str) -> Property {
-        let mut e = Element::new(Some(&name.namespace), &name.local);
+        let namespace = (!name.namespace.is_empty()).then_some(name.namespace.as_str());
+        let mut e = Element::new(namespace, &name.local);
         if !value.is_empty() {
             e.push_text(value);
         }
@@ -120,6 +123,21 @@ impl Property {
     /// The text content of the value (for simple properties).
     pub fn text_value(&self) -> String {
         self.value.deep_text()
+    }
+
+    /// Is the value plain text: an unprefixed element named like the
+    /// property, with no attributes and only non-empty text children (no
+    /// elements, comments or processing instructions)? Such a value
+    /// serialises exactly as `Property::text(name, &self.text_value())`,
+    /// so the SEARCH property index may answer for it without a read.
+    pub fn is_plain_text(&self) -> bool {
+        let v = &self.value;
+        let namespace = (!self.name.namespace.is_empty()).then_some(self.name.namespace.as_str());
+        v.name.prefix.is_none()
+            && v.namespace() == namespace
+            && v.name.local == self.name.local
+            && v.attributes.is_empty()
+            && v.children.iter().all(|n| matches!(n, Node::Text(t) if !t.is_empty()))
     }
 
     /// Serialise the value element for storage.
@@ -156,7 +174,7 @@ fn normalize(mut e: Element) -> Element {
         .children
         .into_iter()
         .map(|n| match n {
-            pse_xml::dom::Node::Element(c) => pse_xml::dom::Node::Element(normalize(c)),
+            Node::Element(c) => Node::Element(normalize(c)),
             other => other,
         })
         .collect();
@@ -223,6 +241,34 @@ mod tests {
         let back = Property::from_storage(p.name.clone(), &p.to_storage()).unwrap();
         let atom = back.value.child(Some("urn:ecce"), "atom").unwrap();
         assert_eq!(atom.attr(None, "symbol"), Some("U"));
+    }
+
+    #[test]
+    fn plain_text_values() {
+        let name = PropertyName::new("urn:ecce", "formula");
+        assert!(Property::text(name.clone(), "H2O").is_plain_text());
+        assert!(Property::text(name.clone(), "").is_plain_text());
+        let parsed = |xml: &str| {
+            Property::from_element(Document::parse(xml).unwrap().into_root())
+        };
+        let plain = parsed(r#"<e:formula xmlns:e="urn:ecce">H2O</e:formula>"#);
+        assert!(plain.is_plain_text());
+        assert_eq!(plain, Property::text(name.clone(), "H2O"));
+        for rich in [
+            r#"<e:formula xmlns:e="urn:ecce"><e:b>H2O</e:b></e:formula>"#,
+            r#"<e:formula xmlns:e="urn:ecce" xml:lang="en">H2O</e:formula>"#,
+            r#"<e:formula xmlns:e="urn:ecce">H2O<!-- c --></e:formula>"#,
+        ] {
+            let p = parsed(rich);
+            assert_eq!(p.text_value(), "H2O");
+            assert!(!p.is_plain_text(), "{rich}");
+        }
+        // No namespace: the text constructor builds what parsing builds.
+        let bare = PropertyName::new("", "bare");
+        assert_eq!(parsed("<bare>v</bare>"), Property::text(bare.clone(), "v"));
+        let stored = Property::text(bare.clone(), "v").to_storage();
+        assert_eq!(String::from_utf8_lossy(&stored), "<bare>v</bare>");
+        assert!(Property::from_storage(bare, &stored).unwrap().is_plain_text());
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! [`crate::repo::Repository::index_probe`], falling back to the scan
 //! when a probe cannot answer.
 //!
+//! Each repository mutation changes the index in exactly one call (one
+//! mutex hold, one journal batch): [`PropIndex::patch`] for a whole
+//! PROPPATCH, [`PropIndex::copy_tree`] / [`PropIndex::move_tree`] for a
+//! COPY or MOVE together with the overwritten destination. So every
+//! state a probe sees is a state some committed mutation left, and a
+//! [`Probe::Covered`] answer (the matches of an `eq` query, all plain
+//! text) may stand in for the property reads.
+//!
 //! Persistence (filesystem repositories) lives under
 //! `<root>/.DAV/index/`: a `snapshot.idx` full dump plus a
 //! `journal.log` of mutations since, every line checksummed. Any
@@ -19,7 +27,8 @@
 //! is required; the index is a cache of the DBM property files, never
 //! the source of truth.
 
-use crate::property::PropertyName;
+use crate::property::{Property, PropertyName};
+use crate::repo::PropPatchOp;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -37,7 +46,7 @@ const SNAPSHOT: &str = "snapshot.idx";
 /// Journal file name under the index directory.
 const JOURNAL: &str = "journal.log";
 /// Snapshot header line.
-const HEADER: &str = "pse-propindex-v1";
+const HEADER: &str = "pse-propindex-v2";
 /// Compact once the journal holds more records than this floor *and*
 /// more than 4× the live entry count.
 const COMPACT_FLOOR: u64 = 1024;
@@ -53,15 +62,12 @@ pub enum Probe<'a> {
     Lt(&'a PropertyName, f64),
     /// The property is defined on the resource.
     IsDefined(&'a PropertyName),
-}
-
-impl Probe<'_> {
-    /// The property name this probe concerns.
-    pub fn name(&self) -> &PropertyName {
-        match self {
-            Probe::Eq(n, _) | Probe::Gt(n, _) | Probe::Lt(n, _) | Probe::IsDefined(n) => n,
-        }
-    }
+    /// Every pair's property text equals its literal, and every match
+    /// holds each of those values as plain text (see
+    /// [`Property::is_plain_text`]). Answers only when all matches are
+    /// plain, so the caller may emit `Property::text(name, literal)`
+    /// for them without reading a property.
+    Covered(&'a [(&'a PropertyName, &'a str)]),
 }
 
 /// Index counters, for tests and the DSI ablation.
@@ -81,19 +87,43 @@ pub struct IndexStats {
 }
 
 /// How one property value is held in the index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Stored {
     /// Full text, present in the value postings (and the numeric side
-    /// index when it parses).
-    Full(String),
+    /// index when it parses). `plain` when the value was plain text, so
+    /// a covered probe may answer for it.
+    Full { text: String, plain: bool },
     /// Longer than [`VALUE_CAP`]: presence only.
     Capped,
+}
+
+impl Stored {
+    fn of(prop: &Property) -> Stored {
+        let text = prop.text_value();
+        if text.len() > VALUE_CAP {
+            Stored::Capped
+        } else {
+            Stored::Full {
+                plain: prop.is_plain_text(),
+                text,
+            }
+        }
+    }
+}
+
+/// The paths holding one (name, value).
+#[derive(Debug, Default)]
+struct Posting {
+    paths: BTreeSet<String>,
+    /// How many of `paths` hold the value as something other than plain
+    /// text. While 0, a covered probe needs no per-path check.
+    rich: usize,
 }
 
 #[derive(Debug, Default)]
 struct State {
     /// name → value → paths (values ≤ [`VALUE_CAP`] only).
-    postings: BTreeMap<PropertyName, BTreeMap<String, BTreeSet<String>>>,
+    postings: BTreeMap<PropertyName, BTreeMap<String, Posting>>,
     /// name → total-ordered f64 bits → paths.
     numeric: BTreeMap<PropertyName, BTreeMap<u64, BTreeSet<String>>>,
     /// name → paths where the property is defined (complete).
@@ -167,8 +197,7 @@ fn unesc(s: &str) -> String {
 /// A journal / snapshot record.
 #[derive(Debug, Clone, PartialEq)]
 enum Record {
-    Set(String, PropertyName, String),
-    SetCapped(String, PropertyName),
+    Set(String, PropertyName, Stored),
     Remove(String, PropertyName),
     RemoveTree(String),
     CopyTree(String, String),
@@ -178,14 +207,15 @@ enum Record {
 impl Record {
     fn to_line(&self) -> String {
         let payload = match self {
-            Record::Set(p, n, v) => format!(
-                "set {} {} {} {}",
+            Record::Set(p, n, Stored::Full { text, plain }) => format!(
+                "set {} {} {} {} {}",
                 esc(p),
                 esc(&n.namespace),
                 esc(&n.local),
-                esc(v)
+                u8::from(*plain),
+                esc(text)
             ),
-            Record::SetCapped(p, n) => {
+            Record::Set(p, n, Stored::Capped) => {
                 format!("setc {} {} {}", esc(p), esc(&n.namespace), esc(&n.local))
             }
             Record::Remove(p, n) => {
@@ -208,12 +238,21 @@ impl Record {
             Some(PropertyName::new(&unesc(fields.get(i)?), &unesc(fields.get(i + 1)?)))
         };
         match fields.first().copied()? {
-            "set" if fields.len() == 5 => Some(Record::Set(
+            "set" if fields.len() == 6 => Some(Record::Set(
                 unesc(fields[1]),
                 name(2)?,
-                unesc(fields[4]),
+                Stored::Full {
+                    plain: match fields[4] {
+                        "0" => false,
+                        "1" => true,
+                        _ => return None,
+                    },
+                    text: unesc(fields[5]),
+                },
             )),
-            "setc" if fields.len() == 4 => Some(Record::SetCapped(unesc(fields[1]), name(2)?)),
+            "setc" if fields.len() == 4 => {
+                Some(Record::Set(unesc(fields[1]), name(2)?, Stored::Capped))
+            }
             "rm" if fields.len() == 4 => Some(Record::Remove(unesc(fields[1]), name(2)?)),
             "rmtree" if fields.len() == 2 => Some(Record::RemoveTree(unesc(fields[1]))),
             "cptree" if fields.len() == 3 => {
@@ -234,11 +273,13 @@ impl State {
 
     fn unindex(&mut self, path: &str, name: &PropertyName, stored: &Stored) {
         match stored {
-            Stored::Full(v) => {
+            Stored::Full { text: v, plain } => {
                 if let Some(values) = self.postings.get_mut(name) {
-                    if let Some(paths) = values.get_mut(v) {
-                        paths.remove(path);
-                        if paths.is_empty() {
+                    if let Some(posting) = values.get_mut(v) {
+                        if posting.paths.remove(path) && !plain {
+                            posting.rich -= 1;
+                        }
+                        if posting.paths.is_empty() {
                             values.remove(v);
                         }
                     }
@@ -278,10 +319,36 @@ impl State {
         }
     }
 
+    /// Would `rec` change anything? A no-op is neither applied nor
+    /// journalled.
+    fn changes(&self, rec: &Record) -> bool {
+        match rec {
+            Record::Set(..) => true,
+            Record::Remove(path, name) => {
+                self.by_path.get(path).is_some_and(|m| m.contains_key(name))
+            }
+            Record::RemoveTree(root) | Record::CopyTree(root, _) | Record::MoveTree(root, _) => {
+                self.by_path.keys().any(|p| in_tree(p, root))
+            }
+        }
+    }
+
+    /// Apply one mutation's records in order and journal the effective
+    /// ones as one batch.
+    fn commit(&mut self, recs: impl IntoIterator<Item = Record>) {
+        let mut logged = Vec::new();
+        for rec in recs {
+            if self.changes(&rec) {
+                self.apply(&rec);
+                logged.push(rec);
+            }
+        }
+        self.log(&logged);
+    }
+
     fn apply(&mut self, rec: &Record) {
         match rec {
-            Record::Set(path, name, value) => self.set(path, name, Stored::Full(value.clone())),
-            Record::SetCapped(path, name) => self.set(path, name, Stored::Capped),
+            Record::Set(path, name, stored) => self.set(path, name, stored.clone()),
             Record::Remove(path, name) => self.remove(path, name),
             Record::RemoveTree(path) => self.remove_tree(path),
             Record::CopyTree(src, dst) => self.copy_tree(src, dst),
@@ -302,13 +369,16 @@ impl State {
             self.unindex(path, name, &old);
         }
         match &stored {
-            Stored::Full(v) => {
-                self.postings
+            Stored::Full { text: v, plain } => {
+                let posting = self
+                    .postings
                     .entry(name.clone())
                     .or_default()
                     .entry(v.clone())
-                    .or_default()
-                    .insert(path.to_owned());
+                    .or_default();
+                if posting.paths.insert(path.to_owned()) && !plain {
+                    posting.rich += 1;
+                }
                 if let Some(x) = num_of(v) {
                     self.numeric
                         .entry(name.clone())
@@ -386,7 +456,7 @@ impl State {
                     self.postings
                         .get(*name)
                         .and_then(|values| values.get(*value))
-                        .map(|paths| paths.iter().cloned().collect())
+                        .map(|posting| posting.paths.iter().cloned().collect())
                         .unwrap_or_default(),
                 )
             }
@@ -426,6 +496,38 @@ impl State {
                     .map(|paths| paths.iter().cloned().collect())
                     .unwrap_or_default(),
             ),
+            Probe::Covered(pairs) => {
+                let mut postings = Vec::with_capacity(pairs.len());
+                for (name, value) in pairs.iter() {
+                    if value.len() > VALUE_CAP {
+                        return None;
+                    }
+                    match self.postings.get(*name).and_then(|values| values.get(*value)) {
+                        Some(posting) => postings.push((*name, posting)),
+                        None => return Some(Vec::new()),
+                    }
+                }
+                postings.sort_by_key(|(_, posting)| posting.paths.len());
+                let ((_, first), rest) = postings.split_first()?;
+                let mut out = Vec::new();
+                let in_rest = |p: &&String| rest.iter().all(|(_, s)| s.paths.contains(*p));
+                for path in first.paths.iter().filter(in_rest) {
+                    // Only a posting some path holds as rich text needs
+                    // the match's own entry looked up.
+                    let plain = postings.iter().all(|(name, posting)| {
+                        posting.rich == 0
+                            || matches!(
+                                self.by_path.get(path).and_then(|m| m.get(*name)),
+                                Some(Stored::Full { plain: true, .. })
+                            )
+                    });
+                    if !plain {
+                        return None;
+                    }
+                    out.push(path.clone());
+                }
+                Some(out)
+            }
         }
     }
 
@@ -436,29 +538,35 @@ impl State {
         paths.sort();
         for path in paths {
             for (name, stored) in &self.by_path[path] {
-                out.push(match stored {
-                    Stored::Full(v) => Record::Set(path.clone(), name.clone(), v.clone()),
-                    Stored::Capped => Record::SetCapped(path.clone(), name.clone()),
-                });
+                out.push(Record::Set(path.clone(), name.clone(), stored.clone()));
             }
         }
         out
     }
 
-    /// Append a record to the journal (when persistent), compacting when
-    /// it has outgrown the snapshot. An append failure disables
-    /// persistence for the life of the process — the in-memory index
-    /// stays correct and the next open rebuilds.
-    fn log(&mut self, rec: &Record) {
+    /// Append one mutation's records to the journal (when persistent)
+    /// in a single write, compacting when the journal has outgrown the
+    /// snapshot. An append failure disables persistence for the life of
+    /// the process — the in-memory index stays correct and the next open
+    /// rebuilds.
+    fn log(&mut self, recs: &[Record]) {
+        if recs.is_empty() {
+            return;
+        }
         let records = {
             let Some(journal) = self.journal.as_mut() else {
                 return;
             };
-            if writeln!(journal.file, "{}", rec.to_line()).is_err() {
+            let mut batch = String::new();
+            for rec in recs {
+                batch.push_str(&rec.to_line());
+                batch.push('\n');
+            }
+            if journal.file.write_all(batch.as_bytes()).is_err() {
                 self.journal = None;
                 return;
             }
-            journal.records += 1;
+            journal.records += recs.len() as u64;
             journal.records
         };
         if records > COMPACT_FLOOR && records > 4 * self.entries() {
@@ -622,81 +730,54 @@ impl PropIndex {
         })
     }
 
-    /// Record `name` = `value` on `path`.
-    pub fn set(&self, path: &str, name: &PropertyName, value: &str) {
-        let rec = if value.len() > VALUE_CAP {
-            Record::SetCapped(path.to_owned(), name.clone())
-        } else {
-            Record::Set(path.to_owned(), name.clone(), value.to_owned())
-        };
-        let mut state = self.state.lock();
-        state.apply(&rec);
-        state.log(&rec);
+    /// Apply a PROPPATCH's instructions to `path`, in order, as one
+    /// change: a probe sees all of them or none.
+    pub fn patch(&self, path: &str, ops: &[PropPatchOp]) {
+        self.state.lock().commit(ops.iter().map(|op| match op {
+            PropPatchOp::Set(prop) => {
+                Record::Set(path.to_owned(), prop.name.clone(), Stored::of(prop))
+            }
+            PropPatchOp::Remove(name) => Record::Remove(path.to_owned(), name.clone()),
+        }));
     }
 
-    /// Record the removal of `name` from `path`.
-    pub fn remove(&self, path: &str, name: &PropertyName) {
-        let mut state = self.state.lock();
-        if state.by_path.get(path).is_some_and(|m| m.contains_key(name)) {
-            let rec = Record::Remove(path.to_owned(), name.clone());
-            state.apply(&rec);
-            state.log(&rec);
-        }
-    }
-
-    /// Replace everything recorded for exactly `path` with `entries`.
-    pub fn set_path(&self, path: &str, entries: &[(PropertyName, String)]) {
+    /// Replace everything recorded for exactly `path` with the entries
+    /// of `props` (its dead properties).
+    pub fn set_path(&self, path: &str, props: &[Property]) {
         let mut state = self.state.lock();
         let old: Vec<PropertyName> = state
             .by_path
             .get(path)
             .map(|m| m.keys().cloned().collect())
             .unwrap_or_default();
-        for name in old {
-            let rec = Record::Remove(path.to_owned(), name);
-            state.apply(&rec);
-            state.log(&rec);
-        }
-        for (name, value) in entries {
-            let rec = if value.len() > VALUE_CAP {
-                Record::SetCapped(path.to_owned(), name.clone())
-            } else {
-                Record::Set(path.to_owned(), name.clone(), value.clone())
-            };
-            state.apply(&rec);
-            state.log(&rec);
-        }
+        let removes = old.into_iter().map(|name| Record::Remove(path.to_owned(), name));
+        let sets = props
+            .iter()
+            .map(|p| Record::Set(path.to_owned(), p.name.clone(), Stored::of(p)));
+        state.commit(removes.chain(sets));
     }
 
     /// Drop `path` and everything under it.
     pub fn remove_tree(&self, root: &str) {
-        let mut state = self.state.lock();
-        if state.by_path.keys().any(|p| in_tree(p, root)) {
-            let rec = Record::RemoveTree(root.to_owned());
-            state.apply(&rec);
-            state.log(&rec);
-        }
+        self.state.lock().commit([Record::RemoveTree(root.to_owned())]);
     }
 
-    /// Duplicate the entries under `src` to the same layout under `dst`
-    /// (the caller clears `dst` first when overwriting).
+    /// Duplicate the entries under `src` to the same layout under `dst`,
+    /// replacing whatever was recorded under `dst` (COPY).
     pub fn copy_tree(&self, src: &str, dst: &str) {
-        let mut state = self.state.lock();
-        if state.by_path.keys().any(|p| in_tree(p, src)) {
-            let rec = Record::CopyTree(src.to_owned(), dst.to_owned());
-            state.apply(&rec);
-            state.log(&rec);
-        }
+        self.state.lock().commit([
+            Record::RemoveTree(dst.to_owned()),
+            Record::CopyTree(src.to_owned(), dst.to_owned()),
+        ]);
     }
 
-    /// [`copy_tree`](PropIndex::copy_tree) then drop the source.
+    /// Move the entries under `src` to the same layout under `dst`,
+    /// replacing whatever was recorded under `dst` (MOVE).
     pub fn move_tree(&self, src: &str, dst: &str) {
-        let mut state = self.state.lock();
-        if state.by_path.keys().any(|p| in_tree(p, src)) {
-            let rec = Record::MoveTree(src.to_owned(), dst.to_owned());
-            state.apply(&rec);
-            state.log(&rec);
-        }
+        self.state.lock().commit([
+            Record::RemoveTree(dst.to_owned()),
+            Record::MoveTree(src.to_owned(), dst.to_owned()),
+        ]);
     }
 
     /// Answer a probe: `Some(paths)` (sorted, exact) when the index can
@@ -736,12 +817,20 @@ mod tests {
         PropertyName::new("urn:ecce", local)
     }
 
+    fn set(idx: &PropIndex, path: &str, name: &PropertyName, value: &str) {
+        idx.patch(path, &[PropPatchOp::Set(Property::text(name.clone(), value))]);
+    }
+
+    fn remove(idx: &PropIndex, path: &str, name: &PropertyName) {
+        idx.patch(path, &[PropPatchOp::Remove(name.clone())]);
+    }
+
     #[test]
     fn eq_and_isdefined_postings() {
         let idx = PropIndex::new();
-        idx.set("/a", &n("formula"), "H2O");
-        idx.set("/b", &n("formula"), "H2O");
-        idx.set("/c", &n("formula"), "UO2");
+        set(&idx, "/a", &n("formula"), "H2O");
+        set(&idx, "/b", &n("formula"), "H2O");
+        set(&idx, "/c", &n("formula"), "UO2");
         assert_eq!(
             idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
             vec!["/a", "/b"]
@@ -751,12 +840,12 @@ mod tests {
             idx.probe(&Probe::IsDefined(&n("formula"))).unwrap(),
             vec!["/a", "/b", "/c"]
         );
-        idx.set("/a", &n("formula"), "D2O"); // update replaces the posting
+        set(&idx, "/a", &n("formula"), "D2O"); // update replaces the posting
         assert_eq!(
             idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
             vec!["/b"]
         );
-        idx.remove("/b", &n("formula"));
+        remove(&idx, "/b", &n("formula"));
         assert_eq!(
             idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
             Vec::<String>::new()
@@ -766,10 +855,10 @@ mod tests {
     #[test]
     fn numeric_side_index_ranges() {
         let idx = PropIndex::new();
-        idx.set("/w", &n("energy"), "-76.01");
-        idx.set("/u", &n("energy"), "-75.1");
-        idx.set("/x", &n("energy"), "12");
-        idx.set("/t", &n("energy"), "not a number");
+        set(&idx, "/w", &n("energy"), "-76.01");
+        set(&idx, "/u", &n("energy"), "-75.1");
+        set(&idx, "/x", &n("energy"), "12");
+        set(&idx, "/t", &n("energy"), "not a number");
         assert_eq!(idx.probe(&Probe::Lt(&n("energy"), -75.5)).unwrap(), vec!["/w"]);
         assert_eq!(
             idx.probe(&Probe::Gt(&n("energy"), -76.0)).unwrap(),
@@ -778,7 +867,7 @@ mod tests {
         // Boundary is exclusive, matching Condition::Gt.
         assert_eq!(idx.probe(&Probe::Gt(&n("energy"), 12.0)).unwrap(), Vec::<String>::new());
         // Signed zero folds onto zero.
-        idx.set("/z", &n("energy"), "-0.0");
+        set(&idx, "/z", &n("energy"), "-0.0");
         assert_eq!(idx.probe(&Probe::Gt(&n("energy"), 0.0)).unwrap(), vec!["/x"]);
         assert!(!idx.probe(&Probe::Lt(&n("energy"), 0.0)).unwrap().contains(&"/z".to_owned()));
     }
@@ -787,8 +876,8 @@ mod tests {
     fn capped_values_stay_correct() {
         let idx = PropIndex::new();
         let big = "x".repeat(VALUE_CAP + 1);
-        idx.set("/big", &n("blob"), &big);
-        idx.set("/small", &n("blob"), "tiny");
+        set(&idx, "/big", &n("blob"), &big);
+        set(&idx, "/small", &n("blob"), "tiny");
         // Presence is complete.
         assert_eq!(
             idx.probe(&Probe::IsDefined(&n("blob"))).unwrap(),
@@ -800,17 +889,17 @@ mod tests {
         assert!(idx.probe(&Probe::Eq(&n("blob"), &big)).is_none());
         assert!(idx.probe(&Probe::Gt(&n("blob"), 0.0)).is_none());
         // Removing the capped value re-enables numeric probes.
-        idx.remove("/big", &n("blob"));
+        remove(&idx, "/big", &n("blob"));
         assert!(idx.probe(&Probe::Gt(&n("blob"), 0.0)).is_some());
     }
 
     #[test]
     fn tree_operations() {
         let idx = PropIndex::new();
-        idx.set("/proj", &n("title"), "Aqueous");
-        idx.set("/proj/a", &n("formula"), "H2O");
-        idx.set("/proj/a/geom", &n("formula"), "H2O");
-        idx.set("/other", &n("formula"), "H2O");
+        set(&idx, "/proj", &n("title"), "Aqueous");
+        set(&idx, "/proj/a", &n("formula"), "H2O");
+        set(&idx, "/proj/a/geom", &n("formula"), "H2O");
+        set(&idx, "/other", &n("formula"), "H2O");
         idx.copy_tree("/proj", "/backup");
         assert_eq!(
             idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
@@ -823,7 +912,7 @@ mod tests {
         idx.remove_tree("/moved");
         assert_eq!(idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(), vec!["/other"]);
         // Prefix means path-segment prefix: /other2 survives /other.
-        idx.set("/other2", &n("formula"), "H2O");
+        set(&idx, "/other2", &n("formula"), "H2O");
         idx.remove_tree("/other");
         assert_eq!(idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(), vec!["/other2"]);
     }
@@ -835,11 +924,11 @@ mod tests {
         {
             let (idx, rebuild) = PropIndex::open(&dir);
             assert!(rebuild, "fresh dir must request a rebuild");
-            idx.set("/a", &n("formula"), "H2O with spaces % and\nnewline");
-            idx.set("/b", &n("energy"), "-75.2");
+            set(&idx, "/a", &n("formula"), "H2O with spaces % and\nnewline");
+            set(&idx, "/b", &n("energy"), "-75.2");
             idx.compact();
-            idx.set("/c", &n("energy"), "3"); // lands in the journal
-            idx.remove("/a", &n("formula"));
+            set(&idx, "/c", &n("energy"), "3"); // lands in the journal
+            remove(&idx, "/a", &n("formula"));
         }
         {
             let (idx, rebuild) = PropIndex::open(&dir);
@@ -864,9 +953,9 @@ mod tests {
         // A torn (newline-less) trailing append also demands a rebuild.
         {
             let (idx, _) = PropIndex::open(&dir);
-            idx.set("/x", &n("p"), "v");
+            set(&idx, "/x", &n("p"), "v");
             idx.compact();
-            idx.set("/y", &n("p"), "w");
+            set(&idx, "/y", &n("p"), "w");
         }
         {
             let mut f = fs::OpenOptions::new().append(true).open(dir.join(JOURNAL)).unwrap();
@@ -885,7 +974,7 @@ mod tests {
         idx.compact();
         // Far more journal records than live entries: rewrite must fire.
         for i in 0..(COMPACT_FLOOR + 10) {
-            idx.set("/hot", &n("counter"), &i.to_string());
+            set(&idx, "/hot", &n("counter"), &i.to_string());
         }
         let journal_len = fs::metadata(dir.join(JOURNAL)).unwrap().len();
         assert!(
@@ -902,11 +991,168 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A value that is not plain text: its text is `text`, inside a
+    /// child element.
+    fn rich(name: &PropertyName, text: &str) -> Property {
+        let mut value = pse_xml::dom::Element::new(Some(&name.namespace), &name.local);
+        let mut child = pse_xml::dom::Element::new(Some(&name.namespace), "b");
+        child.push_text(text);
+        value.push_elem(child);
+        Property::from_element(value)
+    }
+
+    fn covered(idx: &PropIndex, pairs: &[(&PropertyName, &str)]) -> Option<Vec<String>> {
+        idx.probe(&Probe::Covered(pairs))
+    }
+
+    #[test]
+    fn covered_probe_answers_only_for_plain_matches() {
+        let (f, c) = (n("formula"), n("charge"));
+        let idx = PropIndex::new();
+        set(&idx, "/a", &f, "H2O");
+        set(&idx, "/a", &c, "0");
+        set(&idx, "/b", &f, "H2O");
+        set(&idx, "/b", &c, "+2");
+        idx.patch("/r", &[PropPatchOp::Set(rich(&f, "UO2"))]);
+        assert_eq!(covered(&idx, &[(&f, "H2O")]).unwrap(), vec!["/a", "/b"]);
+        assert_eq!(covered(&idx, &[(&f, "H2O"), (&c, "0")]).unwrap(), vec!["/a"]);
+        assert_eq!(covered(&idx, &[(&f, "XY")]).unwrap(), Vec::<String>::new());
+        // A rich match declines; the plain Eq probe still answers.
+        assert!(covered(&idx, &[(&f, "UO2")]).is_none());
+        assert_eq!(idx.probe(&Probe::Eq(&f, "UO2")).unwrap(), vec!["/r"]);
+        // A rich value that is not a match does not matter.
+        assert_eq!(covered(&idx, &[(&f, "H2O"), (&c, "+2")]).unwrap(), vec!["/b"]);
+        // Over the cap, or with nothing to match on: decline.
+        let long = "x".repeat(VALUE_CAP + 1);
+        assert!(covered(&idx, &[(&f, long.as_str())]).is_none());
+        assert!(covered(&idx, &[]).is_none());
+        // Setting a plain value over the rich one makes it coverable.
+        set(&idx, "/r", &f, "UO2");
+        assert_eq!(covered(&idx, &[(&f, "UO2")]).unwrap(), vec!["/r"]);
+        // A rich holder of the same value outside the intersection is
+        // checked per match, not declined.
+        idx.patch(
+            "/s",
+            &[
+                PropPatchOp::Set(rich(&f, "H2O")),
+                PropPatchOp::Set(Property::text(c.clone(), "+2")),
+            ],
+        );
+        assert!(covered(&idx, &[(&f, "H2O")]).is_none());
+        assert_eq!(covered(&idx, &[(&f, "H2O"), (&c, "0")]).unwrap(), vec!["/a"]);
+        assert!(covered(&idx, &[(&c, "+2"), (&f, "H2O")]).is_none());
+        // Removing it restores the single-posting answer.
+        remove(&idx, "/s", &f);
+        assert_eq!(covered(&idx, &[(&f, "H2O")]).unwrap(), vec!["/a", "/b"]);
+    }
+
+    #[test]
+    fn patch_applies_in_order_as_one_change() {
+        let f = n("formula");
+        let idx = PropIndex::new();
+        idx.patch(
+            "/a",
+            &[
+                PropPatchOp::Set(Property::text(f.clone(), "Y")),
+                PropPatchOp::Remove(f.clone()),
+                PropPatchOp::Set(Property::text(f.clone(), "X")),
+                PropPatchOp::Remove(n("absent")),
+            ],
+        );
+        assert_eq!(covered(&idx, &[(&f, "X")]).unwrap(), vec!["/a"]);
+        assert_eq!(idx.probe(&Probe::Eq(&f, "Y")).unwrap(), Vec::<String>::new());
+        // COPY and MOVE replace the destination's entries.
+        set(&idx, "/b", &f, "old");
+        set(&idx, "/b", &n("stale"), "1");
+        idx.copy_tree("/a", "/b");
+        assert_eq!(covered(&idx, &[(&f, "X")]).unwrap(), vec!["/a", "/b"]);
+        assert_eq!(idx.probe(&Probe::IsDefined(&n("stale"))).unwrap(), Vec::<String>::new());
+        set(&idx, "/c", &f, "Z");
+        idx.move_tree("/c", "/b");
+        assert_eq!(covered(&idx, &[(&f, "X")]).unwrap(), vec!["/a"]);
+        assert_eq!(covered(&idx, &[(&f, "Z")]).unwrap(), vec!["/b"]);
+    }
+
+    #[test]
+    fn plain_flag_survives_snapshot_and_journal() {
+        let dir = std::env::temp_dir().join(format!("pse-propindex-plain-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let f = n("formula");
+        {
+            let (idx, _) = PropIndex::open(&dir);
+            set(&idx, "/snap-plain", &f, "H2O");
+            idx.patch("/snap-rich", &[PropPatchOp::Set(rich(&f, "UO2"))]);
+            idx.compact();
+            set(&idx, "/log-plain", &f, "H2O"); // lands in the journal
+            idx.patch("/log-rich", &[PropPatchOp::Set(rich(&f, "OH"))]);
+        }
+        let (idx, rebuild) = PropIndex::open(&dir);
+        assert!(!rebuild);
+        assert_eq!(covered(&idx, &[(&f, "H2O")]).unwrap(), vec!["/log-plain", "/snap-plain"]);
+        assert!(covered(&idx, &[(&f, "UO2")]).is_none());
+        assert!(covered(&idx, &[(&f, "OH")]).is_none());
+        assert_eq!(idx.probe(&Probe::Eq(&f, "OH")).unwrap(), vec!["/log-rich"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_snapshot_forces_a_rebuild_that_restores_the_flag() {
+        use crate::fsrepo::{FsConfig, FsRepository};
+        use crate::repo::Repository;
+        let dir = std::env::temp_dir().join(format!("pse-propindex-v1-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let f = n("formula");
+        {
+            let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
+            let props = [("/plain", Property::text(f.clone(), "H2O")), ("/rich", rich(&f, "UO2"))];
+            for (path, prop) in props {
+                repo.put(path, b"", None).unwrap();
+                repo.set_prop(path, &prop).unwrap();
+            }
+        }
+        // The same entries as a v1 snapshot would hold them: no flag.
+        let index_dir = dir.join(".DAV").join("index");
+        let line = |payload: &str| {
+            format!("{:016x} {payload}", pse_cache::fnv1a_64(payload.as_bytes()))
+        };
+        let v1 = format!(
+            "pse-propindex-v1\n{}\n{}\nend 2\n",
+            line("set /plain urn:ecce formula H2O"),
+            line("set /rich urn:ecce formula UO2")
+        );
+        fs::write(index_dir.join(SNAPSHOT), v1).unwrap();
+        fs::write(index_dir.join(JOURNAL), "").unwrap();
+        let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
+        let pairs = [(&f, "H2O")];
+        assert_eq!(repo.index_probe(&Probe::Covered(&pairs)).unwrap(), vec!["/plain"]);
+        assert!(repo.index_probe(&Probe::Covered(&[(&f, "UO2")])).is_none());
+        assert_eq!(repo.index_probe(&Probe::Eq(&f, "UO2")).unwrap(), vec!["/rich"]);
+        let snapshot = fs::read_to_string(index_dir.join(SNAPSHOT)).unwrap();
+        assert!(snapshot.starts_with("pse-propindex-v2\n"), "{snapshot}");
+        drop(repo);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn record_roundtrip() {
         for rec in [
-            Record::Set("/a b".into(), n("f x"), "v%1\n2".into()),
-            Record::SetCapped("/a".into(), n("f")),
+            Record::Set(
+                "/a b".into(),
+                n("f x"),
+                Stored::Full {
+                    text: "v%1\n2".into(),
+                    plain: true,
+                },
+            ),
+            Record::Set(
+                "/a".into(),
+                PropertyName::new("", "bare"),
+                Stored::Full {
+                    text: String::new(),
+                    plain: false,
+                },
+            ),
+            Record::Set("/a".into(), n("f"), Stored::Capped),
             Record::Remove("/a".into(), n("f")),
             Record::RemoveTree("/t".into()),
             Record::CopyTree("/s".into(), "/d".into()),

@@ -462,9 +462,10 @@ pub trait Store: Send + Sync + 'static {
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>>;
     fn list_props(&self, path: &str) -> Result<Vec<PropertyName>>;
     fn all_props(&self, path: &str) -> Result<Vec<Property>>;
-    /// Every dead property of `path` as (name, text value): what the
-    /// property index holds for it. `NotFound` when absent.
-    fn index_entries(&self, path: &str) -> Result<Vec<(PropertyName, String)>>;
+    /// Every dead property of `path`, as stored: what the property
+    /// index derives its entries (text, plain-text flag) from.
+    /// `NotFound` when absent.
+    fn index_entries(&self, path: &str) -> Result<Vec<Property>>;
     fn set_prop(&self, path: &str, prop: &Property) -> Result<()>;
     fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool>;
     fn patch_props(&self, path: &str, ops: &[PropPatchOp])
@@ -498,8 +499,8 @@ pub struct Repo<S: Store> {
     store: S,
     locks: Arc<PathLocks>,
     /// Secondary property index, updated under the same plans that
-    /// order the mutations (a leaf lock: never held while acquiring a
-    /// path lock).
+    /// order the mutations, in one call per mutation (a leaf lock: never
+    /// held while acquiring a path lock).
     index: Arc<PropIndex>,
     /// Version histories, changed only under the plan of the operation
     /// that changes them.
@@ -685,7 +686,6 @@ impl<S: Store> Repository for Repo<S> {
         check_copy_overlap(&src, &dst)?;
         let _g = self.plan(&[&src, &dst], || self.locks.copy_doc(&src, &dst));
         let created = self.store.copy(&src, &dst, overwrite)?;
-        self.index.remove_tree(&dst);
         self.index.copy_tree(&src, &dst);
         self.commit(Change::Copy {
             src: &src,
@@ -702,7 +702,6 @@ impl<S: Store> Repository for Repo<S> {
         // parents keeps listings from observing the halfway state.
         let _g = self.plan(&[&src, &dst], || self.locks.rename_pair(&src, &dst));
         let created = self.store.rename(&src, &dst, overwrite)?;
-        self.index.remove_tree(&dst);
         self.index.move_tree(&src, &dst);
         // The histories follow the document, or a collection's members.
         let moved = self.versions.rename(&src, &dst);
@@ -738,11 +737,9 @@ impl<S: Store> Repository for Repo<S> {
     fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
         self.write(path, |s, p| {
             s.set_prop(p, prop)?;
-            self.index.set(p, &prop.name, &prop.text_value());
-            self.commit(Change::PatchProps {
-                path: p,
-                ops: &[PropPatchOp::Set(prop.clone())],
-            })
+            let ops = [PropPatchOp::Set(prop.clone())];
+            self.index.patch(p, &ops);
+            self.commit(Change::PatchProps { path: p, ops: &ops })
         })
     }
 
@@ -750,11 +747,9 @@ impl<S: Store> Repository for Repo<S> {
         self.write(path, |s, p| {
             let removed = s.remove_prop(p, name)?;
             if removed {
-                self.index.remove(p, name);
-                self.commit(Change::PatchProps {
-                    path: p,
-                    ops: &[PropPatchOp::Remove(name.clone())],
-                })?;
+                let ops = [PropPatchOp::Remove(name.clone())];
+                self.index.patch(p, &ops);
+                self.commit(Change::PatchProps { path: p, ops: &ops })?;
             }
             Ok(removed)
         })
@@ -775,12 +770,7 @@ impl<S: Store> Repository for Repo<S> {
                 }
                 return Err(fail);
             }
-            for op in ops {
-                match op {
-                    PropPatchOp::Set(prop) => self.index.set(p, &prop.name, &prop.text_value()),
-                    PropPatchOp::Remove(name) => self.index.remove(p, name),
-                }
-            }
+            self.index.patch(p, ops);
             self.commit(Change::PatchProps { path: p, ops })
                 .map_err(|e| (0, e))
         })

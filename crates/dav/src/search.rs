@@ -283,7 +283,11 @@ pub struct SearchOutcome {
     /// Whether candidates were evaluated on the named properties only
     /// (see [`narrowed_names`]) rather than on `all_props`.
     pub narrowed: bool,
-    /// Candidates whose properties were read and evaluated.
+    /// Whether the answer came from the index alone, reading no
+    /// property (see [`covered_pairs`]).
+    pub covered: bool,
+    /// Candidates evaluated: read and tested, or, when covered, taken
+    /// from the index as matches.
     pub examined: usize,
 }
 
@@ -400,21 +404,64 @@ fn narrowed_names(query: &Query) -> Option<Vec<PropertyName>> {
     Some(names)
 }
 
-/// Run `query`. The optimised path (`reference == false`) takes its
-/// candidates from the index when it can and reads only the named
-/// properties when it can; the reference path walks the scope and
-/// evaluates every resource on `all_props`, so it stays an independent
-/// oracle for both shortcuts.
+/// The `(name, literal)` pairs of a query the index may answer alone:
+/// its condition is an `eq`, or an `and` of `eq`s, on dead properties,
+/// and its non-empty `select` names only properties those `eq`s
+/// constrain. Every match then returns each selected property with the
+/// query's own literal as its value.
+fn covered_pairs(query: &Query) -> Option<Vec<(&PropertyName, &str)>> {
+    let conjuncts = match &query.condition {
+        Condition::And(cs) => cs.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    let pairs = conjuncts
+        .iter()
+        .map(|c| match c {
+            Condition::Eq(n, v) if !n.is_live() => Some((n, v.as_str())),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let constrained = |n: &PropertyName| pairs.iter().any(|(m, _)| *m == n);
+    if pairs.is_empty() || query.select.is_empty() || !query.select.iter().all(constrained) {
+        return None;
+    }
+    Some(pairs)
+}
+
+/// Run `query`. The optimised path (`reference == false`) answers a
+/// covered query from one index probe with no property read; otherwise
+/// it takes its candidates from the index when it can and reads only
+/// the named properties when it can. The reference path walks the scope
+/// and evaluates every resource on `all_props`, so it stays an
+/// independent oracle for all three shortcuts.
 fn run(repo: &dyn Repository, query: &Query, reference: bool) -> Result<SearchOutcome> {
     if !repo.exists(&query.scope) {
         return Err(DavError::NotFound(query.scope.clone()));
     }
     let resume_after = query.cursor.as_deref().map(decode_cursor).transpose()?;
 
+    // A covered query probes once: its answer is the index at one
+    // instant. When the probe declines (a match is not plain text, a
+    // literal is capped), the query is planned and read as usual.
+    let pairs = if reference { None } else { covered_pairs(query) }.unwrap_or_default();
+    let covered = match pairs.as_slice() {
+        [] => None,
+        pairs => repo.index_probe(&Probe::Covered(pairs)),
+    };
+    // Every covered match returns the same properties: each selected
+    // name with the literal its `eq` requires.
+    let covered_props: Option<Vec<Property>> = covered.is_some().then(|| {
+        query
+            .select
+            .iter()
+            .filter_map(|n| pairs.iter().find(|(m, _)| *m == n))
+            .map(|(n, literal)| Property::text((*n).clone(), literal))
+            .collect()
+    });
     let (planned, narrowed) = if reference {
         (None, None)
     } else {
-        (plan(repo, &query.condition), narrowed_names(query))
+        (covered.or_else(|| plan(repo, &query.condition)), narrowed_names(query))
     };
     let indexed = planned.is_some();
     let mut paths = match planned {
@@ -447,32 +494,37 @@ fn run(repo: &dyn Repository, query: &Query, reference: bool) -> Result<SearchOu
         if query.limit == Some(0) {
             break;
         }
-        // A resource may vanish between candidate discovery and property
-        // fetch (SEARCH racing DELETE): skip it rather than failing the
-        // whole query.
-        let props = match &narrowed {
-            Some(names) => repo
-                .get_props(&path, names)
-                .map(|found| found.into_iter().flatten().collect()),
-            None => repo.all_props(&path),
-        };
-        let props: Vec<Property> = match props {
-            Ok(props) => props,
-            Err(DavError::NotFound(_)) => continue,
-            Err(e) => return Err(e),
-        };
-        examined += 1;
-        if !query.condition.eval(&props) {
-            continue;
-        }
-        let returned: Vec<Property> = if query.select.is_empty() {
-            props
+        let returned: Vec<Property> = if let Some(props) = &covered_props {
+            examined += 1;
+            props.clone()
         } else {
-            query
-                .select
-                .iter()
-                .filter_map(|n| props.iter().find(|p| &p.name == n).cloned())
-                .collect()
+            // A resource may vanish between candidate discovery and
+            // property fetch (SEARCH racing DELETE): skip it rather than
+            // failing the whole query.
+            let props = match &narrowed {
+                Some(names) => repo
+                    .get_props(&path, names)
+                    .map(|found| found.into_iter().flatten().collect()),
+                None => repo.all_props(&path),
+            };
+            let props: Vec<Property> = match props {
+                Ok(props) => props,
+                Err(DavError::NotFound(_)) => continue,
+                Err(e) => return Err(e),
+            };
+            examined += 1;
+            if !query.condition.eval(&props) {
+                continue;
+            }
+            if query.select.is_empty() {
+                props
+            } else {
+                query
+                    .select
+                    .iter()
+                    .filter_map(|n| props.iter().find(|p| &p.name == n).cloned())
+                    .collect()
+            }
         };
         ms.push_propstats(
             &path,
@@ -492,6 +544,7 @@ fn run(repo: &dyn Repository, query: &Query, reference: bool) -> Result<SearchOu
         next_cursor,
         indexed,
         narrowed: narrowed.is_some(),
+        covered: covered_props.is_some(),
         examined,
     })
 }
@@ -517,7 +570,8 @@ pub fn execute_scan(repo: &dyn Repository, query: &Query) -> Result<Multistatus>
 /// The SEARCH method entry point used by the handler. Records the
 /// planner's decisions into `obs` under `dav.search.*`: `indexed` or
 /// `scan_fallback` per query, `narrowed` per query evaluated on named
-/// properties, and the `candidates` examined and `matched`.
+/// properties, `covered` per query answered from the index alone, and
+/// the `candidates` examined and `matched`.
 pub fn handle(repo: &dyn Repository, req: &Request, obs: &Registry) -> Result<Response> {
     let query = parse_query(&req.body)?;
     let out = execute_paged(repo, &query)?;
@@ -528,6 +582,8 @@ pub fn handle(repo: &dyn Repository, req: &Request, obs: &Registry) -> Result<Re
             .add(u64::from(!out.indexed));
         obs.counter("dav.search.narrowed")
             .add(u64::from(out.narrowed));
+        obs.counter("dav.search.covered")
+            .add(u64::from(out.covered));
         obs.counter("dav.search.candidates")
             .add(out.examined as u64);
         obs.counter("dav.search.matched")
@@ -791,6 +847,55 @@ mod tests {
                 indexed.indexed, expect_indexed,
                 "planner decision on {cond:?}"
             );
+        }
+    }
+
+    #[test]
+    fn covered_queries_answer_from_the_index_and_agree_with_scan() {
+        let r = repo_with_molecules();
+        let formula = PropertyName::new("urn:ecce", "formula");
+        let charge = PropertyName::new("urn:ecce", "charge");
+        let bare = PropertyName::new("", "bare");
+        r.set_prop("/mols/water", &Property::text(bare.clone(), "v")).unwrap();
+        // A value with markup around its text is never covered.
+        let mut value = Element::new(Some("urn:ecce"), "formula");
+        value.push_elem(Element::new(Some("urn:ecce"), "b"));
+        value.push_text("OH");
+        r.set_prop("/mols/hydroxide", &Property::from_element(value)).unwrap();
+        let eq = |n: &PropertyName, v: &str| Condition::Eq(n.clone(), v.into());
+        let cases = [
+            (eq(&formula, "UO2"), vec![formula.clone()], true),
+            (
+                Condition::And(vec![eq(&formula, "H2O"), eq(&charge, "0")]),
+                vec![charge.clone(), formula.clone(), charge.clone()],
+                true,
+            ),
+            (eq(&bare, "v"), vec![bare.clone()], true),
+            (eq(&formula, "none"), vec![formula.clone()], true),
+            (eq(&formula, "OH"), vec![formula.clone()], false), // rich match
+            (eq(&formula, "UO2"), vec![], false),               // allprop
+            (eq(&formula, "UO2"), vec![charge.clone()], false), // unconstrained select
+            (
+                Condition::And(vec![eq(&formula, "UO2"), Condition::IsDefined(charge.clone())]),
+                vec![formula.clone()],
+                false,
+            ),
+            (Condition::And(vec![]), vec![formula.clone()], false),
+            (
+                Condition::Or(vec![eq(&formula, "UO2"), eq(&formula, "H2O")]),
+                vec![formula.clone()],
+                false,
+            ),
+        ];
+        for (cond, select, expect_covered) in cases {
+            let q = Query {
+                select: select.clone(),
+                ..Query::new("/", cond.clone())
+            };
+            let out = execute_paged(&r, &q).unwrap();
+            assert_eq!(out.covered, expect_covered, "{cond:?} select={select:?}");
+            let scanned = execute_scan(&r, &q).unwrap();
+            assert_eq!(out.ms.to_xml(), scanned.to_xml(), "{cond:?} select={select:?}");
         }
     }
 

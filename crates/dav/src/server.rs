@@ -125,6 +125,8 @@ mod tests {
         assert_eq!(metric(&text, "dav.search.narrowed"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.search.candidates"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.search.matched"), Some(1), "{text}");
+        // It selects only the property its `eq` constrains: covered.
+        assert_eq!(metric(&text, "dav.search.covered"), Some(1), "{text}");
         // Property index: the PROPPATCH made one entry and the SEARCH
         // probe hit. A fresh root has no persisted index, so opening it
         // rebuilt (and compacted) one.

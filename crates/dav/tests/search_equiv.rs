@@ -8,6 +8,8 @@
 //!   deliberate on-disk corruption).
 //! * SEARCH racing DELETE: a query never aborts because a resource
 //!   vanished between candidate discovery and property fetch.
+//! * Torn answers: a covered SEARCH (answered from the index alone)
+//!   never sees a mutation half applied.
 //! * The protocol path: SEARCH through gzip content-coding, through a
 //!   fault-injecting proxy with retries, and pipelined back-to-back on
 //!   one connection.
@@ -25,6 +27,7 @@ use pse_dav::server::serve;
 use pse_http::fault::{Fault, FaultProxy, Point, Schedule};
 use pse_http::retry::RetryPolicy;
 use pse_http::server::ServerConfig;
+use pse_xml::dom::{Element, Node};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,8 +55,10 @@ fn lcg(state: &mut u64) -> u64 {
 
 const NS: &str = "urn:eq";
 
-fn names() -> [PropertyName; 3] {
-    ["formula", "charge", "note"].map(|l| PropertyName::new(NS, l))
+/// Three names in [`NS`], and one in no namespace.
+fn names() -> [PropertyName; 4] {
+    let [formula, charge, note] = ["formula", "charge", "note"].map(|l| PropertyName::new(NS, l));
+    [formula, charge, note, PropertyName::new("", "bare")]
 }
 
 /// Value pool: strings, numerics (including negative and zero, which
@@ -67,6 +72,41 @@ fn values() -> Vec<String> {
     v
 }
 
+/// The value `name` takes for pool entry `i`: a plain-text value of
+/// [`values`], or past those one of three values that are not plain
+/// text, each reading "H2O" — inside a child element, under an
+/// `xml:lang` attribute, beside a comment. A covered SEARCH must decline
+/// them and fall back to reading the properties.
+fn prop_of(name: &PropertyName, i: usize) -> Property {
+    let vals = values();
+    if let Some(v) = vals.get(i) {
+        return Property::text(name.clone(), v);
+    }
+    let ns = (!name.namespace.is_empty()).then_some(name.namespace.as_str());
+    let mut value = Element::new(ns, &name.local);
+    match i - vals.len() {
+        0 => {
+            let mut child = Element::new(ns, "mol");
+            child.push_text("H2O");
+            value.push_elem(child);
+        }
+        1 => {
+            value.set_attr(Some("http://www.w3.org/XML/1998/namespace"), "lang", "en");
+            value.push_text("H2O");
+        }
+        _ => {
+            value.push_text("H2O");
+            value.children.push(Node::Comment(" solvent ".into()));
+        }
+    }
+    Property::from_element(value)
+}
+
+/// Pool size for [`prop_of`].
+fn pool_len() -> usize {
+    values().len() + 3
+}
+
 /// Drive a deterministic random mutation history over every repository
 /// mutation point the index hooks: PUT, MKCOL, PROPPATCH (single and
 /// batched), DELETE, COPY, MOVE. Errors are expected (racing shapes,
@@ -75,7 +115,6 @@ fn apply_history(repo: &dyn Repository, seed: u64, ops: usize) {
     let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
     let _ = repo.mkcol("/c0");
     let _ = repo.mkcol("/c1");
-    let vals = values();
     let nms = names();
     let path_of = |r: u64| -> String {
         match r % 6 {
@@ -87,13 +126,13 @@ fn apply_history(repo: &dyn Repository, seed: u64, ops: usize) {
     for _ in 0..ops {
         let p = path_of(lcg(&mut rng));
         let name = &nms[(lcg(&mut rng) as usize) % nms.len()];
-        let val = &vals[(lcg(&mut rng) as usize) % vals.len()];
+        let val = prop_of(name, (lcg(&mut rng) as usize) % pool_len());
         match lcg(&mut rng) % 10 {
             0 | 1 => {
                 let _ = repo.put(&p, b"body", None);
             }
             2 | 3 => {
-                let _ = repo.set_prop(&p, &Property::text(name.clone(), val));
+                let _ = repo.set_prop(&p, &val);
             }
             4 => {
                 let _ = repo.remove_prop(&p, name);
@@ -103,7 +142,7 @@ fn apply_history(repo: &dyn Repository, seed: u64, ops: usize) {
                 let _ = repo.patch_props(
                     &p,
                     &[
-                        PropPatchOp::Set(Property::text(name.clone(), val)),
+                        PropPatchOp::Set(val),
                         PropPatchOp::Remove(other.clone()),
                     ],
                 );
@@ -146,9 +185,11 @@ fn mentions(cond: &Condition, name: &PropertyName) -> bool {
 
 /// The `select` lists each condition runs under: allprop; the first
 /// name; a name the condition does not read (both take the narrowed
-/// path, evaluated on named properties); and a list with a live name,
-/// which falls back to `all_props`.
-fn selects(cond: &Condition) -> [Vec<PropertyName>; 4] {
+/// path, evaluated on named properties, or, for an `eq` on the first
+/// name, the covered path); a list with a live name, which falls back
+/// to `all_props`; and every name the condition reads, in [`names`]
+/// order (covered for an `and` of `eq`s).
+fn selects(cond: &Condition) -> [Vec<PropertyName>; 5] {
     let nms = names();
     let unread = nms
         .iter()
@@ -160,6 +201,7 @@ fn selects(cond: &Condition) -> [Vec<PropertyName>; 4] {
         vec![nms[0].clone()],
         vec![unread],
         vec![nms[0].clone(), PropertyName::dav("getcontentlength")],
+        nms.iter().filter(|n| mentions(cond, n)).cloned().collect(),
     ]
 }
 
@@ -214,6 +256,11 @@ fn assert_index_matches_scan(repo: &dyn Repository, context: &str) {
         nms[0].clone(),
         "H2O".into(),
     ))));
+    conditions.push(Condition::Eq(nms[3].clone(), "H2O".into()));
+    conditions.push(Condition::And(vec![
+        Condition::Eq(nms[0].clone(), "H2O".into()),
+        Condition::Eq(nms[3].clone(), "H2O".into()),
+    ]));
     for (i, cond) in conditions.into_iter().enumerate() {
         for select in selects(&cond) {
             for scope in ["/", "/c0"] {
@@ -364,6 +411,78 @@ fn search_never_aborts_while_racing_delete() {
     }
     stop.store(true, Ordering::SeqCst);
     churner.join().unwrap();
+}
+
+/// Iterations of the torn-answer detector; `ci.sh --stress` raises it.
+fn torn_searches() -> usize {
+    std::env::var("PSE_TORN_SEARCHES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(20_000)
+}
+
+/// A covered SEARCH answers from the index at one instant, without a
+/// lock plan, so each mutation must change the index in one step. In
+/// every committed state here `/t/a` and `/t/b` hold `f=X`, while one
+/// writer PROPPATCHes `/t/a` with `{Set f=Y, Set f=X}` and another
+/// COPYs and MOVEs documents holding `f=X` onto `/t/b` with overwrite.
+/// A covered SEARCH for `f=X` must return both paths every time: one
+/// index call per instruction would show `f=Y` on `/t/a`, and clearing
+/// the destination apart from the copy would show `/t/b` without `f`.
+fn assert_no_torn_covered_answer(repo: Arc<dyn Repository>, context: &str) {
+    let f = PropertyName::new(NS, "f");
+    let x = Property::text(f.clone(), "X");
+    repo.mkcol("/t").unwrap();
+    for p in ["/t/a", "/t/b", "/t/src"] {
+        repo.put(p, b"", None).unwrap();
+        repo.set_prop(p, &x).unwrap();
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let patcher = {
+        let (repo, stop, f, x) = (Arc::clone(&repo), Arc::clone(&stop), f.clone(), x.clone());
+        std::thread::spawn(move || {
+            let ops = [PropPatchOp::Set(Property::text(f, "Y")), PropPatchOp::Set(x)];
+            while !stop.load(Ordering::SeqCst) {
+                repo.patch_props("/t/a", &ops).unwrap();
+            }
+        })
+    };
+    let copier = {
+        let (repo, stop, x) = (Arc::clone(&repo), Arc::clone(&stop), x.clone());
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                repo.copy("/t/src", "/t/b", true).unwrap();
+                repo.put("/t/m", b"", None).unwrap();
+                repo.set_prop("/t/m", &x).unwrap();
+                repo.rename("/t/m", "/t/b", true).unwrap();
+            }
+        })
+    };
+    let q = Query {
+        select: vec![f.clone()],
+        ..Query::new("/t", Condition::Eq(f.clone(), "X".into()))
+    };
+    for i in 0..torn_searches() {
+        let out = search::execute_paged(repo.as_ref(), &q).unwrap();
+        assert!(out.covered, "{context}: search #{i} was not covered");
+        let hrefs: Vec<&str> = out.ms.responses.iter().map(|e| e.href.as_str()).collect();
+        assert!(
+            hrefs.contains(&"/t/a") && hrefs.contains(&"/t/b"),
+            "{context}: search #{i} saw a torn mutation: {hrefs:?}"
+        );
+    }
+    stop.store(true, Ordering::SeqCst);
+    patcher.join().unwrap();
+    copier.join().unwrap();
+}
+
+#[test]
+fn covered_search_never_sees_a_torn_mutation() {
+    assert_no_torn_covered_answer(Arc::new(MemRepository::new()), "mem");
+    let dir = temp_dir("torn");
+    let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
+    assert_no_torn_covered_answer(Arc::new(repo), "fs");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn molecule_server() -> (pse_http::server::Server, std::path::PathBuf) {

@@ -21,9 +21,11 @@
 #    Cargo workspace) and runs its unit tests, so an API change in the
 #    workspace crates that breaks the benchmark fails here.
 # 7. With --stress: the concurrency stress suite across a 3-seed
-#    matrix at elevated thread count, plus the MemRepository
-#    linearizability checker. PSE_STRESS_OPS / PSE_STRESS_THREADS are
-#    honoured when set in the environment.
+#    matrix at elevated thread count, the MemRepository
+#    linearizability checker, and the covered-SEARCH torn-answer
+#    detector at 10x its default iterations. PSE_STRESS_OPS /
+#    PSE_STRESS_THREADS / PSE_TORN_SEARCHES are honoured when set in
+#    the environment.
 # 8. With --c10k: the C10k gate — 1000 parked keep-alive connections
 #    (override with PSE_C10K_CONNS) against a worker pool of 8 must
 #    leave fresh clients fast, the staleness detector clean, and
@@ -69,12 +71,17 @@
 #    DAV:select, narrowed to the named properties, and compares it with
 #    the allprop scan projected onto the select, with and without the
 #    property cache; the SEARCH-vs-DELETE race, gzip + fault-proxy
-#    round trips, pipelined framing on one connection), the JSON
-#    gateway and fsrepo unit suites (cold and warm named reads), the
-#    cluster SEARCH routing tests, and
-#    repro_search --check (the planner must answer selective queries
-#    over 10k calculations >= 10x faster than a walk-and-scan with a
-#    byte-identical answer), emitting target/bench-json/search.json.
+#    round trips, pipelined framing on one connection; covered
+#    queries, answered from the index alone, against values that are
+#    not plain text and a property in no namespace; the torn-answer
+#    detector: a covered SEARCH racing PROPPATCH, COPY and MOVE), the
+#    propindex (covered probe, plain-text flag through snapshot,
+#    journal and a v1-snapshot rebuild), planner, property and fsrepo
+#    unit suites (cold and warm named reads), the cluster SEARCH
+#    routing tests, and repro_search --check (the planner must answer
+#    selective queries over 10k calculations >= 10x faster than a
+#    walk-and-scan with a byte-identical answer, and the covered query
+#    must read no property), emitting target/bench-json/search.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,6 +151,10 @@ if [ "$STRESS" = 1 ]; then
     done
     echo "==> stress: MemRepository linearizability"
     cargo test -q -p pse-dav --test linearizability
+    : "${PSE_TORN_SEARCHES:=200000}"
+    export PSE_TORN_SEARCHES
+    echo "==> stress: covered SEARCH never sees a torn mutation ($PSE_TORN_SEARCHES searches)"
+    cargo test -q -p pse-dav --test search_equiv -- covered_search_never_sees_a_torn_mutation
 fi
 
 if [ "$C10K" = 1 ]; then
@@ -187,14 +198,14 @@ if [ "$BULK" = 1 ]; then
 fi
 
 if [ "$SEARCH" = 1 ]; then
-    echo "==> search gate: property index unit suite + planner/paging/gateway/fsrepo tests"
-    cargo test -q -p pse-dav --lib -- propindex:: search:: gateway:: fsrepo::
-    echo "==> search gate: correctness sweep (equivalence proptests, vanish race, gzip, faults, pipelining)"
+    echo "==> search gate: property index unit suite + planner/paging/covered/property/fsrepo tests"
+    cargo test -q -p pse-dav --lib -- propindex:: search:: property:: fsrepo::
+    echo "==> search gate: correctness sweep (equivalence proptests, covered path and fallback, torn answers, vanish race, gzip, faults, pipelining)"
     cargo test -q -p pse-dav --test search_equiv
     echo "==> search gate: SEARCH routing + replica index coherence through the cluster"
     cargo test -q --test cluster -- search_routes_to_replicas_and_replica_indexes_agree \
         hooked_repository_index_equivalent_to_scan
-    echo "==> search gate: repro_search --check (>= 10x over walk-and-scan on 10k resources)"
+    echo "==> search gate: repro_search --check (>= 10x over walk-and-scan on 10k resources; covered query reads no property)"
     cargo build --release -p pse-bench --bin repro_search
     ./target/release/repro_search --check
 fi
