@@ -1,12 +1,12 @@
 //! Criterion bench for the DOM-vs-SAX ablation: parsing a 50-response
-//! multistatus document both ways.
+//! multistatus document both ways, beside the server's cost of writing it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pse_dav::multistatus::{Multistatus, PropStat};
 use pse_dav::property::{Property, PropertyName};
 use pse_http::StatusCode;
 
-fn sample_xml(responses: usize, props: usize, value_len: usize) -> String {
+fn sample(responses: usize, props: usize, value_len: usize) -> Multistatus {
     let mut ms = Multistatus::new();
     let value = "v".repeat(value_len);
     for r in 0..responses {
@@ -26,13 +26,15 @@ fn sample_xml(responses: usize, props: usize, value_len: usize) -> String {
             }],
         );
     }
-    ms.to_xml()
+    ms
 }
 
 fn bench_parsers(c: &mut Criterion) {
-    let xml = sample_xml(50, 5, 1024);
+    let ms = sample(50, 5, 1024);
+    let xml = ms.to_xml();
     let mut group = c.benchmark_group("parse_mode");
     group.throughput(Throughput::Bytes(xml.len() as u64));
+    group.bench_function("to_xml", |b| b.iter(|| ms.to_xml()));
     group.bench_function("dom", |b| {
         b.iter(|| Multistatus::parse_dom(&xml).unwrap())
     });

@@ -217,13 +217,6 @@ impl DavClient {
         &mut self.http
     }
 
-    fn parse_multistatus(&self, resp: &Response) -> Result<Multistatus> {
-        match self.parse_mode {
-            ParseMode::Dom => Multistatus::parse_dom(&resp.body_text()),
-            ParseMode::Sax => Multistatus::parse_sax(&resp.body_text()),
-        }
-    }
-
     fn expect(&self, resp: Response, ok: &[u16], context: &str) -> Result<Response> {
         if ok.contains(&resp.status.code()) {
             Ok(resp)
@@ -795,7 +788,7 @@ impl DavClient {
             }
         }
         let resp = self.expect(resp, &[207], "PROPFIND")?;
-        let ms = self.parse_multistatus(&resp)?;
+        let ms = parse_multistatus(self.parse_mode, &resp.body)?;
         if let (Some(cache), Some(k)) = (&self.cache, key) {
             if let Some(etag) = resp.headers.get("ETag") {
                 let cost = k.len() + etag.len() + resp.body.len() + 64;
@@ -853,7 +846,7 @@ impl DavClient {
         let resp = self.http.send(req)?;
         self.invalidate_cached(path);
         let resp = self.expect(resp, &[207], "PROPPATCH")?;
-        let ms = self.parse_multistatus(&resp)?;
+        let ms = parse_multistatus(self.parse_mode, &resp.body)?;
         // Surface per-property failures as an error for convenience.
         for entry in &ms.responses {
             for ps in &entry.propstats {
@@ -951,7 +944,7 @@ impl DavClient {
             .headers
             .get(crate::search::CURSOR_HEADER)
             .map(str::to_owned);
-        Ok((self.parse_multistatus(&resp)?, cursor))
+        Ok((parse_multistatus(self.parse_mode, &resp.body)?, cursor))
     }
 
     /// SEARCH for resources where `name` equals `value` under `scope`,
@@ -1146,33 +1139,6 @@ impl DavClient {
         Ok(())
     }
 
-    /// ORDERPATCH: move `member` within collection `path`.
-    pub fn order_member(
-        &mut self,
-        path: &str,
-        member: &str,
-        position: &crate::order::Position,
-    ) -> Result<()> {
-        use crate::order::Position;
-        let pos_xml = match position {
-            Position::First => "<D:first/>".to_owned(),
-            Position::Last => "<D:last/>".to_owned(),
-            Position::Before(s) => {
-                format!("<D:before><D:segment>{s}</D:segment></D:before>")
-            }
-            Position::After(s) => format!("<D:after><D:segment>{s}</D:segment></D:after>"),
-        };
-        let body = format!(
-            r#"<D:orderpatch xmlns:D="DAV:"><D:ordermember>
-              <D:segment>{member}</D:segment><D:position>{pos_xml}</D:position>
-            </D:ordermember></D:orderpatch>"#
-        );
-        let req = Request::new(Method::OrderPatch, path).with_xml_body(body);
-        let resp = self.http.send(req)?;
-        self.expect(resp, &[200], "ORDERPATCH")?;
-        Ok(())
-    }
-
     /// List a collection's children via PROPFIND depth 1 (names only,
     /// using the `displayname` live property).
     pub fn list(&mut self, path: &str) -> Result<Vec<String>> {
@@ -1205,6 +1171,17 @@ impl DavClient {
     }
 }
 
+/// Parse a 207 body where it lies. A body that is not UTF-8 is an error,
+/// not a parse of its lossy repair.
+fn parse_multistatus(mode: ParseMode, body: &[u8]) -> Result<Multistatus> {
+    let xml = std::str::from_utf8(body)
+        .map_err(|_| DavError::BadRequest("multistatus body is not UTF-8".into()))?;
+    match mode {
+        ParseMode::Dom => Multistatus::parse_dom(xml),
+        ParseMode::Sax => Multistatus::parse_sax(xml),
+    }
+}
+
 /// Expose the 423 check: was an error caused by a lock?
 pub fn is_locked_error(e: &DavError) -> bool {
     matches!(
@@ -1214,4 +1191,24 @@ pub fn is_locked_error(e: &DavError) -> bool {
             ..
         } if status.code() == StatusCode::LOCKED.code()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn multistatus_bodies_must_be_utf8() {
+        let ok = br#"<D:multistatus xmlns:D="DAV:"><D:response><D:href>/a</D:href></D:response></D:multistatus>"#;
+        let mut bad = ok.to_vec();
+        let at = bad.iter().position(|&b| b == b'a').expect("the href has an a");
+        bad[at] = 0xFF;
+        for mode in [ParseMode::Dom, ParseMode::Sax] {
+            assert_eq!(parse_multistatus(mode, ok).unwrap().responses[0].href, "/a");
+            assert!(
+                matches!(parse_multistatus(mode, &bad), Err(DavError::BadRequest(_))),
+                "{mode:?}"
+            );
+        }
+    }
 }

@@ -3,15 +3,13 @@
 //! [`DavHandler`] turns HTTP requests into [`Repository`] operations,
 //! enforcing locks and marshalling multistatus bodies. It implements all
 //! of RFC 2518 plus the extension methods the paper lists as "currently
-//! under development" (DASL SEARCH, DeltaV versioning, ordered
-//! collections).
+//! under development" (DASL SEARCH, DeltaV versioning).
 
 use crate::depth::Depth;
 use crate::error::{DavError, Result};
 use crate::ifheader::{Condition, IfHeader};
 use crate::lock::{LockManager, LockScope};
 use crate::multistatus::{Multistatus, PropStat};
-use crate::order;
 use crate::property::{Property, PropertyName, PropfindKind, DAV_NS};
 use crate::repo::{PropPatchOp, Repository, StageStatus};
 use crate::search;
@@ -134,7 +132,6 @@ impl<R: Repository> DavHandler<R> {
             Method::VersionControl | Method::Report | Method::Checkout | Method::Checkin => {
                 self.deltav(&req)
             }
-            Method::OrderPatch => order::handle(self.repo.as_ref(), &req),
             Method::Post | Method::Trace | Method::Extension(_) => {
                 return Response::error(StatusCode::NOT_IMPLEMENTED, "method not implemented")
             }
@@ -202,13 +199,13 @@ impl<R: Repository> DavHandler<R> {
 
     fn options(&self, _req: &Request) -> Result<Response> {
         Ok(Response::ok()
-            .with_header("DAV", "1,2,version-control,ordered-collections")
+            .with_header("DAV", "1,2,version-control")
             .with_header("MS-Author-Via", "DAV")
             .with_header(
                 "Allow",
                 "OPTIONS, GET, HEAD, PUT, DELETE, MKCOL, COPY, MOVE, \
                  PROPFIND, PROPPATCH, LOCK, UNLOCK, SEARCH, VERSION-CONTROL, \
-                 CHECKOUT, CHECKIN, REPORT, ORDERPATCH",
+                 CHECKOUT, CHECKIN, REPORT",
             ))
     }
 
@@ -611,7 +608,7 @@ impl<R: Repository> DavHandler<R> {
             Method::Get | Method::Head => Self::history_get(versions, req),
             Method::PropFind => Self::history_propfind(versions, req),
             Method::Options => Ok(Response::ok()
-                .with_header("DAV", "1,2,version-control,ordered-collections")
+                .with_header("DAV", "1,2,version-control")
                 .with_header("Allow", "OPTIONS, GET, HEAD, PROPFIND, COPY")),
             _ => Ok(Response::error(
                 StatusCode::FORBIDDEN,

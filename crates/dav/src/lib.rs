@@ -10,9 +10,8 @@
 //! ## Server side
 //!
 //! [`handler::DavHandler`] dispatches every RFC 2518 method (plus the
-//! DASL `SEARCH`, DeltaV `VERSION-CONTROL`/`REPORT`, and ordered-
-//! collection `ORDERPATCH` extensions the paper tracks as "currently
-//! under development") over a pluggable [`repo::Repository`]:
+//! DASL `SEARCH` and DeltaV `VERSION-CONTROL`/`REPORT` extensions the
+//! paper tracks as "currently under development") over a pluggable [`repo::Repository`]:
 //!
 //! * [`fsrepo::FsRepository`] — mod_dav's layout: documents are plain
 //!   files, collections are directories, and each resource's dead
@@ -63,7 +62,6 @@ pub mod ifheader;
 pub mod lock;
 pub mod memrepo;
 pub mod multistatus;
-pub mod order;
 pub mod pathlock;
 pub mod propindex;
 pub mod property;

@@ -11,15 +11,21 @@
 //!   "significant improvements").
 //!
 //! Both produce identical values; the `parse_mode` bench measures the gap.
+//!
+//! [`Multistatus::to_xml`] writes the body in one pass, with no document
+//! tree: every namespace a property value is in is declared once, on
+//! `<D:multistatus>`.
 
 use crate::error::Result;
 use crate::property::Property;
 use pse_http::StatusCode;
-use pse_xml::dom::{Document, Element, Node};
+use pse_xml::dom::{self, Document, Element, Node};
 use pse_xml::name::NsScope;
 use pse_xml::pull::{Event, Reader};
-use pse_xml::writer::Writer;
+use pse_xml::writer::{write_in_scope, DECLARATION};
 use pse_xml::DAV_NS;
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Properties grouped by the status they resolved to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,34 +99,112 @@ impl Multistatus {
     }
 
     /// Serialise to the XML wire form.
+    ///
+    /// The root binds `D` to `DAV:` and `ns0`, `ns1`, … to the other
+    /// namespaces property values are in, in order of first use. A
+    /// plain-text value is written directly under those prefixes; any
+    /// other value goes through the namespace-fixup writer with the
+    /// root's bindings in scope, so it declares only what it adds.
     pub fn to_xml(&self) -> String {
-        let mut root = Element::new(Some(DAV_NS), "multistatus");
-        root.name.prefix = Some("D".into());
-        for resp in &self.responses {
-            let mut r = Element::new(Some(DAV_NS), "response");
-            let mut href = Element::new(Some(DAV_NS), "href");
-            href.push_text(pse_http::uri::percent_encode_path(&resp.href));
-            r.push_elem(href);
-            for ps in &resp.propstats {
-                let mut pse = Element::new(Some(DAV_NS), "propstat");
-                let mut prop = Element::new(Some(DAV_NS), "prop");
-                for p in &ps.props {
-                    prop.push_elem(p.value.clone());
+        let mut namespaces: Vec<&str> = vec![DAV_NS];
+        for p in self.props() {
+            if let Some(uri) = p.value.namespace() {
+                if !namespaces.contains(&uri) {
+                    namespaces.push(uri);
                 }
-                pse.push_elem(prop);
-                let mut status = Element::new(Some(DAV_NS), "status");
-                status.push_text(ps.status.status_line());
-                pse.push_elem(status);
-                r.push_elem(pse);
             }
-            if let Some(st) = resp.status {
-                let mut status = Element::new(Some(DAV_NS), "status");
-                status.push_text(st.status_line());
-                r.push_elem(status);
-            }
-            root.push_elem(r);
         }
-        Writer::new().write_document(&Document::with_root(root))
+        let prefixes: Vec<Cow<'_, str>> = (0..namespaces.len())
+            .map(|i| match i {
+                0 => Cow::Borrowed("D"),
+                i => Cow::Owned(format!("ns{}", i - 1)),
+            })
+            .collect();
+        let bindings: Vec<(&str, &str)> = prefixes
+            .iter()
+            .map(|p| p.as_ref())
+            .zip(namespaces.iter().copied())
+            .collect();
+
+        let mut out = String::with_capacity(self.size_hint(&bindings));
+        out.push_str(DECLARATION);
+        out.push_str("<D:multistatus");
+        for (prefix, uri) in &bindings {
+            out.push_str(" xmlns:");
+            out.push_str(prefix);
+            out.push_str("=\"");
+            out.push_str(&pse_xml::escape::escape_attr(uri));
+            out.push('"');
+        }
+        out.push('>');
+        for resp in &self.responses {
+            out.push_str("<D:response><D:href>");
+            pse_http::uri::push_percent_encoded_path(&mut out, &resp.href);
+            out.push_str("</D:href>");
+            for ps in &resp.propstats {
+                out.push_str("<D:propstat><D:prop>");
+                for p in &ps.props {
+                    write_value(&mut out, &p.value, &bindings);
+                }
+                out.push_str("</D:prop>");
+                push_status(&mut out, ps.status);
+                out.push_str("</D:propstat>");
+            }
+            if let Some(status) = resp.status {
+                push_status(&mut out, status);
+            }
+            out.push_str("</D:response>");
+        }
+        out.push_str("</D:multistatus>");
+        out
+    }
+
+    fn props(&self) -> impl Iterator<Item = &Property> {
+        self.responses
+            .iter()
+            .flat_map(|r| &r.propstats)
+            .flat_map(|ps| &ps.props)
+    }
+
+    /// About the length of [`Multistatus::to_xml`]'s output: it counts
+    /// the markup and the text of plain values, not escapes or the
+    /// content of other values.
+    fn size_hint(&self, bindings: &[(&str, &str)]) -> usize {
+        const RESPONSE: usize = "<D:response><D:href></D:href></D:response>".len();
+        const PROPSTAT: usize = "<D:propstat><D:prop></D:prop></D:propstat>".len();
+        const STATUS: usize = "<D:status>HTTP/1.1 200 </D:status>".len() + 16;
+        let root = DECLARATION.len()
+            + "<D:multistatus></D:multistatus>".len()
+            + bindings
+                .iter()
+                .map(|(p, uri)| p.len() + uri.len() + " xmlns:=\"\"".len())
+                .sum::<usize>();
+        let values: usize = self
+            .props()
+            .map(|p| {
+                let v = &p.value;
+                let text: usize = v
+                    .children
+                    .iter()
+                    .map(|n| match n {
+                        Node::Text(t) => t.len(),
+                        _ => 0,
+                    })
+                    .sum();
+                2 * v.name.local.len() + "<ns0:></ns0:>".len() + text
+            })
+            .sum();
+        let responses: usize = self
+            .responses
+            .iter()
+            .map(|r| {
+                RESPONSE
+                    + r.href.len()
+                    + r.propstats.len() * (PROPSTAT + STATUS)
+                    + r.status.map_or(0, |_| STATUS)
+            })
+            .sum();
+        root + values + responses
     }
 
     /// Decode a `DAV:href` element's text into a local path. RFC 2518
@@ -185,97 +269,128 @@ impl Multistatus {
 
     /// Parse via the streaming reader: no document tree is built; only
     /// the property value elements (the leaves we must keep) are
-    /// materialised.
+    /// materialised. It reads what [`Multistatus::parse_dom`] reads: the
+    /// first `href`, `status` and `prop` child of each element that has
+    /// them, and the text directly inside `href` and `status`.
     pub fn parse_sax(xml: &str) -> Result<Multistatus> {
+        /// What an open element is to the walk.
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        enum Open {
+            Root,
+            Response,
+            Propstat,
+            Prop,
+            Href,
+            Status,
+            Other,
+        }
         let mut reader = Reader::new(xml);
         let mut ns = NsScope::new();
         let mut out = Multistatus::new();
-
-        // Current parse state.
-        let mut cur_href = String::new();
-        let mut cur_propstats: Vec<PropStat> = Vec::new();
-        let mut cur_status: Option<StatusCode> = None;
-        let mut cur_props: Vec<Property> = Vec::new();
-        let mut cur_ps_status: Option<StatusCode> = None;
-        let mut text_buf = String::new();
-        // Depth markers: 0 outside, inside response/propstat/prop.
-        let mut in_response = false;
-        let mut in_propstat = false;
-        let mut in_prop = false;
+        let mut open: Vec<Open> = Vec::new();
+        // The response and propstat being read, and whether each has
+        // seen its first href/status/prop yet.
+        let mut resp = ResponseEntry {
+            href: String::new(),
+            propstats: Vec::new(),
+            status: None,
+        };
+        let (mut resp_href, mut resp_status) = (false, false);
+        let mut ps = PropStat {
+            props: Vec::new(),
+            status: StatusCode::OK,
+        };
+        let (mut ps_prop, mut ps_status) = (false, false);
+        // Text directly inside the open href or status.
+        let mut text: Cow<'_, str> = Cow::Borrowed("");
 
         loop {
             match reader.next_event()? {
                 Event::StartElement { name, attributes } => {
-                    ns.push_scope();
-                    for a in &attributes {
-                        match (&a.name.prefix, a.name.local.as_str()) {
-                            (None, "xmlns") => ns.declare("", &a.value),
-                            (Some(p), l) if p == "xmlns" => ns.declare(l, &a.value),
-                            _ => {}
-                        }
+                    let parent = open.last().copied();
+                    if parent == Some(Open::Prop) {
+                        let value = dom::read_element(&mut reader, &mut ns, name, attributes)?;
+                        ps.props.push(Property::from_element(value));
+                        continue;
                     }
-                    let uri = ns.resolve(&name, false)?;
-                    let is_dav = uri.as_deref() == Some(DAV_NS);
-                    match (is_dav, name.local.as_str()) {
-                        (true, "response") => {
-                            in_response = true;
-                            cur_href.clear();
-                            cur_propstats.clear();
-                            cur_status = None;
-                        }
-                        (true, "propstat") if in_response => {
-                            in_propstat = true;
-                            cur_props.clear();
-                            cur_ps_status = None;
-                        }
-                        (true, "prop") if in_propstat => in_prop = true,
-                        (true, "href") | (true, "status") => text_buf.clear(),
-                        _ if in_prop => {
-                            // A property value element: subtree-build it
-                            // (bounded memory — one property at a time).
-                            let elem =
-                                build_subtree(&mut reader, &mut ns, name, attributes, uri)?;
-                            cur_props.push(Property::from_element(elem));
-                            // build_subtree consumed the matching end tag
-                            // and popped the scope we pushed above.
-                        }
-                        _ => {}
+                    ns.enter(&attributes);
+                    for a in attributes.iter().filter(|a| a.declared_prefix().is_none()) {
+                        ns.resolve(a.name, true)?;
                     }
+                    let dav = ns.resolve(name, false)? == Some(DAV_NS);
+                    let kind = match (parent, dav, name.local) {
+                        (None, _, _) => Open::Root,
+                        (Some(Open::Root), true, "response") => {
+                            (resp_href, resp_status) = (false, false);
+                            Open::Response
+                        }
+                        (Some(Open::Response), true, "href") if !resp_href => {
+                            resp_href = true;
+                            Open::Href
+                        }
+                        (Some(Open::Response), true, "status") if !resp_status => {
+                            resp_status = true;
+                            Open::Status
+                        }
+                        (Some(Open::Response), true, "propstat") => {
+                            (ps_prop, ps_status) = (false, false);
+                            Open::Propstat
+                        }
+                        (Some(Open::Propstat), true, "prop") if !ps_prop => {
+                            ps_prop = true;
+                            Open::Prop
+                        }
+                        (Some(Open::Propstat), true, "status") if !ps_status => {
+                            ps_status = true;
+                            Open::Status
+                        }
+                        _ => Open::Other,
+                    };
+                    if matches!(kind, Open::Href | Open::Status) {
+                        text = Cow::Borrowed("");
+                    }
+                    open.push(kind);
                 }
-                Event::EndElement { name } => {
+                Event::EndElement { .. } => {
                     ns.pop_scope();
-                    match name.local.as_str() {
-                        "href" if in_response => {
-                            cur_href = Multistatus::decode_href(&text_buf);
+                    let closed = open.pop();
+                    match (closed, open.last()) {
+                        (Some(Open::Href), _) => resp.href = Multistatus::decode_href(&text),
+                        (Some(Open::Status), Some(Open::Response)) => {
+                            resp.status = StatusCode::from_status_line(&text);
                         }
-                        "status" => {
-                            let sc = StatusCode::from_status_line(text_buf.trim());
-                            if in_propstat {
-                                cur_ps_status = sc;
-                            } else if in_response {
-                                cur_status = sc;
-                            }
+                        (Some(Open::Status), _) => {
+                            ps.status =
+                                StatusCode::from_status_line(&text).unwrap_or(StatusCode::OK);
                         }
-                        "propstat" if in_propstat => {
-                            in_propstat = false;
-                            cur_propstats.push(PropStat {
-                                props: std::mem::take(&mut cur_props),
-                                status: cur_ps_status.unwrap_or(StatusCode::OK),
-                            });
+                        (Some(Open::Propstat), _) => {
+                            let done = PropStat {
+                                props: std::mem::take(&mut ps.props),
+                                status: std::mem::replace(&mut ps.status, StatusCode::OK),
+                            };
+                            resp.propstats.push(done);
                         }
-                        "prop" if in_prop => in_prop = false,
-                        "response" if in_response => {
-                            in_response = false;
-                            out.responses.push(ResponseEntry {
-                                href: std::mem::take(&mut cur_href),
-                                propstats: std::mem::take(&mut cur_propstats),
-                                status: cur_status,
-                            });
+                        (Some(Open::Response), _) => {
+                            let done = ResponseEntry {
+                                href: std::mem::take(&mut resp.href),
+                                propstats: std::mem::take(&mut resp.propstats),
+                                status: resp.status.take(),
+                            };
+                            out.responses.push(done);
                         }
                         _ => {}
                     }
                 }
-                Event::Text(t) | Event::CData(t) => text_buf.push_str(&t),
+                Event::Text(t) => {
+                    if matches!(open.last(), Some(Open::Href | Open::Status)) {
+                        append(&mut text, t);
+                    }
+                }
+                Event::CData(t) => {
+                    if matches!(open.last(), Some(Open::Href | Open::Status)) {
+                        append(&mut text, Cow::Borrowed(t));
+                    }
+                }
                 Event::Comment(_) | Event::Pi { .. } => {}
                 Event::Eof => break,
             }
@@ -284,67 +399,55 @@ impl Multistatus {
     }
 }
 
-/// Build one element subtree from the event stream. The start event has
-/// already been consumed (and a scope pushed); this consumes through the
-/// matching end event and pops that scope.
-fn build_subtree(
-    reader: &mut Reader<'_>,
-    ns: &mut NsScope,
-    name: pse_xml::QName,
-    attributes: Vec<pse_xml::pull::Attribute>,
-    resolved_ns: Option<String>,
-) -> Result<Element> {
-    let mut attrs = Vec::with_capacity(attributes.len());
-    for a in attributes {
-        let is_decl = a.name.local == "xmlns" && a.name.prefix.is_none()
-            || a.name.prefix.as_deref() == Some("xmlns");
-        let namespace = if is_decl {
-            Some("http://www.w3.org/2000/xmlns/".to_owned())
-        } else {
-            ns.resolve(&a.name, true)?
-        };
-        attrs.push(pse_xml::dom::Attr {
-            namespace,
-            name: a.name,
-            value: a.value,
-        });
+fn append<'a>(text: &mut Cow<'a, str>, more: Cow<'a, str>) {
+    if text.is_empty() {
+        *text = more;
+    } else {
+        text.to_mut().push_str(&more);
     }
-    let mut elem = Element {
-        name,
-        namespace: resolved_ns,
-        attributes: attrs,
-        children: Vec::new(),
+}
+
+/// Write one property value: directly when it is plain text in a
+/// namespace the root binds (or in none), else through the fixup writer.
+fn write_value(out: &mut String, v: &Element, bindings: &[(&str, &str)]) {
+    let prefix = match v.namespace() {
+        None => Some(""),
+        Some(uri) => bindings.iter().find(|(_, u)| *u == uri).map(|(p, _)| *p),
     };
-    loop {
-        match reader.next_event()? {
-            Event::StartElement { name, attributes } => {
-                ns.push_scope();
-                for a in &attributes {
-                    match (&a.name.prefix, a.name.local.as_str()) {
-                        (None, "xmlns") => ns.declare("", &a.value),
-                        (Some(p), l) if p == "xmlns" => ns.declare(l, &a.value),
-                        _ => {}
-                    }
-                }
-                let uri = ns.resolve(&name, false)?;
-                let child = build_subtree(reader, ns, name, attributes, uri)?;
-                elem.children.push(Node::Element(child));
-            }
-            Event::EndElement { .. } => {
-                ns.pop_scope();
-                return Ok(elem);
-            }
-            Event::Text(t) => elem.children.push(Node::Text(t)),
-            Event::CData(t) => elem.children.push(Node::Text(t)),
-            Event::Comment(_) | Event::Pi { .. } => {}
-            Event::Eof => {
-                return Err(pse_xml::Error::UnexpectedEof {
-                    context: "a property value element",
-                }
-                .into())
-            }
+    let plain = v.attributes.is_empty() && v.children.iter().all(|n| matches!(n, Node::Text(_)));
+    let Some(prefix) = prefix.filter(|_| plain) else {
+        write_in_scope(out, v, bindings);
+        return;
+    };
+    let push_tag = |out: &mut String| {
+        if !prefix.is_empty() {
+            out.push_str(prefix);
+            out.push(':');
+        }
+        out.push_str(&v.name.local);
+    };
+    out.push('<');
+    push_tag(out);
+    if v.children.is_empty() {
+        out.push_str("/>");
+        return;
+    }
+    out.push('>');
+    for n in &v.children {
+        if let Node::Text(t) = n {
+            out.push_str(&pse_xml::escape::escape_text(t));
         }
     }
+    out.push_str("</");
+    push_tag(out);
+    out.push('>');
+}
+
+fn push_status(out: &mut String, status: StatusCode) {
+    // Writing to a String cannot fail.
+    let _ = write!(out, "<D:status>HTTP/1.1 {} ", status.code());
+    out.push_str(&pse_xml::escape::escape_text(status.reason()));
+    out.push_str("</D:status>");
 }
 
 #[cfg(test)]
@@ -419,6 +522,88 @@ mod tests {
             .prop(&PropertyName::new("urn:ecce", "basis-set"))
             .unwrap();
         assert_eq!(basis.text_value(), "6-31G*");
+
+        // RFC 4918 responses may carry more than one href: the resource's
+        // own is the first direct child of `response`, and an href inside
+        // `location` or `error` names some other resource. Repeated
+        // `status` and `prop` children are read first-wins too.
+        let xml = r#"<D:multistatus xmlns:D="DAV:" xmlns:e="urn:ecce">
+          <D:response>
+            <D:href>/moved/doc</D:href>
+            <D:status>HTTP/1.1 301 Moved Permanently</D:status>
+            <D:location><D:href>/new/home/doc</D:href></D:location>
+          </D:response>
+          <D:response>
+            <D:href>/locked/a</D:href>
+            <D:href>/locked/b</D:href>
+            <D:status>HTTP/1.1 423 Locked</D:status>
+            <D:status>HTTP/1.1 500 Internal Server Error</D:status>
+            <D:error><D:lock-token-submitted><D:href>/locked</D:href></D:lock-token-submitted></D:error>
+          </D:response>
+          <D:response>
+            <D:href>/p<!-- c --><![CDATA[/q]]></D:href>
+            <D:propstat>
+              <D:prop><e:formula>H2O<!-- kept --></e:formula></D:prop>
+              <D:prop><e:ignored/></D:prop>
+              <D:status>HTTP/1.1 200 OK</D:status>
+              <D:status>HTTP/1.1 404 Not Found</D:status>
+            </D:propstat>
+          </D:response>
+        </D:multistatus>"#;
+        let dom = Multistatus::parse_dom(xml).unwrap();
+        assert_eq!(Multistatus::parse_sax(xml).unwrap(), dom);
+        let hrefs: Vec<_> = dom.responses.iter().map(|r| r.href.as_str()).collect();
+        assert_eq!(hrefs, ["/moved/doc", "/locked/a", "/p/q"]);
+        assert_eq!(dom.responses[1].status, Some(StatusCode::LOCKED));
+        let ps = &dom.responses[2].propstats;
+        assert_eq!(
+            (ps.len(), ps[0].props.len(), ps[0].status),
+            (1, 1, StatusCode::OK)
+        );
+        assert!(!ps[0].props[0].is_plain_text());
+    }
+
+    #[test]
+    fn wire_form_declares_each_namespace_once_on_the_root() {
+        let mut ms = Multistatus::new();
+        ms.push_propstats(
+            "/calc/a b",
+            vec![
+                PropStat {
+                    props: vec![
+                        Property::text(PropertyName::new("urn:ecce", "formula"), "H2O & <OH>"),
+                        Property::text(PropertyName::dav("getcontentlength"), "12"),
+                        Property::text(PropertyName::new("", "bare"), ""),
+                        Property::text(PropertyName::new("urn:ecce", "state"), "done"),
+                    ],
+                    status: StatusCode::OK,
+                },
+                PropStat {
+                    props: vec![Property::text(PropertyName::new("urn:other", "x"), "")],
+                    status: StatusCode::NOT_FOUND,
+                },
+            ],
+        );
+        ms.push_status("/calc/gone", StatusCode::FORBIDDEN);
+        let xml = ms.to_xml();
+        assert_eq!(
+            xml,
+            concat!(
+                r#"<?xml version="1.0" encoding="utf-8"?>"#,
+                r#"<D:multistatus xmlns:D="DAV:" xmlns:ns0="urn:ecce" xmlns:ns1="urn:other">"#,
+                r#"<D:response><D:href>/calc/a%20b</D:href>"#,
+                r#"<D:propstat><D:prop><ns0:formula>H2O &amp; &lt;OH&gt;</ns0:formula>"#,
+                r#"<D:getcontentlength>12</D:getcontentlength><bare/><ns0:state>done</ns0:state>"#,
+                r#"</D:prop><D:status>HTTP/1.1 200 OK</D:status></D:propstat>"#,
+                r#"<D:propstat><D:prop><ns1:x/></D:prop>"#,
+                r#"<D:status>HTTP/1.1 404 Not Found</D:status></D:propstat></D:response>"#,
+                r#"<D:response><D:href>/calc/gone</D:href>"#,
+                r#"<D:status>HTTP/1.1 403 Forbidden</D:status></D:response>"#,
+                r#"</D:multistatus>"#,
+            )
+        );
+        assert_eq!(Multistatus::parse_dom(&xml).unwrap(), ms);
+        assert_eq!(Multistatus::parse_sax(&xml).unwrap(), ms);
     }
 
     #[test]

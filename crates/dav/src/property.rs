@@ -164,9 +164,9 @@ impl Property {
 /// resolved namespaces carry all the information and the writer invents
 /// fresh prefixes on output.
 fn normalize(mut e: Element) -> Element {
-    const XMLNS: &str = "http://www.w3.org/2000/xmlns/";
     e.name.prefix = None;
-    e.attributes.retain(|a| a.namespace.as_deref() != Some(XMLNS));
+    e.attributes
+        .retain(|a| a.namespace.as_deref() != Some(pse_xml::dom::XMLNS_NS));
     for a in &mut e.attributes {
         a.name.prefix = None;
     }

@@ -274,27 +274,6 @@ fn versioning_over_wire() {
 }
 
 #[test]
-fn ordered_collection_over_wire() {
-    let mut rig = Rig::new(DbmKind::Gdbm);
-    let c = &mut rig.client;
-    c.mkcol("/calc").unwrap();
-    for t in ["geometry", "energy", "frequency"] {
-        c.put(&format!("/calc/{t}"), "", None).unwrap();
-    }
-    use pse_dav::order::Position;
-    c.order_member("/calc", "geometry", &Position::First).unwrap();
-    c.order_member("/calc", "energy", &Position::After("geometry".into()))
-        .unwrap();
-    c.order_member("/calc", "frequency", &Position::Last).unwrap();
-    // Verify through the internal order property.
-    let order = c
-        .get_prop("/calc", &pse_dav::order::order_prop_name())
-        .unwrap()
-        .unwrap();
-    assert_eq!(order.lines().collect::<Vec<_>>(), vec!["geometry", "energy", "frequency"]);
-}
-
-#[test]
 fn dom_and_sax_clients_agree_over_wire() {
     let mut rig = Rig::new(DbmKind::Gdbm);
     let addr = rig.server.as_ref().unwrap().local_addr();

@@ -34,8 +34,6 @@ pub enum Method {
     Report,
     Checkout,
     Checkin,
-    // Ordered collections draft
-    OrderPatch,
     /// Any other token.
     Extension(String),
 }
@@ -63,7 +61,6 @@ impl Method {
             Method::Report => "REPORT",
             Method::Checkout => "CHECKOUT",
             Method::Checkin => "CHECKIN",
-            Method::OrderPatch => "ORDERPATCH",
             Method::Extension(s) => s,
         }
     }
@@ -126,7 +123,6 @@ impl Method {
                 | Method::PropPatch
                 | Method::MkCol
                 | Method::Move
-                | Method::OrderPatch
                 | Method::Checkin
                 | Method::Checkout
         )
@@ -157,7 +153,6 @@ impl FromStr for Method {
             "REPORT" => Method::Report,
             "CHECKOUT" => Method::Checkout,
             "CHECKIN" => Method::Checkin,
-            "ORDERPATCH" => Method::OrderPatch,
             other => Method::Extension(other.to_owned()),
         })
     }
@@ -178,7 +173,7 @@ mod tests {
         let all = [
             "OPTIONS", "GET", "HEAD", "POST", "PUT", "DELETE", "TRACE", "PROPFIND", "PROPPATCH",
             "MKCOL", "COPY", "MOVE", "LOCK", "UNLOCK", "SEARCH", "VERSION-CONTROL", "REPORT",
-            "CHECKOUT", "CHECKIN", "ORDERPATCH",
+            "CHECKOUT", "CHECKIN",
         ];
         for token in all {
             let m: Method = token.parse().unwrap();

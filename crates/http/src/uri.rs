@@ -178,16 +178,29 @@ fn hex_val(b: u8) -> Option<u8> {
 /// Percent-encode a decoded path for the wire, preserving `/`.
 pub fn percent_encode_path(path: &str) -> String {
     let mut out = String::with_capacity(path.len());
+    push_percent_encoded_path(&mut out, path);
+    out
+}
+
+/// [`percent_encode_path`], appending to `out`. The output holds only
+/// unreserved ASCII, `/`, a few sub-delimiters and `%XX` escapes, so it
+/// needs no further escaping in XML text.
+pub fn push_percent_encoded_path(out: &mut String, path: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for &b in path.as_bytes() {
         let keep = b.is_ascii_alphanumeric()
-            || matches!(b, b'/' | b'-' | b'_' | b'.' | b'~' | b'(' | b')' | b',' | b'+' | b'=' | b'@' | b':');
+            || matches!(
+                b,
+                b'/' | b'-' | b'_' | b'.' | b'~' | b'(' | b')' | b',' | b'+' | b'=' | b'@' | b':'
+            );
         if keep {
             out.push(b as char);
         } else {
-            out.push_str(&format!("%{b:02X}"));
+            out.push('%');
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 15)] as char);
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -8,8 +8,12 @@
 //! the producer happened to choose.
 
 use crate::error::{Error, Result};
-use crate::name::{NsScope, QName};
-use crate::pull::{Event, Reader};
+use crate::name::{Name, NsScope, QName};
+use crate::pull::{Attribute, Event, Reader};
+
+/// The namespace under which an [`Element`] keeps the `xmlns`
+/// declarations it was parsed with (see [`Element::attributes`]).
+pub const XMLNS_NS: &str = "http://www.w3.org/2000/xmlns/";
 
 /// A node in the tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,7 +206,7 @@ impl Document {
         loop {
             match reader.next_event()? {
                 Event::StartElement { name, attributes } => {
-                    let root = build_element(&mut reader, &mut ns, name, attributes)?;
+                    let root = read_element(&mut reader, &mut ns, name, attributes)?;
                     // Drain the epilog so trailing junk is still validated.
                     loop {
                         match reader.next_event()? {
@@ -216,8 +220,11 @@ impl Document {
                     }
                     return Ok(Document { prolog, root });
                 }
-                Event::Comment(c) => prolog.push(Node::Comment(c)),
-                Event::Pi { target, data } => prolog.push(Node::Pi { target, data }),
+                Event::Comment(c) => prolog.push(Node::Comment(c.to_owned())),
+                Event::Pi { target, data } => prolog.push(Node::Pi {
+                    target: target.to_owned(),
+                    data: data.to_owned(),
+                }),
                 Event::Text(t) if t.trim().is_empty() => {}
                 Event::Eof => return Err(Error::BadRootCount { count: 0 }),
                 _ => unreachable!("reader rejects content outside the root"),
@@ -241,67 +248,64 @@ impl Document {
     }
 }
 
-/// Recursively build an element after its start event was consumed.
-fn build_element(
-    reader: &mut Reader<'_>,
-    ns: &mut NsScope,
-    name: QName,
-    attributes: Vec<crate::pull::Attribute>,
+/// Build the element whose start event `reader` has just returned,
+/// consuming events through its end tag. `ns` holds the bindings of the
+/// enclosing elements; the element's own declarations are entered and
+/// left here. This is how [`Document::parse`] builds every element, and
+/// how a streaming consumer materialises just the subtrees it keeps.
+pub fn read_element<'a>(
+    reader: &mut Reader<'a>,
+    ns: &mut NsScope<'a>,
+    name: Name<'a>,
+    attributes: Vec<Attribute<'a>>,
 ) -> Result<Element> {
-    ns.push_scope();
-    // First pass: namespace declarations on this element.
-    for a in &attributes {
-        match (&a.name.prefix, a.name.local.as_str()) {
-            (None, "xmlns") => ns.declare("", &a.value),
-            (Some(p), local) if p == "xmlns" => ns.declare(local, &a.value),
-            _ => {}
-        }
-    }
-    let namespace = ns.resolve(&name, false)?;
+    ns.enter(&attributes);
+    let namespace = ns.resolve(name, false)?.map(str::to_owned);
     let mut attrs = Vec::with_capacity(attributes.len());
     for a in attributes {
-        let is_decl =
-            a.name.local == "xmlns" && a.name.prefix.is_none() || a.name.prefix.as_deref() == Some("xmlns");
-        let namespace = if is_decl {
+        let namespace = if a.declared_prefix().is_some() {
             // Keep declarations but give them the reserved xmlns URI so
             // lookups by application namespaces never see them.
-            Some("http://www.w3.org/2000/xmlns/".to_owned())
+            Some(XMLNS_NS)
         } else {
-            ns.resolve(&a.name, true)?
+            ns.resolve(a.name, true)?
         };
         attrs.push(Attr {
-            namespace,
-            name: a.name,
-            value: a.value,
+            namespace: namespace.map(str::to_owned),
+            name: a.name.to_qname(),
+            value: a.value.into_owned(),
         });
     }
     let mut elem = Element {
-        name,
+        name: name.to_qname(),
         namespace,
         attributes: attrs,
         children: Vec::new(),
     };
     loop {
-        match reader.next_event()? {
+        let child = match reader.next_event()? {
             Event::StartElement { name, attributes } => {
-                let child = build_element(reader, ns, name, attributes)?;
-                elem.children.push(Node::Element(child));
+                Node::Element(read_element(reader, ns, name, attributes)?)
             }
             Event::EndElement { .. } => {
                 // Balancing already checked by the reader.
                 ns.pop_scope();
                 return Ok(elem);
             }
-            Event::Text(t) => elem.children.push(Node::Text(t)),
-            Event::CData(t) => elem.children.push(Node::Text(t)),
-            Event::Comment(c) => elem.children.push(Node::Comment(c)),
-            Event::Pi { target, data } => elem.children.push(Node::Pi { target, data }),
+            Event::Text(t) => Node::Text(t.into_owned()),
+            Event::CData(t) => Node::Text(t.to_owned()),
+            Event::Comment(c) => Node::Comment(c.to_owned()),
+            Event::Pi { target, data } => Node::Pi {
+                target: target.to_owned(),
+                data: data.to_owned(),
+            },
             Event::Eof => {
                 return Err(Error::UnexpectedEof {
                     context: "an element that was never closed",
                 })
             }
-        }
+        };
+        elem.children.push(child);
     }
 }
 
@@ -406,8 +410,7 @@ mod tests {
         // The declaration is kept (for serialisation) under the xmlns URI.
         assert_eq!(doc.root().attr(None, "D"), None);
         assert_eq!(
-            doc.root()
-                .attr(Some("http://www.w3.org/2000/xmlns/"), "D"),
+            doc.root().attr(Some(XMLNS_NS), "D"),
             Some("DAV:")
         );
     }

@@ -5,9 +5,9 @@
 //! parsers discussed in the paper:
 //!
 //! * a **pull parser** ([`pull::Reader`]) — the analogue of a SAX-style
-//!   parser: it yields a stream of [`pull::Event`]s without building an
-//!   in-memory document, so large multistatus responses can be consumed
-//!   with O(depth) memory;
+//!   parser: it yields a stream of [`pull::Event`]s that borrow names and
+//!   text from the input, without building an in-memory document, so
+//!   large multistatus responses can be consumed with O(depth) memory;
 //! * a **DOM** ([`dom::Document`]) — the analogue of the Xerces DOM parser
 //!   the paper's initial client used: the whole document is materialised as
 //!   a tree and then walked.
@@ -18,7 +18,8 @@
 //! quantifies that prediction using these two implementations.
 //!
 //! Additional modules: [`writer`] (serialisation with configurable
-//! indentation), [`name`] (qualified names and namespace scope resolution,
+//! indentation, and [`writer::write_in_scope`] for subtrees of a document
+//! the caller streams itself), [`name`] (qualified names and namespace scope resolution,
 //! needed because every DAV property is namespace-qualified), and
 //! [`escape`] (entity escaping/unescaping).
 //!
@@ -52,7 +53,7 @@ pub mod writer;
 
 pub use dom::{Document, Element, Node};
 pub use error::{Error, Result};
-pub use name::QName;
+pub use name::{Name, QName};
 pub use pull::{Event, Reader};
 pub use writer::Writer;
 

@@ -3,11 +3,17 @@
 //! DAV properties are identified by `(namespace URI, local name)` pairs —
 //! the paper's Ecce schema, for instance, lives in a single `ecce:`
 //! namespace while protocol elements live in `DAV:`. This module provides
-//! the [`QName`] type used by both the pull parser and the DOM, plus the
-//! [`NsScope`] stack that maps prefixes to URIs while walking a document.
+//! the owned [`QName`] the DOM keeps, the borrowed [`Name`] the pull
+//! parser reports, and the [`NsScope`] stack that maps prefixes to URIs
+//! while walking a document.
 
 use crate::error::{Error, Result};
+use crate::pull::Attribute;
+use std::borrow::Cow;
 use std::fmt;
+
+/// The namespace the `xml` prefix is bound to in every document.
+pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 
 /// A qualified name as written in the document: optional prefix + local part.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -21,18 +27,7 @@ pub struct QName {
 impl QName {
     /// Construct from prefix and local part. Both must be valid NCNames.
     pub fn new(prefix: Option<&str>, local: &str) -> Result<Self> {
-        if let Some(p) = prefix {
-            if !is_ncname(p) {
-                return Err(Error::InvalidName { name: p.into() });
-            }
-        }
-        if !is_ncname(local) {
-            return Err(Error::InvalidName { name: local.into() });
-        }
-        Ok(QName {
-            prefix: prefix.map(str::to_owned),
-            local: local.to_owned(),
-        })
+        Ok(Name::checked(prefix, local)?.to_qname())
     }
 
     /// Construct an unprefixed name without validation (for trusted
@@ -46,18 +41,12 @@ impl QName {
 
     /// Parse a raw `prefix:local` or `local` token.
     pub fn parse(raw: &str) -> Result<Self> {
-        match raw.split_once(':') {
-            Some((p, l)) => QName::new(Some(p), l),
-            None => QName::new(None, raw),
-        }
+        Ok(Name::parse(raw)?.to_qname())
     }
 
     /// Render back to the `prefix:local` form.
     pub fn as_written(&self) -> String {
-        match &self.prefix {
-            Some(p) => format!("{p}:{}", self.local),
-            None => self.local.clone(),
-        }
+        self.to_string()
     }
 }
 
@@ -70,43 +59,86 @@ impl fmt::Display for QName {
     }
 }
 
+/// A qualified name borrowed from the document, as the pull parser
+/// reports it. [`Name::to_qname`] makes the owned form a DOM keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Name<'a> {
+    /// The prefix before `:`, if any.
+    pub prefix: Option<&'a str>,
+    /// The local part.
+    pub local: &'a str,
+}
+
+impl<'a> Name<'a> {
+    /// Parse a raw `prefix:local` or `local` token; both parts must be
+    /// valid NCNames.
+    pub fn parse(raw: &'a str) -> Result<Self> {
+        match raw.split_once(':') {
+            Some((p, l)) => Name::checked(Some(p), l),
+            None => Name::checked(None, raw),
+        }
+    }
+
+    fn checked(prefix: Option<&'a str>, local: &'a str) -> Result<Self> {
+        for part in prefix.into_iter().chain([local]) {
+            if !is_ncname(part) {
+                return Err(Error::InvalidName { name: part.into() });
+            }
+        }
+        Ok(Name { prefix, local })
+    }
+
+    /// The owned form.
+    pub fn to_qname(self) -> QName {
+        QName {
+            prefix: self.prefix.map(str::to_owned),
+            local: self.local.to_owned(),
+        }
+    }
+}
+
 /// Is `s` a valid XML `NCName` (a name with no colon)?
 ///
 /// We use the pragmatic name character classes: ASCII letters, digits,
 /// `_`, `-`, `.`, and any non-ASCII character. Digits, `-`, and `.` may
-/// not start a name.
+/// not start a name. Every byte of a non-ASCII character is `>= 0x80`,
+/// so the check runs on bytes.
 pub fn is_ncname(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || !c.is_ascii() => {}
+    let mut bytes = s.bytes();
+    match bytes.next() {
+        Some(b) if b.is_ascii_alphabetic() || b == b'_' || !b.is_ascii() => {}
         _ => return false,
     }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.') || !c.is_ascii())
+    bytes.all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.') || !b.is_ascii())
 }
 
 /// A stack of namespace declarations tracking the in-scope prefix → URI
-/// mapping while descending a document.
+/// mapping while descending a document. Prefixes and URIs borrow from
+/// the document; a URI is owned only when its declaration used an
+/// entity.
 ///
-/// `push_scope` on element entry, record any `xmlns`/`xmlns:p` attributes
-/// with [`NsScope::declare`], resolve names with [`NsScope::resolve`], and
+/// [`NsScope::enter`] (or `push_scope` plus [`NsScope::declare`]) on
+/// element entry, resolve names with [`NsScope::resolve`], and
 /// `pop_scope` on element exit.
-#[derive(Debug, Default, Clone)]
-pub struct NsScope {
+#[derive(Debug, Clone)]
+pub struct NsScope<'a> {
     // (depth, prefix ("" = default ns), uri). Linear scan from the back —
     // scopes are shallow in practice (DAV documents nest < 10 deep).
-    decls: Vec<(u32, String, String)>,
+    decls: Vec<(u32, &'a str, Cow<'a, str>)>,
     depth: u32,
 }
 
-impl NsScope {
+impl Default for NsScope<'_> {
+    fn default() -> Self {
+        NsScope::new()
+    }
+}
+
+impl<'a> NsScope<'a> {
     /// Fresh scope with no declarations and the conventional `xml` prefix.
     pub fn new() -> Self {
         NsScope {
-            decls: vec![(
-                0,
-                "xml".to_owned(),
-                "http://www.w3.org/XML/1998/namespace".to_owned(),
-            )],
+            decls: vec![(0, "xml", Cow::Borrowed(XML_NS))],
             depth: 0,
         }
     }
@@ -114,6 +146,17 @@ impl NsScope {
     /// Enter an element.
     pub fn push_scope(&mut self) {
         self.depth += 1;
+    }
+
+    /// Enter an element and record the `xmlns`/`xmlns:p` declarations
+    /// among its attributes.
+    pub fn enter(&mut self, attributes: &[Attribute<'a>]) {
+        self.push_scope();
+        for a in attributes {
+            if let Some(prefix) = a.declared_prefix() {
+                self.declare(prefix, a.value.clone());
+            }
+        }
     }
 
     /// Leave an element, dropping declarations made on it.
@@ -126,9 +169,8 @@ impl NsScope {
 
     /// Record `xmlns="uri"` (prefix `""`) or `xmlns:p="uri"` at the
     /// current depth.
-    pub fn declare(&mut self, prefix: &str, uri: &str) {
-        self.decls
-            .push((self.depth, prefix.to_owned(), uri.to_owned()));
+    pub fn declare(&mut self, prefix: &'a str, uri: impl Into<Cow<'a, str>>) {
+        self.decls.push((self.depth, prefix, uri.into()));
     }
 
     /// Resolve a prefix to its in-scope URI. The empty prefix resolves to
@@ -138,23 +180,23 @@ impl NsScope {
         self.decls
             .iter()
             .rev()
-            .find(|(_, p, _)| p == prefix)
-            .map(|(_, _, uri)| uri.as_str())
+            .find(|(_, p, _)| *p == prefix)
+            .map(|(_, _, uri)| uri.as_ref())
             .filter(|uri| !uri.is_empty())
     }
 
-    /// Resolve a [`QName`] to `(namespace URI, local)` per the Namespaces
-    /// in XML rules: prefixed names must have a binding (error otherwise);
+    /// Resolve a [`Name`] to its namespace URI per the Namespaces in XML
+    /// rules: prefixed names must have a binding (error otherwise);
     /// unprefixed **element** names take the default namespace;
     /// unprefixed **attribute** names are in no namespace.
-    pub fn resolve(&self, name: &QName, is_attribute: bool) -> Result<Option<String>> {
-        match &name.prefix {
+    pub fn resolve(&self, name: Name<'_>, is_attribute: bool) -> Result<Option<&str>> {
+        match name.prefix {
             Some(p) => self
                 .lookup(p)
-                .map(|uri| Some(uri.to_owned()))
-                .ok_or(Error::UnboundPrefix { prefix: p.clone() }),
+                .map(Some)
+                .ok_or_else(|| Error::UnboundPrefix { prefix: p.into() }),
             None if is_attribute => Ok(None),
-            None => Ok(self.lookup("").map(str::to_owned)),
+            None => Ok(self.lookup("")),
         }
     }
 }
@@ -232,18 +274,18 @@ mod tests {
         ns.declare("", "urn:def");
         ns.declare("D", "DAV:");
 
-        let elem = QName::parse("x").unwrap();
-        assert_eq!(ns.resolve(&elem, false).unwrap().as_deref(), Some("urn:def"));
+        let elem = Name::parse("x").unwrap();
+        assert_eq!(ns.resolve(elem, false).unwrap(), Some("urn:def"));
         // Unprefixed attributes never take the default namespace.
-        assert_eq!(ns.resolve(&elem, true).unwrap(), None);
+        assert_eq!(ns.resolve(elem, true).unwrap(), None);
 
-        let pfx = QName::parse("D:prop").unwrap();
-        assert_eq!(ns.resolve(&pfx, false).unwrap().as_deref(), Some("DAV:"));
-        assert_eq!(ns.resolve(&pfx, true).unwrap().as_deref(), Some("DAV:"));
+        let pfx = Name::parse("D:prop").unwrap();
+        assert_eq!(ns.resolve(pfx, false).unwrap(), Some("DAV:"));
+        assert_eq!(ns.resolve(pfx, true).unwrap(), Some("DAV:"));
 
-        let bad = QName::parse("E:prop").unwrap();
+        let bad = Name::parse("E:prop").unwrap();
         assert!(matches!(
-            ns.resolve(&bad, false),
+            ns.resolve(bad, false),
             Err(Error::UnboundPrefix { .. })
         ));
     }
@@ -251,9 +293,6 @@ mod tests {
     #[test]
     fn xml_prefix_is_predeclared() {
         let ns = NsScope::new();
-        assert_eq!(
-            ns.lookup("xml"),
-            Some("http://www.w3.org/XML/1998/namespace")
-        );
+        assert_eq!(ns.lookup("xml"), Some(XML_NS));
     }
 }

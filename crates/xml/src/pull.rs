@@ -5,52 +5,71 @@
 //! element depth — this is the "SAX-style parser" the paper proposes for
 //! removing the client-side bottleneck observed in Table 1.
 //!
+//! Events borrow names and text from the source: character data is
+//! copied only where an entity or character reference has to be
+//! expanded. The reader keeps only a byte offset; the 1-based (line,
+//! column) of a syntax error is computed from it when the error is built.
+//!
 //! The reader enforces the well-formedness constraints that matter for
 //! protocol work: balanced tags, unique attributes, a single root element,
 //! and valid names. DTD internal subsets are skipped, not processed.
 
 use crate::error::{Error, Result};
 use crate::escape::unescape;
-use crate::name::QName;
+use crate::name::Name;
+use std::borrow::Cow;
 
 /// An attribute as it appeared on a start tag, with its value unescaped.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
+pub struct Attribute<'a> {
     /// Attribute name as written (`xmlns:D`, `D:foo`, `href`, ...).
-    pub name: QName,
-    /// Unescaped attribute value.
-    pub value: String,
+    pub name: Name<'a>,
+    /// Unescaped value.
+    pub value: Cow<'a, str>,
+}
+
+impl<'a> Attribute<'a> {
+    /// The prefix a namespace declaration binds: `Some("")` for
+    /// `xmlns="…"`, `Some("p")` for `xmlns:p="…"`, `None` for any other
+    /// attribute.
+    pub fn declared_prefix(&self) -> Option<&'a str> {
+        match (self.name.prefix, self.name.local) {
+            (None, "xmlns") => Some(""),
+            (Some("xmlns"), prefix) => Some(prefix),
+            _ => None,
+        }
+    }
 }
 
 /// A parse event produced by [`Reader::next_event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+pub enum Event<'a> {
     /// `<name attr="v" ...>` or the open half of `<name/>`.
     StartElement {
         /// Element name as written.
-        name: QName,
+        name: Name<'a>,
         /// Attributes in document order.
-        attributes: Vec<Attribute>,
+        attributes: Vec<Attribute<'a>>,
     },
     /// `</name>`, also synthesised after a self-closing start tag.
     EndElement {
         /// Element name as written.
-        name: QName,
+        name: Name<'a>,
     },
     /// Character data with entities expanded. Whitespace-only runs between
     /// markup are reported too; callers decide whether they care.
-    Text(String),
+    Text(Cow<'a, str>),
     /// A `<![CDATA[...]]>` section, verbatim.
-    CData(String),
+    CData(&'a str),
     /// A `<!--...-->` comment, verbatim.
-    Comment(String),
+    Comment(&'a str),
     /// A processing instruction; the XML declaration surfaces as a PI with
     /// target `xml`.
     Pi {
         /// The PI target (first token).
-        target: String,
+        target: &'a str,
         /// Everything after the target, trimmed.
-        data: String,
+        data: &'a str,
     },
     /// End of the document. Returned forever after.
     Eof,
@@ -61,12 +80,10 @@ pub enum Event {
 pub struct Reader<'a> {
     src: &'a str,
     pos: usize,
-    line: u32,
-    col: u32,
-    /// Open-element stack for tag balancing.
-    stack: Vec<QName>,
+    /// Open elements' names as written, for tag balancing.
+    stack: Vec<&'a str>,
     /// End event pending after a self-closing tag.
-    pending_end: Option<QName>,
+    pending_end: Option<Name<'a>>,
     /// Whether a root element has been completely read.
     root_seen: bool,
     done: bool,
@@ -79,8 +96,6 @@ impl<'a> Reader<'a> {
         Reader {
             src,
             pos: 0,
-            line: 1,
-            col: 1,
             stack: Vec::new(),
             pending_end: None,
             root_seen: false,
@@ -88,9 +103,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Current 1-based (line, column) of the read head.
+    /// Current 1-based (line, column) of the read head. Columns count
+    /// characters, not bytes.
     pub fn position(&self) -> (u32, u32) {
-        (self.line, self.col)
+        self.line_col(self.pos)
     }
 
     /// Current element nesting depth.
@@ -99,28 +115,26 @@ impl<'a> Reader<'a> {
     }
 
     /// Pull the next event.
-    pub fn next_event(&mut self) -> Result<Event> {
+    pub fn next_event(&mut self) -> Result<Event<'a>> {
         if let Some(name) = self.pending_end.take() {
-            self.leave(&name)?;
+            self.stack.pop();
+            self.root_seen |= self.stack.is_empty();
             return Ok(Event::EndElement { name });
         }
         if self.done {
             return Ok(Event::Eof);
         }
-        if self.rest().is_empty() {
-            return self.finish();
-        }
-        if self.rest().starts_with('<') {
-            self.markup()
-        } else {
-            self.text()
+        match self.rest().as_bytes().first() {
+            None => self.finish(),
+            Some(b'<') => self.markup(),
+            Some(_) => self.text(),
         }
     }
 
-    fn finish(&mut self) -> Result<Event> {
-        if let Some(open) = self.stack.last() {
+    fn finish(&mut self) -> Result<Event<'a>> {
+        if !self.stack.is_empty() {
             return Err(Error::UnexpectedEof {
-                context: leak_context(open),
+                context: "an element that was never closed",
             });
         }
         if !self.root_seen {
@@ -134,26 +148,26 @@ impl<'a> Reader<'a> {
         &self.src[self.pos..]
     }
 
-    fn err(&self, msg: impl Into<String>) -> Error {
-        Error::syntax(self.line, self.col, msg)
+    fn line_col(&self, pos: usize) -> (u32, u32) {
+        let before = &self.src[..pos];
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+        let line = before.bytes().filter(|&b| b == b'\n').count() + 1;
+        let col = before[line_start..].chars().count() + 1;
+        (saturate(line), saturate(col))
     }
 
-    /// Advance over `n` bytes, maintaining line/col.
-    fn advance(&mut self, n: usize) {
-        for c in self.src[self.pos..self.pos + n].chars() {
-            if c == '\n' {
-                self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
-            }
-        }
-        self.pos += n;
+    fn line(&self, pos: usize) -> u32 {
+        self.line_col(pos).0
+    }
+
+    fn err(&self, msg: impl Into<String>) -> Error {
+        let (line, col) = self.position();
+        Error::syntax(line, col, msg)
     }
 
     fn eat(&mut self, lit: &str, context: &'static str) -> Result<()> {
         if self.rest().starts_with(lit) {
-            self.advance(lit.len());
+            self.pos += lit.len();
             Ok(())
         } else if self.rest().is_empty() {
             Err(Error::UnexpectedEof { context })
@@ -162,35 +176,34 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
+    /// Skip whitespace; was there any?
+    fn skip_ws(&mut self) -> bool {
         let n = self
             .rest()
-            .find(|c: char| !c.is_ascii_whitespace())
-            .unwrap_or(self.rest().len());
-        self.advance(n);
+            .bytes()
+            .take_while(u8::is_ascii_whitespace)
+            .count();
+        self.pos += n;
+        n > 0
     }
 
     /// Read up to (not including) `delim`; error with `context` at EOF.
     fn read_until(&mut self, delim: &str, context: &'static str) -> Result<&'a str> {
-        match self.rest().find(delim) {
-            Some(i) => {
-                let s = &self.rest()[..i];
-                self.advance(i);
-                Ok(s)
-            }
-            None => Err(Error::UnexpectedEof { context }),
-        }
+        let rest = self.rest();
+        let i = rest.find(delim).ok_or(Error::UnexpectedEof { context })?;
+        self.pos += i;
+        Ok(&rest[..i])
     }
 
     /// Character data between markup.
-    fn text(&mut self) -> Result<Event> {
-        let end = self.rest().find('<').unwrap_or(self.rest().len());
-        let raw = &self.rest()[..end];
+    fn text(&mut self) -> Result<Event<'a>> {
+        let rest = self.rest();
+        let raw = &rest[..rest.find('<').unwrap_or(rest.len())];
         if raw.contains("]]>") {
             return Err(self.err("`]]>` is not allowed in character data"));
         }
-        let text = unescape(raw)?.into_owned();
-        self.advance(end);
+        let text = unescape(raw)?;
+        self.pos += raw.len();
         if self.stack.is_empty() && !text.trim().is_empty() {
             return Err(self.err("character data outside the root element"));
         }
@@ -198,21 +211,27 @@ impl<'a> Reader<'a> {
     }
 
     /// Anything starting with `<`.
-    fn markup(&mut self) -> Result<Event> {
+    fn markup(&mut self) -> Result<Event<'a>> {
         let r = self.rest();
+        match r.as_bytes().get(1) {
+            Some(b'/') => return self.end_tag(),
+            Some(b'?') => return self.pi(),
+            Some(b'!') => {}
+            _ => return self.start_tag(),
+        }
         if r.starts_with("<!--") {
-            self.advance(4);
-            let body = self.read_until("-->", "a comment")?.to_owned();
+            self.pos += 4;
+            let body = self.read_until("-->", "a comment")?;
             if body.contains("--") {
                 return Err(self.err("`--` is not allowed inside a comment"));
             }
-            self.advance(3);
+            self.pos += 3;
             return Ok(Event::Comment(body));
         }
         if r.starts_with("<![CDATA[") {
-            self.advance(9);
-            let body = self.read_until("]]>", "a CDATA section")?.to_owned();
-            self.advance(3);
+            self.pos += 9;
+            let body = self.read_until("]]>", "a CDATA section")?;
+            self.pos += 3;
             if self.stack.is_empty() {
                 return Err(self.err("CDATA outside the root element"));
             }
@@ -223,51 +242,41 @@ impl<'a> Reader<'a> {
             // DOCTYPE carries no information we use; report it as a PI so
             // callers that count events still see something.
             return Ok(Event::Pi {
-                target: "DOCTYPE".to_owned(),
-                data: String::new(),
+                target: "DOCTYPE",
+                data: "",
             });
-        }
-        if r.starts_with("<?") {
-            return self.pi();
-        }
-        if r.starts_with("</") {
-            return self.end_tag();
         }
         self.start_tag()
     }
 
     fn skip_doctype(&mut self) -> Result<()> {
         // Skip to the matching `>`, allowing one [...] internal subset.
-        self.advance(2); // `<!`
+        // The delimiters are ASCII, so no byte of a multi-byte character
+        // can match them.
         let mut bracket = 0i32;
-        loop {
-            let r = self.rest();
-            let Some(c) = r.chars().next() else {
-                return Err(Error::UnexpectedEof {
-                    context: "a DOCTYPE declaration",
-                });
-            };
-            match c {
-                '[' => bracket += 1,
-                ']' => bracket -= 1,
-                '>' if bracket <= 0 => {
-                    self.advance(1);
+        for (i, b) in self.rest().bytes().enumerate().skip(2) {
+            match b {
+                b'[' => bracket += 1,
+                b']' => bracket -= 1,
+                b'>' if bracket <= 0 => {
+                    self.pos += i + 1;
                     return Ok(());
                 }
                 _ => {}
             }
-            self.advance(c.len_utf8());
         }
+        Err(Error::UnexpectedEof {
+            context: "a DOCTYPE declaration",
+        })
     }
 
-    fn pi(&mut self) -> Result<Event> {
-        self.advance(2); // `<?`
+    fn pi(&mut self) -> Result<Event<'a>> {
+        self.pos += 2; // `<?`
         let body = self.read_until("?>", "a processing instruction")?;
-        let body = body.to_owned();
-        self.advance(2);
+        self.pos += 2;
         let (target, data) = match body.split_once(|c: char| c.is_ascii_whitespace()) {
-            Some((t, d)) => (t.to_owned(), d.trim().to_owned()),
-            None => (body, String::new()),
+            Some((t, d)) => (t, d.trim()),
+            None => (body, ""),
         };
         if target.is_empty() {
             return Err(self.err("processing instruction with empty target"));
@@ -275,61 +284,44 @@ impl<'a> Reader<'a> {
         Ok(Event::Pi { target, data })
     }
 
-    fn end_tag(&mut self) -> Result<Event> {
-        let line = self.line;
-        self.advance(2); // `</`
-        let name = self.name_token()?;
+    fn end_tag(&mut self) -> Result<Event<'a>> {
+        self.pos += 2; // `</`
+        let (raw, name) = self.name_token()?;
         self.skip_ws();
         self.eat(">", "an end tag")?;
-        let _ = line;
-        self.leave(&name)?;
-        Ok(Event::EndElement { name })
-    }
-
-    fn leave(&mut self, name: &QName) -> Result<()> {
         match self.stack.pop() {
-            Some(open) if open == *name => {
-                if self.stack.is_empty() {
-                    self.root_seen = true;
-                }
-                Ok(())
+            Some(open) if open == raw => {
+                self.root_seen |= self.stack.is_empty();
+                Ok(Event::EndElement { name })
             }
-            Some(open) => Err(Error::MismatchedTag {
-                expected: open.as_written(),
-                found: name.as_written(),
-                line: self.line,
-            }),
-            None => Err(Error::MismatchedTag {
-                expected: "(nothing open)".to_owned(),
-                found: name.as_written(),
-                line: self.line,
+            open => Err(Error::MismatchedTag {
+                expected: open.unwrap_or("(nothing open)").to_owned(),
+                found: raw.to_owned(),
+                line: self.line(self.pos),
             }),
         }
     }
 
-    fn start_tag(&mut self) -> Result<Event> {
-        let line = self.line;
-        self.advance(1); // `<`
-        let name = self.name_token()?;
+    fn start_tag(&mut self) -> Result<Event<'a>> {
+        let start = self.pos;
+        self.pos += 1; // `<`
+        let (raw, name) = self.name_token()?;
         if self.stack.is_empty() && self.root_seen {
             return Err(Error::BadRootCount { count: 2 });
         }
-        let mut attributes: Vec<Attribute> = Vec::new();
+        let mut attributes: Vec<Attribute<'a>> = Vec::new();
         loop {
-            let had_ws = self
-                .rest()
-                .starts_with(|c: char| c.is_ascii_whitespace());
-            self.skip_ws();
+            let had_ws = self.skip_ws();
             let r = self.rest();
             if r.starts_with("/>") {
-                self.advance(2);
-                self.stack.push(name.clone());
-                self.pending_end = Some(name.clone());
+                self.pos += 2;
+                self.stack.push(raw);
+                self.pending_end = Some(name);
                 return Ok(Event::StartElement { name, attributes });
             }
             if r.starts_with('>') {
-                self.advance(1);
-                self.stack.push(name.clone());
+                self.pos += 1;
+                self.stack.push(raw);
                 return Ok(Event::StartElement { name, attributes });
             }
             if r.is_empty() {
@@ -340,25 +332,26 @@ impl<'a> Reader<'a> {
             if !had_ws {
                 return Err(self.err("expected whitespace before attribute"));
             }
-            let attr = self.attribute(line)?;
+            let (raw, attr) = self.attribute()?;
             if attributes.iter().any(|a| a.name == attr.name) {
                 return Err(Error::DuplicateAttribute {
-                    name: attr.name.as_written(),
-                    line,
+                    name: raw.to_owned(),
+                    line: self.line(start),
                 });
             }
             attributes.push(attr);
         }
     }
 
-    fn attribute(&mut self, elem_line: u32) -> Result<Attribute> {
-        let _ = elem_line;
-        let name = self.name_token()?;
+    /// One `name="value"`; also returns the name as written.
+    fn attribute(&mut self) -> Result<(&'a str, Attribute<'a>)> {
+        let (raw, name) = self.name_token()?;
         self.skip_ws();
         self.eat("=", "an attribute")?;
         self.skip_ws();
-        let quote = match self.rest().chars().next() {
-            Some(q @ ('"' | '\'')) => q,
+        let quote = match self.rest().as_bytes().first() {
+            Some(b'"') => "\"",
+            Some(b'\'') => "'",
             Some(_) => return Err(self.err("attribute value must be quoted")),
             None => {
                 return Err(Error::UnexpectedEof {
@@ -366,38 +359,41 @@ impl<'a> Reader<'a> {
                 })
             }
         };
-        self.advance(1);
-        let raw = self.read_until(
-            if quote == '"' { "\"" } else { "'" },
-            "an attribute value",
-        )?;
-        if raw.contains('<') {
+        self.pos += 1;
+        let value = self.read_until(quote, "an attribute value")?;
+        if value.contains('<') {
             return Err(self.err("`<` is not allowed in attribute values"));
         }
-        let value = unescape(raw)?.into_owned();
-        self.advance(1); // closing quote
-        Ok(Attribute { name, value })
+        let value = unescape(value)?;
+        self.pos += 1; // closing quote
+        Ok((raw, Attribute { name, value }))
     }
 
-    /// Read a (possibly prefixed) name token at the head.
-    fn name_token(&mut self) -> Result<QName> {
+    /// Read a (possibly prefixed) name token at the head; returns it as
+    /// written and split.
+    fn name_token(&mut self) -> Result<(&'a str, Name<'a>)> {
         let r = self.rest();
         let end = r
-            .find(|c: char| c.is_ascii_whitespace() || matches!(c, '>' | '/' | '=' | '<'))
+            .bytes()
+            .position(|b| b.is_ascii_whitespace() || matches!(b, b'>' | b'/' | b'=' | b'<'))
             .unwrap_or(r.len());
         let raw = &r[..end];
         if raw.is_empty() {
             return Err(self.err("expected a name"));
         }
-        let q = QName::parse(raw)?;
-        self.advance(end);
-        Ok(q)
+        let name = Name::parse(raw)?;
+        self.pos += end;
+        Ok((raw, name))
     }
 }
 
+fn saturate(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
 /// Iterator adapter: yields events until `Eof` or the first error.
-impl Iterator for Reader<'_> {
-    type Item = Result<Event>;
+impl<'a> Iterator for Reader<'a> {
+    type Item = Result<Event<'a>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.next_event() {
@@ -407,19 +403,11 @@ impl Iterator for Reader<'_> {
     }
 }
 
-fn leak_context(name: &QName) -> &'static str {
-    // The error type wants a &'static str context; the open element name is
-    // more useful but dynamic. Use a fixed message — the name is recoverable
-    // from the document anyway.
-    let _ = name;
-    "an element that was never closed"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn events(src: &str) -> Result<Vec<Event>> {
+    fn events(src: &str) -> Result<Vec<Event<'_>>> {
         Reader::new(src).collect()
     }
 
@@ -430,11 +418,11 @@ mod tests {
             ev,
             vec![
                 Event::StartElement {
-                    name: QName::local("a"),
+                    name: Name::parse("a").unwrap(),
                     attributes: vec![]
                 },
                 Event::EndElement {
-                    name: QName::local("a")
+                    name: Name::parse("a").unwrap()
                 },
             ]
         );
@@ -448,6 +436,13 @@ mod tests {
     }
 
     #[test]
+    fn text_borrows_unless_an_entity_is_expanded() {
+        let ev = events("<a>plain<b>a &lt; b</b></a>").unwrap();
+        assert!(matches!(&ev[1], Event::Text(Cow::Borrowed("plain"))));
+        assert!(matches!(&ev[3], Event::Text(Cow::Owned(t)) if t == "a < b"));
+    }
+
+    #[test]
     fn attributes_parse_and_unescape() {
         let ev = events(r#"<a x="1" y='two &lt;3' xmlns:D="DAV:"/>"#).unwrap();
         let Event::StartElement { attributes, .. } = &ev[0] else {
@@ -455,7 +450,9 @@ mod tests {
         };
         assert_eq!(attributes.len(), 3);
         assert_eq!(attributes[1].value, "two <3");
-        assert_eq!(attributes[2].name.as_written(), "xmlns:D");
+        assert_eq!(attributes[2].name, Name::parse("xmlns:D").unwrap());
+        assert_eq!(attributes[2].declared_prefix(), Some("D"));
+        assert_eq!(attributes[0].declared_prefix(), None);
     }
 
     #[test]
@@ -464,15 +461,15 @@ mod tests {
         assert_eq!(
             ev[0],
             Event::Pi {
-                target: "xml".into(),
-                data: "version=\"1.0\"".into()
+                target: "xml",
+                data: "version=\"1.0\""
             }
         );
         assert_eq!(
             ev[2],
             Event::Pi {
-                target: "target".into(),
-                data: "some data".into()
+                target: "target",
+                data: "some data"
             }
         );
     }
@@ -480,14 +477,20 @@ mod tests {
     #[test]
     fn comments_and_cdata() {
         let ev = events("<a><!-- note --><![CDATA[raw <stuff> &amp;]]></a>").unwrap();
-        assert_eq!(ev[1], Event::Comment(" note ".into()));
-        assert_eq!(ev[2], Event::CData("raw <stuff> &amp;".into()));
+        assert_eq!(ev[1], Event::Comment(" note "));
+        assert_eq!(ev[2], Event::CData("raw <stuff> &amp;"));
     }
 
     #[test]
     fn doctype_is_skipped() {
         let ev = events("<!DOCTYPE html [ <!ENTITY x \"y\"> ]><a/>").unwrap();
-        assert!(matches!(&ev[0], Event::Pi { target, .. } if target == "DOCTYPE"));
+        assert!(matches!(
+            &ev[0],
+            Event::Pi {
+                target: "DOCTYPE",
+                ..
+            }
+        ));
         assert_eq!(ev.len(), 3);
     }
 
@@ -564,6 +567,52 @@ mod tests {
         r.next_event().unwrap(); // text
         assert_eq!(r.position().0, 2);
         assert_eq!(r.depth(), 1);
+    }
+
+    #[test]
+    fn syntax_errors_report_line_and_column() {
+        // Expected positions are those the reader reported when it kept
+        // line and column per byte; columns count characters.
+        let cases: [(&str, Error); 7] = [
+            (
+                "<a>\n  <b x=1/>\n</a>",
+                Error::syntax(2, 8, "attribute value must be quoted"),
+            ),
+            (
+                "<a>\n  <b>\n    tex]]>t\n  </b>\n</a>",
+                Error::syntax(2, 6, "`]]>` is not allowed in character data"),
+            ),
+            (
+                "<a>\n\u{e9}\u{e9}<b x=\"1\"y=\"2\"/>\n</a>",
+                Error::syntax(2, 11, "expected whitespace before attribute"),
+            ),
+            (
+                "<a>\n <b>\n</a>",
+                Error::MismatchedTag {
+                    expected: "b".into(),
+                    found: "a".into(),
+                    line: 3,
+                },
+            ),
+            (
+                "<r>\n  <!-- a -- b -->\n</r>",
+                Error::syntax(2, 15, "`--` is not allowed inside a comment"),
+            ),
+            (
+                "<r>\n</r>\n  junk",
+                Error::syntax(3, 7, "character data outside the root element"),
+            ),
+            (
+                "<r>\n  <b x='1' x='2'/></r>",
+                Error::DuplicateAttribute {
+                    name: "x".into(),
+                    line: 2,
+                },
+            ),
+        ];
+        for (src, want) in cases {
+            assert_eq!(events(src).unwrap_err(), want, "{src:?}");
+        }
     }
 
     #[test]

@@ -3,15 +3,22 @@
 //! The writer works from **resolved** namespaces: every element/attribute
 //! carries `(namespace URI, local)` and the writer (re)invents prefixes and
 //! `xmlns` declarations as needed. This means a tree assembled
-//! programmatically (e.g. a multistatus response) serialises correctly
-//! without the caller managing prefixes, and a parsed tree re-serialises
-//! to an equivalent (not necessarily byte-identical) document.
+//! programmatically serialises correctly without the caller managing
+//! prefixes, and a parsed tree re-serialises to an equivalent (not
+//! necessarily byte-identical) document.
+//!
+//! A producer that streams a document itself and declares its namespaces
+//! once at the top hands each subtree it cannot write directly to
+//! [`write_in_scope`], which reuses those bindings and declares only what
+//! the subtree adds.
 
-use crate::dom::{Document, Element, Node};
+use crate::dom::{Document, Element, Node, XMLNS_NS};
 use crate::escape::{escape_attr, escape_text};
+use crate::name::XML_NS;
+use std::borrow::Cow;
 
-const XMLNS_URI: &str = "http://www.w3.org/2000/xmlns/";
-const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
+/// The XML declaration a written document starts with.
+pub const DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"utf-8\"?>";
 
 /// Configurable XML serialiser.
 #[derive(Debug, Clone)]
@@ -52,21 +59,19 @@ impl Writer {
     pub fn write_document(&self, doc: &Document) -> String {
         let mut out = String::with_capacity(256);
         if self.declaration {
-            out.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>");
+            out.push_str(DECLARATION);
             if self.indent.is_some() {
                 out.push('\n');
             }
         }
-        let mut scopes = PrefixScopes::new();
-        self.elem(doc.root(), &mut out, &mut scopes, 0);
+        self.elem(doc.root(), &mut out, &mut PrefixScopes::new(&[]), 0);
         out
     }
 
     /// Serialise a lone element (no declaration).
     pub fn write_element(&self, elem: &Element) -> String {
         let mut out = String::with_capacity(128);
-        let mut scopes = PrefixScopes::new();
-        self.elem(elem, &mut out, &mut scopes, 0);
+        self.elem(elem, &mut out, &mut PrefixScopes::new(&[]), 0);
         out
     }
 
@@ -79,48 +84,46 @@ impl Writer {
         }
     }
 
-    fn elem(&self, e: &Element, out: &mut String, scopes: &mut PrefixScopes, depth: usize) {
+    fn elem<'e>(
+        &self,
+        e: &'e Element,
+        out: &mut String,
+        scopes: &mut PrefixScopes<'e>,
+        depth: usize,
+    ) {
         scopes.push();
-        let mut decls: Vec<(String, String)> = Vec::new(); // (prefix, uri)
-        let tag = scopes.prefix_for(
-            e.namespace.as_deref(),
-            e.name.prefix.as_deref(),
-            false,
-            &mut decls,
-        );
-        let tag_name = render(&tag, &e.name.local);
+        let first_decl = scopes.bound.len();
+        let tag = scopes.prefix_for(e.namespace.as_deref(), e.name.prefix.as_deref(), false);
+        // Every prefix the start tag uses is settled before it is written,
+        // so its declarations can precede its attributes. Retained xmlns
+        // declarations are skipped: the writer emits its own, minimal set.
+        let attrs: Vec<_> = e
+            .attributes
+            .iter()
+            .filter(|a| a.namespace.as_deref() != Some(XMLNS_NS))
+            .map(|a| {
+                let p = scopes.prefix_for(a.namespace.as_deref(), a.name.prefix.as_deref(), true);
+                (p, a)
+            })
+            .collect();
         out.push('<');
-        out.push_str(&tag_name);
-
-        // Regular attributes (skip retained xmlns declarations — we emit
-        // our own, minimal set).
-        let mut attr_text = Vec::new();
-        for a in &e.attributes {
-            if a.namespace.as_deref() == Some(XMLNS_URI) {
-                continue;
+        push_name(out, scopes.prefix(tag), &e.name.local);
+        for (_, uri, prefix) in &scopes.bound[first_decl..] {
+            out.push_str(" xmlns");
+            if !prefix.is_empty() {
+                out.push(':');
+                out.push_str(prefix);
             }
-            let p = scopes.prefix_for(
-                a.namespace.as_deref(),
-                a.name.prefix.as_deref(),
-                true,
-                &mut decls,
-            );
-            attr_text.push(format!(
-                "{}=\"{}\"",
-                render(&p, &a.name.local),
-                escape_attr(&a.value)
-            ));
+            out.push_str("=\"");
+            out.push_str(&escape_attr(uri));
+            out.push('"');
         }
-        for (prefix, uri) in &decls {
-            if prefix.is_empty() {
-                out.push_str(&format!(" xmlns=\"{}\"", escape_attr(uri)));
-            } else {
-                out.push_str(&format!(" xmlns:{prefix}=\"{}\"", escape_attr(uri)));
-            }
-        }
-        for a in attr_text {
+        for (p, a) in attrs {
             out.push(' ');
-            out.push_str(&a);
+            push_name(out, scopes.prefix(p), &a.name.local);
+            out.push_str("=\"");
+            out.push_str(&escape_attr(&a.value));
+            out.push('"');
         }
 
         if e.children.is_empty() {
@@ -160,33 +163,46 @@ impl Writer {
             self.newline_indent(out, depth);
         }
         out.push_str("</");
-        out.push_str(&tag_name);
+        push_name(out, scopes.prefix(tag), &e.name.local);
         out.push('>');
         scopes.pop();
     }
 }
 
-fn render(prefix: &str, local: &str) -> String {
-    if prefix.is_empty() {
-        local.to_owned()
-    } else {
-        format!("{prefix}:{local}")
+/// Append `elem`, compact, to `out` as content of an element that
+/// declares `bindings` (`(prefix, namespace URI)` pairs). Namespaces bound
+/// there are written with their prefix; any other namespace the subtree
+/// uses is declared where it is first needed, under a prefix no binding
+/// in scope uses.
+pub fn write_in_scope(out: &mut String, elem: &Element, bindings: &[(&str, &str)]) {
+    Writer::new().elem(elem, out, &mut PrefixScopes::new(bindings), 0);
+}
+
+fn push_name(out: &mut String, prefix: &str, local: &str) {
+    if !prefix.is_empty() {
+        out.push_str(prefix);
+        out.push(':');
     }
+    out.push_str(local);
 }
 
 /// Prefix assignment state: a scoped URI → prefix map plus a counter for
 /// invented prefixes.
-struct PrefixScopes {
+struct PrefixScopes<'e> {
     // (depth, uri, prefix). "" prefix = default namespace.
-    bound: Vec<(u32, String, String)>,
+    bound: Vec<(u32, &'e str, Cow<'e, str>)>,
     depth: u32,
     next_auto: u32,
 }
 
-impl PrefixScopes {
-    fn new() -> Self {
+impl<'e> PrefixScopes<'e> {
+    /// Scopes with the `xml` prefix and `bindings` in force.
+    fn new(bindings: &[(&'e str, &'e str)]) -> Self {
+        let mut bound = Vec::with_capacity(bindings.len() + 4);
+        bound.push((0, XML_NS, Cow::Borrowed("xml")));
+        bound.extend(bindings.iter().map(|&(p, uri)| (0, uri, Cow::Borrowed(p))));
         PrefixScopes {
-            bound: vec![(0, XML_NS.to_owned(), "xml".to_owned())],
+            bound,
             depth: 0,
             next_auto: 0,
         }
@@ -203,66 +219,64 @@ impl PrefixScopes {
         self.depth -= 1;
     }
 
-    fn lookup_uri(&self, uri: &str) -> Option<&str> {
+    /// The prefix of a binding [`PrefixScopes::prefix_for`] returned.
+    fn prefix(&self, binding: Option<usize>) -> &str {
+        binding.map_or("", |i| &self.bound[i].2)
+    }
+
+    fn lookup_uri(&self, uri: &str) -> Option<usize> {
         // Find the most recent binding of this URI and check the prefix is
         // not shadowed by a later binding of the same prefix.
-        for (i, (_, u, p)) in self.bound.iter().enumerate().rev() {
-            if u == uri {
-                let shadowed = self.bound[i + 1..].iter().any(|(_, _, p2)| p2 == p);
-                if !shadowed {
-                    return Some(p);
-                }
-            }
-        }
-        None
+        (0..self.bound.len()).rev().find(|&i| {
+            let (_, u, p) = &self.bound[i];
+            *u == uri && !self.bound[i + 1..].iter().any(|(_, _, p2)| p2 == p)
+        })
     }
 
     fn prefix_taken(&self, prefix: &str) -> bool {
         self.bound.iter().any(|(_, _, p)| p == prefix)
     }
 
-    /// Resolve or invent a prefix for `uri`, appending to `decls` when a
-    /// new declaration is needed on the current element.
+    /// Resolve or invent the binding for `uri` (`None`: no namespace, so
+    /// no prefix). A new binding is made at the current depth, which is
+    /// how the element being written learns what to declare.
     fn prefix_for(
         &mut self,
-        uri: Option<&str>,
-        preferred: Option<&str>,
+        uri: Option<&'e str>,
+        preferred: Option<&'e str>,
         is_attribute: bool,
-        decls: &mut Vec<(String, String)>,
-    ) -> String {
-        let Some(uri) = uri else {
-            // No namespace. For elements this is only correct if no default
-            // namespace is in scope; since we only declare a default
-            // namespace when the tree explicitly asks for prefix "",
-            // and we never do so automatically, unprefixed is safe here.
-            return String::new();
-        };
-        if let Some(p) = self.lookup_uri(uri) {
-            if !(is_attribute && p.is_empty()) {
-                return p.to_owned();
+    ) -> Option<usize> {
+        // No namespace. For elements this is only correct if no default
+        // namespace is in scope; since we only declare a default
+        // namespace when the tree explicitly asks for prefix "",
+        // and we never do so automatically, unprefixed is safe here.
+        let uri = uri?;
+        if let Some(i) = self.lookup_uri(uri) {
+            if !(is_attribute && self.bound[i].2.is_empty()) {
+                return Some(i);
             }
         }
         // Need a new declaration. Pick a prefix: preferred if free, a
         // conventional one for DAV:, else an invented one. Attributes must
         // have a non-empty prefix to be in a namespace.
-        let mut candidate = match preferred {
-            Some(p) if !p.is_empty() && p != "xmlns" => p.to_owned(),
-            _ if uri == crate::DAV_NS => "D".to_owned(),
-            _ => String::new(),
+        let candidate = match preferred {
+            Some(p) if !p.is_empty() && p != "xmlns" => p,
+            _ if uri == crate::DAV_NS => "D",
+            _ => "",
         };
-        if candidate.is_empty() || self.prefix_taken(&candidate) {
+        let prefix = if candidate.is_empty() || self.prefix_taken(candidate) {
             loop {
-                candidate = format!("ns{}", self.next_auto);
+                let invented = format!("ns{}", self.next_auto);
                 self.next_auto += 1;
-                if !self.prefix_taken(&candidate) {
-                    break;
+                if !self.prefix_taken(&invented) {
+                    break Cow::Owned(invented);
                 }
             }
-        }
-        self.bound
-            .push((self.depth, uri.to_owned(), candidate.clone()));
-        decls.push((candidate.clone(), uri.to_owned()));
-        candidate
+        } else {
+            Cow::Borrowed(candidate)
+        };
+        self.bound.push((self.depth, uri, prefix));
+        Some(self.bound.len() - 1)
     }
 }
 
@@ -389,6 +403,28 @@ mod tests {
         let back = roundtrip("<a><!--c--><?pi data?><b/></a>");
         let kinds: Vec<_> = back.root().children.iter().collect();
         assert_eq!(kinds.len(), 3);
+    }
+
+    #[test]
+    fn write_in_scope_reuses_outer_bindings() {
+        let mut atom = crate::dom::Element::new(Some("urn:ecce"), "atom");
+        atom.set_attr(Some(XML_NS), "lang", "en");
+        atom.set_attr(Some("urn:units"), "unit", "bohr");
+        atom.push_text("0 0 1");
+        let mut geom = crate::dom::Element::new(Some("urn:ecce"), "geometry");
+        geom.push_elem(atom);
+        let mut out = String::new();
+        write_in_scope(&mut out, &geom, &[("D", "DAV:"), ("ns0", "urn:ecce")]);
+        assert_eq!(
+            out,
+            r#"<ns0:geometry><ns0:atom xmlns:ns1="urn:units" xml:lang="en" ns1:unit="bohr">0 0 1</ns0:atom></ns0:geometry>"#
+        );
+        let wrapped = format!(r#"<D:prop xmlns:D="DAV:" xmlns:ns0="urn:ecce">{out}</D:prop>"#);
+        let doc = Document::parse(&wrapped).unwrap();
+        assert!(same_resolved(
+            doc.root().children_elems().next().unwrap(),
+            &geom
+        ));
     }
 
     #[test]

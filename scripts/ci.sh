@@ -11,7 +11,7 @@
 #    only the root package) with the registry enabled must stay within
 #    5% of a registry-disabled run.
 # 4. Lint: clippy with warnings denied on the dependency-free crates
-#    where we hold the bar at zero (pse-cache and pse-obs today).
+#    where we hold the bar at zero (pse-cache, pse-obs and pse-xml today).
 #    Skipped with a notice if the clippy component is not installed.
 # 5. Adversarial wire tests: the incremental-parser matrix (trickled
 #    bytes, split heads, pipelining, oversized headers, half-close)
@@ -127,9 +127,10 @@ cargo build --release -p pse-bench --bin repro_table1
 ./target/release/repro_table1 --obs-check
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> lint: cargo clippy -p pse-cache -p pse-obs -- -D warnings"
+    echo "==> lint: cargo clippy -p pse-cache -p pse-obs -p pse-xml -- -D warnings"
     cargo clippy -p pse-cache --all-targets -- -D warnings
     cargo clippy -p pse-obs --all-targets -- -D warnings
+    cargo clippy -p pse-xml --all-targets -- -D warnings
 else
     echo "==> lint: clippy not installed, skipping"
 fi
