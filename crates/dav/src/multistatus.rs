@@ -20,7 +20,7 @@ use crate::error::Result;
 use crate::property::Property;
 use pse_http::StatusCode;
 use pse_xml::dom::{self, Document, Element, Node};
-use pse_xml::name::NsScope;
+use pse_xml::name::{NsScope, XML_NS};
 use pse_xml::pull::{Event, Reader};
 use pse_xml::writer::{write_in_scope, DECLARATION};
 use pse_xml::DAV_NS;
@@ -101,7 +101,8 @@ impl Multistatus {
     /// Serialise to the XML wire form.
     ///
     /// The root binds `D` to `DAV:` and `ns0`, `ns1`, … to the other
-    /// namespaces property values are in, in order of first use. A
+    /// namespaces property values are in, in order of first use (the
+    /// XML namespace keeps its predeclared `xml` prefix). A
     /// plain-text value is written directly under those prefixes; any
     /// other value goes through the namespace-fixup writer with the
     /// root's bindings in scope, so it declares only what it adds.
@@ -109,7 +110,7 @@ impl Multistatus {
         let mut namespaces: Vec<&str> = vec![DAV_NS];
         for p in self.props() {
             if let Some(uri) = p.value.namespace() {
-                if !namespaces.contains(&uri) {
+                if uri != XML_NS && !namespaces.contains(&uri) {
                     namespaces.push(uri);
                 }
             }
@@ -575,6 +576,7 @@ mod tests {
                         Property::text(PropertyName::dav("getcontentlength"), "12"),
                         Property::text(PropertyName::new("", "bare"), ""),
                         Property::text(PropertyName::new("urn:ecce", "state"), "done"),
+                        Property::text(PropertyName::new(XML_NS, "lang"), "en"),
                     ],
                     status: StatusCode::OK,
                 },
@@ -594,6 +596,7 @@ mod tests {
                 r#"<D:response><D:href>/calc/a%20b</D:href>"#,
                 r#"<D:propstat><D:prop><ns0:formula>H2O &amp; &lt;OH&gt;</ns0:formula>"#,
                 r#"<D:getcontentlength>12</D:getcontentlength><bare/><ns0:state>done</ns0:state>"#,
+                r#"<xml:lang>en</xml:lang>"#,
                 r#"</D:prop><D:status>HTTP/1.1 200 OK</D:status></D:propstat>"#,
                 r#"<D:propstat><D:prop><ns1:x/></D:prop>"#,
                 r#"<D:status>HTTP/1.1 404 Not Found</D:status></D:propstat></D:response>"#,

@@ -25,11 +25,6 @@ pub struct QName {
 }
 
 impl QName {
-    /// Construct from prefix and local part. Both must be valid NCNames.
-    pub fn new(prefix: Option<&str>, local: &str) -> Result<Self> {
-        Ok(Name::checked(prefix, local)?.to_qname())
-    }
-
     /// Construct an unprefixed name without validation (for trusted
     /// compile-time literals).
     pub fn local(local: &str) -> Self {
@@ -37,16 +32,6 @@ impl QName {
             prefix: None,
             local: local.to_owned(),
         }
-    }
-
-    /// Parse a raw `prefix:local` or `local` token.
-    pub fn parse(raw: &str) -> Result<Self> {
-        Ok(Name::parse(raw)?.to_qname())
-    }
-
-    /// Render back to the `prefix:local` form.
-    pub fn as_written(&self) -> String {
-        self.to_string()
     }
 }
 
@@ -73,13 +58,10 @@ impl<'a> Name<'a> {
     /// Parse a raw `prefix:local` or `local` token; both parts must be
     /// valid NCNames.
     pub fn parse(raw: &'a str) -> Result<Self> {
-        match raw.split_once(':') {
-            Some((p, l)) => Name::checked(Some(p), l),
-            None => Name::checked(None, raw),
-        }
-    }
-
-    fn checked(prefix: Option<&'a str>, local: &'a str) -> Result<Self> {
+        let (prefix, local) = match raw.split_once(':') {
+            Some((p, l)) => (Some(p), l),
+            None => (None, raw),
+        };
         for part in prefix.into_iter().chain([local]) {
             if !is_ncname(part) {
                 return Err(Error::InvalidName { name: part.into() });
@@ -220,20 +202,21 @@ mod tests {
     }
 
     #[test]
-    fn qname_parse_forms() {
-        let q = QName::parse("D:prop").unwrap();
+    fn name_parse_forms() {
+        let n = Name::parse("D:prop").unwrap();
+        assert_eq!(n.prefix, Some("D"));
+        assert_eq!(n.local, "prop");
+        let q = n.to_qname();
         assert_eq!(q.prefix.as_deref(), Some("D"));
-        assert_eq!(q.local, "prop");
-        assert_eq!(q.as_written(), "D:prop");
         assert_eq!(q.to_string(), "D:prop");
 
-        let q = QName::parse("href").unwrap();
-        assert_eq!(q.prefix, None);
-        assert_eq!(q.as_written(), "href");
+        let n = Name::parse("href").unwrap();
+        assert_eq!(n.prefix, None);
+        assert_eq!(n.to_qname().to_string(), "href");
 
-        assert!(QName::parse("a:b:c").is_err());
-        assert!(QName::parse(":x").is_err());
-        assert!(QName::parse("x:").is_err());
+        assert!(Name::parse("a:b:c").is_err());
+        assert!(Name::parse(":x").is_err());
+        assert!(Name::parse("x:").is_err());
     }
 
     #[test]
