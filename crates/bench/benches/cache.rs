@@ -87,7 +87,10 @@ fn bench_table3_warm_start(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("table3_warm_start_load");
     group.sample_size(10);
-    for (label, cache) in [("cache_off", None), ("cache_on", Some(CacheConfig::default()))] {
+    for (label, cache) in [
+        ("cache_off", None),
+        ("cache_on", Some(CacheConfig::default())),
+    ] {
         let mut client = DavClient::connect(rig.server.local_addr()).unwrap();
         if let Some(config) = cache {
             client.enable_cache(config);

@@ -28,11 +28,9 @@ fn bench_migration(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("oodb_to_dav_3_calcs", |b| {
         b.iter(|| {
-            let mut target = DavEcceStore::open(
-                InProcStorage::new(Arc::new(MemRepository::new())),
-                "/Ecce",
-            )
-            .unwrap();
+            let mut target =
+                DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                    .unwrap();
             let report = migrate::migrate(&mut source, &mut target).unwrap();
             assert_eq!(report.calculations, 3);
         })

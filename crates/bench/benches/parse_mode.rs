@@ -35,12 +35,8 @@ fn bench_parsers(c: &mut Criterion) {
     let mut group = c.benchmark_group("parse_mode");
     group.throughput(Throughput::Bytes(xml.len() as u64));
     group.bench_function("to_xml", |b| b.iter(|| ms.to_xml()));
-    group.bench_function("dom", |b| {
-        b.iter(|| Multistatus::parse_dom(&xml).unwrap())
-    });
-    group.bench_function("sax", |b| {
-        b.iter(|| Multistatus::parse_sax(&xml).unwrap())
-    });
+    group.bench_function("dom", |b| b.iter(|| Multistatus::parse_dom(&xml).unwrap()));
+    group.bench_function("sax", |b| b.iter(|| Multistatus::parse_sax(&xml).unwrap()));
     group.finish();
 }
 

@@ -52,7 +52,11 @@ fn main() {
         .as_str(),
         &["parser", "elapsed", "speedup"],
     );
-    t1.row(&["DOM (paper's initial client)".into(), secs(dom.elapsed_s()), "1.0x".into()]);
+    t1.row(&[
+        "DOM (paper's initial client)".into(),
+        secs(dom.elapsed_s()),
+        "1.0x".into(),
+    ]);
     t1.row(&[
         "SAX (paper's proposed fix)".into(),
         secs(sax.elapsed_s()),
@@ -84,11 +88,15 @@ fn main() {
     rig.client.set_policy(ConnectionPolicy::Persistent);
     let client = &mut rig.client;
     let persistent = measure_n(n, || {
-        client.propfind("/t1/doc-00", Depth::Zero, &selected).unwrap();
+        client
+            .propfind("/t1/doc-00", Depth::Zero, &selected)
+            .unwrap();
     });
     client.set_policy(ConnectionPolicy::CloseEveryRequest);
     let reconnect = measure_n(n, || {
-        client.propfind("/t1/doc-00", Depth::Zero, &selected).unwrap();
+        client
+            .propfind("/t1/doc-00", Depth::Zero, &selected)
+            .unwrap();
     });
     client.set_policy(ConnectionPolicy::Persistent);
     let mut t2 = Table::new(
@@ -96,7 +104,10 @@ fn main() {
         &["policy", "elapsed/req"],
     );
     t2.row(&["persistent connection".into(), secs(persistent.elapsed_s())]);
-    t2.row(&["reconnect per request (paper's anomaly)".into(), secs(reconnect.elapsed_s())]);
+    t2.row(&[
+        "reconnect per request (paper's anomaly)".into(),
+        secs(reconnect.elapsed_s()),
+    ]);
     t2.print();
     println!(
         "   paper observed reconnect FASTER on its 2001 stack; on a modern \
@@ -141,7 +152,9 @@ fn main() {
         let p = format!("/t1/doc-{d:02}");
         native.write(&p, b"body", None).unwrap();
         for i in 0..5 {
-            native.set_meta(&p, &format!("meta-{i:02}"), "value").unwrap();
+            native
+                .set_meta(&p, &format!("meta-{i:02}"), "value")
+                .unwrap();
         }
     }
     let n = 20;
@@ -160,8 +173,14 @@ fn main() {
         "4) DSI seam: children metadata of 50 docs, mean",
         &["path", "elapsed"],
     );
-    t4.row(&["native (in-process repository)".into(), secs(native_time.elapsed_s())]);
-    t4.row(&["DAV wire protocol (fs repository)".into(), secs(wire_time.elapsed_s())]);
+    t4.row(&[
+        "native (in-process repository)".into(),
+        secs(native_time.elapsed_s()),
+    ]);
+    t4.row(&[
+        "DAV wire protocol (fs repository)".into(),
+        secs(wire_time.elapsed_s()),
+    ]);
     t4.print();
     println!(
         "   the gap is the whole protocol cost the Figure 2 architecture \
@@ -224,7 +243,9 @@ fn main() {
     // 5b/5c. Client validating cache against the shared rig: warm
     // PROPFIND answers 304 from the parsed multistatus; warm GET skips
     // the body transfer.
-    rig.client.put("/blob", vec![b'x'; 256 * 1024], None).unwrap();
+    rig.client
+        .put("/blob", vec![b'x'; 256 * 1024], None)
+        .unwrap();
     let n = 20;
     let client = &mut rig.client;
     client.disable_cache();

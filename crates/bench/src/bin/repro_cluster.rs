@@ -97,8 +97,12 @@ fn start_cluster(tag: &str, replicas: usize) -> Cluster {
     let mut c = DavClient::connect(router.addr()).unwrap();
     c.mkcol("/bench").unwrap();
     for j in 0..DOCS {
-        c.put(&format!("/bench/d{j}"), format!("doc-{j}"), Some("text/plain"))
-            .unwrap();
+        c.put(
+            &format!("/bench/d{j}"),
+            format!("doc-{j}"),
+            Some("text/plain"),
+        )
+        .unwrap();
     }
     let cluster = Cluster {
         router: Some(router),

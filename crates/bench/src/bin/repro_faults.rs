@@ -78,7 +78,16 @@ fn main() {
     );
     let mut table = Table::new(
         "throughput under injected faults",
-        &["fault rate", "retries", "ops ok", "success", "re-sends", "faults fired", "time", "ops/s"],
+        &[
+            "fault rate",
+            "retries",
+            "ops ok",
+            "success",
+            "re-sends",
+            "faults fired",
+            "time",
+            "ops/s",
+        ],
     );
 
     for &(rate, retries) in &[

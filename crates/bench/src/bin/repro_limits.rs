@@ -8,7 +8,7 @@
 //!
 //! Default sizes are scaled down 10×; `PSE_SCALE=full` uses the paper's.
 
-use pse_bench::harness::{full_scale, measure, mb, secs, Table};
+use pse_bench::harness::{full_scale, mb, measure, secs, Table};
 use pse_bench::workloads::{dav_rig, payload, scratch_dir, teardown};
 use pse_dav::fsrepo::{FsConfig, FsRepository};
 use pse_dav::property::{Property, PropertyName};
@@ -27,7 +27,10 @@ fn main() {
         mb(doc_size as u64)
     );
 
-    let mut table = Table::new("large metadata and documents (GDBM)", &["test", "result", "time"]);
+    let mut table = Table::new(
+        "large metadata and documents (GDBM)",
+        &["test", "result", "time"],
+    );
 
     // Large metadata + documents through the full protocol stack. The
     // repository property cap must be raised beyond its 10 MB default to
@@ -62,8 +65,8 @@ fn main() {
 
     client.put("/stress", b"".to_vec(), None).unwrap();
     let name = PropertyName::new(ECCE_NS, "huge-metadata");
-    let value = String::from_utf8(payload(meta_size).iter().map(|b| b'a' + (b % 26)).collect())
-        .unwrap();
+    let value =
+        String::from_utf8(payload(meta_size).iter().map(|b| b'a' + (b % 26)).collect()).unwrap();
     let (_, m) = measure(|| {
         for _ in 0..rounds {
             client
@@ -74,7 +77,10 @@ fn main() {
         assert_eq!(got.len(), value.len());
     });
     table.row(&[
-        format!("{} metadata value x{rounds} + read-back", mb(meta_size as u64)),
+        format!(
+            "{} metadata value x{rounds} + read-back",
+            mb(meta_size as u64)
+        ),
         "ok".into(),
         secs(m.elapsed_s()),
     ]);
@@ -109,7 +115,11 @@ fn main() {
         .is_err();
     table.row(&[
         "11 MB property vs 10 MB production cap".into(),
-        if err { "rejected (413)".into() } else { "NOT REJECTED".into() },
+        if err {
+            "rejected (413)".into()
+        } else {
+            "NOT REJECTED".into()
+        },
         "—".into(),
     ]);
     teardown(rig);
@@ -131,7 +141,11 @@ fn main() {
     repo.set_prop("/x", &under).unwrap();
     table.row(&[
         "2 KB metadata value on SDBM (1 KB item limit)".into(),
-        if sdbm_err { "rejected".into() } else { "NOT REJECTED".into() },
+        if sdbm_err {
+            "rejected".into()
+        } else {
+            "NOT REJECTED".into()
+        },
         "—".into(),
     ]);
     let _ = std::fs::remove_dir_all(&sdbm_dir);

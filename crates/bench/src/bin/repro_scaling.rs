@@ -109,9 +109,7 @@ fn run_point(rig: &Rig, read_pct: u64, clients: usize, ops: usize) -> (f64, f64,
             let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut client = DavClient::connect(addr).unwrap();
-                let mut rng = SEED
-                    .wrapping_mul(0x9e3779b97f4a7c15)
-                    .wrapping_add(c as u64);
+                let mut rng = SEED.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(c as u64);
                 let body = payload(1024);
                 let mut lat = Vec::with_capacity(ops);
                 start.wait();
@@ -123,19 +121,13 @@ fn run_point(rig: &Rig, read_pct: u64, clients: usize, ops: usize) -> (f64, f64,
                         if n % 2 == 0 {
                             client.get(&doc).unwrap();
                         } else {
-                            client
-                                .propfind(&doc, Depth::Zero, &[prop(0)])
-                                .unwrap();
+                            client.propfind(&doc, Depth::Zero, &[prop(0)]).unwrap();
                         }
                     } else if n % 2 == 0 {
                         client.put(&doc, body.clone(), None).unwrap();
                     } else {
                         client
-                            .proppatch(
-                                &doc,
-                                &[Property::text(prop(0), &format!("v{n}"))],
-                                &[],
-                            )
+                            .proppatch(&doc, &[Property::text(prop(0), &format!("v{n}"))], &[])
                             .unwrap();
                     }
                     lat.push(t.elapsed().as_micros() as u64);
@@ -153,11 +145,7 @@ fn run_point(rig: &Rig, read_pct: u64, clients: usize, ops: usize) -> (f64, f64,
     let elapsed = t0.elapsed().as_secs_f64();
     lat.sort_unstable();
     let pct = |p: f64| lat[(((lat.len() - 1) as f64) * p) as usize] as f64;
-    (
-        (clients * ops) as f64 / elapsed,
-        pct(0.50),
-        pct(0.99),
-    )
+    ((clients * ops) as f64 / elapsed, pct(0.50), pct(0.99))
 }
 
 /// Read one HTTP response (head + Content-Length body) off a raw
@@ -219,7 +207,10 @@ fn idle_point(
             ("fresh_rps", rps),
             ("fresh_p99_us", p99),
             ("conns_parked_gauge", snap.gauge("http.conns_parked") as f64),
-            ("workers_total_gauge", snap.gauge("http.workers_total") as f64),
+            (
+                "workers_total_gauge",
+                snap.gauge("http.workers_total") as f64,
+            ),
             ("workers_idle_gauge", snap.gauge("http.workers_idle") as f64),
         ],
     ));
@@ -267,11 +258,7 @@ fn main() {
         teardown(rg);
         rows.push((
             "global-read-heavy-c8".to_owned(),
-            vec![
-                ("throughput_rps", grps),
-                ("p50_us", gp50),
-                ("p99_us", gp99),
-            ],
+            vec![("throughput_rps", grps), ("p50_us", gp50), ("p99_us", gp99)],
         ));
         let sharded = rows
             .iter()
@@ -279,10 +266,7 @@ fn main() {
             .map(|(_, f)| f[0].1)
             .unwrap();
         let ratio = sharded / grps;
-        rows.push((
-            "speedup-read-heavy-c8".to_owned(),
-            vec![("ratio", ratio)],
-        ));
+        rows.push(("speedup-read-heavy-c8".to_owned(), vec![("ratio", ratio)]));
         println!(
             "\nread-heavy @ 8 clients: sharded {sharded:.0} req/s vs global {grps:.0} req/s \
              → {ratio:.2}x"

@@ -95,7 +95,14 @@ fn main() {
 
     let mut table = Table::new(
         &format!("indexed SEARCH vs PROPFIND-scan over {RESOURCES} calculations"),
-        &["query", "matches", "prop reads", "indexed", "scan", "speedup"],
+        &[
+            "query",
+            "matches",
+            "prop reads",
+            "indexed",
+            "scan",
+            "speedup",
+        ],
     );
     let mut rows: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
     let mut failures = Vec::new();

@@ -76,7 +76,11 @@ fn obs_check() -> ! {
             }
         }
         println!("pair {i}: instrumented {ins:.4}s baseline {base:.4}s");
-        pcts.push(if base > 0.0 { (ins - base) / base * 100.0 } else { 0.0 });
+        pcts.push(if base > 0.0 {
+            (ins - base) / base * 100.0
+        } else {
+            0.0
+        });
         diffs.push(ins - base);
     }
     teardown(instrumented);
@@ -88,7 +92,10 @@ fn obs_check() -> ! {
     let pct = median(&mut pcts);
     let diff = median(&mut diffs);
     println!("OBS_OVERHEAD_PCT {pct:.2}");
-    println!("median of {PAIRS} pairs: {:.1} ms over the baseline", diff * 1e3);
+    println!(
+        "median of {PAIRS} pairs: {:.1} ms over the baseline",
+        diff * 1e3
+    );
     // Fail only on a real regression: both over the 5% bar and more
     // than 30 ms absolute (the measurement floor on a busy machine).
     let failed = pct > 5.0 && diff > 0.030;
@@ -131,7 +138,9 @@ fn main() {
 
     // (b) 5 selected metadata, one document, depth 0.
     let b = measure_n(reps_small, || {
-        client.propfind("/t1/doc-00", Depth::Zero, &selected).unwrap();
+        client
+            .propfind("/t1/doc-00", Depth::Zero, &selected)
+            .unwrap();
     });
 
     // (c) 5 of 50 metadata on 50 objects, depth 1.
@@ -153,7 +162,9 @@ fn main() {
     // (e) copy the hierarchy (each rep gets a fresh destination).
     let mut copy_n = 0;
     let e = measure_n(reps_big, || {
-        client.copy("/t1", &format!("/t1-copy-{copy_n}"), false).unwrap();
+        client
+            .copy("/t1", &format!("/t1-copy-{copy_n}"), false)
+            .unwrap();
         copy_n += 1;
     });
 
@@ -196,6 +207,9 @@ fn main() {
         ],
         Some(&obs_delta),
     );
-    println!("results + per-layer registry deltas: {}", json_path.display());
+    println!(
+        "results + per-layer registry deltas: {}",
+        json_path.display()
+    );
     teardown(rig);
 }

@@ -9,7 +9,8 @@
 //! Default sizes are the paper's 20 MB and 200 MB; set `PSE_SCALE=quick`
 //! to divide by 10 for constrained machines.
 
-use pse_bench::harness::{emit_json_fields, measure, mb, secs, Table};
+use parking_lot::Mutex;
+use pse_bench::harness::{emit_json_fields, mb, measure, secs, Table};
 use pse_bench::workloads::{payload, scratch_dir};
 use pse_ftp::client::FtpClient;
 use pse_ftp::server::{FtpServer, FtpServerConfig};
@@ -17,7 +18,6 @@ use pse_http::client::Client;
 use pse_http::message::Response;
 use pse_http::server::{Server, ServerConfig};
 use pse_http::wire::Limits;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -27,7 +27,9 @@ fn main() {
         run_delta(args.iter().any(|a| a == "--check"));
         return;
     }
-    let quick = std::env::var("PSE_SCALE").map(|v| v == "quick").unwrap_or(false);
+    let quick = std::env::var("PSE_SCALE")
+        .map(|v| v == "quick")
+        .unwrap_or(false);
     let scale = if quick { 10 } else { 1 };
     let small = 20 * 1024 * 1024 / scale;
     let large = 200 * 1024 * 1024 / scale;
@@ -161,7 +163,9 @@ fn run_delta(check: bool) {
     use pse_dav::fsrepo::{FsConfig, FsRepository};
     use pse_dav::handler::DavHandler;
 
-    let quick = std::env::var("PSE_SCALE").map(|v| v == "quick").unwrap_or(false);
+    let quick = std::env::var("PSE_SCALE")
+        .map(|v| v == "quick")
+        .unwrap_or(false);
     let size: usize = if quick {
         2 * 1024 * 1024
     } else if pse_bench::harness::full_scale() {
@@ -169,7 +173,10 @@ fn run_delta(check: bool) {
     } else {
         20 * 1024 * 1024
     };
-    println!("Delta-sync reproduction — 1% edit of a {} trajectory", mb(size as u64));
+    println!(
+        "Delta-sync reproduction — 1% edit of a {} trajectory",
+        mb(size as u64)
+    );
 
     let work = scratch_dir("table2-delta");
     let repo = FsRepository::create(work.join("dav-root"), FsConfig::default()).unwrap();
@@ -206,8 +213,14 @@ fn run_delta(check: bool) {
             .put_delta("/traj.out", &base, Some("application/octet-stream"))
             .unwrap()
     });
-    let full_wire = registry.snapshot().delta(&before_full).counter("http.bytes_in");
-    assert!(first.full_fallback, "first upload has no base to diff against");
+    let full_wire = registry
+        .snapshot()
+        .delta(&before_full)
+        .counter("http.bytes_in");
+    assert!(
+        first.full_fallback,
+        "first upload has no base to diff against"
+    );
 
     // Overwrite 1% of the trajectory in the middle — the paper's
     // "ran a few more steps / fixed a header" edit.
@@ -224,11 +237,21 @@ fn run_delta(check: bool) {
             .put_delta("/traj.out", &edited, Some("application/octet-stream"))
             .unwrap()
     });
-    let delta_wire = registry.snapshot().delta(&before_delta).counter("http.bytes_in");
-    assert!(!outcome.full_fallback, "delta re-PUT fell back to a full transfer");
+    let delta_wire = registry
+        .snapshot()
+        .delta(&before_delta)
+        .counter("http.bytes_in");
+    assert!(
+        !outcome.full_fallback,
+        "delta re-PUT fell back to a full transfer"
+    );
 
     // The server must hold exactly the edited bytes.
-    assert_eq!(client.get("/traj.out").unwrap(), edited, "delta sync corrupted the entity");
+    assert_eq!(
+        client.get("/traj.out").unwrap(),
+        edited,
+        "delta sync corrupted the entity"
+    );
 
     let ratio = full_wire as f64 / delta_wire.max(1) as f64;
     let mut table = Table::new(

@@ -116,12 +116,19 @@ impl Table {
         let line = |cells: &[String]| {
             let mut out = String::new();
             for (i, c) in cells.iter().enumerate() {
-                out.push_str(&format!("{:<w$}  ", c, w = widths.get(i).copied().unwrap_or(8)));
+                out.push_str(&format!(
+                    "{:<w$}  ",
+                    c,
+                    w = widths.get(i).copied().unwrap_or(8)
+                ));
             }
             println!("{}", out.trim_end());
         };
         line(&self.header);
-        println!("{}", "-".repeat(widths.iter().sum::<usize>() + widths.len() * 2));
+        println!(
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + widths.len() * 2)
+        );
         for row in &self.rows {
             line(row);
         }
@@ -147,7 +154,9 @@ pub fn mb(bytes: u64) -> String {
 
 /// Is paper-scale mode requested?
 pub fn full_scale() -> bool {
-    std::env::var("PSE_SCALE").map(|v| v == "full").unwrap_or(false)
+    std::env::var("PSE_SCALE")
+        .map(|v| v == "full")
+        .unwrap_or(false)
 }
 
 /// Write a machine-readable benchmark result: named measurements plus

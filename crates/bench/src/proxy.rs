@@ -149,8 +149,7 @@ mod tests {
             Response::ok().with_body("pong")
         })
         .unwrap();
-        let proxy =
-            ThrottledProxy::start(server.local_addr(), PAPER_LAN_BYTES_PER_SEC).unwrap();
+        let proxy = ThrottledProxy::start(server.local_addr(), PAPER_LAN_BYTES_PER_SEC).unwrap();
         let mut client = Client::connect(proxy.local_addr()).unwrap();
         let t = Instant::now();
         for _ in 0..10 {

@@ -111,7 +111,11 @@ pub fn build_table1_dataset(
     for d in 0..docs {
         let path = format!("/t1/doc-{d:02}");
         client
-            .put(&path, vec![b'b'; body_size], Some("application/octet-stream"))
+            .put(
+                &path,
+                vec![b'b'; body_size],
+                Some("application/octet-stream"),
+            )
             .unwrap();
         // One PROPPATCH with all fifty values — the paper set metadata
         // as documents were created.

@@ -194,7 +194,9 @@ where
     }
 
     fn lock(&self, key: &K) -> std::sync::MutexGuard<'_, Shard<K, V>> {
-        self.shard_for(key).lock().unwrap_or_else(|e| e.into_inner())
+        self.shard_for(key)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     fn next_stamp(&self) -> u64 {
@@ -295,7 +297,9 @@ where
         drop(shard);
         self.counters.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted > 0 {
-            self.counters.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.counters
+                .evictions
+                .fetch_add(evicted, Ordering::Relaxed);
         }
     }
 

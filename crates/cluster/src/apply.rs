@@ -143,7 +143,10 @@ impl Applier {
         for e in entries {
             if let Some(p) = prev {
                 if e.seq <= p {
-                    return Err(ApplyError::OutOfOrder { prev: p, got: e.seq });
+                    return Err(ApplyError::OutOfOrder {
+                        prev: p,
+                        got: e.seq,
+                    });
                 }
             }
             prev = Some(e.seq);
@@ -286,15 +289,17 @@ pub fn apply_record(repo: &dyn Repository, rec: &ChangeRecord) -> Result<bool, D
             }
         }
         // Version records replay the primary's bodies.
-        ChangeRecord::VersionControl { path, content } => {
-            replayed(repo.deltav().map(|v| v.version_control(path, Some(content))))
-        }
+        ChangeRecord::VersionControl { path, content } => replayed(
+            repo.deltav()
+                .map(|v| v.version_control(path, Some(content))),
+        ),
         ChangeRecord::Checkout { path } => {
             replayed(repo.deltav().map(|v| v.checkout(path).map(|()| true)))
         }
-        ChangeRecord::Checkin { path, content } => {
-            replayed(repo.deltav().map(|v| v.checkin(path, Some(content)).map(|_| true)))
-        }
+        ChangeRecord::Checkin { path, content } => replayed(
+            repo.deltav()
+                .map(|v| v.checkin(path, Some(content)).map(|_| true)),
+        ),
     }
 }
 
@@ -315,10 +320,8 @@ mod tests {
     use pse_dav::property::PropertyName;
 
     fn tmp(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "pse-cluster-apply-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("pse-cluster-apply-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }
@@ -360,11 +363,12 @@ mod tests {
         let dir = tmp("gap");
         let repo = MemRepository::new();
         let a = Applier::open(&dir).unwrap();
-        let err = a
-            .apply_batch(&repo, &[put(3, "/x", "3")])
-            .unwrap_err();
+        let err = a.apply_batch(&repo, &[put(3, "/x", "3")]).unwrap_err();
         match err {
-            ApplyError::Gap { expected: 1, got: 3 } => {}
+            ApplyError::Gap {
+                expected: 1,
+                got: 3,
+            } => {}
             other => panic!("want Gap, got {other}"),
         }
         assert!(!repo.exists("/x"), "gapped batch must not be applied");
@@ -406,7 +410,9 @@ mod tests {
         // Delete of an absent resource: skipped, not an error.
         assert!(!apply_record(
             &repo,
-            &ChangeRecord::Delete { path: "/nope".into() }
+            &ChangeRecord::Delete {
+                path: "/nope".into()
+            }
         )
         .unwrap());
         // Mkcol of an existing collection: skipped.

@@ -217,7 +217,10 @@ impl<'a> Cursor<'a> {
 
     fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len_end = self.at.checked_add(4).ok_or(DecodeError::Truncated)?;
-        let raw = self.buf.get(self.at..len_end).ok_or(DecodeError::Truncated)?;
+        let raw = self
+            .buf
+            .get(self.at..len_end)
+            .ok_or(DecodeError::Truncated)?;
         let len = u32::from_le_bytes(raw.try_into().unwrap()) as usize;
         let end = len_end.checked_add(len).ok_or(DecodeError::Truncated)?;
         let b = self.buf.get(len_end..end).ok_or(DecodeError::Truncated)?;
@@ -442,8 +445,7 @@ impl ChangeRecord {
             },
             TAG_PATCH_PROPS => {
                 let path = c.string()?;
-                let count =
-                    u32::from_le_bytes(c.bytes_fixed::<4>()?) as usize;
+                let count = u32::from_le_bytes(c.bytes_fixed::<4>()?) as usize;
                 fn prop_name(c: &mut Cursor<'_>) -> Result<PropertyName, DecodeError> {
                     let namespace = c.string()?;
                     let local = c.string()?;
@@ -524,7 +526,9 @@ mod tests {
                 data: Vec::new(),
             },
             ChangeRecord::Mkcol { path: "/c".into() },
-            ChangeRecord::Delete { path: "/c/d".into() },
+            ChangeRecord::Delete {
+                path: "/c/d".into(),
+            },
             ChangeRecord::Copy {
                 src: "/a".into(),
                 dst: "/b".into(),

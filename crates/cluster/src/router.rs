@@ -310,7 +310,11 @@ impl Router {
                 .iter()
                 .map(|spec| Shard {
                     primary: Backend::new(spec.primary, &cfg),
-                    replicas: spec.replicas.iter().map(|&a| Backend::new(a, &cfg)).collect(),
+                    replicas: spec
+                        .replicas
+                        .iter()
+                        .map(|&a| Backend::new(a, &cfg))
+                        .collect(),
                     rr: AtomicUsize::new(0),
                     floors: Floors::new(),
                 })
@@ -534,7 +538,10 @@ mod tests {
         b.record_failure(cfg.max_failures, cfg.retry_after);
         assert!(!b.usable(cfg.max_failures), "ejected at max_failures");
         std::thread::sleep(Duration::from_millis(40));
-        assert!(b.usable(cfg.max_failures), "half-open probe after retry_after");
+        assert!(
+            b.usable(cfg.max_failures),
+            "half-open probe after retry_after"
+        );
         b.record_success();
         assert!(b.usable(cfg.max_failures), "success re-admits");
         assert_eq!(b.failures.load(Ordering::Relaxed), 0);

@@ -40,8 +40,11 @@ fn every_mutation_is_recorded_in_order() {
     let (repo, log, dir) = rig("order");
     repo.mkcol("/c").unwrap();
     repo.put("/c/doc", b"v1", Some("text/plain")).unwrap();
-    repo.set_prop("/c/doc", &Property::text(PropertyName::new("urn:x", "p"), "v"))
-        .unwrap();
+    repo.set_prop(
+        "/c/doc",
+        &Property::text(PropertyName::new("urn:x", "p"), "v"),
+    )
+    .unwrap();
     repo.copy("/c/doc", "/c/copy", false).unwrap();
     repo.rename("/c/copy", "/c/moved", false).unwrap();
     repo.remove_prop("/c/doc", &PropertyName::new("urn:x", "p"))
@@ -150,7 +153,10 @@ fn racing_writes_log_in_apply_order<S: Store>(repo: Repo<S>, log: Arc<ChangeLog>
     const ROUNDS: usize = 200;
     const WRITES: usize = 12;
     let repo = Arc::new(repo);
-    let names = [PropertyName::new("urn:race", "a"), PropertyName::new("urn:race", "b")];
+    let names = [
+        PropertyName::new("urn:race", "a"),
+        PropertyName::new("urn:race", "b"),
+    ];
     let barrier = Arc::new(Barrier::new(THREADS));
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {

@@ -42,7 +42,11 @@ fn random_history(repo: &MemRepository, seed: u64, ops: usize) {
             }
             10..=39 => {
                 let body = format!("seed{seed}-op{n}");
-                let ct = if lcg(&mut rng) % 2 == 0 { Some("text/plain") } else { None };
+                let ct = if lcg(&mut rng) % 2 == 0 {
+                    Some("text/plain")
+                } else {
+                    None
+                };
                 let _ = repo.put(doc, body.as_bytes(), ct);
             }
             40..=49 => {

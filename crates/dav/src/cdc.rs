@@ -31,7 +31,11 @@ impl Default for ChunkParams {
         // ~8 KiB average, bounded to [2 KiB, 64 KiB] — small enough that
         // a 1% edit of a 20 MB file dirties ~1% of chunks, large enough
         // that per-chunk request overhead stays negligible.
-        ChunkParams { min: 2 * 1024, max: 64 * 1024, avg_bits: 13 }
+        ChunkParams {
+            min: 2 * 1024,
+            max: 64 * 1024,
+            avg_bits: 13,
+        }
     }
 }
 
@@ -107,7 +111,9 @@ mod tests {
         let mut state = seed;
         (0..len)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (state >> 33) as u8
             })
             .collect()
@@ -152,8 +158,11 @@ mod tests {
         let old: std::collections::HashSet<u64> =
             chunk(&base, params).iter().map(|c| c.hash).collect();
         let new_chunks = chunk(&edited, params);
-        let changed: usize =
-            new_chunks.iter().filter(|c| !old.contains(&c.hash)).map(|c| c.len).sum();
+        let changed: usize = new_chunks
+            .iter()
+            .filter(|c| !old.contains(&c.hash))
+            .map(|c| c.len)
+            .sum();
         // The edit is 1% of the file; changed chunks should stay well
         // under 10% (boundary resync costs at most a couple of chunks).
         assert!(
@@ -175,8 +184,11 @@ mod tests {
         let old: std::collections::HashSet<u64> =
             chunk(&base, params).iter().map(|c| c.hash).collect();
         let new_chunks = chunk(&edited, params);
-        let reused: usize =
-            new_chunks.iter().filter(|c| old.contains(&c.hash)).map(|c| c.len).sum();
+        let reused: usize = new_chunks
+            .iter()
+            .filter(|c| old.contains(&c.hash))
+            .map(|c| c.len)
+            .sum();
         // With fixed-size blocks reuse after the insertion point would be
         // ~0; content-defined boundaries must recover most of the tail.
         assert!(
@@ -189,6 +201,9 @@ mod tests {
     #[test]
     fn chunking_is_deterministic() {
         let data = pseudo_random(100_000, 11);
-        assert_eq!(chunk(&data, ChunkParams::default()), chunk(&data, ChunkParams::default()));
+        assert_eq!(
+            chunk(&data, ChunkParams::default()),
+            chunk(&data, ChunkParams::default())
+        );
     }
 }

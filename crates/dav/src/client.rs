@@ -335,7 +335,10 @@ impl DavClient {
         match resp.status.code() {
             206 => {
                 let total = content_range_total(&resp)?;
-                Ok(RangeBody::Partial { body: resp.body, total })
+                Ok(RangeBody::Partial {
+                    body: resp.body,
+                    total,
+                })
             }
             200 => Ok(RangeBody::Full(resp.body)),
             416 => {
@@ -477,8 +480,7 @@ impl DavClient {
             let matched = index.get(&c.hash).and_then(|cands| {
                 cands.iter().find(|o| {
                     o.len == c.len
-                        && base.body[o.offset..o.offset + o.len]
-                            == body[c.offset..c.offset + c.len]
+                        && base.body[o.offset..o.offset + o.len] == body[c.offset..c.offset + c.len]
                 })
             });
             match matched {
@@ -490,14 +492,20 @@ impl DavClient {
                             continue;
                         }
                     }
-                    ops.push(Op::Copy { src: o.offset as u64, len: o.len as u64 });
+                    ops.push(Op::Copy {
+                        src: o.offset as u64,
+                        len: o.len as u64,
+                    });
                 }
                 None => {
                     if let Some(Op::Literal { len, .. }) = ops.last_mut() {
                         *len += c.len;
                         continue;
                     }
-                    ops.push(Op::Literal { start: c.offset, len: c.len });
+                    ops.push(Op::Literal {
+                        start: c.offset,
+                        len: c.len,
+                    });
                 }
             }
         }
@@ -517,10 +525,7 @@ impl DavClient {
                                 "Content-Range",
                                 format!("bytes {offset}-{}/{total}", offset + len - 1),
                             )
-                            .with_header(
-                                "X-Copy-From",
-                                format!("bytes={src}-{}", src + len - 1),
-                            ),
+                            .with_header("X-Copy-From", format!("bytes={src}-{}", src + len - 1)),
                     ),
                     Op::Literal { start, len } => {
                         bytes_sent += len as u64;
@@ -659,7 +664,10 @@ impl DavClient {
         let cost = path.len() + etag.len() + body.len() + 64;
         cache.bodies.insert(
             path.to_owned(),
-            Arc::new(CachedBody { etag: etag.to_owned(), body: body.to_vec() }),
+            Arc::new(CachedBody {
+                etag: etag.to_owned(),
+                body: body.to_vec(),
+            }),
             cost,
         );
     }
@@ -1024,8 +1032,8 @@ impl DavClient {
 
     /// Version numbers and sizes for a versioned document.
     pub fn version_tree(&mut self, path: &str) -> Result<Vec<(u32, u64)>> {
-        let req = Request::new(Method::Report, path)
-            .with_xml_body(r#"<D:version-tree xmlns:D="DAV:"/>"#);
+        let req =
+            Request::new(Method::Report, path).with_xml_body(r#"<D:version-tree xmlns:D="DAV:"/>"#);
         let resp = self.http.send(req)?;
         let resp = self.expect(resp, &[200], "REPORT version-tree")?;
         let doc = Document::parse(&resp.body_text())?;
@@ -1077,8 +1085,8 @@ impl DavClient {
 
     /// Full version metadata for a versioned document, oldest first.
     pub fn versions(&mut self, path: &str) -> Result<Vec<VersionEntry>> {
-        let req = Request::new(Method::Report, path)
-            .with_xml_body(r#"<D:version-tree xmlns:D="DAV:"/>"#);
+        let req =
+            Request::new(Method::Report, path).with_xml_body(r#"<D:version-tree xmlns:D="DAV:"/>"#);
         let resp = self.http.send(req)?;
         let resp = self.expect(resp, &[200], "REPORT version-tree")?;
         let doc = Document::parse(&resp.body_text())?;
@@ -1143,11 +1151,7 @@ impl DavClient {
     /// using the `displayname` live property).
     pub fn list(&mut self, path: &str) -> Result<Vec<String>> {
         let norm = pse_http::uri::normalize_path(path);
-        let ms = self.propfind(
-            &norm,
-            Depth::One,
-            &[PropertyName::dav("displayname")],
-        )?;
+        let ms = self.propfind(&norm, Depth::One, &[PropertyName::dav("displayname")])?;
         let mut out: Vec<String> = ms
             .responses
             .iter()
@@ -1201,7 +1205,10 @@ mod tests {
     fn multistatus_bodies_must_be_utf8() {
         let ok = br#"<D:multistatus xmlns:D="DAV:"><D:response><D:href>/a</D:href></D:response></D:multistatus>"#;
         let mut bad = ok.to_vec();
-        let at = bad.iter().position(|&b| b == b'a').expect("the href has an a");
+        let at = bad
+            .iter()
+            .position(|&b| b == b'a')
+            .expect("the href has an a");
         bad[at] = 0xFF;
         for mode in [ParseMode::Dom, ParseMode::Sax] {
             assert_eq!(parse_multistatus(mode, ok).unwrap().responses[0].href, "/a");

@@ -130,11 +130,15 @@ mod tests {
         assert_eq!(DavError::Conflict("/x".into()).status().code(), 409);
         assert_eq!(DavError::Locked("/x".into()).status().code(), 423);
         assert_eq!(
-            DavError::PreconditionFailed("overwrite".into()).status().code(),
+            DavError::PreconditionFailed("overwrite".into())
+                .status()
+                .code(),
             412
         );
         assert_eq!(
-            DavError::PropertyTooLarge { size: 1, limit: 0 }.status().code(),
+            DavError::PropertyTooLarge { size: 1, limit: 0 }
+                .status()
+                .code(),
             413
         );
         assert_eq!(DavError::BadRequest("x".into()).status().code(), 400);

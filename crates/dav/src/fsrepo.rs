@@ -220,10 +220,7 @@ impl FsStore {
             fsp.join(DAV_DIR).join(DIR_SELF)
         } else {
             let name = pse_http::uri::basename(&norm);
-            fsp.parent()
-                .unwrap_or(&self.root)
-                .join(DAV_DIR)
-                .join(name)
+            fsp.parent().unwrap_or(&self.root).join(DAV_DIR).join(name)
         }
     }
 
@@ -386,9 +383,7 @@ impl FsStore {
         if let Some(mut db) = self.open_props(&key, false)? {
             for dbm_key in db.keys()? {
                 if dbm_key == KEY_CONTENT_TYPE {
-                    content_type = db
-                        .fetch(&dbm_key)?
-                        .and_then(|v| String::from_utf8(v).ok());
+                    content_type = db.fetch(&dbm_key)?.and_then(|v| String::from_utf8(v).ok());
                 } else if !dbm_key.starts_with(RESERVED_KEY_PREFIX) {
                     if let Some(name) = PropertyName::from_storage_key(&dbm_key) {
                         if let Some(data) = db.fetch(&dbm_key)? {
@@ -436,7 +431,10 @@ impl FsStore {
             }
         }
         let dir = self.root.join(DAV_DIR).join(STAGE_DIR);
-        (dir.join(format!("{key}.data")), dir.join(format!("{key}.total")))
+        (
+            dir.join(format!("{key}.data")),
+            dir.join(format!("{key}.total")),
+        )
     }
 
     fn read_stage_total(total_path: &Path, norm: &str) -> Result<u64> {
@@ -853,7 +851,13 @@ impl Store for FsStore {
         }
     }
 
-    fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus> {
+    fn stage_append(
+        &self,
+        path: &str,
+        offset: u64,
+        total: u64,
+        data: &[u8],
+    ) -> Result<StageStatus> {
         let (mut f, staged) = self.stage_open_append(path, offset, total, data.len() as u64)?;
         f.write_all(data)?;
         Ok(StageStatus {
@@ -877,7 +881,10 @@ impl Store for FsStore {
         }
         let mut sf = fs::File::open(&sfs)?;
         let slen = sf.metadata()?.len();
-        if src_start.checked_add(src_len).map_or(true, |end| end > slen) {
+        if src_start
+            .checked_add(src_len)
+            .map_or(true, |end| end > slen)
+        {
             return Err(DavError::BadRequest(format!(
                 "source range {src_start}+{src_len} exceeds {slen}-byte {src}"
             )));
@@ -965,7 +972,9 @@ mod tests {
         for kind in [DbmKind::Sdbm, DbmKind::Gdbm] {
             let (r, d) = repo(kind);
             r.mkcol("/proj").unwrap();
-            assert!(r.put("/proj/doc.txt", b"hello", Some("text/plain")).unwrap());
+            assert!(r
+                .put("/proj/doc.txt", b"hello", Some("text/plain"))
+                .unwrap());
             assert_eq!(r.get("/proj/doc.txt").unwrap(), b"hello");
             let meta = r.meta("/proj/doc.txt").unwrap();
             assert_eq!(meta.content_length, 5);
@@ -1053,12 +1062,16 @@ mod tests {
         let (r, d) = repo(DbmKind::Gdbm);
         r.put("/a", b"1", Some("text/plain")).unwrap();
         let name = PropertyName::new("urn:e", "k");
-        r.set_prop("/a", &Property::text(name.clone(), "v")).unwrap();
+        r.set_prop("/a", &Property::text(name.clone(), "v"))
+            .unwrap();
         r.rename("/a", "/b", false).unwrap();
         assert!(!r.exists("/a"));
         assert_eq!(r.get("/b").unwrap(), b"1");
         assert_eq!(r.get_prop("/b", &name).unwrap().unwrap().text_value(), "v");
-        assert_eq!(r.meta("/b").unwrap().content_type.as_deref(), Some("text/plain"));
+        assert_eq!(
+            r.meta("/b").unwrap().content_type.as_deref(),
+            Some("text/plain")
+        );
         // Old property database is gone.
         assert!(!d.join(DAV_DIR).join("a.db").exists());
         fs::remove_dir_all(&d).unwrap();
@@ -1110,7 +1123,10 @@ mod tests {
         let err = r
             .set_prop("/x", &Property::text(PropertyName::new("u", "p"), &big))
             .unwrap_err();
-        assert!(matches!(err, DavError::Dbm(pse_dbm::Error::PairTooLarge { .. })));
+        assert!(matches!(
+            err,
+            DavError::Dbm(pse_dbm::Error::PairTooLarge { .. })
+        ));
         // GDBM accepts the same value.
         let (r2, d2) = repo(DbmKind::Gdbm);
         r2.put("/x", b"", None).unwrap();
@@ -1160,7 +1176,8 @@ mod tests {
         r.mkcol("/c").unwrap();
         r.put("/c/doc", b"x", Some("text/plain")).unwrap();
         let name = PropertyName::new("urn:e", "k");
-        r.set_prop("/c/doc", &Property::text(name.clone(), "v1")).unwrap();
+        r.set_prop("/c/doc", &Property::text(name.clone(), "v1"))
+            .unwrap();
 
         // First read populates the cache; repeats hit it.
         let before = r.cache_stats();
@@ -1172,7 +1189,8 @@ mod tests {
         assert!(after.hits >= before.hits + 2, "repeats served from cache");
 
         // PROPPATCH invalidates: the new value is visible immediately.
-        r.set_prop("/c/doc", &Property::text(name.clone(), "v2")).unwrap();
+        r.set_prop("/c/doc", &Property::text(name.clone(), "v2"))
+            .unwrap();
         assert_eq!(
             r.get_prop("/c/doc", &name).unwrap().unwrap().text_value(),
             "v2"
@@ -1218,7 +1236,8 @@ mod tests {
         .unwrap();
         r.put("/doc", b"x", None).unwrap();
         let name = PropertyName::new("urn:e", "k");
-        r.set_prop("/doc", &Property::text(name.clone(), "v")).unwrap();
+        r.set_prop("/doc", &Property::text(name.clone(), "v"))
+            .unwrap();
         r.get_prop("/doc", &name).unwrap().unwrap();
         r.get_prop("/doc", &name).unwrap().unwrap();
         let s = r.cache_stats();
@@ -1264,10 +1283,14 @@ mod tests {
         r.mkcol("/c").unwrap();
         r.put("/c/doc", b"hello", Some("text/plain")).unwrap();
         let name = PropertyName::new("urn:e", "k");
-        r.set_prop("/c/doc", &Property::text(name.clone(), "v")).unwrap();
+        r.set_prop("/c/doc", &Property::text(name.clone(), "v"))
+            .unwrap();
         r.rename("/c/doc", "/c/doc2", false).unwrap();
         assert_eq!(r.get("/c/doc2").unwrap(), b"hello");
-        assert_eq!(r.get_prop("/c/doc2", &name).unwrap().unwrap().text_value(), "v");
+        assert_eq!(
+            r.get_prop("/c/doc2", &name).unwrap().unwrap().text_value(),
+            "v"
+        );
         r.delete("/c").unwrap();
         fs::remove_dir_all(&d).unwrap();
     }
@@ -1322,7 +1345,10 @@ mod tests {
         assert_eq!(s.staged, 8);
         let s = r.stage_copy_from("/doc", 8, 12, "/doc", 8, 4).unwrap();
         assert_eq!(s.staged, 12);
-        assert!(!r.stage_commit("/doc", None).unwrap(), "replace, not create");
+        assert!(
+            !r.stage_commit("/doc", None).unwrap(),
+            "replace, not create"
+        );
         assert_eq!(r.get("/doc").unwrap(), b"AAAAXYZWCCCC");
         // Out-of-bounds source range refuses.
         assert!(matches!(
@@ -1339,7 +1365,7 @@ mod tests {
         r.stage_abort("/up").unwrap();
         assert!(r.stage_status("/up").unwrap().is_none());
         r.stage_abort("/up").unwrap(); // absent is fine
-        // Appending past the declared total refuses.
+                                       // Appending past the declared total refuses.
         r.stage_append("/up", 0, 4, b"1234").unwrap();
         assert!(matches!(
             r.stage_append("/up", 4, 4, b"overflow"),
@@ -1376,7 +1402,8 @@ mod tests {
         r.put("/doc", b"x", None).unwrap();
         let a = PropertyName::new("u", "a");
         let b = PropertyName::new("u", "b");
-        r.set_prop("/doc", &Property::text(a.clone(), "old")).unwrap();
+        r.set_prop("/doc", &Property::text(a.clone(), "old"))
+            .unwrap();
 
         // Second instruction fails (over the size cap): the first must
         // roll back to its prior value.
@@ -1447,7 +1474,11 @@ mod tests {
                 r.store().invalidate_path(path);
                 let (len, inserts) = (r.store().prop_cache.len(), r.cache_stats().insertions);
                 let cold = r.get_props(path, &asked).unwrap();
-                assert_eq!(r.store().prop_cache.len(), len, "{kind:?} {path}: cold read cached");
+                assert_eq!(
+                    r.store().prop_cache.len(),
+                    len,
+                    "{kind:?} {path}: cold read cached"
+                );
                 assert_eq!(r.cache_stats().insertions, inserts, "{kind:?} {path}");
                 let all = r.all_props(path).unwrap();
                 let expected: Vec<Option<Property>> = asked
@@ -1522,7 +1553,10 @@ mod tests {
                 PropertyName::dav("getetag"),
             ];
             for path in ["/c", "/c/doc"] {
-                assert!(!dbm_exists(kind, &r.store().props_base(path)), "{kind:?} {path}");
+                assert!(
+                    !dbm_exists(kind, &r.store().props_base(path)),
+                    "{kind:?} {path}"
+                );
                 let (cold, warm) = cold_and_warm(&r, path, &names);
                 assert_eq!(cold, [None, None], "{kind:?} {path}");
                 assert_eq!(warm, [None, None], "{kind:?} {path}");

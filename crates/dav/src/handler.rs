@@ -151,12 +151,10 @@ impl<R: Repository> DavHandler<R> {
                     }
                     if let Ok(meta) = self.repo.meta(req.target.path()) {
                         if !meta.is_collection {
-                            resp = resp
-                                .with_header("ETag", meta.etag())
-                                .with_header(
-                                    "Last-Modified",
-                                    crate::repo::format_http_date(meta.modified),
-                                );
+                            resp = resp.with_header("ETag", meta.etag()).with_header(
+                                "Last-Modified",
+                                crate::repo::format_http_date(meta.modified),
+                            );
                             if status.code() == 416 {
                                 resp = resp.with_header(
                                     "Content-Range",
@@ -244,7 +242,11 @@ impl<R: Repository> DavHandler<R> {
         // multi-range header parses to None and the full entity is
         // served, the spec's ignore-don't-error posture.
         if !head {
-            if let Some(spec) = req.headers.get("Range").and_then(pse_http::range::parse_range) {
+            if let Some(spec) = req
+                .headers
+                .get("Range")
+                .and_then(pse_http::range::parse_range)
+            {
                 if if_range_fresh(req, &etag, meta.modified) {
                     match pse_http::range::resolve(spec, total) {
                         pse_http::range::ResolvedRange::Satisfiable { start, end } => {
@@ -281,7 +283,9 @@ impl<R: Repository> DavHandler<R> {
         Ok(Response::ok()
             .with_header(
                 "Content-Type",
-                meta.content_type.as_deref().unwrap_or("application/octet-stream"),
+                meta.content_type
+                    .as_deref()
+                    .unwrap_or("application/octet-stream"),
             )
             .with_header("ETag", etag)
             .with_header("Last-Modified", last_modified)
@@ -304,12 +308,8 @@ impl<R: Repository> DavHandler<R> {
             let Condition::ETag(claimed) = cond else {
                 continue;
             };
-            let etag = current.get_or_insert_with(|| {
-                self.repo
-                    .meta(path)
-                    .map(|m| m.etag())
-                    .unwrap_or_default()
-            });
+            let etag = current
+                .get_or_insert_with(|| self.repo.meta(path).map(|m| m.etag()).unwrap_or_default());
             // State-changing condition → strong comparison (RFC 7232
             // §2.1): a weak `W/` tag never authorises the write. The If
             // parser strips the surrounding quotes from `["..."]`;
@@ -367,9 +367,10 @@ impl<R: Repository> DavHandler<R> {
             Response::no_content()
         };
         if let Ok(meta) = self.repo.meta(path) {
-            resp = resp
-                .with_header("ETag", meta.etag())
-                .with_header("Last-Modified", crate::repo::format_http_date(meta.modified));
+            resp = resp.with_header("ETag", meta.etag()).with_header(
+                "Last-Modified",
+                crate::repo::format_http_date(meta.modified),
+            );
         }
         Ok(resp)
     }
@@ -511,10 +512,7 @@ impl<R: Repository> DavHandler<R> {
             self.locks.check_write_recursive(&src, &ifh.tokens)?;
         }
         let depth = Depth::parse(req.headers.get("Depth"));
-        let created = if !is_move
-            && depth == Depth::Zero
-            && self.repo.meta(&src)?.is_collection
-        {
+        let created = if !is_move && depth == Depth::Zero && self.repo.meta(&src)?.is_collection {
             // Shallow collection copy: new empty collection + properties.
             let existed = self.repo.exists(&dst);
             if existed && !overwrite {
@@ -556,9 +554,11 @@ impl<R: Repository> DavHandler<R> {
                 "version history is read-only; COPY from a version URL to revert",
             ));
         }
-        let target = self.repo.deltav().map(DeltaV::versions).and_then(|versions| {
-            Some((versions, versions.parse_history_target(src)?))
-        });
+        let target = self
+            .repo
+            .deltav()
+            .map(DeltaV::versions)
+            .and_then(|versions| Some((versions, versions.parse_history_target(src)?)));
         let Some((versions, HistoryTarget::Version(vpath, number))) = target else {
             return Ok(Response::error(
                 StatusCode::FORBIDDEN,
@@ -873,9 +873,7 @@ impl<R: Repository> DavHandler<R> {
         let state_etag = self.propfind_state_etag(&paths, &kind, depth)?;
         if let Some(inm) = req.headers.get("If-None-Match") {
             if etag_list_matches(inm, &state_etag, false) {
-                return Ok(
-                    Response::new(StatusCode::NOT_MODIFIED).with_header("ETag", state_etag)
-                );
+                return Ok(Response::new(StatusCode::NOT_MODIFIED).with_header("ETag", state_etag));
             }
         }
         for p in paths {
@@ -1089,10 +1087,7 @@ fn version_props(meta: &VersionMeta, checked_in: bool) -> Vec<Property> {
             PropertyName::dav("creationdate"),
             &crate::repo::format_iso8601(created),
         ),
-        Property::text(
-            PropertyName::dav("getcontentlength"),
-            &meta.len.to_string(),
-        ),
+        Property::text(PropertyName::dav("getcontentlength"), &meta.len.to_string()),
         Property::text(
             PropertyName::dav("checked-in"),
             if checked_in { "true" } else { "false" },
@@ -1281,7 +1276,9 @@ mod tests {
     fn put_get_delete_cycle() {
         let h = handler();
         let resp = h.handle(
-            req(Method::Put, "/doc.xyz").with_header("Content-Type", "chemical/x-xyz").with_body("3\natoms"),
+            req(Method::Put, "/doc.xyz")
+                .with_header("Content-Type", "chemical/x-xyz")
+                .with_body("3\natoms"),
         );
         assert_eq!(resp.status.code(), 201);
         let resp = h.handle(req(Method::Put, "/doc.xyz").with_body("new"));
@@ -1303,7 +1300,9 @@ mod tests {
         assert_eq!(h.handle(req(Method::MkCol, "/proj")).status.code(), 405);
         assert_eq!(h.handle(req(Method::MkCol, "/a/b")).status.code(), 409);
         assert_eq!(
-            h.handle(req(Method::MkCol, "/x").with_body("<x/>")).status.code(),
+            h.handle(req(Method::MkCol, "/x").with_body("<x/>"))
+                .status
+                .code(),
             415
         );
         h.handle(req(Method::Put, "/proj/data").with_body("d"));
@@ -1324,7 +1323,9 @@ mod tests {
         assert_eq!(ms.responses.len(), 3);
         let b = ms.response_for("/c/b").unwrap();
         assert_eq!(
-            b.prop(&PropertyName::dav("getcontentlength")).unwrap().text_value(),
+            b.prop(&PropertyName::dav("getcontentlength"))
+                .unwrap()
+                .text_value(),
             "2"
         );
     }
@@ -1416,9 +1417,7 @@ mod tests {
         let h = handler();
         h.handle(req(Method::MkCol, "/a"));
         h.handle(req(Method::Put, "/a/f").with_body("x"));
-        let resp = h.handle(
-            req(Method::Copy, "/a").with_header("Destination", "http://host/b"),
-        );
+        let resp = h.handle(req(Method::Copy, "/a").with_header("Destination", "http://host/b"));
         assert_eq!(resp.status.code(), 201);
         assert_eq!(h.handle(req(Method::Get, "/b/f")).body_text(), "x");
         // Overwrite: F on existing target → 412.
@@ -1484,7 +1483,12 @@ mod tests {
             .trim_matches(['<', '>'])
             .to_owned();
         // Write without token → 423.
-        assert_eq!(h.handle(req(Method::Put, "/doc").with_body("v2")).status.code(), 423);
+        assert_eq!(
+            h.handle(req(Method::Put, "/doc").with_body("v2"))
+                .status
+                .code(),
+            423
+        );
         // Write with token → OK.
         let resp = h.handle(
             req(Method::Put, "/doc")
@@ -1493,11 +1497,15 @@ mod tests {
         );
         assert_eq!(resp.status.code(), 204);
         // UNLOCK then write freely.
-        let resp = h.handle(
-            req(Method::Unlock, "/doc").with_header("Lock-Token", format!("<{token}>")),
-        );
+        let resp =
+            h.handle(req(Method::Unlock, "/doc").with_header("Lock-Token", format!("<{token}>")));
         assert_eq!(resp.status.code(), 204);
-        assert_eq!(h.handle(req(Method::Put, "/doc").with_body("v3")).status.code(), 204);
+        assert_eq!(
+            h.handle(req(Method::Put, "/doc").with_body("v3"))
+                .status
+                .code(),
+            204
+        );
     }
 
     #[test]
@@ -1560,12 +1568,16 @@ mod tests {
         assert_eq!(resp.headers.get("etag"), Some(etag.as_str()));
         // `*` and a list containing the etag also match.
         assert_eq!(
-            h.handle(req(Method::Get, "/doc").with_header("If-None-Match", "*")).status.code(),
+            h.handle(req(Method::Get, "/doc").with_header("If-None-Match", "*"))
+                .status
+                .code(),
             304
         );
         let list = format!("\"zz\", {etag}");
         assert_eq!(
-            h.handle(req(Method::Get, "/doc").with_header("If-None-Match", list)).status.code(),
+            h.handle(req(Method::Get, "/doc").with_header("If-None-Match", list))
+                .status
+                .code(),
             304
         );
         // A stale etag re-fetches.
@@ -1575,11 +1587,15 @@ mod tests {
 
         // If-Modified-Since at the reported Last-Modified → 304; HEAD too.
         assert_eq!(
-            h.handle(req(Method::Get, "/doc").with_header("If-Modified-Since", &lm)).status.code(),
+            h.handle(req(Method::Get, "/doc").with_header("If-Modified-Since", &lm))
+                .status
+                .code(),
             304
         );
         assert_eq!(
-            h.handle(req(Method::Head, "/doc").with_header("If-Modified-Since", &lm)).status.code(),
+            h.handle(req(Method::Head, "/doc").with_header("If-Modified-Since", &lm))
+                .status
+                .code(),
             304
         );
         // An unparseable date is ignored.
@@ -1606,23 +1622,44 @@ mod tests {
         let h = handler();
         // If-None-Match: * on a fresh name → create; repeated → 412.
         let resp = h.handle(
-            req(Method::Put, "/new").with_header("If-None-Match", "*").with_body("v1"),
+            req(Method::Put, "/new")
+                .with_header("If-None-Match", "*")
+                .with_body("v1"),
         );
         assert_eq!(resp.status.code(), 201);
         let resp = h.handle(
-            req(Method::Put, "/new").with_header("If-None-Match", "*").with_body("v2"),
+            req(Method::Put, "/new")
+                .with_header("If-None-Match", "*")
+                .with_body("v2"),
         );
         assert_eq!(resp.status.code(), 412);
         assert_eq!(h.handle(req(Method::Get, "/new")).body_text(), "v1");
 
         // If-Match with the current etag succeeds; a stale one is 412.
-        let etag = h.handle(req(Method::Get, "/new")).headers.get("etag").unwrap().to_owned();
-        let resp = h.handle(req(Method::Put, "/new").with_header("If-Match", &etag).with_body("v2"));
+        let etag = h
+            .handle(req(Method::Get, "/new"))
+            .headers
+            .get("etag")
+            .unwrap()
+            .to_owned();
+        let resp = h.handle(
+            req(Method::Put, "/new")
+                .with_header("If-Match", &etag)
+                .with_body("v2"),
+        );
         assert_eq!(resp.status.code(), 204);
-        let resp = h.handle(req(Method::Put, "/new").with_header("If-Match", etag).with_body("v3"));
+        let resp = h.handle(
+            req(Method::Put, "/new")
+                .with_header("If-Match", etag)
+                .with_body("v3"),
+        );
         assert_eq!(resp.status.code(), 412);
         // If-Match on a nonexistent resource → 412 (even `*`).
-        let resp = h.handle(req(Method::Put, "/absent").with_header("If-Match", "*").with_body("x"));
+        let resp = h.handle(
+            req(Method::Put, "/absent")
+                .with_header("If-Match", "*")
+                .with_body("x"),
+        );
         assert_eq!(resp.status.code(), 412);
     }
 
@@ -1630,23 +1667,30 @@ mod tests {
     fn if_header_etag_conditions_enforced() {
         let h = handler();
         h.handle(req(Method::Put, "/doc").with_body("v1"));
-        let etag = h.handle(req(Method::Get, "/doc")).headers.get("etag").unwrap().to_owned();
+        let etag = h
+            .handle(req(Method::Get, "/doc"))
+            .headers
+            .get("etag")
+            .unwrap()
+            .to_owned();
 
         // A matching `[...]` condition lets the write through.
         let resp = h.handle(
-            req(Method::Put, "/doc").with_header("If", format!("([{etag}])")).with_body("v2"),
+            req(Method::Put, "/doc")
+                .with_header("If", format!("([{etag}])"))
+                .with_body("v2"),
         );
         assert_eq!(resp.status.code(), 204);
         // The old etag no longer matches → 412, write refused.
         let resp = h.handle(
-            req(Method::Put, "/doc").with_header("If", format!("([{etag}])")).with_body("v3"),
+            req(Method::Put, "/doc")
+                .with_header("If", format!("([{etag}])"))
+                .with_body("v3"),
         );
         assert_eq!(resp.status.code(), 412);
         assert_eq!(h.handle(req(Method::Get, "/doc")).body_text(), "v2");
         // DELETE and MOVE honour the same condition.
-        let resp = h.handle(
-            req(Method::Delete, "/doc").with_header("If", "([\"bogus\"])"),
-        );
+        let resp = h.handle(req(Method::Delete, "/doc").with_header("If", "([\"bogus\"])"));
         assert_eq!(resp.status.code(), 412);
         let resp = h.handle(
             req(Method::Move, "/doc")
@@ -1696,17 +1740,30 @@ mod tests {
     fn weak_and_quoted_etag_forms_compare_correctly() {
         let h = handler();
         h.handle(req(Method::Put, "/doc").with_body("v1"));
-        let etag = h.handle(req(Method::Get, "/doc")).headers.get("etag").unwrap().to_owned();
+        let etag = h
+            .handle(req(Method::Get, "/doc"))
+            .headers
+            .get("etag")
+            .unwrap()
+            .to_owned();
 
         // If-Match is a strong comparison: W/"current" must NOT match,
         // even though the opaque value is right (RFC 7232 §3.1).
         let weak = format!("W/{etag}");
-        let resp = h.handle(req(Method::Put, "/doc").with_header("If-Match", &weak).with_body("x"));
+        let resp = h.handle(
+            req(Method::Put, "/doc")
+                .with_header("If-Match", &weak)
+                .with_body("x"),
+        );
         assert_eq!(resp.status.code(), 412, "weak tag authorised a write");
         assert_eq!(h.handle(req(Method::Get, "/doc")).body_text(), "v1");
         // Quoted and bare forms of the real tag both match. (Each PUT
         // moves the etag, so refetch between attempts.)
-        let resp = h.handle(req(Method::Put, "/doc").with_header("If-Match", &etag).with_body("v1"));
+        let resp = h.handle(
+            req(Method::Put, "/doc")
+                .with_header("If-Match", &etag)
+                .with_body("v1"),
+        );
         assert_eq!(resp.status.code(), 204, "quoted {etag:?} should match");
         let bare = h
             .handle(req(Method::Get, "/doc"))
@@ -1715,23 +1772,50 @@ mod tests {
             .unwrap()
             .trim_matches('"')
             .to_owned();
-        let resp = h.handle(req(Method::Put, "/doc").with_header("If-Match", &bare).with_body("v1"));
+        let resp = h.handle(
+            req(Method::Put, "/doc")
+                .with_header("If-Match", &bare)
+                .with_body("v1"),
+        );
         assert_eq!(resp.status.code(), 204, "bare {bare:?} should match");
         // List form: the current tag hiding behind strangers still matches.
-        let etag = h.handle(req(Method::Get, "/doc")).headers.get("etag").unwrap().to_owned();
+        let etag = h
+            .handle(req(Method::Get, "/doc"))
+            .headers
+            .get("etag")
+            .unwrap()
+            .to_owned();
         let list = format!("\"zz\", W/\"yy\", {etag}");
-        let resp = h.handle(req(Method::Put, "/doc").with_header("If-Match", &list).with_body("v1"));
+        let resp = h.handle(
+            req(Method::Put, "/doc")
+                .with_header("If-Match", &list)
+                .with_body("v1"),
+        );
         assert_eq!(resp.status.code(), 204);
         // A list of only weak/wrong tags does not.
         let resp = h.handle(
             req(Method::Put, "/doc")
-                .with_header("If-Match", format!("\"zz\", W/{}", h.handle(req(Method::Get, "/doc")).headers.get("etag").unwrap()))
+                .with_header(
+                    "If-Match",
+                    format!(
+                        "\"zz\", W/{}",
+                        h.handle(req(Method::Get, "/doc"))
+                            .headers
+                            .get("etag")
+                            .unwrap()
+                    ),
+                )
                 .with_body("x"),
         );
         assert_eq!(resp.status.code(), 412);
 
         // If-header `[...]` conditions are strong too.
-        let etag = h.handle(req(Method::Get, "/doc")).headers.get("etag").unwrap().to_owned();
+        let etag = h
+            .handle(req(Method::Get, "/doc"))
+            .headers
+            .get("etag")
+            .unwrap()
+            .to_owned();
         let resp = h.handle(
             req(Method::Put, "/doc")
                 .with_header("If", format!("([W/{etag}])"))
@@ -1739,7 +1823,8 @@ mod tests {
         );
         assert_eq!(resp.status.code(), 412, "weak tag passed an If condition");
         // If-None-Match stays weak: W/"current" still revalidates a GET.
-        let resp = h.handle(req(Method::Get, "/doc").with_header("If-None-Match", format!("W/{etag}")));
+        let resp =
+            h.handle(req(Method::Get, "/doc").with_header("If-None-Match", format!("W/{etag}")));
         assert_eq!(resp.status.code(), 304);
     }
 
@@ -1748,7 +1833,9 @@ mod tests {
         let h = handler();
         h.handle(req(Method::Put, "/doc").with_body("content"));
         let resp = h.handle(
-            req(Method::Put, "/doc").with_header("If-Match", "\"stale\"").with_body("x"),
+            req(Method::Put, "/doc")
+                .with_header("If-Match", "\"stale\"")
+                .with_body("x"),
         );
         assert_eq!(resp.status.code(), 412);
         assert!(resp.body.is_empty(), "412 must not carry a body");
@@ -1759,7 +1846,11 @@ mod tests {
     #[test]
     fn range_get_matrix() {
         let h = handler();
-        h.handle(req(Method::Put, "/d").with_header("Content-Type", "text/plain").with_body("0123456789"));
+        h.handle(
+            req(Method::Put, "/d")
+                .with_header("Content-Type", "text/plain")
+                .with_body("0123456789"),
+        );
 
         // Plain GET/HEAD advertise byte ranges.
         let resp = h.handle(req(Method::Get, "/d"));
@@ -1798,7 +1889,13 @@ mod tests {
         assert!(resp.headers.get("last-modified").is_some());
 
         // Malformed, multi-range, inverted, non-bytes: ignored → 200.
-        for bad in ["bytes=5-2", "bytes=1-2,4-5", "chunks=1-2", "bytes=x-y", "garbage"] {
+        for bad in [
+            "bytes=5-2",
+            "bytes=1-2,4-5",
+            "chunks=1-2",
+            "bytes=x-y",
+            "garbage",
+        ] {
             let resp = h.handle(req(Method::Get, "/d").with_header("Range", bad));
             assert_eq!(resp.status.code(), 200, "Range {bad:?} must be ignored");
             assert_eq!(resp.body_text(), "0123456789");
@@ -1820,9 +1917,13 @@ mod tests {
 
         // Fresh etag → 206; stale etag → full 200; weak form of the
         // current etag → full 200 (strong comparison required).
-        let get = |ir: &str| h.handle(
-            req(Method::Get, "/d").with_header("Range", "bytes=0-3").with_header("If-Range", ir),
-        );
+        let get = |ir: &str| {
+            h.handle(
+                req(Method::Get, "/d")
+                    .with_header("Range", "bytes=0-3")
+                    .with_header("If-Range", ir),
+            )
+        };
         assert_eq!(get(&etag).status.code(), 206);
         assert_eq!(get("\"stale\"").status.code(), 200);
         assert_eq!(get(&format!("W/{etag}")).status.code(), 200);
@@ -1850,9 +1951,7 @@ mod tests {
         assert_eq!(h.handle(req(Method::Get, "/c/big")).status.code(), 404);
 
         // Probe after a "crash": bytes */N with empty body.
-        let resp = h.handle(
-            req(Method::Put, "/c/big").with_header("Content-Range", "bytes */10"),
-        );
+        let resp = h.handle(req(Method::Put, "/c/big").with_header("Content-Range", "bytes */10"));
         assert_eq!(resp.status.code(), 202);
         assert_eq!(resp.headers.get("x-staged-bytes"), Some("5"));
 
@@ -1892,7 +1991,12 @@ mod tests {
     fn delta_put_via_x_copy_from() {
         let h = handler();
         h.handle(req(Method::Put, "/doc").with_body("AAAABBBBCCCC"));
-        let etag = h.handle(req(Method::Get, "/doc")).headers.get("etag").unwrap().to_owned();
+        let etag = h
+            .handle(req(Method::Get, "/doc"))
+            .headers
+            .get("etag")
+            .unwrap()
+            .to_owned();
 
         // Reuse bytes 0-3 of the stored entity, upload 4 new bytes,
         // reuse bytes 8-11 — guarded by If-Match on the base version.
@@ -1917,7 +2021,10 @@ mod tests {
                 .with_header("X-Copy-From", "bytes=8-11"),
         );
         assert_eq!(resp.status.code(), 204, "complete → committed in place");
-        assert_eq!(h.handle(req(Method::Get, "/doc")).body_text(), "AAAAXYZWCCCC");
+        assert_eq!(
+            h.handle(req(Method::Get, "/doc")).body_text(),
+            "AAAAXYZWCCCC"
+        );
 
         // Guard rails: copy-from length mismatch and missing
         // Content-Range are hard 400s.
@@ -1967,12 +2074,15 @@ mod tests {
         let resp = h.handle(req(Method::Lock, "/c/doc").with_xml_body(lock_body));
         let token = resp.headers.get("lock-token").unwrap().to_owned();
         // Delete the parent with the lock token supplied.
-        let resp = h.handle(
-            req(Method::Delete, "/c").with_header("If", format!("({token})")),
-        );
+        let resp = h.handle(req(Method::Delete, "/c").with_header("If", format!("({token})")));
         assert_eq!(resp.status.code(), 204);
         // Re-create; no stale lock applies.
         h.handle(req(Method::MkCol, "/c"));
-        assert_eq!(h.handle(req(Method::Put, "/c/doc").with_body("")).status.code(), 201);
+        assert_eq!(
+            h.handle(req(Method::Put, "/c/doc").with_body(""))
+                .status
+                .code(),
+            201
+        );
     }
 }

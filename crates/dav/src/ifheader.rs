@@ -80,11 +80,7 @@ impl IfHeader {
     /// Extract the token from a `Lock-Token: <...>` header value.
     pub fn parse_lock_token(value: Option<&str>) -> Option<String> {
         let v = value?.trim();
-        Some(
-            v.strip_prefix('<')?
-                .strip_suffix('>')?
-                .to_owned(),
-        )
+        Some(v.strip_prefix('<')?.strip_suffix('>')?.to_owned())
     }
 }
 

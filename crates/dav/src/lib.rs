@@ -63,8 +63,8 @@ pub mod lock;
 pub mod memrepo;
 pub mod multistatus;
 pub mod pathlock;
-pub mod propindex;
 pub mod property;
+pub mod propindex;
 pub mod repo;
 pub mod search;
 pub mod server;
@@ -78,6 +78,6 @@ pub use handler::DavHandler;
 pub use memrepo::MemRepository;
 pub use multistatus::Multistatus;
 pub use pathlock::{PathGuard, PathLocks};
-pub use propindex::{IndexStats, PropIndex};
 pub use property::{Property, PropertyName};
+pub use propindex::{IndexStats, PropIndex};
 pub use repo::Repository;

@@ -110,7 +110,8 @@ impl LockManager {
         let mut table = self.locks.lock();
         Self::purge_expired(&mut table);
         let conflicts = table.values().flatten().any(|l| {
-            (l.covers(path) || (depth == Depth::Infinity && Lock::covers(&with_depth(path), &l.path)))
+            (l.covers(path)
+                || (depth == Depth::Infinity && Lock::covers(&with_depth(path), &l.path)))
                 && (scope == LockScope::Exclusive || l.scope == LockScope::Exclusive)
         });
         if conflicts {
@@ -121,7 +122,11 @@ impl LockManager {
             token: self.mint_token(),
             path: path.to_owned(),
             scope,
-            depth: if depth == Depth::One { Depth::Zero } else { depth },
+            depth: if depth == Depth::One {
+                Depth::Zero
+            } else {
+                depth
+            },
             owner: owner.to_owned(),
             expires: Instant::now() + timeout,
             timeout,
@@ -267,7 +272,8 @@ mod tests {
             mgr.check_write("/a/b", &[]),
             Err(DavError::Locked(_))
         ));
-        mgr.check_write("/a/b", std::slice::from_ref(&l.token)).unwrap();
+        mgr.check_write("/a/b", std::slice::from_ref(&l.token))
+            .unwrap();
         mgr.unlock("/a/b", &l.token).unwrap();
         mgr.check_write("/a/b", &[]).unwrap();
     }
@@ -287,7 +293,8 @@ mod tests {
             .lock("/doc", LockScope::Exclusive, Depth::Zero, "c", None)
             .is_err());
         // Either shared holder can write.
-        mgr.check_write("/doc", std::slice::from_ref(&l2.token)).unwrap();
+        mgr.check_write("/doc", std::slice::from_ref(&l2.token))
+            .unwrap();
     }
 
     #[test]

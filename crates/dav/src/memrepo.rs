@@ -131,9 +131,7 @@ impl MemStore {
 
     fn require_parent_in(nodes: &HashMap<String, MemNode>, path: &str) -> Result<()> {
         let parent = parent_path(path);
-        if parent != path
-            && !nodes.get(&parent).map(|n| n.is_collection).unwrap_or(false)
-        {
+        if parent != path && !nodes.get(&parent).map(|n| n.is_collection).unwrap_or(false) {
             return Err(DavError::Conflict(parent));
         }
         Ok(())
@@ -277,7 +275,10 @@ impl Store for MemStore {
                 Ok(false)
             }
             None => {
-                nodes.insert(path.to_owned(), MemNode::document(data.to_vec(), content_type));
+                nodes.insert(
+                    path.to_owned(),
+                    MemNode::document(data.to_vec(), content_type),
+                );
                 Ok(true)
             }
         }
@@ -414,7 +415,13 @@ impl Store for MemStore {
         }))
     }
 
-    fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus> {
+    fn stage_append(
+        &self,
+        path: &str,
+        offset: u64,
+        total: u64,
+        data: &[u8],
+    ) -> Result<StageStatus> {
         Self::stage_append_in(&mut self.stages.lock(), path, offset, total, data)
     }
 
@@ -432,7 +439,10 @@ impl Store for MemStore {
                 return Err(DavError::Conflict(format!("{src} is a collection")));
             }
             let slen = n.data.len() as u64;
-            if src_start.checked_add(src_len).map_or(true, |end| end > slen) {
+            if src_start
+                .checked_add(src_len)
+                .map_or(true, |end| end > slen)
+            {
                 return Err(DavError::BadRequest(format!(
                     "source range {src_start}+{src_len} exceeds {slen}-byte {src}"
                 )));
@@ -521,10 +531,7 @@ mod tests {
             r.put("/missing/doc", b"x", None),
             Err(DavError::Conflict(_))
         ));
-        assert!(matches!(
-            r.mkcol("/a/b"),
-            Err(DavError::Conflict(_))
-        ));
+        assert!(matches!(r.mkcol("/a/b"), Err(DavError::Conflict(_))));
     }
 
     #[test]
@@ -539,8 +546,11 @@ mod tests {
         let r = MemRepository::new();
         r.mkcol("/src").unwrap();
         r.put("/src/d", b"x", None).unwrap();
-        r.set_prop("/src/d", &Property::text(PropertyName::new("u:n", "k"), "v"))
-            .unwrap();
+        r.set_prop(
+            "/src/d",
+            &Property::text(PropertyName::new("u:n", "k"), "v"),
+        )
+        .unwrap();
         assert!(r.copy("/src", "/dst", false).unwrap());
         assert_eq!(r.get("/dst/d").unwrap(), b"x");
         assert_eq!(
@@ -601,8 +611,12 @@ mod tests {
         r.put("/d", b"", None).unwrap();
         let name = PropertyName::new("urn:ecce", "formula");
         assert!(r.get_prop("/d", &name).unwrap().is_none());
-        r.set_prop("/d", &Property::text(name.clone(), "H2O")).unwrap();
-        assert_eq!(r.get_prop("/d", &name).unwrap().unwrap().text_value(), "H2O");
+        r.set_prop("/d", &Property::text(name.clone(), "H2O"))
+            .unwrap();
+        assert_eq!(
+            r.get_prop("/d", &name).unwrap().unwrap().text_value(),
+            "H2O"
+        );
         assert_eq!(r.list_props("/d").unwrap(), vec![name.clone()]);
         assert!(r.remove_prop("/d", &name).unwrap());
         assert!(!r.remove_prop("/d", &name).unwrap());
@@ -693,7 +707,10 @@ mod tests {
             Err(DavError::BadRequest(_))
         ));
         // Incomplete commit refuses and the stage survives.
-        assert!(matches!(r.stage_commit("/doc", None), Err(DavError::Conflict(_))));
+        assert!(matches!(
+            r.stage_commit("/doc", None),
+            Err(DavError::Conflict(_))
+        ));
         r.stage_copy_from("/doc", 8, 12, "/doc", 8, 4).unwrap();
         assert!(!r.stage_commit("/doc", None).unwrap());
         assert_eq!(r.get("/doc").unwrap(), b"AAAAXYZWCCCC");
@@ -701,7 +718,10 @@ mod tests {
         // Fresh-create path and abort.
         r.stage_append("/new", 0, 3, b"abc").unwrap();
         assert!(r.stage_commit("/new", Some("text/plain")).unwrap());
-        assert_eq!(r.meta("/new").unwrap().content_type.as_deref(), Some("text/plain"));
+        assert_eq!(
+            r.meta("/new").unwrap().content_type.as_deref(),
+            Some("text/plain")
+        );
         r.stage_append("/gone", 0, 5, b"xx").unwrap();
         r.stage_abort("/gone").unwrap();
         assert!(r.stage_status("/gone").unwrap().is_none());
@@ -723,7 +743,11 @@ mod tests {
             std::thread::spawn(move || {
                 let mut at_a = true;
                 while !stop.load(Ordering::Relaxed) {
-                    let (from, to) = if at_a { ("/m-a", "/m-b") } else { ("/m-b", "/m-a") };
+                    let (from, to) = if at_a {
+                        ("/m-a", "/m-b")
+                    } else {
+                        ("/m-b", "/m-a")
+                    };
                     r.rename(from, to, false).unwrap();
                     at_a = !at_a;
                 }

@@ -469,10 +469,7 @@ mod tests {
                     status: StatusCode::OK,
                 },
                 PropStat {
-                    props: vec![Property::text(
-                        PropertyName::new("urn:ecce", "missing"),
-                        "",
-                    )],
+                    props: vec![Property::text(PropertyName::new("urn:ecce", "missing"), "")],
                     status: StatusCode::NOT_FOUND,
                 },
             ],

@@ -137,7 +137,9 @@ impl Property {
             && v.namespace() == namespace
             && v.name.local == self.name.local
             && v.attributes.is_empty()
-            && v.children.iter().all(|n| matches!(n, Node::Text(t) if !t.is_empty()))
+            && v.children
+                .iter()
+                .all(|n| matches!(n, Node::Text(t) if !t.is_empty()))
     }
 
     /// Serialise the value element for storage.
@@ -248,9 +250,7 @@ mod tests {
         let name = PropertyName::new("urn:ecce", "formula");
         assert!(Property::text(name.clone(), "H2O").is_plain_text());
         assert!(Property::text(name.clone(), "").is_plain_text());
-        let parsed = |xml: &str| {
-            Property::from_element(Document::parse(xml).unwrap().into_root())
-        };
+        let parsed = |xml: &str| Property::from_element(Document::parse(xml).unwrap().into_root());
         let plain = parsed(r#"<e:formula xmlns:e="urn:ecce">H2O</e:formula>"#);
         assert!(plain.is_plain_text());
         assert_eq!(plain, Property::text(name.clone(), "H2O"));
@@ -268,15 +268,14 @@ mod tests {
         assert_eq!(parsed("<bare>v</bare>"), Property::text(bare.clone(), "v"));
         let stored = Property::text(bare.clone(), "v").to_storage();
         assert_eq!(String::from_utf8_lossy(&stored), "<bare>v</bare>");
-        assert!(Property::from_storage(bare, &stored).unwrap().is_plain_text());
+        assert!(Property::from_storage(bare, &stored)
+            .unwrap()
+            .is_plain_text());
     }
 
     #[test]
     fn display_form() {
-        assert_eq!(
-            PropertyName::dav("href").to_string(),
-            "{DAV:}href"
-        );
+        assert_eq!(PropertyName::dav("href").to_string(), "{DAV:}href");
     }
 
     #[test]

@@ -235,7 +235,10 @@ impl Record {
         }
         let fields: Vec<&str> = payload.split(' ').collect();
         let name = |i: usize| -> Option<PropertyName> {
-            Some(PropertyName::new(&unesc(fields.get(i)?), &unesc(fields.get(i + 1)?)))
+            Some(PropertyName::new(
+                &unesc(fields.get(i)?),
+                &unesc(fields.get(i + 1)?),
+            ))
         };
         match fields.first().copied()? {
             "set" if fields.len() == 6 => Some(Record::Set(
@@ -360,12 +363,7 @@ impl State {
     }
 
     fn set(&mut self, path: &str, name: &PropertyName, stored: Stored) {
-        if let Some(old) = self
-            .by_path
-            .get(path)
-            .and_then(|m| m.get(name))
-            .cloned()
-        {
+        if let Some(old) = self.by_path.get(path).and_then(|m| m.get(name)).cloned() {
             self.unindex(path, name, &old);
         }
         match &stored {
@@ -420,8 +418,7 @@ impl State {
             .cloned()
             .collect();
         for path in victims {
-            let names: Vec<PropertyName> =
-                self.by_path[&path].keys().cloned().collect();
+            let names: Vec<PropertyName> = self.by_path[&path].keys().cloned().collect();
             for name in names {
                 self.remove(&path, &name);
             }
@@ -502,7 +499,11 @@ impl State {
                     if value.len() > VALUE_CAP {
                         return None;
                     }
-                    match self.postings.get(*name).and_then(|values| values.get(*value)) {
+                    match self
+                        .postings
+                        .get(*name)
+                        .and_then(|values| values.get(*value))
+                    {
                         Some(posting) => postings.push((*name, posting)),
                         None => return Some(Vec::new()),
                     }
@@ -750,7 +751,9 @@ impl PropIndex {
             .get(path)
             .map(|m| m.keys().cloned().collect())
             .unwrap_or_default();
-        let removes = old.into_iter().map(|name| Record::Remove(path.to_owned(), name));
+        let removes = old
+            .into_iter()
+            .map(|name| Record::Remove(path.to_owned(), name));
         let sets = props
             .iter()
             .map(|p| Record::Set(path.to_owned(), p.name.clone(), Stored::of(p)));
@@ -759,7 +762,9 @@ impl PropIndex {
 
     /// Drop `path` and everything under it.
     pub fn remove_tree(&self, root: &str) {
-        self.state.lock().commit([Record::RemoveTree(root.to_owned())]);
+        self.state
+            .lock()
+            .commit([Record::RemoveTree(root.to_owned())]);
     }
 
     /// Duplicate the entries under `src` to the same layout under `dst`,
@@ -818,7 +823,10 @@ mod tests {
     }
 
     fn set(idx: &PropIndex, path: &str, name: &PropertyName, value: &str) {
-        idx.patch(path, &[PropPatchOp::Set(Property::text(name.clone(), value))]);
+        idx.patch(
+            path,
+            &[PropPatchOp::Set(Property::text(name.clone(), value))],
+        );
     }
 
     fn remove(idx: &PropIndex, path: &str, name: &PropertyName) {
@@ -835,7 +843,10 @@ mod tests {
             idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
             vec!["/a", "/b"]
         );
-        assert_eq!(idx.probe(&Probe::Eq(&n("formula"), "XY")).unwrap(), Vec::<String>::new());
+        assert_eq!(
+            idx.probe(&Probe::Eq(&n("formula"), "XY")).unwrap(),
+            Vec::<String>::new()
+        );
         assert_eq!(
             idx.probe(&Probe::IsDefined(&n("formula"))).unwrap(),
             vec!["/a", "/b", "/c"]
@@ -859,17 +870,29 @@ mod tests {
         set(&idx, "/u", &n("energy"), "-75.1");
         set(&idx, "/x", &n("energy"), "12");
         set(&idx, "/t", &n("energy"), "not a number");
-        assert_eq!(idx.probe(&Probe::Lt(&n("energy"), -75.5)).unwrap(), vec!["/w"]);
+        assert_eq!(
+            idx.probe(&Probe::Lt(&n("energy"), -75.5)).unwrap(),
+            vec!["/w"]
+        );
         assert_eq!(
             idx.probe(&Probe::Gt(&n("energy"), -76.0)).unwrap(),
             vec!["/u", "/x"]
         );
         // Boundary is exclusive, matching Condition::Gt.
-        assert_eq!(idx.probe(&Probe::Gt(&n("energy"), 12.0)).unwrap(), Vec::<String>::new());
+        assert_eq!(
+            idx.probe(&Probe::Gt(&n("energy"), 12.0)).unwrap(),
+            Vec::<String>::new()
+        );
         // Signed zero folds onto zero.
         set(&idx, "/z", &n("energy"), "-0.0");
-        assert_eq!(idx.probe(&Probe::Gt(&n("energy"), 0.0)).unwrap(), vec!["/x"]);
-        assert!(!idx.probe(&Probe::Lt(&n("energy"), 0.0)).unwrap().contains(&"/z".to_owned()));
+        assert_eq!(
+            idx.probe(&Probe::Gt(&n("energy"), 0.0)).unwrap(),
+            vec!["/x"]
+        );
+        assert!(!idx
+            .probe(&Probe::Lt(&n("energy"), 0.0))
+            .unwrap()
+            .contains(&"/z".to_owned()));
     }
 
     #[test]
@@ -884,7 +907,10 @@ mod tests {
             vec!["/big", "/small"]
         );
         // Short-literal equality cannot match a capped value.
-        assert_eq!(idx.probe(&Probe::Eq(&n("blob"), "tiny")).unwrap(), vec!["/small"]);
+        assert_eq!(
+            idx.probe(&Probe::Eq(&n("blob"), "tiny")).unwrap(),
+            vec!["/small"]
+        );
         // Long-literal equality and numeric ranges are declined.
         assert!(idx.probe(&Probe::Eq(&n("blob"), &big)).is_none());
         assert!(idx.probe(&Probe::Gt(&n("blob"), 0.0)).is_none());
@@ -903,18 +929,30 @@ mod tests {
         idx.copy_tree("/proj", "/backup");
         assert_eq!(
             idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
-            vec!["/backup/a", "/backup/a/geom", "/other", "/proj/a", "/proj/a/geom"]
+            vec![
+                "/backup/a",
+                "/backup/a/geom",
+                "/other",
+                "/proj/a",
+                "/proj/a/geom"
+            ]
         );
         idx.move_tree("/proj", "/moved");
         let got = idx.probe(&Probe::IsDefined(&n("title"))).unwrap();
         assert_eq!(got, vec!["/backup", "/moved"]);
         idx.remove_tree("/backup");
         idx.remove_tree("/moved");
-        assert_eq!(idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(), vec!["/other"]);
+        assert_eq!(
+            idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
+            vec!["/other"]
+        );
         // Prefix means path-segment prefix: /other2 survives /other.
         set(&idx, "/other2", &n("formula"), "H2O");
         idx.remove_tree("/other");
-        assert_eq!(idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(), vec!["/other2"]);
+        assert_eq!(
+            idx.probe(&Probe::Eq(&n("formula"), "H2O")).unwrap(),
+            vec!["/other2"]
+        );
     }
 
     #[test]
@@ -933,9 +971,18 @@ mod tests {
         {
             let (idx, rebuild) = PropIndex::open(&dir);
             assert!(!rebuild, "clean files must load");
-            assert!(idx.probe(&Probe::Eq(&n("formula"), "H2O with spaces % and\nnewline")).unwrap().is_empty());
-            assert_eq!(idx.probe(&Probe::Lt(&n("energy"), 0.0)).unwrap(), vec!["/b"]);
-            assert_eq!(idx.probe(&Probe::Gt(&n("energy"), 0.0)).unwrap(), vec!["/c"]);
+            assert!(idx
+                .probe(&Probe::Eq(&n("formula"), "H2O with spaces % and\nnewline"))
+                .unwrap()
+                .is_empty());
+            assert_eq!(
+                idx.probe(&Probe::Lt(&n("energy"), 0.0)).unwrap(),
+                vec!["/b"]
+            );
+            assert_eq!(
+                idx.probe(&Probe::Gt(&n("energy"), 0.0)).unwrap(),
+                vec!["/c"]
+            );
         }
         // Corrupt the journal: open must demand a rebuild.
         {
@@ -958,7 +1005,10 @@ mod tests {
             set(&idx, "/y", &n("p"), "w");
         }
         {
-            let mut f = fs::OpenOptions::new().append(true).open(dir.join(JOURNAL)).unwrap();
+            let mut f = fs::OpenOptions::new()
+                .append(true)
+                .open(dir.join(JOURNAL))
+                .unwrap();
             f.write_all(b"0123").unwrap();
         }
         let (_, rebuild) = PropIndex::open(&dir);
@@ -968,7 +1018,8 @@ mod tests {
 
     #[test]
     fn journal_compacts_when_outgrown() {
-        let dir = std::env::temp_dir().join(format!("pse-propindex-compact-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("pse-propindex-compact-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let (idx, _) = PropIndex::open(&dir);
         idx.compact();
@@ -984,8 +1035,11 @@ mod tests {
         let (idx2, rebuild) = PropIndex::open(&dir);
         assert!(!rebuild);
         assert_eq!(
-            idx2.probe(&Probe::Eq(&n("counter"), &COMPACT_FLOOR.saturating_add(9).to_string()))
-                .unwrap(),
+            idx2.probe(&Probe::Eq(
+                &n("counter"),
+                &COMPACT_FLOOR.saturating_add(9).to_string()
+            ))
+            .unwrap(),
             vec!["/hot"]
         );
         let _ = fs::remove_dir_all(&dir);
@@ -1015,13 +1069,19 @@ mod tests {
         set(&idx, "/b", &c, "+2");
         idx.patch("/r", &[PropPatchOp::Set(rich(&f, "UO2"))]);
         assert_eq!(covered(&idx, &[(&f, "H2O")]).unwrap(), vec!["/a", "/b"]);
-        assert_eq!(covered(&idx, &[(&f, "H2O"), (&c, "0")]).unwrap(), vec!["/a"]);
+        assert_eq!(
+            covered(&idx, &[(&f, "H2O"), (&c, "0")]).unwrap(),
+            vec!["/a"]
+        );
         assert_eq!(covered(&idx, &[(&f, "XY")]).unwrap(), Vec::<String>::new());
         // A rich match declines; the plain Eq probe still answers.
         assert!(covered(&idx, &[(&f, "UO2")]).is_none());
         assert_eq!(idx.probe(&Probe::Eq(&f, "UO2")).unwrap(), vec!["/r"]);
         // A rich value that is not a match does not matter.
-        assert_eq!(covered(&idx, &[(&f, "H2O"), (&c, "+2")]).unwrap(), vec!["/b"]);
+        assert_eq!(
+            covered(&idx, &[(&f, "H2O"), (&c, "+2")]).unwrap(),
+            vec!["/b"]
+        );
         // Over the cap, or with nothing to match on: decline.
         let long = "x".repeat(VALUE_CAP + 1);
         assert!(covered(&idx, &[(&f, long.as_str())]).is_none());
@@ -1039,7 +1099,10 @@ mod tests {
             ],
         );
         assert!(covered(&idx, &[(&f, "H2O")]).is_none());
-        assert_eq!(covered(&idx, &[(&f, "H2O"), (&c, "0")]).unwrap(), vec!["/a"]);
+        assert_eq!(
+            covered(&idx, &[(&f, "H2O"), (&c, "0")]).unwrap(),
+            vec!["/a"]
+        );
         assert!(covered(&idx, &[(&c, "+2"), (&f, "H2O")]).is_none());
         // Removing it restores the single-posting answer.
         remove(&idx, "/s", &f);
@@ -1060,13 +1123,19 @@ mod tests {
             ],
         );
         assert_eq!(covered(&idx, &[(&f, "X")]).unwrap(), vec!["/a"]);
-        assert_eq!(idx.probe(&Probe::Eq(&f, "Y")).unwrap(), Vec::<String>::new());
+        assert_eq!(
+            idx.probe(&Probe::Eq(&f, "Y")).unwrap(),
+            Vec::<String>::new()
+        );
         // COPY and MOVE replace the destination's entries.
         set(&idx, "/b", &f, "old");
         set(&idx, "/b", &n("stale"), "1");
         idx.copy_tree("/a", "/b");
         assert_eq!(covered(&idx, &[(&f, "X")]).unwrap(), vec!["/a", "/b"]);
-        assert_eq!(idx.probe(&Probe::IsDefined(&n("stale"))).unwrap(), Vec::<String>::new());
+        assert_eq!(
+            idx.probe(&Probe::IsDefined(&n("stale"))).unwrap(),
+            Vec::<String>::new()
+        );
         set(&idx, "/c", &f, "Z");
         idx.move_tree("/c", "/b");
         assert_eq!(covered(&idx, &[(&f, "X")]).unwrap(), vec!["/a"]);
@@ -1088,7 +1157,10 @@ mod tests {
         }
         let (idx, rebuild) = PropIndex::open(&dir);
         assert!(!rebuild);
-        assert_eq!(covered(&idx, &[(&f, "H2O")]).unwrap(), vec!["/log-plain", "/snap-plain"]);
+        assert_eq!(
+            covered(&idx, &[(&f, "H2O")]).unwrap(),
+            vec!["/log-plain", "/snap-plain"]
+        );
         assert!(covered(&idx, &[(&f, "UO2")]).is_none());
         assert!(covered(&idx, &[(&f, "OH")]).is_none());
         assert_eq!(idx.probe(&Probe::Eq(&f, "OH")).unwrap(), vec!["/log-rich"]);
@@ -1104,7 +1176,10 @@ mod tests {
         let f = n("formula");
         {
             let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
-            let props = [("/plain", Property::text(f.clone(), "H2O")), ("/rich", rich(&f, "UO2"))];
+            let props = [
+                ("/plain", Property::text(f.clone(), "H2O")),
+                ("/rich", rich(&f, "UO2")),
+            ];
             for (path, prop) in props {
                 repo.put(path, b"", None).unwrap();
                 repo.set_prop(path, &prop).unwrap();
@@ -1112,9 +1187,8 @@ mod tests {
         }
         // The same entries as a v1 snapshot would hold them: no flag.
         let index_dir = dir.join(".DAV").join("index");
-        let line = |payload: &str| {
-            format!("{:016x} {payload}", pse_cache::fnv1a_64(payload.as_bytes()))
-        };
+        let line =
+            |payload: &str| format!("{:016x} {payload}", pse_cache::fnv1a_64(payload.as_bytes()));
         let v1 = format!(
             "pse-propindex-v1\n{}\n{}\nend 2\n",
             line("set /plain urn:ecce formula H2O"),
@@ -1124,9 +1198,15 @@ mod tests {
         fs::write(index_dir.join(JOURNAL), "").unwrap();
         let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
         let pairs = [(&f, "H2O")];
-        assert_eq!(repo.index_probe(&Probe::Covered(&pairs)).unwrap(), vec!["/plain"]);
+        assert_eq!(
+            repo.index_probe(&Probe::Covered(&pairs)).unwrap(),
+            vec!["/plain"]
+        );
         assert!(repo.index_probe(&Probe::Covered(&[(&f, "UO2")])).is_none());
-        assert_eq!(repo.index_probe(&Probe::Eq(&f, "UO2")).unwrap(), vec!["/rich"]);
+        assert_eq!(
+            repo.index_probe(&Probe::Eq(&f, "UO2")).unwrap(),
+            vec!["/rich"]
+        );
         let snapshot = fs::read_to_string(index_dir.join(SNAPSHOT)).unwrap();
         assert!(snapshot.starts_with("pse-propindex-v2\n"), "{snapshot}");
         drop(repo);

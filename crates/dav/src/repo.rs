@@ -180,7 +180,13 @@ pub trait Repository: Send + Sync + 'static {
     /// stage) and `total` must match the stage's declared total, else
     /// [`DavError::StageMismatch`] reports the server-side length so
     /// the client can resynchronise.
-    fn stage_append(&self, _path: &str, _offset: u64, _total: u64, _data: &[u8]) -> Result<StageStatus> {
+    fn stage_append(
+        &self,
+        _path: &str,
+        _offset: u64,
+        _total: u64,
+        _data: &[u8],
+    ) -> Result<StageStatus> {
         Err(DavError::BadRequest(
             "resumable uploads not supported by this repository".into(),
         ))
@@ -423,7 +429,10 @@ pub enum Change<'a> {
     },
     /// Dead properties set or removed in order: a PROPPATCH, or one
     /// `set_prop` / effective `remove_prop` as a one-instruction batch.
-    PatchProps { path: &'a str, ops: &'a [PropPatchOp] },
+    PatchProps {
+        path: &'a str,
+        ops: &'a [PropPatchOp],
+    },
     /// A document put under version control; `content` is version 1.
     VersionControl { path: &'a str, content: &'a [u8] },
     /// A versioned document checked out.
@@ -468,11 +477,15 @@ pub trait Store: Send + Sync + 'static {
     fn index_entries(&self, path: &str) -> Result<Vec<Property>>;
     fn set_prop(&self, path: &str, prop: &Property) -> Result<()>;
     fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool>;
-    fn patch_props(&self, path: &str, ops: &[PropPatchOp])
-        -> std::result::Result<(), (usize, DavError)>;
+    fn patch_props(
+        &self,
+        path: &str,
+        ops: &[PropPatchOp],
+    ) -> std::result::Result<(), (usize, DavError)>;
     fn disk_usage(&self) -> Result<u64>;
     fn stage_status(&self, path: &str) -> Result<Option<StageStatus>>;
-    fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus>;
+    fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8])
+        -> Result<StageStatus>;
     fn stage_copy_from(
         &self,
         path: &str,
@@ -532,7 +545,10 @@ impl<S: Store> Repo<S> {
     /// after each successful mutation, DeltaV ones included, under that
     /// mutation's lock plan; its error becomes the caller's error,
     /// though the mutation stays applied.
-    pub fn set_commit_hook(&self, hook: impl Fn(&Change<'_>) -> Result<()> + Send + Sync + 'static) {
+    pub fn set_commit_hook(
+        &self,
+        hook: impl Fn(&Change<'_>) -> Result<()> + Send + Sync + 'static,
+    ) {
         let _ = self.hook.set(Box::new(hook));
     }
 
@@ -614,7 +630,11 @@ impl<S: Store> Repo<S> {
         let subtree = || paths.iter().any(|p| self.store.is_collection(p));
         loop {
             let planned = subtree();
-            let guard = if planned { self.locks.subtree() } else { point() };
+            let guard = if planned {
+                self.locks.subtree()
+            } else {
+                point()
+            };
             if subtree() == planned {
                 return guard;
             }
@@ -785,7 +805,13 @@ impl<S: Store> Repository for Repo<S> {
         self.read(path, S::stage_status)
     }
 
-    fn stage_append(&self, path: &str, offset: u64, total: u64, data: &[u8]) -> Result<StageStatus> {
+    fn stage_append(
+        &self,
+        path: &str,
+        offset: u64,
+        total: u64,
+        data: &[u8],
+    ) -> Result<StageStatus> {
         self.write(path, |s, p| s.stage_append(p, offset, total, data))
     }
 
@@ -1112,9 +1138,17 @@ mod tests {
         let name = PropertyName::new("urn:x", "p");
         let prop = Property::text(name.clone(), "v");
         // The mutation stays applied; the hook's error is the caller's.
-        assert!(matches!(repo.set_prop("/c", &prop), Err(DavError::BadRequest(_))));
-        assert_eq!(repo.get_prop("/c", &name).unwrap().unwrap().text_value(), "v");
-        let (i, e) = repo.patch_props("/c", &[PropPatchOp::Remove(name)]).unwrap_err();
+        assert!(matches!(
+            repo.set_prop("/c", &prop),
+            Err(DavError::BadRequest(_))
+        ));
+        assert_eq!(
+            repo.get_prop("/c", &name).unwrap().unwrap().text_value(),
+            "v"
+        );
+        let (i, e) = repo
+            .patch_props("/c", &[PropPatchOp::Remove(name)])
+            .unwrap_err();
         assert_eq!(i, 0);
         assert!(matches!(e, DavError::BadRequest(_)));
         // So do the DeltaV operations, which report through the same hook.
@@ -1128,6 +1162,9 @@ mod tests {
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 7, "{seen:?}");
         assert!(seen[0].starts_with("Mkcol { path: \"/c\""), "{seen:?}");
-        assert!(seen[4].starts_with("VersionControl { path: \"/c/doc\""), "{seen:?}");
+        assert!(
+            seen[4].starts_with("VersionControl { path: \"/c/doc\""),
+            "{seen:?}"
+        );
     }
 }

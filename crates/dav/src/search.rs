@@ -11,8 +11,8 @@
 
 use crate::error::{DavError, Result};
 use crate::multistatus::{Multistatus, PropStat};
-use crate::propindex::Probe;
 use crate::property::{Property, PropertyName, DAV_NS};
+use crate::propindex::Probe;
 use crate::repo::Repository;
 use pse_http::{Request, Response, StatusCode};
 use pse_obs::Registry;
@@ -50,7 +50,10 @@ impl Condition {
     /// Evaluate against a resource's properties (live + dead).
     pub fn eval(&self, props: &[Property]) -> bool {
         let text_of = |name: &PropertyName| -> Option<String> {
-            props.iter().find(|p| &p.name == name).map(|p| p.text_value())
+            props
+                .iter()
+                .find(|p| &p.name == name)
+                .map(|p| p.text_value())
         };
         match self {
             Condition::Eq(n, v) => text_of(n).is_some_and(|t| &t == v),
@@ -154,15 +157,17 @@ fn parse_condition(elem: &Element) -> Result<Condition> {
         "like" | "contains" => Condition::Contains(prop_name_of(elem)?, literal_of(elem)?),
         "gt" => Condition::Gt(
             prop_name_of(elem)?,
-            literal_of(elem)?.trim().parse().map_err(|_| {
-                DavError::BadRequest("gt literal is not numeric".into())
-            })?,
+            literal_of(elem)?
+                .trim()
+                .parse()
+                .map_err(|_| DavError::BadRequest("gt literal is not numeric".into()))?,
         ),
         "lt" => Condition::Lt(
             prop_name_of(elem)?,
-            literal_of(elem)?.trim().parse().map_err(|_| {
-                DavError::BadRequest("lt literal is not numeric".into())
-            })?,
+            literal_of(elem)?
+                .trim()
+                .parse()
+                .map_err(|_| DavError::BadRequest("lt literal is not numeric".into()))?,
         ),
         "isdefined" => Condition::IsDefined(prop_name_of(elem)?),
         "and" => Condition::And(
@@ -190,8 +195,8 @@ fn parse_condition(elem: &Element) -> Result<Condition> {
 
 /// Parse a `searchrequest` body.
 pub fn parse_query(body: &[u8]) -> Result<Query> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| DavError::BadRequest("body is not UTF-8".into()))?;
+    let text =
+        std::str::from_utf8(body).map_err(|_| DavError::BadRequest("body is not UTF-8".into()))?;
     let doc = Document::parse(text)?;
     let root = doc.root();
     if !root.is(Some(DAV_NS), "searchrequest") {
@@ -230,9 +235,9 @@ pub fn parse_query(body: &[u8]) -> Result<Query> {
     let limit = match basic.child(Some(DAV_NS), "limit") {
         None => None,
         Some(l) => {
-            let n = l.child(Some(DAV_NS), "nresults").ok_or_else(|| {
-                DavError::BadRequest("DAV:limit without DAV:nresults".into())
-            })?;
+            let n = l
+                .child(Some(DAV_NS), "nresults")
+                .ok_or_else(|| DavError::BadRequest("DAV:limit without DAV:nresults".into()))?;
             Some(n.text().trim().parse::<usize>().map_err(|_| {
                 DavError::BadRequest("DAV:nresults is not a non-negative integer".into())
             })?)
@@ -443,7 +448,12 @@ fn run(repo: &dyn Repository, query: &Query, reference: bool) -> Result<SearchOu
     // A covered query probes once: its answer is the index at one
     // instant. When the probe declines (a match is not plain text, a
     // literal is capped), the query is planned and read as usual.
-    let pairs = if reference { None } else { covered_pairs(query) }.unwrap_or_default();
+    let pairs = if reference {
+        None
+    } else {
+        covered_pairs(query)
+    }
+    .unwrap_or_default();
     let covered = match pairs.as_slice() {
         [] => None,
         pairs => repo.index_probe(&Probe::Covered(pairs)),
@@ -461,15 +471,17 @@ fn run(repo: &dyn Repository, query: &Query, reference: bool) -> Result<SearchOu
     let (planned, narrowed) = if reference {
         (None, None)
     } else {
-        (covered.or_else(|| plan(repo, &query.condition)), narrowed_names(query))
+        (
+            covered.or_else(|| plan(repo, &query.condition)),
+            narrowed_names(query),
+        )
     };
     let indexed = planned.is_some();
     let mut paths = match planned {
         Some(candidates) => candidates
             .into_iter()
             .filter(|p| {
-                depth_below(p, &query.scope)
-                    .is_some_and(|d| query.depth.is_none_or(|max| d <= max))
+                depth_below(p, &query.scope).is_some_and(|d| query.depth.is_none_or(|max| d <= max))
             })
             .collect(),
         None => {
@@ -666,7 +678,10 @@ mod tests {
     #[test]
     fn numeric_comparison() {
         let r = repo_with_molecules();
-        let q = Query::new("/", Condition::Gt(PropertyName::new("urn:ecce", "charge"), 0.0));
+        let q = Query::new(
+            "/",
+            Condition::Gt(PropertyName::new("urn:ecce", "charge"), 0.0),
+        );
         let ms = execute(&r, &q).unwrap();
         assert_eq!(ms.responses.len(), 1);
         assert_eq!(ms.responses[0].href, "/mols/uranyl");
@@ -733,9 +748,20 @@ mod tests {
 
     #[test]
     fn depth_accepts_spec_values_and_rejects_garbage() {
-        assert_eq!(parse_query(body_with_depth("0").as_bytes()).unwrap().depth, Some(0));
-        assert_eq!(parse_query(body_with_depth("1").as_bytes()).unwrap().depth, Some(1));
-        assert_eq!(parse_query(body_with_depth("infinity").as_bytes()).unwrap().depth, None);
+        assert_eq!(
+            parse_query(body_with_depth("0").as_bytes()).unwrap().depth,
+            Some(0)
+        );
+        assert_eq!(
+            parse_query(body_with_depth("1").as_bytes()).unwrap().depth,
+            Some(1)
+        );
+        assert_eq!(
+            parse_query(body_with_depth("infinity").as_bytes())
+                .unwrap()
+                .depth,
+            None
+        );
         // Anything else used to fall silently to infinity — the scope
         // explosion a client asking for depth "2" or "one" never wanted.
         for garbage in ["2", "one", "Infinity", "-1", "0x1"] {
@@ -784,7 +810,10 @@ mod tests {
                 None => break,
             }
         }
-        assert_eq!(pages, vec!["/mols/hydroxide", "/mols/uranyl", "/mols/water"]);
+        assert_eq!(
+            pages,
+            vec!["/mols/hydroxide", "/mols/uranyl", "/mols/water"]
+        );
         // An unparseable cursor is a client error, not a scan restart.
         q.cursor = Some("zz".into());
         assert!(matches!(
@@ -856,12 +885,14 @@ mod tests {
         let formula = PropertyName::new("urn:ecce", "formula");
         let charge = PropertyName::new("urn:ecce", "charge");
         let bare = PropertyName::new("", "bare");
-        r.set_prop("/mols/water", &Property::text(bare.clone(), "v")).unwrap();
+        r.set_prop("/mols/water", &Property::text(bare.clone(), "v"))
+            .unwrap();
         // A value with markup around its text is never covered.
         let mut value = Element::new(Some("urn:ecce"), "formula");
         value.push_elem(Element::new(Some("urn:ecce"), "b"));
         value.push_text("OH");
-        r.set_prop("/mols/hydroxide", &Property::from_element(value)).unwrap();
+        r.set_prop("/mols/hydroxide", &Property::from_element(value))
+            .unwrap();
         let eq = |n: &PropertyName, v: &str| Condition::Eq(n.clone(), v.into());
         let cases = [
             (eq(&formula, "UO2"), vec![formula.clone()], true),
@@ -876,7 +907,10 @@ mod tests {
             (eq(&formula, "UO2"), vec![], false),               // allprop
             (eq(&formula, "UO2"), vec![charge.clone()], false), // unconstrained select
             (
-                Condition::And(vec![eq(&formula, "UO2"), Condition::IsDefined(charge.clone())]),
+                Condition::And(vec![
+                    eq(&formula, "UO2"),
+                    Condition::IsDefined(charge.clone()),
+                ]),
                 vec![formula.clone()],
                 false,
             ),
@@ -895,7 +929,11 @@ mod tests {
             let out = execute_paged(&r, &q).unwrap();
             assert_eq!(out.covered, expect_covered, "{cond:?} select={select:?}");
             let scanned = execute_scan(&r, &q).unwrap();
-            assert_eq!(out.ms.to_xml(), scanned.to_xml(), "{cond:?} select={select:?}");
+            assert_eq!(
+                out.ms.to_xml(),
+                scanned.to_xml(),
+                "{cond:?} select={select:?}"
+            );
         }
     }
 
@@ -919,7 +957,10 @@ mod tests {
         let hrefs: Vec<_> = out.ms.responses.iter().map(|e| e.href.as_str()).collect();
         assert_eq!(hrefs, vec!["/mols/water"]);
         // Depth 0 on the collection itself excludes the children.
-        let q = Query { depth: Some(0), ..q };
+        let q = Query {
+            depth: Some(0),
+            ..q
+        };
         assert!(execute(&r, &q).unwrap().responses.is_empty());
     }
 

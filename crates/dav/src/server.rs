@@ -42,7 +42,10 @@ mod tests {
         .unwrap();
         let mut c = Client::connect(srv.local_addr()).unwrap();
         assert_eq!(
-            c.send(Request::new(Method::MkCol, "/proj")).unwrap().status.code(),
+            c.send(Request::new(Method::MkCol, "/proj"))
+                .unwrap()
+                .status
+                .code(),
             201
         );
         assert_eq!(c.put("/proj/doc", "hello").unwrap().status.code(), 201);
@@ -72,7 +75,10 @@ mod tests {
         .unwrap();
         let mut c = Client::connect(srv.local_addr()).unwrap();
         assert_eq!(
-            c.send(Request::new(Method::MkCol, "/proj")).unwrap().status.code(),
+            c.send(Request::new(Method::MkCol, "/proj"))
+                .unwrap()
+                .status
+                .code(),
             201
         );
         assert_eq!(c.put("/proj/doc", "hello").unwrap().status.code(), 201);
@@ -115,10 +121,16 @@ mod tests {
         assert!(metric(&text, "http.bytes_out").unwrap() > 0);
         // DAV dispatch layer.
         assert_eq!(metric(&text, "dav.latency_us.propfind"), Some(2), "{text}");
-        assert!(metric(&text, "dav.multistatus_bytes").unwrap() >= 3, "{text}");
+        assert!(
+            metric(&text, "dav.multistatus_bytes").unwrap() >= 3,
+            "{text}"
+        );
         // Property cache (PR-1 stats, now on the shared registry).
         assert!(metric(&text, "dav.prop_cache.hits").unwrap() >= 1, "{text}");
-        assert!(metric(&text, "dav.prop_cache.misses").unwrap() >= 1, "{text}");
+        assert!(
+            metric(&text, "dav.prop_cache.misses").unwrap() >= 1,
+            "{text}"
+        );
         // Search planner.
         assert_eq!(metric(&text, "dav.search.indexed"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.search.scan_fallback"), Some(0), "{text}");
@@ -133,14 +145,25 @@ mod tests {
         assert_eq!(metric(&text, "dav.propindex.entries"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.propindex.hits"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.propindex.misses"), Some(0), "{text}");
-        assert_eq!(metric(&text, "dav.propindex.rebuilt_on_open"), Some(1), "{text}");
-        assert_eq!(metric(&text, "dav.propindex.compactions"), Some(1), "{text}");
+        assert_eq!(
+            metric(&text, "dav.propindex.rebuilt_on_open"),
+            Some(1),
+            "{text}"
+        );
+        assert_eq!(
+            metric(&text, "dav.propindex.compactions"),
+            Some(1),
+            "{text}"
+        );
         // Storage engine statics.
         assert!(metric(&text, "dbm.page_writes").unwrap() >= 1, "{text}");
         // Path-lock table: every repository call above went through a
         // sharded lock plan, so acquisitions must be visible (and the
         // configured shard count exported as a gauge).
-        assert!(metric(&text, "dav.pathlock.acquisitions").unwrap() > 0, "{text}");
+        assert!(
+            metric(&text, "dav.pathlock.acquisitions").unwrap() > 0,
+            "{text}"
+        );
         assert_eq!(
             metric(&text, "dav.pathlock.shards"),
             Some(crate::pathlock::DEFAULT_SHARDS as i64),

@@ -260,7 +260,9 @@ impl VersionStore {
             if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
                 continue;
             }
-            let Ok(bytes) = fs::read(entry.path()) else { continue };
+            let Ok(bytes) = fs::read(entry.path()) else {
+                continue;
+            };
             if let Some((path, history)) = decode_history(&bytes) {
                 histories.insert(path, history);
             } else {
@@ -396,7 +398,10 @@ impl VersionStore {
     pub fn versions_of(&self, path: &str) -> Option<(Vec<VersionMeta>, bool)> {
         let inner = self.inner.lock();
         let h = inner.histories.get(path)?;
-        Some((h.versions.iter().map(VersionRec::meta).collect(), h.checked_out))
+        Some((
+            h.versions.iter().map(VersionRec::meta).collect(),
+            h.checked_out,
+        ))
     }
 
     /// Every path that has a history, sorted.
@@ -532,9 +537,10 @@ impl VersionStore {
     /// Suspend auto-versioning of `path` until [`checkin`](Self::checkin).
     pub(crate) fn checkout(&self, path: &str) -> Result<()> {
         let mut inner = self.inner.lock();
-        let h = inner.histories.get_mut(path).ok_or_else(|| {
-            DavError::Conflict(format!("{path} is not under version control"))
-        })?;
+        let h = inner
+            .histories
+            .get_mut(path)
+            .ok_or_else(|| DavError::Conflict(format!("{path} is not under version control")))?;
         if h.checked_out {
             return Err(DavError::Conflict(format!("{path} is already checked out")));
         }
@@ -551,9 +557,10 @@ impl VersionStore {
     /// resume auto-versioning. Returns the new version's number.
     pub(crate) fn checkin(&self, path: &str, content: &[u8]) -> Result<u32> {
         let mut inner = self.inner.lock();
-        let h = inner.histories.get(path).ok_or_else(|| {
-            DavError::Conflict(format!("{path} is not under version control"))
-        })?;
+        let h = inner
+            .histories
+            .get(path)
+            .ok_or_else(|| DavError::Conflict(format!("{path} is not under version control")))?;
         if !h.checked_out {
             return Err(DavError::Conflict(format!("{path} is not checked out")));
         }
@@ -703,7 +710,10 @@ impl VersionStore {
     /// Append `content` as `path`'s next version, checked in. A failed
     /// write leaves the history as it was.
     fn push_version(&self, inner: &mut Inner, path: &str, content: &[u8]) -> Result<u32> {
-        let h = inner.histories.get(path).expect("callers check the history");
+        let h = inner
+            .histories
+            .get(path)
+            .expect("callers check the history");
         let number = h.versions.last().map_or(1, |v| v.number + 1);
         let was_checked_out = h.checked_out;
         let rec = self.store_version(inner, number, content)?;
@@ -1268,7 +1278,8 @@ mod tests {
 
         // A storm of PUTs while checked out: nothing recorded.
         for i in 0..20 {
-            repo.put("/doc", format!("draft-{i}").as_bytes(), None).unwrap();
+            repo.put("/doc", format!("draft-{i}").as_bytes(), None)
+                .unwrap();
         }
         assert_eq!(store.version_count("/doc"), 1);
 
@@ -1375,7 +1386,10 @@ mod tests {
             store.parse_history_target("/.well-known/history/a/1/3"),
             Some(HistoryTarget::Version("/a/1", 3))
         );
-        assert_eq!(store.parse_history_target("/.well-known/history/nope"), None);
+        assert_eq!(
+            store.parse_history_target("/.well-known/history/nope"),
+            None
+        );
         assert_eq!(store.parse_history_target("/other"), None);
     }
 
@@ -1561,7 +1575,8 @@ mod tests {
             repo.mkcol("/proj").unwrap();
             repo.put("/proj/calc output.log", b"v1", None).unwrap();
             vc(&repo, "/proj/calc output.log");
-            repo.put("/proj/calc output.log", b"v2-longer", None).unwrap();
+            repo.put("/proj/calc output.log", b"v2-longer", None)
+                .unwrap();
             repo.checkout("/proj/calc output.log").unwrap();
         }
         // A fresh store (new process, same directory) sees the history

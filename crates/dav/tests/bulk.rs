@@ -24,9 +24,18 @@ impl Rig {
         let dir = std::env::temp_dir().join(format!("pse-dav-bulk-{n}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
-        let server = serve("127.0.0.1:0", ServerConfig::default(), DavHandler::new(repo)).unwrap();
+        let server = serve(
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            DavHandler::new(repo),
+        )
+        .unwrap();
         let client = DavClient::connect(server.local_addr()).unwrap();
-        Rig { server: Some(server), client, dir }
+        Rig {
+            server: Some(server),
+            client,
+            dir,
+        }
     }
 
     fn second_client(&self) -> DavClient {
@@ -47,7 +56,9 @@ fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed;
     (0..len)
         .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as u8
         })
         .collect()
@@ -56,9 +67,19 @@ fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
 #[test]
 fn ranged_get_reads_partials_and_reports_totals() {
     let mut rig = Rig::new();
-    rig.client.put("/traj.bin", b"0123456789".to_vec(), Some("application/octet-stream")).unwrap();
+    rig.client
+        .put(
+            "/traj.bin",
+            b"0123456789".to_vec(),
+            Some("application/octet-stream"),
+        )
+        .unwrap();
 
-    match rig.client.get_range("/traj.bin", "bytes=2-5", None).unwrap() {
+    match rig
+        .client
+        .get_range("/traj.bin", "bytes=2-5", None)
+        .unwrap()
+    {
         RangeBody::Partial { body, total } => {
             assert_eq!(body, b"2345");
             assert_eq!(total, 10);
@@ -72,12 +93,20 @@ fn ranged_get_reads_partials_and_reports_totals() {
         }
         other => panic!("expected partial, got {other:?}"),
     }
-    match rig.client.get_range("/traj.bin", "bytes=10-", None).unwrap() {
+    match rig
+        .client
+        .get_range("/traj.bin", "bytes=10-", None)
+        .unwrap()
+    {
         RangeBody::Unsatisfiable { total } => assert_eq!(total, 10),
         other => panic!("expected unsatisfiable, got {other:?}"),
     }
     // A syntactically broken range is ignored by the server → full 200.
-    match rig.client.get_range("/traj.bin", "chunks=1-2", None).unwrap() {
+    match rig
+        .client
+        .get_range("/traj.bin", "chunks=1-2", None)
+        .unwrap()
+    {
         RangeBody::Full(body) => assert_eq!(body, b"0123456789"),
         other => panic!("expected full, got {other:?}"),
     }
@@ -87,12 +116,16 @@ fn ranged_get_reads_partials_and_reports_totals() {
 fn ranged_get_never_serves_the_cached_full_body() {
     let mut rig = Rig::new();
     rig.client.enable_cache(Default::default());
-    rig.client.put("/doc.txt", b"OLD-CONTENT".to_vec(), Some("text/plain")).unwrap();
+    rig.client
+        .put("/doc.txt", b"OLD-CONTENT".to_vec(), Some("text/plain"))
+        .unwrap();
     // Seed the validating cache with the full entity.
     assert_eq!(rig.client.get("/doc.txt").unwrap(), b"OLD-CONTENT");
 
     // Another client replaces the entity behind our back.
-    rig.second_client().put("/doc.txt", b"NEW-CONTENT".to_vec(), Some("text/plain")).unwrap();
+    rig.second_client()
+        .put("/doc.txt", b"NEW-CONTENT".to_vec(), Some("text/plain"))
+        .unwrap();
 
     // A ranged GET must hit the wire, not slice the stale cached body.
     match rig.client.get_range("/doc.txt", "bytes=0-2", None).unwrap() {
@@ -115,8 +148,14 @@ fn ranged_get_never_serves_the_cached_full_body() {
             .unwrap();
         resp.headers.get("ETag").unwrap().to_owned()
     };
-    rig.second_client().put("/doc.txt", b"NEWER-STILL".to_vec(), Some("text/plain")).unwrap();
-    match rig.client.get_range("/doc.txt", "bytes=0-2", Some(&stale)).unwrap() {
+    rig.second_client()
+        .put("/doc.txt", b"NEWER-STILL".to_vec(), Some("text/plain"))
+        .unwrap();
+    match rig
+        .client
+        .get_range("/doc.txt", "bytes=0-2", Some(&stale))
+        .unwrap()
+    {
         RangeBody::Full(body) => assert_eq!(body, b"NEWER-STILL"),
         other => panic!("stale If-Range must yield the full entity, got {other:?}"),
     }
@@ -187,7 +226,9 @@ fn resumable_put_discards_a_stage_for_a_different_entity() {
 
     // ...must not leak into an upload of a 30-byte one.
     let body = pseudo_random(30, 77);
-    rig.client.put_resumable("/swap.bin", &body, None, 7).unwrap();
+    rig.client
+        .put_resumable("/swap.bin", &body, None, 7)
+        .unwrap();
     assert_eq!(rig.client.get("/swap.bin").unwrap(), body);
 }
 
@@ -202,7 +243,10 @@ fn delta_put_ships_only_changed_chunks() {
         .put_delta("/traj.out", &base, Some("application/octet-stream"))
         .unwrap();
     assert!(first.created);
-    assert!(first.full_fallback, "no base yet — must fall back to a full PUT");
+    assert!(
+        first.full_fallback,
+        "no base yet — must fall back to a full PUT"
+    );
 
     // Edit 1% of the file in the middle.
     let mut edited = base.clone();
@@ -246,7 +290,9 @@ fn delta_put_falls_back_when_the_base_changes_under_it() {
 
     // Someone else replaces the entity: our cached base is stale.
     let other_body = pseudo_random(90_000, 4);
-    rig.second_client().put("/shared.bin", other_body, None).unwrap();
+    rig.second_client()
+        .put("/shared.bin", other_body, None)
+        .unwrap();
 
     let mut edited = base.clone();
     edited[0..8].copy_from_slice(b"EDITED!!");

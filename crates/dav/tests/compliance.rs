@@ -83,7 +83,11 @@ fn full_document_lifecycle() {
         let c = &mut rig.client;
         c.mkcol("/Projects").unwrap();
         assert!(c
-            .put("/Projects/mol.xyz", "3\nwater\nO 0 0 0\nH 0 0 1\nH 0 1 0", Some("chemical/x-xyz"))
+            .put(
+                "/Projects/mol.xyz",
+                "3\nwater\nO 0 0 0\nH 0 0 1\nH 0 1 0",
+                Some("chemical/x-xyz")
+            )
             .unwrap());
         assert!(!c.put("/Projects/mol.xyz", "updated", None).unwrap());
         assert_eq!(c.get("/Projects/mol.xyz").unwrap(), b"updated");
@@ -163,7 +167,9 @@ fn structured_xml_property_value() {
     c.proppatch("/m", std::slice::from_ref(&prop), &[]).unwrap();
 
     let name = PropertyName::new(ECCE, "thermodynamics");
-    let ms = c.propfind("/m", Depth::Zero, std::slice::from_ref(&name)).unwrap();
+    let ms = c
+        .propfind("/m", Depth::Zero, std::slice::from_ref(&name))
+        .unwrap();
     let got = ms.responses[0].prop(&name).unwrap();
     let h = got.value.child(Some(ECCE), "enthalpy").unwrap();
     assert_eq!(h.attr(None, "units"), Some("kcal/mol"));
@@ -213,7 +219,13 @@ fn lock_protocol_over_wire() {
     assert!(pse_dav::client::is_locked_error(&err), "{err}");
     // Nor lock again.
     assert!(other
-        .lock("/locked-doc", LockScope::Exclusive, Depth::Zero, "eric", None)
+        .lock(
+            "/locked-doc",
+            LockScope::Exclusive,
+            Depth::Zero,
+            "eric",
+            None
+        )
         .is_err());
 
     // The holder can write with the token.
@@ -263,10 +275,7 @@ fn versioning_over_wire() {
     let tree = c.version_tree("/input.nw").unwrap();
     assert_eq!(tree.len(), 3);
     assert_eq!(tree[0].0, 1);
-    assert_eq!(
-        c.version_content("/input.nw", 1).unwrap(),
-        b"title 'run 1'"
-    );
+    assert_eq!(c.version_content("/input.nw", 1).unwrap(), b"title 'run 1'");
     assert_eq!(
         c.version_content("/input.nw", 3).unwrap(),
         b"title 'run 3 longer'"
@@ -335,7 +344,8 @@ fn collection_get_is_browsable_html() {
     let mut rig = Rig::new(DbmKind::Gdbm);
     let c = &mut rig.client;
     c.mkcol("/surf").unwrap();
-    c.put("/surf/image.png", vec![0u8; 16], Some("image/png")).unwrap();
+    c.put("/surf/image.png", vec![0u8; 16], Some("image/png"))
+        .unwrap();
     let html = String::from_utf8(c.get("/surf").unwrap()).unwrap();
     assert!(html.contains("<a href=\"/surf/image.png\""), "{html}");
 }
@@ -345,7 +355,8 @@ fn unicode_and_spaces_in_paths() {
     let mut rig = Rig::new(DbmKind::Gdbm);
     let c = &mut rig.client;
     c.mkcol("/mol\u{00e9}cules").unwrap();
-    c.put("/mol\u{00e9}cules/uranyl aqua", "data", None).unwrap();
+    c.put("/mol\u{00e9}cules/uranyl aqua", "data", None)
+        .unwrap();
     assert_eq!(c.get("/mol\u{00e9}cules/uranyl aqua").unwrap(), b"data");
     let ms = c.propfind_all("/mol\u{00e9}cules", Depth::One).unwrap();
     assert!(ms
@@ -406,11 +417,16 @@ fn head_content_length_matches_get() {
     let mut rig = Rig::new(DbmKind::Gdbm);
     let c = &mut rig.client;
     c.mkcol("/coll").unwrap();
-    c.put("/coll/doc", "a document body", Some("text/plain")).unwrap();
+    c.put("/coll/doc", "a document body", Some("text/plain"))
+        .unwrap();
     for path in ["/coll/doc", "/coll"] {
         let get = c.http().send(Request::new(Method::Get, path)).unwrap();
         let head = c.http().send(Request::new(Method::Head, path)).unwrap();
-        assert_eq!((get.status.code(), head.status.code()), (200, 200), "{path}");
+        assert_eq!(
+            (get.status.code(), head.status.code()),
+            (200, 200),
+            "{path}"
+        );
         assert!(!get.body.is_empty(), "{path}");
         assert!(head.body.is_empty(), "{path}: HEAD sent a body");
         let length = |r: &pse_http::Response| r.headers.get("Content-Length").map(str::to_owned);
@@ -505,15 +521,16 @@ fn server_property_cache_invalidated_by_every_mutating_method() {
     let inv = || repo.cache_stats().invalidations;
     // Warm the property cache for a path, run one mutation, and check
     // the cached snapshot was dropped (the invalidation counter moved).
-    let check = |c: &mut DavClient, warm_path: &str, what: &str, m: &mut dyn FnMut(&mut DavClient)| {
-        c.propfind_all(warm_path, Depth::Zero).unwrap();
-        let before = inv();
-        m(c);
-        assert!(
-            inv() > before,
-            "{what} did not invalidate the server property cache"
-        );
-    };
+    let check =
+        |c: &mut DavClient, warm_path: &str, what: &str, m: &mut dyn FnMut(&mut DavClient)| {
+            c.propfind_all(warm_path, Depth::Zero).unwrap();
+            let before = inv();
+            m(c);
+            assert!(
+                inv() > before,
+                "{what} did not invalidate the server property cache"
+            );
+        };
 
     c.mkcol("/inv").unwrap();
     c.put("/inv/a", "v1", None).unwrap();
@@ -738,7 +755,9 @@ fn lock_token_ownership_enforced_under_contention() {
                 assert!(other
                     .put_locked("/owned", "forged", "opaquelocktoken:not-the-token")
                     .is_err());
-                assert!(other.unlock("/owned", "opaquelocktoken:not-the-token").is_err());
+                assert!(other
+                    .unlock("/owned", "opaquelocktoken:not-the-token")
+                    .is_err());
             })
         })
         .collect();

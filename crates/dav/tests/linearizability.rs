@@ -191,16 +191,16 @@ fn check_register(events: &[Event]) -> Option<String> {
         Kind::Read(_) => None,
     }));
     for e in events {
-        let Kind::Read(observed) = e.kind else { continue };
+        let Kind::Read(observed) = e.kind else {
+            continue;
+        };
         // A witness write W: same value, invoked before the read
         // responded, and not definitively superseded — no other write
         // completing entirely within (W.end, read.start).
         let legal = writes.iter().any(|&(ws, we, wv)| {
             wv == observed
                 && ws <= e.end
-                && !writes
-                    .iter()
-                    .any(|&(os, oe, _)| os > we && oe < e.start)
+                && !writes.iter().any(|&(os, oe, _)| os > we && oe < e.start)
         });
         if !legal {
             return Some(format!(

@@ -38,10 +38,8 @@ static N: AtomicU64 = AtomicU64::new(0);
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let n = N.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "davpse-searcheq-{tag}-{n}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("davpse-searcheq-{tag}-{n}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -141,10 +139,7 @@ fn apply_history(repo: &dyn Repository, seed: u64, ops: usize) {
                 let other = &nms[(lcg(&mut rng) as usize) % nms.len()];
                 let _ = repo.patch_props(
                     &p,
-                    &[
-                        PropPatchOp::Set(val),
-                        PropPatchOp::Remove(other.clone()),
-                    ],
+                    &[PropPatchOp::Set(val), PropPatchOp::Remove(other.clone())],
                 );
             }
             6 => {
@@ -375,7 +370,8 @@ fn search_never_aborts_while_racing_delete() {
     for i in 0..8 {
         let p = format!("/race/d{i}");
         repo.put(&p, b"", None).unwrap();
-        repo.set_prop(&p, &Property::text(name.clone(), "yes")).unwrap();
+        repo.set_prop(&p, &Property::text(name.clone(), "yes"))
+            .unwrap();
     }
     let stop = Arc::new(AtomicBool::new(false));
     let churner = {
@@ -441,7 +437,10 @@ fn assert_no_torn_covered_answer(repo: Arc<dyn Repository>, context: &str) {
     let patcher = {
         let (repo, stop, f, x) = (Arc::clone(&repo), Arc::clone(&stop), f.clone(), x.clone());
         std::thread::spawn(move || {
-            let ops = [PropPatchOp::Set(Property::text(f, "Y")), PropPatchOp::Set(x)];
+            let ops = [
+                PropPatchOp::Set(Property::text(f, "Y")),
+                PropPatchOp::Set(x),
+            ];
             while !stop.load(Ordering::SeqCst) {
                 repo.patch_props("/t/a", &ops).unwrap();
             }

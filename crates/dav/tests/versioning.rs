@@ -48,10 +48,8 @@ struct Rig {
 impl Rig {
     fn new() -> Rig {
         let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "pse-dav-versioning-{n}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("pse-dav-versioning-{n}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let handler = DavHandler::new(open_fs(&dir));
         let repo = handler.repo();
@@ -123,17 +121,26 @@ fn checkout_checkin_state_machine() {
     let mut raw = rig.raw();
 
     // CHECKOUT before VERSION-CONTROL: 409.
-    assert_eq!(status(&mut raw, Request::new(Method::Checkout, "/doc")), 409);
+    assert_eq!(
+        status(&mut raw, Request::new(Method::Checkout, "/doc")),
+        409
+    );
     rig.client.version_control("/doc").unwrap();
     rig.client.checkout("/doc").unwrap();
     // Double CHECKOUT: 409.
-    assert_eq!(status(&mut raw, Request::new(Method::Checkout, "/doc")), 409);
+    assert_eq!(
+        status(&mut raw, Request::new(Method::Checkout, "/doc")),
+        409
+    );
     // CHECKIN while checked out: 201 + Location + X-Version.
     rig.client.put("/doc", b"v2".to_vec(), None).unwrap();
     let resp = raw.send(Request::new(Method::Checkin, "/doc")).unwrap();
     assert_eq!(resp.status.code(), 201);
     assert_eq!(resp.headers.get("X-Version"), Some("2"));
-    assert_eq!(resp.headers.get("Location"), Some(history_url("/doc", 2).as_str()));
+    assert_eq!(
+        resp.headers.get("Location"),
+        Some(history_url("/doc", 2).as_str())
+    );
     // CHECKIN while checked in: 409.
     assert_eq!(status(&mut raw, Request::new(Method::Checkin, "/doc")), 409);
     assert_eq!(rig.client.version_content("/doc", 2).unwrap(), b"v2");
@@ -152,7 +159,10 @@ fn auto_versioning_records_distinct_puts_and_dedups_identical() {
         versions.iter().map(|v| v.number).collect::<Vec<_>>(),
         vec![1, 2, 3]
     );
-    assert!(versions[2].checked_in, "newest version is the checked-in one");
+    assert!(
+        versions[2].checked_in,
+        "newest version is the checked-in one"
+    );
     assert!(!versions[0].checked_in);
 }
 
@@ -224,9 +234,13 @@ fn concurrent_put_storm_yields_exactly_one_version_per_checkin() {
 #[test]
 fn stored_versions_are_immutable_under_later_edits() {
     let mut rig = Rig::new();
-    rig.client.put("/doc", b"first body".to_vec(), None).unwrap();
+    rig.client
+        .put("/doc", b"first body".to_vec(), None)
+        .unwrap();
     rig.client.version_control("/doc").unwrap();
-    rig.client.put("/doc", b"second body".to_vec(), None).unwrap();
+    rig.client
+        .put("/doc", b"second body".to_vec(), None)
+        .unwrap();
 
     // Capture version 1's observable surface: body, GET headers, props.
     let names = [
@@ -242,9 +256,7 @@ fn stored_versions_are_immutable_under_later_edits() {
 
     // Hammer the live resource: edits, checkout/checkin, a revert.
     for i in 0..10 {
-        rig.client
-            .put("/doc", format!("edit {i}"), None)
-            .unwrap();
+        rig.client.put("/doc", format!("edit {i}"), None).unwrap();
     }
     rig.client.checkout("/doc").unwrap();
     rig.client.put("/doc", b"staged".to_vec(), None).unwrap();
@@ -324,7 +336,9 @@ fn history_resources_answer_get_and_propfind() {
     rig.client.mkcol("/a").unwrap();
     rig.client.put("/a/doc", b"v1".to_vec(), None).unwrap();
     rig.client.version_control("/a/doc").unwrap();
-    rig.client.put("/a/doc", b"v2 longer".to_vec(), None).unwrap();
+    rig.client
+        .put("/a/doc", b"v2 longer".to_vec(), None)
+        .unwrap();
 
     // GET a version URL: exact body + X-Version.
     let mut raw = rig.raw();
@@ -340,7 +354,10 @@ fn history_resources_answer_get_and_propfind() {
         .send(Request::new(Method::Get, "/.well-known/history/a/doc"))
         .unwrap();
     let html = String::from_utf8(resp.body).unwrap();
-    assert!(html.contains("version 1") && html.contains("version 2"), "{html}");
+    assert!(
+        html.contains("version 1") && html.contains("version 2"),
+        "{html}"
+    );
 
     // Depth-1 PROPFIND on the index: one entry per version with live
     // DeltaV props.
@@ -360,15 +377,24 @@ fn history_resources_answer_get_and_propfind() {
         v2.prop(&names[2]).map(|p| p.text_value()),
         Some("9".to_owned())
     );
-    assert_eq!(v2.prop(&names[1]).map(|p| p.text_value()), Some("true".into()));
+    assert_eq!(
+        v2.prop(&names[1]).map(|p| p.text_value()),
+        Some("true".into())
+    );
 
     // 404s: unknown version, never-versioned path.
     assert_eq!(
-        status(&mut raw, Request::new(Method::Get, &history_url("/a/doc", 99))),
+        status(
+            &mut raw,
+            Request::new(Method::Get, &history_url("/a/doc", 99))
+        ),
         404
     );
     assert_eq!(
-        status(&mut raw, Request::new(Method::Get, "/.well-known/history/ghost")),
+        status(
+            &mut raw,
+            Request::new(Method::Get, "/.well-known/history/ghost")
+        ),
         404
     );
 }
@@ -469,7 +495,10 @@ fn failed_history_writes_answer_5xx_and_a_retry_records() {
     for req in attempts() {
         let label = format!("{:?} {}", req.method, req.target.path());
         let code = status(&mut raw, req);
-        assert!(code >= 500, "{label} answered {code} though its history write failed");
+        assert!(
+            code >= 500,
+            "{label} answered {code} though its history write failed"
+        );
     }
     // Memory holds nothing the disk lacks.
     assert_eq!(rig.store().version_count("/doc"), 1);
@@ -506,7 +535,10 @@ fn failed_history_writes_answer_5xx_and_a_retry_records() {
     std::fs::rename(&aside, &chunks).unwrap();
     assert_eq!(status(&mut raw, put()), 204);
     let reopened = VersionStore::persistent(rig.dir.join("versions")).unwrap();
-    assert_eq!(reopened.version_body("/doc", 3).unwrap(), b"v3, all new bytes");
+    assert_eq!(
+        reopened.version_body("/doc", 3).unwrap(),
+        b"v3, all new bytes"
+    );
 }
 
 // ---- proptest: replay equivalence and GC consistency ----

@@ -40,7 +40,10 @@ impl fmt::Display for Error {
         match self {
             Error::Io(e) => write!(f, "dbm I/O error: {e}"),
             Error::PairTooLarge { size, limit } => {
-                write!(f, "key+value of {size} bytes exceeds the {limit}-byte item limit")
+                write!(
+                    f,
+                    "key+value of {size} bytes exceeds the {limit}-byte item limit"
+                )
             }
             Error::AlreadyExists => write!(f, "key already exists (insert mode)"),
             Error::Corrupt(msg) => write!(f, "database is corrupt: {msg}"),
@@ -70,7 +73,10 @@ mod tests {
 
     #[test]
     fn pair_too_large_reports_sizes() {
-        let e = Error::PairTooLarge { size: 2048, limit: 1008 };
+        let e = Error::PairTooLarge {
+            size: 2048,
+            limit: 1008,
+        };
         let s = e.to_string();
         assert!(s.contains("2048") && s.contains("1008"));
     }

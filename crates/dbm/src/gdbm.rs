@@ -444,7 +444,12 @@ impl Dbm for Gdbm {
     }
 
     fn compact(&mut self) -> Result<()> {
-        let stem = self.path.file_stem().unwrap().to_string_lossy().into_owned();
+        let stem = self
+            .path
+            .file_stem()
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
         let tmp_base = self.path.with_file_name(format!("{stem}-ctmp"));
         let _ = std::fs::remove_file(tmp_base.with_extension("db"));
         let mut fresh = Gdbm::open(&tmp_base)?;
@@ -509,7 +514,10 @@ mod tests {
         let d = tmpdir("init");
         let db = Gdbm::open(&d.join("t")).unwrap();
         drop(db);
-        assert_eq!(std::fs::metadata(d.join("t.db")).unwrap().len(), INITIAL_SIZE);
+        assert_eq!(
+            std::fs::metadata(d.join("t.db")).unwrap().len(),
+            INITIAL_SIZE
+        );
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -604,10 +612,7 @@ mod tests {
     fn corrupt_magic_detected() {
         let d = tmpdir("magic");
         std::fs::write(d.join("t.db"), vec![0u8; 2000]).unwrap();
-        assert!(matches!(
-            Gdbm::open(&d.join("t")),
-            Err(Error::Corrupt(_))
-        ));
+        assert!(matches!(Gdbm::open(&d.join("t")), Err(Error::Corrupt(_))));
         std::fs::remove_dir_all(&d).unwrap();
     }
 }

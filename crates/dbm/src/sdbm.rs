@@ -225,7 +225,12 @@ impl Sdbm {
 
     /// Split the cached page's pairs by hash bit `sbit`, writing the ones
     /// with the bit set to page `newp` and keeping the rest.
-    fn split(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>, sbit: u32, newp: u64) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    fn split(
+        &mut self,
+        pairs: Vec<(Vec<u8>, Vec<u8>)>,
+        sbit: u32,
+        newp: u64,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let (go, stay): (Vec<_>, Vec<_>) = pairs
             .into_iter()
             .partition(|(k, _)| sdbm_hash(k) & sbit != 0);
@@ -382,7 +387,12 @@ impl Dbm for Sdbm {
     fn compact(&mut self) -> Result<()> {
         // Rebuild into fresh files, then swap them in. The temp stem must
         // not share the live stem or `with_extension` would collide.
-        let stem = self.pag_path.file_stem().unwrap().to_string_lossy().into_owned();
+        let stem = self
+            .pag_path
+            .file_stem()
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
         let tmp_base = self.pag_path.with_file_name(format!("{stem}-ctmp"));
         let pairs: Vec<(Vec<u8>, Vec<u8>)> = {
             let keys = self.keys()?;
@@ -562,6 +572,9 @@ mod tests {
         let h = sdbm_hash(b"a");
         assert_eq!(h, 97);
         // h("ab") = 98 + 97*65599
-        assert_eq!(sdbm_hash(b"ab"), 98u32.wrapping_add(97u32.wrapping_mul(65599)));
+        assert_eq!(
+            sdbm_hash(b"ab"),
+            98u32.wrapping_add(97u32.wrapping_mul(65599))
+        );
     }
 }

@@ -12,10 +12,7 @@ static COUNTER: AtomicU64 = AtomicU64::new(0);
 
 fn scratch(tag: &str) -> PathBuf {
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "pse-dbm-model-{tag}-{}-{n}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("pse-dbm-model-{tag}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
@@ -29,10 +26,11 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // A small key universe so operations collide often.
-    let key = prop_oneof![Just("a"), Just("b"), Just("c"), Just("d"), Just("e")]
-        .prop_map(str::to_owned);
+    let key =
+        prop_oneof![Just("a"), Just("b"), Just("c"), Just("d"), Just("e")].prop_map(str::to_owned);
     prop_oneof![
-        (key.clone(), prop::collection::vec(any::<u8>(), 0..200)).prop_map(|(k, v)| Op::Store(k, v)),
+        (key.clone(), prop::collection::vec(any::<u8>(), 0..200))
+            .prop_map(|(k, v)| Op::Store(k, v)),
         key.clone().prop_map(Op::Delete),
         key.prop_map(Op::Fetch),
     ]

@@ -124,11 +124,9 @@ mod tests {
     use std::sync::Arc;
 
     fn populated_store() -> (DavEcceStore<InProcStorage<MemRepository>>, String) {
-        let mut store = DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap();
+        let mut store =
+            DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                .unwrap();
         let proj = store.create_project(&Project::new("aq", "")).unwrap();
         // One frequency calc (agent target) and one bare energy calc.
         let mut freq = Calculation::new("freq-run");

@@ -270,7 +270,11 @@ mod tests {
     #[test]
     fn library_covers_test_systems() {
         for set in library() {
-            assert!(set.covers(&["U", "O", "H"]), "{} missing elements", set.name);
+            assert!(
+                set.covers(&["U", "O", "H"]),
+                "{} missing elements",
+                set.name
+            );
             let n = set.function_count(&chem::uo2_15h2o());
             assert!(n > 50, "{}: only {n} functions", set.name);
         }

@@ -281,15 +281,15 @@ mod tests {
     fn whole_store_through_cache_still_correct() {
         // The full Ecce layer over the cached storage behaves identically.
         use crate::factory::EcceStore;
-        let mut store =
-            crate::davstore::DavEcceStore::open(cached(), "/Ecce").unwrap();
+        let mut store = crate::davstore::DavEcceStore::open(cached(), "/Ecce").unwrap();
         let proj = store
             .create_project(&crate::model::Project::new("p", ""))
             .unwrap();
         let mut calc = crate::model::Calculation::new("c");
         calc.molecule = Some(crate::chem::water());
         calc.input_deck = Some(crate::jobs::input_deck(&calc));
-        calc.transition(crate::model::CalcState::InputReady).unwrap();
+        calc.transition(crate::model::CalcState::InputReady)
+            .unwrap();
         let path = store.save_calculation(&proj, &calc).unwrap();
         // Load twice: identical results, second one cheaper.
         let a = store.load_calculation(&path).unwrap();

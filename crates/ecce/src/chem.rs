@@ -205,15 +205,16 @@ impl Molecule {
     /// Parse the simple XYZ format.
     pub fn from_xyz(text: &str) -> Result<Molecule> {
         let mut lines = text.lines();
-        let n: usize = lines
-            .next()
-            .unwrap_or("")
-            .trim()
-            .parse()
-            .map_err(|_| EcceError::Format {
-                format: "xyz",
-                msg: "first line must be the atom count".into(),
-            })?;
+        let n: usize =
+            lines
+                .next()
+                .unwrap_or("")
+                .trim()
+                .parse()
+                .map_err(|_| EcceError::Format {
+                    format: "xyz",
+                    msg: "first line must be the atom count".into(),
+                })?;
         let name = lines.next().unwrap_or("").trim().to_owned();
         let mut mol = Molecule::new(&name);
         for (i, line) in lines.enumerate() {

@@ -45,7 +45,10 @@ fn summary_from(name: &str, meta: &[Option<String>]) -> CalcSummary {
             .as_deref()
             .and_then(CalcState::parse)
             .unwrap_or(CalcState::Created),
-        theory: meta[1].as_deref().and_then(Theory::parse).unwrap_or(Theory::Scf),
+        theory: meta[1]
+            .as_deref()
+            .and_then(Theory::parse)
+            .unwrap_or(Theory::Scf),
         run_type: meta[2]
             .as_deref()
             .and_then(RunType::parse)
@@ -207,7 +210,8 @@ impl<S: DataStorage> DavEcceStore<S> {
     }
 
     fn write_job(&mut self, calc_path: &str, job: &Job) -> Result<()> {
-        self.storage.set_meta(calc_path, "job-machine", &job.machine)?;
+        self.storage
+            .set_meta(calc_path, "job-machine", &job.machine)?;
         self.storage.set_meta(calc_path, "job-queue", &job.queue)?;
         self.storage
             .set_meta(calc_path, "job-id", &job.job_id.to_string())?;
@@ -228,7 +232,10 @@ impl<S: DataStorage> DavEcceStore<S> {
             machine,
             queue: meta[1].clone().unwrap_or_default(),
             job_id: meta[2].as_deref().and_then(|v| v.parse().ok()).unwrap_or(0),
-            wall_seconds: meta[3].as_deref().and_then(|v| v.parse().ok()).unwrap_or(0.0),
+            wall_seconds: meta[3]
+                .as_deref()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0.0),
         }))
     }
 
@@ -263,7 +270,8 @@ impl<S: DataStorage> DavEcceStore<S> {
 
     /// Stored versions of the calculation's molecule, oldest first.
     pub fn molecule_versions(&mut self, calc_path: &str) -> Result<Vec<u32>> {
-        self.storage.list_versions(&join_path(calc_path, "molecule"))
+        self.storage
+            .list_versions(&join_path(calc_path, "molecule"))
     }
 
     /// Restore the calculation's molecule to `version` (recorded as a
@@ -328,7 +336,8 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
 
     fn update_calculation(&mut self, path: &str, calc: &Calculation) -> Result<()> {
         self.storage.set_meta(path, "state", calc.state.as_str())?;
-        self.storage.set_meta(path, "theory", calc.theory.as_str())?;
+        self.storage
+            .set_meta(path, "theory", calc.theory.as_str())?;
         self.storage
             .set_meta(path, "runtype", calc.run_type.as_str())?;
         if let Some(mol) = &calc.molecule {
@@ -372,7 +381,10 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
             .as_deref()
             .and_then(CalcState::parse)
             .unwrap_or(CalcState::Created);
-        calc.theory = meta[2].as_deref().and_then(Theory::parse).unwrap_or(Theory::Scf);
+        calc.theory = meta[2]
+            .as_deref()
+            .and_then(Theory::parse)
+            .unwrap_or(Theory::Scf);
         calc.run_type = meta[3]
             .as_deref()
             .and_then(RunType::parse)
@@ -499,11 +511,7 @@ mod tests {
     use std::sync::Arc;
 
     fn store() -> DavEcceStore<InProcStorage<MemRepository>> {
-        DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap()
+        DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce").unwrap()
     }
 
     fn full_calc() -> Calculation {
@@ -623,9 +631,12 @@ mod tests {
         let proj = s.create_project(&Project::new("aq", "")).unwrap();
         let path = s.save_calculation(&proj, &full_calc()).unwrap();
         // A "notebook" annotates without Ecce knowing the key.
-        s.annotate(&path, "notebook-signature", "sha1:abc123").unwrap();
+        s.annotate(&path, "notebook-signature", "sha1:abc123")
+            .unwrap();
         assert_eq!(
-            s.annotation(&path, "notebook-signature").unwrap().as_deref(),
+            s.annotation(&path, "notebook-signature")
+                .unwrap()
+                .as_deref(),
             Some("sha1:abc123")
         );
         assert_eq!(s.annotation(&path, "missing").unwrap(), None);

@@ -410,7 +410,8 @@ mod tests {
         s.set_meta("/m", "charge", "0").unwrap();
         assert_eq!(s.get_meta("/m", "formula").unwrap().as_deref(), Some("H2O"));
         assert_eq!(
-            s.get_meta_bulk("/m", &["formula", "charge", "ghost"]).unwrap(),
+            s.get_meta_bulk("/m", &["formula", "charge", "ghost"])
+                .unwrap(),
             vec![Some("H2O".into()), Some("0".into()), None]
         );
         s.remove_meta("/m", "charge").unwrap();

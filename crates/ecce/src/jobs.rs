@@ -11,9 +11,7 @@
 //! "individual output properties up to 1.8 MB in size" as in Table 3.
 
 use crate::error::{EcceError, Result};
-use crate::model::{
-    CalcState, Calculation, Job, OutputProperty, PropertyValue, RunType, Theory,
-};
+use crate::model::{CalcState, Calculation, Job, OutputProperty, PropertyValue, RunType, Theory};
 
 /// Generate an NWChem-flavoured input deck for the calculation.
 pub fn input_deck(calc: &Calculation) -> String {
@@ -205,7 +203,9 @@ pub fn run_to_completion(calc: &mut Calculation, config: &RunnerConfig) -> Resul
             name: "gradient-norms".into(),
             units: "hartree/bohr".into(),
             value: PropertyValue::Vector(
-                (0..steps).map(|i| 0.5 / (i + 1) as f64 * rng.next_f64().max(0.1)).collect(),
+                (0..steps)
+                    .map(|i| 0.5 / (i + 1) as f64 * rng.next_f64().max(0.1))
+                    .collect(),
             ),
         });
     }

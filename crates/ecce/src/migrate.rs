@@ -107,7 +107,10 @@ pub fn populate_oodb(store: &mut OodbEcceStore, config: &PopulateConfig) -> Resu
             if let Some(raw_dir) = &config.raw_dir {
                 let dir = raw_dir.join(format!("p{p}-c{c}"));
                 std::fs::create_dir_all(&dir)?;
-                std::fs::write(dir.join("input.nw"), calc.input_deck.as_deref().unwrap_or(""))?;
+                std::fs::write(
+                    dir.join("input.nw"),
+                    calc.input_deck.as_deref().unwrap_or(""),
+                )?;
                 let log = synth_output_log(&calc);
                 std::fs::write(dir.join("output.log"), log)?;
                 store.annotate(&path, "raw-data-dir", &dir.to_string_lossy())?;
@@ -126,7 +129,12 @@ fn synth_output_log(calc: &Calculation) -> String {
         calc.theory.as_str()
     );
     for p in &calc.properties {
-        log.push_str(&format!("computed {} [{}] n={}\n", p.name, p.units, p.value.len()));
+        log.push_str(&format!(
+            "computed {} [{}] n={}\n",
+            p.name,
+            p.units,
+            p.value.len()
+        ));
     }
     log.push_str("\nTask completed.\n");
     log
@@ -175,11 +183,9 @@ pub fn migrate<S: DataStorage>(
                 let data = std::fs::read(entry.path())?;
                 report.raw_bytes += data.len() as u64;
                 report.raw_files += 1;
-                target.storage().write(
-                    &join_path(&calc_path, &name),
-                    &data,
-                    Some("text/plain"),
-                )?;
+                target
+                    .storage()
+                    .write(&join_path(&calc_path, &name), &data, Some("text/plain"))?;
             }
             // The pointer now refers to the server-side location.
             target.annotate(&calc_path, "raw-data-dir", &calc_path)?;
@@ -286,14 +292,15 @@ mod tests {
         .unwrap();
         assert_eq!(created.len(), 6);
 
-        let mut target = DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap();
+        let mut target =
+            DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                .unwrap();
         let report = migrate(&mut source, &mut target).unwrap();
         assert_eq!(report.calculations, 6);
-        assert!(report.objects > 6 * 5, "graphs have many objects: {report:?}");
+        assert!(
+            report.objects > 6 * 5,
+            "graphs have many objects: {report:?}"
+        );
         assert_eq!(report.raw_files, 12); // input.nw + output.log each
         assert!(report.raw_bytes > 1000);
 
@@ -317,11 +324,9 @@ mod tests {
         let oodb_dir = scratch("oodb2");
         let mut source = OodbEcceStore::create(oodb_dir.join("db")).unwrap();
         populate_oodb(&mut source, &PopulateConfig::default()).unwrap();
-        let mut target = DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap();
+        let mut target =
+            DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                .unwrap();
         let report = migrate(&mut source, &mut target).unwrap();
         assert_eq!(report.calculations, 8);
         assert_eq!(report.raw_files, 0);
@@ -342,11 +347,9 @@ mod tests {
             },
         )
         .unwrap();
-        let mut target = DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap();
+        let mut target =
+            DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                .unwrap();
         migrate(&mut source, &mut target).unwrap();
         // Break one migrated calculation.
         target.delete("/Ecce/project-0/calc-1").unwrap();

@@ -517,10 +517,9 @@ mod tests {
     fn property_parse_errors() {
         assert!(OutputProperty::from_text("").is_err());
         assert!(OutputProperty::from_text("property x\nunits u\nkind scalar\ndims 1 1\n").is_err()); // no data
-        assert!(OutputProperty::from_text(
-            "property x\nunits u\nkind blob\ndims 1 1\n1.0\n"
-        )
-        .is_err());
+        assert!(
+            OutputProperty::from_text("property x\nunits u\nkind blob\ndims 1 1\n1.0\n").is_err()
+        );
         assert!(OutputProperty::from_text(
             "property x\nunits u\nkind vector\ndims 3 1\n1.0\n2.0\n"
         )

@@ -202,10 +202,7 @@ impl<A: ObjectApi> OodbEcceStore<A> {
     }
 
     fn find_calc_oid(&mut self, path: &str) -> Result<Oid> {
-        let hits = self.select(
-            "Calculation",
-            &Pred::TextEq("path".into(), path.to_owned()),
-        )?;
+        let hits = self.select("Calculation", &Pred::TextEq("path".into(), path.to_owned()))?;
         hits.first()
             .map(|o| o.oid)
             .ok_or_else(|| EcceError::NotFound(path.to_owned()))
@@ -231,10 +228,7 @@ impl<A: ObjectApi> OodbEcceStore<A> {
             "Molecule",
             vec![
                 ("name".into(), FieldValue::Text(mol.name.clone())),
-                (
-                    "formula".into(),
-                    FieldValue::Text(mol.empirical_formula()),
-                ),
+                ("formula".into(), FieldValue::Text(mol.empirical_formula())),
                 ("symmetry".into(), FieldValue::Text(mol.symmetry.clone())),
                 ("charge".into(), FieldValue::Int(mol.charge as i64)),
                 ("natoms".into(), FieldValue::Int(mol.natoms() as i64)),
@@ -310,7 +304,11 @@ impl<A: ObjectApi> OodbEcceStore<A> {
         let row_oids: Vec<(i64, Oid)> = obj
             .get("row_objects")
             .and_then(FieldValue::as_list)
-            .map(|l| l.iter().filter_map(FieldValue::as_ref_oid).collect::<Vec<_>>())
+            .map(|l| {
+                l.iter()
+                    .filter_map(FieldValue::as_ref_oid)
+                    .collect::<Vec<_>>()
+            })
             .unwrap_or_default()
             .into_iter()
             .map(|o| (0, o))
@@ -320,7 +318,11 @@ impl<A: ObjectApi> OodbEcceStore<A> {
             let r = self.db.fetch(roid)?;
             chunks.push((
                 r.get("seq").and_then(FieldValue::as_int).unwrap_or(0),
-                unpack_f64(r.get("values").and_then(FieldValue::as_bytes).unwrap_or(&[])),
+                unpack_f64(
+                    r.get("values")
+                        .and_then(FieldValue::as_bytes)
+                        .unwrap_or(&[]),
+                ),
             ));
         }
         chunks.sort_by_key(|(seq, _)| *seq);
@@ -374,7 +376,10 @@ impl<A: ObjectApi> OodbEcceStore<A> {
                 vec![
                     ("name".into(), FieldValue::Text(t.name.clone())),
                     ("sequence".into(), FieldValue::Int(t.sequence as i64)),
-                    ("runtype".into(), FieldValue::Text(t.run_type.as_str().into())),
+                    (
+                        "runtype".into(),
+                        FieldValue::Text(t.run_type.as_str().into()),
+                    ),
                 ],
             )?));
         }
@@ -388,7 +393,10 @@ impl<A: ObjectApi> OodbEcceStore<A> {
                 ("path".into(), FieldValue::Text(path.to_owned())),
                 ("name".into(), FieldValue::Text(calc.name.clone())),
                 ("state".into(), FieldValue::Text(calc.state.as_str().into())),
-                ("theory".into(), FieldValue::Text(calc.theory.as_str().into())),
+                (
+                    "theory".into(),
+                    FieldValue::Text(calc.theory.as_str().into()),
+                ),
                 (
                     "runtype".into(),
                     FieldValue::Text(calc.run_type.as_str().into()),
@@ -429,7 +437,10 @@ impl<A: ObjectApi> OodbEcceStore<A> {
         }
         if let Some(boid) = obj.get("basis").and_then(FieldValue::as_ref_oid) {
             let bobj = self.db.fetch(boid)?;
-            let data = bobj.get("data").and_then(FieldValue::as_bytes).unwrap_or(&[]);
+            let data = bobj
+                .get("data")
+                .and_then(FieldValue::as_bytes)
+                .unwrap_or(&[]);
             calc.basis = Some(BasisSet::from_text(&String::from_utf8_lossy(data))?);
         }
         let input = Self::text(&obj, "input");
@@ -442,7 +453,10 @@ impl<A: ObjectApi> OodbEcceStore<A> {
                 machine: Self::text(&jobj, "machine"),
                 queue: Self::text(&jobj, "queue"),
                 job_id: jobj.get("jobid").and_then(FieldValue::as_int).unwrap_or(0) as u64,
-                wall_seconds: jobj.get("wall").and_then(FieldValue::as_real).unwrap_or(0.0),
+                wall_seconds: jobj
+                    .get("wall")
+                    .and_then(FieldValue::as_real)
+                    .unwrap_or(0.0),
             });
         }
         if let Some(tasks) = obj.get("tasks").and_then(FieldValue::as_list) {
@@ -451,8 +465,10 @@ impl<A: ObjectApi> OodbEcceStore<A> {
                     let tobj = self.db.fetch(toid)?;
                     calc.tasks.push(Task {
                         name: Self::text(&tobj, "name"),
-                        sequence: tobj.get("sequence").and_then(FieldValue::as_int).unwrap_or(0)
-                            as u32,
+                        sequence: tobj
+                            .get("sequence")
+                            .and_then(FieldValue::as_int)
+                            .unwrap_or(0) as u32,
                         run_type: RunType::parse(&Self::text(&tobj, "runtype"))
                             .unwrap_or(RunType::Energy),
                     });
@@ -538,10 +554,7 @@ impl<A: ObjectApi> EcceStore for OodbEcceStore<A> {
     }
 
     fn load_project(&mut self, path: &str) -> Result<Project> {
-        let hits = self.select(
-            "Project",
-            &Pred::TextEq("path".into(), path.to_owned()),
-        )?;
+        let hits = self.select("Project", &Pred::TextEq("path".into(), path.to_owned()))?;
         let obj = hits
             .first()
             .ok_or_else(|| EcceError::NotFound(path.to_owned()))?;
@@ -614,10 +627,7 @@ impl<A: ObjectApi> EcceStore for OodbEcceStore<A> {
             return self.delete_calc_graph(oid);
         }
         // A project: delete it and its calculations.
-        let projects = self.select(
-            "Project",
-            &Pred::TextEq("path".into(), path.to_owned()),
-        )?;
+        let projects = self.select("Project", &Pred::TextEq("path".into(), path.to_owned()))?;
         if projects.is_empty() {
             return Err(EcceError::NotFound(path.to_owned()));
         }
@@ -674,7 +684,10 @@ impl<A: ObjectApi> EcceStore for OodbEcceStore<A> {
         match obj.get("basis").and_then(FieldValue::as_ref_oid) {
             Some(boid) => {
                 let bobj = self.db.fetch(boid)?;
-                let data = bobj.get("data").and_then(FieldValue::as_bytes).unwrap_or(&[]);
+                let data = bobj
+                    .get("data")
+                    .and_then(FieldValue::as_bytes)
+                    .unwrap_or(&[]);
                 Ok(Some(BasisSet::from_text(&String::from_utf8_lossy(data))?))
             }
             None => Ok(None),
@@ -689,13 +702,14 @@ impl<A: ObjectApi> EcceStore for OodbEcceStore<A> {
     }
 
     fn find_by_formula(&mut self, formula: &str) -> Result<Vec<String>> {
-        let mut out: Vec<String> = self.select(
-            "Calculation",
-            &Pred::TextEq("formula".into(), formula.to_owned()),
-        )?
-        .iter()
-        .map(|o| Self::text(o, "path"))
-        .collect();
+        let mut out: Vec<String> = self
+            .select(
+                "Calculation",
+                &Pred::TextEq("formula".into(), formula.to_owned()),
+            )?
+            .iter()
+            .map(|o| Self::text(o, "path"))
+            .collect();
         out.sort();
         Ok(out)
     }

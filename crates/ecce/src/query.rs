@@ -165,18 +165,18 @@ mod tests {
         assert_eq!(water.len(), 1);
         // Empty filter matches all.
         assert_eq!(
-            find_calculations(store, &CalcFilter::default()).unwrap().len(),
+            find_calculations(store, &CalcFilter::default())
+                .unwrap()
+                .len(),
             3
         );
     }
 
     #[test]
     fn filters_over_dav_backend() {
-        let mut store = DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap();
+        let mut store =
+            DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                .unwrap();
         populate(&mut store);
         check_filters(&mut store);
     }
@@ -194,11 +194,9 @@ mod tests {
 
     #[test]
     fn agent_metadata_queryable_on_dav_only() {
-        let mut store = DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap();
+        let mut store =
+            DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                .unwrap();
         populate(&mut store);
         crate::agent::thermodynamic_agent(store.storage(), "/Ecce").unwrap();
         let hits =

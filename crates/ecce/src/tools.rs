@@ -356,11 +356,9 @@ mod tests {
 
     #[test]
     fn all_tools_over_dav_backend() {
-        let mut store = DavEcceStore::open(
-            InProcStorage::new(Arc::new(MemRepository::new())),
-            "/Ecce",
-        )
-        .unwrap();
+        let mut store =
+            DavEcceStore::open(InProcStorage::new(Arc::new(MemRepository::new())), "/Ecce")
+                .unwrap();
         exercise_all(&mut store);
     }
 

@@ -21,7 +21,12 @@ fn molecule_strategy() -> impl Strategy<Value = Molecule> {
     (
         "[a-zA-Z][a-zA-Z0-9 _-]{0,14}",
         prop::collection::vec(
-            (symbol_strategy(), -50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0),
+            (
+                symbol_strategy(),
+                -50.0f64..50.0,
+                -50.0f64..50.0,
+                -50.0f64..50.0,
+            ),
             1..40,
         ),
         -3i32..4,

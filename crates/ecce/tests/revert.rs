@@ -96,7 +96,10 @@ fn checkout_collapses_an_edit_session_to_one_version() {
     let v = store.storage().checkin(&deck).unwrap();
     assert_eq!(v, 2, "five draft saves collapse to one new version");
     assert_eq!(store.storage().list_versions(&deck).unwrap(), vec![1, 2]);
-    assert_eq!(store.storage().read_version(&deck, 2).unwrap(), b"draft 4\n");
+    assert_eq!(
+        store.storage().read_version(&deck, 2).unwrap(),
+        b"draft 4\n"
+    );
     server.shutdown();
 }
 

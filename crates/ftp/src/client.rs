@@ -229,10 +229,7 @@ mod tests {
         let mut c = FtpClient::connect(server.local_addr()).unwrap();
         c.login("u", "p").unwrap();
         let err = c.retr_bytes("nope.bin").unwrap_err();
-        assert!(matches!(
-            err,
-            Error::UnexpectedReply { code: 550, .. }
-        ));
+        assert!(matches!(err, Error::UnexpectedReply { code: 550, .. }));
         assert!(c.size("nope.bin").is_err());
         server.shutdown();
         std::fs::remove_dir_all(&root).unwrap();

@@ -231,9 +231,7 @@ fn serve_control(stream: TcpStream, config: &FtpServerConfig) -> Result<()> {
             "SIZE" => {
                 let path = resolve(&config.root, &arg);
                 match std::fs::metadata(&path) {
-                    Ok(m) if m.is_file() => {
-                        reply(&mut writer, 213, &m.len().to_string())?
-                    }
+                    Ok(m) if m.is_file() => reply(&mut writer, 213, &m.len().to_string())?,
                     _ => reply(&mut writer, 550, "file not found")?,
                 }
             }
@@ -261,7 +259,10 @@ mod tests {
     #[test]
     fn safe_path_resolution() {
         assert_eq!(pse_safe_path("a/b.txt"), PathBuf::from("a/b.txt"));
-        assert_eq!(pse_safe_path("../../etc/passwd"), PathBuf::from("etc/passwd"));
+        assert_eq!(
+            pse_safe_path("../../etc/passwd"),
+            PathBuf::from("etc/passwd")
+        );
         assert_eq!(pse_safe_path("/abs/file"), PathBuf::from("abs/file"));
         assert_eq!(pse_safe_path(".."), PathBuf::new());
     }

@@ -253,7 +253,10 @@ impl Client {
             sub.set_accept_gzip(self.accept_gzip);
             self.redirect_pool.insert(authority.to_owned(), sub);
         }
-        Ok(self.redirect_pool.get_mut(authority).expect("just inserted"))
+        Ok(self
+            .redirect_pool
+            .get_mut(authority)
+            .expect("just inserted"))
     }
 
     /// One logical exchange (with transport retries, no redirect
@@ -376,7 +379,8 @@ impl Client {
             Ok(body) => {
                 resp.body = body;
                 resp.headers.remove("Content-Encoding");
-                resp.headers.set("Content-Length", &resp.body.len().to_string());
+                resp.headers
+                    .set("Content-Length", &resp.body.len().to_string());
                 Ok(resp)
             }
             Err(e) => {
@@ -585,15 +589,19 @@ mod tests {
         // API on both ends.
         let payload = "coordinates 0.000 0.957 1.514 ".repeat(1000);
         let echo = payload.clone();
-        let s = Server::bind("127.0.0.1:0", ServerConfig::default(), move |req: Request| {
-            if req.method == Method::Put {
-                // The engine must have decoded the request body.
-                assert!(req.headers.get("Content-Encoding").is_none());
-                Response::ok().with_body(req.body)
-            } else {
-                Response::ok().with_body(echo.clone().into_bytes())
-            }
-        })
+        let s = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            move |req: Request| {
+                if req.method == Method::Put {
+                    // The engine must have decoded the request body.
+                    assert!(req.headers.get("Content-Encoding").is_none());
+                    Response::ok().with_body(req.body)
+                } else {
+                    Response::ok().with_body(echo.clone().into_bytes())
+                }
+            },
+        )
         .unwrap();
         let mut c = Client::connect(s.local_addr()).unwrap();
         c.set_accept_gzip(true);
@@ -628,7 +636,10 @@ mod tests {
 
     #[test]
     fn corrupt_gzip_request_body_is_400() {
-        let s = Server::bind("127.0.0.1:0", ServerConfig::default(), |_req| Response::ok()).unwrap();
+        let s = Server::bind("127.0.0.1:0", ServerConfig::default(), |_req| {
+            Response::ok()
+        })
+        .unwrap();
         let mut c = Client::connect(s.local_addr()).unwrap();
         let req = Request::new(Method::Put, "/up")
             .with_body(b"definitely not gzip".to_vec())
@@ -658,7 +669,10 @@ mod tests {
             split_location("http://host:99"),
             (Some("host:99".into()), "/".into())
         );
-        assert_eq!(split_location("/just/a/path"), (None, "/just/a/path".into()));
+        assert_eq!(
+            split_location("/just/a/path"),
+            (None, "/just/a/path".into())
+        );
     }
 
     #[test]
@@ -678,8 +692,7 @@ mod tests {
         // /old answers 308 → /new; /new echoes "method path body".
         let s = Server::bind("127.0.0.1:0", ServerConfig::default(), |req: Request| {
             if req.target.path() == "/old" {
-                Response::new(crate::StatusCode::PERMANENT_REDIRECT)
-                    .with_header("Location", "/new")
+                Response::new(crate::StatusCode::PERMANENT_REDIRECT).with_header("Location", "/new")
             } else {
                 let echo = format!(
                     "{} {} {}",
@@ -707,10 +720,14 @@ mod tests {
         })
         .unwrap();
         let target = format!("http://{}", backend.local_addr());
-        let front = Server::bind("127.0.0.1:0", ServerConfig::default(), move |req: Request| {
-            Response::new(crate::StatusCode::TEMPORARY_REDIRECT)
-                .with_header("Location", format!("{target}{}", req.target.path()))
-        })
+        let front = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            move |req: Request| {
+                Response::new(crate::StatusCode::TEMPORARY_REDIRECT)
+                    .with_header("Location", format!("{target}{}", req.target.path()))
+            },
+        )
         .unwrap();
         let mut c = Client::connect(front.local_addr()).unwrap();
         c.set_follow_redirects(2);
@@ -725,8 +742,7 @@ mod tests {
     #[test]
     fn redirect_loops_exhaust_the_hop_budget() {
         let s = Server::bind("127.0.0.1:0", ServerConfig::default(), |_req| {
-            Response::new(crate::StatusCode::TEMPORARY_REDIRECT)
-                .with_header("Location", "/again")
+            Response::new(crate::StatusCode::TEMPORARY_REDIRECT).with_header("Location", "/again")
         })
         .unwrap();
         let mut c = Client::connect(s.local_addr()).unwrap();

@@ -713,7 +713,10 @@ mod tests {
         // Partial request line only: not yet.
         let mut p2 = parser();
         let mut buf2 = Vec::new();
-        assert!(matches!(feed(&mut p2, &mut buf2, b"PUT /x HT"), Step::NeedMore));
+        assert!(matches!(
+            feed(&mut p2, &mut buf2, b"PUT /x HT"),
+            Step::NeedMore
+        ));
         assert!(!p2.saw_request_line());
         assert!(p2.in_progress(&buf2));
         // Nothing between requests: an EOF here is a clean keep-alive
@@ -722,7 +725,11 @@ mod tests {
         let mut buf3 = Vec::new();
         assert!(!p3.in_progress(&buf3));
         assert!(matches!(
-            feed(&mut p3, &mut buf3, b"PUT / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
+            feed(
+                &mut p3,
+                &mut buf3,
+                b"PUT / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"
+            ),
             Step::NeedMore
         ));
         assert!(p3.in_progress(&buf3));
@@ -763,7 +770,10 @@ mod tests {
             ),
             Step::NeedMore
         ));
-        assert!(matches!(feed(&mut p, &mut buf, b"lo\r\n3\r"), Step::NeedMore));
+        assert!(matches!(
+            feed(&mut p, &mut buf, b"lo\r\n3\r"),
+            Step::NeedMore
+        ));
         match feed(&mut p, &mut buf, b"\nxyz\r\n0\r\n\r\n") {
             Step::Done(req) => assert_eq!(req.body, b"helloxyz"),
             other => panic!("{other:?}"),
@@ -915,7 +925,10 @@ mod tests {
             parse_request_line("GET / HTTP/2"),
             Err(Error::UnsupportedVersion(_))
         ));
-        assert!(matches!(parse_request_line("GARBAGE"), Err(Error::Parse(_))));
+        assert!(matches!(
+            parse_request_line("GARBAGE"),
+            Err(Error::Parse(_))
+        ));
     }
 
     #[test]

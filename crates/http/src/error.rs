@@ -85,7 +85,10 @@ impl fmt::Display for Error {
                  not retried because {method} is not idempotent"
             ),
             Error::TooManyRedirects { hops, location } => {
-                write!(f, "gave up after {hops} redirect hop(s); next was {location}")
+                write!(
+                    f,
+                    "gave up after {hops} redirect hop(s); next was {location}"
+                )
             }
             Error::RetriesExhausted { attempts, cause } => {
                 write!(f, "request failed after {attempts} attempt(s): {cause}")
@@ -121,8 +124,11 @@ mod tests {
     #[test]
     fn displays() {
         assert!(Error::Parse("bad".into()).to_string().contains("bad"));
-        assert!(Error::TooLarge { what: "body", limit: 10 }
-            .to_string()
-            .contains("10-byte"));
+        assert!(Error::TooLarge {
+            what: "body",
+            limit: 10
+        }
+        .to_string()
+        .contains("10-byte"));
     }
 }

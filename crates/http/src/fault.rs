@@ -583,15 +583,19 @@ mod tests {
         let payload = "the quick brown fox jumps over the lazy dog ".repeat(100);
         let s = {
             let payload = payload.clone();
-            Server::bind("127.0.0.1:0", ServerConfig::default(), move |req: Request| {
-                if req.method == crate::Method::Put {
-                    // Echo the (already transparently decoded) body so
-                    // the torn-request leg can verify the round trip.
-                    Response::ok().with_body(req.body)
-                } else {
-                    Response::ok().with_body(payload.as_bytes().to_vec())
-                }
-            })
+            Server::bind(
+                "127.0.0.1:0",
+                ServerConfig::default(),
+                move |req: Request| {
+                    if req.method == crate::Method::Put {
+                        // Echo the (already transparently decoded) body so
+                        // the torn-request leg can verify the round trip.
+                        Response::ok().with_body(req.body)
+                    } else {
+                        Response::ok().with_body(payload.as_bytes().to_vec())
+                    }
+                },
+            )
             .unwrap()
         };
         let proxy = FaultProxy::start(
@@ -648,7 +652,10 @@ mod tests {
 
     #[test]
     fn labels_are_stable() {
-        assert_eq!(Fault::Reset(Point::BeforeRequest).label(), "reset@before-request");
+        assert_eq!(
+            Fault::Reset(Point::BeforeRequest).label(),
+            "reset@before-request"
+        );
         assert_eq!(
             Fault::Delay(Point::MidResponse, Duration::from_millis(1)).label(),
             "delay@mid-response"

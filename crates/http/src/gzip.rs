@@ -56,7 +56,11 @@ fn crc_table() -> &'static [u32; 256] {
         for (n, slot) in t.iter_mut().enumerate() {
             let mut c = n as u32;
             for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
             }
             *slot = c;
         }
@@ -85,7 +89,11 @@ struct BitWriter {
 
 impl BitWriter {
     fn new() -> BitWriter {
-        BitWriter { out: Vec::new(), acc: 0, nbits: 0 }
+        BitWriter {
+            out: Vec::new(),
+            acc: 0,
+            nbits: 0,
+        }
     }
 
     /// Write `bits` bits of `value`, LSB first (extra-bits fields).
@@ -129,19 +137,69 @@ fn fixed_lit_code(sym: u16) -> (u32, u32) {
 
 /// Length code table: (base length, extra bits) for codes 257..=285.
 const LENGTH_CODES: [(u16, u32); 29] = [
-    (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (9, 0), (10, 0),
-    (11, 1), (13, 1), (15, 1), (17, 1), (19, 2), (23, 2), (27, 2), (31, 2),
-    (35, 3), (43, 3), (51, 3), (59, 3), (67, 4), (83, 4), (99, 4), (115, 4),
-    (131, 5), (163, 5), (195, 5), (227, 5), (258, 0),
+    (3, 0),
+    (4, 0),
+    (5, 0),
+    (6, 0),
+    (7, 0),
+    (8, 0),
+    (9, 0),
+    (10, 0),
+    (11, 1),
+    (13, 1),
+    (15, 1),
+    (17, 1),
+    (19, 2),
+    (23, 2),
+    (27, 2),
+    (31, 2),
+    (35, 3),
+    (43, 3),
+    (51, 3),
+    (59, 3),
+    (67, 4),
+    (83, 4),
+    (99, 4),
+    (115, 4),
+    (131, 5),
+    (163, 5),
+    (195, 5),
+    (227, 5),
+    (258, 0),
 ];
 
 /// Distance code table: (base distance, extra bits) for codes 0..=29.
 const DIST_CODES: [(u16, u32); 30] = [
-    (1, 0), (2, 0), (3, 0), (4, 0), (5, 1), (7, 1), (9, 2), (13, 2),
-    (17, 3), (25, 3), (33, 4), (49, 4), (65, 5), (97, 5), (129, 6), (193, 6),
-    (257, 7), (385, 7), (513, 8), (769, 8), (1025, 9), (1537, 9),
-    (2049, 10), (3073, 10), (4097, 11), (6145, 11), (8193, 12), (12289, 12),
-    (16385, 13), (24577, 13),
+    (1, 0),
+    (2, 0),
+    (3, 0),
+    (4, 0),
+    (5, 1),
+    (7, 1),
+    (9, 2),
+    (13, 2),
+    (17, 3),
+    (25, 3),
+    (33, 4),
+    (49, 4),
+    (65, 5),
+    (97, 5),
+    (129, 6),
+    (193, 6),
+    (257, 7),
+    (385, 7),
+    (513, 8),
+    (769, 8),
+    (1025, 9),
+    (1537, 9),
+    (2049, 10),
+    (3073, 10),
+    (4097, 11),
+    (6145, 11),
+    (8193, 12),
+    (12289, 12),
+    (16385, 13),
+    (24577, 13),
 ];
 
 const MIN_MATCH: usize = 3;
@@ -266,7 +324,12 @@ struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     fn new(data: &'a [u8]) -> BitReader<'a> {
-        BitReader { data, pos: 0, acc: 0, nbits: 0 }
+        BitReader {
+            data,
+            pos: 0,
+            acc: 0,
+            nbits: 0,
+        }
     }
 
     fn bits(&mut self, n: u32) -> Result<u32, GzipError> {
@@ -407,7 +470,9 @@ fn inflate_block(
 
 /// Read the dynamic-block code-length preamble (RFC 1951 §3.2.7).
 fn dynamic_huffmans(r: &mut BitReader) -> Result<(Huffman, Huffman), GzipError> {
-    const ORDER: [usize; 19] = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
+    const ORDER: [usize; 19] = [
+        16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
+    ];
     let hlit = r.bits(5)? as usize + 257;
     let hdist = r.bits(5)? as usize + 1;
     let hclen = r.bits(4)? as usize + 4;
@@ -589,7 +654,9 @@ mod tests {
         let mut x = 0x12345678u64;
         let data: Vec<u8> = (0..200_000)
             .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (x >> 33) as u8
             })
             .collect();
@@ -625,7 +692,10 @@ mod tests {
             // (Padding bits after the final block are legitimately
             // don't-care, so an identical correct decode is allowed.)
             if let Ok(out) = decompress(&bad, CAP) {
-                assert_eq!(out, data, "byte {i} corrupted but decode succeeded with wrong data");
+                assert_eq!(
+                    out, data,
+                    "byte {i} corrupted but decode succeeded with wrong data"
+                );
             }
         }
     }
@@ -653,9 +723,8 @@ mod tests {
         // deflate wrapped in a minimal gzip header): a BTYPE=1 stream
         // produced by a different compressor than ours.
         let foreign: &[u8] = &[
-            0x1F, 0x8B, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xFF,
-            0xCB, 0x48, 0xCD, 0xC9, 0xC9, 0x57, 0xC8, 0x40, 0x27, 0x01,
-            0xE3, 0x51, 0x3D, 0x8D, 0x17, 0x00, 0x00, 0x00,
+            0x1F, 0x8B, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xFF, 0xCB, 0x48, 0xCD, 0xC9,
+            0xC9, 0x57, 0xC8, 0x40, 0x27, 0x01, 0xE3, 0x51, 0x3D, 0x8D, 0x17, 0x00, 0x00, 0x00,
         ];
         let out = decompress(foreign, CAP).unwrap();
         assert_eq!(out, b"hello hello hello hello");
@@ -668,47 +737,41 @@ mod tests {
         // (BTYPE=2) block, the shape our compressor never emits. The
         // embedded CRC32/ISIZE trailer double-checks the decode.
         let foreign: &[u8] = &[
-            0x1F, 0x8B, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xFF, 0x85, 0x56,
-            0x5B, 0x8E, 0xC2, 0x30, 0x0C, 0xBC, 0x4A, 0xCF, 0xC0, 0x8D, 0x0A, 0x9B,
-            0x85, 0x4A, 0xDB, 0x76, 0xD5, 0x56, 0x42, 0xEC, 0xE9, 0x51, 0xA8, 0xE3,
-            0x78, 0xC6, 0xB6, 0xF6, 0x03, 0x68, 0x13, 0xC7, 0x8F, 0xF1, 0x8C, 0xC3,
-            0xF2, 0xBC, 0x3D, 0xCA, 0x3C, 0xDC, 0xCB, 0x3A, 0x97, 0x63, 0x7B, 0x0D,
-            0xCF, 0xF1, 0x28, 0xDB, 0x50, 0x96, 0xB2, 0xDD, 0x5F, 0xC3, 0x75, 0xDC,
-            0xA7, 0x7D, 0x78, 0x5C, 0x56, 0x79, 0x5A, 0xC4, 0x78, 0x1B, 0xBF, 0xA6,
-            0xB2, 0x1C, 0xCD, 0xAC, 0x1A, 0xAC, 0xBF, 0xC7, 0x34, 0x4F, 0x7F, 0x05,
-            0x8F, 0x9E, 0xDE, 0xCE, 0xEF, 0x73, 0x45, 0xED, 0xBA, 0x6F, 0x08, 0xA9,
-            0xBE, 0xC9, 0x9C, 0x63, 0xEA, 0xBB, 0x3E, 0x80, 0x1B, 0x4E, 0xA7, 0xC6,
-            0xD1, 0x1A, 0xF7, 0xDB, 0xB7, 0x58, 0xEB, 0x52, 0xAF, 0x51, 0xFD, 0x55,
-            0x2B, 0x38, 0x46, 0xFB, 0xFA, 0xA0, 0xB1, 0x04, 0x1E, 0x46, 0x2D, 0x4D,
-            0x5D, 0x0F, 0xAE, 0xDB, 0x75, 0x3A, 0xC6, 0x1F, 0x83, 0x86, 0xB8, 0x6A,
-            0x1B, 0xFD, 0x88, 0x2C, 0xC8, 0x7E, 0xCD, 0xB1, 0x43, 0xD4, 0x12, 0x25,
-            0x8C, 0x5D, 0x45, 0xE4, 0xA4, 0xBD, 0xD6, 0x6D, 0x82, 0x9F, 0x9B, 0xA4,
-            0x21, 0x16, 0xA2, 0x4D, 0xF3, 0x91, 0xD0, 0x47, 0xDD, 0xCA, 0x39, 0xFC,
-            0x71, 0xD5, 0xB9, 0x05, 0x9B, 0xCD, 0xA7, 0x66, 0x58, 0x97, 0x70, 0x90,
-            0xBF, 0x2D, 0x0A, 0x20, 0x6D, 0x04, 0x41, 0x0C, 0xB4, 0x10, 0xE6, 0x9F,
-            0x98, 0x31, 0xAD, 0x3E, 0xB1, 0x1C, 0xDE, 0x96, 0xEE, 0x98, 0x62, 0x02,
-            0x54, 0xC5, 0x06, 0x5C, 0xE1, 0x32, 0x24, 0x2E, 0x6E, 0x5D, 0xB7, 0x29,
-            0x80, 0xCF, 0x8A, 0xB5, 0xE0, 0x50, 0x06, 0x61, 0xD4, 0x4F, 0x23, 0xAA,
-            0xCF, 0x8A, 0x3B, 0xC6, 0x8D, 0x05, 0x41, 0x31, 0xF1, 0x3D, 0xCD, 0xFD,
-            0x37, 0xC2, 0x1E, 0x6B, 0x9A, 0x46, 0x83, 0xD6, 0x83, 0x88, 0x24, 0xC3,
-            0x0A, 0x28, 0xE3, 0x21, 0xF8, 0x77, 0xD8, 0x65, 0x73, 0x89, 0x04, 0x52,
-            0x61, 0x64, 0x0F, 0xA4, 0x37, 0x4B, 0xEA, 0xB6, 0x96, 0xFD, 0x56, 0x77,
-            0xD4, 0x68, 0xC8, 0xD2, 0x8A, 0x02, 0x6A, 0x61, 0xEC, 0x6C, 0x13, 0x03,
-            0xBB, 0xC6, 0xBC, 0x2E, 0xB5, 0xE8, 0x40, 0x2B, 0xC4, 0x3A, 0x6D, 0x1F,
-            0xDE, 0x0B, 0xA6, 0x1D, 0xCA, 0xC5, 0xAF, 0x07, 0x33, 0x4A, 0xD2, 0x33,
-            0x4A, 0xB7, 0xC8, 0xF8, 0x60, 0x04, 0x35, 0xCE, 0x9B, 0xF0, 0x26, 0x72,
-            0x74, 0xE2, 0xB1, 0xEE, 0xF9, 0xE6, 0x44, 0x10, 0xCF, 0x16, 0xDB, 0x67,
-            0x2E, 0x99, 0x5B, 0x06, 0x8A, 0x87, 0x23, 0xA0, 0x88, 0x4C, 0xF3, 0xFA,
-            0xC0, 0x0A, 0xF6, 0x23, 0xD6, 0xED, 0x64, 0x77, 0x0C, 0xD0, 0x04, 0x2E,
-            0x44, 0x6C, 0x8A, 0x99, 0xF6, 0x58, 0x4D, 0x3A, 0x88, 0xA0, 0x75, 0x7A,
-            0x39, 0x65, 0xBD, 0x6C, 0x06, 0x24, 0x34, 0xF1, 0x95, 0x5D, 0x98, 0xFD,
-            0x04, 0x64, 0xE6, 0x5E, 0xAC, 0x56, 0x52, 0x88, 0x1C, 0xAA, 0x7E, 0xE8,
-            0x72, 0xFC, 0x8E, 0x0A, 0x26, 0x6A, 0x25, 0x83, 0x03, 0x21, 0x52, 0x2D,
-            0xA0, 0xE4, 0xF0, 0xB6, 0x73, 0x15, 0xA7, 0x14, 0x75, 0xD2, 0x82, 0x02,
-            0x2F, 0xE0, 0xDF, 0xBA, 0x63, 0xF7, 0xA0, 0x51, 0xD7, 0xB2, 0x84, 0xCE,
-            0x11, 0x8F, 0x63, 0x29, 0x86, 0xFF, 0x14, 0x83, 0xD9, 0xC7, 0xD4, 0xC4,
-            0xEB, 0xF8, 0x0C, 0xF1, 0x06, 0x0F, 0x06, 0x76, 0xDD, 0xDA, 0x0A, 0x00,
-            0x00,
+            0x1F, 0x8B, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0xFF, 0x85, 0x56, 0x5B, 0x8E,
+            0xC2, 0x30, 0x0C, 0xBC, 0x4A, 0xCF, 0xC0, 0x8D, 0x0A, 0x9B, 0x85, 0x4A, 0xDB, 0x76,
+            0xD5, 0x56, 0x42, 0xEC, 0xE9, 0x51, 0xA8, 0xE3, 0x78, 0xC6, 0xB6, 0xF6, 0x03, 0x68,
+            0x13, 0xC7, 0x8F, 0xF1, 0x8C, 0xC3, 0xF2, 0xBC, 0x3D, 0xCA, 0x3C, 0xDC, 0xCB, 0x3A,
+            0x97, 0x63, 0x7B, 0x0D, 0xCF, 0xF1, 0x28, 0xDB, 0x50, 0x96, 0xB2, 0xDD, 0x5F, 0xC3,
+            0x75, 0xDC, 0xA7, 0x7D, 0x78, 0x5C, 0x56, 0x79, 0x5A, 0xC4, 0x78, 0x1B, 0xBF, 0xA6,
+            0xB2, 0x1C, 0xCD, 0xAC, 0x1A, 0xAC, 0xBF, 0xC7, 0x34, 0x4F, 0x7F, 0x05, 0x8F, 0x9E,
+            0xDE, 0xCE, 0xEF, 0x73, 0x45, 0xED, 0xBA, 0x6F, 0x08, 0xA9, 0xBE, 0xC9, 0x9C, 0x63,
+            0xEA, 0xBB, 0x3E, 0x80, 0x1B, 0x4E, 0xA7, 0xC6, 0xD1, 0x1A, 0xF7, 0xDB, 0xB7, 0x58,
+            0xEB, 0x52, 0xAF, 0x51, 0xFD, 0x55, 0x2B, 0x38, 0x46, 0xFB, 0xFA, 0xA0, 0xB1, 0x04,
+            0x1E, 0x46, 0x2D, 0x4D, 0x5D, 0x0F, 0xAE, 0xDB, 0x75, 0x3A, 0xC6, 0x1F, 0x83, 0x86,
+            0xB8, 0x6A, 0x1B, 0xFD, 0x88, 0x2C, 0xC8, 0x7E, 0xCD, 0xB1, 0x43, 0xD4, 0x12, 0x25,
+            0x8C, 0x5D, 0x45, 0xE4, 0xA4, 0xBD, 0xD6, 0x6D, 0x82, 0x9F, 0x9B, 0xA4, 0x21, 0x16,
+            0xA2, 0x4D, 0xF3, 0x91, 0xD0, 0x47, 0xDD, 0xCA, 0x39, 0xFC, 0x71, 0xD5, 0xB9, 0x05,
+            0x9B, 0xCD, 0xA7, 0x66, 0x58, 0x97, 0x70, 0x90, 0xBF, 0x2D, 0x0A, 0x20, 0x6D, 0x04,
+            0x41, 0x0C, 0xB4, 0x10, 0xE6, 0x9F, 0x98, 0x31, 0xAD, 0x3E, 0xB1, 0x1C, 0xDE, 0x96,
+            0xEE, 0x98, 0x62, 0x02, 0x54, 0xC5, 0x06, 0x5C, 0xE1, 0x32, 0x24, 0x2E, 0x6E, 0x5D,
+            0xB7, 0x29, 0x80, 0xCF, 0x8A, 0xB5, 0xE0, 0x50, 0x06, 0x61, 0xD4, 0x4F, 0x23, 0xAA,
+            0xCF, 0x8A, 0x3B, 0xC6, 0x8D, 0x05, 0x41, 0x31, 0xF1, 0x3D, 0xCD, 0xFD, 0x37, 0xC2,
+            0x1E, 0x6B, 0x9A, 0x46, 0x83, 0xD6, 0x83, 0x88, 0x24, 0xC3, 0x0A, 0x28, 0xE3, 0x21,
+            0xF8, 0x77, 0xD8, 0x65, 0x73, 0x89, 0x04, 0x52, 0x61, 0x64, 0x0F, 0xA4, 0x37, 0x4B,
+            0xEA, 0xB6, 0x96, 0xFD, 0x56, 0x77, 0xD4, 0x68, 0xC8, 0xD2, 0x8A, 0x02, 0x6A, 0x61,
+            0xEC, 0x6C, 0x13, 0x03, 0xBB, 0xC6, 0xBC, 0x2E, 0xB5, 0xE8, 0x40, 0x2B, 0xC4, 0x3A,
+            0x6D, 0x1F, 0xDE, 0x0B, 0xA6, 0x1D, 0xCA, 0xC5, 0xAF, 0x07, 0x33, 0x4A, 0xD2, 0x33,
+            0x4A, 0xB7, 0xC8, 0xF8, 0x60, 0x04, 0x35, 0xCE, 0x9B, 0xF0, 0x26, 0x72, 0x74, 0xE2,
+            0xB1, 0xEE, 0xF9, 0xE6, 0x44, 0x10, 0xCF, 0x16, 0xDB, 0x67, 0x2E, 0x99, 0x5B, 0x06,
+            0x8A, 0x87, 0x23, 0xA0, 0x88, 0x4C, 0xF3, 0xFA, 0xC0, 0x0A, 0xF6, 0x23, 0xD6, 0xED,
+            0x64, 0x77, 0x0C, 0xD0, 0x04, 0x2E, 0x44, 0x6C, 0x8A, 0x99, 0xF6, 0x58, 0x4D, 0x3A,
+            0x88, 0xA0, 0x75, 0x7A, 0x39, 0x65, 0xBD, 0x6C, 0x06, 0x24, 0x34, 0xF1, 0x95, 0x5D,
+            0x98, 0xFD, 0x04, 0x64, 0xE6, 0x5E, 0xAC, 0x56, 0x52, 0x88, 0x1C, 0xAA, 0x7E, 0xE8,
+            0x72, 0xFC, 0x8E, 0x0A, 0x26, 0x6A, 0x25, 0x83, 0x03, 0x21, 0x52, 0x2D, 0xA0, 0xE4,
+            0xF0, 0xB6, 0x73, 0x15, 0xA7, 0x14, 0x75, 0xD2, 0x82, 0x02, 0x2F, 0xE0, 0xDF, 0xBA,
+            0x63, 0xF7, 0xA0, 0x51, 0xD7, 0xB2, 0x84, 0xCE, 0x11, 0x8F, 0x63, 0x29, 0x86, 0xFF,
+            0x14, 0x83, 0xD9, 0xC7, 0xD4, 0xC4, 0xEB, 0xF8, 0x0C, 0xF1, 0x06, 0x0F, 0x06, 0x76,
+            0xDD, 0xDA, 0x0A, 0x00, 0x00,
         ];
         // BTYPE of the first deflate block really is 2 (dynamic).
         assert_eq!((foreign[10] >> 1) & 3, 2);

@@ -181,7 +181,10 @@ mod tests {
             .with_header("Depth", "1")
             .with_xml_body("<propfind/>");
         assert_eq!(r.depth_header(), Some(1));
-        assert_eq!(r.headers.get("content-type").unwrap(), "text/xml; charset=\"utf-8\"");
+        assert_eq!(
+            r.headers.get("content-type").unwrap(),
+            "text/xml; charset=\"utf-8\""
+        );
         assert_eq!(r.body_text(), "<propfind/>");
     }
 

@@ -171,9 +171,25 @@ mod tests {
     #[test]
     fn roundtrip_all_known() {
         let all = [
-            "OPTIONS", "GET", "HEAD", "POST", "PUT", "DELETE", "TRACE", "PROPFIND", "PROPPATCH",
-            "MKCOL", "COPY", "MOVE", "LOCK", "UNLOCK", "SEARCH", "VERSION-CONTROL", "REPORT",
-            "CHECKOUT", "CHECKIN",
+            "OPTIONS",
+            "GET",
+            "HEAD",
+            "POST",
+            "PUT",
+            "DELETE",
+            "TRACE",
+            "PROPFIND",
+            "PROPPATCH",
+            "MKCOL",
+            "COPY",
+            "MOVE",
+            "LOCK",
+            "UNLOCK",
+            "SEARCH",
+            "VERSION-CONTROL",
+            "REPORT",
+            "CHECKOUT",
+            "CHECKIN",
         ];
         for token in all {
             let m: Method = token.parse().unwrap();

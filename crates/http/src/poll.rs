@@ -176,12 +176,14 @@ impl Poller {
         let mut raw = [EpollEvent { events: 0, data: 0 }; CAPACITY];
         let timeout_ms: i32 = match timeout {
             // Round up so a 100µs deadline does not spin at timeout 0.
-            Some(d) => d.as_millis().min(i32::MAX as u128) as i32
-                + if d.subsec_millis() as u128 * 1_000_000 != d.subsec_nanos() as u128 {
-                    1
-                } else {
-                    0
-                },
+            Some(d) => {
+                d.as_millis().min(i32::MAX as u128) as i32
+                    + if d.subsec_millis() as u128 * 1_000_000 != d.subsec_nanos() as u128 {
+                        1
+                    } else {
+                        0
+                    }
+            }
             None => -1,
         };
         let n = loop {

@@ -70,14 +70,20 @@ pub fn resolve(spec: RangeSpec, total: u64) -> ResolvedRange {
             if a >= total {
                 ResolvedRange::Unsatisfiable
             } else {
-                ResolvedRange::Satisfiable { start: a, end: b.min(total - 1) }
+                ResolvedRange::Satisfiable {
+                    start: a,
+                    end: b.min(total - 1),
+                }
             }
         }
         RangeSpec::From(a) => {
             if a >= total {
                 ResolvedRange::Unsatisfiable
             } else {
-                ResolvedRange::Satisfiable { start: a, end: total - 1 }
+                ResolvedRange::Satisfiable {
+                    start: a,
+                    end: total - 1,
+                }
             }
         }
         RangeSpec::Suffix(n) => {
@@ -85,7 +91,10 @@ pub fn resolve(spec: RangeSpec, total: u64) -> ResolvedRange {
                 // RFC 7233 §2.1: a zero suffix-length is unsatisfiable.
                 ResolvedRange::Unsatisfiable
             } else {
-                ResolvedRange::Satisfiable { start: total - n.min(total), end: total - 1 }
+                ResolvedRange::Satisfiable {
+                    start: total - n.min(total),
+                    end: total - 1,
+                }
             }
         }
     }
@@ -130,7 +139,7 @@ mod tests {
             "bytes=",
             "bytes=-",
             "bytes=a-b",
-            "bytes=5-2",   // inverted
+            "bytes=5-2",     // inverted
             "bytes=0-1,3-4", // multi-range: full 200 fallback
             "bytes",
             "0-499",
@@ -143,14 +152,29 @@ mod tests {
     fn resolution_edges() {
         use ResolvedRange::*;
         // Off-by-one at EOF: last valid byte is total-1.
-        assert_eq!(resolve(RangeSpec::FromTo(0, 99), 100), Satisfiable { start: 0, end: 99 });
-        assert_eq!(resolve(RangeSpec::FromTo(99, 99), 100), Satisfiable { start: 99, end: 99 });
+        assert_eq!(
+            resolve(RangeSpec::FromTo(0, 99), 100),
+            Satisfiable { start: 0, end: 99 }
+        );
+        assert_eq!(
+            resolve(RangeSpec::FromTo(99, 99), 100),
+            Satisfiable { start: 99, end: 99 }
+        );
         assert_eq!(resolve(RangeSpec::FromTo(100, 100), 100), Unsatisfiable);
         // End clamped to the representation.
-        assert_eq!(resolve(RangeSpec::FromTo(90, 1000), 100), Satisfiable { start: 90, end: 99 });
+        assert_eq!(
+            resolve(RangeSpec::FromTo(90, 1000), 100),
+            Satisfiable { start: 90, end: 99 }
+        );
         // Suffix longer than the file is the whole file.
-        assert_eq!(resolve(RangeSpec::Suffix(1000), 100), Satisfiable { start: 0, end: 99 });
-        assert_eq!(resolve(RangeSpec::Suffix(1), 100), Satisfiable { start: 99, end: 99 });
+        assert_eq!(
+            resolve(RangeSpec::Suffix(1000), 100),
+            Satisfiable { start: 0, end: 99 }
+        );
+        assert_eq!(
+            resolve(RangeSpec::Suffix(1), 100),
+            Satisfiable { start: 99, end: 99 }
+        );
         assert_eq!(resolve(RangeSpec::Suffix(0), 100), Unsatisfiable);
         assert_eq!(resolve(RangeSpec::From(0), 0), Unsatisfiable);
         assert_eq!(resolve(RangeSpec::Suffix(5), 0), Unsatisfiable);
@@ -158,7 +182,10 @@ mod tests {
 
     #[test]
     fn content_range_forms() {
-        assert_eq!(parse_content_range("bytes 0-4/10"), Some((Some((0, 4)), 10)));
+        assert_eq!(
+            parse_content_range("bytes 0-4/10"),
+            Some((Some((0, 4)), 10))
+        );
         assert_eq!(parse_content_range("bytes */10"), Some((None, 10)));
         assert_eq!(parse_content_range("bytes 5-4/10"), None);
         assert_eq!(parse_content_range("bytes 0-10/10"), None); // end past total

@@ -512,7 +512,8 @@ impl Reactor {
             entry.conn.timer_gen += 1;
             entry.conn.timer_kind = Some(kind);
             entry.conn.timer_deadline = Some(deadline);
-            self.timers.push(Reverse((deadline, id, entry.conn.timer_gen)));
+            self.timers
+                .push(Reverse((deadline, id, entry.conn.timer_gen)));
         }
     }
 
@@ -543,7 +544,10 @@ impl Reactor {
             if parked != entry.parked {
                 entry.parked = parked;
                 let delta = if parked { 1 } else { -1 };
-                self.shared.gauges.parked.fetch_add(delta, Ordering::Relaxed);
+                self.shared
+                    .gauges
+                    .parked
+                    .fetch_add(delta, Ordering::Relaxed);
             }
         }
     }

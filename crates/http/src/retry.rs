@@ -78,11 +78,7 @@ impl RetryPolicy {
     /// Exponential in `retry`, capped at `max_backoff`, with the
     /// configured jitter drawn from `rng`.
     pub fn backoff(&self, retry: u32, rng: &mut StdRng) -> Duration {
-        let exp = self
-            .base_backoff
-            .as_secs_f64()
-            .max(0.0)
-            * 2f64.powi(retry.min(20) as i32);
+        let exp = self.base_backoff.as_secs_f64().max(0.0) * 2f64.powi(retry.min(20) as i32);
         let capped = exp.min(self.max_backoff.as_secs_f64());
         if capped <= 0.0 {
             return Duration::ZERO;
@@ -111,7 +107,11 @@ mod tests {
             let full = (100.0 * 2f64.powi(retry)).min(450.0);
             let d = policy.backoff(retry as u32, &mut rng).as_secs_f64() * 1000.0;
             assert!(d <= full + 1e-9, "retry {retry}: {d} > {full}");
-            assert!(d >= full * 0.5 - 1e-9, "retry {retry}: {d} < {}", full * 0.5);
+            assert!(
+                d >= full * 0.5 - 1e-9,
+                "retry {retry}: {d} < {}",
+                full * 0.5
+            );
         }
     }
 

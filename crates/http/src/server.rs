@@ -140,7 +140,12 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    fn new<H>(config: ServerConfig, handler: H, stats: Arc<ServerStats>, obs: Arc<Registry>) -> Engine
+    fn new<H>(
+        config: ServerConfig,
+        handler: H,
+        stats: Arc<ServerStats>,
+        obs: Arc<Registry>,
+    ) -> Engine
     where
         H: Fn(Request) -> Response + Send + Sync + 'static,
     {
@@ -234,7 +239,8 @@ impl Engine {
                         self.obs.counter("http.gzip.requests_decoded").inc();
                         req.headers.remove("Content-Encoding");
                         req.body = body;
-                        req.headers.set("Content-Length", &req.body.len().to_string());
+                        req.headers
+                            .set("Content-Length", &req.body.len().to_string());
                     }
                     Err(e) => {
                         return Response::error(
@@ -402,7 +408,11 @@ mod tests {
         let head = String::from_utf8(head).unwrap();
         let len: usize = head
             .lines()
-            .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(|v| v.trim().parse().unwrap()))
+            .find_map(|l| {
+                l.to_ascii_lowercase()
+                    .strip_prefix("content-length:")
+                    .map(|v| v.trim().parse().unwrap())
+            })
             .unwrap_or(0);
         let mut body = vec![0u8; len];
         s.read_exact(&mut body).unwrap();

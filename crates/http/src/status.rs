@@ -159,7 +159,10 @@ mod tests {
         assert_eq!(StatusCode::MULTI_STATUS.reason(), "Multi-Status");
         assert_eq!(StatusCode::LOCKED.reason(), "Locked");
         assert_eq!(StatusCode::FAILED_DEPENDENCY.reason(), "Failed Dependency");
-        assert_eq!(StatusCode::INSUFFICIENT_STORAGE.reason(), "Insufficient Storage");
+        assert_eq!(
+            StatusCode::INSUFFICIENT_STORAGE.reason(),
+            "Insufficient Storage"
+        );
     }
 
     #[test]

@@ -155,8 +155,8 @@ pub fn percent_decode(s: &str) -> String {
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' && i + 2 < bytes.len() {
-            if let Some(b) = hex_val(bytes[i + 1])
-                .and_then(|hi| hex_val(bytes[i + 2]).map(|lo| hi * 16 + lo))
+            if let Some(b) =
+                hex_val(bytes[i + 1]).and_then(|hi| hex_val(bytes[i + 2]).map(|lo| hi * 16 + lo))
             {
                 out.push(b);
                 i += 3;
@@ -166,8 +166,7 @@ pub fn percent_decode(s: &str) -> String {
         out.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8(out)
-        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 fn hex_val(b: u8) -> Option<u8> {
@@ -216,7 +215,10 @@ mod tests {
         let t = Target::parse("/Projects/aq%20uo/calc?depth=1");
         assert_eq!(t.path(), "/Projects/aq uo/calc");
         assert_eq!(t.query(), Some("depth=1"));
-        assert_eq!(t.segments().collect::<Vec<_>>(), vec!["Projects", "aq uo", "calc"]);
+        assert_eq!(
+            t.segments().collect::<Vec<_>>(),
+            vec!["Projects", "aq uo", "calc"]
+        );
     }
 
     #[test]

@@ -224,7 +224,11 @@ pub fn read_response(r: &mut impl BufRead, method: &Method, limits: &Limits) -> 
         .ok_or_else(|| Error::Parse(format!("bad status code in `{line}`")))?;
     let headers = read_headers(r, limits)?;
     let status = StatusCode::new(code);
-    let body = if !method.response_has_body() || code == 204 || code == 304 || (100..200).contains(&code) {
+    let body = if !method.response_has_body()
+        || code == 204
+        || code == 304
+        || (100..200).contains(&code)
+    {
         Vec::new()
     } else {
         read_body(r, &headers, limits)?
@@ -312,7 +316,8 @@ mod tests {
         let resp = Response::new(StatusCode::MULTI_STATUS).with_xml_body("<D:multistatus/>");
         let mut wire = Vec::new();
         write_response(&mut wire, &resp, false).unwrap();
-        let back = read_response(&mut cursor(&wire), &Method::PropFind, &Limits::default()).unwrap();
+        let back =
+            read_response(&mut cursor(&wire), &Method::PropFind, &Limits::default()).unwrap();
         assert_eq!(back.status, StatusCode::MULTI_STATUS);
         assert_eq!(back.body, resp.body);
     }
@@ -343,21 +348,41 @@ mod tests {
             _ => "other",
         };
         let cases: [(&[u8], &str); 8] = [
-            (b"HTTP/1.1 200 OK\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n", "header count"),
-            (b"HTTP/1.1 200 OK\r\nX-Long: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n", "header line"),
-            (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", "entity body"),
+            (
+                b"HTTP/1.1 200 OK\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n",
+                "header count",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nX-Long: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n",
+                "header line",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+                "entity body",
+            ),
             (
                 b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
                 "chunked body",
             ),
-            (b"HTTP/1.1 200 OK\r\nContent-Length: banana\r\n\r\n", "parse"),
-            (b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab", "parse"),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: banana\r\n\r\n",
+                "parse",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab",
+                "parse",
+            ),
             (b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nab", "closed"),
             (b"", "closed"),
         ];
         for (raw, expected) in cases {
             let err = read_response(&mut cursor(raw), &Method::Get, &tight).unwrap_err();
-            assert_eq!(kind(&err), expected, "{:?}: {err:?}", String::from_utf8_lossy(raw));
+            assert_eq!(
+                kind(&err),
+                expected,
+                "{:?}: {err:?}",
+                String::from_utf8_lossy(raw)
+            );
         }
     }
 

@@ -53,7 +53,16 @@ pub const LATENCY_BUCKETS_US: &[u64] = &[
 /// Default size bucket upper bounds, in bytes (for body / multistatus
 /// size distributions).
 pub const SIZE_BUCKETS_BYTES: &[u64] = &[
-    256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20,
+    256,
+    1 << 10,
+    4 << 10,
+    16 << 10,
+    64 << 10,
+    256 << 10,
+    1 << 20,
+    4 << 20,
+    16 << 20,
+    64 << 20,
 ];
 
 // ---- striped counter ----
@@ -104,7 +113,9 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(cells) = &self.0 {
-            cells.cells[stripe_index()].0.fetch_add(n, Ordering::Relaxed);
+            cells.cells[stripe_index()]
+                .0
+                .fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -198,7 +209,9 @@ impl Histogram {
 
     /// Total observations so far.
     pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.count.load(Ordering::Relaxed))
+        self.0
+            .as_ref()
+            .map_or(0, |c| c.count.load(Ordering::Relaxed))
     }
 
     fn snapshot(&self) -> Option<HistogramSnapshot> {
@@ -278,7 +291,9 @@ impl HistogramSnapshot {
     }
 
     fn delta(&self, earlier: Option<&HistogramSnapshot>) -> HistogramSnapshot {
-        let Some(e) = earlier else { return self.clone() };
+        let Some(e) = earlier else {
+            return self.clone();
+        };
         HistogramSnapshot {
             bounds: self.bounds.clone(),
             buckets: self
@@ -613,11 +628,7 @@ impl Registry {
             for (i, b) in h.bounds.iter().enumerate() {
                 let _ = write!(out, " le{b} {}", h.buckets.get(i).copied().unwrap_or(0));
             }
-            let _ = writeln!(
-                out,
-                " overflow {}",
-                h.buckets.last().copied().unwrap_or(0)
-            );
+            let _ = writeln!(out, " overflow {}", h.buckets.last().copied().unwrap_or(0));
         }
         out
     }
@@ -828,7 +839,10 @@ mod tests {
         }
         assert_eq!(h.count(), 1);
         let snap = reg.snapshot();
-        assert!(snap.histograms["timed"].sum >= 1_000, "at least ~1ms recorded");
+        assert!(
+            snap.histograms["timed"].sum >= 1_000,
+            "at least ~1ms recorded"
+        );
         // The closure form too.
         let out = reg.timed("timed", || 42);
         assert_eq!(out, 42);
@@ -849,7 +863,10 @@ mod tests {
         let traces = reg.recent_traces();
         assert_eq!(traces.len(), TRACE_CAPACITY);
         assert_eq!(traces[0].what, "GET /10"); // oldest 10 dropped
-        assert_eq!(traces.last().unwrap().duration_us, TRACE_CAPACITY as u64 + 9);
+        assert_eq!(
+            traces.last().unwrap().duration_us,
+            TRACE_CAPACITY as u64 + 9
+        );
         assert_eq!(reg.traces_recorded(), TRACE_CAPACITY as u64 + 10);
     }
 
@@ -902,7 +919,10 @@ mod tests {
         assert_eq!(parse_text_metric(&text, "http.requests.get"), Some(3));
         assert_eq!(parse_text_metric(&text, "http.queue_depth"), Some(-1));
         assert_eq!(parse_text_metric(&text, "lat_us"), Some(1));
-        assert!(text.contains("histogram lat_us count 1 sum 150 le100 0 le200 1 overflow 0"), "{text}");
+        assert!(
+            text.contains("histogram lat_us count 1 sum 150 le100 0 le200 1 overflow 0"),
+            "{text}"
+        );
         assert_eq!(parse_text_metric(&text, "absent"), None);
     }
 
@@ -916,7 +936,10 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"a\\\"b\":1"), "{json}");
         assert!(json.contains("\"gauges\":{\"g\":2}"), "{json}");
-        assert!(json.contains("\"h\":{\"count\":1,\"sum\":1,\"bounds\":[1],\"buckets\":[1, 0]}"), "{json}");
+        assert!(
+            json.contains("\"h\":{\"count\":1,\"sum\":1,\"bounds\":[1],\"buckets\":[1, 0]}"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -71,12 +71,12 @@ mod tests {
         let schema = SchemaBuilder::new()
             .class("T", &[("v", FieldType::Int)])
             .build();
-        let mut db: Box<dyn ObjectApi> =
-            Box::new(OodbStore::create_db(&d, schema).unwrap());
+        let mut db: Box<dyn ObjectApi> = Box::new(OodbStore::create_db(&d, schema).unwrap());
         let oid = db
             .create("T", vec![("v".into(), FieldValue::Int(1))])
             .unwrap();
-        db.update(oid, vec![("v".into(), FieldValue::Int(2))]).unwrap();
+        db.update(oid, vec![("v".into(), FieldValue::Int(2))])
+            .unwrap();
         assert_eq!(db.fetch(oid).unwrap().get("v").unwrap().as_int(), Some(2));
         assert_eq!(db.scan_class("T").unwrap().len(), 1);
         assert_eq!(db.object_count().unwrap(), 1);

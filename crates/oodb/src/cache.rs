@@ -211,8 +211,11 @@ mod tests {
         let mut oids = Vec::new();
         for i in 0..5 {
             oids.push(
-                c.create("Doc", vec![("name".into(), FieldValue::Text(format!("d{i}")))])
-                    .unwrap(),
+                c.create(
+                    "Doc",
+                    vec![("name".into(), FieldValue::Text(format!("d{i}")))],
+                )
+                .unwrap(),
             );
         }
         let all = c.scan_class("Doc").unwrap();

@@ -255,10 +255,7 @@ mod tests {
     fn bad_magic_detected() {
         let mut buf = encode_object(1, 0, Oid(1), &[]);
         buf[0] = 0xFF;
-        assert!(matches!(
-            decode_object(&buf, None),
-            Err(Error::Corrupt(_))
-        ));
+        assert!(matches!(decode_object(&buf, None), Err(Error::Corrupt(_))));
     }
 
     #[test]

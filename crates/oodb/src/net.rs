@@ -293,9 +293,7 @@ fn serve_connection(stream: TcpStream, store: &Mutex<OodbStore>, obs: &Registry)
                         .get(1)
                         .and_then(|v| v.parse().ok())
                         .ok_or_else(|| Error::Corrupt("bad oid".into()))?;
-                    let seg = db
-                        .segment_of(Oid(oid))
-                        .ok_or(Error::NoSuchObject(oid))?;
+                    let seg = db.segment_of(Oid(oid)).ok_or(Error::NoSuchObject(oid))?;
                     Ok((format!("OK {seg} {}", generation(&db)), None))
                 }
                 "PAGE" => {
@@ -323,10 +321,7 @@ fn serve_connection(stream: TcpStream, store: &Mutex<OodbStore>, obs: &Registry)
                     Ok((format!("OK 0 {}", generation(&db)), Some(payload)))
                 }
                 "COUNT" => Ok((format!("OK {} {}", db.len(), generation(&db)), None)),
-                "DISK" => Ok((
-                    format!("OK {} {}", db.disk_usage()?, generation(&db)),
-                    None,
-                )),
+                "DISK" => Ok((format!("OK {} {}", db.disk_usage()?, generation(&db)), None)),
                 other => Err(Error::Corrupt(format!("unknown verb `{other}`"))),
             }
         })();
@@ -380,14 +375,8 @@ impl RemoteOodb {
         let (parts, payload) = read_frame(&mut self.reader)?;
         match parts.first().map(String::as_str) {
             Some("OK") => {
-                let value: u64 = parts
-                    .get(1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
-                let generation: u64 = parts
-                    .get(2)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
+                let value: u64 = parts.get(1).and_then(|v| v.parse().ok()).unwrap_or(0);
+                let generation: u64 = parts.get(2).and_then(|v| v.parse().ok()).unwrap_or(0);
                 // Cache-forward: any generation change invalidates.
                 if generation != self.seen_generation {
                     self.cache.clear();
@@ -574,7 +563,8 @@ mod tests {
         assert_eq!(obj.class, "Doc");
         assert_eq!(obj.get("name").unwrap().as_text(), Some("x"));
         assert_eq!(obj.get("data").unwrap().as_bytes(), Some(&[1u8, 2, 3][..]));
-        c.update(oid, vec![("size".into(), FieldValue::Int(3))]).unwrap();
+        c.update(oid, vec![("size".into(), FieldValue::Int(3))])
+            .unwrap();
         assert_eq!(c.fetch(oid).unwrap().get("size").unwrap().as_int(), Some(3));
         assert_eq!(c.object_count().unwrap(), 1);
         assert!(c.disk_usage().unwrap() > 0);
@@ -644,7 +634,10 @@ mod tests {
     fn concurrent_remote_clients() {
         let (server, mut seed, d) = rig();
         let oid = seed
-            .create("Doc", vec![("name".into(), FieldValue::Text("shared".into()))])
+            .create(
+                "Doc",
+                vec![("name".into(), FieldValue::Text("shared".into()))],
+            )
             .unwrap();
         let addr = server.local_addr();
         let threads: Vec<_> = (0..4)

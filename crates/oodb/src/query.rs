@@ -129,7 +129,12 @@ mod tests {
     #[test]
     fn text_predicates() {
         let (db, d, _) = store();
-        let hits = select(&db, "Molecule", &Pred::TextEq("formula".into(), "UO2".into())).unwrap();
+        let hits = select(
+            &db,
+            "Molecule",
+            &Pred::TextEq("formula".into(), "UO2".into()),
+        )
+        .unwrap();
         assert_eq!(hits.len(), 1);
         let hits = select(
             &db,

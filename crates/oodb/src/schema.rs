@@ -256,10 +256,7 @@ mod tests {
     fn normalize_orders_and_fills() {
         let s = schema();
         let fields = s
-            .normalize_fields(
-                "Molecule",
-                vec![("natoms".into(), FieldValue::Int(3))],
-            )
+            .normalize_fields("Molecule", vec![("natoms".into(), FieldValue::Int(3))])
             .unwrap();
         assert_eq!(fields[0], FieldValue::Null); // formula missing
         assert_eq!(fields[1], FieldValue::Int(3));
@@ -307,7 +304,11 @@ mod tests {
             field: "natoms".into(),
         }]);
         assert_eq!(s3.version, 3);
-        assert!(s3.class("Molecule").unwrap().field_index("natoms").is_none());
+        assert!(s3
+            .class("Molecule")
+            .unwrap()
+            .field_index("natoms")
+            .is_none());
     }
 
     #[test]

@@ -32,10 +32,7 @@ pub struct StoredObject {
 impl StoredObject {
     /// Value of a named field.
     pub fn get(&self, name: &str) -> Option<&FieldValue> {
-        self.fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
+        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 }
 
@@ -314,11 +311,7 @@ impl OodbStore {
 
     /// The segment holding an object's newest copy.
     pub fn segment_of(&self, oid: Oid) -> Option<u32> {
-        self.index
-            .get(&oid.0)
-            .copied()
-            .flatten()
-            .map(|l| l.segment)
+        self.index.get(&oid.0).copied().flatten().map(|l| l.segment)
     }
 
     /// Distinct segments referenced by live objects, ascending.
@@ -349,7 +342,9 @@ impl OodbStore {
     /// Total bytes on disk (segments + catalog) — includes dead copies
     /// of updated objects and the hidden segment overhead.
     pub fn disk_usage(&self) -> Result<u64> {
-        let catalog = fs::metadata(self.dir.join("catalog")).map(|m| m.len()).unwrap_or(0);
+        let catalog = fs::metadata(self.dir.join("catalog"))
+            .map(|m| m.len())
+            .unwrap_or(0);
         Ok(self.segments.disk_usage()? + catalog)
     }
 
@@ -500,11 +495,24 @@ mod tests {
             )
             .unwrap();
         let calc = db
-            .create("Calculation", vec![("subject".into(), FieldValue::Ref(mol))])
+            .create(
+                "Calculation",
+                vec![("subject".into(), FieldValue::Ref(mol))],
+            )
             .unwrap();
-        let subject_oid = db.fetch(calc).unwrap().get("subject").unwrap().as_ref_oid().unwrap();
+        let subject_oid = db
+            .fetch(calc)
+            .unwrap()
+            .get("subject")
+            .unwrap()
+            .as_ref_oid()
+            .unwrap();
         assert_eq!(
-            db.fetch(subject_oid).unwrap().get("formula").unwrap().as_text(),
+            db.fetch(subject_oid)
+                .unwrap()
+                .get("formula")
+                .unwrap()
+                .as_text(),
             Some("UO2")
         );
         fs::remove_dir_all(&d).unwrap();
@@ -572,7 +580,10 @@ mod tests {
             db.schema = new.clone();
             assert!(matches!(
                 db.fetch(mol),
-                Err(Error::SchemaVersionMismatch { stored: 1, current: 2 })
+                Err(Error::SchemaVersionMismatch {
+                    stored: 1,
+                    current: 2
+                })
             ));
             assert!(db.create("Molecule", vec![]).is_err());
         }
@@ -628,8 +639,11 @@ mod tests {
             .unwrap();
         let before_segments = db.segments.segment_count();
         for _ in 0..10 {
-            db.update(mol, vec![("geometry".into(), FieldValue::Bytes(vec![1u8; 50_000]))])
-                .unwrap();
+            db.update(
+                mol,
+                vec![("geometry".into(), FieldValue::Bytes(vec![1u8; 50_000]))],
+            )
+            .unwrap();
         }
         // Ten superseded 50 KB copies forced extra segments.
         assert!(db.segments.segment_count() > before_segments);

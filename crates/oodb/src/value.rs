@@ -111,7 +111,10 @@ mod tests {
         assert_eq!(FieldValue::Bytes(vec![1]).as_bytes(), Some(&[1u8][..]));
         assert!(FieldValue::Null.as_text().is_none());
         assert_eq!(
-            FieldValue::List(vec![FieldValue::Int(1)]).as_list().unwrap().len(),
+            FieldValue::List(vec![FieldValue::Int(1)])
+                .as_list()
+                .unwrap()
+                .len(),
             1
         );
     }
@@ -127,8 +130,7 @@ mod tests {
             FieldValue::Ref(Oid(0)),
             FieldValue::List(Vec::new()),
         ];
-        let tags: std::collections::HashSet<u8> =
-            values.iter().map(FieldValue::type_tag).collect();
+        let tags: std::collections::HashSet<u8> = values.iter().map(FieldValue::type_tag).collect();
         assert_eq!(tags.len(), values.len());
     }
 

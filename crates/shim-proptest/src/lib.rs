@@ -509,8 +509,7 @@ pub mod string {
             Node::Class(ranges) => {
                 let (lo, hi) = ranges[rng.usize_in(0, ranges.len())];
                 let span = hi as u32 - lo as u32 + 1;
-                let c = char::from_u32(lo as u32 + rng.below(span as u64) as u32)
-                    .unwrap_or(lo);
+                let c = char::from_u32(lo as u32 + rng.below(span as u64) as u32).unwrap_or(lo);
                 out.push(c);
             }
             Node::Alt(branches) => {
@@ -802,7 +801,9 @@ mod tests {
             assert!(p.is_empty() || p.starts_with('/'), "{p:?}");
 
             let alt = Strategy::generate(&"(/|[a-z.]{1,6}){0,8}", &mut rng);
-            assert!(alt.chars().all(|c| c == '/' || c == '.' || c.is_ascii_lowercase()));
+            assert!(alt
+                .chars()
+                .all(|c| c == '/' || c == '.' || c.is_ascii_lowercase()));
         }
     }
 

@@ -101,7 +101,8 @@ impl Element {
         namespace: Option<&'a str>,
         local: &'a str,
     ) -> impl Iterator<Item = &'a Element> + 'a {
-        self.children_elems().filter(move |e| e.is(namespace, local))
+        self.children_elems()
+            .filter(move |e| e.is(namespace, local))
     }
 
     /// Concatenated text content of this element's direct text/CDATA
@@ -338,8 +339,7 @@ mod tests {
 
     #[test]
     fn default_namespace_applies_to_elements_only() {
-        let doc =
-            Document::parse(r#"<root xmlns="urn:x"><child attr="v"/></root>"#).unwrap();
+        let doc = Document::parse(r#"<root xmlns="urn:x"><child attr="v"/></root>"#).unwrap();
         let child = doc.root().children_elems().next().unwrap();
         assert_eq!(child.namespace(), Some("urn:x"));
         // Unprefixed attribute stays namespace-less.
@@ -356,7 +356,10 @@ mod tests {
         let r = doc.root();
         assert_eq!(r.namespace(), Some("urn:1"));
         let c = r.child(Some("urn:2"), "c").unwrap();
-        assert_eq!(c.children_elems().next().unwrap().namespace(), Some("urn:2"));
+        assert_eq!(
+            c.children_elems().next().unwrap().namespace(),
+            Some("urn:2")
+        );
         assert!(r.child(Some("urn:1"), "d").is_some());
     }
 
@@ -382,8 +385,7 @@ mod tests {
 
     #[test]
     fn prolog_preserved() {
-        let doc =
-            Document::parse("<?xml version=\"1.0\"?><!-- hello --><a/>").unwrap();
+        let doc = Document::parse("<?xml version=\"1.0\"?><!-- hello --><a/>").unwrap();
         assert_eq!(doc.prolog.len(), 2);
         assert!(matches!(&doc.prolog[1], Node::Comment(c) if c == " hello "));
     }
@@ -409,10 +411,7 @@ mod tests {
         assert_eq!(doc.root().attr(None, "x"), Some("1"));
         // The declaration is kept (for serialisation) under the xmlns URI.
         assert_eq!(doc.root().attr(None, "D"), None);
-        assert_eq!(
-            doc.root().attr(Some(XMLNS_NS), "D"),
-            Some("DAV:")
-        );
+        assert_eq!(doc.root().attr(Some(XMLNS_NS), "D"), Some("DAV:"));
     }
 
     #[test]

@@ -101,7 +101,10 @@ impl fmt::Display for Error {
             }
             Error::UnknownEntity { entity } => write!(f, "unknown entity `&{entity};`"),
             Error::BadRootCount { count } => {
-                write!(f, "document must have exactly one root element, found {count}")
+                write!(
+                    f,
+                    "document must have exactly one root element, found {count}"
+                )
             }
         }
     }

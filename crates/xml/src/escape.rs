@@ -125,10 +125,7 @@ mod tests {
 
     #[test]
     fn unescape_predefined() {
-        assert_eq!(
-            unescape("&lt;&gt;&amp;&apos;&quot;").unwrap(),
-            "<>&'\""
-        );
+        assert_eq!(unescape("&lt;&gt;&amp;&apos;&quot;").unwrap(), "<>&'\"");
     }
 
     #[test]
@@ -150,7 +147,13 @@ mod tests {
 
     #[test]
     fn roundtrip_text() {
-        let cases = ["", "plain", "<&>", "a<b>c&d", "\u{1F600} emoji & more <tags>"];
+        let cases = [
+            "",
+            "plain",
+            "<&>",
+            "a<b>c&d",
+            "\u{1F600} emoji & more <tags>",
+        ];
         for c in cases {
             assert_eq!(unescape(&escape_text(c)).unwrap(), c, "case {c:?}");
         }

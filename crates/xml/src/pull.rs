@@ -500,10 +500,7 @@ mod tests {
             events("<a><b></a></b>"),
             Err(Error::MismatchedTag { .. })
         ));
-        assert!(matches!(
-            events("</a>"),
-            Err(Error::MismatchedTag { .. })
-        ));
+        assert!(matches!(events("</a>"), Err(Error::MismatchedTag { .. })));
     }
 
     #[test]
@@ -530,7 +527,10 @@ mod tests {
 
     #[test]
     fn two_roots_rejected() {
-        assert!(matches!(events("<a/><b/>"), Err(Error::BadRootCount { count: 2 })));
+        assert!(matches!(
+            events("<a/><b/>"),
+            Err(Error::BadRootCount { count: 2 })
+        ));
     }
 
     #[test]
@@ -623,8 +623,14 @@ mod tests {
     #[test]
     fn self_closing_emits_both_events_at_depth() {
         let mut r = Reader::new("<a><b/></a>");
-        assert!(matches!(r.next_event().unwrap(), Event::StartElement { .. }));
-        assert!(matches!(r.next_event().unwrap(), Event::StartElement { .. }));
+        assert!(matches!(
+            r.next_event().unwrap(),
+            Event::StartElement { .. }
+        ));
+        assert!(matches!(
+            r.next_event().unwrap(),
+            Event::StartElement { .. }
+        ));
         assert_eq!(r.depth(), 2);
         assert!(matches!(r.next_event().unwrap(), Event::EndElement { .. }));
         assert_eq!(r.depth(), 1);

@@ -132,10 +132,7 @@ impl Writer {
             return;
         }
         out.push('>');
-        let text_only = e
-            .children
-            .iter()
-            .all(|n| matches!(n, Node::Text(_)));
+        let text_only = e.children.iter().all(|n| matches!(n, Node::Text(_)));
         for child in &e.children {
             if !text_only {
                 self.newline_indent(out, depth + 1);
@@ -303,7 +300,13 @@ mod tests {
                 .attributes
                 .iter()
                 .filter(|at| at.namespace.as_deref() != Some(XMLNS))
-                .map(|at| (at.namespace.clone(), at.name.local.clone(), at.value.clone()))
+                .map(|at| {
+                    (
+                        at.namespace.clone(),
+                        at.name.local.clone(),
+                        at.value.clone(),
+                    )
+                })
                 .collect();
             v.sort();
             v
@@ -339,7 +342,10 @@ mod tests {
         let doc = Document::parse(&text).unwrap();
         assert!(doc.root().is(Some("DAV:"), "prop"));
         assert_eq!(
-            doc.root().child(Some("urn:ecce"), "formula").unwrap().text(),
+            doc.root()
+                .child(Some("urn:ecce"), "formula")
+                .unwrap()
+                .text(),
             "H2O"
         );
     }
@@ -370,10 +376,7 @@ mod tests {
         let pretty = Writer::new().indent(2).write_document(&doc);
         assert!(pretty.contains("\n  <b>exact text</b>"), "{pretty}");
         let back = Document::parse(&pretty).unwrap();
-        assert_eq!(
-            back.root().child(None, "b").unwrap().text(),
-            "exact text"
-        );
+        assert_eq!(back.root().child(None, "b").unwrap().text(), "exact text");
     }
 
     #[test]

@@ -86,7 +86,13 @@ fn same(a: &Element, b: &Element) -> bool {
             .attributes
             .iter()
             .filter(|at| at.namespace.as_deref() != Some(XMLNS))
-            .map(|at| (at.namespace.clone(), at.name.local.clone(), at.value.clone()))
+            .map(|at| {
+                (
+                    at.namespace.clone(),
+                    at.name.local.clone(),
+                    at.value.clone(),
+                )
+            })
             .collect();
         v.sort();
         v

@@ -22,7 +22,11 @@ use pse_http::server::ServerConfig;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root = std::env::temp_dir().join(format!("davpse-study-{}", std::process::id()));
     let repo = FsRepository::create(&root, FsConfig::default())?;
-    let server = serve("127.0.0.1:0", ServerConfig::default(), DavHandler::new(repo))?;
+    let server = serve(
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        DavHandler::new(repo),
+    )?;
     let mut store = DavEcceStore::open(
         DavStorage::new(DavClient::connect(server.local_addr())?),
         "/Ecce",

@@ -18,7 +18,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    the Apache+mod_dav shape the paper deployed.
     let root = std::env::temp_dir().join(format!("davpse-quickstart-{}", std::process::id()));
     let repo = FsRepository::create(&root, FsConfig::default())?;
-    let server = serve("127.0.0.1:0", ServerConfig::default(), DavHandler::new(repo))?;
+    let server = serve(
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        DavHandler::new(repo),
+    )?;
     println!("DAV server listening on {}", server.local_addr());
 
     // 2. A client stores a molecule document plus self-describing
@@ -26,7 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut client = DavClient::connect(server.local_addr())?;
     client.mkcol("/molecules")?;
     let mol = chem::uo2_15h2o();
-    client.put("/molecules/uranyl-aqua", mol.to_xyz(), Some("chemical/x-xyz"))?;
+    client.put(
+        "/molecules/uranyl-aqua",
+        mol.to_xyz(),
+        Some("chemical/x-xyz"),
+    )?;
     let ecce = "http://emsl.pnl.gov/ecce";
     client.proppatch_set(
         "/molecules/uranyl-aqua",
@@ -52,7 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("search hit: {hit}");
         let body = client.get(hit)?;
         let back = chem::Molecule::from_xyz(std::str::from_utf8(&body)?)?;
-        println!("  re-parsed {} atoms from the raw XYZ document", back.natoms());
+        println!(
+            "  re-parsed {} atoms from the raw XYZ document",
+            back.natoms()
+        );
     }
 
     // 4. And a plain web browser could GET the collection index.

@@ -98,7 +98,10 @@ fn c10k_parked_crowd_does_not_degrade_service() {
     let mut crowd = Vec::with_capacity(conns);
     for i in 0..conns {
         let mut s = TcpStream::connect(addr).unwrap_or_else(|e| {
-            panic!("connect #{i} failed after {:?}: {e}", setup_started.elapsed())
+            panic!(
+                "connect #{i} failed after {:?}: {e}",
+                setup_started.elapsed()
+            )
         });
         s.write_all(b"GET /crowd-doc HTTP/1.1\r\n\r\n").unwrap();
         let head = read_raw_response(&mut s);
@@ -154,7 +157,10 @@ fn c10k_parked_crowd_does_not_degrade_service() {
         let floor = published.load(Ordering::SeqCst);
         let body = String::from_utf8(reader.get("/crowd-doc").unwrap()).unwrap();
         let got: u64 = body.strip_prefix("seq").unwrap().parse().unwrap();
-        assert!(got >= floor, "stale GET under crowd: seq {got} < published {floor}");
+        assert!(
+            got >= floor,
+            "stale GET under crowd: seq {got} < published {floor}"
+        );
     }
     writer.join().unwrap();
 

@@ -59,10 +59,7 @@ fn prop_names() -> [PropertyName; 4] {
 
 fn temp_dir(tag: &str) -> PathBuf {
     let n = N.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "davpse-cluster-{tag}-{n}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("davpse-cluster-{tag}-{n}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -197,8 +194,7 @@ fn router_preserves_staleness_and_atomicity_invariants() {
     }
 
     let put_seq: Arc<Vec<AtomicU64>> = Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
-    let prop_seq: Arc<Vec<AtomicU64>> =
-        Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
+    let prop_seq: Arc<Vec<AtomicU64>> = Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(threads * 2));
 
@@ -295,10 +291,8 @@ fn router_preserves_staleness_and_atomicity_invariants() {
                                 )
                                 .unwrap();
                             for m in 0..put_seq.len() {
-                                let at_a =
-                                    ms.response_for(&format!("/stress/m{m}-a")).is_some();
-                                let at_b =
-                                    ms.response_for(&format!("/stress/m{m}-b")).is_some();
+                                let at_a = ms.response_for(&format!("/stress/m{m}-a")).is_some();
+                                let at_b = ms.response_for(&format!("/stress/m{m}-b")).is_some();
                                 assert!(
                                     at_a != at_b,
                                     "MOVE torn through router: m{m} a={at_a} b={at_b}"
@@ -336,7 +330,12 @@ fn router_preserves_staleness_and_atomicity_invariants() {
     cluster.wait_replicas_caught_up(Duration::from_secs(20));
     let want = state(cluster.primary.as_ref().unwrap().repo().as_ref());
     for r in &cluster.replicas {
-        assert_eq!(state(r.repo().as_ref()), want, "replica {} diverged", r.addr());
+        assert_eq!(
+            state(r.repo().as_ref()),
+            want,
+            "replica {} diverged",
+            r.addr()
+        );
     }
 }
 
@@ -410,7 +409,9 @@ fn replica_kill_failover_and_rejoin() {
     let mut setup = cluster.client();
     setup.mkcol("/f").unwrap();
     for i in 0..10 {
-        setup.put(&format!("/f/d{i}"), format!("v{i}"), None).unwrap();
+        setup
+            .put(&format!("/f/d{i}"), format!("v{i}"), None)
+            .unwrap();
     }
     cluster.wait_replicas_caught_up(Duration::from_secs(10));
 
@@ -459,7 +460,10 @@ fn replica_kill_failover_and_rejoin() {
     .unwrap();
     assert_eq!(reborn.addr(), victim_addr);
     assert!(
-        reborn.wait_caught_up(cluster.primary.as_ref().unwrap().seq(), Duration::from_secs(10)),
+        reborn.wait_caught_up(
+            cluster.primary.as_ref().unwrap().seq(),
+            Duration::from_secs(10)
+        ),
         "restarted replica never caught up"
     );
     cluster.replicas.push(reborn);
@@ -519,7 +523,11 @@ fn version_history_replicates_and_survives_rejoin() {
     c.checkout(path).unwrap();
     c.put(path, "draft a", None).unwrap();
     c.put(path, "draft b", None).unwrap();
-    assert_eq!(c.checkin(path).unwrap(), 5, "drafts collapse to one version");
+    assert_eq!(
+        c.checkin(path).unwrap(),
+        5,
+        "drafts collapse to one version"
+    );
     bodies.push(b"draft b".to_vec());
 
     // Read-your-writes through the router, immediately after the writes:
@@ -684,7 +692,9 @@ fn replica_redirects_writes_to_the_primary() {
 
     let mut direct = DavClient::connect(replica.addr()).unwrap();
     direct.set_follow_redirects(2);
-    assert!(direct.put("/doc", "via-replica", Some("text/plain")).unwrap());
+    assert!(direct
+        .put("/doc", "via-replica", Some("text/plain"))
+        .unwrap());
 
     // The write landed on the primary and replicated back.
     let primary = cluster.primary.as_ref().unwrap();
@@ -706,8 +716,14 @@ fn consistent_hashing_shards_the_namespace() {
     let p0 = Primary::start(&dir.join("s0"), "127.0.0.1:0", cfg.clone()).unwrap();
     let p1 = Primary::start(&dir.join("s1"), "127.0.0.1:0", cfg.clone()).unwrap();
     let specs = [
-        BackendSpec { primary: p0.addr(), replicas: vec![] },
-        BackendSpec { primary: p1.addr(), replicas: vec![] },
+        BackendSpec {
+            primary: p0.addr(),
+            replicas: vec![],
+        },
+        BackendSpec {
+            primary: p1.addr(),
+            replicas: vec![],
+        },
     ];
     let router = Router::start("127.0.0.1:0", &specs, RouterConfig::default()).unwrap();
 
@@ -715,7 +731,8 @@ fn consistent_hashing_shards_the_namespace() {
     let projects: Vec<String> = (0..8).map(|i| format!("proj{i}")).collect();
     for p in &projects {
         c.mkcol(&format!("/{p}")).unwrap();
-        c.put(&format!("/{p}/notes"), format!("data-{p}"), None).unwrap();
+        c.put(&format!("/{p}/notes"), format!("data-{p}"), None)
+            .unwrap();
     }
 
     let shards = [&p0, &p1];
@@ -729,7 +746,10 @@ fn consistent_hashing_shards_the_namespace() {
             shards[home].repo().get(&path).unwrap(),
             format!("data-{p}").into_bytes()
         );
-        assert!(!shards[1 - home].repo().exists(&path), "{path} leaked shards");
+        assert!(
+            !shards[1 - home].repo().exists(&path),
+            "{path} leaked shards"
+        );
         // MOVE within the project stays on one backend.
         c.move_(&path, &format!("/{p}/notes2"), false).unwrap();
         assert!(shards[home].repo().exists(&format!("/{p}/notes2")));
@@ -1121,9 +1141,7 @@ fn search_routes_to_replicas_and_replica_indexes_agree() {
     );
 
     // Paged SEARCH through the router: the cursor round-trips intact.
-    let paged = c
-        .search_eq_paged("/calcs", &formula(), "UO2", 4)
-        .unwrap();
+    let paged = c.search_eq_paged("/calcs", &formula(), "UO2", 4).unwrap();
     assert_eq!(paged.len(), 9, "paged SEARCH lost matches: {paged:?}");
 
     // On every node's repository directly: the planner must engage
@@ -1135,7 +1153,9 @@ fn search_routes_to_replicas_and_replica_indexes_agree() {
     assert!(out.indexed, "primary's repository did not use its index");
     assert_eq!(
         out.ms.to_xml(),
-        search::execute_scan(primary_repo.as_ref(), &q).unwrap().to_xml()
+        search::execute_scan(primary_repo.as_ref(), &q)
+            .unwrap()
+            .to_xml()
     );
     for (i, replica) in cluster.replicas.iter().enumerate() {
         let out = search::execute_paged(replica.repo().as_ref(), &q).unwrap();
@@ -1165,7 +1185,11 @@ fn hooked_repository_index_equivalent_to_scan() {
     repo.mkcol("/b").unwrap();
     let mut rng = env_u64("PSE_CLUSTER_SEED", 7).wrapping_mul(0x9e3779b97f4a7c15);
     for _ in 0..250 {
-        let p = format!("/{}/d{}", ["a", "b"][(lcg(&mut rng) % 2) as usize], lcg(&mut rng) % 5);
+        let p = format!(
+            "/{}/d{}",
+            ["a", "b"][(lcg(&mut rng) % 2) as usize],
+            lcg(&mut rng) % 5
+        );
         let name = &names[(lcg(&mut rng) as usize) % names.len()];
         let val = vals[(lcg(&mut rng) as usize) % vals.len()];
         match lcg(&mut rng) % 8 {
@@ -1179,10 +1203,8 @@ fn hooked_repository_index_equivalent_to_scan() {
                 let _ = repo.remove_prop(&p, name);
             }
             5 => {
-                let _ = repo.patch_props(
-                    &p,
-                    &[PropPatchOp::Set(Property::text(name.clone(), val))],
-                );
+                let _ =
+                    repo.patch_props(&p, &[PropPatchOp::Set(Property::text(name.clone(), val))]);
             }
             6 => {
                 let _ = repo.delete(&p);

@@ -131,8 +131,7 @@ fn stress(global_lock: bool, threads: usize, ops: u64, seed: u64) {
     // Per-writer sequence numbers, published only AFTER the server
     // acknowledged the mutation — the readers' staleness bound.
     let put_seq: Arc<Vec<AtomicU64>> = Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
-    let prop_seq: Arc<Vec<AtomicU64>> =
-        Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
+    let prop_seq: Arc<Vec<AtomicU64>> = Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(threads * 2));
 
@@ -244,12 +243,8 @@ fn stress(global_lock: bool, threads: usize, ops: u64, seed: u64) {
                                 )
                                 .unwrap();
                             for m in 0..put_seq.len() {
-                                let at_a = ms
-                                    .response_for(&format!("/stress/m{m}-a"))
-                                    .is_some();
-                                let at_b = ms
-                                    .response_for(&format!("/stress/m{m}-b"))
-                                    .is_some();
+                                let at_a = ms.response_for(&format!("/stress/m{m}-a")).is_some();
+                                let at_b = ms.response_for(&format!("/stress/m{m}-b")).is_some();
                                 assert!(
                                     at_a != at_b,
                                     "MOVE not atomic: m{m} at_a={at_a} at_b={at_b}"

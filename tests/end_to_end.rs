@@ -35,7 +35,12 @@ fn rig(kind: DbmKind) -> (Server, PathBuf) {
         },
     )
     .unwrap();
-    let server = serve("127.0.0.1:0", ServerConfig::default(), DavHandler::new(repo)).unwrap();
+    let server = serve(
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        DavHandler::new(repo),
+    )
+    .unwrap();
     (server, dir)
 }
 
@@ -139,7 +144,10 @@ fn agents_and_queries_share_the_store() {
             .unwrap();
     assert_eq!(hits.len(), 1);
     assert_eq!(
-        store.annotation(&path, "notebook-author").unwrap().as_deref(),
+        store
+            .annotation(&path, "notebook-author")
+            .unwrap()
+            .as_deref(),
         Some("karen")
     );
     let back = store.load_calculation(&path).unwrap();
@@ -253,7 +261,10 @@ fn query_layer_consistent_across_backends() {
     let _ = std::fs::remove_dir_all(&oodb_dir);
     let mut oodb = davpse::ecce::oodbstore::OodbEcceStore::create(&oodb_dir).unwrap();
 
-    for store in [&mut dav as &mut dyn EcceStore, &mut oodb as &mut dyn EcceStore] {
+    for store in [
+        &mut dav as &mut dyn EcceStore,
+        &mut oodb as &mut dyn EcceStore,
+    ] {
         let proj = store.create_project(&Project::new("p", "")).unwrap();
         store
             .save_calculation(&proj, &prepared_calc("energy-run", RunType::Energy))
@@ -263,7 +274,10 @@ fn query_layer_consistent_across_backends() {
         store.save_calculation(&proj, &water_calc).unwrap();
     }
 
-    for store in [&mut dav as &mut dyn EcceStore, &mut oodb as &mut dyn EcceStore] {
+    for store in [
+        &mut dav as &mut dyn EcceStore,
+        &mut oodb as &mut dyn EcceStore,
+    ] {
         let by_formula = store.find_by_formula("H2O").unwrap();
         assert_eq!(by_formula.len(), 1, "{}", store.backend_name());
         let all = query::find_calculations(store, &query::CalcFilter::default()).unwrap();

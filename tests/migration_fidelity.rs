@@ -51,8 +51,12 @@ fn migrate_over_wire_both_dbm_engines() {
             },
         )
         .unwrap();
-        let server =
-            serve("127.0.0.1:0", ServerConfig::default(), DavHandler::new(repo)).unwrap();
+        let server = serve(
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            DavHandler::new(repo),
+        )
+        .unwrap();
         let mut target = DavEcceStore::open(
             DavStorage::new(DavClient::connect(server.local_addr()).unwrap()),
             "/Ecce",
@@ -116,7 +120,10 @@ fn schema_evolution_pain_vs_dav_openness() {
         },
     }]);
     let migrated = source.db().migrate(new_schema).unwrap();
-    assert!(migrated >= 15, "whole database rewritten: {migrated} objects");
+    assert!(
+        migrated >= 15,
+        "whole database rewritten: {migrated} objects"
+    );
 
     // DAV: a brand-new metadata key needs no coordination at all.
     let mut target = DavEcceStore::open(

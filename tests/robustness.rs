@@ -140,8 +140,10 @@ fn corrupt_property_database_is_contained() {
     repo.put("/a", b"1", None).unwrap();
     repo.put("/b", b"2", None).unwrap();
     let name = PropertyName::new("urn:x", "k");
-    repo.set_prop("/a", &Property::text(name.clone(), "va")).unwrap();
-    repo.set_prop("/b", &Property::text(name.clone(), "vb")).unwrap();
+    repo.set_prop("/a", &Property::text(name.clone(), "va"))
+        .unwrap();
+    repo.set_prop("/b", &Property::text(name.clone(), "vb"))
+        .unwrap();
 
     // Smash /a's database file.
     // (Short files are treated as fresh and reinitialised; a corrupt
@@ -171,9 +173,7 @@ fn xml_bombs_and_malformed_bodies_get_400() {
     ] {
         let resp = client
             .http()
-            .send(
-                pse_http::Request::new(pse_http::Method::PropFind, "/d").with_xml_body(body),
-            )
+            .send(pse_http::Request::new(pse_http::Method::PropFind, "/d").with_xml_body(body))
             .unwrap();
         assert_eq!(resp.status.code(), 400, "body: {body}");
     }
@@ -361,7 +361,9 @@ fn random_fault_storm_is_survivable() {
     c.set_retry_policy(fast_retry(17));
     let mut ok = 0;
     for i in 0..40 {
-        if c.put(&format!("/storm/d{i}"), format!("v{i}"), None).is_ok() {
+        if c.put(&format!("/storm/d{i}"), format!("v{i}"), None)
+            .is_ok()
+        {
             ok += 1;
         }
     }
@@ -387,7 +389,9 @@ fn keep_alive_budget_and_reconnects_are_transparent() {
     client.mkcol("/c").unwrap();
     // 30 operations across forced reconnects every 3 requests.
     for i in 0..30 {
-        client.put(&format!("/c/doc-{i}"), format!("{i}"), None).unwrap();
+        client
+            .put(&format!("/c/doc-{i}"), format!("{i}"), None)
+            .unwrap();
     }
     assert_eq!(client.list("/c").unwrap().len(), 30);
     server.shutdown();
