@@ -444,13 +444,11 @@ pub(crate) struct Conn {
     /// The peer shut down its write side; serve what is buffered, then
     /// close instead of re-parking (half-close support).
     peer_eof: bool,
-    /// Timer-wheel generation: bumped on every (re)arm or clear so
-    /// stale heap entries are recognised and skipped.
-    pub(crate) timer_gen: u64,
-    /// Kind of the armed deadline, if any.
-    pub(crate) timer_kind: Option<TimerKind>,
-    /// Deadline instant matching `timer_gen`, for expiry validation.
-    pub(crate) timer_deadline: Option<Instant>,
+    /// The armed inactivity deadline and its kind, if any.
+    pub(crate) timer: Option<(TimerKind, Instant)>,
+    /// When this connection's one live entry in the reactor's timer
+    /// heap falls due, if it has one.
+    pub(crate) timer_queued: Option<Instant>,
 }
 
 impl Conn {
@@ -465,9 +463,8 @@ impl Conn {
             dispatched: 0,
             close_after_write: false,
             peer_eof: false,
-            timer_gen: 0,
-            timer_kind: None,
-            timer_deadline: None,
+            timer: None,
+            timer_queued: None,
         }
     }
 

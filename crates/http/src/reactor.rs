@@ -24,9 +24,12 @@
 //! semantics: every byte of progress re-arms the deadline, and the kind switches from [`TimerKind::Idle`]
 //! (`keep_alive_timeout`) to [`TimerKind::Body`] (`body_read_timeout`)
 //! the moment a request line lands. Deadlines live in a [`BinaryHeap`]
-//! with per-connection generation counters for lazy deletion; re-arming
-//! just bumps the generation and pushes a new entry, and expiry skips
-//! entries whose generation is stale.
+//! holding at most one live entry per connection. Re-arming to a later
+//! deadline only records it on the connection; when the queued entry
+//! falls due it re-queues itself at the recorded deadline, or is
+//! dropped if the timer was cleared. Only an earlier deadline (body →
+//! idle) pushes a new entry, and the superseded one is skipped when it
+//! pops. So the heap grows with open connections, not with requests.
 
 use crate::conn::{Conn, ConnPhase, ReadOutcome, TimerKind, WriteOutcome};
 use crate::message::Request;
@@ -83,6 +86,8 @@ struct PoolGauges {
     busy: AtomicI64,
     /// Jobs dispatched but not yet picked up by a worker.
     queued: AtomicI64,
+    /// Entries in the reactor's timer heap.
+    timer_entries: AtomicI64,
     /// Fixed pool size (`min_daemons`).
     pool_size: usize,
 }
@@ -130,6 +135,7 @@ pub(crate) fn spawn(listener: TcpListener, engine: Engine) -> io::Result<Handle>
         parked: AtomicI64::new(0),
         busy: AtomicI64::new(0),
         queued: AtomicI64::new(0),
+        timer_entries: AtomicI64::new(0),
         pool_size,
     });
     let source = Arc::clone(&gauges);
@@ -147,6 +153,10 @@ pub(crate) fn spawn(listener: TcpListener, engine: Engine) -> io::Result<Handle>
         snap.set_gauge(
             "http.dispatch_queue_depth",
             source.queued.load(Ordering::Relaxed),
+        );
+        snap.set_gauge(
+            "http.timer_entries",
+            source.timer_entries.load(Ordering::Relaxed),
         );
     });
 
@@ -251,10 +261,9 @@ struct Reactor {
     shared: Arc<ReactorShared>,
     tx: Sender<Job>,
     conns: HashMap<u64, Entry>,
-    /// Min-heap of `(deadline, conn token, timer generation)`. Entries
-    /// are never removed eagerly; expiry validates the generation
-    /// against the connection and skips stale ones.
-    timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    /// Min-heap of `(due, conn token)`. An entry is live while it is
+    /// its connection's `timer_queued`; expiry skips the others.
+    timers: BinaryHeap<Reverse<(Instant, u64)>>,
     next_token: u64,
     events: Vec<Event>,
     wakeups: Counter,
@@ -273,7 +282,7 @@ impl Reactor {
             let timeout = self
                 .timers
                 .peek()
-                .map(|&Reverse((deadline, _, _))| deadline.saturating_duration_since(now));
+                .map(|&Reverse((due, _))| due.saturating_duration_since(now));
             self.events.clear();
             let _ = self.poller.wait(&mut self.events, timeout);
             self.wakeups.inc();
@@ -291,6 +300,10 @@ impl Reactor {
             self.events = events;
             self.drain_completions();
             self.expire_timers(Instant::now());
+            self.shared
+                .gauges
+                .timer_entries
+                .store(self.timers.len() as i64, Ordering::Relaxed);
         }
         // Shutdown: close every connection now — parked keep-alive fds
         // must not hold the process (or a test suite) for the rest of
@@ -400,7 +413,7 @@ impl Reactor {
                     } else {
                         TimerKind::Idle
                     };
-                    (want, entry.conn.timer_kind)
+                    (want, entry.conn.timer.map(|(kind, _)| kind))
                 };
                 if nread > 0 || current != Some(want) {
                     self.arm_timer(id, want);
@@ -482,21 +495,32 @@ impl Reactor {
     }
 
     fn expire_timers(&mut self, now: Instant) {
-        while let Some(&Reverse((deadline, id, gen))) = self.timers.peek() {
-            if deadline > now {
+        while let Some(&Reverse((due, id))) = self.timers.peek() {
+            if due > now {
                 break;
             }
             self.timers.pop();
-            let Some(entry) = self.conns.get(&id) else {
+            let Some(entry) = self.conns.get_mut(&id) else {
                 continue; // connection already gone
             };
-            if entry.conn.timer_gen != gen {
-                continue; // stale heap entry (re-armed or cleared since)
+            let conn = &mut entry.conn;
+            if conn.timer_queued != Some(due) {
+                continue; // superseded by an earlier entry
             }
-            match entry.conn.timer_kind {
-                Some(TimerKind::Idle) => self.closed_idle.inc(),
-                Some(TimerKind::Body) => self.closed_slow.inc(),
-                None => continue,
+            conn.timer_queued = None;
+            let kind = match conn.timer {
+                None => continue, // cleared since it was queued
+                Some((_, deadline)) if deadline > now => {
+                    // Re-armed since: follow the deadline with one entry.
+                    conn.timer_queued = Some(deadline);
+                    self.timers.push(Reverse((deadline, id)));
+                    continue;
+                }
+                Some((kind, _)) => kind,
+            };
+            match kind {
+                TimerKind::Idle => self.closed_idle.inc(),
+                TimerKind::Body => self.closed_slow.inc(),
             }
             self.close_conn(id);
         }
@@ -509,19 +533,20 @@ impl Reactor {
         };
         let deadline = Instant::now() + dur;
         if let Some(entry) = self.conns.get_mut(&id) {
-            entry.conn.timer_gen += 1;
-            entry.conn.timer_kind = Some(kind);
-            entry.conn.timer_deadline = Some(deadline);
-            self.timers
-                .push(Reverse((deadline, id, entry.conn.timer_gen)));
+            let conn = &mut entry.conn;
+            conn.timer = Some((kind, deadline));
+            // A later deadline rides on the queued entry, which re-queues
+            // itself when it falls due; only an earlier one needs a push.
+            if conn.timer_queued.is_none_or(|due| deadline < due) {
+                conn.timer_queued = Some(deadline);
+                self.timers.push(Reverse((deadline, id)));
+            }
         }
     }
 
     fn clear_timer(&mut self, id: u64) {
         if let Some(entry) = self.conns.get_mut(&id) {
-            entry.conn.timer_gen += 1;
-            entry.conn.timer_kind = None;
-            entry.conn.timer_deadline = None;
+            entry.conn.timer = None;
         }
     }
 

@@ -755,6 +755,115 @@ mod tests {
     }
 
     #[test]
+    fn timer_heap_holds_one_entry_per_connection() {
+        // Every response re-arms the keep-alive deadline. The heap must
+        // not keep an entry per re-arm: with 20 connections parked and
+        // 500 requests on another, it holds about one per connection.
+        let server = echo_server(ServerConfig {
+            max_requests_per_connection: 1000,
+            ..ServerConfig::default()
+        });
+        let mut parked = Vec::new();
+        for _ in 0..20 {
+            let mut s = TcpStream::connect(server.local_addr()).unwrap();
+            s.write_all(b"GET /park HTTP/1.1\r\n\r\n").unwrap();
+            let (head, _) = read_raw_response(&mut s);
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            parked.push(s);
+        }
+        let mut busy = Client::connect(server.local_addr()).unwrap();
+        for i in 0..500 {
+            assert_eq!(busy.get(&format!("/r{i}")).unwrap().status.code(), 200);
+        }
+        let snap = server.registry().snapshot();
+        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 21);
+        let open = snap.gauge("http.active_connections");
+        let entries = snap.gauge("http.timer_entries");
+        assert_eq!(open, 21);
+        assert!(
+            (open..=2 * open).contains(&entries),
+            "{entries} timer entries for {open} open connections"
+        );
+        drop(parked);
+        server.shutdown();
+    }
+
+    #[test]
+    fn keep_alive_deadline_follows_steady_requests() {
+        // Requests every 50 ms keep moving a 200 ms idle deadline later,
+        // so the queued entry keeps re-queuing itself and the connection
+        // stays open; once they stop it closes as idle on time.
+        let server = echo_server(ServerConfig {
+            keep_alive_timeout: Duration::from_millis(200),
+            body_read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        });
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let ticking = Instant::now();
+        while ticking.elapsed() < Duration::from_secs(1) {
+            raw.write_all(b"GET /tick HTTP/1.1\r\n\r\n").unwrap();
+            let (head, _) = read_raw_response(&mut raw);
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert_eq!(
+            server
+                .registry()
+                .snapshot()
+                .counter("http.conns_closed_idle"),
+            0
+        );
+        let start = Instant::now();
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).unwrap(); // waits for the server's FIN
+        assert!(rest.is_empty());
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "idle close took {:?}",
+            start.elapsed()
+        );
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("http.conns_closed_idle"), 1);
+        assert_eq!(server.stats().connections.load(Ordering::Relaxed), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn trickled_body_then_silence_closes_as_idle() {
+        // The body deadline outlives the idle one while the body
+        // trickles in; once the request is answered, the earlier idle
+        // deadline applies, not the 30 s body deadline.
+        let server = echo_server(ServerConfig {
+            keep_alive_timeout: Duration::from_millis(300),
+            body_read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        });
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(b"PUT /trickle HTTP/1.1\r\nContent-Length: 9\r\n\r\n")
+            .unwrap();
+        for part in [&b"abc"[..], b"def", b"ghi"] {
+            std::thread::sleep(Duration::from_millis(400));
+            raw.write_all(part).unwrap();
+        }
+        let (head, body) = read_raw_response(&mut raw);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, b"abcdefghi");
+        let start = Instant::now();
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+        assert!(
+            start.elapsed() < Duration::from_millis(1300),
+            "idle close after the body took {:?}",
+            start.elapsed()
+        );
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("http.conns_closed_idle"), 1);
+        assert_eq!(snap.counter("http.conns_closed_slow"), 0);
+        server.shutdown();
+    }
+
+    #[test]
     fn reactor_shutdown_closes_parked_connections_promptly() {
         // Satellite of the PR 1 shutdown-join deflake: shutdown must
         // join the reactor thread and close parked keep-alive fds now,
