@@ -380,7 +380,7 @@ impl Client {
                 resp.body = body;
                 resp.headers.remove("Content-Encoding");
                 resp.headers
-                    .set("Content-Length", &resp.body.len().to_string());
+                    .set("Content-Length", resp.body.len().to_string());
                 Ok(resp)
             }
             Err(e) => {

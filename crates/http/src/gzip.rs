@@ -283,9 +283,9 @@ fn deflate_fixed(data: &[u8]) -> Vec<u8> {
             // Insert hash entries for the matched span so later matches
             // can reference into it.
             let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
-            for j in (i + 1)..end {
+            for (j, slot) in prev.iter_mut().enumerate().take(end).skip(i + 1) {
                 let h = hash3(data, j);
-                prev[j] = head[h];
+                *slot = head[h];
                 head[h] = j;
             }
             i += best_len;
@@ -371,9 +371,9 @@ impl Huffman {
         counts[0] = 0;
         // Over-subscribed code sets are invalid.
         let mut left = 1i32;
-        for len in 1..16 {
+        for &count in &counts[1..] {
             left <<= 1;
-            left -= counts[len] as i32;
+            left -= count as i32;
             if left < 0 {
                 return Err(GzipError::Corrupt("over-subscribed huffman code"));
             }

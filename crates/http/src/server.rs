@@ -240,7 +240,7 @@ impl Engine {
                         req.headers.remove("Content-Encoding");
                         req.body = body;
                         req.headers
-                            .set("Content-Length", &req.body.len().to_string());
+                            .set("Content-Length", req.body.len().to_string());
                     }
                     Err(e) => {
                         return Response::error(

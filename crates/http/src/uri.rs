@@ -66,23 +66,6 @@ impl Target {
         self.query.as_deref()
     }
 
-    /// Decoded `key=value` pairs of the query string, in wire order.
-    /// `+` decodes to a space (form encoding); a key without `=` yields
-    /// an empty value (`?flag` → `("flag", "")`).
-    pub fn query_pairs(&self) -> Vec<(String, String)> {
-        let Some(q) = self.query.as_deref() else {
-            return Vec::new();
-        };
-        q.split('&')
-            .filter(|part| !part.is_empty())
-            .map(|part| {
-                let (k, v) = part.split_once('=').unwrap_or((part, ""));
-                let decode = |s: &str| percent_decode(&s.replace('+', " "));
-                (decode(k), decode(v))
-            })
-            .collect()
-    }
-
     /// Path segments, skipping empties (`/a//b/` → `["a","b"]`).
     pub fn segments(&self) -> impl Iterator<Item = &str> {
         self.path.split('/').filter(|s| !s.is_empty())

@@ -10,9 +10,11 @@
 #    overhead check — repro_table1 (built here: the tier-1 build covers
 #    only the root package) with the registry enabled must stay within
 #    5% of a registry-disabled run.
-# 4. Lint: clippy with warnings denied on the dependency-free crates
-#    where we hold the bar at zero (pse-cache, pse-obs and pse-xml today).
-#    Skipped with a notice if the clippy component is not installed.
+# 4. Lint: rustfmt --check over the workspace (perfbench/ is its own
+#    workspace and is not formatted here), and clippy with warnings
+#    denied on the crates where we hold the bar at zero (pse-cache,
+#    pse-obs, pse-xml and pse-http today). Each is skipped with a notice
+#    if its component is not installed.
 # 5. Adversarial wire tests: the incremental-parser matrix (trickled
 #    bytes, split heads, pipelining, oversized headers, half-close)
 #    runs against the reactor server inside the workspace suite; the
@@ -126,11 +128,19 @@ echo "==> observability: instrumentation overhead <= 5% (repro_table1 --obs-chec
 cargo build --release -p pse-bench --bin repro_table1
 ./target/release/repro_table1 --obs-check
 
+if cargo fmt --version >/dev/null 2>&1; then
+    echo "==> lint: cargo fmt --all -- --check"
+    cargo fmt --all -- --check
+else
+    echo "==> lint: rustfmt not installed, skipping"
+fi
+
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> lint: cargo clippy -p pse-cache -p pse-obs -p pse-xml -- -D warnings"
+    echo "==> lint: cargo clippy -p pse-cache -p pse-obs -p pse-xml -p pse-http -- -D warnings"
     cargo clippy -p pse-cache --all-targets -- -D warnings
     cargo clippy -p pse-obs --all-targets -- -D warnings
     cargo clippy -p pse-xml --all-targets -- -D warnings
+    cargo clippy -p pse-http --all-targets -- -D warnings
 else
     echo "==> lint: clippy not installed, skipping"
 fi
