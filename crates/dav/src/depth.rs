@@ -35,14 +35,6 @@ impl Depth {
         }
     }
 
-    /// The depth one level down (used when recursing collections).
-    pub fn decrement(self) -> Depth {
-        match self {
-            Depth::Zero | Depth::One => Depth::Zero,
-            Depth::Infinity => Depth::Infinity,
-        }
-    }
-
     /// Should children be visited at this depth?
     pub fn descends(self) -> bool {
         !matches!(self, Depth::Zero)
@@ -70,8 +62,6 @@ mod tests {
 
     #[test]
     fn recursion_behaviour() {
-        assert_eq!(Depth::One.decrement(), Depth::Zero);
-        assert_eq!(Depth::Infinity.decrement(), Depth::Infinity);
         assert!(!Depth::Zero.descends());
         assert!(Depth::One.descends());
         assert!(Depth::Infinity.descends());

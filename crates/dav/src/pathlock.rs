@@ -114,11 +114,6 @@ impl PathLocks {
         self.shards.len()
     }
 
-    /// Is this table running in global-lock ablation mode?
-    pub fn is_global(&self) -> bool {
-        self.global
-    }
-
     /// Shard index for a path (canonicalised first, so `/a/b` and
     /// `/a//b/` land on the same shard).
     pub fn shard_of(&self, path: &str) -> usize {

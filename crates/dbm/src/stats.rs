@@ -18,30 +18,3 @@ pub struct DbmStats {
     /// Pages (SDBM) or buckets (GDBM) allocated.
     pub blocks: u64,
 }
-
-impl DbmStats {
-    /// Fraction of on-disk bytes holding live data, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.disk_bytes == 0 {
-            0.0
-        } else {
-            self.live_bytes as f64 / self.disk_bytes as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn utilization_bounds() {
-        assert_eq!(DbmStats::default().utilization(), 0.0);
-        let s = DbmStats {
-            disk_bytes: 100,
-            live_bytes: 25,
-            ..Default::default()
-        };
-        assert!((s.utilization() - 0.25).abs() < 1e-12);
-    }
-}

@@ -27,7 +27,6 @@
 
 pub mod agent;
 pub mod basis;
-pub mod cache;
 pub mod chem;
 pub mod davstore;
 pub mod dsi;

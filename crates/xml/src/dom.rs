@@ -238,11 +238,6 @@ impl Document {
         &self.root
     }
 
-    /// Mutable access to the root element.
-    pub fn root_mut(&mut self) -> &mut Element {
-        &mut self.root
-    }
-
     /// Consume the document, returning the root element.
     pub fn into_root(self) -> Element {
         self.root
