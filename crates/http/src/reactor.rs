@@ -508,21 +508,21 @@ impl Reactor {
                 continue; // superseded by an earlier entry
             }
             conn.timer_queued = None;
-            let kind = match conn.timer {
-                None => continue, // cleared since it was queued
+            match conn.timer {
+                None => {} // cleared since it was queued
                 Some((_, deadline)) if deadline > now => {
                     // Re-armed since: follow the deadline with one entry.
                     conn.timer_queued = Some(deadline);
                     self.timers.push(Reverse((deadline, id)));
-                    continue;
                 }
-                Some((kind, _)) => kind,
-            };
-            match kind {
-                TimerKind::Idle => self.closed_idle.inc(),
-                TimerKind::Body => self.closed_slow.inc(),
+                Some((kind, _)) => {
+                    match kind {
+                        TimerKind::Idle => self.closed_idle.inc(),
+                        TimerKind::Body => self.closed_slow.inc(),
+                    }
+                    self.close_conn(id);
+                }
             }
-            self.close_conn(id);
         }
     }
 
