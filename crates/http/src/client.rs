@@ -153,11 +153,6 @@ impl Client {
         self.stream = None; // reconnect so the new timeouts take effect
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Opt in to the `gzip` content-coding: every request advertises
     /// `Accept-Encoding: gzip` and a `Content-Encoding: gzip` response
     /// body is decoded transparently (a corrupt encoded body surfaces

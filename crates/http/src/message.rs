@@ -135,11 +135,6 @@ impl Response {
         Response::new(StatusCode::NO_CONTENT)
     }
 
-    /// `404 Not Found` with a plain-text body.
-    pub fn not_found() -> Response {
-        Response::new(StatusCode::NOT_FOUND).with_body("Not Found")
-    }
-
     /// An error response with a plain-text body.
     pub fn error(status: StatusCode, msg: &str) -> Response {
         Response::new(status)

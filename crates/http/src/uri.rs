@@ -48,14 +48,6 @@ impl Target {
         }
     }
 
-    /// Build a target from an already-decoded path.
-    pub fn from_path(path: &str) -> Target {
-        Target {
-            path: normalize_path(path),
-            query: None,
-        }
-    }
-
     /// The decoded, normalised path; always begins with `/`.
     pub fn path(&self) -> &str {
         &self.path

@@ -236,13 +236,6 @@ pub struct TimerGuard {
     start: Instant,
 }
 
-impl TimerGuard {
-    /// Elapsed time so far, without stopping the timer.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-}
-
 impl Drop for TimerGuard {
     fn drop(&mut self) {
         let us = self.start.elapsed().as_micros() as u64;

@@ -50,11 +50,6 @@ impl CacheForwardClient {
         self.stats
     }
 
-    /// Objects currently cached.
-    pub fn cached_len(&self) -> usize {
-        self.cache.len()
-    }
-
     fn sync_generation(&mut self, server: &OodbStore) {
         let gen = server.generation();
         if gen != self.seen_generation {
