@@ -26,7 +26,7 @@ use pse_obs::{Counter, Registry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread;
@@ -331,24 +331,19 @@ impl Client {
     /// first byte is handed to the socket).
     fn try_send(&mut self, req: &Request, wrote: &mut bool) -> Result<Response> {
         self.ensure_connected()?;
-        let stream = self.stream.as_ref().expect("just connected");
-        let mut writer = BufWriter::new(stream.try_clone()?);
+        let mut stream = self.stream.as_ref().expect("just connected");
+        let mut head = Vec::with_capacity(256);
+        wire::write_request_head(&mut head, req, &self.host_header)?;
         *wrote = true;
-        let write_result = wire::write_request(&mut writer, req, &self.host_header);
-        if write_result.is_err() {
+        if let Err(e) = write_all_vectored(stream, [&head, &req.body]) {
             // The server may have rejected the request early (e.g. 413 on
             // an oversized body) and closed its read side; the error
             // response can still be waiting. Prefer it over the pipe error.
-            let mut reader = BufReader::new(stream.try_clone()?);
-            if let Ok(resp) = wire::read_response(&mut reader, &req.method, &self.limits) {
-                self.stream = None; // connection is done either way
-                return self.decode_body(resp);
-            }
-            self.stream = None;
-            return Err(write_result.expect_err("checked is_err"));
+            let early = wire::read_response(&mut stream, &req.method, &self.limits);
+            self.stream = None; // connection is done either way
+            return self.decode_body(early.map_err(|_| e)?);
         }
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let resp = wire::read_response(&mut reader, &req.method, &self.limits)?;
+        let resp = wire::read_response(&mut stream, &req.method, &self.limits)?;
         if self.policy == ConnectionPolicy::CloseEveryRequest
             || !wire::keep_alive(resp.version, &resp.headers)
         {
@@ -399,6 +394,22 @@ impl Client {
     pub fn delete(&mut self, path: &str) -> Result<Response> {
         self.send(Request::new(Method::Delete, path))
     }
+}
+
+/// Write the request head and body in as few syscalls as the socket
+/// allows, without copying the body behind the head.
+fn write_all_vectored(mut stream: &TcpStream, parts: [&[u8]; 2]) -> io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Failures that a fresh connection can plausibly cure.

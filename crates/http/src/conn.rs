@@ -1,17 +1,8 @@
 //! Non-blocking connection state machines for the reactor server.
 //!
-//! [`RequestParser`] is the server's HTTP/1.1 request parser. It is
-//! incremental: it is fed whatever bytes the socket had ready and
-//! reports either "need more", a complete [`Request`], or a protocol
-//! reject that already knows its status code. It never blocks and never
-//! owns the transport, so one reactor thread can interleave thousands of
-//! connections each sitting at an arbitrary parse position — headers
-//! split across TCP segments, bodies arriving a byte at a time, several
-//! pipelined requests inside one segment.
-//!
-//! [`Conn`] wraps a non-blocking [`TcpStream`] with that parser plus an
-//! outgoing byte buffer and walks the connection through its life
-//! cycle:
+//! [`Conn`] wraps a non-blocking [`TcpStream`] with the shared HTTP/1.1
+//! parser ([`wire::Parser`], reading requests) plus an outgoing byte
+//! buffer, and walks the connection through its life cycle:
 //!
 //! ```text
 //! reading-head → reading-body → dispatched → writing-response
@@ -19,36 +10,20 @@
 //!      └────────── keep-alive (parked) ◄──────────┘
 //! ```
 //!
+//! [`RequestParser`] is the server's view of that parser: a parse
+//! failure becomes a [`Reject`] that already knows its status code.
+//!
 //! The reactor (in [`crate::reactor`]) owns readiness, timers, and the
 //! worker pool; nothing in this module calls `epoll`, which keeps every
 //! state transition unit-testable against plain in-memory buffers.
 
-use crate::error::{Error, Result};
-use crate::headers::Headers;
-use crate::message::{Request, Response, Version};
-use crate::method::Method;
+use crate::error::Error;
+use crate::message::{Request, Response};
 use crate::status::StatusCode;
-use crate::uri::Target;
-use crate::wire::{self, Limits};
+use crate::wire::{self, Limits, Message};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
-
-/// Parse a `METHOD target HTTP/1.x` request line.
-fn parse_request_line(line: &str) -> Result<(Method, Target, Version)> {
-    let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m, t, v),
-        _ => return Err(Error::Parse(format!("malformed request line `{line}`"))),
-    };
-    let version = match version {
-        "HTTP/1.1" => Version::V1_1,
-        "HTTP/1.0" => Version::V1_0,
-        v => return Err(Error::UnsupportedVersion(v.to_owned())),
-    };
-    let method: Method = method.parse().expect("infallible");
-    Ok((method, Target::parse(target), version))
-}
 
 /// A protocol error the parser converted into a ready-to-send response.
 /// The connection always closes after a reject: the stream position may
@@ -63,11 +38,19 @@ pub(crate) struct Reject {
 }
 
 impl Reject {
-    fn new(status: StatusCode, message: impl Into<String>) -> Reject {
-        Reject {
-            status,
-            message: message.into(),
-        }
+    /// The one mapping from parse failures to rejects: a body over its
+    /// limit is 413, any other part over its limit is 431, and anything
+    /// else is 400.
+    fn from_error(e: &Error) -> Reject {
+        let (status, message) = match e {
+            Error::TooLarge {
+                what: "entity body" | "chunked body",
+                ..
+            } => (StatusCode::ENTITY_TOO_LARGE, e.to_string()),
+            Error::TooLarge { .. } => (StatusCode::HEADER_FIELDS_TOO_LARGE, e.to_string()),
+            _ => (StatusCode::BAD_REQUEST, "malformed request".to_owned()),
+        };
+        Reject { status, message }
     }
 
     /// The error response this reject is answered with.
@@ -88,94 +71,13 @@ pub(crate) enum Step {
     Reject(Reject),
 }
 
-/// Result of scanning the buffer for one line.
-enum LineStep {
-    /// Complete line, drained from the buffer (terminator stripped).
-    Line(String),
-    /// No terminator in the buffer yet.
-    Partial,
-    /// The line exceeds `max` bytes (counted without the terminator).
-    TooLong,
-    /// Line bytes are not UTF-8.
-    NotUtf8,
-}
-
-/// Pop one CRLF- (or bare-LF-) terminated line off the front of `buf`.
-/// `scanned` remembers how far previous calls already searched so a
-/// byte-at-a-time trickle costs O(n), not O(n²).
-fn take_line(buf: &mut Vec<u8>, scanned: &mut usize, max: usize) -> LineStep {
-    match buf[*scanned..].iter().position(|&b| b == b'\n') {
-        Some(rel) => {
-            let nl = *scanned + rel;
-            let mut end = nl;
-            if end > 0 && buf[end - 1] == b'\r' {
-                end -= 1;
-            }
-            if end > max {
-                return LineStep::TooLong;
-            }
-            let line = match std::str::from_utf8(&buf[..end]) {
-                Ok(s) => s.to_owned(),
-                Err(_) => return LineStep::NotUtf8,
-            };
-            buf.drain(..=nl);
-            *scanned = 0;
-            LineStep::Line(line)
-        }
-        None => {
-            *scanned = buf.len();
-            // A trailing `\r` may be the first half of the CRLF; like the
-            // complete-line branch, do not count it against the limit.
-            let held = buf.len() - usize::from(buf.last() == Some(&b'\r'));
-            if held > max {
-                LineStep::TooLong
-            } else {
-                LineStep::Partial
-            }
-        }
-    }
-}
-
-/// Body-framing position within one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Request line + header block.
-    Head,
-    /// `Content-Length`-framed body; `remaining` bytes outstanding.
-    FixedBody,
-    /// Chunked: expecting a chunk-size line.
-    ChunkSize,
-    /// Chunked: inside chunk data; `remaining` bytes outstanding.
-    ChunkData,
-    /// Chunked: expecting the CRLF that closes a chunk.
-    ChunkCrlf,
-    /// Chunked: trailer lines until an empty line.
-    Trailers,
-}
-
-/// Incremental, non-blocking HTTP/1.1 request parser.
+/// The shared parser reading requests, with failures mapped to rejects.
 #[derive(Debug)]
-pub(crate) struct RequestParser {
-    limits: Limits,
-    phase: Phase,
-    request_line: Option<(Method, Target, Version)>,
-    headers: Headers,
-    body: Vec<u8>,
-    remaining: usize,
-    scanned: usize,
-}
+pub(crate) struct RequestParser(wire::Parser);
 
 impl RequestParser {
     pub(crate) fn new(limits: Limits) -> RequestParser {
-        RequestParser {
-            limits,
-            phase: Phase::Head,
-            request_line: None,
-            headers: Headers::new(),
-            body: Vec::new(),
-            remaining: 0,
-            scanned: 0,
-        }
+        RequestParser(wire::Parser::new(limits, None))
     }
 
     /// Has the in-flight request progressed past its request line? This
@@ -183,199 +85,23 @@ impl RequestParser {
     /// deadline for the (longer) body-read deadline — a client pausing
     /// mid-upload is slow, not idle.
     pub(crate) fn saw_request_line(&self) -> bool {
-        self.request_line.is_some()
+        self.0.saw_start_line()
     }
 
     /// Is the parser mid-request? (Distinguishes a clean keep-alive EOF
     /// from a connection truncated inside a message.)
     pub(crate) fn in_progress(&self, buf: &[u8]) -> bool {
-        !buf.is_empty() || self.request_line.is_some() || self.phase != Phase::Head
-    }
-
-    fn reset(&mut self) {
-        self.phase = Phase::Head;
-        self.request_line = None;
-        self.headers = Headers::new();
-        self.body = Vec::new();
-        self.remaining = 0;
-        self.scanned = 0;
-    }
-
-    fn finish(&mut self) -> Step {
-        let (method, target, version) = self.request_line.take().expect("head parsed");
-        let req = Request {
-            method,
-            target,
-            version,
-            headers: std::mem::take(&mut self.headers),
-            body: std::mem::take(&mut self.body),
-        };
-        self.reset();
-        Step::Done(Box::new(req))
+        self.0.in_progress(buf)
     }
 
     /// Consume as much of `buf` as possible; at most one complete
-    /// request is returned per call (responses must go out in order, so
-    /// the caller dispatches one request at a time and pumps again after
-    /// the response is written).
+    /// request is returned per call.
     pub(crate) fn advance(&mut self, buf: &mut Vec<u8>) -> Step {
-        loop {
-            match self.phase {
-                Phase::Head => {
-                    let what = if self.request_line.is_none() {
-                        "request line"
-                    } else {
-                        "header line"
-                    };
-                    let line = match take_line(buf, &mut self.scanned, self.limits.max_header_line)
-                    {
-                        LineStep::Line(l) => l,
-                        LineStep::Partial => return Step::NeedMore,
-                        LineStep::TooLong => {
-                            return Step::Reject(Reject::new(
-                                StatusCode::HEADER_FIELDS_TOO_LARGE,
-                                format!("{what} exceeds {} bytes", self.limits.max_header_line),
-                            ))
-                        }
-                        LineStep::NotUtf8 => {
-                            return Step::Reject(Reject::new(
-                                StatusCode::BAD_REQUEST,
-                                "malformed request",
-                            ))
-                        }
-                    };
-                    if self.request_line.is_none() {
-                        // Unparseable line or unsupported version: both
-                        // answer 400.
-                        match parse_request_line(&line) {
-                            Ok(parts) => self.request_line = Some(parts),
-                            Err(_) => {
-                                return Step::Reject(Reject::new(
-                                    StatusCode::BAD_REQUEST,
-                                    "malformed request",
-                                ))
-                            }
-                        }
-                    } else if line.is_empty() {
-                        // End of the header block: pick the body framing.
-                        if self.headers.has_token("Transfer-Encoding", "chunked") {
-                            self.phase = Phase::ChunkSize;
-                        } else {
-                            let len = match wire::strict_content_length(&self.headers) {
-                                Ok(l) => l.unwrap_or(0),
-                                Err(_) => {
-                                    return Step::Reject(Reject::new(
-                                        StatusCode::BAD_REQUEST,
-                                        "malformed request",
-                                    ))
-                                }
-                            };
-                            if len > self.limits.max_body {
-                                return Step::Reject(Reject::new(
-                                    StatusCode::ENTITY_TOO_LARGE,
-                                    format!("entity body exceeds {} bytes", self.limits.max_body),
-                                ));
-                            }
-                            if len == 0 {
-                                return self.finish();
-                            }
-                            self.body.reserve(len.min(1 << 20));
-                            self.remaining = len;
-                            self.phase = Phase::FixedBody;
-                        }
-                    } else {
-                        if self.headers.len() >= self.limits.max_headers {
-                            return Step::Reject(Reject::new(
-                                StatusCode::HEADER_FIELDS_TOO_LARGE,
-                                format!("header count exceeds {}", self.limits.max_headers),
-                            ));
-                        }
-                        match wire::parse_header_field(&line) {
-                            Ok((name, value)) => self.headers.append(name, value),
-                            Err(_) => {
-                                return Step::Reject(Reject::new(
-                                    StatusCode::BAD_REQUEST,
-                                    "malformed request",
-                                ))
-                            }
-                        }
-                    }
-                }
-                Phase::FixedBody | Phase::ChunkData => {
-                    let take = buf.len().min(self.remaining);
-                    self.body.extend_from_slice(&buf[..take]);
-                    buf.drain(..take);
-                    self.scanned = 0;
-                    self.remaining -= take;
-                    if self.remaining > 0 {
-                        return Step::NeedMore;
-                    }
-                    if self.phase == Phase::FixedBody {
-                        return self.finish();
-                    }
-                    self.phase = Phase::ChunkCrlf;
-                }
-                Phase::ChunkSize => {
-                    let line = match take_line(buf, &mut self.scanned, self.limits.max_header_line)
-                    {
-                        LineStep::Line(l) => l,
-                        LineStep::Partial => return Step::NeedMore,
-                        LineStep::TooLong | LineStep::NotUtf8 => {
-                            return Step::Reject(Reject::new(
-                                StatusCode::BAD_REQUEST,
-                                "malformed request",
-                            ))
-                        }
-                    };
-                    let size_part = line.split(';').next().unwrap_or("").trim();
-                    let size = match usize::from_str_radix(size_part, 16) {
-                        Ok(s) => s,
-                        Err(_) => {
-                            return Step::Reject(Reject::new(
-                                StatusCode::BAD_REQUEST,
-                                "malformed request",
-                            ))
-                        }
-                    };
-                    if self.body.len() + size > self.limits.max_body {
-                        return Step::Reject(Reject::new(
-                            StatusCode::ENTITY_TOO_LARGE,
-                            format!("chunked body exceeds {} bytes", self.limits.max_body),
-                        ));
-                    }
-                    if size == 0 {
-                        self.phase = Phase::Trailers;
-                    } else {
-                        self.remaining = size;
-                        self.phase = Phase::ChunkData;
-                    }
-                }
-                Phase::ChunkCrlf => {
-                    match take_line(buf, &mut self.scanned, 4) {
-                        LineStep::Line(l) if l.is_empty() => self.phase = Phase::ChunkSize,
-                        LineStep::Partial => return Step::NeedMore,
-                        _ => {
-                            return Step::Reject(Reject::new(
-                                StatusCode::BAD_REQUEST,
-                                "malformed request",
-                            ))
-                        }
-                    };
-                }
-                Phase::Trailers => {
-                    match take_line(buf, &mut self.scanned, self.limits.max_header_line) {
-                        LineStep::Line(l) if l.is_empty() => return self.finish(),
-                        LineStep::Line(_) => {} // trailer field: skipped
-                        LineStep::Partial => return Step::NeedMore,
-                        LineStep::TooLong | LineStep::NotUtf8 => {
-                            return Step::Reject(Reject::new(
-                                StatusCode::BAD_REQUEST,
-                                "malformed request",
-                            ))
-                        }
-                    }
-                }
-            }
+        match self.0.advance(buf) {
+            Ok(None) => Step::NeedMore,
+            Ok(Some(Message::Request(req))) => Step::Done(req),
+            Ok(Some(Message::Response(_))) => unreachable!("a request parser yields requests"),
+            Err(e) => Step::Reject(Reject::from_error(&e)),
         }
     }
 }
@@ -569,6 +295,8 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Version;
+    use crate::method::Method;
     use crate::uri::normalize_path;
     use proptest::prelude::*;
 
@@ -644,7 +372,8 @@ mod tests {
     fn encode(requests: &[&Request]) -> Vec<u8> {
         let mut bytes = Vec::new();
         for req in requests {
-            wire::write_request(&mut bytes, req, "h").unwrap();
+            wire::write_request_head(&mut bytes, req, "h").unwrap();
+            bytes.extend_from_slice(&req.body);
         }
         bytes
     }
@@ -918,14 +647,6 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        assert!(matches!(
-            parse_request_line("GET / HTTP/2"),
-            Err(Error::UnsupportedVersion(_))
-        ));
-        assert!(matches!(
-            parse_request_line("GARBAGE"),
-            Err(Error::Parse(_))
-        ));
     }
 
     #[test]

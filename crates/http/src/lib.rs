@@ -6,15 +6,16 @@
 //! is that substrate, built from scratch on `std::net`:
 //!
 //! * [`message`] — [`Request`]/[`Response`] with builder APIs;
-//! * [`wire`] — serialisation, the client's response reader (including
-//!   chunked transfer encoding), and defensive size limits;
+//! * [`wire`] — one incremental HTTP/1.1 parser for requests and
+//!   responses (including chunked transfer encoding) with defensive size
+//!   limits, the serialiser, and the client's blocking response reader;
 //! * [`server::Server`] — a TCP server with Apache-style
 //!   configuration: persistent connections with a bounded request count,
 //!   an inter-request ("keep-alive") timeout, and a fixed worker pool —
 //!   the paper's "limits of 100 connections per minute, 15 seconds
 //!   between requests, and a minimum of 5 daemons". It runs on an epoll
-//!   reactor (`poll`, `conn`, `reactor` modules) with an incremental
-//!   request parser, so a parked keep-alive connection costs a fd
+//!   reactor (`poll`, `conn`, `reactor` modules) that parses requests
+//!   incrementally, so a parked keep-alive connection costs a fd
 //!   instead of a thread;
 //! * [`client::Client`] — a blocking client supporting both persistent
 //!   connections and per-request reconnects (the paper found reconnecting

@@ -13,7 +13,7 @@
 //!
 //! * The **reactor thread** owns the listener, the poller, every
 //!   connection, and all timers. It accepts, reads, parses (via the
-//!   incremental [`crate::conn::RequestParser`]), writes responses, and
+//!   incremental [`crate::wire::Parser`]), writes responses, and
 //!   expires deadlines.
 //! * **Workers** receive complete [`Request`]s over a channel, run the
 //!   handler through the shared [`Engine`], serialise the response to

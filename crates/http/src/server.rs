@@ -12,7 +12,7 @@
 //!
 //! Connections live on the reactor ([`crate::reactor`]): one thread owns
 //! every socket and parses requests incrementally
-//! ([`crate::conn::RequestParser`]), a parked keep-alive connection
+//! ([`crate::wire::Parser`]), a parked keep-alive connection
 //! costs a fd plus a few hundred bytes, and exactly `min_daemons`
 //! workers run each request through the [`Engine`] — metrics endpoint,
 //! authentication, gzip coding, the request budget, and tracing. The

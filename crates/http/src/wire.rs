@@ -1,21 +1,30 @@
-//! Wire-format serialisation for HTTP/1.1 messages, and the client's
-//! blocking response reader.
+//! The HTTP/1.1 codec: one incremental message parser for both
+//! directions, one serialiser, and the keep-alive decision.
 //!
-//! Handles status lines, header blocks (with size limits),
-//! `Content-Length` and `Transfer-Encoding: chunked` bodies, and the
-//! keep-alive decision. The server parses requests with the reactor's
-//! incremental parser ([`crate::conn`]), which shares the header-field
-//! and `Content-Length` rules defined here. The size limits exist for
-//! the reason the paper gives: unbounded XML request bodies are an easy
-//! denial-of-service vector, so "the maximum should be set as low as
-//! possible for a given application".
+//! [`Parser`] is fed whatever bytes have arrived and reports "need
+//! more", one complete message, or an [`Error`]. It never blocks and
+//! never owns the transport. The reactor ([`crate::conn`]) runs it over
+//! requests, one non-blocking read at a time, so one thread can hold
+//! thousands of connections each at an arbitrary parse position:
+//! headers split across TCP segments, bodies arriving a byte at a time,
+//! several pipelined requests inside one segment. The client runs it
+//! over responses through [`read_response`], a blocking driver.
+//!
+//! The parser handles request and status lines, header blocks (with
+//! size limits), and `Content-Length` and `Transfer-Encoding: chunked`
+//! bodies. The size limits exist for the reason the paper gives:
+//! unbounded XML request bodies are an easy denial-of-service vector,
+//! so "the maximum should be set as low as possible for a given
+//! application".
 
 use crate::error::{Error, Result};
 use crate::headers::Headers;
 use crate::message::{Request, Response, Version};
 use crate::method::Method;
 use crate::status::StatusCode;
-use std::io::{BufRead, Write};
+use crate::uri::Target;
+use std::fmt;
+use std::io::{self, Read, Write};
 
 /// Parsing limits. The defaults are generous enough for the paper's
 /// 100 MB-metadata robustness test while still bounded.
@@ -39,75 +48,46 @@ impl Default for Limits {
     }
 }
 
-/// Read one CRLF- (or bare-LF-) terminated line, without the terminator.
-/// Scans the reader's internal buffer (`fill_buf`) in chunks rather than
-/// issuing one `read()` syscall per byte.
-fn read_line(r: &mut impl BufRead, max: usize) -> Result<String> {
-    let mut buf = Vec::with_capacity(128);
-    loop {
-        let (used, done) = {
-            let available = match r.fill_buf() {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            };
-            if available.is_empty() {
-                if buf.is_empty() {
-                    return Err(Error::ConnectionClosed);
-                }
-                break;
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    buf.extend_from_slice(&available[..i]);
-                    (i + 1, true)
-                }
-                None => {
-                    buf.extend_from_slice(available);
-                    (available.len(), false)
-                }
-            }
-        };
-        r.consume(used);
-        if buf.len() > max {
-            return Err(Error::TooLarge {
-                what: "header line",
-                limit: max,
-            });
-        }
-        if done {
-            break;
-        }
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| Error::Parse("non-UTF-8 header data".into()))
+/// The start line of the message in flight.
+#[derive(Debug)]
+enum Start {
+    Request(Method, Target, Version),
+    Status(StatusCode, Version),
 }
 
-/// Read a header block (terminated by an empty line).
-fn read_headers(r: &mut impl BufRead, limits: &Limits) -> Result<Headers> {
-    let mut headers = Headers::new();
-    loop {
-        let line = read_line(r, limits.max_header_line)?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        if headers.len() >= limits.max_headers {
-            return Err(Error::TooLarge {
-                what: "header count",
-                limit: limits.max_headers,
-            });
-        }
-        let (name, value) = parse_header_field(&line)?;
-        headers.append(name, value);
-    }
+/// Parse a `METHOD target HTTP/1.x` request line.
+fn parse_request_line(line: &str) -> Result<Start> {
+    let mut parts = line.split_whitespace();
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(t), Some(v)) => (m, t, v),
+        _ => return Err(Error::Parse(format!("malformed request line `{line}`"))),
+    };
+    let version = match version {
+        "HTTP/1.1" => Version::V1_1,
+        "HTTP/1.0" => Version::V1_0,
+        v => return Err(Error::UnsupportedVersion(v.to_owned())),
+    };
+    let method: Method = method.parse().expect("infallible");
+    Ok(Start::Request(method, Target::parse(target), version))
 }
 
-/// Parse one `Name: value` header field. Shared by the response reader
-/// and the server's incremental request parser so both enforce
-/// identical field-name rules.
-pub(crate) fn parse_header_field(line: &str) -> Result<(&str, &str)> {
+/// Parse an `HTTP/1.x code reason` status line.
+fn parse_status_line(line: &str) -> Result<Start> {
+    let mut parts = line.splitn(3, ' ');
+    let version = match parts.next() {
+        Some("HTTP/1.0") => Version::V1_0,
+        Some(v) if v.starts_with("HTTP/1.") => Version::V1_1,
+        _ => return Err(Error::Parse(format!("malformed status line `{line}`"))),
+    };
+    let code: u16 = parts
+        .next()
+        .and_then(|c| c.parse().ok())
+        .ok_or_else(|| Error::Parse(format!("bad status code in `{line}`")))?;
+    Ok(Start::Status(StatusCode::new(code), version))
+}
+
+/// Parse one `Name: value` header field.
+fn parse_header_field(line: &str) -> Result<(&str, &str)> {
     let (name, value) = line
         .split_once(':')
         .ok_or_else(|| Error::Parse(format!("malformed header line `{line}`")))?;
@@ -123,7 +103,7 @@ pub(crate) fn parse_header_field(line: &str) -> Result<(&str, &str)> {
 /// leave the body bytes on the stream to be read as the *next* message
 /// on a keep-alive connection (request desync / smuggling). Repeated
 /// identical values are coalesced, as RFC 7230 §3.3.2 allows.
-pub fn strict_content_length(headers: &Headers) -> Result<Option<usize>> {
+fn strict_content_length(headers: &Headers) -> Result<Option<usize>> {
     let mut seen: Option<usize> = None;
     for raw in headers.get_all("Content-Length") {
         for part in raw.split(',') {
@@ -144,51 +124,270 @@ pub fn strict_content_length(headers: &Headers) -> Result<Option<usize>> {
     Ok(seen)
 }
 
-/// Read a message body according to the framing headers.
-fn read_body(r: &mut impl BufRead, headers: &Headers, limits: &Limits) -> Result<Vec<u8>> {
-    if headers.has_token("Transfer-Encoding", "chunked") {
-        return read_chunked(r, limits);
-    }
-    let len = strict_content_length(headers)?.unwrap_or(0);
-    if len > limits.max_body {
-        return Err(Error::TooLarge {
-            what: "entity body",
-            limit: limits.max_body,
-        });
-    }
-    let mut body = vec![0u8; len];
-    std::io::Read::read_exact(r, &mut body)?;
-    Ok(body)
+/// A fault in a line of chunked framing (size, CRLF or trailer) is a
+/// malformed body, however long the line.
+fn bad_chunk(_: Error) -> Error {
+    Error::Parse("malformed chunked framing".into())
 }
 
-/// Decode a chunked body (chunk extensions ignored, trailers skipped).
-fn read_chunked(r: &mut impl BufRead, limits: &Limits) -> Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        let line = read_line(r, limits.max_header_line)?;
-        let size_part = line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_part, 16)
-            .map_err(|_| Error::Parse(format!("bad chunk size `{size_part}`")))?;
-        if body.len() + size > limits.max_body {
-            return Err(Error::TooLarge {
-                what: "chunked body",
-                limit: limits.max_body,
-            });
+/// Body-framing position within one message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Start line + header block.
+    Head,
+    /// `Content-Length`-framed body; `remaining` bytes outstanding.
+    FixedBody,
+    /// Chunked: expecting a chunk-size line.
+    ChunkSize,
+    /// Chunked: inside chunk data; `remaining` bytes outstanding.
+    ChunkData,
+    /// Chunked: expecting the CRLF that closes a chunk.
+    ChunkCrlf,
+    /// Chunked: trailer lines until an empty line.
+    Trailers,
+}
+
+/// A complete message.
+#[derive(Debug)]
+pub(crate) enum Message {
+    Request(Box<Request>),
+    Response(Response),
+}
+
+/// Incremental, non-blocking HTTP/1.1 message parser. Failures are
+/// [`Error::TooLarge`] for a part over its limit, [`Error::Parse`] (or
+/// [`Error::UnsupportedVersion`]) for malformed syntax.
+#[derive(Debug)]
+pub(crate) struct Parser {
+    limits: Limits,
+    /// `None` reads requests; `Some(method)` reads the response to a
+    /// request made with `method`.
+    response_to: Option<Method>,
+    phase: Phase,
+    start: Option<Start>,
+    headers: Headers,
+    body: Vec<u8>,
+    remaining: usize,
+    /// Bytes at the front of the buffer that belong to messages or
+    /// lines already taken; drained once per [`Parser::advance`].
+    consumed: usize,
+    /// How far the line scan has searched, so a byte-at-a-time trickle
+    /// costs O(n), not O(n²).
+    scanned: usize,
+}
+
+impl Parser {
+    pub(crate) fn new(limits: Limits, response_to: Option<Method>) -> Parser {
+        Parser {
+            limits,
+            response_to,
+            phase: Phase::Head,
+            start: None,
+            headers: Headers::new(),
+            body: Vec::new(),
+            remaining: 0,
+            consumed: 0,
+            scanned: 0,
         }
-        if size == 0 {
-            // Trailers until blank line.
-            loop {
-                if read_line(r, limits.max_header_line)?.is_empty() {
-                    return Ok(body);
+    }
+
+    /// Has the message in flight progressed past its start line?
+    pub(crate) fn saw_start_line(&self) -> bool {
+        self.start.is_some()
+    }
+
+    /// Is the parser mid-message? (Distinguishes a clean keep-alive EOF
+    /// from a connection truncated inside a message.)
+    pub(crate) fn in_progress(&self, buf: &[u8]) -> bool {
+        !buf.is_empty() || self.start.is_some() || self.phase != Phase::Head
+    }
+
+    /// Consume as much of `buf` as possible and drain what was consumed.
+    /// At most one complete message is returned per call (responses must
+    /// go out in order, so the server dispatches one request at a time
+    /// and pumps again after the response is written); `Ok(None)` means
+    /// the buffer holds only a prefix of a message.
+    pub(crate) fn advance(&mut self, buf: &mut Vec<u8>) -> Result<Option<Message>> {
+        let out = self.parse(buf);
+        // Once per call, not once per line: a drain moves everything
+        // still buffered behind the drained prefix.
+        buf.drain(..self.consumed);
+        self.scanned -= self.consumed;
+        self.consumed = 0;
+        out
+    }
+
+    fn parse(&mut self, buf: &[u8]) -> Result<Option<Message>> {
+        let max_line = self.limits.max_header_line;
+        loop {
+            match self.phase {
+                Phase::Head => {
+                    let Some(line) = self.take_line(buf, max_line)? else {
+                        return Ok(None);
+                    };
+                    if self.start.is_none() {
+                        self.start = Some(match self.response_to {
+                            None => parse_request_line(&line)?,
+                            Some(_) => parse_status_line(&line)?,
+                        });
+                    } else if !line.is_empty() {
+                        if self.headers.len() >= self.limits.max_headers {
+                            return Err(Error::TooLarge {
+                                what: "header count",
+                                limit: self.limits.max_headers,
+                            });
+                        }
+                        let (name, value) = parse_header_field(&line)?;
+                        self.headers.append(name, value);
+                    } else if self.bodiless() {
+                        return Ok(Some(self.finish()));
+                    } else if self.headers.has_token("Transfer-Encoding", "chunked") {
+                        self.phase = Phase::ChunkSize;
+                    } else {
+                        let len = strict_content_length(&self.headers)?.unwrap_or(0);
+                        if len > self.limits.max_body {
+                            return Err(Error::TooLarge {
+                                what: "entity body",
+                                limit: self.limits.max_body,
+                            });
+                        }
+                        if len == 0 {
+                            return Ok(Some(self.finish()));
+                        }
+                        self.body.reserve(len.min(1 << 20));
+                        self.remaining = len;
+                        self.phase = Phase::FixedBody;
+                    }
                 }
+                Phase::FixedBody | Phase::ChunkData => {
+                    let take = (buf.len() - self.consumed).min(self.remaining);
+                    self.body
+                        .extend_from_slice(&buf[self.consumed..self.consumed + take]);
+                    self.consumed += take;
+                    self.scanned = self.consumed;
+                    self.remaining -= take;
+                    if self.remaining > 0 {
+                        return Ok(None);
+                    }
+                    if self.phase == Phase::FixedBody {
+                        return Ok(Some(self.finish()));
+                    }
+                    self.phase = Phase::ChunkCrlf;
+                }
+                Phase::ChunkSize => {
+                    let Some(line) = self.take_line(buf, max_line).map_err(bad_chunk)? else {
+                        return Ok(None);
+                    };
+                    let size_part = line.split(';').next().unwrap_or("").trim();
+                    let size = usize::from_str_radix(size_part, 16)
+                        .map_err(|_| Error::Parse(format!("bad chunk size `{size_part}`")))?;
+                    if size > self.limits.max_body - self.body.len() {
+                        return Err(Error::TooLarge {
+                            what: "chunked body",
+                            limit: self.limits.max_body,
+                        });
+                    }
+                    if size == 0 {
+                        self.phase = Phase::Trailers;
+                    } else {
+                        self.remaining = size;
+                        self.phase = Phase::ChunkData;
+                    }
+                }
+                Phase::ChunkCrlf => match self.take_line(buf, 4).map_err(bad_chunk)? {
+                    None => return Ok(None),
+                    Some(l) if l.is_empty() => self.phase = Phase::ChunkSize,
+                    Some(_) => return Err(Error::Parse("missing CRLF after chunk".into())),
+                },
+                Phase::Trailers => match self.take_line(buf, max_line).map_err(bad_chunk)? {
+                    None => return Ok(None),
+                    Some(l) if l.is_empty() => return Ok(Some(self.finish())),
+                    Some(_) => {} // trailer field: skipped
+                },
             }
         }
-        let start = body.len();
-        body.resize(start + size, 0);
-        std::io::Read::read_exact(r, &mut body[start..])?;
-        let crlf = read_line(r, 4)?;
-        if !crlf.is_empty() {
-            return Err(Error::Parse("missing CRLF after chunk".into()));
+    }
+
+    /// Take one CRLF- (or bare-LF-) terminated line, without its
+    /// terminator, off the unconsumed part of `buf`. `Ok(None)` means
+    /// no terminator has arrived yet.
+    fn take_line(&mut self, buf: &[u8], max: usize) -> Result<Option<String>> {
+        let too_long = Error::TooLarge {
+            what: "header line",
+            limit: max,
+        };
+        let rest = &buf[self.consumed..];
+        let Some(rel) = buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            self.scanned = buf.len();
+            // A trailing `\r` may be the first half of the CRLF; like a
+            // complete line, do not count it against the limit.
+            let held = rest.len() - usize::from(rest.last() == Some(&b'\r'));
+            return if held > max { Err(too_long) } else { Ok(None) };
+        };
+        let nl = self.scanned + rel - self.consumed;
+        let end = nl - usize::from(nl > 0 && rest[nl - 1] == b'\r');
+        if end > max {
+            return Err(too_long);
+        }
+        let line = std::str::from_utf8(&rest[..end])
+            .map_err(|_| Error::Parse("non-UTF-8 header data".into()))?
+            .to_owned();
+        self.consumed += nl + 1;
+        self.scanned = self.consumed;
+        Ok(Some(line))
+    }
+
+    /// A response to HEAD, and a 1xx, 204 or 304 response, ends at its
+    /// head whatever its framing headers say.
+    fn bodiless(&self) -> bool {
+        match (&self.start, &self.response_to) {
+            (Some(Start::Status(status, _)), Some(method)) => {
+                !method.response_has_body() || matches!(status.code(), 100..=199 | 204 | 304)
+            }
+            _ => false,
+        }
+    }
+
+    fn finish(&mut self) -> Message {
+        let headers = std::mem::take(&mut self.headers);
+        let body = std::mem::take(&mut self.body);
+        self.phase = Phase::Head;
+        match self.start.take().expect("head parsed") {
+            Start::Request(method, target, version) => Message::Request(Box::new(Request {
+                method,
+                target,
+                version,
+                headers,
+                body,
+            })),
+            Start::Status(status, version) => Message::Response(Response {
+                status,
+                version,
+                headers,
+                body,
+            }),
+        }
+    }
+}
+
+/// Read one complete response to a request made with `method`. The
+/// read buffer lives only for this call: the client does not pipeline,
+/// so nothing of a next message can be waiting behind this one.
+pub fn read_response(r: &mut impl Read, method: &Method, limits: &Limits) -> Result<Response> {
+    let mut parser = Parser::new(*limits, Some(method.clone()));
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match parser.advance(&mut buf)? {
+            Some(Message::Response(resp)) => return Ok(resp),
+            Some(Message::Request(_)) => unreachable!("a response parser yields responses"),
+            None => {}
+        }
+        match r.read(&mut chunk) {
+            Ok(0) => return Err(Error::ConnectionClosed),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -205,90 +404,56 @@ pub fn encode_chunked(body: &[u8], chunk_size: usize) -> Vec<u8> {
     out
 }
 
-/// Read a complete response to a request made with `method`.
-pub fn read_response(r: &mut impl BufRead, method: &Method, limits: &Limits) -> Result<Response> {
-    let line = read_line(r, limits.max_header_line)?;
-    let mut parts = line.splitn(3, ' ');
-    let version_token = parts.next().unwrap_or("");
-    if !version_token.starts_with("HTTP/1.") {
-        return Err(Error::Parse(format!("malformed status line `{line}`")));
-    }
-    let version = if version_token == "HTTP/1.0" {
-        Version::V1_0
-    } else {
-        Version::V1_1
-    };
-    let code: u16 = parts
-        .next()
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| Error::Parse(format!("bad status code in `{line}`")))?;
-    let headers = read_headers(r, limits)?;
-    let status = StatusCode::new(code);
-    let body = if !method.response_has_body()
-        || code == 204
-        || code == 304
-        || (100..200).contains(&code)
-    {
-        Vec::new()
-    } else {
-        read_body(r, &headers, limits)?
-    };
-    Ok(Response {
-        status,
-        version,
-        headers,
-        body,
-    })
-}
-
-/// Is this header one the serialiser owns? `Content-Length` is always
-/// recomputed from the actual body, and `Transfer-Encoding` is dropped:
-/// we frame every message with `Content-Length`, and forwarding a
-/// caller-set `Transfer-Encoding: chunked` alongside it would emit two
-/// conflicting framings of one message (request-smuggling territory).
-fn framing_header(name: &str) -> bool {
-    name.eq_ignore_ascii_case("content-length") || name.eq_ignore_ascii_case("transfer-encoding")
-}
-
-/// Serialise a request. A `Content-Length` header is always emitted so
-/// framing is unambiguous; caller-set framing headers are stripped.
-pub fn write_request(w: &mut impl Write, req: &Request, host: &str) -> Result<()> {
-    write!(w, "{} {} HTTP/1.1\r\n", req.method, req.target.encoded())?;
-    if !req.headers.contains("Host") {
-        write!(w, "Host: {host}\r\n")?;
-    }
-    for (n, v) in req.headers.iter() {
-        if framing_header(n) {
-            continue;
+/// Serialise a message head: `start` (the request or status line), the
+/// caller's headers, and one `Content-Length` of `body_len`. The
+/// serialiser owns the framing headers: `Content-Length` is always
+/// recomputed from the actual body, and `Transfer-Encoding` is dropped.
+/// Every message is framed by length, and forwarding a caller-set
+/// `Transfer-Encoding: chunked` beside it would emit two conflicting
+/// framings of one message (request-smuggling territory).
+fn write_head(
+    w: &mut impl Write,
+    start: fmt::Arguments,
+    headers: &Headers,
+    body_len: usize,
+) -> Result<()> {
+    write!(w, "{start}\r\n")?;
+    for (n, v) in headers.iter() {
+        if !n.eq_ignore_ascii_case("content-length") && !n.eq_ignore_ascii_case("transfer-encoding")
+        {
+            write!(w, "{n}: {v}\r\n")?;
         }
-        write!(w, "{n}: {v}\r\n")?;
     }
-    write!(w, "Content-Length: {}\r\n\r\n", req.body.len())?;
-    w.write_all(&req.body)?;
-    w.flush()?;
+    write!(w, "Content-Length: {body_len}\r\n\r\n")?;
     Ok(())
+}
+
+/// Serialise a request head, with a `Host` header unless the caller set
+/// one. The body follows it on the wire as it is.
+pub fn write_request_head(w: &mut impl Write, req: &Request, host: &str) -> Result<()> {
+    let (host_field, host) = if req.headers.contains("Host") {
+        ("", "")
+    } else {
+        ("\r\nHost: ", host)
+    };
+    let target = req.target.encoded();
+    let start = format_args!("{} {target} HTTP/1.1{host_field}{host}", req.method);
+    write_head(w, start, &req.headers, req.body.len())
 }
 
 /// Serialise a response. `head_only` suppresses the body (HEAD requests)
 /// while keeping the Content-Length of the full representation.
 pub fn write_response(w: &mut impl Write, resp: &Response, head_only: bool) -> Result<()> {
-    write!(
+    let (code, reason) = (resp.status.code(), resp.status.reason());
+    write_head(
         w,
-        "HTTP/1.1 {} {}\r\n",
-        resp.status.code(),
-        resp.status.reason()
+        format_args!("HTTP/1.1 {code} {reason}"),
+        &resp.headers,
+        resp.body.len(),
     )?;
-    for (n, v) in resp.headers.iter() {
-        if framing_header(n) {
-            continue;
-        }
-        write!(w, "{n}: {v}\r\n")?;
-    }
-    write!(w, "Content-Length: {}\r\n\r\n", resp.body.len())?;
     if !head_only {
         w.write_all(&resp.body)?;
     }
-    w.flush()?;
     Ok(())
 }
 
@@ -305,10 +470,47 @@ pub fn keep_alive(version: Version, headers: &Headers) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn cursor(s: &[u8]) -> BufReader<&[u8]> {
-        BufReader::new(s)
+    /// A server that sends one byte per `read()`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(out.len()).min(1);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Read `raw` as a response delivered whole and delivered one byte
+    /// per `read()`; the incremental parser must make the same of both.
+    fn read_both(raw: &[u8], method: &Method, limits: &Limits) -> Result<Response> {
+        let whole = read_response(&mut &raw[..], method, limits);
+        let trickled = read_response(&mut Trickle(raw), method, limits);
+        assert_eq!(
+            format!("{whole:?}"),
+            format!("{trickled:?}"),
+            "{:?}",
+            String::from_utf8_lossy(raw)
+        );
+        whole
+    }
+
+    #[test]
+    fn start_line_errors() {
+        assert!(matches!(
+            parse_request_line("GET / HTTP/2"),
+            Err(Error::UnsupportedVersion(_))
+        ));
+        assert!(matches!(
+            parse_request_line("GARBAGE"),
+            Err(Error::Parse(_))
+        ));
+        assert!(matches!(
+            parse_status_line("HTTP/2 200 OK"),
+            Err(Error::Parse(_))
+        ));
     }
 
     #[test]
@@ -316,8 +518,7 @@ mod tests {
         let resp = Response::new(StatusCode::MULTI_STATUS).with_xml_body("<D:multistatus/>");
         let mut wire = Vec::new();
         write_response(&mut wire, &resp, false).unwrap();
-        let back =
-            read_response(&mut cursor(&wire), &Method::PropFind, &Limits::default()).unwrap();
+        let back = read_both(&wire, &Method::PropFind, &Limits::default()).unwrap();
         assert_eq!(back.status, StatusCode::MULTI_STATUS);
         assert_eq!(back.body, resp.body);
     }
@@ -325,7 +526,7 @@ mod tests {
     #[test]
     fn bare_lf_lines_accepted() {
         let raw = b"HTTP/1.1 200 OK\nX-A: 1\nContent-Length: 2\n\nok";
-        let back = read_response(&mut cursor(raw), &Method::Get, &Limits::default()).unwrap();
+        let back = read_both(raw, &Method::Get, &Limits::default()).unwrap();
         assert_eq!(back.headers.get("x-a"), Some("1"));
         assert_eq!(back.body, b"ok");
     }
@@ -376,7 +577,7 @@ mod tests {
             (b"", "closed"),
         ];
         for (raw, expected) in cases {
-            let err = read_response(&mut cursor(raw), &Method::Get, &tight).unwrap_err();
+            let err = read_both(raw, &Method::Get, &tight).unwrap_err();
             assert_eq!(
                 kind(&err),
                 expected,
@@ -394,7 +595,8 @@ mod tests {
             .with_header("Transfer-Encoding", "chunked")
             .with_body("abc");
         let mut wire = Vec::new();
-        write_request(&mut wire, &req, "h").unwrap();
+        write_request_head(&mut wire, &req, "h").unwrap();
+        wire.extend_from_slice(&req.body);
         let text = String::from_utf8(wire).unwrap();
         assert!(!text.to_ascii_lowercase().contains("transfer-encoding"));
         assert!(text.ends_with("Content-Length: 3\r\n\r\nabc"));
@@ -408,7 +610,7 @@ mod tests {
         let text = String::from_utf8(wire.clone()).unwrap();
         assert!(text.contains("Content-Length: 7"));
         assert!(!text.ends_with("content"));
-        let back = read_response(&mut cursor(&wire), &Method::Head, &Limits::default()).unwrap();
+        let back = read_both(&wire, &Method::Head, &Limits::default()).unwrap();
         assert!(back.body.is_empty());
     }
 
@@ -418,7 +620,7 @@ mod tests {
         let encoded = encode_chunked(&body, 1500); // the paper's packet-size mirror
         let mut raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
         raw.extend_from_slice(&encoded);
-        let back = read_response(&mut cursor(&raw), &Method::Get, &Limits::default()).unwrap();
+        let back = read_both(&raw, &Method::Get, &Limits::default()).unwrap();
         assert_eq!(back.body, body);
     }
 
@@ -428,20 +630,20 @@ mod tests {
         assert_eq!(encoded, b"0\r\n\r\n");
         let mut raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
         raw.extend_from_slice(&encoded);
-        let back = read_response(&mut cursor(&raw), &Method::Get, &Limits::default()).unwrap();
+        let back = read_both(&raw, &Method::Get, &Limits::default()).unwrap();
         assert!(back.body.is_empty());
     }
 
     #[test]
     fn chunked_bad_size_errors() {
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nZZ\r\nhello\r\n0\r\n\r\n";
-        assert!(read_response(&mut cursor(raw), &Method::Get, &Limits::default()).is_err());
+        assert!(read_both(raw, &Method::Get, &Limits::default()).is_err());
     }
 
     #[test]
     fn no_content_has_no_body_even_with_junk() {
         let raw = b"HTTP/1.1 204 No Content\r\n\r\n";
-        let back = read_response(&mut cursor(raw), &Method::Delete, &Limits::default()).unwrap();
+        let back = read_both(raw, &Method::Delete, &Limits::default()).unwrap();
         assert_eq!(back.status, StatusCode::NO_CONTENT);
     }
 

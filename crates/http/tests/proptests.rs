@@ -1,7 +1,8 @@
 //! Property-based tests for the HTTP wire layer: arbitrary responses must
-//! survive serialise → parse, and the URI algebra must be total. The
-//! request-side properties live beside the server's request parser in
-//! `conn.rs`, which is crate-private.
+//! survive serialise → parse, and the URI algebra must be total. Both
+//! directions share one incremental parser (`wire::Parser`); responses
+//! reach it here through the client's `wire::read_response`. The parser
+//! is crate-private, so the request-side properties live in `conn.rs`.
 
 use proptest::prelude::*;
 use pse_http::auth::{base64_decode, base64_encode};
