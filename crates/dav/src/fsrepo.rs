@@ -482,7 +482,7 @@ impl FsStore {
         if offset != staged {
             return Err(DavError::StageMismatch { staged });
         }
-        if staged.checked_add(add_len).map_or(true, |end| end > total) {
+        if staged.checked_add(add_len).is_none_or(|end| end > total) {
             return Err(DavError::BadRequest(format!(
                 "append of {add_len} bytes at {staged} passes the declared total {total}"
             )));
@@ -881,10 +881,7 @@ impl Store for FsStore {
         }
         let mut sf = fs::File::open(&sfs)?;
         let slen = sf.metadata()?.len();
-        if src_start
-            .checked_add(src_len)
-            .map_or(true, |end| end > slen)
-        {
+        if src_start.checked_add(src_len).is_none_or(|end| end > slen) {
             return Err(DavError::BadRequest(format!(
                 "source range {src_start}+{src_len} exceeds {slen}-byte {src}"
             )));

@@ -439,10 +439,7 @@ impl Store for MemStore {
                 return Err(DavError::Conflict(format!("{src} is a collection")));
             }
             let slen = n.data.len() as u64;
-            if src_start
-                .checked_add(src_len)
-                .map_or(true, |end| end > slen)
-            {
+            if src_start.checked_add(src_len).is_none_or(|end| end > slen) {
                 return Err(DavError::BadRequest(format!(
                     "source range {src_start}+{src_len} exceeds {slen}-byte {src}"
                 )));

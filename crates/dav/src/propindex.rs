@@ -681,9 +681,8 @@ impl PropIndex {
             return None;
         }
         let mut state = State::default();
-        let mut count = 0usize;
         let mut saw_end = false;
-        for line in lines {
+        for (count, line) in lines.enumerate() {
             if let Some(n) = line.strip_prefix("end ") {
                 if n.parse::<usize>().ok()? != count {
                     return None;
@@ -692,7 +691,6 @@ impl PropIndex {
                 break;
             }
             state.apply(&Record::parse(line)?);
-            count += 1;
         }
         if !saw_end {
             return None;

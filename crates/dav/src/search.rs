@@ -307,7 +307,7 @@ pub fn encode_cursor(path: &str) -> String {
 
 fn decode_cursor(token: &str) -> Result<String> {
     let bad = || DavError::BadRequest("unparseable search cursor".into());
-    if token.len() % 2 != 0 || !token.is_ascii() {
+    if !token.len().is_multiple_of(2) || !token.is_ascii() {
         return Err(bad());
     }
     let mut bytes = Vec::with_capacity(token.len() / 2);

@@ -382,7 +382,7 @@ fn search_never_aborts_while_racing_delete() {
             let mut rng = 42u64;
             while !stop.load(Ordering::SeqCst) {
                 let p = format!("/race/d{}", lcg(&mut rng) % 8);
-                if lcg(&mut rng) % 2 == 0 {
+                if lcg(&mut rng).is_multiple_of(2) {
                     let _ = repo.delete(&p);
                 } else {
                     let _ = repo.put(&p, b"", None);

@@ -13,8 +13,9 @@
 # 4. Lint: rustfmt --check over the workspace (perfbench/ is its own
 #    workspace and is not formatted here), and clippy with warnings
 #    denied on the crates where we hold the bar at zero (pse-cache,
-#    pse-obs, pse-xml and pse-http today). Each is skipped with a notice
-#    if its component is not installed.
+#    pse-obs, pse-xml, pse-http, pse-dbm, pse-oodb, pse-ftp and pse-dav
+#    today). Each is skipped with a notice if its component is not
+#    installed.
 # 5. Adversarial wire tests: the incremental-parser matrix (trickled
 #    bytes, split heads, pipelining, oversized headers, half-close)
 #    runs against the reactor server inside the workspace suite; the
@@ -136,11 +137,10 @@ else
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> lint: cargo clippy -p pse-cache -p pse-obs -p pse-xml -p pse-http -- -D warnings"
-    cargo clippy -p pse-cache --all-targets -- -D warnings
-    cargo clippy -p pse-obs --all-targets -- -D warnings
-    cargo clippy -p pse-xml --all-targets -- -D warnings
-    cargo clippy -p pse-http --all-targets -- -D warnings
+    for crate in pse-cache pse-obs pse-xml pse-http pse-dbm pse-oodb pse-ftp pse-dav; do
+        echo "==> lint: cargo clippy -p $crate --all-targets -- -D warnings"
+        cargo clippy -p "$crate" --all-targets -- -D warnings
+    done
 else
     echo "==> lint: clippy not installed, skipping"
 fi
