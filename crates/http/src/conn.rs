@@ -624,6 +624,9 @@ mod tests {
         for head in [
             b"PUT / HTTP/1.1\r\nContent-Length: 64\r\n\r\n".as_slice(),
             b"PUT / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n".as_slice(),
+            // A chunk size that would wrap the running total.
+            b"PUT / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\nffffffffffffffff\r\n"
+                .as_slice(),
         ] {
             let mut p = RequestParser::new(limits);
             let mut buf = Vec::new();

@@ -254,7 +254,16 @@ impl Parser {
                         if len == 0 {
                             return Ok(Some(self.finish()));
                         }
-                        self.body.reserve(len.min(1 << 20));
+                        // A request reserves at most 1 MiB before its bytes
+                        // arrive, so a client that declares a large body and
+                        // trickles it pins little. A response is reserved
+                        // whole: growing a multi-MiB body by doubling left
+                        // the allocator holding more memory on `replicated`.
+                        let ahead = match self.response_to {
+                            Some(_) => len,
+                            None => len.min(1 << 20),
+                        };
+                        self.body.reserve(ahead);
                         self.remaining = len;
                         self.phase = Phase::FixedBody;
                     }
@@ -548,7 +557,7 @@ mod tests {
             Error::ConnectionClosed => "closed",
             _ => "other",
         };
-        let cases: [(&[u8], &str); 8] = [
+        let cases: [(&[u8], &str); 9] = [
             (
                 b"HTTP/1.1 200 OK\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n",
                 "header count",
@@ -563,6 +572,11 @@ mod tests {
             ),
             (
                 b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                "chunked body",
+            ),
+            (
+                // A chunk size that would wrap the running total.
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\nffffffffffffffff\r\n",
                 "chunked body",
             ),
             (
