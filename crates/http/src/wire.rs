@@ -227,8 +227,8 @@ impl Parser {
                     };
                     if self.start.is_none() {
                         self.start = Some(match self.response_to {
-                            None => parse_request_line(&line)?,
-                            Some(_) => parse_status_line(&line)?,
+                            None => parse_request_line(line)?,
+                            Some(_) => parse_status_line(line)?,
                         });
                     } else if !line.is_empty() {
                         if self.headers.len() >= self.limits.max_headers {
@@ -237,7 +237,7 @@ impl Parser {
                                 limit: self.limits.max_headers,
                             });
                         }
-                        let (name, value) = parse_header_field(&line)?;
+                        let (name, value) = parse_header_field(line)?;
                         self.headers.append(name, value);
                     } else if self.bodiless() {
                         return Ok(Some(self.finish()));
@@ -305,12 +305,12 @@ impl Parser {
                 }
                 Phase::ChunkCrlf => match self.take_line(buf, 4).map_err(bad_chunk)? {
                     None => return Ok(None),
-                    Some(l) if l.is_empty() => self.phase = Phase::ChunkSize,
+                    Some("") => self.phase = Phase::ChunkSize,
                     Some(_) => return Err(Error::Parse("missing CRLF after chunk".into())),
                 },
                 Phase::Trailers => match self.take_line(buf, max_line).map_err(bad_chunk)? {
                     None => return Ok(None),
-                    Some(l) if l.is_empty() => return Ok(Some(self.finish())),
+                    Some("") => return Ok(Some(self.finish())),
                     Some(_) => {} // trailer field: skipped
                 },
             }
@@ -320,7 +320,7 @@ impl Parser {
     /// Take one CRLF- (or bare-LF-) terminated line, without its
     /// terminator, off the unconsumed part of `buf`. `Ok(None)` means
     /// no terminator has arrived yet.
-    fn take_line(&mut self, buf: &[u8], max: usize) -> Result<Option<String>> {
+    fn take_line<'b>(&mut self, buf: &'b [u8], max: usize) -> Result<Option<&'b str>> {
         let too_long = Error::TooLarge {
             what: "header line",
             limit: max,
@@ -339,8 +339,7 @@ impl Parser {
             return Err(too_long);
         }
         let line = std::str::from_utf8(&rest[..end])
-            .map_err(|_| Error::Parse("non-UTF-8 header data".into()))?
-            .to_owned();
+            .map_err(|_| Error::Parse("non-UTF-8 header data".into()))?;
         self.consumed += nl + 1;
         self.scanned = self.consumed;
         Ok(Some(line))
