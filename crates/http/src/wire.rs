@@ -257,8 +257,8 @@ impl Parser {
                         // A request reserves at most 1 MiB before its bytes
                         // arrive, so a client that declares a large body and
                         // trickles it pins little. A response is reserved
-                        // whole: growing a multi-MiB body by doubling left
-                        // the allocator holding more memory on `replicated`.
+                        // whole, sparing a multi-MiB body its regrowths: the
+                        // client trusts its server's length up to `max_body`.
                         let ahead = match self.response_to {
                             Some(_) => len,
                             None => len.min(1 << 20),
