@@ -584,9 +584,9 @@ fn full_resync(
     let contenttype = PropertyName::dav("getcontenttype");
     let mut documents = Vec::new();
     for e in entries {
-        let is_collection = e.prop(&resourcetype).map_or(false, |p| {
-            p.value.child(Some(DAV_NS), "collection").is_some()
-        });
+        let is_collection = e
+            .prop(&resourcetype)
+            .is_some_and(|p| p.value.child(Some(DAV_NS), "collection").is_some());
         if e.href != "/" {
             if is_collection {
                 let _ = repo.mkcol(&e.href); // tolerate leftovers

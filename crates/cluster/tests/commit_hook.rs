@@ -10,7 +10,7 @@ use pse_dav::memrepo::MemRepository;
 use pse_dav::property::{Property, PropertyName};
 use pse_dav::repo::{PropPatchOp, Repo, Repository, Store};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -148,7 +148,7 @@ fn state(repo: &dyn Repository, path: &str) -> (Vec<u8>, BTreeMap<Vec<u8>, Vec<u
 /// the primary's final body and properties on every path: an append
 /// made after the lock plan is released lets two conflicting writes
 /// reach the log in the opposite order to the one they were applied in.
-fn racing_writes_log_in_apply_order<S: Store>(repo: Repo<S>, log: Arc<ChangeLog>, dir: &PathBuf) {
+fn racing_writes_log_in_apply_order<S: Store>(repo: Repo<S>, log: Arc<ChangeLog>, dir: &Path) {
     const THREADS: usize = 4;
     const ROUNDS: usize = 200;
     const WRITES: usize = 12;

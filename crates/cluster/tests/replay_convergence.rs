@@ -42,7 +42,7 @@ fn random_history(repo: &MemRepository, seed: u64, ops: usize) {
             }
             10..=39 => {
                 let body = format!("seed{seed}-op{n}");
-                let ct = if lcg(&mut rng) % 2 == 0 {
+                let ct = if lcg(&mut rng).is_multiple_of(2) {
                     Some("text/plain")
                 } else {
                     None
@@ -53,10 +53,10 @@ fn random_history(repo: &MemRepository, seed: u64, ops: usize) {
                 let _ = repo.delete(doc);
             }
             50..=57 => {
-                let _ = repo.copy(doc, doc2, lcg(&mut rng) % 2 == 0);
+                let _ = repo.copy(doc, doc2, lcg(&mut rng).is_multiple_of(2));
             }
             58..=65 => {
-                let _ = repo.rename(doc, doc2, lcg(&mut rng) % 2 == 0);
+                let _ = repo.rename(doc, doc2, lcg(&mut rng).is_multiple_of(2));
             }
             66..=85 => {
                 let p = Property::text(prop_name(lcg(&mut rng)), &format!("v{n}"));
@@ -150,7 +150,7 @@ proptest! {
             let end = (at + len).min(entries.len());
             // Sometimes re-deliver from an earlier point: the overlap
             // is a duplicate prefix the applier must dedup.
-            let start = if lcg(&mut rng) % 3 == 0 && at > 0 {
+            let start = if lcg(&mut rng).is_multiple_of(3) && at > 0 {
                 at - (1 + (lcg(&mut rng) as usize) % at.min(4))
             } else {
                 at
@@ -158,7 +158,7 @@ proptest! {
             let outcome = applier.apply_batch(&replica, &entries[start..end]).unwrap();
             prop_assert_eq!(outcome.deduped, at - start, "overlap is deduped, nothing else");
             at = end;
-            if lcg(&mut rng) % 4 == 0 {
+            if lcg(&mut rng).is_multiple_of(4) {
                 // Full duplicate of the batch just sent: pure dedup.
                 let dup = applier.apply_batch(&replica, &entries[start..end]).unwrap();
                 prop_assert_eq!(dup.applied, 0);

@@ -41,7 +41,7 @@ use crate::property::{Property, PropertyName};
 use crate::propindex::PropIndex;
 use crate::repo::{live_props_from_meta, PropPatchOp, Repo, ResourceMeta, StageStatus, Store};
 use pse_cache::{CacheConfig, CacheStats, ShardedCache};
-use pse_dbm::{dbm_exists, open_dbm, remove_dbm, Dbm, DbmKind, StoreMode};
+use pse_dbm::{dbm_exists, open_dbm, open_dbm_read, remove_dbm, Dbm, DbmKind, StoreMode};
 use pse_http::uri::{normalize_path, parent_path};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -212,11 +212,12 @@ impl FsStore {
         p
     }
 
-    /// Property-database stem for a resource.
-    fn props_base(&self, path: &str) -> PathBuf {
+    /// Property-database stem for a resource that is a collection when
+    /// `is_dir` is set, a document otherwise.
+    fn props_base(&self, path: &str, is_dir: bool) -> PathBuf {
         let norm = normalize_path(path);
         let fsp = self.fs_path(&norm);
-        if fsp.is_dir() {
+        if is_dir {
             fsp.join(DAV_DIR).join(DIR_SELF)
         } else {
             let name = pse_http::uri::basename(&norm);
@@ -224,10 +225,11 @@ impl FsStore {
         }
     }
 
-    /// Open the property DB for `path`, creating it when `create` is set.
-    /// Returns `None` when it does not exist and `create` is false.
-    fn open_props(&self, path: &str, create: bool) -> Result<Option<Box<dyn Dbm>>> {
-        let base = self.props_base(path);
+    /// Open the property DB for writing, creating it when `create` is
+    /// set. Returns `None` when it does not exist and `create` is false.
+    /// The caller holds the path's write lock.
+    fn open_props(&self, path: &str, is_dir: bool, create: bool) -> Result<Option<Box<dyn Dbm>>> {
+        let base = self.props_base(path, is_dir);
         if !dbm_exists(self.config.dbm_kind, &base) && !create {
             return Ok(None);
         }
@@ -239,12 +241,22 @@ impl FsStore {
         Ok(Some(open_dbm(self.config.dbm_kind, &base)?))
     }
 
-    fn check_exists(&self, path: &str) -> Result<PathBuf> {
+    /// Open the property DB read-only; `None` when there is none. Reads
+    /// run under a read lock, so this creates and initialises nothing.
+    fn read_props(&self, path: &str, is_dir: bool) -> Result<Option<Box<dyn Dbm>>> {
+        Ok(open_dbm_read(
+            self.config.dbm_kind,
+            &self.props_base(path, is_dir),
+        )?)
+    }
+
+    /// The filesystem location and metadata of `path`, from one
+    /// `stat(2)`. Any failure is `NotFound`, as `exists` answers.
+    fn check_exists(&self, path: &str) -> Result<(PathBuf, fs::Metadata)> {
         let fsp = self.fs_path(path);
-        if fsp.exists() {
-            Ok(fsp)
-        } else {
-            Err(DavError::NotFound(normalize_path(path)))
+        match fs::metadata(&fsp) {
+            Ok(m) => Ok((fsp, m)),
+            Err(_) => Err(DavError::NotFound(normalize_path(path))),
         }
     }
 
@@ -264,34 +276,13 @@ impl FsStore {
     /// callers that need both under one lock hold. Assumes the caller
     /// holds at least a read lock on `norm`'s shard.
     fn meta_and_snapshot(&self, norm: &str) -> Result<(ResourceMeta, Arc<PropSnapshot>)> {
-        let fsp = self.check_exists(norm)?;
-        let m = fs::metadata(&fsp)?;
-        let snap = self.snapshot(norm)?;
-        let mut meta = self.meta_from(norm, &m, snap.props_mtime);
+        let (_, m) = self.check_exists(norm)?;
+        let snap = self.snapshot(norm, m.is_dir())?;
+        let mut meta = meta_from(&m, snap.props_mtime);
         if m.is_file() {
             meta.content_type = snap.content_type.clone();
         }
         Ok((meta, snap))
-    }
-
-    /// Metadata without the content type, from the filesystem's
-    /// metadata and the property database's mtime.
-    fn meta_from(
-        &self,
-        norm: &str,
-        m: &fs::Metadata,
-        props_mtime: Option<SystemTime>,
-    ) -> ResourceMeta {
-        let fs_modified = m.modified().unwrap_or(SystemTime::now());
-        ResourceMeta {
-            is_collection: m.is_dir(),
-            content_length: if m.is_file() { m.len() } else { 0 },
-            // Fold the property database's mtime into the resource's
-            // modification time so PROPPATCH moves the ETag, not just PUT.
-            modified: props_mtime.map_or(fs_modified, |t| fs_modified.max(t)),
-            created: self.created_of(norm).unwrap_or(fs_modified),
-            content_type: None,
-        }
     }
 
     /// Recursive filesystem copy including `.DAV` property databases.
@@ -314,9 +305,9 @@ impl FsStore {
     /// Copy the property database of a *document* between `.DAV` dirs
     /// (collection property DBs travel with their directory).
     fn copy_doc_props(&self, src: &str, dst: &str) -> Result<()> {
-        if let Some(mut sdb) = self.open_props(src, false)? {
+        if let Some(mut sdb) = self.read_props(src, false)? {
             let mut ddb = self
-                .open_props(dst, true)?
+                .open_props(dst, false, true)?
                 .expect("create=true always yields a database");
             for key in sdb.keys()? {
                 if let Some(v) = sdb.fetch(&key)? {
@@ -329,7 +320,7 @@ impl FsStore {
     }
 
     fn delete_doc_props(&self, path: &str) -> Result<()> {
-        let base = self.props_base(path);
+        let base = self.props_base(path, false);
         remove_dbm(self.config.dbm_kind, &base)?;
         Ok(())
     }
@@ -347,40 +338,31 @@ impl FsStore {
         }
     }
 
-    /// Creation time via the filesystem where available; callers fall
-    /// back to mtime. (mod_dav creates a property database only when a
-    /// resource first receives real metadata — stamping creation times
-    /// into the DBM would give *every* resource the 8 KB / 25 KB floor
-    /// and distort the migration study.)
-    fn created_of(&self, path: &str) -> Option<SystemTime> {
-        std::fs::metadata(self.fs_path(path)).ok()?.created().ok()
+    /// Modification time of the property database at stem `base`, if
+    /// one exists: one `stat(2)` of the configured engine's file (two for
+    /// SDBM's `.pag` and `.dir`).
+    fn props_file_mtime(&self, base: &Path) -> Option<SystemTime> {
+        let exts: &[&str] = match self.config.dbm_kind {
+            DbmKind::Gdbm => &["db"],
+            DbmKind::Sdbm => &["pag", "dir"],
+        };
+        exts.iter()
+            .filter_map(|ext| fs::metadata(base.with_extension(ext)).ok()?.modified().ok())
+            .max()
     }
 
-    /// Modification time of the property database backing `path`, if
-    /// one exists (checks every extension either DBM engine writes).
-    fn props_file_mtime(&self, path: &str) -> Option<SystemTime> {
-        let base = self.props_base(path);
-        let mut latest: Option<SystemTime> = None;
-        for ext in ["db", "pag", "dir"] {
-            if let Ok(m) = fs::metadata(base.with_extension(ext)) {
-                if let Ok(t) = m.modified() {
-                    latest = Some(latest.map_or(t, |l| l.max(t)));
-                }
-            }
-        }
-        latest
-    }
-
-    /// Load the full property snapshot for `path`, from cache when
-    /// possible, otherwise with a single DBM open.
-    fn snapshot(&self, path: &str) -> Result<Arc<PropSnapshot>> {
+    /// Load the full property snapshot for `path` (a collection when
+    /// `is_dir`), from cache when possible, otherwise with a single
+    /// read-only DBM open.
+    fn snapshot(&self, path: &str, is_dir: bool) -> Result<Arc<PropSnapshot>> {
         let key = normalize_path(path);
         if let Some(snap) = self.prop_cache.get(&key) {
             return Ok(snap);
         }
         let mut content_type = None;
         let mut props = Vec::new();
-        if let Some(mut db) = self.open_props(&key, false)? {
+        let base = self.props_base(&key, is_dir);
+        if let Some(mut db) = open_dbm_read(self.config.dbm_kind, &base)? {
             for dbm_key in db.keys()? {
                 if dbm_key == KEY_CONTENT_TYPE {
                     content_type = db.fetch(&dbm_key)?.and_then(|v| String::from_utf8(v).ok());
@@ -397,7 +379,9 @@ impl FsStore {
         let snap = Arc::new(PropSnapshot {
             content_type,
             props,
-            props_mtime: self.props_file_mtime(&key),
+            // Taken whether or not the file held a database, as `stat`
+            // takes it, so both fold the same mtime into the ETag.
+            props_mtime: self.props_file_mtime(&base),
         });
         let cost = snap.cost();
         self.prop_cache.insert(key, Arc::clone(&snap), cost);
@@ -506,7 +490,7 @@ impl FsStore {
     fn store_content_type(&self, path: &str, content_type: Option<&str>) -> Result<()> {
         if let Some(ct) = content_type {
             let mut db = self
-                .open_props(path, true)?
+                .open_props(path, false, true)?
                 .expect("create=true always yields a database");
             db.store(KEY_CONTENT_TYPE, ct.as_bytes(), StoreMode::Replace)?;
         }
@@ -536,7 +520,7 @@ impl FsStore {
         dst: &str,
         overwrite: bool,
     ) -> Result<(PathBuf, PathBuf, bool)> {
-        let sfs = self.check_exists(src)?;
+        let (sfs, _) = self.check_exists(src)?;
         self.require_parent(dst)?;
         let dfs = self.fs_path(dst);
         let existed = dfs.exists();
@@ -555,6 +539,7 @@ impl FsStore {
     fn patch_one(
         &self,
         norm: &str,
+        is_dir: bool,
         op: &PropPatchOp,
         journal: &mut Vec<(Vec<u8>, Option<Vec<u8>>)>,
     ) -> Result<()> {
@@ -566,7 +551,7 @@ impl FsStore {
                 let stored = p.to_storage();
                 self.check_size(&stored)?;
                 let mut db = self
-                    .open_props(norm, true)?
+                    .open_props(norm, is_dir, true)?
                     .expect("create=true always yields a database");
                 let key = p.name.storage_key();
                 let prior = db.fetch(&key)?;
@@ -575,7 +560,7 @@ impl FsStore {
                 Ok(())
             }
             PropPatchOp::Remove(name) => {
-                let Some(mut db) = self.open_props(norm, false)? else {
+                let Some(mut db) = self.open_props(norm, is_dir, false)? else {
                     return Ok(());
                 };
                 let key = name.storage_key();
@@ -586,6 +571,25 @@ impl FsStore {
                 Ok(())
             }
         }
+    }
+}
+
+/// Metadata without the content type, from the resource's filesystem
+/// metadata and its property database's mtime. (mod_dav creates a
+/// property database only when a resource first receives real metadata:
+/// stamping creation times into the DBM would give *every* resource the
+/// 8 KB / 25 KB floor and distort the migration study. So `created` is
+/// the filesystem's, where it keeps one, else the mtime.)
+fn meta_from(m: &fs::Metadata, props_mtime: Option<SystemTime>) -> ResourceMeta {
+    let fs_modified = m.modified().unwrap_or(SystemTime::now());
+    ResourceMeta {
+        is_collection: m.is_dir(),
+        content_length: if m.is_file() { m.len() } else { 0 },
+        // Fold the property database's mtime into the resource's
+        // modification time so PROPPATCH moves the ETag, not just PUT.
+        modified: props_mtime.map_or(fs_modified, |t| fs_modified.max(t)),
+        created: m.created().unwrap_or(fs_modified),
+        content_type: None,
     }
 }
 
@@ -627,20 +631,20 @@ impl Store for FsStore {
     }
 
     fn stat(&self, path: &str) -> Result<ResourceMeta> {
-        // Reads no property database and moves no cache counter: a
-        // cached snapshot supplies the database's mtime, else the
-        // filesystem does.
-        let m = fs::metadata(self.check_exists(path)?)?;
+        // Reads no property database and moves no cache counter: one
+        // stat of the resource, then a cached snapshot supplies the
+        // database's mtime, else one stat of the database's file does.
+        let (_, m) = self.check_exists(path)?;
         let props_mtime = match self.prop_cache.peek(&path.to_owned()) {
             Some(snap) => snap.props_mtime,
-            None => self.props_file_mtime(path),
+            None => self.props_file_mtime(&self.props_base(path, m.is_dir())),
         };
-        Ok(self.meta_from(path, &m, props_mtime))
+        Ok(meta_from(&m, props_mtime))
     }
 
     fn get(&self, path: &str) -> Result<Vec<u8>> {
-        let fsp = self.check_exists(path)?;
-        if fsp.is_dir() {
+        let (fsp, m) = self.check_exists(path)?;
+        if m.is_dir() {
             return Err(DavError::Conflict(format!("{path} is a collection")));
         }
         Ok(fs::read(fsp)?)
@@ -671,7 +675,7 @@ impl Store for FsStore {
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        self.remove_resource(&self.check_exists(path)?, path)?;
+        self.remove_resource(&self.check_exists(path)?.0, path)?;
         self.invalidate_tree(path);
         Ok(())
     }
@@ -700,8 +704,8 @@ impl Store for FsStore {
     }
 
     fn list(&self, path: &str) -> Result<Vec<String>> {
-        let fsp = self.check_exists(path)?;
-        if !fsp.is_dir() {
+        let (fsp, m) = self.check_exists(path)?;
+        if !m.is_dir() {
             return Err(DavError::Conflict(format!("{path} is not a collection")));
         }
         let mut out = Vec::new();
@@ -716,19 +720,19 @@ impl Store for FsStore {
     }
 
     fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-        self.check_exists(path)?;
-        self.snapshot(path)?.prop(name)
+        let (_, m) = self.check_exists(path)?;
+        self.snapshot(path, m.is_dir())?.prop(name)
     }
 
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
         // A cached snapshot answers directly; on a miss only the named
         // keys are fetched and nothing is cached, so a SEARCH over many
         // cold candidates cannot evict the hot set.
-        self.check_exists(path)?;
+        let (_, m) = self.check_exists(path)?;
         if let Some(snap) = self.prop_cache.get(&path.to_owned()) {
             return names.iter().map(|name| snap.prop(name)).collect();
         }
-        let Some(mut db) = self.open_props(path, false)? else {
+        let Some(mut db) = self.read_props(path, m.is_dir())? else {
             return Ok(vec![None; names.len()]);
         };
         names
@@ -751,8 +755,8 @@ impl Store for FsStore {
     }
 
     fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-        self.check_exists(path)?;
-        let snap = self.snapshot(path)?;
+        let (_, m) = self.check_exists(path)?;
+        let snap = self.snapshot(path, m.is_dir())?;
         Ok(snap.props.iter().map(|(n, _)| n.clone()).collect())
     }
 
@@ -769,8 +773,8 @@ impl Store for FsStore {
     }
 
     fn index_entries(&self, path: &str) -> Result<Vec<Property>> {
-        self.check_exists(path)?;
-        let snap = self.snapshot(path)?;
+        let (_, m) = self.check_exists(path)?;
+        let snap = self.snapshot(path, m.is_dir())?;
         Ok(snap
             .props
             .iter()
@@ -779,11 +783,11 @@ impl Store for FsStore {
     }
 
     fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-        self.check_exists(path)?;
+        let (_, m) = self.check_exists(path)?;
         let stored = prop.to_storage();
         self.check_size(&stored)?;
         let mut db = self
-            .open_props(path, true)?
+            .open_props(path, m.is_dir(), true)?
             .expect("create=true always yields a database");
         db.store(&prop.name.storage_key(), &stored, StoreMode::Replace)?;
         self.invalidate_path(path);
@@ -791,8 +795,8 @@ impl Store for FsStore {
     }
 
     fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-        self.check_exists(path)?;
-        let Some(mut db) = self.open_props(path, false)? else {
+        let (_, m) = self.check_exists(path)?;
+        let Some(mut db) = self.open_props(path, m.is_dir(), false)? else {
             return Ok(false);
         };
         let removed = db.delete(&name.storage_key())?;
@@ -811,11 +815,11 @@ impl Store for FsStore {
         // lock with an undo journal of raw stored values, so readers
         // (excluded for the duration) observe the property set moving
         // atomically from the old state to the new — or staying put.
-        self.check_exists(path).map_err(|e| (0, e))?;
+        let is_dir = self.check_exists(path).map_err(|e| (0, e))?.1.is_dir();
         let mut journal: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
         let mut failure: Option<(usize, DavError)> = None;
         for (i, op) in ops.iter().enumerate() {
-            if let Err(e) = self.patch_one(path, op, &mut journal) {
+            if let Err(e) = self.patch_one(path, is_dir, op, &mut journal) {
                 failure = Some((i, e));
                 break;
             }
@@ -823,7 +827,7 @@ impl Store for FsStore {
         // On failure roll back in reverse order; the database must exist
         // if anything was journalled.
         if failure.is_some() && !journal.is_empty() {
-            if let Ok(Some(mut db)) = self.open_props(path, false) {
+            if let Ok(Some(mut db)) = self.open_props(path, is_dir, false) {
                 for (key, prior) in journal.into_iter().rev() {
                     let _ = match prior {
                         Some(v) => db.store(&key, &v, StoreMode::Replace).map(|_| true),
@@ -875,8 +879,8 @@ impl Store for FsStore {
         src_start: u64,
         src_len: u64,
     ) -> Result<StageStatus> {
-        let sfs = self.check_exists(src)?;
-        if sfs.is_dir() {
+        let (sfs, m) = self.check_exists(src)?;
+        if m.is_dir() {
             return Err(DavError::Conflict(format!("{src} is a collection")));
         }
         let mut sf = fs::File::open(&sfs)?;
@@ -1551,7 +1555,7 @@ mod tests {
             ];
             for path in ["/c", "/c/doc"] {
                 assert!(
-                    !dbm_exists(kind, &r.store().props_base(path)),
+                    !dbm_exists(kind, &r.store().props_base(path, path == "/c")),
                     "{kind:?} {path}"
                 );
                 let (cold, warm) = cold_and_warm(&r, path, &names);
@@ -1592,5 +1596,48 @@ mod tests {
         );
         assert_eq!(r.get_prop("/doc", &reserved).unwrap(), None);
         fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn stat_is_meta_without_the_content_type() {
+        let name = PropertyName::new("urn:e", "k");
+        for kind in [DbmKind::Sdbm, DbmKind::Gdbm] {
+            let (r, d) = repo(kind);
+            // Neither resource under /bare has a property database.
+            r.mkcol("/bare").unwrap();
+            r.put("/bare/doc", b"body", None).unwrap();
+            r.mkcol("/propped").unwrap();
+            r.put("/propped/doc", b"body", Some("text/plain")).unwrap();
+            for path in ["/propped", "/propped/doc"] {
+                r.set_prop(path, &Property::text(name.clone(), "v"))
+                    .unwrap();
+            }
+            for path in ["/bare", "/bare/doc", "/propped", "/propped/doc"] {
+                let has_db = path.starts_with("/propped");
+                let is_dir = !path.ends_with("/doc");
+                assert_eq!(
+                    dbm_exists(kind, &r.store().props_base(path, is_dir)),
+                    has_db,
+                    "{kind:?} {path}"
+                );
+                r.store().invalidate_path(path);
+                let cold = r.stat(path).unwrap();
+                assert!(
+                    r.store().prop_cache.peek(&path.to_owned()).is_none(),
+                    "{kind:?} {path}: stat cached a snapshot"
+                );
+                let mut meta = r.meta(path).unwrap();
+                assert!(r.store().prop_cache.peek(&path.to_owned()).is_some());
+                assert_eq!(meta.content_type.is_some(), path == "/propped/doc");
+                meta.content_type = None;
+                assert_eq!(cold, meta, "{kind:?} {path}, snapshot not cached");
+                assert_eq!(
+                    r.stat(path).unwrap(),
+                    meta,
+                    "{kind:?} {path}, snapshot cached"
+                );
+            }
+            fs::remove_dir_all(&d).unwrap();
+        }
     }
 }

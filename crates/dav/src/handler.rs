@@ -11,7 +11,7 @@ use crate::ifheader::{Condition, IfHeader};
 use crate::lock::{LockManager, LockScope};
 use crate::multistatus::{Multistatus, PropStat};
 use crate::property::{Property, PropertyName, PropfindKind, DAV_NS};
-use crate::repo::{PropPatchOp, Repository, StageStatus};
+use crate::repo::{PropPatchOp, Repository, ResourceMeta, StageStatus};
 use crate::search;
 use crate::version::{DeltaV, HistoryTarget, VersionMeta, VersionStore};
 use pse_http::{Method, Request, Response, StatusCode};
@@ -763,7 +763,14 @@ impl<R: Repository> DavHandler<R> {
         Property::from_element(ld)
     }
 
-    fn propstats_for(&self, path: &str, kind: &PropfindKind) -> Result<Vec<PropStat>> {
+    /// The propstats of one member, whose metadata `meta` the caller has
+    /// read (AllProp and PropName read it again with the dead properties).
+    fn propstats_for(
+        &self,
+        path: &str,
+        meta: &ResourceMeta,
+        kind: &PropfindKind,
+    ) -> Result<Vec<PropStat>> {
         match kind {
             PropfindKind::AllProp => {
                 let mut props = self.repo.all_props(path)?;
@@ -789,16 +796,7 @@ impl<R: Repository> DavHandler<R> {
                 }])
             }
             PropfindKind::Named(names) => {
-                // Only getcontenttype needs the full metadata; the other
-                // live properties come from `stat`, which on the fs
-                // repository reads no property database.
-                let content_type = PropertyName::dav("getcontenttype");
-                let meta = if names.contains(&content_type) {
-                    self.repo.meta(path)?
-                } else {
-                    self.repo.stat(path)?
-                };
-                let live = crate::repo::live_props_from_meta(path, &meta);
+                let live = crate::repo::live_props_from_meta(path, meta);
                 // Resolve lock and live names inline, then batch every
                 // remaining name into ONE repository read so the dead
                 // properties come from a single consistent snapshot — a
@@ -866,23 +864,49 @@ impl<R: Repository> DavHandler<R> {
         let mut paths = Vec::new();
         self.repo
             .walk(path, max_depth, &mut |p| paths.push(p.to_owned()))?;
+        // One metadata read per member feeds both the validator and the
+        // live properties, so the validator is never newer than the body.
+        // Only getcontenttype needs the full metadata; `stat` answers the
+        // rest and on the fs repository reads no property database. A
+        // member deleted since the walk reads as `None`.
+        let full = matches!(&kind, PropfindKind::Named(names)
+            if names.contains(&PropertyName::dav("getcontenttype")));
+        let members = paths
+            .into_iter()
+            .map(|p| {
+                let meta = if full {
+                    self.repo.meta(&p)
+                } else {
+                    self.repo.stat(&p)
+                };
+                match meta {
+                    Ok(m) => Ok((p, Some(m))),
+                    Err(DavError::NotFound(_)) => Ok((p, None)),
+                    Err(e) => Err(e),
+                }
+            })
+            .collect::<Result<Vec<_>>>()?;
         // A validator over the whole multistatus: any member's etag,
         // the member set, the requested properties, or lock state moving
         // changes it. Lets clients revalidate cached PROPFIND results
         // with If-None-Match instead of re-fetching the XML.
-        let state_etag = self.propfind_state_etag(&paths, &kind, depth)?;
+        let state_etag = self.propfind_state_etag(&members, &kind, depth);
         if let Some(inm) = req.headers.get("If-None-Match") {
             if etag_list_matches(inm, &state_etag, false) {
                 return Ok(Response::new(StatusCode::NOT_MODIFIED).with_header("ETag", state_etag));
             }
         }
-        for p in paths {
-            // A member deleted between the walk and this read is
-            // reported as its own 404 row, not a failed response — under
-            // concurrent writers the rest of the tree is still good.
-            match self.propstats_for(&p, &kind) {
-                Ok(propstats) => ms.push_propstats(&p, propstats),
-                Err(DavError::NotFound(_)) => ms.push_status(&p, StatusCode::NOT_FOUND),
+        for (p, meta) in &members {
+            // A member deleted since the walk is reported as its own 404
+            // row, not a failed response — under concurrent writers the
+            // rest of the tree is still good.
+            let Some(meta) = meta else {
+                ms.push_status(p, StatusCode::NOT_FOUND);
+                continue;
+            };
+            match self.propstats_for(p, meta, &kind) {
+                Ok(propstats) => ms.push_propstats(p, propstats),
+                Err(DavError::NotFound(_)) => ms.push_status(p, StatusCode::NOT_FOUND),
                 Err(e) => return Err(e),
             }
         }
@@ -895,19 +919,15 @@ impl<R: Repository> DavHandler<R> {
     /// shape and lock tokens into a single entity tag for the 207 body.
     fn propfind_state_etag(
         &self,
-        paths: &[String],
+        members: &[(String, Option<ResourceMeta>)],
         kind: &PropfindKind,
         depth: Depth,
-    ) -> Result<String> {
+    ) -> String {
         let mut state = Vec::new();
-        for p in paths {
-            let meta = match self.repo.stat(p) {
-                Ok(m) => m,
-                // Vanished mid-walk: it contributes nothing to the
-                // validator, matching the 404 row the body will carry.
-                Err(DavError::NotFound(_)) => continue,
-                Err(e) => return Err(e),
-            };
+        for (p, meta) in members {
+            // Vanished mid-walk: it contributes nothing to the
+            // validator, matching the 404 row the body will carry.
+            let Some(meta) = meta else { continue };
             state.extend_from_slice(p.as_bytes());
             state.push(0);
             state.extend_from_slice(meta.etag().as_bytes());
@@ -929,7 +949,7 @@ impl<R: Repository> DavHandler<R> {
                 }
             }
         }
-        Ok(format!("\"ms-{:x}\"", pse_cache::fnv1a_64(&state)))
+        format!("\"ms-{:x}\"", pse_cache::fnv1a_64(&state))
     }
 
     // ---- PROPPATCH ----
@@ -1253,7 +1273,9 @@ fn lock_response(lock: &crate::lock::Lock, created: bool) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fsrepo::{FsConfig, FsRepository};
     use crate::memrepo::MemRepository;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn handler() -> DavHandler<MemRepository> {
         DavHandler::new(MemRepository::new())
@@ -2084,5 +2106,249 @@ mod tests {
                 .code(),
             201
         );
+    }
+
+    /// A handler over an fs repository in a fresh temporary directory.
+    fn fs_handler(kind: pse_dbm::DbmKind) -> (DavHandler<FsRepository>, std::path::PathBuf) {
+        static N: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "pse-handler-{}-{}-{}",
+            kind.name(),
+            N.fetch_add(1, Ordering::Relaxed),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = FsConfig {
+            dbm_kind: kind,
+            ..FsConfig::default()
+        };
+        let repo = FsRepository::create(&dir, config).unwrap();
+        (DavHandler::new(repo), dir)
+    }
+
+    fn propfind_body(names: &str) -> String {
+        format!(
+            r#"<D:propfind xmlns:D="DAV:" xmlns:e="urn:e"><D:prop>{names}</D:prop></D:propfind>"#
+        )
+    }
+
+    /// Documents with and without a content type and dead properties,
+    /// beside a subcollection with one, then a depth-1 PROPFIND of each
+    /// shape: every member's getetag is its HEAD ETag (for a document)
+    /// or its `meta` ETag (for a collection, whose HEAD carries none).
+    fn getetags_match_head<R: Repository>(h: &DavHandler<R>, label: &str) {
+        let k = PropertyName::new("urn:e", "k");
+        h.handle(req(Method::MkCol, "/c"));
+        h.handle(req(Method::MkCol, "/c/sub"));
+        h.handle(req(Method::Put, "/c/plain").with_body("1"));
+        h.handle(
+            req(Method::Put, "/c/typed")
+                .with_header("Content-Type", "text/plain")
+                .with_body("22"),
+        );
+        h.handle(req(Method::Put, "/c/propped").with_body("333"));
+        for path in ["/c", "/c/sub", "/c/propped"] {
+            h.repo()
+                .set_prop(path, &Property::text(k.clone(), "v"))
+                .unwrap();
+        }
+        for body in [
+            propfind_body("<D:getetag/>"),
+            propfind_body("<D:getetag/><e:k/>"),
+            propfind_body("<D:getetag/><D:getcontenttype/><e:k/>"),
+            String::new(),
+        ] {
+            let resp = h.handle(
+                req(Method::PropFind, "/c")
+                    .with_header("Depth", "1")
+                    .with_xml_body(body.as_str()),
+            );
+            assert_eq!(resp.status.code(), 207, "{label}");
+            let ms = Multistatus::parse_dom(&resp.body_text()).unwrap();
+            assert_eq!(ms.responses.len(), 5, "{label}");
+            for entry in &ms.responses {
+                let getetag = entry
+                    .prop(&PropertyName::dav("getetag"))
+                    .unwrap_or_else(|| panic!("{label} {}: no getetag", entry.href))
+                    .text_value();
+                let expected = match h.handle(req(Method::Head, &entry.href)).headers.get("etag") {
+                    Some(etag) => etag.to_owned(),
+                    None => h.repo().meta(&entry.href).unwrap().etag(),
+                };
+                assert_eq!(getetag, expected, "{label} {} for {body:?}", entry.href);
+            }
+        }
+    }
+
+    #[test]
+    fn propfind_getetag_is_each_members_head_etag() {
+        getetags_match_head(&handler(), "mem");
+        for kind in [pse_dbm::DbmKind::Sdbm, pse_dbm::DbmKind::Gdbm] {
+            let (h, dir) = fs_handler(kind);
+            getetags_match_head(&h, kind.name());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A property database that is not a whole database (a GDBM `.db`
+    /// shorter than its header, an SDBM `.pag` without its `.dir`) reads
+    /// as no properties, and reading it changes nothing on disk: the
+    /// read side never creates or re-initialises a file.
+    #[test]
+    fn reads_leave_a_partial_property_database_as_they_found_it() {
+        let k = PropertyName::new("urn:e", "k");
+        for kind in [pse_dbm::DbmKind::Sdbm, pse_dbm::DbmKind::Gdbm] {
+            let (h, dir) = fs_handler(kind);
+            let repo = h.repo();
+            repo.put("/doc", b"x", None).unwrap();
+            repo.set_prop("/doc", &Property::text(k.clone(), "v"))
+                .unwrap();
+            let dav = dir.join(".DAV");
+            match kind {
+                pse_dbm::DbmKind::Gdbm => std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(dav.join("doc.db"))
+                    .unwrap()
+                    .set_len(40)
+                    .unwrap(),
+                pse_dbm::DbmKind::Sdbm => std::fs::remove_file(dav.join("doc.dir")).unwrap(),
+            }
+            let listing = || {
+                let mut files: Vec<(String, u64)> = std::fs::read_dir(&dav)
+                    .unwrap()
+                    .filter_map(|e| {
+                        let e = e.unwrap();
+                        let m = e.metadata().unwrap();
+                        m.is_file()
+                            .then(|| (e.file_name().to_string_lossy().into_owned(), m.len()))
+                    })
+                    .collect();
+                files.sort();
+                files
+            };
+            let before = listing();
+            assert_eq!(
+                repo.get_props("/doc", std::slice::from_ref(&k)).unwrap(),
+                [None]
+            );
+            let resp = h.handle(
+                req(Method::PropFind, "/doc")
+                    .with_header("Depth", "0")
+                    .with_xml_body(propfind_body("<e:k/>")),
+            );
+            assert_eq!(resp.status.code(), 207);
+            let ms = Multistatus::parse_dom(&resp.body_text()).unwrap();
+            assert!(ms.responses[0].prop(&k).is_none(), "{kind:?}");
+            let resp = h.handle(req(Method::PropFind, "/doc").with_header("Depth", "0"));
+            let ms = Multistatus::parse_dom(&resp.body_text()).unwrap();
+            assert!(ms.responses[0].prop(&k).is_none(), "{kind:?} allprop");
+            assert_eq!(listing(), before, "{kind:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Counts the `stat`, `meta` and `get_props` calls the handler makes
+    /// on a [`MemRepository`]; `walk` is forwarded whole, so its own
+    /// reads are not counted.
+    #[derive(Default)]
+    struct CountingRepo {
+        inner: MemRepository,
+        stat: AtomicUsize,
+        meta: AtomicUsize,
+        get_props: AtomicUsize,
+    }
+
+    impl CountingRepo {
+        fn take(&self) -> [usize; 3] {
+            [&self.stat, &self.meta, &self.get_props].map(|n| n.swap(0, Ordering::Relaxed))
+        }
+    }
+
+    impl Repository for CountingRepo {
+        fn exists(&self, path: &str) -> bool {
+            self.inner.exists(path)
+        }
+        fn meta(&self, path: &str) -> Result<ResourceMeta> {
+            self.meta.fetch_add(1, Ordering::Relaxed);
+            self.inner.meta(path)
+        }
+        fn stat(&self, path: &str) -> Result<ResourceMeta> {
+            self.stat.fetch_add(1, Ordering::Relaxed);
+            self.inner.stat(path)
+        }
+        fn get(&self, path: &str) -> Result<Vec<u8>> {
+            self.inner.get(path)
+        }
+        fn put(&self, path: &str, data: &[u8], ct: Option<&str>) -> Result<bool> {
+            self.inner.put(path, data, ct)
+        }
+        fn mkcol(&self, path: &str) -> Result<()> {
+            self.inner.mkcol(path)
+        }
+        fn delete(&self, path: &str) -> Result<()> {
+            self.inner.delete(path)
+        }
+        fn copy(&self, s: &str, d: &str, o: bool) -> Result<bool> {
+            self.inner.copy(s, d, o)
+        }
+        fn rename(&self, s: &str, d: &str, o: bool) -> Result<bool> {
+            self.inner.rename(s, d, o)
+        }
+        fn list(&self, path: &str) -> Result<Vec<String>> {
+            self.inner.list(path)
+        }
+        fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
+            self.inner.get_prop(path, name)
+        }
+        fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
+            self.get_props.fetch_add(1, Ordering::Relaxed);
+            self.inner.get_props(path, names)
+        }
+        fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
+            self.inner.list_props(path)
+        }
+        fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
+            self.inner.set_prop(path, prop)
+        }
+        fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
+            self.inner.remove_prop(path, name)
+        }
+        fn disk_usage(&self) -> Result<u64> {
+            self.inner.disk_usage()
+        }
+        fn walk(
+            &self,
+            path: &str,
+            max_depth: Option<u32>,
+            visit: &mut dyn FnMut(&str),
+        ) -> Result<()> {
+            self.inner.walk(path, max_depth, visit)
+        }
+    }
+
+    #[test]
+    fn named_propfind_reads_each_member_once() {
+        let h = DavHandler::new(CountingRepo::default());
+        h.handle(req(Method::MkCol, "/c"));
+        h.handle(req(Method::MkCol, "/c/sub"));
+        for doc in ["/c/a", "/c/b", "/c/d"] {
+            h.handle(req(Method::Put, doc).with_body("x"));
+        }
+        h.repo().take();
+        let propfind = |names: &str| {
+            let resp = h.handle(
+                req(Method::PropFind, "/c")
+                    .with_header("Depth", "1")
+                    .with_xml_body(propfind_body(names)),
+            );
+            assert_eq!(resp.status.code(), 207);
+            h.repo().take()
+        };
+        // Five members: one stat and one named-property read each.
+        assert_eq!(propfind("<D:getetag/><D:resourcetype/><e:k/>"), [5, 0, 5]);
+        // No dead property named: no property read at all.
+        assert_eq!(propfind("<D:getetag/>"), [5, 0, 0]);
+        // The content type needs the full metadata, read once instead.
+        assert_eq!(propfind("<D:getcontenttype/><e:k/>"), [0, 5, 5]);
     }
 }

@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Metadata the protocol layer needs about one resource.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceMeta {
     /// Collection (maps to a directory) or document (a file).
     pub is_collection: bool,

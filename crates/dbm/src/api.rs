@@ -99,6 +99,16 @@ pub fn open_dbm(kind: DbmKind, base: &Path) -> Result<Box<dyn Dbm>> {
     })
 }
 
+/// Open an existing database of `kind` at `base` for reading only, or
+/// `None` when there is none: see [`crate::Gdbm::open_read`] and
+/// [`crate::Sdbm::open_read`]. Nothing on disk changes.
+pub fn open_dbm_read(kind: DbmKind, base: &Path) -> Result<Option<Box<dyn Dbm>>> {
+    Ok(match kind {
+        DbmKind::Sdbm => crate::sdbm::Sdbm::open_read(base)?.map(|db| Box::new(db) as Box<dyn Dbm>),
+        DbmKind::Gdbm => crate::gdbm::Gdbm::open_read(base)?.map(|db| Box::new(db) as Box<dyn Dbm>),
+    })
+}
+
 /// Remove the on-disk files of a database of `kind` at `base`, if present.
 pub fn remove_dbm(kind: DbmKind, base: &Path) -> std::io::Result<()> {
     let files: &[&str] = match kind {
@@ -148,6 +158,58 @@ mod tests {
             remove_dbm(kind, &base).unwrap();
             assert!(!dbm_exists(kind, &base));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_only_open_changes_nothing_on_disk() {
+        let dir = std::env::temp_dir().join(format!("pse-dbm-ro-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let listing = || {
+            let mut files: Vec<(String, u64)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, e.metadata().unwrap().len())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        for kind in [DbmKind::Sdbm, DbmKind::Gdbm] {
+            let base = dir.join(kind.name());
+            // Absent: nothing is created.
+            assert!(open_dbm_read(kind, &base).unwrap().is_none());
+            assert_eq!(listing(), vec![], "{kind:?}");
+            // Present: reads what the writer stored; writes fail.
+            let mut db = open_dbm(kind, &base).unwrap();
+            db.store(b"k", b"v", StoreMode::Insert).unwrap();
+            drop(db);
+            let before = listing();
+            let mut ro = open_dbm_read(kind, &base).unwrap().unwrap();
+            assert_eq!(ro.fetch(b"k").unwrap().unwrap(), b"v");
+            assert_eq!(ro.keys().unwrap(), vec![b"k".to_vec()]);
+            assert!(ro.store(b"k2", b"v", StoreMode::Insert).is_err());
+            drop(ro);
+            assert_eq!(listing(), before, "{kind:?}");
+            remove_dbm(kind, &base).unwrap();
+        }
+        // A GDBM file shorter than its header is no database, and stays short.
+        std::fs::write(dir.join("short.db"), [7u8; 40]).unwrap();
+        assert!(open_dbm_read(DbmKind::Gdbm, &dir.join("short"))
+            .unwrap()
+            .is_none());
+        // An SDBM `.pag` without its `.dir` never stored a pair.
+        std::fs::write(dir.join("lone.pag"), [0u8; 1024]).unwrap();
+        assert!(open_dbm_read(DbmKind::Sdbm, &dir.join("lone"))
+            .unwrap()
+            .is_none());
+        assert_eq!(
+            listing(),
+            vec![("lone.pag".to_owned(), 1024), ("short.db".to_owned(), 40)]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

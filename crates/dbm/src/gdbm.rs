@@ -16,7 +16,8 @@ use crate::error::{Error, Result};
 use crate::stats::DbmStats;
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Default initial database size — the paper's "25 KB".
@@ -108,17 +109,45 @@ pub struct Gdbm {
 }
 
 impl Gdbm {
-    /// Open or create the database at path stem `base`.
+    /// Open or create the database at path stem `base`. A file shorter
+    /// than the header is initialised as a fresh database.
     pub fn open(base: &Path) -> Result<Self> {
         let path = base.with_extension("db");
-        let fresh = !path.exists();
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let mut db = Gdbm {
+        let mut db = Gdbm::unloaded(file, path);
+        match db.read_header()? {
+            Some(h) => db.load(&h)?,
+            None => db.init()?,
+        }
+        Ok(db)
+    }
+
+    /// Open the existing database at path stem `base` for reading only:
+    /// `None` when the file is absent or shorter than the header. Unlike
+    /// [`Gdbm::open`] it creates, initialises and extends nothing, and a
+    /// write through the handle fails.
+    pub fn open_read(base: &Path) -> Result<Option<Self>> {
+        let path = base.with_extension("db");
+        let file = match File::open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let mut db = Gdbm::unloaded(file, path);
+        let Some(h) = db.read_header()? else {
+            return Ok(None);
+        };
+        db.load(&h)?;
+        Ok(Some(db))
+    }
+
+    fn unloaded(file: File, path: PathBuf) -> Gdbm {
+        Gdbm {
             file,
             path,
             depth: 1,
@@ -127,13 +156,17 @@ impl Gdbm {
             dead_bytes: 0,
             entries: 0,
             dir_offset_cache: HEADER_SIZE,
-        };
-        if fresh || db.file.metadata()?.len() < HEADER_SIZE {
-            db.init()?;
-        } else {
-            db.load()?;
         }
-        Ok(db)
+    }
+
+    /// The header block, or `None` when the file is too short to hold one.
+    fn read_header(&self) -> Result<Option<[u8; HEADER_SIZE as usize]>> {
+        let mut h = [0u8; HEADER_SIZE as usize];
+        match self.file.read_exact_at(&mut h, 0) {
+            Ok(()) => Ok(Some(h)),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 
     fn init(&mut self) -> Result<()> {
@@ -174,10 +207,7 @@ impl Gdbm {
         Ok(())
     }
 
-    fn load(&mut self) -> Result<()> {
-        let mut h = vec![0u8; HEADER_SIZE as usize];
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_exact(&mut h)?;
+    fn load(&mut self, h: &[u8]) -> Result<()> {
         if &h[0..8] != MAGIC {
             return Err(Error::Corrupt("bad magic".into()));
         }
@@ -191,8 +221,7 @@ impl Gdbm {
         }
         let slots = 1usize << self.depth;
         let mut dir = vec![0u8; slots * 8];
-        self.file.seek(SeekFrom::Start(dir_offset))?;
-        self.file.read_exact(&mut dir)?;
+        self.file.read_exact_at(&mut dir, dir_offset)?;
         self.directory = dir
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
@@ -212,10 +241,9 @@ impl Gdbm {
         Ok(())
     }
 
-    fn read_bucket(&mut self, off: u64) -> Result<Bucket> {
+    fn read_bucket(&self, off: u64) -> Result<Bucket> {
         let mut buf = vec![0u8; BUCKET_SIZE as usize];
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(&mut buf)?;
+        self.file.read_exact_at(&mut buf, off)?;
         crate::obs::record_page_read();
         Bucket::decode(&buf)
     }
@@ -233,10 +261,9 @@ impl Gdbm {
         (hash as usize) & ((1usize << self.depth) - 1)
     }
 
-    fn read_record(&mut self, e: &Entry) -> Result<(Vec<u8>, Vec<u8>)> {
+    fn read_record(&self, e: &Entry) -> Result<(Vec<u8>, Vec<u8>)> {
         let mut buf = vec![0u8; (e.key_len + e.val_len) as usize];
-        self.file.seek(SeekFrom::Start(e.offset))?;
-        self.file.read_exact(&mut buf)?;
+        self.file.read_exact_at(&mut buf, e.offset)?;
         let val = buf.split_off(e.key_len as usize);
         Ok((buf, val))
     }

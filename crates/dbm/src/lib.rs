@@ -39,7 +39,7 @@ pub mod obs;
 pub mod sdbm;
 pub mod stats;
 
-pub use api::{dbm_exists, open_dbm, remove_dbm, Dbm, DbmKind, StoreMode};
+pub use api::{dbm_exists, open_dbm, open_dbm_read, remove_dbm, Dbm, DbmKind, StoreMode};
 pub use error::{Error, Result};
 pub use gdbm::Gdbm;
 pub use sdbm::Sdbm;

@@ -18,7 +18,8 @@ use crate::api::{Dbm, StoreMode};
 use crate::error::{Error, Result};
 use crate::stats::DbmStats;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Page size in bytes.
@@ -71,6 +72,28 @@ impl Sdbm {
         if fresh {
             pag.set_len(INITIAL_SIZE)?;
         }
+        Sdbm::from_files(pag, dir, pag_path, dir_path)
+    }
+
+    /// Open the existing database at path stem `base` for reading only:
+    /// `None` when either file is absent (`open` creates the `.pag`
+    /// first, so a lone `.pag` holds nothing). Unlike [`Sdbm::open`] it
+    /// creates and extends nothing, and a write through the handle fails.
+    pub fn open_read(base: &Path) -> Result<Option<Self>> {
+        let pag_path = base.with_extension("pag");
+        let dir_path = base.with_extension("dir");
+        let open = |p: &Path| match File::open(p) {
+            Ok(f) => Ok(Some(f)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        };
+        let (Some(pag), Some(dir)) = (open(&pag_path)?, open(&dir_path)?) else {
+            return Ok(None);
+        };
+        Sdbm::from_files(pag, dir, pag_path, dir_path).map(Some)
+    }
+
+    fn from_files(pag: File, dir: File, pag_path: PathBuf, dir_path: PathBuf) -> Result<Self> {
         let maxbno = dir.metadata()?.len() * 8;
         Ok(Sdbm {
             pag,
@@ -91,8 +114,7 @@ impl Sdbm {
             return Ok(false);
         }
         let mut byte = [0u8];
-        self.dir.seek(SeekFrom::Start(bit / 8))?;
-        self.dir.read_exact(&mut byte)?;
+        self.dir.read_exact_at(&mut byte, bit / 8)?;
         Ok(byte[0] & (1 << (bit % 8)) != 0)
     }
 
@@ -104,8 +126,7 @@ impl Sdbm {
             self.maxbno = new_len * 8;
         }
         let mut byte = [0u8];
-        self.dir.seek(SeekFrom::Start(bit / 8))?;
-        self.dir.read_exact(&mut byte)?;
+        self.dir.read_exact_at(&mut byte, bit / 8)?;
         byte[0] |= 1 << (bit % 8);
         self.dir.seek(SeekFrom::Start(bit / 8))?;
         self.dir.write_all(&byte)?;
@@ -132,13 +153,22 @@ impl Sdbm {
             return Ok(());
         }
         self.flush_page()?;
+        // A page past the end of the file reads as empty.
+        let mut got = 0;
         let off = pagno * PBLKSIZ as u64;
-        let len = self.pag.metadata()?.len();
-        self.cur_page.iter_mut().for_each(|b| *b = 0);
-        if off < len {
-            self.pag.seek(SeekFrom::Start(off))?;
-            let avail = ((len - off) as usize).min(PBLKSIZ);
-            self.pag.read_exact(&mut self.cur_page[..avail])?;
+        while got < PBLKSIZ {
+            match self
+                .pag
+                .read_at(&mut self.cur_page[got..], off + got as u64)
+            {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.cur_page[got..].fill(0);
+        if got > 0 {
             crate::obs::record_page_read();
         }
         self.cur_pagno = Some(pagno);

@@ -57,6 +57,20 @@ fn summary_from(name: &str, meta: &[Option<String>]) -> CalcSummary {
     }
 }
 
+/// A calculation's job from its `job-machine`, `job-queue`, `job-id`
+/// and `job-wall` values, in that order; `None` without a machine.
+fn job_from(meta: &[Option<String>]) -> Option<Job> {
+    Some(Job {
+        machine: meta[0].clone()?,
+        queue: meta[1].clone().unwrap_or_default(),
+        job_id: meta[2].as_deref().and_then(|v| v.parse().ok()).unwrap_or(0),
+        wall_seconds: meta[3]
+            .as_deref()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0.0),
+    })
+}
+
 /// An optional document's absence as `None`: the read itself is the
 /// existence probe, so a missing document costs one 404 and a present
 /// one no extra request. Every other failure still surfaces.
@@ -220,25 +234,6 @@ impl<S: DataStorage> DavEcceStore<S> {
         Ok(())
     }
 
-    fn read_job(&mut self, calc_path: &str) -> Result<Option<Job>> {
-        let meta = self.storage.get_meta_bulk(
-            calc_path,
-            &["job-machine", "job-queue", "job-id", "job-wall"],
-        )?;
-        let Some(machine) = meta[0].clone() else {
-            return Ok(None);
-        };
-        Ok(Some(Job {
-            machine,
-            queue: meta[1].clone().unwrap_or_default(),
-            job_id: meta[2].as_deref().and_then(|v| v.parse().ok()).unwrap_or(0),
-            wall_seconds: meta[3]
-                .as_deref()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
-        }))
-    }
-
     // ---- versioning: the revert-a-calculation flow ----
     //
     // Chemists edit a calculation's inputs in place; tracking puts the
@@ -370,9 +365,20 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
     }
 
     fn load_calculation(&mut self, path: &str) -> Result<Calculation> {
-        let meta = self
-            .storage
-            .get_meta_bulk(path, &["type", "state", "theory", "runtype"])?;
+        // The calculation's own metadata and its job's, in one request.
+        let meta = self.storage.get_meta_bulk(
+            path,
+            &[
+                "type",
+                "state",
+                "theory",
+                "runtype",
+                "job-machine",
+                "job-queue",
+                "job-id",
+                "job-wall",
+            ],
+        )?;
         if meta[0].as_deref() != Some("calculation") {
             return Err(EcceError::NotFound(format!("{path} is not a calculation")));
         }
@@ -393,7 +399,7 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
         calc.basis = self.read_basis(path)?;
         calc.input_deck = self.load_input_of(path)?;
         calc.tasks = self.read_tasks(path)?;
-        calc.job = self.read_job(path)?;
+        calc.job = job_from(&meta[4..]);
         calc.properties = self.read_properties(path)?;
         Ok(calc)
     }

@@ -214,12 +214,12 @@ fn each_tool_operation_asks_once_per_need() {
     assert_eq!(total(&counts), 2, "joblauncher_load {counts:?}");
 
     // A calculation without properties/: its absence is the 404 of the
-    // listing itself, not a probe first. Calculation metadata, molecule
-    // metadata, tasks, job and the properties listing are PROPFINDs;
-    // molecule, basis set and input deck are GETs.
+    // listing itself, not a probe first. The calculation's metadata with
+    // its job's, the molecule's metadata, tasks and the properties listing
+    // are PROPFINDs; molecule, basis set and input deck are GETs.
     let (calc, counts) = requests(&server, || store.load_calculation(&ready).unwrap());
     assert!(calc.properties.is_empty() && calc.input_deck.is_some());
-    let by_method = BTreeMap::from([("get".into(), 3), ("propfind".into(), 5)]);
+    let by_method = BTreeMap::from([("get".into(), 3), ("propfind".into(), 4)]);
     assert_eq!(counts, by_method, "calcviewer_load without properties");
     let (report, counts) = requests(&server, || {
         tools::calcviewer_load(&mut store, &done).unwrap()
@@ -229,7 +229,7 @@ fn each_tool_operation_asks_once_per_need() {
         counts,
         BTreeMap::from([
             ("get".into(), 3 + report.items as u64),
-            ("propfind".into(), 5)
+            ("propfind".into(), 4)
         ]),
         "calcviewer_load with {} properties",
         report.items
@@ -246,7 +246,7 @@ fn each_tool_operation_asks_once_per_need() {
     let (calc, counts) = requests(&server, || store.load_calculation(&bare).unwrap());
     assert!(calc.molecule.is_none() && calc.basis.is_none() && calc.input_deck.is_none());
     assert!(calc.tasks.is_empty() && calc.properties.is_empty());
-    assert_eq!(total(&counts), 7, "bare load_calculation {counts:?}");
+    assert_eq!(total(&counts), 6, "bare load_calculation {counts:?}");
     server.shutdown();
 }
 
