@@ -187,7 +187,7 @@ fn run_delta(check: bool) {
     let server = pse_dav::server::serve(
         "127.0.0.1:0",
         ServerConfig {
-            limits: limits.clone(),
+            limits,
             ..ServerConfig::default()
         },
         DavHandler::new(repo),

@@ -24,9 +24,12 @@
 //! snapshot, so a warm depth=1 PROPFIND touches zero DBM files. Every
 //! mutating operation (PUT/DELETE/MKCOL/COPY/MOVE/PROPPATCH) drops the
 //! affected paths, so readers never observe stale metadata. A named
-//! read (`get_props`) of a path whose snapshot is not cached fetches
-//! just the named keys and caches nothing, so a SEARCH over many cold
-//! candidates leaves the hot set in place.
+//! read (`get_props`) is answered from the SEARCH property index when
+//! that holds every name as plain text or not at all (see
+//! [`Repo`]); the store sees only the rest. There, a path whose
+//! snapshot is not cached fetches just the named keys and caches
+//! nothing, so a SEARCH over many cold candidates leaves the hot set in
+//! place.
 //!
 //! Concurrency: [`FsRepository`] is [`FsStore`] under the shared
 //! lock-and-index layer [`Repo`], which takes the sharded
@@ -1430,19 +1433,20 @@ mod tests {
         fs::remove_dir_all(&d).unwrap();
     }
 
-    /// `get_props` on `path` twice: cold (snapshot dropped, so the named
-    /// keys come straight from the DBM) and warm (snapshot cached by a
-    /// `list_props` in between).
+    /// The store's `get_props` on `path` twice: cold (snapshot dropped,
+    /// so the named keys come straight from the DBM) and warm (snapshot
+    /// cached by a `list_props` in between). It reads the store, not the
+    /// repository, which answers most named reads from its index.
     fn cold_and_warm(
         r: &FsRepository,
         path: &str,
         names: &[PropertyName],
     ) -> (Vec<Option<Property>>, Vec<Option<Property>>) {
         r.store().invalidate_path(path);
-        let cold = r.get_props(path, names).unwrap();
+        let cold = r.store().get_props(path, names).unwrap();
         r.list_props(path).unwrap();
         let hits = r.cache_stats().hits;
-        let warm = r.get_props(path, names).unwrap();
+        let warm = r.store().get_props(path, names).unwrap();
         assert_eq!(
             r.cache_stats().hits,
             hits + 1,
@@ -1595,6 +1599,10 @@ mod tests {
             Some("n")
         );
         assert_eq!(r.get_prop("/doc", &reserved).unwrap(), None);
+        // The index holds these under the names they were written with,
+        // so the repository declines to answer from it while they exist.
+        assert_eq!(r.get_props("/doc", &names).unwrap(), cold);
+        assert_eq!(r.get_props("/doc", &names[2..]).unwrap(), cold[2..]);
         fs::remove_dir_all(&d).unwrap();
     }
 

@@ -2193,15 +2193,22 @@ mod tests {
     /// A property database that is not a whole database (a GDBM `.db`
     /// shorter than its header, an SDBM `.pag` without its `.dir`) reads
     /// as no properties, and reading it changes nothing on disk: the
-    /// read side never creates or re-initialises a file.
+    /// read side never creates or re-initialises a file. `k` is XML-valued,
+    /// so the property index declines it and its reads open the file;
+    /// `held` is plain text, answered by the index without opening it.
     #[test]
     fn reads_leave_a_partial_property_database_as_they_found_it() {
         let k = PropertyName::new("urn:e", "k");
+        let held = PropertyName::new("urn:e", "held");
+        let mut value = Element::new(Some("urn:e"), "k");
+        value.push_elem(Element::new(Some("urn:e"), "v"));
         for kind in [pse_dbm::DbmKind::Sdbm, pse_dbm::DbmKind::Gdbm] {
             let (h, dir) = fs_handler(kind);
             let repo = h.repo();
             repo.put("/doc", b"x", None).unwrap();
-            repo.set_prop("/doc", &Property::text(k.clone(), "v"))
+            repo.set_prop("/doc", &Property::from_element(value.clone()))
+                .unwrap();
+            repo.set_prop("/doc", &Property::text(held.clone(), "v"))
                 .unwrap();
             let dav = dir.join(".DAV");
             match kind {
@@ -2231,6 +2238,10 @@ mod tests {
                 repo.get_props("/doc", std::slice::from_ref(&k)).unwrap(),
                 [None]
             );
+            assert_eq!(
+                repo.get_props("/doc", std::slice::from_ref(&held)).unwrap(),
+                [Some(Property::text(held.clone(), "v"))]
+            );
             let resp = h.handle(
                 req(Method::PropFind, "/doc")
                     .with_header("Depth", "0")
@@ -2243,6 +2254,46 @@ mod tests {
             let ms = Multistatus::parse_dom(&resp.body_text()).unwrap();
             assert!(ms.responses[0].prop(&k).is_none(), "{kind:?} allprop");
             assert_eq!(listing(), before, "{kind:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A named depth-1 PROPFIND of a cold collection loads no property
+    /// snapshot into the cache: the walk learns that the collection is
+    /// one from `stat`, and each member's validators and named dead
+    /// properties come from `stat` and the property index.
+    #[test]
+    fn named_propfind_of_a_cold_collection_caches_no_snapshot() {
+        let k = PropertyName::new("urn:e", "k");
+        for kind in [pse_dbm::DbmKind::Sdbm, pse_dbm::DbmKind::Gdbm] {
+            let (h, dir) = fs_handler(kind);
+            let repo = h.repo();
+            repo.mkcol("/c").unwrap();
+            repo.mkcol("/c/sub").unwrap();
+            repo.put("/c/doc", b"x", Some("text/plain")).unwrap();
+            // Each write drops the path's snapshot: all three start cold.
+            for path in ["/c", "/c/sub", "/c/doc"] {
+                repo.set_prop(path, &Property::text(k.clone(), "v"))
+                    .unwrap();
+            }
+            let inserted = repo.cache_stats().insertions;
+            let resp = h.handle(
+                req(Method::PropFind, "/c")
+                    .with_header("Depth", "1")
+                    .with_xml_body(propfind_body("<D:getetag/><e:k/>")),
+            );
+            assert_eq!(resp.status.code(), 207, "{kind:?}");
+            let ms = Multistatus::parse_dom(&resp.body_text()).unwrap();
+            assert_eq!(ms.responses.len(), 3, "{kind:?}");
+            for entry in &ms.responses {
+                assert_eq!(
+                    entry.prop(&k).map(Property::text_value).as_deref(),
+                    Some("v"),
+                    "{kind:?} {}",
+                    entry.href
+                );
+            }
+            assert_eq!(repo.cache_stats().insertions, inserted, "{kind:?}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

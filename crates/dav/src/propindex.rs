@@ -17,7 +17,9 @@
 //! COPY or MOVE together with the overwritten destination. So every
 //! state a probe sees is a state some committed mutation left, and a
 //! [`Probe::Covered`] answer (the matches of an `eq` query, all plain
-//! text) may stand in for the property reads.
+//! text) may stand in for the property reads. So may
+//! [`PropIndex::named`], which answers a named property read of one
+//! path when every name is absent or held as plain text.
 //!
 //! Persistence (filesystem repositories) lives under
 //! `<root>/.DAV/index/`: a `snapshot.idx` full dump plus a
@@ -77,6 +79,11 @@ pub struct IndexStats {
     pub hits: u64,
     /// Probes declined (`None`: capped value, unindexable form).
     pub misses: u64,
+    /// Named reads answered by [`PropIndex::named`].
+    pub reads_answered: u64,
+    /// Named reads [`PropIndex::named`] declined (a capped or rich
+    /// value, or a name the stores key ambiguously).
+    pub reads_declined: u64,
     /// Live (path, property) entries.
     pub entries: u64,
     /// Snapshots written (journal folded into a fresh snapshot).
@@ -133,6 +140,9 @@ struct State {
     /// Per-name count of capped values — while nonzero, `gt`/`lt`
     /// probes on that name are declined (the capped text might parse).
     capped: HashMap<PropertyName, usize>,
+    /// Entries under names a DBM store keys ambiguously (see
+    /// [`keyed_faithfully`]) — while nonzero, named reads are declined.
+    ambiguous: usize,
     /// Journal handle; `None` for memory-only indexes (or after an
     /// append error permanently disabled persistence).
     journal: Option<Journal>,
@@ -163,6 +173,15 @@ fn num_key(x: f64) -> u64 {
 /// NaN excluded (NaN compares false against everything).
 fn num_of(text: &str) -> Option<f64> {
     text.trim().parse::<f64>().ok().filter(|x| !x.is_nan())
+}
+
+/// Does a DBM store read back under `name` exactly what was written
+/// under it? Not when the namespace holds a NUL (the storage key then
+/// decodes as another name, which it may shadow) or starts with the
+/// `\x01` the filesystem store reserves for its own keys (never read
+/// back as a property).
+fn keyed_faithfully(name: &PropertyName) -> bool {
+    !name.namespace.contains('\0') && !name.namespace.starts_with('\x01')
 }
 
 /// Is `p` equal to `root` or underneath it?
@@ -394,10 +413,15 @@ impl State {
             .entry(name.clone())
             .or_default()
             .insert(path.to_owned());
-        self.by_path
+        let fresh = self
+            .by_path
             .entry(path.to_owned())
             .or_default()
-            .insert(name.clone(), stored);
+            .insert(name.clone(), stored)
+            .is_none();
+        if fresh && !keyed_faithfully(name) {
+            self.ambiguous += 1;
+        }
     }
 
     fn remove(&mut self, path: &str, name: &PropertyName) {
@@ -405,6 +429,9 @@ impl State {
             return;
         };
         self.unindex(path, name, &old);
+        if !keyed_faithfully(name) {
+            self.ambiguous -= 1;
+        }
         if self.by_path.get(path).is_some_and(BTreeMap::is_empty) {
             self.by_path.remove(path);
         }
@@ -532,6 +559,28 @@ impl State {
         }
     }
 
+    /// See [`PropIndex::named`].
+    fn named(&self, path: &str, names: &[PropertyName]) -> Option<NamedRead> {
+        if self.ambiguous > 0 || !names.iter().all(keyed_faithfully) {
+            return None;
+        }
+        let entries = self.by_path.get(path);
+        let values = names
+            .iter()
+            .map(|name| match entries.and_then(|m| m.get(name)) {
+                None => Some(None),
+                Some(Stored::Full { text, plain: true }) => {
+                    Some(Some(Property::text(name.clone(), text)))
+                }
+                Some(_) => None,
+            })
+            .collect::<Option<_>>()?;
+        Some(NamedRead {
+            values,
+            path_has_entries: entries.is_some(),
+        })
+    }
+
     /// Every live entry as a snapshot record.
     fn dump(&self) -> Vec<Record> {
         let mut out = Vec::new();
@@ -616,6 +665,18 @@ impl State {
     }
 }
 
+/// A named property read answered by [`PropIndex::named`].
+#[derive(Debug)]
+pub struct NamedRead {
+    /// One value per requested name, `None` where the path does not
+    /// hold it.
+    pub values: Vec<Option<Property>>,
+    /// Does the path hold any entry? Then it exists: DELETE and MOVE
+    /// drop the entries of every path they remove. Otherwise the caller
+    /// still has to check.
+    pub path_has_entries: bool,
+}
+
 /// The secondary property index. Cheap to probe, maintained by
 /// repositories at every mutation point. All methods are internally
 /// synchronised; the *coherence* of what gets recorded comes from the
@@ -626,6 +687,8 @@ pub struct PropIndex {
     state: Mutex<State>,
     hits: AtomicU64,
     misses: AtomicU64,
+    reads_answered: AtomicU64,
+    reads_declined: AtomicU64,
     rebuilt_on_open: bool,
 }
 
@@ -638,10 +701,16 @@ impl Default for PropIndex {
 impl PropIndex {
     /// A memory-only index (in-memory repositories, tests).
     pub fn new() -> PropIndex {
+        PropIndex::with_state(State::default())
+    }
+
+    fn with_state(state: State) -> PropIndex {
         PropIndex {
-            state: Mutex::new(State::default()),
+            state: Mutex::new(state),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            reads_answered: AtomicU64::new(0),
+            reads_declined: AtomicU64::new(0),
             rebuilt_on_open: false,
         }
     }
@@ -721,12 +790,7 @@ impl PropIndex {
             records,
             dir: dir.to_path_buf(),
         });
-        Some(PropIndex {
-            state: Mutex::new(state),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            rebuilt_on_open: false,
-        })
+        Some(PropIndex::with_state(state))
     }
 
     /// Apply a PROPPATCH's instructions to `path`, in order, as one
@@ -794,6 +858,21 @@ impl PropIndex {
         out
     }
 
+    /// Answer a read of the dead properties `names` of `path` from the
+    /// index alone, when each name is absent there or held as plain
+    /// text: [`Property::text`] of that text serialises exactly as the
+    /// stored value does (see [`Property::is_plain_text`]). `None` when
+    /// any name is held capped or as rich text, or is keyed ambiguously
+    /// by a DBM store: the caller must read the store.
+    pub fn named(&self, path: &str, names: &[PropertyName]) -> Option<NamedRead> {
+        let out = self.state.lock().named(path, names);
+        match &out {
+            Some(_) => self.reads_answered.fetch_add(1, Ordering::Relaxed),
+            None => self.reads_declined.fetch_add(1, Ordering::Relaxed),
+        };
+        out
+    }
+
     /// Flush the snapshot and truncate the journal (used after rebuild).
     pub fn compact(&self) {
         self.state.lock().compact();
@@ -805,6 +884,8 @@ impl PropIndex {
         IndexStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            reads_answered: self.reads_answered.load(Ordering::Relaxed),
+            reads_declined: self.reads_declined.load(Ordering::Relaxed),
             entries: state.entries(),
             compactions: state.compactions,
             rebuilt_on_open: self.rebuilt_on_open as u64,
@@ -1209,6 +1290,55 @@ mod tests {
         assert!(snapshot.starts_with("pse-propindex-v2\n"), "{snapshot}");
         drop(repo);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn named_reads_answer_plain_and_absent_names_only() {
+        let (f, c, blob) = (n("formula"), n("charge"), n("blob"));
+        let idx = PropIndex::new();
+        set(&idx, "/a", &f, "H2O");
+        set(&idx, "/a", &c, "");
+        set(&idx, "/a", &blob, &"x".repeat(VALUE_CAP + 1));
+        idx.patch("/r", &[PropPatchOp::Set(rich(&f, "UO2"))]);
+        let just_f = std::slice::from_ref(&f);
+        let read = idx
+            .named("/a", &[f.clone(), n("absent"), c.clone()])
+            .unwrap();
+        assert_eq!(
+            read.values,
+            [
+                Some(Property::text(f.clone(), "H2O")),
+                None,
+                Some(Property::text(c.clone(), ""))
+            ]
+        );
+        assert!(read.path_has_entries);
+        // A capped or rich value declines the whole read.
+        assert!(idx.named("/a", &[f.clone(), blob.clone()]).is_none());
+        assert!(idx.named("/r", just_f).is_none());
+        // A path without entries answers all-absent, and says so.
+        let read = idx.named("/nowhere", just_f).unwrap();
+        assert_eq!(read.values, [None]);
+        assert!(!read.path_has_entries);
+        // Tree operations carry the answers along.
+        idx.move_tree("/a", "/b");
+        assert!(!idx.named("/a", just_f).unwrap().path_has_entries);
+        assert_eq!(
+            idx.named("/b", just_f).unwrap().values,
+            [Some(Property::text(f.clone(), "H2O"))]
+        );
+        let s = idx.stats();
+        assert_eq!((s.reads_answered, s.reads_declined), (4, 2));
+        // A name a DBM store keys ambiguously is declined, and while any
+        // is held, so is every read: it may shadow another name.
+        let nul = PropertyName::new("a\0b", "c");
+        assert!(idx.named("/b", std::slice::from_ref(&nul)).is_none());
+        set(&idx, "/z", &nul, "v");
+        assert!(idx.named("/b", just_f).is_none());
+        idx.remove_tree("/z");
+        assert!(idx.named("/b", just_f).is_some());
+        let reserved = PropertyName::new("\x01content-type", "");
+        assert!(idx.named("/b", &[reserved]).is_none());
     }
 
     #[test]

@@ -314,7 +314,7 @@ pub trait Repository: Send + Sync + 'static {
         if !descend {
             return Ok(());
         }
-        let is_collection = match self.meta(path) {
+        let is_collection = match self.stat(path) {
             Ok(m) => m.is_collection,
             Err(DavError::NotFound(_)) => false,
             Err(e) => return Err(e),
@@ -654,6 +654,8 @@ impl<S: Store> Repository for Repo<S> {
             snap.set_gauge("dav.propindex.entries", s.entries as i64);
             snap.set_counter("dav.propindex.hits", s.hits);
             snap.set_counter("dav.propindex.misses", s.misses);
+            snap.set_counter("dav.propindex.reads_answered", s.reads_answered);
+            snap.set_counter("dav.propindex.reads_declined", s.reads_declined);
             snap.set_counter("dav.propindex.compactions", s.compactions);
             snap.set_counter("dav.propindex.rebuilt_on_open", s.rebuilt_on_open);
         });
@@ -743,7 +745,15 @@ impl<S: Store> Repository for Repo<S> {
     }
 
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
-        self.read(path, |s, p| s.get_props(p, names))
+        // The index answers when it holds every name as plain text or
+        // not at all; otherwise the whole read goes to the store, so each
+        // answer comes from one source. Either way it runs under this
+        // path's read lock, which orders it against every mutation.
+        self.read(path, |s, p| match self.index.named(p, names) {
+            Some(read) if read.path_has_entries || s.exists(p) => Ok(read.values),
+            Some(_) => Err(DavError::NotFound(p.to_owned())),
+            None => s.get_props(p, names),
+        })
     }
 
     fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {

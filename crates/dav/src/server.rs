@@ -84,7 +84,8 @@ mod tests {
         assert_eq!(c.put("/proj/doc", "hello").unwrap().status.code(), 201);
         let patch = r#"<?xml version="1.0"?>
             <D:propertyupdate xmlns:D="DAV:" xmlns:e="urn:ecce">
-              <D:set><D:prop><e:formula>H2O</e:formula></D:prop></D:set>
+              <D:set><D:prop><e:formula>H2O</e:formula>
+                <e:geometry><e:atom>U</e:atom></e:geometry></D:prop></D:set>
             </D:propertyupdate>"#;
         assert_eq!(
             c.send(Request::new(Method::PropPatch, "/proj/doc").with_body(patch))
@@ -114,13 +115,26 @@ mod tests {
                 .unwrap();
             assert_eq!(resp.status.code(), 207);
         }
+        // A named PROPFIND of both members: the index answers for /proj
+        // (holding neither name) and declines /proj/doc's XML-valued
+        // geometry, which is read from the store.
+        let named = r#"<D:propfind xmlns:D="DAV:" xmlns:e="urn:ecce"><D:prop>
+              <e:formula/><e:geometry/></D:prop></D:propfind>"#;
+        let resp = c
+            .send(
+                Request::new(Method::PropFind, "/proj")
+                    .with_header("Depth", "1")
+                    .with_body(named),
+            )
+            .unwrap();
+        assert_eq!(resp.status.code(), 207);
         let text = c.get(pse_http::server::METRICS_PATH).unwrap().body_text();
         use pse_obs::parse_text_metric as metric;
         // Transport layer.
-        assert_eq!(metric(&text, "http.requests.propfind"), Some(2), "{text}");
+        assert_eq!(metric(&text, "http.requests.propfind"), Some(3), "{text}");
         assert!(metric(&text, "http.bytes_out").unwrap() > 0);
         // DAV dispatch layer.
-        assert_eq!(metric(&text, "dav.latency_us.propfind"), Some(2), "{text}");
+        assert_eq!(metric(&text, "dav.latency_us.propfind"), Some(3), "{text}");
         assert!(
             metric(&text, "dav.multistatus_bytes").unwrap() >= 3,
             "{text}"
@@ -139,12 +153,23 @@ mod tests {
         assert_eq!(metric(&text, "dav.search.matched"), Some(1), "{text}");
         // It selects only the property its `eq` constrains: covered.
         assert_eq!(metric(&text, "dav.search.covered"), Some(1), "{text}");
-        // Property index: the PROPPATCH made one entry and the SEARCH
-        // probe hit. A fresh root has no persisted index, so opening it
-        // rebuilt (and compacted) one.
-        assert_eq!(metric(&text, "dav.propindex.entries"), Some(1), "{text}");
+        // Property index: the PROPPATCH made two entries, the SEARCH
+        // probe hit, and the named PROPFIND was answered for one member
+        // and declined for the other. A fresh root has no persisted
+        // index, so opening it rebuilt (and compacted) one.
+        assert_eq!(metric(&text, "dav.propindex.entries"), Some(2), "{text}");
         assert_eq!(metric(&text, "dav.propindex.hits"), Some(1), "{text}");
         assert_eq!(metric(&text, "dav.propindex.misses"), Some(0), "{text}");
+        assert_eq!(
+            metric(&text, "dav.propindex.reads_answered"),
+            Some(1),
+            "{text}"
+        );
+        assert_eq!(
+            metric(&text, "dav.propindex.reads_declined"),
+            Some(1),
+            "{text}"
+        );
         assert_eq!(
             metric(&text, "dav.propindex.rebuilt_on_open"),
             Some(1),

@@ -10,6 +10,9 @@
 //!   vanished between candidate discovery and property fetch.
 //! * Torn answers: a covered SEARCH (answered from the index alone)
 //!   never sees a mutation half applied.
+//! * Named reads: `get_props`, which the index answers whenever it
+//!   holds every name as plain text or not at all, equals the stored
+//!   values after every step of random histories, and after a reopen.
 //! * The protocol path: SEARCH through gzip content-coding, through a
 //!   fault-injecting proxy with retries, and pipelined back-to-back on
 //!   one connection.
@@ -333,8 +336,9 @@ proptest! {
             let repo = FsRepository::create(&dir, FsConfig::default()).unwrap();
             assert_index_matches_scan(&repo, &format!("fs-reopen seed={seed}"));
         }
-        // Without a property cache every named read goes straight to the
-        // DBM; the stages around this one read cached snapshots.
+        // Without a property cache every named read the index declines,
+        // and every allprop of the oracle, goes straight to the DBM; the
+        // stages around this one read cached snapshots.
         {
             let config = FsConfig { property_cache_bytes: 0, ..FsConfig::default() };
             let repo = FsRepository::create(&dir, config).unwrap();
@@ -354,6 +358,181 @@ proptest! {
             assert_index_matches_scan(&repo, &format!("fs-bad-snapshot seed={seed}"));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A value for the named-read sweep: plain text, empty, whitespace
+/// only, exactly at and one past the index's 1 KiB cap, XML-valued,
+/// under `xml:lang`, and plain text with characters the writer escapes.
+fn named_value(name: &PropertyName, i: u64) -> Property {
+    let ns = (!name.namespace.is_empty()).then_some(name.namespace.as_str());
+    let mut value = Element::new(ns, &name.local);
+    match i % 8 {
+        0 => return Property::text(name.clone(), "H2O"),
+        1 => return Property::text(name.clone(), ""),
+        2 => return Property::text(name.clone(), " \t\n "),
+        3 => return Property::text(name.clone(), &"a".repeat(1024)),
+        4 => return Property::text(name.clone(), &"b".repeat(1025)),
+        5 => {
+            let mut child = Element::new(ns, "mol");
+            child.push_text("H2O");
+            value.push_elem(child);
+        }
+        6 => {
+            value.set_attr(Some("http://www.w3.org/XML/1998/namespace"), "lang", "en");
+            value.push_text("H2O");
+        }
+        _ => return Property::text(name.clone(), "a < b & \"c\""),
+    }
+    Property::from_element(value)
+}
+
+/// Every path a named-read history touches, and one it never creates.
+fn named_paths() -> Vec<String> {
+    let mut paths = vec!["/".to_owned(), "/gone".to_owned()];
+    for c in 0..2 {
+        paths.push(format!("/c{c}"));
+        paths.push(format!("/c{c}/sub"));
+        for d in 0..3 {
+            paths.push(format!("/c{c}/d{d}"));
+        }
+    }
+    paths
+}
+
+/// One random step of a named-read history: PUT, MKCOL, PROPPATCH (one
+/// set, or a batch of a set and a remove), a PROPPATCH that fails on its
+/// last instruction (a live property, or a value over an fs
+/// repository's `max_property_size`) and rolls back, DELETE, COPY or
+/// MOVE. Errors are expected and ignored.
+fn named_step(repo: &dyn Repository, rng: &mut u64) {
+    let paths = named_paths();
+    let pick = |rng: &mut u64| paths[2 + lcg(rng) as usize % (paths.len() - 2)].clone();
+    let nms = names();
+    let (p, q) = (pick(rng), pick(rng));
+    let name = nms[lcg(rng) as usize % nms.len()].clone();
+    let other = nms[lcg(rng) as usize % nms.len()].clone();
+    let val = named_value(&name, lcg(rng));
+    match lcg(rng) % 10 {
+        0 => {
+            let _ = repo.put(&p, b"body", None);
+        }
+        1 => {
+            let _ = repo.mkcol(&p);
+        }
+        2 | 3 => {
+            let _ = repo.set_prop(&p, &val);
+        }
+        4 => {
+            let _ = repo.patch_props(&p, &[PropPatchOp::Set(val), PropPatchOp::Remove(other)]);
+        }
+        5 => {
+            let last = if lcg(rng).is_multiple_of(2) {
+                Property::text(PropertyName::dav("getetag"), "forged")
+            } else {
+                Property::text(other, &"z".repeat(4096))
+            };
+            let ops = [
+                PropPatchOp::Set(val),
+                PropPatchOp::Remove(nms[0].clone()),
+                PropPatchOp::Set(last),
+            ];
+            let _ = repo.patch_props(&p, &ops);
+        }
+        6 => {
+            let _ = repo.delete(&p);
+        }
+        7 => {
+            let _ = repo.copy(&p, &q, true);
+        }
+        _ => {
+            let _ = repo.rename(&p, &q, true);
+        }
+    }
+}
+
+/// For every path: `get_props` of several name sets equals the values
+/// `all_props` reads from the stored properties, and a missing path
+/// answers `NotFound`. The named reads run first, so on an fs repository
+/// whose cache is off or cold the declined ones read the DBM.
+fn assert_named_reads_match_stored(repo: &dyn Repository, context: &str) {
+    let [formula, charge, note, bare] = names();
+    let absent = PropertyName::new(NS, "absent");
+    let sets = [
+        vec![formula.clone()],
+        vec![charge.clone(), bare.clone()],
+        vec![note.clone(), absent.clone(), formula.clone()],
+        vec![bare, note, absent, charge, formula],
+    ];
+    for path in named_paths() {
+        if !repo.exists(&path) {
+            for set in &sets {
+                let got = repo.get_props(&path, set);
+                assert!(
+                    matches!(got, Err(pse_dav::DavError::NotFound(_))),
+                    "{context}: {path} {got:?}"
+                );
+            }
+            continue;
+        }
+        let named: Vec<_> = sets
+            .iter()
+            .map(|set| repo.get_props(&path, set).unwrap())
+            .collect();
+        let stored = repo.all_props(&path).unwrap();
+        for (set, got) in sets.iter().zip(named) {
+            let expected: Vec<Option<Property>> = set
+                .iter()
+                .map(|n| stored.iter().find(|p| &p.name == n).cloned())
+                .collect();
+            assert_eq!(got, expected, "{context}: {path} {set:?}");
+        }
+    }
+}
+
+/// Run a seeded named-read history on `repo`, checking after every
+/// step, and check that the index both answered and declined reads.
+fn named_history(repo: &dyn Repository, seed: u64, context: &str) {
+    let registry = pse_obs::Registry::new();
+    repo.register_obs(&registry);
+    let _ = repo.mkcol("/c0");
+    let _ = repo.mkcol("/c1");
+    let mut rng = seed;
+    for step in 0..60 {
+        named_step(repo, &mut rng);
+        assert_named_reads_match_stored(repo, &format!("{context} step={step}"));
+    }
+    let snap = registry.snapshot();
+    let answered = snap.counter("dav.propindex.reads_answered");
+    let declined = snap.counter("dav.propindex.reads_declined");
+    assert!(
+        answered > 0 && declined > 0,
+        "{context}: {answered} {declined}"
+    );
+}
+
+#[test]
+fn named_reads_equal_the_stored_properties() {
+    use pse_dbm::DbmKind;
+    for seed in [3u64, 17, 2001] {
+        named_history(&MemRepository::new(), seed, &format!("mem seed={seed}"));
+        // GDBM with the property cache on, SDBM with it off.
+        for (kind, cache) in [(DbmKind::Gdbm, 64 * 1024), (DbmKind::Sdbm, 0)] {
+            let context = format!("fs {kind:?} seed={seed}");
+            let dir = temp_dir("named");
+            let config = FsConfig {
+                dbm_kind: kind,
+                max_property_size: 1100,
+                property_cache_bytes: cache,
+                ..FsConfig::default()
+            };
+            let repo = FsRepository::create(&dir, config.clone()).unwrap();
+            named_history(&repo, seed, &context);
+            drop(repo);
+            let repo = FsRepository::create(&dir, config).unwrap();
+            assert_named_reads_match_stored(&repo, &format!("{context} reopened"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 

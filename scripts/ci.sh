@@ -14,7 +14,8 @@
 #    workspace and is not formatted here), and clippy with warnings
 #    denied on the crates where we hold the bar at zero (pse-cache,
 #    pse-obs, pse-xml, pse-http, pse-dbm, pse-oodb, pse-ftp, pse-dav,
-#    pse-ecce and pse-cluster today). Each is skipped with a notice if its component is not
+#    pse-ecce, pse-cluster, pse-bench and the root package davpse
+#    today). Each is skipped with a notice if its component is not
 #    installed.
 # 5. Adversarial wire tests: the incremental-parser matrix (trickled
 #    bytes, split heads, pipelining, oversized headers, half-close)
@@ -137,7 +138,7 @@ else
 fi
 
 if cargo clippy --version >/dev/null 2>&1; then
-    for crate in pse-cache pse-obs pse-xml pse-http pse-dbm pse-oodb pse-ftp pse-dav pse-ecce pse-cluster; do
+    for crate in pse-cache pse-obs pse-xml pse-http pse-dbm pse-oodb pse-ftp pse-dav pse-ecce pse-cluster pse-bench davpse; do
         echo "==> lint: cargo clippy -p $crate --all-targets -- -D warnings"
         cargo clippy -p "$crate" --all-targets -- -D warnings
     done

@@ -868,9 +868,13 @@ fn histories(store: &VersionStore) -> Vec<(String, HistoryImage)> {
         .collect()
 }
 
+/// One document's history as replay rebuilds it: the path, each
+/// version's (number, length, body), and whether it is checked out.
+type ReplayedHistory = (String, Vec<(u32, u64, Vec<u8>)>, bool);
+
 /// Histories as replay rebuilds them: creation times are each node's
 /// own clock, so only numbers, lengths, bodies and checkout state.
-fn replayed_histories(store: &VersionStore) -> Vec<(String, Vec<(u32, u64, Vec<u8>)>, bool)> {
+fn replayed_histories(store: &VersionStore) -> Vec<ReplayedHistory> {
     histories(store)
         .into_iter()
         .map(|(p, h)| {
@@ -1017,7 +1021,7 @@ fn stalled_replica_storm_stays_under_the_cap_and_resyncs_histories() {
         body[..8].copy_from_slice(&i.to_le_bytes());
         c.put(&format!("/s/big{}", i % 4), body, None).unwrap();
         written += 1 << 20;
-        if i % 4 == 0 {
+        if i.is_multiple_of(4) {
             c.checkout("/s/doc").unwrap();
             c.put("/s/doc", format!("/s/doc v{i}"), Some("text/plain"))
                 .unwrap();
@@ -1177,7 +1181,7 @@ fn search_routes_to_replicas_and_replica_indexes_agree() {
 fn hooked_repository_index_equivalent_to_scan() {
     let dir = temp_dir("hooked-eq");
     let log = ChangeLog::open(&dir.join("log")).unwrap();
-    let repo = FsRepository::create(&dir.join("data"), FsConfig::default()).unwrap();
+    let repo = FsRepository::create(dir.join("data"), FsConfig::default()).unwrap();
     log.record_commits(&repo);
     let names = prop_names();
     let vals = ["H2O", "UO2", "0", "-2.5", "3.5", "long"];
