@@ -78,7 +78,9 @@
 #    round trips, pipelined framing on one connection; covered
 #    queries, answered from the index alone, against values that are
 #    not plain text and a property in no namespace; the torn-answer
-#    detector: a covered SEARCH racing PROPPATCH, COPY and MOVE), the
+#    detector: a covered SEARCH racing PROPPATCH, COPY and MOVE; named
+#    reads, answered from the index where it can, equal to the stored
+#    values over random histories on mem, GDBM and SDBM), the
 #    propindex (covered probe, plain-text flag through snapshot,
 #    journal and a v1-snapshot rebuild), planner, property and fsrepo
 #    unit suites (cold and warm named reads), the cluster SEARCH
