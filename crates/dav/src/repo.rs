@@ -1129,6 +1129,39 @@ mod tests {
         assert_ne!(m1.etag(), m3.etag());
     }
 
+    /// A named read answered from the index still answers `NotFound`
+    /// for a path that DELETE or MOVE removed, though the path held
+    /// index entries before.
+    #[test]
+    fn named_reads_of_removed_paths_are_not_found() {
+        let dir = std::env::temp_dir().join(format!("pse-repo-removed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = crate::fsrepo::FsRepository::create(&dir, Default::default()).unwrap();
+        let mem = crate::memrepo::MemRepository::new();
+        let name = PropertyName::new("urn:x", "p");
+        let names = std::slice::from_ref(&name);
+        for repo in [&fs as &dyn Repository, &mem] {
+            repo.mkcol("/c").unwrap();
+            repo.put("/c/doc", b"x", None).unwrap();
+            repo.put("/moved", b"x", None).unwrap();
+            for path in ["/c", "/c/doc", "/moved"] {
+                repo.set_prop(path, &Property::text(name.clone(), path))
+                    .unwrap();
+            }
+            repo.delete("/c").unwrap();
+            repo.rename("/moved", "/there", false).unwrap();
+            for path in ["/c", "/c/doc", "/moved"] {
+                let got = repo.get_props(path, names);
+                assert!(matches!(got, Err(DavError::NotFound(_))), "{path} {got:?}");
+            }
+            assert_eq!(
+                repo.get_props("/there", names).unwrap(),
+                [Some(Property::text(name.clone(), "/moved"))]
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn commit_hook_sees_canonical_paths_and_its_error_reaches_the_caller() {
         use std::sync::Mutex;
