@@ -722,11 +722,6 @@ impl Store for FsStore {
         Ok(out)
     }
 
-    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-        let (_, m) = self.check_exists(path)?;
-        self.snapshot(path, m.is_dir())?.prop(name)
-    }
-
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
         // A cached snapshot answers directly; on a miss only the named
         // keys are fetched and nothing is cached, so a SEARCH over many
@@ -757,12 +752,6 @@ impl Store for FsStore {
             .collect()
     }
 
-    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-        let (_, m) = self.check_exists(path)?;
-        let snap = self.snapshot(path, m.is_dir())?;
-        Ok(snap.props.iter().map(|(n, _)| n.clone()).collect())
-    }
-
     fn all_props(&self, path: &str) -> Result<Vec<Property>> {
         // Live + dead properties from a single metadata read and a
         // single snapshot under one lock hold — the view PROPFIND
@@ -783,30 +772,6 @@ impl Store for FsStore {
             .iter()
             .filter_map(|(name, data)| Property::from_storage(name.clone(), data).ok())
             .collect())
-    }
-
-    fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-        let (_, m) = self.check_exists(path)?;
-        let stored = prop.to_storage();
-        self.check_size(&stored)?;
-        let mut db = self
-            .open_props(path, m.is_dir(), true)?
-            .expect("create=true always yields a database");
-        db.store(&prop.name.storage_key(), &stored, StoreMode::Replace)?;
-        self.invalidate_path(path);
-        Ok(())
-    }
-
-    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-        let (_, m) = self.check_exists(path)?;
-        let Some(mut db) = self.open_props(path, m.is_dir(), false)? else {
-            return Ok(false);
-        };
-        let removed = db.delete(&name.storage_key())?;
-        if removed {
-            self.invalidate_path(path);
-        }
-        Ok(removed)
     }
 
     fn patch_props(
@@ -1183,10 +1148,11 @@ mod tests {
         r.set_prop("/c/doc", &Property::text(name.clone(), "v1"))
             .unwrap();
 
-        // First read populates the cache; repeats hit it.
+        // First read populates the cache; repeats hit it. (A named read
+        // caches nothing on a miss, so the reads here are allprop.)
         let before = r.cache_stats();
-        r.get_prop("/c/doc", &name).unwrap().unwrap();
-        r.get_prop("/c/doc", &name).unwrap().unwrap();
+        r.all_props("/c/doc").unwrap();
+        r.all_props("/c/doc").unwrap();
         r.list_props("/c/doc").unwrap();
         let after = r.cache_stats();
         assert_eq!(after.misses, before.misses + 1, "one cold load");
@@ -1201,7 +1167,7 @@ mod tests {
         );
 
         // Deleting the parent collection flushes the whole subtree.
-        r.get_prop("/c/doc", &name).unwrap();
+        r.all_props("/c/doc").unwrap();
         let before = r.cache_stats();
         r.delete("/c").unwrap();
         let after = r.cache_stats();

@@ -513,7 +513,8 @@ impl<R: Repository> DavHandler<R> {
         }
         let depth = Depth::parse(req.headers.get("Depth"));
         let created = if !is_move && depth == Depth::Zero && self.repo.meta(&src)?.is_collection {
-            // Shallow collection copy: new empty collection + properties.
+            // Shallow collection copy: new empty collection, then the
+            // dead properties in one all-or-nothing patch.
             let existed = self.repo.exists(&dst);
             if existed && !overwrite {
                 return Err(DavError::PreconditionFailed(format!("{dst} exists")));
@@ -522,10 +523,15 @@ impl<R: Repository> DavHandler<R> {
                 self.repo.delete(&dst)?;
             }
             self.repo.mkcol(&dst)?;
-            for name in self.repo.list_props(&src)? {
-                if let Some(p) = self.repo.get_prop(&src, &name)? {
-                    self.repo.set_prop(&dst, &p)?;
-                }
+            let ops: Vec<PropPatchOp> = self
+                .repo
+                .all_props(&src)?
+                .into_iter()
+                .filter(|p| !p.name.is_live())
+                .map(PropPatchOp::Set)
+                .collect();
+            if !ops.is_empty() {
+                self.repo.patch_props(&dst, &ops).map_err(|(_, e)| e)?;
             }
             !existed
         } else if is_move {
@@ -1484,6 +1490,55 @@ mod tests {
         );
     }
 
+    /// A Depth 0 COPY of a collection carries every dead property in
+    /// one patch: the commit hook sees the MKCOL and one `PatchProps`.
+    #[test]
+    fn shallow_collection_copy_patches_once() {
+        use std::sync::Mutex;
+        let h = handler();
+        h.handle(req(Method::MkCol, "/a"));
+        let body = r#"<D:propertyupdate xmlns:D="DAV:" xmlns:e="urn:e">
+          <D:set><D:prop><e:x>1</e:x><e:y>2</e:y><e:z>3</e:z></D:prop></D:set>
+          </D:propertyupdate>"#;
+        h.handle(req(Method::PropPatch, "/a").with_xml_body(body));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        h.repo().set_commit_hook(move |change| {
+            let kind = format!("{change:?}");
+            let kind = kind.split(' ').next().unwrap_or_default().to_owned();
+            log.lock().unwrap().push(kind);
+            Ok(())
+        });
+        let resp = h.handle(
+            req(Method::Copy, "/a")
+                .with_header("Destination", "/b")
+                .with_header("Depth", "0"),
+        );
+        assert_eq!(resp.status.code(), 201);
+        assert_eq!(*seen.lock().unwrap(), ["Mkcol", "PatchProps"]);
+        let names = h.repo().list_props("/b").unwrap();
+        let locals: Vec<_> = names.iter().map(|n| n.local.as_str()).collect();
+        assert_eq!(locals, ["x", "y", "z"]);
+    }
+
+    /// A character reference outside XML's `Char` production is a
+    /// malformed body: the PROPPATCH answers 400 and stores nothing.
+    #[test]
+    fn proppatch_with_an_illegal_character_reference_is_400() {
+        let h = handler();
+        h.handle(req(Method::Put, "/d").with_body(""));
+        for body in [
+            r#"<D:propertyupdate xmlns:D="DAV:" xmlns:e="urn:a&#0;b">
+              <D:set><D:prop><e:k>v</e:k></D:prop></D:set></D:propertyupdate>"#,
+            r#"<D:propertyupdate xmlns:D="DAV:" xmlns:e="urn:e">
+              <D:set><D:prop><e:k>a&#x1;b</e:k></D:prop></D:set></D:propertyupdate>"#,
+        ] {
+            let resp = h.handle(req(Method::PropPatch, "/d").with_xml_body(body));
+            assert_eq!(resp.status.code(), 400, "{body}");
+        }
+        assert!(h.repo().list_props("/d").unwrap().is_empty());
+    }
+
     #[test]
     fn lock_blocks_writes_without_token() {
         let h = handler();
@@ -2348,21 +2403,19 @@ mod tests {
         fn list(&self, path: &str) -> Result<Vec<String>> {
             self.inner.list(path)
         }
-        fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-            self.inner.get_prop(path, name)
-        }
         fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
             self.get_props.fetch_add(1, Ordering::Relaxed);
             self.inner.get_props(path, names)
         }
-        fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-            self.inner.list_props(path)
+        fn patch_props(
+            &self,
+            path: &str,
+            ops: &[PropPatchOp],
+        ) -> std::result::Result<(), (usize, DavError)> {
+            self.inner.patch_props(path, ops)
         }
-        fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-            self.inner.set_prop(path, prop)
-        }
-        fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-            self.inner.remove_prop(path, name)
+        fn all_props(&self, path: &str) -> Result<Vec<Property>> {
+            self.inner.all_props(path)
         }
         fn disk_usage(&self) -> Result<u64> {
             self.inner.disk_usage()

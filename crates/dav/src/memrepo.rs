@@ -328,18 +328,10 @@ impl Store for MemStore {
         Ok(out)
     }
 
-    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-        self.with_node(path, |n| n.props.get(name).cloned())
-    }
-
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
         self.with_node(path, |n| {
             names.iter().map(|nm| n.props.get(nm).cloned()).collect()
         })
-    }
-
-    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-        self.with_node(path, |n| n.props.keys().cloned().collect())
     }
 
     fn all_props(&self, path: &str) -> Result<Vec<Property>> {
@@ -354,25 +346,6 @@ impl Store for MemStore {
 
     fn index_entries(&self, path: &str) -> Result<Vec<Property>> {
         self.with_node(path, |n| n.props.values().cloned().collect())
-    }
-
-    fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-        self.with_node_mut(path, |n| {
-            n.props.insert(prop.name.clone(), prop.clone());
-            // Metadata edits advance the modification time so ETags and
-            // Last-Modified reflect PROPPATCH, matching the fs repository.
-            n.modified = SystemTime::now();
-        })
-    }
-
-    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-        self.with_node_mut(path, |n| {
-            let removed = n.props.remove(name).is_some();
-            if removed {
-                n.modified = SystemTime::now();
-            }
-            removed
-        })
     }
 
     fn patch_props(

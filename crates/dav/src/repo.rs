@@ -145,18 +145,6 @@ pub trait Repository: Send + Sync + 'static {
     /// Names (not paths) of a collection's children, sorted.
     fn list(&self, path: &str) -> Result<Vec<String>>;
 
-    /// Read one dead property.
-    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>>;
-
-    /// All dead property names on `path`.
-    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>>;
-
-    /// Write one dead property.
-    fn set_prop(&self, path: &str, prop: &Property) -> Result<()>;
-
-    /// Remove one dead property; `Ok(false)` when it was absent.
-    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool>;
-
     /// Total bytes the repository occupies on disk (data + metadata) —
     /// the figure the §3.2.4 migration study compares across backends.
     fn disk_usage(&self) -> Result<u64>;
@@ -233,75 +221,64 @@ pub trait Repository: Send + Sync + 'static {
     }
 
     /// Read several dead properties in one call (`None` per absent
-    /// name). The default loops [`get_prop`](Repository::get_prop);
-    /// concurrent repositories override it to resolve every name from
-    /// one consistent snapshot, so a racing PROPPATCH can never yield a
-    /// torn multi-property read.
-    fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
-        names.iter().map(|n| self.get_prop(path, n)).collect()
-    }
+    /// name), all from one consistent state of `path`, so a racing
+    /// PROPPATCH can never yield a torn multi-property read.
+    fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>>;
 
     /// Apply a whole PROPPATCH: instructions in document order, all or
-    /// nothing (RFC 2518 §8.2). On failure, returns the index of the
-    /// offending instruction plus its error; prior instructions have
-    /// been rolled back. The default journals prior values through the
-    /// single-property methods — atomic against failures but not
-    /// against concurrent readers; concurrent repositories override it
-    /// to swap the property set under one exclusive path lock.
+    /// nothing (RFC 2518 §8.2). Setting a live property is refused with
+    /// `BadRequest`. On failure, returns the index of the offending
+    /// instruction plus its error; prior instructions have been rolled
+    /// back.
     fn patch_props(
         &self,
         path: &str,
         ops: &[PropPatchOp],
-    ) -> std::result::Result<(), (usize, DavError)> {
-        let mut journal: Vec<(PropertyName, Option<Property>)> = Vec::new();
-        let mut failure: Option<(usize, DavError)> = None;
-        for (i, op) in ops.iter().enumerate() {
-            let applied: Result<()> = match op {
-                PropPatchOp::Set(p) if p.name.is_live() => {
-                    Err(DavError::BadRequest("cannot set a live property".into()))
-                }
-                PropPatchOp::Set(p) => self.get_prop(path, &p.name).and_then(|prior| {
-                    self.set_prop(path, p)?;
-                    journal.push((p.name.clone(), prior));
-                    Ok(())
-                }),
-                PropPatchOp::Remove(n) => self.get_prop(path, n).and_then(|prior| {
-                    if self.remove_prop(path, n)? {
-                        journal.push((n.clone(), prior));
-                    }
-                    Ok(())
-                }),
-            };
-            if let Err(e) = applied {
-                failure = Some((i, e));
-                break;
-            }
-        }
-        let Some(fail) = failure else {
-            return Ok(());
-        };
-        for (name, prior) in journal.into_iter().rev() {
-            match prior {
-                Some(p) => {
-                    let _ = self.set_prop(path, &p);
-                }
-                None => {
-                    let _ = self.remove_prop(path, &name);
-                }
-            }
-        }
-        Err(fail)
+    ) -> std::result::Result<(), (usize, DavError)>;
+
+    /// Dead + live properties together (PROPFIND allprop), from one
+    /// consistent state of `path`.
+    fn all_props(&self, path: &str) -> Result<Vec<Property>>;
+
+    /// Read one dead property: [`get_props`](Repository::get_props) of
+    /// one name.
+    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
+        let names = std::slice::from_ref(name);
+        Ok(self.get_props(path, names)?.pop().flatten())
     }
 
-    /// Dead + live properties together (PROPFIND allprop).
-    fn all_props(&self, path: &str) -> Result<Vec<Property>> {
-        let mut props = self.live_props(path)?;
-        for name in self.list_props(path)? {
-            if let Some(p) = self.get_prop(path, &name)? {
-                props.push(p);
-            }
+    /// All dead property names on `path`: the dead names of
+    /// [`all_props`](Repository::all_props), so it fails where that does.
+    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
+        Ok(self
+            .all_props(path)?
+            .into_iter()
+            .map(|p| p.name)
+            .filter(|n| !n.is_live())
+            .collect())
+    }
+
+    /// Write one dead property: a one-instruction
+    /// [`patch_props`](Repository::patch_props), so a live name is
+    /// refused as PROPPATCH refuses it.
+    fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
+        self.patch_props(path, &[PropPatchOp::Set(prop.clone())])
+            .map_err(|(_, e)| e)
+    }
+
+    /// Remove one dead property; `Ok(false)` when it was absent. It
+    /// reads with [`get_props`](Repository::get_props) and patches only
+    /// when the name is present, so removing an absent name changes
+    /// and reports nothing. The read and the patch are two calls: two
+    /// racing removes of one name may both answer `true`.
+    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
+        let names = std::slice::from_ref(name);
+        if self.get_props(path, names)?.pop().flatten().is_none() {
+            return Ok(false);
         }
-        Ok(props)
+        self.patch_props(path, &[PropPatchOp::Remove(name.clone())])
+            .map_err(|(_, e)| e)?;
+        Ok(true)
     }
 
     /// Walk a subtree depth-first, calling `visit` with each path.
@@ -467,16 +444,12 @@ pub trait Store: Send + Sync + 'static {
     fn copy(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool>;
     fn rename(&self, src: &str, dst: &str, overwrite: bool) -> Result<bool>;
     fn list(&self, path: &str) -> Result<Vec<String>>;
-    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>>;
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>>;
-    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>>;
     fn all_props(&self, path: &str) -> Result<Vec<Property>>;
     /// Every dead property of `path`, as stored: what the property
     /// index derives its entries (text, plain-text flag) from.
     /// `NotFound` when absent.
     fn index_entries(&self, path: &str) -> Result<Vec<Property>>;
-    fn set_prop(&self, path: &str, prop: &Property) -> Result<()>;
-    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool>;
     fn patch_props(
         &self,
         path: &str,
@@ -740,10 +713,6 @@ impl<S: Store> Repository for Repo<S> {
         self.read(path, S::list)
     }
 
-    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-        self.read(path, |s, p| s.get_prop(p, name))
-    }
-
     fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
         // The index answers when it holds every name as plain text or
         // not at all; otherwise the whole read goes to the store, so each
@@ -756,33 +725,16 @@ impl<S: Store> Repository for Repo<S> {
         })
     }
 
-    fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-        self.read(path, S::list_props)
-    }
-
     fn all_props(&self, path: &str) -> Result<Vec<Property>> {
         self.read(path, S::all_props)
     }
 
-    fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-        self.write(path, |s, p| {
-            s.set_prop(p, prop)?;
-            let ops = [PropPatchOp::Set(prop.clone())];
-            self.index.patch(p, &ops);
-            self.commit(Change::PatchProps { path: p, ops: &ops })
-        })
-    }
-
-    fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-        self.write(path, |s, p| {
-            let removed = s.remove_prop(p, name)?;
-            if removed {
-                let ops = [PropPatchOp::Remove(name.clone())];
-                self.index.patch(p, &ops);
-                self.commit(Change::PatchProps { path: p, ops: &ops })?;
-            }
-            Ok(removed)
-        })
+    /// A one-name read goes to the store, not the index, so it reports
+    /// a property database that has become unreadable.
+    fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
+        let names = std::slice::from_ref(name);
+        let mut read = self.read(path, |s, p| s.get_props(p, names))?;
+        Ok(read.pop().flatten())
     }
 
     fn patch_props(
@@ -1158,6 +1110,26 @@ mod tests {
                 repo.get_props("/there", names).unwrap(),
                 [Some(Property::text(name.clone(), "/moved"))]
             );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `set_prop` is a one-instruction PROPPATCH, so it refuses a live
+    /// name as PROPPATCH does, and stores nothing.
+    #[test]
+    fn set_prop_refuses_a_live_name() {
+        let dir = std::env::temp_dir().join(format!("pse-repo-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = crate::fsrepo::FsRepository::create(&dir, Default::default()).unwrap();
+        let mem = crate::memrepo::MemRepository::new();
+        let etag = PropertyName::dav("getetag");
+        for repo in [&fs as &dyn Repository, &mem] {
+            repo.put("/doc", b"x", None).unwrap();
+            let before = repo.meta("/doc").unwrap().etag();
+            let got = repo.set_prop("/doc", &Property::text(etag.clone(), "\"forged\""));
+            assert!(matches!(got, Err(DavError::BadRequest(_))), "{got:?}");
+            assert!(repo.list_props("/doc").unwrap().is_empty());
+            assert_eq!(repo.meta("/doc").unwrap().etag(), before);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -999,17 +999,15 @@ mod tests {
         fn list(&self, path: &str) -> Result<Vec<String>> {
             self.inner.list(path)
         }
-        fn get_prop(&self, path: &str, name: &PropertyName) -> Result<Option<Property>> {
-            self.inner.get_prop(path, name)
+        fn get_props(&self, path: &str, names: &[PropertyName]) -> Result<Vec<Option<Property>>> {
+            self.inner.get_props(path, names)
         }
-        fn list_props(&self, path: &str) -> Result<Vec<PropertyName>> {
-            self.inner.list_props(path)
-        }
-        fn set_prop(&self, path: &str, prop: &Property) -> Result<()> {
-            self.inner.set_prop(path, prop)
-        }
-        fn remove_prop(&self, path: &str, name: &PropertyName) -> Result<bool> {
-            self.inner.remove_prop(path, name)
+        fn patch_props(
+            &self,
+            path: &str,
+            ops: &[crate::repo::PropPatchOp],
+        ) -> std::result::Result<(), (usize, DavError)> {
+            self.inner.patch_props(path, ops)
         }
         fn disk_usage(&self) -> Result<u64> {
             self.inner.disk_usage()

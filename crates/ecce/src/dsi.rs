@@ -345,7 +345,14 @@ impl<R: Repository> DataStorage for InProcStorage<R> {
     }
 
     fn get_meta_bulk(&mut self, path: &str, keys: &[&str]) -> Result<Vec<Option<String>>> {
-        keys.iter().map(|k| self.get_meta(path, k)).collect()
+        // One read: every key comes from the same state of `path`.
+        let names: Vec<PropertyName> = keys.iter().map(|k| ecce_prop(k)).collect();
+        Ok(self
+            .repo
+            .get_props(path, &names)?
+            .into_iter()
+            .map(|p| p.map(|p| p.text_value()))
+            .collect())
     }
 
     fn remove_meta(&mut self, path: &str, key: &str) -> Result<()> {

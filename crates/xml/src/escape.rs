@@ -53,8 +53,10 @@ fn escape_with(s: &str, attr: bool) -> Cow<'_, str> {
 /// Expand the predefined entities and numeric character references in `s`.
 ///
 /// Errors on `&name;` where `name` is not one of the five predefined
-/// entities, on malformed character references, and on a bare `&` that
-/// never closes with `;`.
+/// entities, on malformed character references, on references to a
+/// character outside XML 1.0's `Char` production (§2.2, WFC: Legal
+/// Character — `&#0;` and the other C0 controls but tab, LF and CR, and
+/// U+FFFE/U+FFFF), and on a bare `&` that never closes with `;`.
 pub fn unescape(s: &str) -> Result<Cow<'_, str>> {
     if !s.contains('&') {
         return Ok(Cow::Borrowed(s));
@@ -93,9 +95,16 @@ fn expand_entity(entity: &str) -> Result<char> {
             } else {
                 body.parse::<u32>().map_err(|_| unknown())?
             };
-            char::from_u32(code).ok_or_else(unknown)
+            char::from_u32(code)
+                .filter(|&c| is_xml_char(c))
+                .ok_or_else(unknown)
         }
     }
+}
+
+/// XML 1.0's `Char` production; `char` already excludes surrogates.
+fn is_xml_char(c: char) -> bool {
+    matches!(c, '\t' | '\n' | '\r' | '\u{20}'..='\u{FFFD}' | '\u{10000}'..)
 }
 
 #[cfg(test)]
@@ -132,6 +141,12 @@ mod tests {
     fn unescape_character_references() {
         assert_eq!(unescape("&#65;&#x42;&#X43;").unwrap(), "ABC");
         assert_eq!(unescape("snow &#x2603;").unwrap(), "snow \u{2603}");
+        // The edges of XML's `Char` production expand.
+        assert_eq!(unescape("&#9;&#10;&#13;&#32;").unwrap(), "\t\n\r ");
+        assert_eq!(
+            unescape("&#xFFFD;&#x10000;&#x10FFFF;").unwrap(),
+            "\u{FFFD}\u{10000}\u{10FFFF}"
+        );
     }
 
     #[test]
@@ -141,6 +156,11 @@ mod tests {
             Err(Error::UnknownEntity { .. })
         ));
         assert!(unescape("&#xZZ;").is_err());
+        // Characters outside XML's `Char` production.
+        for r in ["&#0;", "&#1;", "&#8;", "&#x1F;", "&#xFFFE;", "&#xFFFF;"] {
+            assert!(unescape(r).is_err(), "{r}");
+        }
+        assert!(unescape("&#xD800;").is_err()); // a surrogate
         assert!(unescape("&#1114112;").is_err()); // beyond char::MAX
         assert!(unescape("dangling &amp").is_err());
     }

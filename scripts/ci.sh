@@ -23,7 +23,9 @@
 #    dedicated run makes a parser failure unmissable.
 # 6. Benchmark build: builds perfbench (the committed benchmark, its own
 #    Cargo workspace) and runs its unit tests, so an API change in the
-#    workspace crates that breaks the benchmark fails here.
+#    workspace crates that breaks the benchmark fails here. Building it
+#    rewrites perfbench/Cargo.lock, so the file is saved first and put
+#    back afterwards, also when the tests fail.
 # 7. With --stress: the concurrency stress suite across a 3-seed
 #    matrix at elevated thread count, the MemRepository
 #    linearizability checker, and the covered-SEARCH torn-answer
@@ -152,7 +154,16 @@ echo "==> adversarial wire tests: cargo test -q -p pse-http --test adversarial"
 cargo test -q -p pse-http --test adversarial
 
 echo "==> benchmark build + unit tests: cargo test --offline --manifest-path perfbench/Cargo.toml"
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+restore_perfbench_lock() {
+    cp "$perfbench_lock" perfbench/Cargo.lock
+    rm -f "$perfbench_lock"
+}
+trap restore_perfbench_lock EXIT
 cargo test --offline --manifest-path perfbench/Cargo.toml
+restore_perfbench_lock
+trap - EXIT
 
 if [ "$STRESS" = 1 ]; then
     : "${PSE_STRESS_OPS:=250}"
