@@ -1539,6 +1539,30 @@ mod tests {
         assert!(h.repo().list_props("/d").unwrap().is_empty());
     }
 
+    /// A raw character outside XML's `Char` production is malformed
+    /// too, in a namespace name as in a value: 400, and nothing stored.
+    #[test]
+    fn proppatch_with_a_raw_illegal_character_is_400() {
+        let h = handler();
+        h.handle(req(Method::Put, "/d").with_body(""));
+        for bad in ['\0', '\u{1}', '\u{FFFF}'] {
+            for body in [
+                format!(
+                    r#"<D:propertyupdate xmlns:D="DAV:" xmlns:e="urn:a{bad}b">
+                      <D:set><D:prop><e:k>v</e:k></D:prop></D:set></D:propertyupdate>"#
+                ),
+                format!(
+                    r#"<D:propertyupdate xmlns:D="DAV:" xmlns:e="urn:e">
+                      <D:set><D:prop><e:k>a{bad}b</e:k></D:prop></D:set></D:propertyupdate>"#
+                ),
+            ] {
+                let resp = h.handle(req(Method::PropPatch, "/d").with_xml_body(body.clone()));
+                assert_eq!(resp.status.code(), 400, "{body:?}");
+            }
+        }
+        assert!(h.repo().list_props("/d").unwrap().is_empty());
+    }
+
     #[test]
     fn lock_blocks_writes_without_token() {
         let h = handler();

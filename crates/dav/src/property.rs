@@ -150,11 +150,13 @@ impl Property {
             .into_bytes()
     }
 
-    /// Rehydrate a property from its stored form.
+    /// Rehydrate a property from its stored form. The stored bytes are
+    /// trusted: a value written in-process with a character that XML
+    /// cannot carry still reads back.
     pub fn from_storage(name: PropertyName, data: &[u8]) -> crate::Result<Property> {
         let text = std::str::from_utf8(data)
             .map_err(|_| crate::DavError::BadRequest("stored property is not UTF-8".into()))?;
-        let doc = Document::parse(text)?;
+        let doc = Document::parse_trusted(text)?;
         Ok(Property {
             name,
             value: normalize(doc.into_root()),

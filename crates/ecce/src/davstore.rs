@@ -82,10 +82,86 @@ fn optional<T>(result: Result<T>) -> Result<Option<T>> {
     }
 }
 
+/// The metadata values a calculation's collection carries: its `type`,
+/// the summary keys and, with a job, its four `job-*` values.
+fn calc_values(calc: &Calculation) -> Vec<(&'static str, String)> {
+    let mut values = vec![
+        ("type", "calculation".to_owned()),
+        ("state", calc.state.as_str().to_owned()),
+        ("theory", calc.theory.as_str().to_owned()),
+        ("runtype", calc.run_type.as_str().to_owned()),
+    ];
+    if let Some(mol) = &calc.molecule {
+        // The calculation advertises its subject's formula too, so
+        // formula queries find calculations directly.
+        values.push(("formula", mol.empirical_formula()));
+    }
+    if let Some(job) = &calc.job {
+        values.extend([
+            ("job-machine", job.machine.clone()),
+            ("job-queue", job.queue.clone()),
+            ("job-id", job.job_id.to_string()),
+            ("job-wall", format!("{}", job.wall_seconds)),
+        ]);
+    }
+    values
+}
+
+/// The metadata values of a calculation's `molecule` document, beside
+/// its `format`, which is written with the body it describes.
+fn molecule_values(mol: &Molecule) -> Vec<(&'static str, String)> {
+    vec![
+        ("formula", mol.empirical_formula()),
+        ("symmetry-group", mol.symmetry.clone()),
+        ("charge", mol.charge.to_string()),
+        ("name", mol.name.clone()),
+    ]
+}
+
+/// The pairs of `new` that `old` does not hold with the same value;
+/// every pair when `old` is `None` (nothing known to be stored).
+fn changed<'a>(
+    new: &'a [(&'static str, String)],
+    old: Option<&[(&'static str, String)]>,
+) -> Vec<(&'a str, &'a str)> {
+    new.iter()
+        .filter(|pair| !old.is_some_and(|old| old.contains(pair)))
+        .map(|(key, value)| (*key, value.as_str()))
+        .collect()
+}
+
+/// What a save knows is stored at a calculation's path.
+#[derive(Clone, Copy)]
+enum Stored<'a> {
+    /// Nothing: every part is written.
+    Unknown,
+    /// A collection the save has just created: every part is written,
+    /// and `tasks/` and `properties/` need no DELETE first.
+    Created,
+    /// The calculation this store last loaded or saved there: only the
+    /// parts that differ from it are written.
+    Image(&'a Calculation),
+}
+
+impl<'a> Stored<'a> {
+    fn image(self) -> Option<&'a Calculation> {
+        match self {
+            Stored::Image(calc) => Some(calc),
+            Stored::Unknown | Stored::Created => None,
+        }
+    }
+}
+
 /// The Ecce 2.0 store: Figure 4 over any [`DataStorage`].
+///
+/// The store remembers the one calculation it last loaded or saved
+/// (its *image*), so that saving it again writes only the parts that
+/// changed. A failed request and every other write drop the image.
 pub struct DavEcceStore<S: DataStorage> {
     storage: S,
     root: String,
+    /// The calculation last loaded or saved, with its path.
+    image: Option<(String, Calculation)>,
 }
 
 impl<S: DataStorage> DavEcceStore<S> {
@@ -96,11 +172,18 @@ impl<S: DataStorage> DavEcceStore<S> {
             storage.make_collection(&root)?;
             storage.set_meta(&root, "type", "ecce-root")?;
         }
-        Ok(DavEcceStore { storage, root })
+        Ok(DavEcceStore {
+            storage,
+            root,
+            image: None,
+        })
     }
 
     /// The underlying storage (for agents that work below the schema).
+    /// Whatever is written through it is unknown to the store, so the
+    /// next save of a calculation writes every part.
     pub fn storage(&mut self) -> &mut S {
+        self.image = None;
         &mut self.storage
     }
 
@@ -109,19 +192,28 @@ impl<S: DataStorage> DavEcceStore<S> {
         &self.root
     }
 
-    fn write_molecule(&mut self, calc_path: &str, mol: &Molecule) -> Result<()> {
+    /// Write the parts of `mol` that differ from `old`: the body (with
+    /// its `format`) and each changed value.
+    fn write_molecule(
+        &mut self,
+        calc_path: &str,
+        mol: &Molecule,
+        old: Option<&Molecule>,
+    ) -> Result<()> {
         let path = join_path(calc_path, "molecule");
-        self.storage
-            .write(&path, mol.to_xyz().as_bytes(), Some("chemical/x-xyz"))?;
-        self.storage.set_meta(&path, "format", "xyz")?;
-        self.storage
-            .set_meta(&path, "formula", &mol.empirical_formula())?;
-        self.storage
-            .set_meta(&path, "symmetry-group", &mol.symmetry)?;
-        self.storage
-            .set_meta(&path, "charge", &mol.charge.to_string())?;
-        self.storage.set_meta(&path, "name", &mol.name)?;
-        Ok(())
+        let xyz = mol.to_xyz();
+        let new_body = old.map(Molecule::to_xyz).as_ref() != Some(&xyz);
+        if new_body {
+            self.storage
+                .write(&path, xyz.as_bytes(), Some("chemical/x-xyz"))?;
+        }
+        let values = molecule_values(mol);
+        let old_values = old.map(molecule_values);
+        let mut set = changed(&values, old_values.as_deref());
+        if new_body {
+            set.insert(0, ("format", "xyz"));
+        }
+        self.storage.set_meta_bulk(&path, &set)
     }
 
     fn read_molecule(&mut self, calc_path: &str) -> Result<Option<Molecule>> {
@@ -149,11 +241,22 @@ impl<S: DataStorage> DavEcceStore<S> {
         Ok(Some(mol))
     }
 
-    fn write_basis(&mut self, calc_path: &str, basis: &BasisSet) -> Result<()> {
+    /// Write the parts of `basis` that differ from `old`.
+    fn write_basis(
+        &mut self,
+        calc_path: &str,
+        basis: &BasisSet,
+        old: Option<&BasisSet>,
+    ) -> Result<()> {
         let path = join_path(calc_path, "basisset");
-        self.storage
-            .write(&path, basis.to_text().as_bytes(), Some("text/plain"))?;
-        self.storage.set_meta(&path, "basis-name", &basis.name)?;
+        let text = basis.to_text();
+        if old.map(BasisSet::to_text).as_ref() != Some(&text) {
+            self.storage
+                .write(&path, text.as_bytes(), Some("text/plain"))?;
+        }
+        if old.map(|b| &b.name) != Some(&basis.name) {
+            self.storage.set_meta(&path, "basis-name", &basis.name)?;
+        }
         Ok(())
     }
 
@@ -165,17 +268,23 @@ impl<S: DataStorage> DavEcceStore<S> {
         Ok(Some(BasisSet::from_text(&String::from_utf8_lossy(&body))?))
     }
 
-    fn write_tasks(&mut self, calc_path: &str, tasks: &[Task]) -> Result<()> {
+    /// Rebuild `tasks/`; `stale` says whether an old one may exist.
+    fn write_tasks(&mut self, calc_path: &str, tasks: &[Task], stale: bool) -> Result<()> {
         let dir = join_path(calc_path, "tasks");
-        optional(self.storage.delete(&dir))?;
+        if stale {
+            optional(self.storage.delete(&dir))?;
+        }
         self.storage.make_collection(&dir)?;
         for task in tasks {
             let path = join_path(&dir, &task.name);
             self.storage.write(&path, b"", None)?;
-            self.storage
-                .set_meta(&path, "sequence", &task.sequence.to_string())?;
-            self.storage
-                .set_meta(&path, "runtype", task.run_type.as_str())?;
+            self.storage.set_meta_bulk(
+                &path,
+                &[
+                    ("sequence", &task.sequence.to_string()),
+                    ("runtype", task.run_type.as_str()),
+                ],
+            )?;
         }
         Ok(())
     }
@@ -198,17 +307,26 @@ impl<S: DataStorage> DavEcceStore<S> {
         Ok(tasks)
     }
 
-    fn write_properties(&mut self, calc_path: &str, props: &[OutputProperty]) -> Result<()> {
+    /// Rebuild `properties/`; `stale` says whether an old one may exist.
+    fn write_properties(
+        &mut self,
+        calc_path: &str,
+        props: &[OutputProperty],
+        stale: bool,
+    ) -> Result<()> {
         let dir = join_path(calc_path, "properties");
-        optional(self.storage.delete(&dir))?;
+        if stale {
+            optional(self.storage.delete(&dir))?;
+        }
         self.storage.make_collection(&dir)?;
         for p in props {
             let path = join_path(&dir, &p.name);
             self.storage
                 .write(&path, p.to_text().as_bytes(), Some("text/plain"))?;
-            self.storage.set_meta(&path, "units", &p.units)?;
-            self.storage
-                .set_meta(&path, "size", &p.value.len().to_string())?;
+            self.storage.set_meta_bulk(
+                &path,
+                &[("units", &p.units), ("size", &p.value.len().to_string())],
+            )?;
         }
         Ok(())
     }
@@ -223,15 +341,96 @@ impl<S: DataStorage> DavEcceStore<S> {
         Ok(props)
     }
 
-    fn write_job(&mut self, calc_path: &str, job: &Job) -> Result<()> {
+    /// Write the parts of `calc` that differ from what is `stored`: one
+    /// PROPPATCH per resource with changed values, a PUT per changed
+    /// body, and `tasks/` or `properties/` rebuilt when their lists
+    /// differ.
+    fn write_calculation(&mut self, path: &str, calc: &Calculation, stored: Stored) -> Result<()> {
+        let old = stored.image();
+        let new_values = calc_values(calc);
+        let old_values = old.map(calc_values);
         self.storage
-            .set_meta(calc_path, "job-machine", &job.machine)?;
-        self.storage.set_meta(calc_path, "job-queue", &job.queue)?;
-        self.storage
-            .set_meta(calc_path, "job-id", &job.job_id.to_string())?;
-        self.storage
-            .set_meta(calc_path, "job-wall", &format!("{}", job.wall_seconds))?;
+            .set_meta_bulk(path, &changed(&new_values, old_values.as_deref()))?;
+        if let Some(mol) = &calc.molecule {
+            let old_mol = old.and_then(|o| o.molecule.as_ref());
+            self.write_molecule(path, mol, old_mol)?;
+        }
+        if let Some(basis) = &calc.basis {
+            let old_basis = old.and_then(|o| o.basis.as_ref());
+            self.write_basis(path, basis, old_basis)?;
+        }
+        if let Some(deck) = &calc.input_deck {
+            if old.and_then(|o| o.input_deck.as_ref()) != Some(deck) {
+                self.storage.write(
+                    &join_path(path, "input.nw"),
+                    deck.as_bytes(),
+                    Some("text/plain"),
+                )?;
+            }
+        }
+        let stale = !matches!(stored, Stored::Created);
+        if !calc.tasks.is_empty() && old.map(|o| &o.tasks) != Some(&calc.tasks) {
+            self.write_tasks(path, &calc.tasks, stale)?;
+        }
+        if !calc.properties.is_empty() && old.map(|o| &o.properties) != Some(&calc.properties) {
+            self.write_properties(path, &calc.properties, stale)?;
+        }
         Ok(())
+    }
+
+    /// Take the image if it is of `path`. The slot is empty afterwards
+    /// either way, so a save that fails midway leaves no image behind.
+    fn take_image(&mut self, path: &str) -> Option<Calculation> {
+        self.image.take().filter(|(p, _)| p == path).map(|(_, c)| c)
+    }
+
+    /// Write `calc` at `path` and keep it as the image once every
+    /// request has succeeded.
+    fn save_at(&mut self, path: &str, calc: &Calculation, stored: Stored) -> Result<()> {
+        self.write_calculation(path, calc, stored)?;
+        self.image = Some((path.to_owned(), calc.clone()));
+        Ok(())
+    }
+
+    /// Read a whole calculation, without touching the image.
+    fn read_calculation(&mut self, path: &str) -> Result<Calculation> {
+        // The calculation's own metadata and its job's, in one request.
+        let meta = self.storage.get_meta_bulk(
+            path,
+            &[
+                "type",
+                "state",
+                "theory",
+                "runtype",
+                "job-machine",
+                "job-queue",
+                "job-id",
+                "job-wall",
+            ],
+        )?;
+        if meta[0].as_deref() != Some("calculation") {
+            return Err(EcceError::NotFound(format!("{path} is not a calculation")));
+        }
+        let mut calc = Calculation::new(pse_http::uri::basename(path));
+        calc.state = meta[1]
+            .as_deref()
+            .and_then(CalcState::parse)
+            .unwrap_or(CalcState::Created);
+        calc.theory = meta[2]
+            .as_deref()
+            .and_then(Theory::parse)
+            .unwrap_or(Theory::Scf);
+        calc.run_type = meta[3]
+            .as_deref()
+            .and_then(RunType::parse)
+            .unwrap_or(RunType::Energy);
+        calc.molecule = self.read_molecule(path)?;
+        calc.basis = self.read_basis(path)?;
+        calc.input_deck = self.load_input_of(path)?;
+        calc.tasks = self.read_tasks(path)?;
+        calc.job = job_from(&meta[4..]);
+        calc.properties = self.read_properties(path)?;
+        Ok(calc)
     }
 
     // ---- versioning: the revert-a-calculation flow ----
@@ -272,12 +471,14 @@ impl<S: DataStorage> DavEcceStore<S> {
     /// Restore the calculation's molecule to `version` (recorded as a
     /// new version — history is append-only).
     pub fn revert_molecule(&mut self, calc_path: &str, version: u32) -> Result<()> {
+        self.image = None;
         self.storage
             .revert_to(&join_path(calc_path, "molecule"), version)
     }
 
     /// Restore the generated input deck to `version`.
     pub fn revert_input_deck(&mut self, calc_path: &str, version: u32) -> Result<()> {
+        self.image = None;
         self.storage
             .revert_to(&join_path(calc_path, "input.nw"), version)
     }
@@ -289,6 +490,7 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
     }
 
     fn create_project(&mut self, project: &Project) -> Result<String> {
+        self.image = None;
         let path = join_path(&self.root, &project.name);
         self.storage.make_collection(&path)?;
         self.storage.set_meta(&path, "type", "project")?;
@@ -321,86 +523,27 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
 
     fn save_calculation(&mut self, project: &str, calc: &Calculation) -> Result<String> {
         let path = join_path(project, &calc.name);
-        if !self.storage.exists(&path)? {
+        let image = self.take_image(&path);
+        let stored = if self.storage.exists(&path)? {
+            image.as_ref().map_or(Stored::Unknown, Stored::Image)
+        } else {
             self.storage.make_collection(&path)?;
-        }
-        self.storage.set_meta(&path, "type", "calculation")?;
-        self.update_calculation(&path, calc)?;
+            Stored::Created
+        };
+        self.save_at(&path, calc, stored)?;
         Ok(path)
     }
 
     fn update_calculation(&mut self, path: &str, calc: &Calculation) -> Result<()> {
-        self.storage.set_meta(path, "state", calc.state.as_str())?;
-        self.storage
-            .set_meta(path, "theory", calc.theory.as_str())?;
-        self.storage
-            .set_meta(path, "runtype", calc.run_type.as_str())?;
-        if let Some(mol) = &calc.molecule {
-            self.write_molecule(path, mol)?;
-            // The calculation advertises its subject's formula too, so
-            // formula queries find calculations directly.
-            self.storage
-                .set_meta(path, "formula", &mol.empirical_formula())?;
-        }
-        if let Some(basis) = &calc.basis {
-            self.write_basis(path, basis)?;
-        }
-        if let Some(deck) = &calc.input_deck {
-            self.storage.write(
-                &join_path(path, "input.nw"),
-                deck.as_bytes(),
-                Some("text/plain"),
-            )?;
-        }
-        if !calc.tasks.is_empty() {
-            self.write_tasks(path, &calc.tasks)?;
-        }
-        if let Some(job) = &calc.job {
-            self.write_job(path, job)?;
-        }
-        if !calc.properties.is_empty() {
-            self.write_properties(path, &calc.properties)?;
-        }
-        Ok(())
+        let image = self.take_image(path);
+        let stored = image.as_ref().map_or(Stored::Unknown, Stored::Image);
+        self.save_at(path, calc, stored)
     }
 
     fn load_calculation(&mut self, path: &str) -> Result<Calculation> {
-        // The calculation's own metadata and its job's, in one request.
-        let meta = self.storage.get_meta_bulk(
-            path,
-            &[
-                "type",
-                "state",
-                "theory",
-                "runtype",
-                "job-machine",
-                "job-queue",
-                "job-id",
-                "job-wall",
-            ],
-        )?;
-        if meta[0].as_deref() != Some("calculation") {
-            return Err(EcceError::NotFound(format!("{path} is not a calculation")));
-        }
-        let mut calc = Calculation::new(pse_http::uri::basename(path));
-        calc.state = meta[1]
-            .as_deref()
-            .and_then(CalcState::parse)
-            .unwrap_or(CalcState::Created);
-        calc.theory = meta[2]
-            .as_deref()
-            .and_then(Theory::parse)
-            .unwrap_or(Theory::Scf);
-        calc.run_type = meta[3]
-            .as_deref()
-            .and_then(RunType::parse)
-            .unwrap_or(RunType::Energy);
-        calc.molecule = self.read_molecule(path)?;
-        calc.basis = self.read_basis(path)?;
-        calc.input_deck = self.load_input_of(path)?;
-        calc.tasks = self.read_tasks(path)?;
-        calc.job = job_from(&meta[4..]);
-        calc.properties = self.read_properties(path)?;
+        self.image = None;
+        let calc = self.read_calculation(path)?;
+        self.image = Some((path.to_owned(), calc.clone()));
         Ok(calc)
     }
 
@@ -436,14 +579,17 @@ impl<S: DataStorage> EcceStore for DavEcceStore<S> {
     }
 
     fn copy_calculation(&mut self, src: &str, dst: &str) -> Result<()> {
+        self.image = None;
         self.storage.copy(src, dst)
     }
 
     fn delete(&mut self, path: &str) -> Result<()> {
+        self.image = None;
         self.storage.delete(path)
     }
 
     fn annotate(&mut self, path: &str, key: &str, value: &str) -> Result<()> {
+        self.image = None;
         self.storage.set_meta(path, key, value)
     }
 

@@ -18,7 +18,7 @@ use crate::error::{EcceError, Result};
 use crate::ECCE_NS;
 use pse_dav::client::DavClient;
 use pse_dav::property::{Property, PropertyName};
-use pse_dav::repo::Repository;
+use pse_dav::repo::{PropPatchOp, Repository};
 use pse_dav::Depth;
 use std::sync::Arc;
 
@@ -43,6 +43,16 @@ pub trait DataStorage: Send {
     fn list(&mut self, path: &str) -> Result<Vec<String>>;
     /// Set one ecce-namespace metadata value.
     fn set_meta(&mut self, path: &str, key: &str, value: &str) -> Result<()>;
+    /// Set several metadata values of one resource. The default sets
+    /// them one at a time; a backend that can write them in one atomic
+    /// request overrides it. An empty list writes nothing.
+    fn set_meta_bulk(&mut self, path: &str, pairs: &[(&str, &str)]) -> Result<()> {
+        for (key, value) in pairs {
+            self.set_meta(path, key, value)?;
+        }
+        Ok(())
+    }
+
     /// Read one ecce-namespace metadata value.
     fn get_meta(&mut self, path: &str, key: &str) -> Result<Option<String>>;
     /// Read several metadata values at once (one round trip where the
@@ -197,6 +207,18 @@ impl DataStorage for DavStorage {
         Ok(self.client.proppatch_set(path, &ecce_prop(key), value)?)
     }
 
+    fn set_meta_bulk(&mut self, path: &str, pairs: &[(&str, &str)]) -> Result<()> {
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        let set: Vec<Property> = pairs
+            .iter()
+            .map(|(key, value)| Property::text(ecce_prop(key), value))
+            .collect();
+        self.client.proppatch(path, &set, &[])?;
+        Ok(())
+    }
+
     fn get_meta(&mut self, path: &str, key: &str) -> Result<Option<String>> {
         Ok(self.client.get_prop(path, &ecce_prop(key))?)
     }
@@ -334,6 +356,18 @@ impl<R: Repository> DataStorage for InProcStorage<R> {
     fn set_meta(&mut self, path: &str, key: &str, value: &str) -> Result<()> {
         self.repo
             .set_prop(path, &Property::text(ecce_prop(key), value))?;
+        Ok(())
+    }
+
+    fn set_meta_bulk(&mut self, path: &str, pairs: &[(&str, &str)]) -> Result<()> {
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        let ops: Vec<PropPatchOp> = pairs
+            .iter()
+            .map(|(key, value)| PropPatchOp::Set(Property::text(ecce_prop(key), value)))
+            .collect();
+        self.repo.patch_props(path, &ops).map_err(|(_, e)| e)?;
         Ok(())
     }
 

@@ -46,6 +46,16 @@ pub trait EcceStore {
     fn save_calculation(&mut self, project: &str, calc: &Calculation) -> Result<String>;
 
     /// Update an already-saved calculation in place.
+    ///
+    /// The DAV store compares `calc` with the calculation it last loaded
+    /// or saved at `path` and writes only the parts that differ: one
+    /// PROPPATCH per resource with changed values, one PUT per changed
+    /// document, and `tasks/` or `properties/` rebuilt only when their
+    /// lists changed. A part this client did not change is not written,
+    /// so an edit another client made to it survives. Without such an
+    /// image (none loaded, another path, or dropped by a failed request
+    /// or any other write) it writes every part. The OODB store
+    /// rewrites the whole object graph.
     fn update_calculation(&mut self, path: &str, calc: &Calculation) -> Result<()>;
 
     /// Load the complete calculation — molecule, basis, input, tasks,

@@ -280,3 +280,80 @@ fn rewriting_tasks_and_properties_replaces_them() {
     assert_eq!(back.properties[0].name, calc.properties[0].name);
     server.shutdown();
 }
+
+/// A CalcEditor round trip whose regenerated deck equals the stored
+/// one writes nothing: the op costs the 7 requests of its load.
+#[test]
+fn unchanged_calceditor_save_sends_no_request() {
+    let (server, mut store) = wire_store();
+    let proj = store.create_project(&Project::new("p", "")).unwrap();
+    let path = store.save_calculation(&proj, &input_ready("c")).unwrap();
+    for round in 0..2 {
+        let (report, counts) = requests(&server, || {
+            tools::calceditor_load(&mut store, &path).unwrap()
+        });
+        assert_eq!(report.items, 1);
+        assert_eq!(
+            counts,
+            BTreeMap::from([("get".into(), 3), ("propfind".into(), 4)]),
+            "calceditor_load round {round}"
+        );
+    }
+    server.shutdown();
+}
+
+/// Changing the theory changes one collection value and the deck it
+/// regenerates: one PROPPATCH and one PUT of `input.nw`, nothing else.
+#[test]
+fn theory_change_writes_one_value_and_the_deck() {
+    let (server, mut store) = wire_store();
+    let proj = store.create_project(&Project::new("p", "")).unwrap();
+    let path = store.save_calculation(&proj, &input_ready("c")).unwrap();
+    let mut calc = store.load_calculation(&path).unwrap();
+    calc.theory = Theory::Mp2;
+    calc.input_deck = Some(jobs::input_deck(&calc));
+    let ((), counts) = requests(&server, || store.update_calculation(&path, &calc).unwrap());
+    assert_eq!(
+        counts,
+        BTreeMap::from([("proppatch".into(), 1), ("put".into(), 1)])
+    );
+    assert_eq!(store.load_calculation(&path).unwrap(), calc);
+    server.shutdown();
+}
+
+/// A first save creates the collection, so it deletes no `tasks/` or
+/// `properties/` first, and writes each resource's values in one
+/// PROPPATCH.
+#[test]
+fn first_save_sends_no_delete() {
+    let (server, mut store) = wire_store();
+    let proj = store.create_project(&Project::new("p", "")).unwrap();
+    let (path, counts) = requests(&server, || {
+        store.save_calculation(&proj, &input_ready("c")).unwrap()
+    });
+    // An existence probe; MKCOL of the calculation and tasks/; one
+    // PROPPATCH each for the collection, molecule, basis set and task;
+    // PUTs of the molecule, basis set, input deck and task.
+    assert_eq!(
+        counts,
+        BTreeMap::from([
+            ("mkcol".into(), 2),
+            ("propfind".into(), 1),
+            ("proppatch".into(), 4),
+            ("put".into(), 4),
+        ])
+    );
+    let mut done = input_ready("d");
+    let config = jobs::RunnerConfig {
+        output_scale: 0.02,
+        ..Default::default()
+    };
+    jobs::run_to_completion(&mut done, &config).unwrap();
+    let (_, counts) = requests(&server, || store.save_calculation(&proj, &done).unwrap());
+    assert!(!counts.contains_key("delete"), "{counts:?}");
+    assert_eq!(counts["mkcol"], 3, "{counts:?}");
+    let back = store.load_calculation(&path).unwrap();
+    assert_eq!(back.input_deck, input_ready("c").input_deck);
+    assert_eq!(back.tasks, input_ready("c").tasks);
+    server.shutdown();
+}

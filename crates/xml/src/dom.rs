@@ -201,7 +201,17 @@ impl Document {
 
     /// Parse a complete document, resolving namespaces.
     pub fn parse(src: &str) -> Result<Self> {
-        let mut reader = Reader::new(src);
+        Document::parse_from(Reader::new(src))
+    }
+
+    /// Parse a document this program stored itself: as
+    /// [`parse`](Document::parse), without the `Char` check (see
+    /// [`Reader::trusted`]).
+    pub fn parse_trusted(src: &str) -> Result<Self> {
+        Document::parse_from(Reader::trusted(src))
+    }
+
+    fn parse_from(mut reader: Reader<'_>) -> Result<Self> {
         let mut ns = NsScope::new();
         let mut prolog = Vec::new();
         loop {

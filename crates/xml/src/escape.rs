@@ -103,7 +103,7 @@ fn expand_entity(entity: &str) -> Result<char> {
 }
 
 /// XML 1.0's `Char` production; `char` already excludes surrogates.
-fn is_xml_char(c: char) -> bool {
+pub(crate) fn is_xml_char(c: char) -> bool {
     matches!(c, '\t' | '\n' | '\r' | '\u{20}'..='\u{FFFD}' | '\u{10000}'..)
 }
 

@@ -12,10 +12,13 @@
 //!
 //! The reader enforces the well-formedness constraints that matter for
 //! protocol work: balanced tags, unique attributes, a single root element,
-//! and valid names. DTD internal subsets are skipped, not processed.
+//! valid names, and only characters of XML's `Char` production in text,
+//! attribute values, CDATA sections, comments and processing
+//! instructions (a raw NUL or other C0 control, or U+FFFE/U+FFFF, is an
+//! error). DTD internal subsets are skipped, not processed.
 
 use crate::error::{Error, Result};
-use crate::escape::unescape;
+use crate::escape::{is_xml_char, unescape};
 use crate::name::Name;
 use std::borrow::Cow;
 
@@ -87,6 +90,9 @@ pub struct Reader<'a> {
     /// Whether a root element has been completely read.
     root_seen: bool,
     done: bool,
+    /// Whether text and attribute values are checked against XML's
+    /// `Char` production.
+    check_chars: bool,
 }
 
 impl<'a> Reader<'a> {
@@ -100,6 +106,17 @@ impl<'a> Reader<'a> {
             pending_end: None,
             root_seen: false,
             done: false,
+            check_chars: true,
+        }
+    }
+
+    /// A reader for XML this program stored itself, which skips the
+    /// `Char` check: a value stored before the check existed (or written
+    /// in-process with such a character) still reads back.
+    pub fn trusted(src: &'a str) -> Self {
+        Reader {
+            check_chars: false,
+            ..Reader::new(src)
         }
     }
 
@@ -161,8 +178,27 @@ impl<'a> Reader<'a> {
     }
 
     fn err(&self, msg: impl Into<String>) -> Error {
-        let (line, col) = self.position();
+        self.err_at(self.pos, msg)
+    }
+
+    fn err_at(&self, pos: usize, msg: impl Into<String>) -> Error {
+        let (line, col) = self.line_col(pos);
         Error::syntax(line, col, msg)
+    }
+
+    /// Refuse `raw`, which starts at byte `start`, if it holds a
+    /// character outside XML's `Char` production.
+    fn check_chars(&self, raw: &str, start: usize) -> Result<()> {
+        if !self.check_chars {
+            return Ok(());
+        }
+        match non_char(raw) {
+            Some((i, c)) => Err(self.err_at(
+                start + i,
+                format!("character U+{:04X} is not allowed in XML", u32::from(c)),
+            )),
+            None => Ok(()),
+        }
     }
 
     fn eat(&mut self, lit: &str, context: &'static str) -> Result<()> {
@@ -202,6 +238,7 @@ impl<'a> Reader<'a> {
         if raw.contains("]]>") {
             return Err(self.err("`]]>` is not allowed in character data"));
         }
+        self.check_chars(raw, self.pos)?;
         let text = unescape(raw)?;
         self.pos += raw.len();
         if self.stack.is_empty() && !text.trim().is_empty() {
@@ -221,16 +258,20 @@ impl<'a> Reader<'a> {
         }
         if r.starts_with("<!--") {
             self.pos += 4;
+            let start = self.pos;
             let body = self.read_until("-->", "a comment")?;
             if body.contains("--") {
                 return Err(self.err("`--` is not allowed inside a comment"));
             }
+            self.check_chars(body, start)?;
             self.pos += 3;
             return Ok(Event::Comment(body));
         }
         if r.starts_with("<![CDATA[") {
             self.pos += 9;
+            let start = self.pos;
             let body = self.read_until("]]>", "a CDATA section")?;
+            self.check_chars(body, start)?;
             self.pos += 3;
             if self.stack.is_empty() {
                 return Err(self.err("CDATA outside the root element"));
@@ -272,7 +313,9 @@ impl<'a> Reader<'a> {
 
     fn pi(&mut self) -> Result<Event<'a>> {
         self.pos += 2; // `<?`
+        let start = self.pos;
         let body = self.read_until("?>", "a processing instruction")?;
+        self.check_chars(body, start)?;
         self.pos += 2;
         let (target, data) = match body.split_once(|c: char| c.is_ascii_whitespace()) {
             Some((t, d)) => (t, d.trim()),
@@ -360,10 +403,12 @@ impl<'a> Reader<'a> {
             }
         };
         self.pos += 1;
+        let start = self.pos;
         let value = self.read_until(quote, "an attribute value")?;
         if value.contains('<') {
             return Err(self.err("`<` is not allowed in attribute values"));
         }
+        self.check_chars(value, start)?;
         let value = unescape(value)?;
         self.pos += 1; // closing quote
         Ok((raw, Attribute { name, value }))
@@ -385,6 +430,18 @@ impl<'a> Reader<'a> {
         self.pos += end;
         Ok((raw, name))
     }
+}
+
+/// The first character of `s` outside XML's `Char` production, with its
+/// byte offset. Only a C0 control or the lead byte 0xEF of U+FFFE and
+/// U+FFFF can begin one, so everything before the first such byte is
+/// skipped without decoding.
+fn non_char(s: &str) -> Option<(usize, char)> {
+    let from = s.bytes().position(|b| b < 0x20 || b == 0xEF)?;
+    s[from..]
+        .char_indices()
+        .map(|(i, c)| (from + i, c))
+        .find(|&(_, c)| !is_xml_char(c))
 }
 
 fn saturate(n: usize) -> u32 {
@@ -639,5 +696,45 @@ mod tests {
     #[test]
     fn comment_with_double_dash_rejected() {
         assert!(events("<a><!-- a -- b --></a>").is_err());
+    }
+
+    #[test]
+    fn raw_characters_outside_char_rejected() {
+        for bad in [
+            '\0', '\u{1}', '\u{8}', '\u{B}', '\u{C}', '\u{1F}', '\u{FFFE}', '\u{FFFF}',
+        ] {
+            for src in [
+                format!("<a x=\"urn:a{bad}b\"/>"),
+                format!("<a>t{bad}</a>"),
+                format!("<a><![CDATA[{bad}]]></a>"),
+                format!("<a><!--{bad}--></a>"),
+                format!("<?pi {bad}?><a/>"),
+            ] {
+                assert!(
+                    matches!(events(&src), Err(Error::Syntax { .. })),
+                    "{src:?} accepted"
+                );
+                let trusted: Result<Vec<_>> = Reader::trusted(&src).collect();
+                assert!(trusted.is_ok(), "{src:?} refused by a trusted reader");
+            }
+        }
+    }
+
+    #[test]
+    fn tab_newline_return_and_other_chars_accepted() {
+        let src = "<a x=\"\t\r\n\u{FFFD}\u{10000}\u{EFFF}\">\t\u{FF10}\u{E000}\r\n</a>";
+        assert_eq!(events(src).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn non_char_reports_its_position() {
+        assert_eq!(
+            events("<a>\nok\u{1}</a>").unwrap_err(),
+            Error::syntax(2, 3, "character U+0001 is not allowed in XML")
+        );
+        assert_eq!(
+            events("<a x='\u{FFFF}'/>").unwrap_err(),
+            Error::syntax(1, 7, "character U+FFFF is not allowed in XML")
+        );
     }
 }

@@ -21,22 +21,27 @@
 #    bytes, split heads, pipelining, oversized headers, half-close)
 #    runs against the reactor server inside the workspace suite; the
 #    dedicated run makes a parser failure unmissable.
-# 6. Benchmark build: builds perfbench (the committed benchmark, its own
+# 6. Figure 4 request budget: the Ecce tools' per-operation request
+#    counts (one request per need; an unchanged CalcEditor save sends
+#    nothing, a theory change one PROPPATCH and one PUT, a first save no
+#    DELETE), counted by the server, run on their own so a tool that
+#    starts asking the server more often fails visibly.
+# 7. Benchmark build: builds perfbench (the committed benchmark, its own
 #    Cargo workspace) and runs its unit tests, so an API change in the
 #    workspace crates that breaks the benchmark fails here. Building it
 #    rewrites perfbench/Cargo.lock, so the file is saved first and put
 #    back afterwards, also when the tests fail.
-# 7. With --stress: the concurrency stress suite across a 3-seed
+# 8. With --stress: the concurrency stress suite across a 3-seed
 #    matrix at elevated thread count, the MemRepository
 #    linearizability checker, and the covered-SEARCH torn-answer
 #    detector at 10x its default iterations. PSE_STRESS_OPS /
 #    PSE_STRESS_THREADS / PSE_TORN_SEARCHES are honoured when set in
 #    the environment.
-# 8. With --c10k: the C10k gate — 1000 parked keep-alive connections
+# 9. With --c10k: the C10k gate — 1000 parked keep-alive connections
 #    (override with PSE_C10K_CONNS) against a worker pool of 8 must
 #    leave fresh clients fast, the staleness detector clean, and
 #    shutdown prompt.
-# 9. With --cluster: the replication gate — 1 primary + 2 replicas +
+# 10. With --cluster: the replication gate — 1 primary + 2 replicas +
 #    the consistent-hash router in-process, with the staleness /
 #    torn-write / MOVE-atomicity detectors pointed through the router,
 #    per-resource read floors (reads of documents nobody writes stay on
@@ -52,13 +57,13 @@
 #    repro_cluster --check (read throughput must rise
 #    monotonically 1 -> 2 -> 4 replicas with zero failover errors).
 #    PSE_CLUSTER_OPS / PSE_CLUSTER_THREADS are honoured when set.
-# 10. With --bulk: the bulk-transfer gate — range/conditional-request/
+# 11. With --bulk: the bulk-transfer gate — range/conditional-request/
 #    resumable-PUT/delta-sync suites (pse-dav bulk tests + handler
 #    range matrix), the gzip fault-injection round trip, and
 #    repro_table2 --delta --check (a 1% edit re-PUT must move >= 10x
 #    fewer bytes on the wire than the full PUT), emitting
 #    target/bench-json/bulk.json.
-# 11. With --versions: the DeltaV gate — the versioning compliance +
+# 12. With --versions: the DeltaV gate — the versioning compliance +
 #    concurrency suite (RFC 3253 state machine, PUT-storm version
 #    granularity, history immutability, read-only history resources,
 #    mem/fs replay equivalence with a mid-history restart), a failed
@@ -70,7 +75,7 @@
 #    for 50 x 1%-edit revisions of 2 MB must cost <= 25% of full
 #    snapshots, with byte-identical reads), emitting
 #    target/bench-json/versions.json.
-# 12. With --search: the indexed-search gate — the SEARCH correctness
+# 13. With --search: the indexed-search gate — the SEARCH correctness
 #    sweep (index ≡ scan equivalence proptests over mem/fs repositories
 #    and an fs repository whose commit hook feeds the change log; the
 #    mem/fs battery also runs each query with a
@@ -152,6 +157,9 @@ fi
 
 echo "==> adversarial wire tests: cargo test -q -p pse-http --test adversarial"
 cargo test -q -p pse-http --test adversarial
+
+echo "==> Figure 4 request budget: cargo test -q -p pse-ecce --test tool_requests"
+cargo test -q -p pse-ecce --test tool_requests
 
 echo "==> benchmark build + unit tests: cargo test --offline --manifest-path perfbench/Cargo.toml"
 perfbench_lock=$(mktemp)
